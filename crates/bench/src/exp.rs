@@ -2048,10 +2048,12 @@ pub fn idle(small: bool) -> ExpResult {
 /// the in-repo JSON parser):
 ///
 /// 1. **Speedup** — `par_sort_unstable` and `par_iter().map().reduce()`
-///    on a P = 8 pool beat their single-thread sequential baselines by
-///    ≥ 3× — enforced only when the machine actually has ≥ 8 cores
-///    (the H2 `cores_scarce` idiom); on smaller hosts the measured
-///    speedups are reported informationally and the bar is waived.
+///    on a P = 8 pool against their single-thread sequential baselines,
+///    with a bar on every host that can show one: ≥ 3× when
+///    `c = min(cores, P)` is 8, ≥ 1× (parallel must not lose to the
+///    code it wraps) when `2 ≤ c < 8`. Only a 1-core host waives the
+///    bar, and the artifact then says so (`"speedup_gate": "waived: 1
+///    core"`), so an inactive gate cannot pass for a met one.
 /// 2. **Task economy** — the adaptive splitter spawns *strictly fewer*
 ///    tasks than eager grain recursion on the same workloads (counted by
 ///    the same `par_splits` counter on both pools) while matching its
@@ -2185,14 +2187,22 @@ pub fn par(small: bool) -> ExpResult {
     pass &= adaptive.sort_ms <= eager.sort_ms * 1.25;
     pass &= adaptive.reduce_ms <= eager.reduce_ms * 1.25;
 
-    // -- claim 1: speedup, gated on real cores (H2 idiom) ----------------
+    // -- claim 1: speedup, with a bar for every host that has one -------
+    // `c = min(cores, P)` processors can run the pool's workers at once:
+    // with 8 the layer must be 3x sequential, with 2..8 it must at least
+    // not lose to the code it wraps, and only a single core — where no
+    // parallel speedup exists to measure — waives the bar, by name.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let sort_speedup = seq_sort_ms / adaptive.sort_ms;
     let reduce_speedup = seq_reduce_ms / adaptive.reduce_ms;
-    let cores_scarce = cores < p;
-    if !cores_scarce {
-        pass &= sort_speedup >= 3.0;
-        pass &= reduce_speedup >= 3.0;
+    let (speedup_bar, speedup_gate) = match cores.min(p) {
+        1 => (None, "waived: 1 core".to_owned()),
+        c if c < 8 => (Some(1.0), format!("active: >= 1.0x on {c} cores")),
+        c => (Some(3.0), format!("active: >= 3.0x on {c} cores")),
+    };
+    if let Some(bar) = speedup_bar {
+        pass &= sort_speedup >= bar;
+        pass &= reduce_speedup >= bar;
     }
 
     let mut t = TextTable::new(["workload", "seq ms", "adaptive ms", "eager ms", "speedup"]);
@@ -2214,7 +2224,7 @@ pub fn par(small: bool) -> ExpResult {
     // -- machine-readable artifact ---------------------------------------
     let artifact = format!(
         "{{\n  \"bench\": \"par\",\n  \"mode\": \"{}\",\n  \"p\": {},\n  \"cores\": {},\n  \
-         \"speedup_gate_active\": {},\n  \
+         \"speedup_gate\": \"{}\",\n  \
          \"sort\": {{\"n\": {}, \"seq_ms\": {:.3}, \"adaptive_ms\": {:.3}, \"eager_ms\": {:.3}, \
          \"speedup\": {:.3}}},\n  \
          \"reduce\": {{\"n\": {}, \"seq_ms\": {:.3}, \"adaptive_ms\": {:.3}, \"eager_ms\": {:.3}, \
@@ -2226,7 +2236,7 @@ pub fn par(small: bool) -> ExpResult {
         if small { "small" } else { "full" },
         p,
         cores,
-        !cores_scarce,
+        speedup_gate,
         n_sort,
         seq_sort_ms,
         adaptive.sort_ms,
@@ -2256,16 +2266,16 @@ pub fn par(small: bool) -> ExpResult {
 
     let body = format!(
         "data-parallel layer on a P={p} pool, {cores} core(s); \
-         speedup bar (≥ 3.0x){}\n\
+         speedup bar {speedup_gate}{}\n\
          task economy: adaptive {ad_tasks} splits < eager {eg_tasks} splits \
          at ≤ 1.25x eager's time (bar)\n\
          accounting: attempts balance + parks balance on both pools; \
          every split decision counted\n\
          wrote target/BENCH_par.json ({} bytes{})\n\n{}",
-        if cores_scarce {
-            " waived: fewer cores than workers — speedups reported informationally"
+        if speedup_bar.is_none() {
+            " — speedups reported informationally"
         } else {
-            " enforced"
+            ""
         },
         artifact.len(),
         if wrote { "" } else { ", WRITE FAILED" },

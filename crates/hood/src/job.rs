@@ -9,7 +9,9 @@
 //! * [`StackJob`] — lives in the frame of a `join` call; the caller
 //!   guarantees (by waiting on the latch) that the frame outlives any
 //!   execution;
-//! * [`HeapJob`] — boxed, used by `scope::spawn`, freed after execution.
+//! * [`HeapJob`] — boxed, freed after execution: what `Scope::spawn`,
+//!   `ScopeFifo::spawn_fifo`, `ThreadPool::install` and the front door
+//!   (`ThreadPool::spawn` / `spawn_batch`) allocate per job.
 
 use crate::latch::SpinLatch;
 use std::cell::UnsafeCell;
@@ -150,8 +152,9 @@ unsafe fn this_result<F, R>(job: &StackJob<F, R>) -> *mut Option<JobResult<R>> {
     job.result.get()
 }
 
-/// A heap-allocated fire-and-forget job (used by scoped spawns). The
-/// closure is responsible for any completion signaling.
+/// A heap-allocated fire-and-forget job (scoped spawns, `install`, and
+/// external submissions). The closure is responsible for any completion
+/// signaling.
 #[repr(C)]
 pub struct HeapJob<F> {
     header: JobHeader,

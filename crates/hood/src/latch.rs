@@ -6,6 +6,7 @@
 //! in the same sense as the paper's scheduler); external threads wait on a
 //! [`LockLatch`], which may sleep.
 
+use crate::pool::{current_worker, AnyWorker};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -57,36 +58,176 @@ impl SpinLatch {
     }
 }
 
-/// A counting latch: starts at `n`, becomes ready when it reaches zero.
-/// Used by scopes to wait for all spawned jobs.
+/// One thread's share of a [`CountLatch`], on a cache line of its own.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct CountSlot {
+    spawned: AtomicUsize,
+    done: AtomicUsize,
+}
+
+/// Which of a slot's two counters to advance.
+#[derive(Clone, Copy)]
+enum Tick {
+    Spawned,
+    Done,
+}
+
+/// A counting latch for scopes: ready when every job that was counted in
+/// has been counted out.
+///
+/// The count is sharded. Worker `i` of the pool the latch was created on
+/// (its *home* pool) owns `slots[i]` and is the only thread that ever
+/// writes it, so counting a job in or out is a plain load and store on a
+/// line nobody else writes. The one extra slot at the end is shared by
+/// every other thread — a plain thread, or a worker of a different pool
+/// — and is advanced with a real read-modify-write.
+///
+/// **INV-COUNT-ORDER (read `done` first, `spawned` second).**
+/// [`CountLatch::probe`] sums every `done` with `Acquire`, *then* every
+/// `spawned`, and reports ready when the sums are equal. Why that is
+/// exact, given that all counters only grow, that a job is counted in
+/// before anyone can run it and counted out after its body returned,
+/// and that a body's own spawns are therefore counted in before the
+/// body is counted out:
+///
+/// * every `done` tick the first pass observed happens-before the
+///   second pass, and with it that job's own `spawned` tick and the
+///   `spawned` ticks of everything the job spawned — so the second pass
+///   includes them all, and `Σspawned ≥ Σdone`;
+/// * equality leaves no room for any other `spawned` tick: everything
+///   spawned by an observed job, and everything spawned by the scope
+///   body (which returned before the wait began), is itself an observed
+///   completion. By induction down the spawn tree that is every job of
+///   the scope, and none is still running to spawn more.
+///
+/// Summed the other way round, a spawn and its completion could both
+/// land between the two passes and fake the equality.
+///
+/// The happens-before edges: an owner's `spawned` store is `Relaxed` and
+/// is published, together with the job, by the deque's release on
+/// `pushBottom` (or by program order when the job runs inline); `done`
+/// ticks are `Release` and pair with the probe's `Acquire` loads, which
+/// is also what hands the jobs' writes to whoever sees the latch ready.
+/// A shared-slot `done` tick is a `Release` read-modify-write, so a load
+/// that reads any later value of the slot still synchronizes with it
+/// (release sequence).
 #[derive(Debug)]
-pub struct CountLatch {
-    count: AtomicUsize,
+pub(crate) struct CountLatch {
+    slots: Box<[CountSlot]>,
+    /// Address of the home pool's shared core, or 0 when the latch was
+    /// created outside any pool. An identity to compare against, never
+    /// dereferenced: a worker of another pool must not index `slots`
+    /// with its own pool's `index()`.
+    home: usize,
 }
 
 impl CountLatch {
-    /// A latch expecting `n` completions.
-    pub fn new(n: usize) -> Self {
-        CountLatch {
-            count: AtomicUsize::new(n),
+    /// A latch with nothing counted in, homed on the current thread's
+    /// pool if it is a worker.
+    pub(crate) fn new() -> Self {
+        match current_worker() {
+            Some(w) => Self::with_slots(w.num_procs(), w.core_ptr() as usize),
+            None => Self::with_slots(0, 0),
         }
     }
 
-    /// Registers one more expected completion.
-    pub fn increment(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
+    fn with_slots(workers: usize, home: usize) -> Self {
+        CountLatch {
+            slots: (0..=workers).map(|_| CountSlot::default()).collect(),
+            home,
+        }
     }
 
-    /// Records one completion.
-    pub fn decrement(&self) {
-        let prev = self.count.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "CountLatch underflow");
+    /// The slot `w` must count in: its own if it is a worker of the home
+    /// pool, the shared one otherwise.
+    fn slot_of(&self, w: Option<&dyn AnyWorker>) -> usize {
+        match w {
+            Some(w) if w.core_ptr() as usize == self.home => w.index(),
+            _ => self.slots.len() - 1,
+        }
     }
 
-    /// True when everything completed.
+    /// Advances one counter of `slot`. The caller must be the slot's
+    /// owner, or `slot` the shared one.
     #[inline]
-    pub fn probe(&self) -> bool {
-        self.count.load(Ordering::Acquire) == 0
+    fn tick(&self, slot: usize, which: Tick) {
+        let (counter, order) = match which {
+            Tick::Spawned => (&self.slots[slot].spawned, Ordering::Relaxed),
+            Tick::Done => (&self.slots[slot].done, Ordering::Release),
+        };
+        if slot + 1 == self.slots.len() {
+            counter.fetch_add(1, order);
+        } else {
+            // Single writer: no other thread stores to this counter.
+            counter.store(counter.load(Ordering::Relaxed).wrapping_add(1), order);
+        }
+    }
+
+    /// Counts one job in. Call before the job is made visible to anyone
+    /// who could run it; `w` is the calling thread's worker context.
+    #[inline]
+    pub(crate) fn increment(&self, w: Option<&dyn AnyWorker>) {
+        self.tick(self.slot_of(w), Tick::Spawned);
+    }
+
+    /// Counts one job out, on whichever thread ran it.
+    #[inline]
+    pub(crate) fn decrement(&self) {
+        self.tick(self.slot_of(current_worker()), Tick::Done);
+    }
+
+    /// True when everything counted in has been counted out. Reads every
+    /// slot: see INV-COUNT-ORDER for why the order of the two passes
+    /// matters.
+    fn probe(&self) -> bool {
+        let slots = self.slots.iter();
+        let done = slots.clone().fold(0usize, |n, s| {
+            n.wrapping_add(s.done.load(Ordering::Acquire))
+        });
+        let spawned = slots.fold(0usize, |n, s| {
+            n.wrapping_add(s.spawned.load(Ordering::Relaxed))
+        });
+        done == spawned
+    }
+
+    /// Waits until the latch is ready. A worker waits by working — it
+    /// never parks, a waiting worker keeps contributing — and a thread
+    /// outside any pool yields.
+    ///
+    /// The worker drains its own deque first and hunts elsewhere only
+    /// once that is empty, and it pays for a full probe (which reads the
+    /// lines the other workers are writing) per dry spell, not per job:
+    /// between two local jobs it looks only when its *own* slot
+    /// balances. On a worker that nobody stole from or for,
+    /// `spawned - done` is the number of the latch's jobs still in its
+    /// deque, so the look happens when the last of them retires — before
+    /// the worker would pop a job of an *enclosing* scope or `join`,
+    /// deeper in the same deque, and nest it on its stack. A steal skews
+    /// the difference by one, so such nesting stays bounded by the
+    /// number of steals, as it is for `join`; skipping a look is only
+    /// ever a false "not yet", put right when the deque runs dry.
+    pub(crate) fn wait(&self) {
+        let Some(w) = current_worker() else {
+            while !self.probe() {
+                std::thread::yield_now();
+            }
+            return;
+        };
+        let own = &self.slots[self.slot_of(Some(w))];
+        let mut dry = false;
+        loop {
+            let balanced =
+                || own.spawned.load(Ordering::Relaxed) == own.done.load(Ordering::Relaxed);
+            if (dry || balanced()) && self.probe() {
+                return;
+            }
+            let job = w.pop();
+            dry = job.is_none();
+            if let Some(job) = job.or_else(|| w.find_distant_work()) {
+                w.execute_job(job);
+            }
+        }
     }
 }
 
@@ -198,16 +339,44 @@ mod tests {
         assert!(l.probe());
     }
 
+    /// The counter type alone, slots driven by hand: not ready while any
+    /// slot — an owned one or the shared one — is ahead, ready after.
     #[test]
-    fn count_latch() {
-        let l = CountLatch::new(2);
+    fn count_latch_is_ready_only_when_every_slot_balances() {
+        let l = CountLatch::with_slots(3, 0xdead);
+        let shared = 3;
+        assert!(l.probe(), "nothing counted in");
+        l.tick(0, Tick::Spawned);
         assert!(!l.probe());
-        l.decrement();
+        // Counted out on another worker's slot: the sums balance even
+        // though neither slot does.
+        l.tick(2, Tick::Done);
+        assert!(l.probe());
+        // The shared slot counts like any other.
+        l.tick(shared, Tick::Spawned);
+        l.tick(shared, Tick::Spawned);
         assert!(!l.probe());
-        l.increment();
-        l.decrement();
+        l.tick(1, Tick::Done);
+        assert!(!l.probe());
+        l.tick(shared, Tick::Done);
+        assert!(l.probe());
+    }
+
+    #[test]
+    fn count_latch_outside_a_pool_has_only_the_shared_slot() {
+        let l = CountLatch::new();
+        assert_eq!(l.slots.len(), 1);
+        assert_eq!(l.slot_of(None), 0);
+        l.increment(None);
+        assert!(!l.probe());
         l.decrement();
         assert!(l.probe());
+        l.wait();
+    }
+
+    #[test]
+    fn count_slots_are_cache_line_padded() {
+        assert_eq!(std::mem::align_of::<CountSlot>() % 128, 0);
     }
 
     #[test]

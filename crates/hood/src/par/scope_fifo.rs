@@ -16,19 +16,20 @@
 //! service order; the queue alone decides, and it is first-in-first-out.
 
 use crate::job::HeapJob;
+use crate::latch::CountLatch;
 use crate::pool::current_worker;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 type QueuedJob<'scope> = Box<dyn FnOnce(&ScopeFifo<'scope>) + Send + 'scope>;
 
 /// A FIFO spawn scope. See [`scope_fifo`].
 pub struct ScopeFifo<'scope> {
-    pending: AtomicUsize,
+    /// Spawned closures not yet finished, counted per worker.
+    latch: CountLatch,
     /// Closures awaiting service, oldest first. Wrapper jobs (one per
     /// queued closure) each pop and run exactly one entry.
     queue: Mutex<VecDeque<QueuedJob<'scope>>>,
@@ -46,16 +47,18 @@ impl<'scope> ScopeFifo<'scope> {
     where
         F: FnOnce(&ScopeFifo<'scope>) + Send + 'scope,
     {
-        self.pending.fetch_add(1, Ordering::AcqRel);
+        let worker = current_worker();
+        self.latch.increment(worker);
         self.queue.lock().unwrap().push_back(Box::new(body));
         let this: &ScopeFifo<'scope> = self;
         let run = move || this.service_one();
-        match current_worker() {
+        match worker {
             Some(w) => {
-                // SAFETY: `scope_fifo` blocks until `pending` reaches
-                // zero, so the wrapper (which borrows `self`, and through
-                // the queue borrows `'scope` data) cannot outlive its
-                // borrows; the deque delivers it exactly once.
+                // SAFETY: `scope_fifo` blocks until the latch has counted
+                // every closure out, so the wrapper (which borrows
+                // `self`, and through the queue borrows `'scope` data)
+                // cannot outlive its borrows; the deque delivers it
+                // exactly once.
                 let job = unsafe { HeapJob::into_job_ref(run) };
                 if !w.push(job) {
                     // Deque full: service inline.
@@ -82,11 +85,7 @@ impl<'scope> ScopeFifo<'scope> {
                 *slot = Some(p);
             }
         }
-        self.pending.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    fn done(&self) -> bool {
-        self.pending.load(Ordering::Acquire) == 0
+        self.latch.decrement();
     }
 }
 
@@ -115,21 +114,14 @@ where
     R: Send,
 {
     let s = ScopeFifo {
-        pending: AtomicUsize::new(0),
+        latch: CountLatch::new(),
         queue: Mutex::new(VecDeque::new()),
         panic: Mutex::new(None),
         marker: PhantomData,
     };
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&s)));
     // Wait for all spawned jobs — by working, if we are a worker.
-    match current_worker() {
-        Some(w) => w.wait_until(|| s.done()),
-        None => {
-            while !s.done() {
-                std::thread::yield_now();
-            }
-        }
-    }
+    s.latch.wait();
     if let Some(p) = s.panic.lock().unwrap().take() {
         std::panic::resume_unwind(p);
     }
@@ -143,7 +135,7 @@ where
 mod tests {
     use super::*;
     use crate::pool::ThreadPool;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn runs_all_spawns() {

@@ -107,7 +107,7 @@ where
     rec(slice, splitter_for(grain), identity, map, reduce)
 }
 
-/// Parallel unstable sort (three-way quicksort, `std` sequential
+/// Parallel unstable sort (in-place quicksort, `std` sequential
 /// leaves). Deterministic pivot choice keeps runs reproducible. This is
 /// [`crate::par::par_sort_unstable`] under its historical flat name: the
 /// fork cadence follows the pool's [`abp_core::SplitKind`] policy.

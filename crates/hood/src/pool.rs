@@ -682,21 +682,9 @@ pub(crate) trait AnyWorker {
     fn pop(&self) -> Option<JobRef>;
     fn execute_job(&self, job: JobRef);
     fn find_distant_work(&self) -> Option<JobRef>;
-    /// Object-safe spelling of [`WorkerCtx::wait_until`]; call through
-    /// the inherent `wait_until` on `dyn AnyWorker` instead.
-    fn wait_until_probe(&self, probe: &dyn Fn() -> bool);
     /// Identity of the owning pool, for [`ThreadPool::install`]'s
     /// same-pool fast path.
     fn core_ptr(&self) -> *const SharedCore;
-}
-
-impl dyn AnyWorker + '_ {
-    /// Executes other work (or yields) while waiting for `probe` to
-    /// become true. Closure-generic convenience over
-    /// [`AnyWorker::wait_until_probe`].
-    pub(crate) fn wait_until(&self, probe: impl Fn() -> bool) {
-        self.wait_until_probe(&probe)
-    }
 }
 
 /// Worker-thread-local context, monomorphized over the pool's deque
@@ -784,12 +772,12 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
 
     /// Counts one adaptive-splitter fork.
     pub(crate) fn note_par_split(&self) {
-        self.stats().par_splits.fetch_add(1, Ordering::Relaxed);
+        WorkerStats::bump(&self.stats().par_splits);
     }
 
     /// Counts one splittable range the splitter ran sequentially.
     pub(crate) fn note_par_seq(&self) {
-        self.stats().par_seq.fetch_add(1, Ordering::Relaxed);
+        WorkerStats::bump(&self.stats().par_seq);
     }
 
     #[cfg(feature = "telemetry")]
@@ -880,7 +868,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
             now
         });
         unsafe { job.execute() };
-        self.stats().jobs.fetch_add(1, Ordering::Relaxed);
+        WorkerStats::bump(&self.stats().jobs);
         #[cfg(feature = "telemetry")]
         if let (Some(t), Some(t0)) = (self.tele.as_ref(), started) {
             let now = t.now_ns();
@@ -1357,17 +1345,6 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
                 .set(self.tele.as_ref().map_or(0, |t| t.now_ns()));
         }
     }
-
-    /// Executes other work (or yields) while waiting for `probe` to become
-    /// true; used by `join` when its second operand was stolen, and by
-    /// scopes. Never parks: a waiting worker keeps contributing.
-    pub(crate) fn wait_until(&self, probe: impl Fn() -> bool) {
-        while !probe() {
-            if let Some(job) = self.pop().or_else(|| self.find_distant_work()) {
-                self.execute_job(job);
-            }
-        }
-    }
 }
 
 impl<B: TaskDeque<usize>> AnyWorker for WorkerCtx<B> {
@@ -1400,9 +1377,6 @@ impl<B: TaskDeque<usize>> AnyWorker for WorkerCtx<B> {
     }
     fn find_distant_work(&self) -> Option<JobRef> {
         WorkerCtx::find_distant_work(self)
-    }
-    fn wait_until_probe(&self, probe: &dyn Fn() -> bool) {
-        WorkerCtx::wait_until(self, probe)
     }
     fn core_ptr(&self) -> *const SharedCore {
         Arc::as_ptr(&self.shared.core)

@@ -6,16 +6,17 @@
 //! join's second operand; idle workers steal them from the top.
 
 use crate::job::HeapJob;
+use crate::latch::CountLatch;
 use crate::pool::current_worker;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A spawn scope. See [`scope`].
 pub struct Scope<'scope> {
-    pending: AtomicUsize,
+    /// Spawned jobs not yet finished, counted per worker.
+    latch: CountLatch,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     // Invariant over 'scope, like rayon: spawned closures may borrow
     // anything that outlives the scope call.
@@ -30,7 +31,8 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
-        self.pending.fetch_add(1, Ordering::AcqRel);
+        let worker = current_worker();
+        self.latch.increment(worker);
         let this: &Scope<'scope> = self;
         let run = move || {
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(this)));
@@ -40,13 +42,14 @@ impl<'scope> Scope<'scope> {
                     *slot = Some(p);
                 }
             }
-            this.pending.fetch_sub(1, Ordering::AcqRel);
+            this.latch.decrement();
         };
-        match current_worker() {
+        match worker {
             Some(w) => {
-                // SAFETY: `scope` blocks until `pending` reaches zero, so
-                // the job (which borrows `self` and `'scope` data) cannot
-                // outlive its borrows; the deque delivers it exactly once.
+                // SAFETY: `scope` blocks until the latch has counted
+                // every job out, so the job (which borrows `self` and
+                // `'scope` data) cannot outlive its borrows; the deque
+                // delivers it exactly once.
                 let job = unsafe { HeapJob::into_job_ref(run) };
                 if !w.push(job) {
                     // Deque full: run inline.
@@ -55,10 +58,6 @@ impl<'scope> Scope<'scope> {
             }
             None => run(), // no pool: immediate execution
         }
-    }
-
-    fn done(&self) -> bool {
-        self.pending.load(Ordering::Acquire) == 0
     }
 }
 
@@ -87,20 +86,13 @@ where
     R: Send,
 {
     let s = Scope {
-        pending: AtomicUsize::new(0),
+        latch: CountLatch::new(),
         panic: Mutex::new(None),
         marker: PhantomData,
     };
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&s)));
     // Wait for all spawned jobs — by working, if we are a worker.
-    match current_worker() {
-        Some(w) => w.wait_until(|| s.done()),
-        None => {
-            while !s.done() {
-                std::thread::yield_now();
-            }
-        }
-    }
+    s.latch.wait();
     if let Some(p) = s.panic.lock().unwrap().take() {
         std::panic::resume_unwind(p);
     }
@@ -114,7 +106,7 @@ where
 mod tests {
     use super::*;
     use crate::pool::ThreadPool;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn scope_runs_all_spawns() {

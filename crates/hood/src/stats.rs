@@ -32,6 +32,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters maintained by one worker. Padded to a cache line so workers
 /// never false-share their hot counters.
+///
+/// A slot has exactly one writer: the worker it belongs to, through
+/// `WorkerCtx::stats()`. Every other thread only takes snapshots. The
+/// counters on the per-job path (`jobs`, `par_splits`, `par_seq`) are
+/// therefore advanced with [`WorkerStats::bump`] — a `Relaxed` load and
+/// a `Relaxed` store instead of a `lock xadd` — which loses no count
+/// because no second writer can store between the two; a concurrent
+/// snapshot reads the value before or after, as it would with the
+/// read-modify-write. They publish nothing, so `Relaxed` is enough.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct WorkerStats {
@@ -88,6 +97,13 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
+    /// Adds one to `counter` without a read-modify-write. Only for the
+    /// slot's owning worker (see the type's doc).
+    #[inline]
+    pub(crate) fn bump(counter: &AtomicU64) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of this worker's counters.
     pub fn snapshot(&self) -> PoolStats {
         PoolStats {

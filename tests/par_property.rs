@@ -213,6 +213,138 @@ fn par_sort_matches_std_across_seeds_and_policies() {
     }
 }
 
+/// Input shapes that stress a quicksort's partition: runs of equal keys
+/// (the equal-run peel), presorted and mirrored orders (median-of-three's
+/// best and worst friends), and random keys.
+fn sort_shape(shape: &str, len: usize, rng: &mut DetRng) -> Vec<u64> {
+    let n = len as u64;
+    (0..n)
+        .map(|i| match shape {
+            "all-equal" => 7,
+            "two-valued" => rng.below(2),
+            "mod-7" => i % 7,
+            "sorted" => i,
+            "reversed" => n - i,
+            "organ-pipe" => i.min(n - 1 - i),
+            "saw-tooth" => i % 97,
+            "random" => rng.next_u64(),
+            _ => unreachable!(),
+        })
+        .collect()
+}
+
+/// Shape × length against `sort_unstable`, on lengths around the points
+/// where the recursion changes behaviour: `2 * min_len = 1024` (the
+/// smallest range that may fork) and `16 * 1024` (what a 4-worker pool's
+/// always-split budget of 4 levels fans a range out to).
+#[test]
+fn par_sort_matches_std_across_shapes_and_lengths() {
+    let pool = ThreadPool::new(4);
+    let lengths = [
+        0, 1, 2, 3, 1_023, 1_024, 1_025, 2_047, 2_048, 2_049, 16_383, 16_384, 16_385, 100_003,
+    ];
+    let shapes = [
+        "all-equal",
+        "two-valued",
+        "mod-7",
+        "sorted",
+        "reversed",
+        "organ-pipe",
+        "saw-tooth",
+        "random",
+    ];
+    for (case, shape) in shapes.into_iter().enumerate() {
+        for len in lengths {
+            let mut rng = DetRng::new(1_000 * case as u64 + len as u64);
+            let mut v = sort_shape(shape, len, &mut rng);
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            pool.install(|| par_sort_unstable(&mut v));
+            assert_eq!(v, expect, "{shape} × {len}");
+        }
+    }
+}
+
+/// A key whose comparisons are tallied in `KEY_CALLS` and blow up on the
+/// `KEY_PANIC_AT`-th one (never, while that is 0). The two tests that
+/// use it share the statics, so each holds `KEY_TESTS` while it runs.
+static KEY_CALLS: AtomicU64 = AtomicU64::new(0);
+static KEY_PANIC_AT: AtomicU64 = AtomicU64::new(0);
+static KEY_TESTS: Mutex<()> = Mutex::new(());
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Key(u64);
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let call = KEY_CALLS.fetch_add(1, Ordering::Relaxed) + 1;
+        if call == KEY_PANIC_AT.load(Ordering::Relaxed) {
+            panic!("comparison {call} blew up");
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// All-equal input must stay linear: a two-way partition alone would put
+/// every element on one side of every level. With the equal-run peel the
+/// whole sort is two passes.
+#[test]
+fn par_sort_all_equal_input_is_linear() {
+    let _serial = KEY_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    KEY_CALLS.store(0, Ordering::Relaxed);
+    let n = 100_000;
+    let pool = ThreadPool::new(4);
+    let mut v = vec![Key(42); n];
+    pool.install(|| par_sort_unstable(&mut v));
+    assert!(v.iter().all(|k| k.0 == 42));
+    let calls = KEY_CALLS.load(Ordering::Relaxed);
+    assert!(
+        calls <= 3 * n as u64,
+        "{calls} comparisons for {n} equal keys"
+    );
+}
+
+/// A comparison that panics part-way — in the top-level partition, in a
+/// forked level, in a sequential leaf — must leave a permutation of the
+/// input behind (the partition only swaps), surface on the caller, and
+/// leave the pool serviceable.
+#[test]
+fn par_sort_panicking_ord_leaves_a_permutation() {
+    let _serial = KEY_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = ThreadPool::new(4);
+    let mut rng = DetRng::new(99);
+    let input: Vec<u64> = (0..60_000).map(|_| rng.below(1 << 40)).collect();
+    let mut want = input.clone();
+    want.sort_unstable();
+    for k in [2, 1_000, 59_000, 130_000, 400_000] {
+        let mut v: Vec<Key> = input.iter().map(|&x| Key(x)).collect();
+        KEY_CALLS.store(0, Ordering::Relaxed);
+        KEY_PANIC_AT.store(k, Ordering::Relaxed);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| par_sort_unstable(&mut v));
+        }));
+        KEY_PANIC_AT.store(0, Ordering::Relaxed);
+        assert!(r.is_err(), "comparison {k} was never reached");
+        let mut got: Vec<u64> = v.iter().map(|key| key.0).collect();
+        got.sort_unstable();
+        assert_eq!(
+            got, want,
+            "not a permutation after a panic at comparison {k}"
+        );
+        assert_eq!(pool.install(|| 2 + 2), 4);
+    }
+    // And with the bomb defused the same pool sorts the same input.
+    let mut v: Vec<Key> = input.iter().map(|&x| Key(x)).collect();
+    pool.install(|| par_sort_unstable(&mut v));
+    assert!(v.iter().map(|key| key.0).eq(want.iter().copied()));
+}
+
 /// The policy axis actually drives the cadence: a `Sequential` pool
 /// records zero splits, an adaptive pool records some, and both compute
 /// the same answer.

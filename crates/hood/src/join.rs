@@ -2,12 +2,17 @@
 //! parallel and returns both results.
 //!
 //! On a worker thread this is the textbook work-stealing spawn: `b` is
-//! pushed onto the bottom of the worker's deque (the paper's *spawn*
+//! pushed as the newest entry of the worker's deque (the paper's *spawn*
 //! action, depth-first "latter choice"), `a` runs immediately, and the
 //! worker then reconciles with whatever happened to `b`:
 //!
-//! * still in our deque → pop it back and run it inline (the common,
-//!   allocation-free fast path);
+//! * still on our private stack → pop it back and run it inline. This
+//!   is the common case and costs a store, an index bump and one relaxed
+//!   load of the attention word going in, a load and an index decrement
+//!   coming out: no allocation, no virtual call, no atomic
+//!   read-modify-write and no fence (see [`crate::private`]);
+//! * exposed on the public deque meanwhile, but not stolen → `popBottom`
+//!   hands it back and it runs inline all the same;
 //! * stolen and finished → take the thief's result through the latch;
 //! * stolen and in progress → *wait by working*: execute other pending
 //!   jobs or steal from other workers until the latch sets (a process is
@@ -18,12 +23,23 @@
 //! `b` is stolen, we still wait for `b` to finish before unwinding, so no
 //! thief can touch a dead stack frame.
 
-use crate::job::{JobResult, StackJob};
-use crate::pool::{current_worker, AnyWorker};
+use crate::job::{JobRef, JobResult, StackJob};
+use crate::pool::{current_stack, current_worker, AnyWorker};
+use crate::private::PrivateStack;
 use std::panic::AssertUnwindSafe;
 
 /// Runs `oper_a` and `oper_b`, potentially in parallel, returning both
 /// results. Outside a pool this degenerates to sequential calls.
+///
+/// The parallelism is *potential*. If every other worker is busy at the
+/// moment of the call, `oper_b` waits on the calling worker's private
+/// stack and becomes stealable only when the caller next forks or
+/// reaches a job boundary with some worker out of work; if `oper_a`
+/// neither forks nor returns, `oper_b` may never run beside it. So the
+/// two sides must not wait for one another by any means of their own —
+/// a flag, a channel, a lock held across the call: the only wait `join`
+/// supports is `join` itself returning (likewise
+/// [`scope`](crate::scope::scope) and its spawns).
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -31,13 +47,18 @@ where
     RA: Send,
     RB: Send,
 {
-    match current_worker() {
-        Some(w) => join_on_worker(w, oper_a, oper_b),
+    match current_stack() {
+        Some(stack) => join_on_worker(stack, oper_a, oper_b),
         None => (oper_a(), oper_b()),
     }
 }
 
-fn join_on_worker<A, B, RA, RB>(worker: &dyn AnyWorker, oper_a: A, oper_b: B) -> (RA, RB)
+/// The worker behind a [`current_stack`] that was `Some`.
+fn worker<'a>() -> &'a dyn AnyWorker {
+    current_worker().expect("a private stack is registered only on a worker")
+}
+
+fn join_on_worker<A, B, RA, RB>(stack: &PrivateStack, oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
@@ -46,31 +67,71 @@ where
 {
     let job_b = StackJob::new(oper_b);
     // SAFETY: job_b is kept alive (and this frame pinned) until either we
-    // pop it back or its latch is set — see the reconcile loop below.
+    // pop it back or its latch is set — see `reconcile`.
     let job_ref = unsafe { job_b.as_job_ref() };
-    if !worker.push(job_ref) {
-        // Deque at capacity: run sequentially.
-        let ra = oper_a();
-        let rb = unsafe { job_b.run_inline() };
-        return (ra, rb);
+    if stack.push(job_ref.to_word()) {
+        worker().after_push();
     }
 
     let status_a = std::panic::catch_unwind(AssertUnwindSafe(oper_a));
 
-    // Reconcile job_b. This loop must complete before we can return *or*
-    // unwind, because job_b lives in this frame. `None` means we popped
+    // Reconcile job_b. This must complete before we can return *or*
+    // unwind, because job_b lives in this frame. `None` means we took
     // our own job back un-executed.
     //
-    // Pop first, probe the latch second: on the never-stolen fast path the
-    // very first pop returns `job_ref` itself, so the common case is one
-    // deque pop with no latch probe, no shared-state writes, and no
-    // telemetry timestamp — the fast path stays exactly push + pop. The
-    // latch only needs probing once the pop has told us `b` is gone.
-    let result_b: Option<JobResult<RB>> = loop {
-        match worker.pop() {
+    // On the never-stolen, never-exposed fast path the newest private
+    // entry is `job_ref` itself: everything `a` pushed above it has been
+    // popped or stolen by the time `a` returns. Anything else — another
+    // entry on top (a spawn onto an enclosing scope outlives `a`), or an
+    // empty private stack (`b` was exposed) — goes the long way round.
+    let result_b = match stack.pop().map(JobRef::from_word) {
+        Some(j) if j == job_ref => None,
+        other => reconcile(worker(), &job_b, job_ref, other),
+    };
+
+    match status_a {
+        Ok(ra) => {
+            let rb = match result_b {
+                Some(r) => r.into_return_value(),
+                // b was never run by anyone else; run it inline.
+                None => unsafe { job_b.run_inline() },
+            };
+            (ra, rb)
+        }
+        Err(p) => {
+            // Surface a's panic. b either completed on a thief (its
+            // result, panic payload included, is dropped) or was reclaimed
+            // un-run.
+            drop(result_b);
+            std::panic::resume_unwind(p)
+        }
+    }
+}
+
+/// The slow half of a `join`'s reconcile: `popped` (an entry already
+/// taken off the private stack, or nothing) was not `job_ref`. Works
+/// through the worker's deque until `job_ref` comes back un-run (`None`)
+/// or its latch is set (`Some(result)`).
+///
+/// Pop first, probe the latch second: a `b` that was exposed but not
+/// stolen comes straight back from the deque, so the latch is only worth
+/// reading once a pop has told us `b` is gone.
+#[cold]
+fn reconcile<B, RB>(
+    worker: &dyn AnyWorker,
+    job_b: &StackJob<B, RB>,
+    job_ref: JobRef,
+    mut popped: Option<JobRef>,
+) -> Option<JobResult<RB>>
+where
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    loop {
+        match popped.take().or_else(|| worker.pop()) {
             Some(j) if j == job_ref => {
                 // Popped our own job back: nobody else will ever run it.
-                break None;
+                return None;
             }
             Some(j) => {
                 // A pending job from an enclosing join/scope: running it
@@ -84,7 +145,7 @@ where
                 // scan; the bound preserves the wait-by-working (and
                 // ultimately parking) discipline.
                 if job_b.latch.probe_spin(64) {
-                    break Some(unsafe { job_b.take_result() });
+                    return Some(unsafe { job_b.take_result() });
                 }
                 // Contribute by stealing elsewhere (includes the
                 // configured yield).
@@ -94,25 +155,7 @@ where
             }
         }
         if job_b.latch.probe() {
-            break Some(unsafe { job_b.take_result() });
-        }
-    };
-
-    match status_a {
-        Ok(ra) => {
-            let rb = match result_b {
-                Some(r) => r.into_return_value(),
-                // Fast path: b never left our deque; run it inline.
-                None => unsafe { job_b.run_inline() },
-            };
-            (ra, rb)
-        }
-        Err(p) => {
-            // Surface a's panic. b either completed on a thief (its
-            // result, panic payload included, is dropped) or was reclaimed
-            // un-run.
-            drop(result_b);
-            std::panic::resume_unwind(p)
+            return Some(unsafe { job_b.take_result() });
         }
     }
 }

@@ -105,8 +105,9 @@ enum Tick {
 /// land between the two passes and fake the equality.
 ///
 /// The happens-before edges: an owner's `spawned` store is `Relaxed` and
-/// is published, together with the job, by the deque's release on
-/// `pushBottom` (or by program order when the job runs inline); `done`
+/// is published, together with the job, by the deque's release on the
+/// `pushBottom` that exposes the job (or by program order when the owner
+/// pops it back off its private stack); `done`
 /// ticks are `Release` and pair with the probe's `Acquire` loads, which
 /// is also what hands the jobs' writes to whoever sees the latch ready.
 /// A shared-slot `done` tick is a `Release` read-modify-write, so a load

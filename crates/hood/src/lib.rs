@@ -64,6 +64,7 @@ pub mod latch;
 pub mod par;
 pub mod parallel;
 pub mod pool;
+pub mod private;
 pub mod scope;
 pub mod sleep;
 pub mod stats;

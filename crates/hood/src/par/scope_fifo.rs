@@ -59,11 +59,7 @@ impl<'scope> ScopeFifo<'scope> {
                 // `self`, and through the queue borrows `'scope` data)
                 // cannot outlive its borrows; the deque delivers it
                 // exactly once.
-                let job = unsafe { HeapJob::into_job_ref(run) };
-                if !w.push(job) {
-                    // Deque full: service inline.
-                    unsafe { job.execute() };
-                }
+                w.push(unsafe { HeapJob::into_job_ref(run) });
             }
             None => run(), // no pool: immediate (and trivially FIFO)
         }

@@ -27,7 +27,7 @@
 //! Both heuristic inputs are racy and that is fine: a stale hint either
 //! skips one fork (costing a scan's worth of parallelism — the next
 //! consult sees the sleeper) or forks once into a busy pool (costing one
-//! cheap never-stolen `join`, measured at 22–26 ns). Neither direction
+//! cheap never-stolen `join`, measured at 5–8 ns). Neither direction
 //! affects correctness, which is what lets the splitter consult the
 //! gauge on every recursion step.
 //!
@@ -108,7 +108,7 @@ impl Splitter {
 
     /// Sets the floor leaf length (clamped to ≥ 1): ranges shorter than
     /// `2 * min_len` run sequentially unconditionally. Use when one
-    /// element is much cheaper than one `join` (22–26 ns).
+    /// element is much cheaper than one `join` (5–8 ns).
     pub fn with_min_len(mut self, min_len: usize) -> Splitter {
         self.min_len = min_len.max(1);
         self

@@ -35,9 +35,24 @@
 //! stats, telemetry registry, shutdown flag) lives in the non-generic
 //! [`SharedCore`], which is also what the non-generic [`ThreadPool`]
 //! handle holds. Code that runs *on* a worker but cannot name the
-//! backend type (`join`, `scope`, the data-parallel layer) reaches the
-//! current worker through the object-safe [`AnyWorker`] facade in TLS —
-//! one virtual call per operation, off the deque's own fast path.
+//! backend type reaches the current worker through TLS, two ways:
+//! `scope`, the data-parallel layer and the latches go through the
+//! object-safe [`AnyWorker`] facade — one virtual call per operation —
+//! while `join`, whose cost is the whole of a fine-grained fork, works
+//! directly on the worker's non-generic [`PrivateStack`] through a second,
+//! thin TLS pointer and makes a virtual call only on its slow paths.
+//!
+//! # The private-first fork path
+//!
+//! The deque a worker owns is a [`PrivateFirst`]: pushes land on an
+//! owner-private ring and cost a store, an index bump and one relaxed
+//! load of the pool's [`Attention`] word; pops take from the ring
+//! first. Work reaches the backend's public deque — becomes stealable —
+//! only through [`WorkerCtx::feed_hunters`], while some worker of the
+//! pool is out of work, so the `pushBottom` release, the `popBottom`
+//! fence and the wake are paid per steal, not per fork. The invariants
+//! (INV-PRIV-ORDER, INV-PRIV-REQ) and what the scheme gives up are in
+//! [`crate::private`] and DESIGN.md § "Private-first fork path".
 //!
 //! Multiplicity-relaxed backends ([`abp_deque::FenceFreeBackend`])
 //! report extraction races as [`Steal::Duplicate`]: the worker counts
@@ -83,6 +98,7 @@
 use crate::injector::Injector;
 use crate::job::JobRef;
 use crate::latch::LockLatch;
+use crate::private::{Attention, PrivateFirst, PrivateStack};
 use crate::sleep::{Sleep, SleepKind, SleepOutcome, SleepStats};
 use crate::stats::{PoolStats, WorkerStats};
 use abp_core::{
@@ -91,8 +107,8 @@ use abp_core::{
 };
 use abp_dag::DetRng;
 use abp_deque::{
-    AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, GrowableBackend, LockingBackend,
-    PushError, Steal, StolenBatch, TaskDeque,
+    AbpBackend, DequeStealer, FenceFreeBackend, GrowableBackend, LockingBackend, PushError, Steal,
+    StolenBatch, TaskDeque,
 };
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -112,7 +128,8 @@ pub use abp_telemetry::{TelemetryConfig, TelemetrySnapshot};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The non-blocking ABP deque with the given (fixed) array capacity.
-    /// On overflow, jobs run inline — correct, just less parallel.
+    /// When it is full, further jobs stay on their owner's private
+    /// stack — correct, just not stealable until there is room.
     Abp { capacity: usize },
     /// The growable ABP deque (retire-list buffers): never overflows.
     AbpGrowable { initial_capacity: usize },
@@ -243,8 +260,10 @@ pub struct PoolConfig {
     /// The scheduling-policy set (victim selection, contention backoff,
     /// idle behaviour). The default is the paper's policy with Hood's
     /// engineering compromise on the idle axis: uniform victims, a yield
-    /// between failed steal scans, and parking (100 µs timeout) after 64
-    /// consecutive failed scans so an idle pool does not burn CPU.
+    /// between failed steal scans, and an untimed park
+    /// ([`PoolConfig::DEFAULT_IDLE`]) after 64 consecutive failed scans,
+    /// ended only by a producer's wake, so an idle pool does not burn
+    /// CPU.
     pub policies: PolicySet,
     /// Seed for victim selection.
     pub seed: u64,
@@ -479,6 +498,11 @@ pub(crate) struct SharedCore {
     /// to `cap` tasks per round trip.
     batch: BatchKind,
     pub(crate) stats: Vec<WorkerStats>,
+    /// The pool's attention word: counts the workers that are hunting
+    /// for work; every push tests it. One word for the whole topology —
+    /// a pool whose neighbour is starving must expose work for the
+    /// neighbour's cross-pool attempts to find.
+    attention: Arc<Attention>,
     /// The selected backend (capability constants drive the per-backend
     /// shutdown assertions; the name labels reports).
     backend: Backend,
@@ -664,11 +688,11 @@ pub(crate) struct Shared<B: TaskDeque<usize>> {
 }
 
 /// The object-safe facade over a worker context, for code that runs on
-/// a worker but cannot name the pool's backend type (`join`, `scope`,
-/// and the data-parallel layer reach the current worker through
-/// `current_worker() -> Option<&dyn AnyWorker>`). One virtual call per
-/// scheduler operation; the deque protocol underneath is already
-/// monomorphized.
+/// a worker but cannot name the pool's backend type (`scope`, the
+/// latches, the data-parallel layer and `join`'s slow paths reach the
+/// current worker through `current_worker() -> Option<&dyn AnyWorker>`).
+/// One virtual call per scheduler operation; the deque protocol
+/// underneath is already monomorphized.
 pub(crate) trait AnyWorker {
     fn index(&self) -> usize;
     fn num_procs(&self) -> usize;
@@ -676,10 +700,16 @@ pub(crate) trait AnyWorker {
     fn sleepers_hint(&self) -> usize;
     fn note_par_split(&self);
     fn note_par_seq(&self);
-    /// `pushBottom`; false means the deque is full (run the job inline).
-    fn push(&self, job: JobRef) -> bool;
-    /// `popBottom`.
+    /// Pushes `job` as the newest entry of this worker's deque. Never
+    /// fails: the private stack grows.
+    fn push(&self, job: JobRef);
+    /// The slow half of a push made directly on the [`PrivateStack`]
+    /// that reported attention ([`WorkerCtx::after_push`]).
+    fn after_push(&self);
+    /// Pops the newest entry of this worker's deque.
     fn pop(&self) -> Option<JobRef>;
+    /// Makes every private entry stealable; for a worker about to block.
+    fn expose_all(&self);
     fn execute_job(&self, job: JobRef);
     fn find_distant_work(&self) -> Option<JobRef>;
     /// Identity of the owning pool, for [`ThreadPool::install`]'s
@@ -697,7 +727,7 @@ pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
     pool: usize,
     pool_start: usize,
     pool_end: usize,
-    deque: B::Owner,
+    deque: PrivateFirst<B>,
     shared: Arc<Shared<B>>,
     engine: RefCell<PolicyEngine>,
     /// True between returning from a wake-caused unpark and finding the
@@ -708,6 +738,10 @@ pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
     /// Timestamp of the wake-caused unpark (0 when tracing is off),
     /// for the unpark-to-work latency histogram.
     woken_at: Cell<u64>,
+    /// True from this worker's first failed pop of its own deque until
+    /// its next push: while it is counted in the pool's [`Attention`]
+    /// word.
+    hunting: Cell<bool>,
     /// Reused scratch for batched cross-pool robs: after the first few
     /// trips the capacity sticks at the batch cap and the steady state
     /// allocates nothing.
@@ -718,6 +752,10 @@ pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
 
 thread_local! {
     static CURRENT: Cell<Option<*const (dyn AnyWorker + 'static)>> = const { Cell::new(None) };
+    /// The same worker's private stack, behind a thin pointer to a
+    /// non-generic type: what `join` needs on its fast path, without the
+    /// fat-pointer read and the virtual calls.
+    static CURRENT_STACK: Cell<*const PrivateStack> = const { Cell::new(std::ptr::null()) };
 }
 
 /// The current worker context, if this thread is a pool worker.
@@ -725,6 +763,14 @@ pub(crate) fn current_worker<'a>() -> Option<&'a dyn AnyWorker> {
     // SAFETY: the pointer is set for exactly the lifetime of
     // worker_main's stack frame on this thread.
     CURRENT.with(|c| c.get()).map(|p| unsafe { &*p })
+}
+
+/// The current worker's private stack, if this thread is a pool worker
+/// (exactly when [`current_worker`] is `Some`).
+#[inline]
+pub(crate) fn current_stack<'a>() -> Option<&'a PrivateStack> {
+    // SAFETY: as for `current_worker` — set and cleared with it.
+    unsafe { CURRENT_STACK.with(|c| c.get()).as_ref() }
 }
 
 impl<B: TaskDeque<usize>> WorkerCtx<B> {
@@ -788,51 +834,101 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         }
     }
 
-    /// `pushBottom`. Returns false if the (fixed-capacity) deque is full —
-    /// the caller then runs the job inline instead.
-    ///
-    /// The spawn event is coarse-stamped (last clock read, usually the
-    /// enclosing job's `ExecStart`) so the `join` fast path — push, run
-    /// `a`, pop — never touches the clock.
-    pub(crate) fn push(&self, job: JobRef) -> bool {
+    /// Pushes `job` as the newest entry of this worker's deque: onto the
+    /// private stack, where only a raised [`Attention`] word costs more
+    /// than a store and an index bump.
+    pub(crate) fn push(&self, job: JobRef) {
+        if self.deque.private().push(job.to_word()) {
+            self.after_push();
+        }
+    }
+
+    /// The slow half of a push, taken when the attention word is raised:
+    /// by this worker itself (the push ends its hunt), by another hunter
+    /// (who must be fed), or by tracing. On a traced pool that is every
+    /// push, which is how the trace still gets its one `Spawn` per push —
+    /// coarse-stamped (last clock read, usually the enclosing job's
+    /// `ExecStart`), so even a traced fork never touches the clock.
+    #[cold]
+    pub(crate) fn after_push(&self) {
         #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
             t.record_coarse(EventKind::Spawn);
         }
-        let pushed = self.deque.push_bottom(job.to_word()).is_ok();
-        if pushed {
-            self.notify_push();
+        let first = self.hunting.replace(false);
+        if first {
+            self.core().attention.stop_hunting();
         }
-        pushed
+        self.feed_hunters(first);
     }
 
-    /// Producer-side wake after a successful `pushBottom`: with the
-    /// eventcount, a relaxed peek at the sleep word (free while the pool
-    /// is busy) and a targeted wake only when idlers are visible. A
-    /// stale peek can miss a worker racing into a park, but this owner
-    /// drains its own deque before idling, so the job still runs — the
-    /// miss costs one scan of parallelism, never liveness (the external
-    /// inject path, which has no such owner, always pays the barrier).
-    /// The legacy condvar protocol never woke anyone here; the fallback
-    /// keeps that behaviour.
-    fn notify_push(&self) {
-        let sleep = &self.shard().sleep;
-        match sleep.kind() {
-            SleepKind::Eventcount => {
-                #[cfg(feature = "telemetry")]
-                sleep.notify_spawn(|ev| {
-                    self.tele_record(match ev {
-                        Some(target) => EventKind::WakeOne {
-                            target: (self.pool_start + target) as u32,
-                        },
-                        None => EventKind::WakeSkipped,
-                    });
-                });
-                #[cfg(not(feature = "telemetry"))]
-                sleep.notify_spawn(|_| {});
-            }
-            SleepKind::CondvarFallback => {}
+    /// **INV-PRIV-REQ**: a visible hunter is answered at the owner's next
+    /// push or pop — by exposing the older half of the private entries
+    /// and waking for them ([`WorkerCtx::notify_exposed`]). With nobody
+    /// hunting nothing is exposed and nothing is synchronised; next to a
+    /// parked worker a lone fork is public-and-wake, exactly the
+    /// behaviour before the private stack existed.
+    ///
+    /// A worker *hunts* — is counted in the pool's [`Attention`] word —
+    /// from the first failed pop of its own deque
+    /// ([`WorkerCtx::find_distant_work`]) until its next push
+    /// ([`WorkerCtx::after_push`]): for as long as it has no work of its
+    /// own to offer. That covers the scans, a park, and also the stolen
+    /// or polled job it runs in between when that job forks nothing —
+    /// such a worker is back for more the moment the job ends, and an
+    /// owner that waited to see it scanning again could already be inside
+    /// a long job with its surplus unreachable.
+    ///
+    /// Two refinements. The public deque is only topped up to one entry
+    /// per hunter: one exposure usually answers a hunter for good (it
+    /// takes the oldest entry, forks, and stops hunting), so this keeps
+    /// exposures in step with steals rather than with the pushes made
+    /// while a hunter is on its way. And `first` — the caller's first
+    /// push after running dry — is exposed whoever is or is not hunting:
+    /// it is the root fork of whatever the worker has just taken up, and
+    /// the push most likely to find the pool's other workers between two
+    /// states, done with the previous computation and not yet counted.
+    ///
+    /// What is given up: entries pushed while nobody hunted stay private
+    /// until their owner's next push or pop, however hungry the pool has
+    /// become since — see DESIGN.md § "Private-first fork path".
+    fn feed_hunters(&self, first: bool) {
+        let hunters = self.core().attention.hunters() as usize;
+        if first || hunters > self.deque.public_len() {
+            self.notify_exposed(self.deque.expose_half());
         }
+    }
+
+    /// Producer-side wake for `n` entries just exposed on the public
+    /// deque (none: nothing to do). With the eventcount this is the
+    /// external submitters' notify — an unconditional epoch bump, then
+    /// `min(n, sleepers)` targeted wakes: the bump is the store→load
+    /// barrier between the exposure and the look at the sleeper count
+    /// (INV-EC-PUB), so a hunter that was already committing to sleep
+    /// either fails its commit or is woken, and never sleeps on exposed
+    /// work. The legacy condvar protocol never woke anyone from a
+    /// worker's push, and its sleepers re-scan every 100 µs; the fallback
+    /// keeps that.
+    fn notify_exposed(&self, n: usize) {
+        let sleep = &self.shard().sleep;
+        if n == 0 || sleep.kind() == SleepKind::CondvarFallback {
+            return;
+        }
+        sleep.notify_jobs(n, |_ev| {
+            #[cfg(feature = "telemetry")]
+            self.tele_record(match _ev {
+                Some(target) => EventKind::WakeOne {
+                    target: (self.pool_start + target) as u32,
+                },
+                None => EventKind::WakeSkipped,
+            });
+        });
+    }
+
+    /// Exposes every private entry and wakes for them: for a worker
+    /// about to block without touching its deque.
+    pub(crate) fn expose_all(&self) {
+        self.notify_exposed(self.deque.expose_all());
     }
 
     /// Bookkeeping for work found anywhere (own pop, steal, injector):
@@ -852,9 +948,16 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         }
     }
 
-    /// `popBottom`.
+    /// Pops the newest entry of this worker's deque — private stack
+    /// first, then `popBottom` — and feeds the pool's hunters from what
+    /// is left, so an owner that has stopped forking still answers at
+    /// every job boundary. (`join` reclaims its own operand straight off
+    /// the private stack without this check: whatever it runs next forks,
+    /// and so checks, almost at once.)
     pub(crate) fn pop(&self) -> Option<JobRef> {
-        self.deque.pop_bottom().map(JobRef::from_word)
+        let word = self.deque.pop()?;
+        self.feed_hunters(false);
+        Some(JobRef::from_word(word))
     }
 
     /// Executes `job` and maintains the job counter, the job-run-time
@@ -992,8 +1095,10 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// batch policy is [`BatchKind::Half`]: up to `cap` jobs leave this
     /// pool's front door under one shard lock ([`Injector::poll_batch`]
     /// counts it as one poll with `n` hits). The first job is returned
-    /// to run now; the rest land on our own deque bottom — visible to
-    /// pool-mates — and wake `min(rest, sleepers)` of them. Worker-side
+    /// to run now; the rest land on our own *public* deque bottom —
+    /// visible to pool-mates at once, which is legal because a worker
+    /// polls only with both its stacks empty (INV-PRIV-ORDER) — and wake
+    /// `min(rest, sleepers)` of them. Worker-side
     /// accounting stays per-job (`n` attempts, `n` injects, one
     /// inject-to-pickup latency sample per stamped job), so the five-way
     /// identity and the SV1 histograms see exactly the jobs that moved.
@@ -1027,7 +1132,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         let (first, _) = jobs.next().expect("non-empty injector batch");
         let mut parked_here = 0usize;
         for (word, submit_ns) in jobs {
-            match self.deque.push_bottom(word) {
+            match self.deque.push_public(word) {
                 Ok(()) => parked_here += 1,
                 // A full fixed-capacity deque (practically impossible at
                 // the default 1 << 15 slots) sends the job back through
@@ -1074,7 +1179,8 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// `cap` tasks (biased to half the victim's visible backlog by the
     /// backend's `steal_batch_into`, refilling a per-worker scratch
     /// buffer), keep the first to run now, push the
-    /// rest onto our own deque bottom, and wake `min(rest, sleepers)`
+    /// rest onto our own public deque bottom (a thief's stacks are both
+    /// empty, so INV-PRIV-ORDER holds), and wake `min(rest, sleepers)`
     /// pool-mates so one migration fans work out locally instead of
     /// costing one remote round trip per task.
     ///
@@ -1124,7 +1230,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         let first = tasks.next().expect("non-empty batch");
         let mut parked_here = 0usize;
         for word in tasks {
-            match self.deque.push_bottom(word) {
+            match self.deque.push_public(word) {
                 Ok(()) => parked_here += 1,
                 // A full fixed-capacity deque (practically impossible at
                 // the default 1 << 15 slots) reroutes the task through
@@ -1185,7 +1291,13 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// externally submitted work, which affinity routing keeps at home
     /// — and only then, with probability [`PoolConfig::cross_steal`],
     /// one cross-pool attempt at the [`WorkerCtx::remote_victim`].
+    ///
+    /// Every caller has just failed a pop of its own deque, so this is
+    /// where a worker starts to count as hunting (INV-PRIV-REQ).
     pub(crate) fn find_distant_work(&self) -> Option<JobRef> {
+        if !self.hunting.replace(true) {
+            self.core().attention.start_hunting();
+        }
         match self.engine.borrow_mut().backoff_action() {
             BackoffAction::Proceed => {}
             BackoffAction::Yield => self.do_yield(),
@@ -1260,7 +1372,12 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// hierarchical one (a hierarchical thief is woken only by its own
     /// pool, so it only stays up for its own pool; remote work is its
     /// owners' responsibility). Our own deque is known empty — the
-    /// caller just failed a `popBottom`.
+    /// caller just failed a pop of both its stacks.
+    ///
+    /// Only *public* deques can be seen. A victim that looks empty may
+    /// hold private work; the caller stays counted as hunting while it
+    /// sleeps, so that victim's next push or pop exposes and wakes
+    /// ([`WorkerCtx::feed_hunters`]).
     fn work_in_sight(&self) -> bool {
         let core = self.core();
         if core.shutdown.load(Ordering::Acquire) || self.shard().injector.pending() > 0 {
@@ -1288,7 +1405,12 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// either fails the commit or (once committed) is obliged to wake us.
     /// Park/unpark counters and trace spans move only for *committed*
     /// parks, so `parks == unparks` holds exactly at shutdown.
+    ///
+    /// Only `worker_main` parks, and only after a pop of both stacks
+    /// failed, so a sleeping worker holds nothing — in particular no
+    /// private entry that its thieves could not see.
     fn park(&self, timeout: Option<Duration>) {
+        debug_assert!(self.deque.private().is_empty(), "parking over private work");
         let core = self.core();
         let shard = self.shard();
         let sleep = &shard.sleep;
@@ -1366,11 +1488,17 @@ impl<B: TaskDeque<usize>> AnyWorker for WorkerCtx<B> {
     fn note_par_seq(&self) {
         WorkerCtx::note_par_seq(self)
     }
-    fn push(&self, job: JobRef) -> bool {
+    fn push(&self, job: JobRef) {
         WorkerCtx::push(self, job)
+    }
+    fn after_push(&self) {
+        WorkerCtx::after_push(self)
     }
     fn pop(&self) -> Option<JobRef> {
         WorkerCtx::pop(self)
+    }
+    fn expose_all(&self) {
+        WorkerCtx::expose_all(self)
     }
     fn execute_job(&self, job: JobRef) {
         WorkerCtx::execute_job(self, job)
@@ -1386,13 +1514,21 @@ impl<B: TaskDeque<usize>> AnyWorker for WorkerCtx<B> {
 /// The scheduling loop (Figure 3), monomorphized over the deque
 /// backend. The TLS registration erases the backend type so `join`,
 /// `scope`, and the data-parallel layer can reach this context through
-/// [`AnyWorker`].
+/// [`AnyWorker`] and [`PrivateStack`].
+///
+/// Where a worker stops touching its deque, its private stack is empty:
+/// the loop hunts, parks ([`WorkerCtx::park`]) and exits only after
+/// `ctx.pop()` — private first, then public — came back `None`, and
+/// nothing in those arms pushes privately. (The one place a worker can
+/// block *holding* private work is a foreign [`ThreadPool::install`],
+/// which exposes it all first.)
 fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
     CURRENT.with(|c| {
         c.set(Some(
             &ctx as &dyn AnyWorker as *const (dyn AnyWorker + 'static),
         ))
     });
+    CURRENT_STACK.with(|c| c.set(ctx.deque.private()));
     let core = Arc::clone(&ctx.shared.core);
     loop {
         let job = ctx.pop().or_else(|| ctx.find_distant_work());
@@ -1445,7 +1581,9 @@ fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
             }
         }
     }
+    debug_assert!(ctx.deque.private().is_empty(), "exiting over private work");
     CURRENT.with(|c| c.set(None));
+    CURRENT_STACK.with(|c| c.set(std::ptr::null()));
 }
 
 /// Builds each worker's deque from the backend descriptor and spawns
@@ -1478,7 +1616,7 @@ fn spawn_workers<B: TaskDeque<usize>>(
                 pool,
                 pool_start,
                 pool_end,
-                deque,
+                deque: PrivateFirst::new(deque, Arc::clone(&shared.core.attention)),
                 shared: Arc::clone(&shared),
                 engine: RefCell::new(PolicyEngine::new(
                     &config.policies,
@@ -1486,6 +1624,7 @@ fn spawn_workers<B: TaskDeque<usize>>(
                 )),
                 woken_pending: Cell::new(false),
                 woken_at: Cell::new(0),
+                hunting: Cell::new(false),
                 batch_buf: RefCell::new(StolenBatch::empty()),
                 #[cfg(feature = "telemetry")]
                 tele: shared.core.registry.as_ref().map(|r| r.worker(index)),
@@ -1553,6 +1692,10 @@ impl ThreadPool {
             .telemetry
             .as_ref()
             .map(|tc| Registry::with_policy(p, tc, config.policies.label()));
+        #[cfg(feature = "telemetry")]
+        let traced = registry.is_some();
+        #[cfg(not(feature = "telemetry"))]
+        let traced = false;
         // Contiguous near-even blocks: pool j owns [j·P/K, (j+1)·P/K).
         let shards: Vec<PoolShard> = (0..k)
             .map(|j| {
@@ -1587,6 +1730,7 @@ impl ThreadPool {
             split: config.policies.split,
             batch: config.policies.batch,
             stats: (0..p).map(|_| WorkerStats::default()).collect(),
+            attention: Arc::new(Attention::new(traced)),
             backend: config.backend,
             #[cfg(feature = "telemetry")]
             registry,
@@ -1626,16 +1770,17 @@ impl ThreadPool {
     /// pool, runs `f` directly.
     ///
     /// Calling this from a worker thread of a *different* pool blocks
-    /// that worker (it sleeps rather than work-steals) — mutual
-    /// cross-pool installs can therefore deadlock, exactly as in other
-    /// work-stealing runtimes. Prefer one pool, or acyclic pool
-    /// dependencies.
+    /// that worker (it sleeps rather than work-steals, after making
+    /// everything it holds stealable) — mutual cross-pool installs can
+    /// therefore deadlock, exactly as in other work-stealing runtimes.
+    /// Prefer one pool, or acyclic pool dependencies.
     pub fn install<F, R>(&self, f: F) -> R
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        if let Some(w) = current_worker() {
+        let foreign = current_worker();
+        if let Some(w) = foreign {
             if std::ptr::eq(w.core_ptr(), Arc::as_ptr(&self.core)) {
                 return f();
             }
@@ -1654,6 +1799,15 @@ impl ThreadPool {
                 })
             };
             self.core.inject(job);
+            // A worker of another pool is about to sleep on the latch
+            // with the `b` sides of its enclosing joins on its private
+            // stack, where no hunter of its own pool can reach them and
+            // it will make no push or pop to hand them over: expose them
+            // all first. (Any other caller of `LockLatch::wait` is a
+            // plain thread and owns no deque.)
+            if let Some(w) = foreign {
+                w.expose_all();
+            }
             latch.wait();
         }
         match result

@@ -2,8 +2,10 @@
 //!
 //! A scope guarantees every spawned job finishes before `scope` returns,
 //! which is what makes borrowing local data from spawned closures sound.
-//! Spawned jobs go onto the spawning worker's deque bottom exactly like a
-//! join's second operand; idle workers steal them from the top.
+//! Spawned jobs become the newest entries of the spawning worker's deque
+//! exactly like a join's second operand — on its private stack first,
+//! exposed oldest-first while some worker is out of work — and idle
+//! workers steal them from the top.
 
 use crate::job::HeapJob;
 use crate::latch::CountLatch;
@@ -27,6 +29,12 @@ impl<'scope> Scope<'scope> {
     /// Spawns `body` to run (potentially in parallel) before the enclosing
     /// [`scope`] returns. May be called from any thread inside the scope,
     /// including from other spawned jobs.
+    ///
+    /// As with [`join`](crate::join::join), the parallelism is potential:
+    /// a job spawned while every other worker is busy becomes stealable
+    /// only when its spawner next spawns or reaches a job boundary with
+    /// some worker out of work. A job must therefore never wait for a
+    /// sibling by any means other than the scope itself returning.
     pub fn spawn<F>(&self, body: F)
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
@@ -50,11 +58,7 @@ impl<'scope> Scope<'scope> {
                 // every job out, so the job (which borrows `self` and
                 // `'scope` data) cannot outlive its borrows; the deque
                 // delivers it exactly once.
-                let job = unsafe { HeapJob::into_job_ref(run) };
-                if !w.push(job) {
-                    // Deque full: run inline.
-                    unsafe { job.execute() };
-                }
+                w.push(unsafe { HeapJob::into_job_ref(run) });
             }
             None => run(), // no pool: immediate execution
         }

@@ -51,13 +51,13 @@
 //! [`model`], with non-vacuity variants that delete the re-scan or the
 //! epoch check and exhibit the lost wakeup.)
 //!
-//! One deliberate asymmetry: a *worker* that pushes to its own deque
-//! checks the word with a plain load and only pays the RMW when it
-//! observes idlers. The unfenced load can miss a concurrent
-//! announce/commit (store-buffering), but an owner always drains its
-//! own deque before idling, so the job still runs — the miss costs
-//! parallelism for one scan, never liveness. External submissions have
-//! no such owner, so [`Sleep::notify_jobs`] bumps unconditionally.
+//! A *worker* is a producer only when it exposes private entries on its
+//! public deque (`WorkerCtx::feed_hunters` in [`crate::pool`]), which
+//! happens while some worker is out of work, not per fork — so it pays
+//! the same unconditional [`Sleep::notify_jobs`] bump as an external
+//! submission and needs no weaker, peeking variant. Its forks never look
+//! at this word: a sleeping worker is still counted in the pool's
+//! attention word, and that count is what the fork fast path tests.
 //!
 //! # Fallback
 //!
@@ -357,22 +357,6 @@ impl Sleep {
         self.wake_many(want, on_event);
     }
 
-    /// Producer-side notify for one job a *worker* pushed onto its own
-    /// deque. Pays only a relaxed load while the pool is busy; bumps the
-    /// epoch (forcing mid-announce workers to re-scan) and wakes at most
-    /// one sleeper when idlers are visible. See the module doc for why
-    /// the unfenced fast path cannot cost liveness here.
-    pub(crate) fn notify_spawn(&self, on_event: impl FnMut(Option<usize>)) {
-        debug_assert_eq!(self.kind, SleepKind::Eventcount);
-        let word = self.word.load(Ordering::Relaxed);
-        if sleepers_of(word) == 0 && announced_of(word) == 0 {
-            return;
-        }
-        let old = self.word.fetch_add(EPOCH_ONE, Ordering::SeqCst);
-        let want = 1usize.min(sleepers_of(old) as usize);
-        self.wake_many(want, on_event);
-    }
-
     /// Pops up to `want` sleepers (LIFO) and unparks each.
     fn wake_many(&self, want: usize, mut on_event: impl FnMut(Option<usize>)) {
         for _ in 0..want {
@@ -563,23 +547,21 @@ mod tests {
         assert_eq!(s.park_committed(0, None), SleepOutcome::Woken);
     }
 
-    /// notify_spawn is a no-op while nobody is idle, and wakes one
-    /// sleeper when somebody is.
+    /// notify_jobs wakes nobody while nobody sleeps — but its bump still
+    /// aborts a commit in flight — and no more sleepers than it was
+    /// given jobs.
     #[test]
-    fn spawn_notify_wakes_at_most_one() {
+    fn notify_wakes_at_most_n_and_aborts_commits_in_flight() {
         let s = Sleep::new(2, SleepKind::Eventcount);
-        s.notify_spawn(|_| unreachable!("pool busy: no RMW, no wake"));
-        assert_eq!(
-            epoch_of(s.word.load(Ordering::SeqCst)),
-            0,
-            "fast path skips the bump"
-        );
+        let t = s.announce();
+        s.notify_jobs(1, |_| unreachable!("announced is not asleep"));
+        assert!(!s.try_commit(0, t), "the bump aborts the commit in flight");
         for i in 0..2 {
             let t = s.announce();
             assert!(s.try_commit(i, t));
         }
         let mut woken = Vec::new();
-        s.notify_spawn(|ev| woken.push(ev.unwrap()));
+        s.notify_jobs(1, |ev| woken.push(ev.unwrap()));
         assert_eq!(woken, vec![1]);
         // The woken worker stays a counted sleeper until its park
         // returns and it decrements itself.

@@ -2,7 +2,7 @@
 //! run export through the same Chrome trace-event schema, and the event
 //! streams agree *exactly* with the independent scheduler counters.
 
-use abp_telemetry::{chrome_trace, json, metrics_json, StealOutcome, TelemetryConfig};
+use abp_telemetry::{chrome_trace, json, metrics_json, EventKind, StealOutcome, TelemetryConfig};
 use hood::{join, PoolConfig, ThreadPool};
 use multiprog_ws::dag::gen;
 use multiprog_ws::kernel::{BenignKernel, CountSource};
@@ -165,6 +165,43 @@ fn pool_trace_matches_pool_stats() {
     // Histograms saw every hit and every job execution.
     assert_eq!(snap.steal_latency_all().count(), report.stats.steals);
     assert!(snap.job_run_time_all().count() >= report.stats.jobs);
+}
+
+/// Tracing parity of the private-first fork path: the untraced push is
+/// a store and a load that records nothing, so a traced pool must route
+/// every push through the slow path — one `Spawn` per fork, whether the
+/// entry then stays private, is exposed, or is stolen — and every job
+/// the scheduler ran has its `ExecStart`.
+#[test]
+fn spawn_events_equal_forks() {
+    fn fork_everywhere(n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (x, y) = join(|| fork_everywhere(n - 1), || fork_everywhere(n - 2));
+        x + y
+    }
+    let pool = ThreadPool::with_config(PoolConfig {
+        num_procs: 3,
+        telemetry: Some(TelemetryConfig {
+            ring_capacity: 1 << 16,
+        }),
+        ..PoolConfig::default()
+    });
+    assert_eq!(pool.install(|| fork_everywhere(16)), 987);
+    let report = pool.shutdown();
+    let snap = report.telemetry.as_ref().expect("telemetry configured");
+    assert_eq!(snap.total_dropped(), 0, "ring sized to keep everything");
+    let count = |want: EventKind| {
+        snap.workers
+            .iter()
+            .flat_map(|w| &w.events)
+            .filter(|e| e.kind == want)
+            .count() as u64
+    };
+    // One join per call with n >= 2: fib(17) - 1 of them under fib(16).
+    assert_eq!(count(EventKind::Spawn), 1596);
+    assert_eq!(count(EventKind::ExecStart), report.stats.jobs);
 }
 
 /// The flat metrics export is valid JSON and its per-worker fields agree

@@ -1,10 +1,11 @@
 //! Benchmarks for the hood runtime (experiment B1): fork-join throughput
-//! across process counts and the two ablation axes (deque backend,
-//! yields). On an oversubscribed machine the ABP-vs-locking and
-//! yield-vs-no-yield gaps are the paper's headline practical results.
+//! across process counts and the yield ablation. On an oversubscribed
+//! machine the yield-vs-no-yield gap is one of the paper's headline
+//! practical results (the ABP-vs-locking gap is measured in the
+//! simulator, experiment A1).
 
 use abp_bench::harness::Harness;
-use hood::{join, Backend, PoolConfig, ThreadPool};
+use hood::{join, PoolConfig, ThreadPool};
 use std::hint::black_box;
 
 fn fib(n: u64) -> u64 {
@@ -58,25 +59,6 @@ fn bench_tree_sum(h: &Harness) {
     g.finish();
 }
 
-fn bench_backend_ablation(h: &Harness) {
-    let mut g = h.group("backend_fib22_P4");
-    g.sample_size(10);
-    for (name, backend) in [
-        ("abp", Backend::Abp { capacity: 1 << 15 }),
-        ("locking", Backend::Locking),
-    ] {
-        let pool = ThreadPool::with_config(PoolConfig {
-            num_procs: 4,
-            backend,
-            ..PoolConfig::default()
-        });
-        g.bench(name, || {
-            pool.install(|| black_box(fib(22)));
-        });
-    }
-    g.finish();
-}
-
 fn bench_yield_ablation(h: &Harness) {
     // Oversubscribe: P well beyond the machine's processors, so yields
     // matter (the multiprogrammed setting).
@@ -110,6 +92,5 @@ fn main() {
     let h = Harness::from_args("fork_join");
     bench_fib(&h);
     bench_tree_sum(&h);
-    bench_backend_ablation(&h);
     bench_yield_ablation(&h);
 }

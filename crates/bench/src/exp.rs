@@ -929,7 +929,7 @@ pub fn assign_policy() -> ExpResult {
 /// criterion is correctness plus "yield never loses badly"; the timing
 /// columns are the interesting output.
 pub fn hood_wallclock() -> ExpResult {
-    use hood::{join, Backend, BackoffKind, IdleKind, PolicySet, PoolConfig, ThreadPool};
+    use hood::{join, BackoffKind, IdleKind, PolicySet, PoolConfig, ThreadPool};
     use std::time::Instant;
 
     fn fib_serial(n: u64) -> u64 {
@@ -994,13 +994,6 @@ pub fn hood_wallclock() -> ExpResult {
             PoolConfig::default()
                 .with_num_procs(over)
                 .with_policies(spin_noyield),
-        ),
-        (
-            "locking+yield, oversubscribed",
-            PoolConfig::default()
-                .with_num_procs(over)
-                .with_backend(Backend::Locking)
-                .with_policies(spin_yield),
         ),
     ];
     for (name, cfg) in cases {
@@ -2288,33 +2281,26 @@ pub fn par(small: bool) -> ExpResult {
 /// multiplicity deque, head to head through the [`abp_deque::TaskDeque`]
 /// seam.
 ///
-/// Two parts, one artifact (`target/BENCH_deque.json`, validated with the
-/// in-repo JSON parser; a blessed copy is committed at the repo root):
+/// One artifact (`target/BENCH_deque.json`, validated with the in-repo
+/// JSON parser; a blessed copy is committed at the repo root) holding a
+/// **steal-throughput drain matrix**: a deque pre-filled with N entries
+/// is drained to empty by 1/2/4 thieves through
+/// [`abp_deque::DequeStealer::steal`]; the metric is entries drained per
+/// second (median of S runs after a warmup). The fence-free steal fast
+/// path replaces ABP's contended `cas` on the shared `age` word with a
+/// per-slot claim, so contention spreads instead of serializing: the
+/// acceptance bar is **fence-free ≥ ABP at 2 and 4 thieves** (one thief
+/// is reported, not gated — without contention the protocols cost about
+/// the same). Every cell must conserve entries exactly (the guarded
+/// steal is exactly-once even on the multiplicity backend); ABP must
+/// show zero duplicates, fence-free zero aborts.
 ///
-/// 1. **Steal-throughput drain matrix** — a deque pre-filled with N
-///    entries is drained to empty by 1/2/4 thieves through
-///    [`abp_deque::DequeStealer::steal`]; the metric is entries drained
-///    per second (median of S runs after a warmup). The fence-free steal
-///    fast path replaces ABP's contended `cas` on the shared `age` word
-///    with a per-slot claim, so contention spreads instead of
-///    serializing: the acceptance bar is **fence-free ≥ ABP at 2 and 4
-///    thieves** (one thief is reported, not gated — without contention
-///    the protocols cost about the same). Every cell must conserve
-///    entries exactly (the guarded steal is exactly-once even on the
-///    multiplicity backend); ABP must show zero duplicates, fence-free
-///    zero aborts.
-/// 2. **Live-pool identity on all four backends** — fork-join work plus
-///    external submissions per backend; the five-way identity
-///    `attempts == steals + aborts + empties + injects + duplicates`
-///    must hold, with the structural zeros pinned per backend:
-///    `aborts == 0` where the backend cannot abort (fence-free),
-///    `duplicates == 0` where it is exact (ABP, growable, locking).
-///    The pool's shutdown asserts the same — this table is the
-///    human-readable record.
+/// The live pool binds ABP alone, and its shutdown asserts the five-way
+/// identity with `duplicates == 0` on every run, so there is no pool
+/// half to this experiment.
 pub fn deque_backends(small: bool) -> ExpResult {
     use abp_deque::{AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, Steal, TaskDeque};
     use abp_telemetry::json;
-    use hood::{join, Backend, PoolConfig, ThreadPool};
     use std::sync::{Arc, Barrier};
     use std::time::Instant;
 
@@ -2326,7 +2312,7 @@ pub fn deque_backends(small: bool) -> ExpResult {
 
     let mut pass = true;
 
-    // -- (1) drain matrix -------------------------------------------------
+    // -- drain matrix -----------------------------------------------------
     struct Cell {
         backend: &'static str,
         thieves: usize,
@@ -2485,88 +2471,11 @@ pub fn deque_backends(small: bool) -> ExpResult {
     let ff_ge_abp_4t = meps("fence-free", 4) >= meps("abp", 4);
     pass &= ff_ge_abp_2t && ff_ge_abp_4t;
 
-    // -- (2) live-pool identity on all four backends ----------------------
-    fn fib(n: u64) -> u64 {
-        if n < 2 {
-            return n;
-        }
-        let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-        a + b
-    }
-    let backends = [
-        Backend::Abp { capacity: 1 << 13 },
-        Backend::AbpGrowable {
-            initial_capacity: 64,
-        },
-        Backend::Locking,
-        Backend::FenceFree { capacity: 1 << 13 },
-    ];
-    let mut pt = TextTable::new([
-        "backend", "attempts", "steals", "aborts", "empties", "injects", "dups", "identity",
-    ]);
-    let mut pools_json = String::new();
-    for backend in backends {
-        let pool =
-            ThreadPool::with_config(PoolConfig::default().with_num_procs(4).with_deque(backend));
-        pass &= pool.install(|| fib(17)) == 1_597;
-        let submitted = 32u64;
-        let done = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        for _ in 0..submitted {
-            let done = Arc::clone(&done);
-            pool.spawn(move || {
-                done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-        while done.load(std::sync::atomic::Ordering::Relaxed) < submitted {
-            std::thread::yield_now();
-        }
-        // `shutdown` re-asserts the structural zeros internally; this
-        // records them.
-        let report = pool.shutdown();
-        let st = &report.stats;
-        let mut ok = st.attempts_balance() && report.backend == backend.name();
-        if !backend.can_abort() {
-            ok &= st.aborts == 0;
-        }
-        if backend.exact() {
-            ok &= st.duplicates == 0;
-        }
-        pass &= ok;
-        pt.row([
-            report.backend.to_string(),
-            st.steal_attempts.to_string(),
-            st.steals.to_string(),
-            st.aborts.to_string(),
-            st.empties.to_string(),
-            st.injects.to_string(),
-            st.duplicates.to_string(),
-            if ok { "holds" } else { "BROKEN" }.to_string(),
-        ]);
-        if !pools_json.is_empty() {
-            pools_json.push_str(",\n");
-        }
-        write!(
-            pools_json,
-            "    {{\"backend\":\"{}\",\"attempts\":{},\"steals\":{},\"aborts\":{},\
-             \"empties\":{},\"injects\":{},\"duplicates\":{},\"identity\":{}}}",
-            report.backend,
-            st.steal_attempts,
-            st.steals,
-            st.aborts,
-            st.empties,
-            st.injects,
-            st.duplicates,
-            ok
-        )
-        .unwrap();
-    }
-
     // -- machine-readable artifact ---------------------------------------
     let artifact = format!(
         "{{\n  \"bench\": \"deque\",\n  \"mode\": \"{}\",\n  \"cores\": {},\n  \
          \"drain\": {{\"entries\": {}, \"samples\": {}, \"cells\": [\n{}\n  ]}},\n  \
-         \"gates\": {{\"ff_ge_abp_2t\": {}, \"ff_ge_abp_4t\": {}}},\n  \
-         \"pools\": [\n{}\n  ]\n}}\n",
+         \"gates\": {{\"ff_ge_abp_2t\": {}, \"ff_ge_abp_4t\": {}}}\n}}\n",
         if small { "small" } else { "full" },
         cores,
         entries,
@@ -2574,7 +2483,6 @@ pub fn deque_backends(small: bool) -> ExpResult {
         cells_json,
         ff_ge_abp_2t,
         ff_ge_abp_4t,
-        pools_json,
     );
     pass &= json::parse(&artifact).is_ok();
     let _ = std::fs::create_dir_all("target");
@@ -2583,14 +2491,12 @@ pub fn deque_backends(small: bool) -> ExpResult {
     let body = format!(
         "drain matrix: {entries} entries, median of {samples} runs per cell, {cores} core(s)\n\
          gate: fence-free ≥ ABP at 2 thieves ({}) and 4 thieves ({})\n\
-         wrote target/BENCH_deque.json ({} bytes{})\n\n{}\n\
-         live pools (P=4, fib(17) + 32 submissions), five-way identity per backend:\n{}",
+         wrote target/BENCH_deque.json ({} bytes{})\n\n{}",
         if ff_ge_abp_2t { "yes" } else { "NO" },
         if ff_ge_abp_4t { "yes" } else { "NO" },
         artifact.len(),
         if wrote { "" } else { ", WRITE FAILED" },
-        t.render(),
-        pt.render()
+        t.render()
     );
     ExpResult::new(
         "DQ1",

@@ -9,8 +9,9 @@
 //! * still on our private stack → pop it back and run it inline. This
 //!   is the common case and costs a store, an index bump and one relaxed
 //!   load of the attention word going in, a load and an index decrement
-//!   coming out: no allocation, no virtual call, no atomic
-//!   read-modify-write and no fence (see [`crate::private`]);
+//!   coming out, behind one thin TLS load: no allocation, no virtual
+//!   call, no atomic read-modify-write and no fence (see
+//!   [`crate::private`]);
 //! * exposed on the public deque meanwhile, but not stolen → `popBottom`
 //!   hands it back and it runs inline all the same;
 //! * stolen and finished → take the thief's result through the latch;
@@ -24,8 +25,7 @@
 //! thief can touch a dead stack frame.
 
 use crate::job::{JobRef, JobResult, StackJob};
-use crate::pool::{current_stack, current_worker, AnyWorker};
-use crate::private::PrivateStack;
+use crate::pool::{current_worker, WorkerCtx};
 use std::panic::AssertUnwindSafe;
 
 /// Runs `oper_a` and `oper_b`, potentially in parallel, returning both
@@ -47,18 +47,13 @@ where
     RA: Send,
     RB: Send,
 {
-    match current_stack() {
-        Some(stack) => join_on_worker(stack, oper_a, oper_b),
+    match current_worker() {
+        Some(worker) => join_on_worker(worker, oper_a, oper_b),
         None => (oper_a(), oper_b()),
     }
 }
 
-/// The worker behind a [`current_stack`] that was `Some`.
-fn worker<'a>() -> &'a dyn AnyWorker {
-    current_worker().expect("a private stack is registered only on a worker")
-}
-
-fn join_on_worker<A, B, RA, RB>(stack: &PrivateStack, oper_a: A, oper_b: B) -> (RA, RB)
+fn join_on_worker<A, B, RA, RB>(worker: &WorkerCtx, oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
@@ -69,8 +64,9 @@ where
     // SAFETY: job_b is kept alive (and this frame pinned) until either we
     // pop it back or its latch is set — see `reconcile`.
     let job_ref = unsafe { job_b.as_job_ref() };
+    let stack = worker.private();
     if stack.push(job_ref.to_word()) {
-        worker().after_push();
+        worker.after_push();
     }
 
     let status_a = std::panic::catch_unwind(AssertUnwindSafe(oper_a));
@@ -86,7 +82,7 @@ where
     // empty private stack (`b` was exposed) — goes the long way round.
     let result_b = match stack.pop().map(JobRef::from_word) {
         Some(j) if j == job_ref => None,
-        other => reconcile(worker(), &job_b, job_ref, other),
+        other => reconcile(worker, &job_b, job_ref, other),
     };
 
     match status_a {
@@ -118,7 +114,7 @@ where
 /// reading once a pop has told us `b` is gone.
 #[cold]
 fn reconcile<B, RB>(
-    worker: &dyn AnyWorker,
+    worker: &WorkerCtx,
     job_b: &StackJob<B, RB>,
     job_ref: JobRef,
     mut popped: Option<JobRef>,
@@ -163,7 +159,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{PoolConfig, ThreadPool};
+    use crate::pool::ThreadPool;
 
     fn fib(n: u64) -> u64 {
         if n < 2 {
@@ -243,51 +239,6 @@ mod tests {
     fn single_worker_pool_still_completes() {
         let pool = ThreadPool::new(1);
         assert_eq!(pool.install(|| fib(15)), 610);
-    }
-
-    #[test]
-    fn growable_backend_never_overflows() {
-        let pool = ThreadPool::with_config(PoolConfig {
-            num_procs: 3,
-            // Pathologically tiny initial capacity: growth must kick in.
-            backend: crate::pool::Backend::AbpGrowable {
-                initial_capacity: 2,
-            },
-            ..PoolConfig::default()
-        });
-        assert_eq!(pool.install(|| fib(18)), 2584);
-    }
-
-    #[test]
-    fn locking_backend_works_too() {
-        let pool = ThreadPool::with_config(PoolConfig {
-            num_procs: 3,
-            backend: crate::pool::Backend::Locking,
-            ..PoolConfig::default()
-        });
-        assert_eq!(pool.install(|| fib(16)), 987);
-    }
-
-    /// The fence-free multiplicity backend, selected through the typed
-    /// `with_deque` descriptor: `join`'s LIFO reconcile fast path works
-    /// unchanged (the owner's `popBottom` is exactly-once), duplicates
-    /// are counted not executed, and the backend structurally cannot
-    /// abort.
-    #[test]
-    fn fence_free_backend_runs_join_and_never_aborts() {
-        let pool = ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(4)
-                .with_deque(abp_deque::FenceFreeBackend { capacity: 1 << 12 }),
-        );
-        assert_eq!(pool.install(|| fib(18)), 2584);
-        let report = pool.shutdown();
-        assert_eq!(report.backend, "fence-free");
-        assert_eq!(
-            report.stats.aborts, 0,
-            "fence-free popTop has no cas to lose"
-        );
-        assert!(report.stats.attempts_balance(), "{:?}", report.stats);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! in the same sense as the paper's scheduler); external threads wait on a
 //! [`LockLatch`], which may sleep.
 
-use crate::pool::{current_worker, AnyWorker};
+use crate::pool::{current_worker, WorkerCtx};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -142,7 +142,7 @@ impl CountLatch {
 
     /// The slot `w` must count in: its own if it is a worker of the home
     /// pool, the shared one otherwise.
-    fn slot_of(&self, w: Option<&dyn AnyWorker>) -> usize {
+    fn slot_of(&self, w: Option<&WorkerCtx>) -> usize {
         match w {
             Some(w) if w.core_ptr() as usize == self.home => w.index(),
             _ => self.slots.len() - 1,
@@ -168,7 +168,7 @@ impl CountLatch {
     /// Counts one job in. Call before the job is made visible to anyone
     /// who could run it; `w` is the calling thread's worker context.
     #[inline]
-    pub(crate) fn increment(&self, w: Option<&dyn AnyWorker>) {
+    pub(crate) fn increment(&self, w: Option<&WorkerCtx>) {
         self.tick(self.slot_of(w), Tick::Spawned);
     }
 

@@ -22,9 +22,11 @@
 //! assert_eq!(pool.install(|| fib(16)), 987);
 //! ```
 //!
-//! Configuration ([`PoolConfig`]) exposes the paper's ablation axes: the
-//! deque backend (non-blocking ABP vs. a locking baseline) and whether
-//! thieves yield between steal attempts.
+//! Configuration ([`PoolConfig`]) exposes the scheduling policy — victim
+//! selection, whether thieves yield between steal attempts, what an idle
+//! worker does — plus the topology and the sleep protocol. The deque is
+//! always ABP: the locking and fence-free deques of `abp-deque` are
+//! ablations for the simulator and the deque-level experiments.
 //!
 //! # External submission
 //!

@@ -21,46 +21,36 @@
 //! reintroduce the preemption pathology the paper's non-blocking design
 //! eliminates.
 //!
-//! # The deque seam
+//! # The deque
 //!
-//! Which deque implements `pushBottom`/`popBottom`/`popTop` is the
-//! ablation axis for the paper's "non-blocking data structures are
-//! essential" claim, and it is selected *per pool* through the
-//! [`abp_deque::TaskDeque`] trait: [`ThreadPool::with_config`]
-//! dispatches once on [`PoolConfig::backend`] and spawns worker loops
-//! monomorphized over the chosen backend ([`Shared`]`<B>` /
-//! [`WorkerCtx`]`<B>` / `worker_main::<B>`), so the scheduling hot path
-//! compiles down to direct calls exactly as the old hand-rolled enum
-//! did. Everything backend-independent (injector, sleep subsystem,
-//! stats, telemetry registry, shutdown flag) lives in the non-generic
-//! [`SharedCore`], which is also what the non-generic [`ThreadPool`]
-//! handle holds. Code that runs *on* a worker but cannot name the
-//! backend type reaches the current worker through TLS, two ways:
-//! `scope`, the data-parallel layer and the latches go through the
-//! object-safe [`AnyWorker`] facade — one virtual call per operation —
-//! while `join`, whose cost is the whole of a fine-grained fork, works
-//! directly on the worker's non-generic [`PrivateStack`] through a second,
-//! thin TLS pointer and makes a virtual call only on its slow paths.
+//! Every worker's public deque is the non-blocking ABP deque of Figure 5
+//! ([`abp_deque::Worker`] / [`abp_deque::Stealer`]), fixed-capacity
+//! ([`PoolConfig::backend`]). The other deques in `abp-deque` (locking,
+//! growable, fence-free) are ablations: the paper's "non-blocking data
+//! structures are essential" claim is tested where its adversary lives,
+//! in the simulator and the deque-level drain matrices, not here. The
+//! worker loop, [`WorkerCtx`] and [`SharedCore`] (which holds every
+//! worker's stealer handle) are plain types, and code that runs *on* a
+//! worker — `join`, `scope`, the latches, the data-parallel layer —
+//! reaches its [`WorkerCtx`] through one thin TLS pointer and calls it
+//! directly. `join`'s fast path is that one load plus the private stack
+//! at a constant offset.
 //!
 //! # The private-first fork path
 //!
 //! The deque a worker owns is a [`PrivateFirst`]: pushes land on an
 //! owner-private ring and cost a store, an index bump and one relaxed
 //! load of the pool's [`Attention`] word; pops take from the ring
-//! first. Work reaches the backend's public deque — becomes stealable —
-//! only through [`WorkerCtx::feed_hunters`], while some worker of the
-//! pool is out of work, so the `pushBottom` release, the `popBottom`
-//! fence and the wake are paid per steal, not per fork. The invariants
+//! first. Work reaches the public deque — becomes stealable — only
+//! through [`WorkerCtx::feed_hunters`], while some worker of the pool is
+//! out of work, so the `pushBottom` release, the `popBottom` fence and
+//! the wake are paid per steal, not per fork. The invariants
 //! (INV-PRIV-ORDER, INV-PRIV-REQ) and what the scheme gives up are in
 //! [`crate::private`] and DESIGN.md § "Private-first fork path".
 //!
-//! Multiplicity-relaxed backends ([`abp_deque::FenceFreeBackend`])
-//! report extraction races as [`Steal::Duplicate`]: the worker counts
-//! the outcome (`duplicates` in [`crate::stats::PoolStats`], a
-//! `steal_duplicate` telemetry event) and treats it like a miss. Exact
-//! backends never produce it, and never-aborting backends never produce
-//! `Abort` — both structural zeros are asserted per backend at
-//! [`ThreadPool::shutdown`], alongside the five-way accounting identity
+//! ABP's `popTop` is exactly-once, so `duplicates` in
+//! [`crate::stats::PoolStats`] is a structural zero, asserted at
+//! [`ThreadPool::shutdown`] alongside the five-way accounting identity
 //! `attempts == hits + aborts + empties + injects + duplicates`.
 //!
 //! # Federation (the topology layer)
@@ -106,10 +96,7 @@ use abp_core::{
     StealResult,
 };
 use abp_dag::DetRng;
-use abp_deque::{
-    AbpBackend, DequeStealer, FenceFreeBackend, GrowableBackend, LockingBackend, PushError, Steal,
-    StolenBatch, TaskDeque,
-};
+use abp_deque::{AbpBackend, PushError, Steal, Stealer, StolenBatch, TaskDeque};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -120,134 +107,31 @@ use abp_telemetry::{EventKind, Registry, StealOutcome, WorkerTelemetry};
 #[cfg(feature = "telemetry")]
 pub use abp_telemetry::{TelemetryConfig, TelemetrySnapshot};
 
-/// Which deque implementation backs each worker — the ablation axis for
-/// the paper's "non-blocking data structures are essential" claim, plus
-/// the fence-free relaxation axis. Each variant names one
-/// [`abp_deque::TaskDeque`] descriptor; [`ThreadPool::with_config`]
-/// monomorphizes the worker loops over it.
+/// Sizing of every worker's public ABP deque.
+///
+/// `capacity` bounds `bot` (see [`abp_deque::new`]). A deque that is
+/// full keeps further jobs on its owner's private stack — correct, just
+/// not stealable until there is room — and reroutes the rest of a
+/// stolen or polled batch through the pool's injector. The default is
+/// far beyond any depth a real computation reaches; tests shrink it to
+/// reach those paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The non-blocking ABP deque with the given (fixed) array capacity.
-    /// When it is full, further jobs stay on their owner's private
-    /// stack — correct, just not stealable until there is room.
-    Abp { capacity: usize },
-    /// The growable ABP deque (retire-list buffers): never overflows.
-    AbpGrowable { initial_capacity: usize },
-    /// A mutex-protected deque.
-    Locking,
-    /// The fence-free read/write deque with multiplicity: no `cas` and
-    /// no fence on the steal fast path, at the cost of rare
-    /// [`Steal::Duplicate`] outcomes (counted, never executed twice).
-    FenceFree { capacity: usize },
+pub struct Backend {
+    pub capacity: usize,
 }
 
 impl Default for Backend {
-    /// The ABP deque — unless the `HOOD_BACKEND` environment variable
-    /// names another backend (`abp`, `abp-growable`, `locking`,
-    /// `fence-free`). That hook is how CI's backend matrix re-runs the
-    /// unchanged integration suites against each backend: every pool
-    /// built from `PoolConfig::default()` picks up the selection, while
-    /// explicit `with_deque`/`with_backend` calls are unaffected. An
-    /// unrecognized value panics rather than silently testing the wrong
-    /// backend.
     fn default() -> Self {
-        match std::env::var_os("HOOD_BACKEND") {
-            Some(name) => match name.to_str() {
-                Some(name) => Backend::parse(name),
-                // A non-unicode value is as much a matrix typo as an
-                // unknown name — refuse it too instead of silently
-                // testing ABP.
-                None => panic!(
-                    "HOOD_BACKEND={name:?} is not valid unicode: expected abp, abp-growable, \
-                     locking, or fence-free"
-                ),
-            },
-            None => Backend::Abp { capacity: 1 << 15 },
+        Backend {
+            capacity: AbpBackend::default().capacity,
         }
     }
 }
 
 impl Backend {
-    /// Resolves a backend from its `HOOD_BACKEND` spelling (`abp`,
-    /// `abp-growable`, `locking`, `fence-free`; empty means the
-    /// default). Panics on anything else, listing the valid names — a CI
-    /// matrix typo must fail loudly, never silently test the wrong
-    /// backend.
-    pub fn parse(name: &str) -> Backend {
-        match name {
-            "" | "abp" => Backend::Abp { capacity: 1 << 15 },
-            "abp-growable" => Backend::AbpGrowable {
-                initial_capacity: 64,
-            },
-            "locking" => Backend::Locking,
-            "fence-free" => Backend::FenceFree { capacity: 1 << 15 },
-            other => {
-                panic!("HOOD_BACKEND={other:?}: expected abp, abp-growable, locking, or fence-free")
-            }
-        }
-    }
-    /// The backend's stable short label ([`TaskDeque::NAME`]).
+    /// The deque's stable short label ([`TaskDeque::NAME`]: `"abp"`).
     pub fn name(self) -> &'static str {
-        match self {
-            Backend::Abp { .. } => <AbpBackend as TaskDeque<usize>>::NAME,
-            Backend::AbpGrowable { .. } => <GrowableBackend as TaskDeque<usize>>::NAME,
-            Backend::Locking => <LockingBackend as TaskDeque<usize>>::NAME,
-            Backend::FenceFree { .. } => <FenceFreeBackend as TaskDeque<usize>>::NAME,
-        }
-    }
-
-    /// Whether this backend's `popTop` can return [`Steal::Abort`]
-    /// ([`TaskDeque::CAN_ABORT`]). When false the pool asserts
-    /// `aborts == 0` at shutdown.
-    pub fn can_abort(self) -> bool {
-        match self {
-            Backend::Abp { .. } => <AbpBackend as TaskDeque<usize>>::CAN_ABORT,
-            Backend::AbpGrowable { .. } => <GrowableBackend as TaskDeque<usize>>::CAN_ABORT,
-            Backend::Locking => <LockingBackend as TaskDeque<usize>>::CAN_ABORT,
-            Backend::FenceFree { .. } => <FenceFreeBackend as TaskDeque<usize>>::CAN_ABORT,
-        }
-    }
-
-    /// Whether extraction is exactly-once at the deque interface
-    /// ([`TaskDeque::EXACT`]). When true the pool asserts
-    /// `duplicates == 0` at shutdown.
-    pub fn exact(self) -> bool {
-        match self {
-            Backend::Abp { .. } => <AbpBackend as TaskDeque<usize>>::EXACT,
-            Backend::AbpGrowable { .. } => <GrowableBackend as TaskDeque<usize>>::EXACT,
-            Backend::Locking => <LockingBackend as TaskDeque<usize>>::EXACT,
-            Backend::FenceFree { .. } => <FenceFreeBackend as TaskDeque<usize>>::EXACT,
-        }
-    }
-}
-
-impl From<AbpBackend> for Backend {
-    fn from(b: AbpBackend) -> Backend {
-        Backend::Abp {
-            capacity: b.capacity,
-        }
-    }
-}
-
-impl From<GrowableBackend> for Backend {
-    fn from(b: GrowableBackend) -> Backend {
-        Backend::AbpGrowable {
-            initial_capacity: b.initial_capacity,
-        }
-    }
-}
-
-impl From<LockingBackend> for Backend {
-    fn from(_: LockingBackend) -> Backend {
-        Backend::Locking
-    }
-}
-
-impl From<FenceFreeBackend> for Backend {
-    fn from(b: FenceFreeBackend) -> Backend {
-        Backend::FenceFree {
-            capacity: b.capacity,
-        }
+        <AbpBackend as TaskDeque<usize>>::NAME
     }
 }
 
@@ -256,6 +140,7 @@ impl From<FenceFreeBackend> for Backend {
 pub struct PoolConfig {
     /// Number of worker threads (the paper's fixed process count `P`).
     pub num_procs: usize,
+    /// Sizing of each worker's public ABP deque.
     pub backend: Backend,
     /// The scheduling-policy set (victim selection, contention backoff,
     /// idle behaviour). The default is the paper's policy with Hood's
@@ -314,25 +199,6 @@ impl PoolConfig {
     /// Replaces the worker count.
     pub fn with_num_procs(mut self, num_procs: usize) -> Self {
         self.num_procs = num_procs;
-        self
-    }
-
-    /// Replaces the deque backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects the deque backend from its [`TaskDeque`] descriptor —
-    /// the typed spelling of [`PoolConfig::with_backend`]:
-    ///
-    /// ```
-    /// use abp_deque::FenceFreeBackend;
-    /// use hood::PoolConfig;
-    /// let cfg = PoolConfig::default().with_deque(FenceFreeBackend { capacity: 1 << 12 });
-    /// ```
-    pub fn with_deque(mut self, deque: impl Into<Backend>) -> Self {
-        self.backend = deque.into();
         self
     }
 
@@ -470,14 +336,14 @@ fn client_affinity() -> usize {
     })
 }
 
-/// Everything backend-independent that workers and the pool handle
-/// share: the pool shards (injector + sleep + steal-back hint each),
+/// Everything workers and the pool handle share: one stealer handle per
+/// worker, the pool shards (injector + sleep + steal-back hint each),
 /// the topology tables, the shutdown flag, the per-worker stats, and
-/// (with tracing on) the telemetry registry. The non-generic
-/// [`ThreadPool`] holds exactly this; the backend-generic [`Shared`]
-/// wraps it together with the stealer handles.
+/// (with tracing on) the telemetry registry.
 pub(crate) struct SharedCore {
     num_procs: usize,
+    /// Worker `i`'s `popTop` handle is `stealers[i]`.
+    stealers: Vec<Stealer<usize>>,
     /// The `K ≥ 1` pools. `shards.len() == 1` is the classic flat pool.
     shards: Vec<PoolShard>,
     /// Pool index of each worker (precomputed: the blocks are uneven
@@ -503,9 +369,6 @@ pub(crate) struct SharedCore {
     /// a pool whose neighbour is starving must expose work for the
     /// neighbour's cross-pool attempts to find.
     attention: Arc<Attention>,
-    /// The selected backend (capability constants drive the per-backend
-    /// shutdown assertions; the name labels reports).
-    backend: Backend,
     #[cfg(feature = "telemetry")]
     registry: Option<Arc<Registry>>,
 }
@@ -679,56 +542,18 @@ impl SharedCore {
     }
 }
 
-/// The backend-generic shared state: the core plus one stealer handle
-/// per worker. Workers hold an `Arc` of this; the pool handle only
-/// holds the core (it never steals).
-pub(crate) struct Shared<B: TaskDeque<usize>> {
-    core: Arc<SharedCore>,
-    stealers: Vec<B::Stealer>,
-}
-
-/// The object-safe facade over a worker context, for code that runs on
-/// a worker but cannot name the pool's backend type (`scope`, the
-/// latches, the data-parallel layer and `join`'s slow paths reach the
-/// current worker through `current_worker() -> Option<&dyn AnyWorker>`).
-/// One virtual call per scheduler operation; the deque protocol
-/// underneath is already monomorphized.
-pub(crate) trait AnyWorker {
-    fn index(&self) -> usize;
-    fn num_procs(&self) -> usize;
-    fn split_kind(&self) -> SplitKind;
-    fn sleepers_hint(&self) -> usize;
-    fn note_par_split(&self);
-    fn note_par_seq(&self);
-    /// Pushes `job` as the newest entry of this worker's deque. Never
-    /// fails: the private stack grows.
-    fn push(&self, job: JobRef);
-    /// The slow half of a push made directly on the [`PrivateStack`]
-    /// that reported attention ([`WorkerCtx::after_push`]).
-    fn after_push(&self);
-    /// Pops the newest entry of this worker's deque.
-    fn pop(&self) -> Option<JobRef>;
-    /// Makes every private entry stealable; for a worker about to block.
-    fn expose_all(&self);
-    fn execute_job(&self, job: JobRef);
-    fn find_distant_work(&self) -> Option<JobRef>;
-    /// Identity of the owning pool, for [`ThreadPool::install`]'s
-    /// same-pool fast path.
-    fn core_ptr(&self) -> *const SharedCore;
-}
-
-/// Worker-thread-local context, monomorphized over the pool's deque
-/// backend. A type-erased pointer to it lives in TLS (as an
-/// [`AnyWorker`] trait object) while the worker runs.
-pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
+/// Worker-thread-local context. A pointer to it lives in TLS while the
+/// worker runs, so everything that runs on the worker reaches it through
+/// `current_worker`.
+pub struct WorkerCtx {
     index: usize,
     /// This worker's pool and its global index range, cached off
     /// [`SharedCore`]'s topology tables (hot-path reads).
     pool: usize,
     pool_start: usize,
     pool_end: usize,
-    deque: PrivateFirst<B>,
-    shared: Arc<Shared<B>>,
+    deque: PrivateFirst,
+    core: Arc<SharedCore>,
     engine: RefCell<PolicyEngine>,
     /// True between returning from a wake-caused unpark and finding the
     /// first piece of work. Finding work converts it into a
@@ -751,46 +576,44 @@ pub struct WorkerCtx<B: TaskDeque<usize> = AbpBackend> {
 }
 
 thread_local! {
-    static CURRENT: Cell<Option<*const (dyn AnyWorker + 'static)>> = const { Cell::new(None) };
-    /// The same worker's private stack, behind a thin pointer to a
-    /// non-generic type: what `join` needs on its fast path, without the
-    /// fat-pointer read and the virtual calls.
-    static CURRENT_STACK: Cell<*const PrivateStack> = const { Cell::new(std::ptr::null()) };
+    static CURRENT: Cell<*const WorkerCtx> = const { Cell::new(std::ptr::null()) };
 }
 
 /// The current worker context, if this thread is a pool worker.
-pub(crate) fn current_worker<'a>() -> Option<&'a dyn AnyWorker> {
+#[inline]
+pub(crate) fn current_worker<'a>() -> Option<&'a WorkerCtx> {
     // SAFETY: the pointer is set for exactly the lifetime of
     // worker_main's stack frame on this thread.
-    CURRENT.with(|c| c.get()).map(|p| unsafe { &*p })
+    unsafe { CURRENT.with(|c| c.get()).as_ref() }
 }
 
-/// The current worker's private stack, if this thread is a pool worker
-/// (exactly when [`current_worker`] is `Some`).
-#[inline]
-pub(crate) fn current_stack<'a>() -> Option<&'a PrivateStack> {
-    // SAFETY: as for `current_worker` — set and cleared with it.
-    unsafe { CURRENT_STACK.with(|c| c.get()).as_ref() }
-}
-
-impl<B: TaskDeque<usize>> WorkerCtx<B> {
+impl WorkerCtx {
     /// Worker index within the pool.
     pub fn index(&self) -> usize {
         self.index
     }
 
-    fn core(&self) -> &SharedCore {
-        &self.shared.core
+    /// Identity of the owning pool, for [`ThreadPool::install`]'s
+    /// same-pool fast path and the latches' home check.
+    pub(crate) fn core_ptr(&self) -> *const SharedCore {
+        Arc::as_ptr(&self.core)
+    }
+
+    /// The private side of this worker's deque: what `join`'s fast path
+    /// pushes to and pops from.
+    #[inline]
+    pub(crate) fn private(&self) -> &PrivateStack {
+        self.deque.private()
     }
 
     fn stats(&self) -> &WorkerStats {
-        &self.core().stats[self.index]
+        &self.core.stats[self.index]
     }
 
     /// This worker's pool shard (its injector, sleep subsystem, and
     /// steal-back hint).
     fn shard(&self) -> &PoolShard {
-        &self.core().shards[self.pool]
+        &self.core.shards[self.pool]
     }
 
     /// This worker's parker slot within its pool's sleep subsystem.
@@ -800,12 +623,12 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
 
     /// The pool's worker count `P`.
     pub(crate) fn num_procs(&self) -> usize {
-        self.shared.stealers.len()
+        self.core.num_procs
     }
 
     /// The pool's split cadence (the fifth policy axis).
     pub(crate) fn split_kind(&self) -> SplitKind {
-        self.core().split
+        self.core.split
     }
 
     /// Relaxed-load idle gauge for the adaptive splitter — this pool's
@@ -857,7 +680,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         }
         let first = self.hunting.replace(false);
         if first {
-            self.core().attention.stop_hunting();
+            self.core.attention.stop_hunting();
         }
         self.feed_hunters(first);
     }
@@ -893,7 +716,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// until their owner's next push or pop, however hungry the pool has
     /// become since — see DESIGN.md § "Private-first fork path".
     fn feed_hunters(&self, first: bool) {
-        let hunters = self.core().attention.hunters() as usize;
+        let hunters = self.core.attention.hunters() as usize;
         if first || hunters > self.deque.public_len() {
             self.notify_exposed(self.deque.expose_half());
         }
@@ -1010,7 +833,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
             StealResult::Empty => stats.empties.fetch_add(1, Ordering::Relaxed),
             StealResult::Duplicate => stats.duplicates.fetch_add(1, Ordering::Relaxed),
         };
-        let core = self.core();
+        let core = &self.core;
         if core.pool_of[victim] as usize != self.pool {
             stats.remote_attempts.fetch_add(1, Ordering::Relaxed);
             if result == StealResult::Hit {
@@ -1061,7 +884,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// contended) counts as an `empty` — either way exactly one outcome
     /// per attempt, so the accounting identity extends to the new path.
     pub(crate) fn poll_injector(&self) -> Option<JobRef> {
-        let cap = self.core().batch.cap();
+        let cap = self.core.batch.cap();
         if cap > 1 {
             return self.poll_injector_batch(cap);
         }
@@ -1145,15 +968,14 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
             }
         }
         if parked_here > 0 {
-            self.core().notify_shard(self.shard(), parked_here);
+            self.core.notify_shard(self.shard(), parked_here);
         }
         Some(JobRef::from_word(first))
     }
 
-    /// One counted `popTop` against global worker `v`. A
-    /// [`Steal::Duplicate`] from a multiplicity-relaxed backend is a
-    /// counted miss: the task was already extracted by someone else, so
-    /// the thief simply moves on.
+    /// One counted `popTop` against global worker `v`. ABP never reports
+    /// [`Steal::Duplicate`]; were it to, the miss is counted and
+    /// [`ThreadPool::shutdown`]'s `duplicates == 0` check fails.
     fn try_rob(
         &self,
         v: usize,
@@ -1161,7 +983,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         observe_as: Option<usize>,
     ) -> Option<JobRef> {
         self.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
-        let result = match self.shared.stealers[v].steal() {
+        let result = match self.core.stealers[v].pop_top() {
             Steal::Taken(w) => {
                 self.note_steal(v, StealResult::Hit, scan_start, observe_as);
                 return Some(JobRef::from_word(w));
@@ -1176,8 +998,8 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
 
     /// One *batched* cross-pool round trip against global worker `v`,
     /// taken when the batch policy is [`BatchKind::Half`]: claim up to
-    /// `cap` tasks (biased to half the victim's visible backlog by the
-    /// backend's `steal_batch_into`, refilling a per-worker scratch
+    /// `cap` tasks (biased to half the victim's visible backlog by ABP's
+    /// re-validated `cas` chain, refilling a per-worker scratch
     /// buffer), keep the first to run now, push the
     /// rest onto our own public deque bottom (a thief's stacks are both
     /// empty, so INV-PRIV-ORDER holds), and wake `min(rest, sleepers)`
@@ -1194,27 +1016,18 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     fn try_rob_batch(&self, v: usize, scan_start: Option<u64>, cap: usize) -> Option<JobRef> {
         let stats = self.stats();
         let mut batch = self.batch_buf.borrow_mut();
-        self.shared.stealers[v].steal_batch_into(cap, &mut batch);
-        // Lost once-guard races inside the scanned range (multiplicity
-        // backends only): counted misses, one attempt each, exactly as
-        // single steals count a `Steal::Duplicate`.
-        for _ in 0..batch.duplicates {
-            stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            self.note_steal(v, StealResult::Duplicate, scan_start, None);
-        }
+        self.core.stealers[v].pop_top_batch_into(cap, &mut batch);
+        debug_assert_eq!(batch.duplicates, 0, "ABP's popTop is exactly-once");
         if batch.tasks.is_empty() {
-            // Nothing claimed: when the whole range was lost to
-            // duplicates those misses above were the outcome; otherwise
-            // the trip is one counted Abort or Empty, as for `try_rob`.
-            if batch.duplicates == 0 {
-                stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-                let result = if batch.aborted {
-                    StealResult::Abort
-                } else {
-                    StealResult::Empty
-                };
-                self.note_steal(v, result, scan_start, None);
-            }
+            // Nothing claimed: the trip is one counted Abort or Empty, as
+            // for `try_rob`.
+            stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
+            let result = if batch.aborted {
+                StealResult::Abort
+            } else {
+                StealResult::Empty
+            };
+            self.note_steal(v, result, scan_start, None);
             return None;
         }
         let n = batch.tasks.len();
@@ -1243,7 +1056,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
             }
         }
         if parked_here > 0 {
-            self.core().notify_shard(self.shard(), parked_here);
+            self.core.notify_shard(self.shard(), parked_here);
         }
         Some(JobRef::from_word(first))
     }
@@ -1270,7 +1083,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         let r = self
             .engine
             .borrow_mut()
-            .draw_below(self.core().num_procs - n_local);
+            .draw_below(self.core.num_procs - n_local);
         if r < self.pool_start {
             r
         } else {
@@ -1296,7 +1109,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// where a worker starts to count as hunting (INV-PRIV-REQ).
     pub(crate) fn find_distant_work(&self) -> Option<JobRef> {
         if !self.hunting.replace(true) {
-            self.core().attention.start_hunting();
+            self.core.attention.start_hunting();
         }
         match self.engine.borrow_mut().backoff_action() {
             BackoffAction::Proceed => {}
@@ -1317,9 +1130,9 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         let scan_start = self.tele.as_ref().map(|t| t.now_ns());
         #[cfg(not(feature = "telemetry"))]
         let scan_start = None;
-        let core = self.core();
+        let core = &self.core;
         if core.shards.len() == 1 || core.flat_scan {
-            let n = self.shared.stealers.len();
+            let n = core.num_procs;
             if n > 1 {
                 self.engine.borrow_mut().begin_scan(self.index, n);
                 for _ in 0..n - 1 {
@@ -1379,7 +1192,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// sleeps, so that victim's next push or pop exposes and wakes
     /// ([`WorkerCtx::feed_hunters`]).
     fn work_in_sight(&self) -> bool {
-        let core = self.core();
+        let core = &self.core;
         if core.shutdown.load(Ordering::Acquire) || self.shard().injector.pending() > 0 {
             return true;
         }
@@ -1388,7 +1201,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
         } else {
             (self.pool_start, self.pool_end)
         };
-        self.shared.stealers[lo..hi]
+        self.core.stealers[lo..hi]
             .iter()
             .enumerate()
             .any(|(j, s)| lo + j != self.index && s.len_hint() > 0)
@@ -1411,7 +1224,7 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     /// private entry that its thieves could not see.
     fn park(&self, timeout: Option<Duration>) {
         debug_assert!(self.deque.private().is_empty(), "parking over private work");
-        let core = self.core();
+        let core = &self.core;
         let shard = self.shard();
         let sleep = &shard.sleep;
         match sleep.kind() {
@@ -1469,52 +1282,9 @@ impl<B: TaskDeque<usize>> WorkerCtx<B> {
     }
 }
 
-impl<B: TaskDeque<usize>> AnyWorker for WorkerCtx<B> {
-    fn index(&self) -> usize {
-        WorkerCtx::index(self)
-    }
-    fn num_procs(&self) -> usize {
-        WorkerCtx::num_procs(self)
-    }
-    fn split_kind(&self) -> SplitKind {
-        WorkerCtx::split_kind(self)
-    }
-    fn sleepers_hint(&self) -> usize {
-        WorkerCtx::sleepers_hint(self)
-    }
-    fn note_par_split(&self) {
-        WorkerCtx::note_par_split(self)
-    }
-    fn note_par_seq(&self) {
-        WorkerCtx::note_par_seq(self)
-    }
-    fn push(&self, job: JobRef) {
-        WorkerCtx::push(self, job)
-    }
-    fn after_push(&self) {
-        WorkerCtx::after_push(self)
-    }
-    fn pop(&self) -> Option<JobRef> {
-        WorkerCtx::pop(self)
-    }
-    fn expose_all(&self) {
-        WorkerCtx::expose_all(self)
-    }
-    fn execute_job(&self, job: JobRef) {
-        WorkerCtx::execute_job(self, job)
-    }
-    fn find_distant_work(&self) -> Option<JobRef> {
-        WorkerCtx::find_distant_work(self)
-    }
-    fn core_ptr(&self) -> *const SharedCore {
-        Arc::as_ptr(&self.shared.core)
-    }
-}
-
-/// The scheduling loop (Figure 3), monomorphized over the deque
-/// backend. The TLS registration erases the backend type so `join`,
-/// `scope`, and the data-parallel layer can reach this context through
-/// [`AnyWorker`] and [`PrivateStack`].
+/// The scheduling loop (Figure 3). The TLS registration is what lets
+/// `join`, `scope`, the latches and the data-parallel layer reach this
+/// context ([`current_worker`]).
 ///
 /// Where a worker stops touching its deque, its private stack is empty:
 /// the loop hunts, parks ([`WorkerCtx::park`]) and exits only after
@@ -1522,14 +1292,8 @@ impl<B: TaskDeque<usize>> AnyWorker for WorkerCtx<B> {
 /// nothing in those arms pushes privately. (The one place a worker can
 /// block *holding* private work is a foreign [`ThreadPool::install`],
 /// which exposes it all first.)
-fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
-    CURRENT.with(|c| {
-        c.set(Some(
-            &ctx as &dyn AnyWorker as *const (dyn AnyWorker + 'static),
-        ))
-    });
-    CURRENT_STACK.with(|c| c.set(ctx.deque.private()));
-    let core = Arc::clone(&ctx.shared.core);
+fn worker_main(ctx: WorkerCtx) {
+    CURRENT.with(|c| c.set(&ctx));
     loop {
         let job = ctx.pop().or_else(|| ctx.find_distant_work());
         match job {
@@ -1538,7 +1302,7 @@ fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
                 ctx.execute_job(job);
             }
             None => {
-                if core.shutdown.load(Ordering::Acquire) {
+                if ctx.core.shutdown.load(Ordering::Acquire) {
                     // Drain this pool's front door before exiting so
                     // every accepted external submission still runs
                     // exactly once. Blocking pops: during shutdown a
@@ -1582,42 +1346,29 @@ fn worker_main<B: TaskDeque<usize>>(ctx: WorkerCtx<B>) {
         }
     }
     debug_assert!(ctx.deque.private().is_empty(), "exiting over private work");
-    CURRENT.with(|c| c.set(None));
-    CURRENT_STACK.with(|c| c.set(std::ptr::null()));
+    CURRENT.with(|c| c.set(std::ptr::null()));
 }
 
-/// Builds each worker's deque from the backend descriptor and spawns
-/// the monomorphized worker threads. One instantiation per backend;
-/// everything after this call is backend-erased.
-fn spawn_workers<B: TaskDeque<usize>>(
-    backend: &B,
+/// Spawns one worker thread per owner handle (`owners[i]` is the owner
+/// side of `core.stealers[i]`).
+fn spawn_workers(
     config: &PoolConfig,
-    core: Arc<SharedCore>,
+    core: &Arc<SharedCore>,
+    owners: Vec<abp_deque::Worker<usize>>,
 ) -> Vec<std::thread::JoinHandle<()>> {
-    let p = config.num_procs;
-    let mut owners = Vec::with_capacity(p);
-    let mut stealers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (w, s) = backend.new_pair();
-        owners.push(w);
-        stealers.push(s);
-    }
-    let shared = Arc::new(Shared::<B> { core, stealers });
     let mut seed_rng = DetRng::new(config.seed);
     owners
         .into_iter()
         .enumerate()
         .map(|(index, deque)| {
-            let pool = shared.core.pool_of[index] as usize;
-            let (pool_start, pool_end) =
-                (shared.core.shards[pool].start, shared.core.shards[pool].end);
-            let ctx = WorkerCtx::<B> {
+            let pool = core.pool_of[index] as usize;
+            let ctx = WorkerCtx {
                 index,
                 pool,
-                pool_start,
-                pool_end,
-                deque: PrivateFirst::new(deque, Arc::clone(&shared.core.attention)),
-                shared: Arc::clone(&shared),
+                pool_start: core.shards[pool].start,
+                pool_end: core.shards[pool].end,
+                deque: PrivateFirst::new(deque, Arc::clone(&core.attention)),
+                core: Arc::clone(core),
                 engine: RefCell::new(PolicyEngine::new(
                     &config.policies,
                     PolicyRng::from_det(seed_rng.fork(index as u64)),
@@ -1627,12 +1378,12 @@ fn spawn_workers<B: TaskDeque<usize>>(
                 hunting: Cell::new(false),
                 batch_buf: RefCell::new(StolenBatch::empty()),
                 #[cfg(feature = "telemetry")]
-                tele: shared.core.registry.as_ref().map(|r| r.worker(index)),
+                tele: core.registry.as_ref().map(|r| r.worker(index)),
             };
             std::thread::Builder::new()
                 .name(format!("hood-worker-{index}"))
                 .stack_size(config.stack_size)
-                .spawn(move || worker_main::<B>(ctx))
+                .spawn(move || worker_main(ctx))
                 .expect("failed to spawn worker thread")
         })
         .collect()
@@ -1652,8 +1403,6 @@ pub struct PoolReport {
     pub per_pool: Vec<PoolStats>,
     /// Pool count `K` of the topology the pool ran.
     pub pools: usize,
-    /// The deque backend the pool ran ([`Backend::name`]).
-    pub backend: &'static str,
     /// Which sleep/wake backend the pool ran.
     pub sleep_kind: SleepKind,
     /// Sleep/wake-subsystem counters over the pool's whole life.
@@ -1720,8 +1469,12 @@ impl ThreadPool {
                 *slot = j as u32;
             }
         }
+        let (owners, stealers) = (0..p)
+            .map(|_| abp_deque::new(config.backend.capacity))
+            .unzip();
         let core = Arc::new(SharedCore {
             num_procs: p,
+            stealers,
             shards,
             pool_of,
             cross_coin: abp_core::coin_threshold(config.cross_steal),
@@ -1731,37 +1484,16 @@ impl ThreadPool {
             batch: config.policies.batch,
             stats: (0..p).map(|_| WorkerStats::default()).collect(),
             attention: Arc::new(Attention::new(traced)),
-            backend: config.backend,
             #[cfg(feature = "telemetry")]
             registry,
         });
-        // The single point where the backend type is reified: each arm
-        // instantiates the worker loop for its descriptor.
-        let handles = match config.backend {
-            Backend::Abp { capacity } => {
-                spawn_workers(&AbpBackend { capacity }, &config, Arc::clone(&core))
-            }
-            Backend::AbpGrowable { initial_capacity } => spawn_workers(
-                &GrowableBackend { initial_capacity },
-                &config,
-                Arc::clone(&core),
-            ),
-            Backend::Locking => spawn_workers(&LockingBackend, &config, Arc::clone(&core)),
-            Backend::FenceFree { capacity } => {
-                spawn_workers(&FenceFreeBackend { capacity }, &config, Arc::clone(&core))
-            }
-        };
+        let handles = spawn_workers(&config, &core, owners);
         ThreadPool { core, handles }
     }
 
     /// The process count `P`.
     pub fn num_procs(&self) -> usize {
         self.core.num_procs
-    }
-
-    /// The deque backend this pool runs.
-    pub fn backend(&self) -> Backend {
-        self.core.backend
     }
 
     /// Runs `f` inside the pool (so that [`crate::join()`](crate::join::join) and
@@ -1977,23 +1709,12 @@ impl ThreadPool {
             stats.attempts_balance(),
             "steal accounting identity violated: {stats:?}"
         );
-        // Per-backend structural zeros (checked in release builds too —
-        // one comparison each, once, at shutdown): a backend that cannot
-        // abort must show no aborts, and an exactly-once backend must
-        // show no duplicates. Together with `attempts_balance` these pin
-        // the five-way identity down to the four-way form each backend
-        // actually promises.
-        let backend = self.core.backend;
+        // ABP's `popTop` is exactly-once, so the identity's
+        // `duplicates` term is a structural zero (checked in release
+        // builds too — one comparison, once, at shutdown).
         assert!(
-            backend.can_abort() || stats.aborts == 0,
-            "backend {} cannot abort, yet aborts = {}",
-            backend.name(),
-            stats.aborts
-        );
-        assert!(
-            !backend.exact() || stats.duplicates == 0,
-            "backend {} is exact, yet duplicates = {}",
-            backend.name(),
+            stats.duplicates == 0,
+            "ABP is exact, yet duplicates = {}",
             stats.duplicates
         );
         debug_assert!(
@@ -2043,7 +1764,6 @@ impl ThreadPool {
             per_worker: self.per_worker_stats(),
             per_pool: self.per_pool_stats(),
             pools: self.core.shards.len(),
-            backend: backend.name(),
             sleep_kind: self.sleep_kind(),
             sleep,
             #[cfg(feature = "telemetry")]

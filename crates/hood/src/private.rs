@@ -1,5 +1,5 @@
 //! The private-first fork path: an owner-private LIFO in front of the
-//! public [`TaskDeque`].
+//! public ABP deque.
 //!
 //! A fork almost never meets a thief (`fj_fine`: ≈5 steals per million
 //! forks), yet on the bare ABP deque every one pays `pushBottom`'s
@@ -30,7 +30,7 @@
 //! hunter answers — is the pool's half of the protocol; see
 //! `WorkerCtx::feed_hunters` in [`crate::pool`].
 
-use abp_deque::{DequeOwner, PushError, TaskDeque};
+use abp_deque::{PushError, Worker};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -218,19 +218,19 @@ impl Drop for PrivateStack {
     }
 }
 
-/// One worker's whole deque: the private stack in front, the backend's
-/// public owner handle behind it. The pool's `WorkerCtx` holds exactly
-/// this; it is public so the property suite can drive the shipped
-/// composition (not a twin of it) against a model.
-pub struct PrivateFirst<B: TaskDeque<usize>> {
+/// One worker's whole deque: the private stack in front, the owner
+/// handle of its public ABP deque behind it. The pool's `WorkerCtx`
+/// holds exactly this; it is public so the property suite can drive the
+/// shipped composition (not a twin of it) against a model.
+pub struct PrivateFirst {
     private: PrivateStack,
-    public: B::Owner,
+    public: Worker<usize>,
 }
 
-impl<B: TaskDeque<usize>> PrivateFirst<B> {
+impl PrivateFirst {
     /// Puts an empty private stack, reporting `attention`, in front of
     /// `public`.
-    pub fn new(public: B::Owner, attention: Arc<Attention>) -> Self {
+    pub fn new(public: Worker<usize>, attention: Arc<Attention>) -> Self {
         PrivateFirst {
             private: PrivateStack::new(attention),
             public,
@@ -238,6 +238,7 @@ impl<B: TaskDeque<usize>> PrivateFirst<B> {
     }
 
     /// The private side (what `join`'s fast path works on directly).
+    #[inline]
     pub fn private(&self) -> &PrivateStack {
         &self.private
     }
@@ -270,7 +271,7 @@ impl<B: TaskDeque<usize>> PrivateFirst<B> {
 
     /// Moves the oldest `n` private entries (all of them if fewer),
     /// oldest first, to the public bottom. Returns how many moved; stops
-    /// early, leaving the rest private, if a fixed-capacity deque fills.
+    /// early, leaving the rest private, if the public deque fills.
     fn expose(&self, n: usize) -> usize {
         let mut moved = 0;
         while moved < n {
@@ -304,7 +305,7 @@ impl<B: TaskDeque<usize>> PrivateFirst<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abp_deque::{AbpBackend, DequeStealer, Steal};
+    use abp_deque::Steal;
 
     fn calm() -> Arc<Attention> {
         Arc::new(Attention::new(false))
@@ -335,8 +336,8 @@ mod tests {
     /// order on both ends.
     #[test]
     fn grow_unwraps_a_wrapped_ring() {
-        let (owner, stealer) = AbpBackend { capacity: 1 << 10 }.new_pair();
-        let d = PrivateFirst::<AbpBackend>::new(owner, calm());
+        let (owner, stealer) = abp_deque::new(1 << 10);
+        let d = PrivateFirst::new(owner, calm());
         for w in 0..INITIAL_SLOTS {
             d.private().push(w);
         }
@@ -346,7 +347,7 @@ mod tests {
         }
         assert_eq!(d.private().len(), INITIAL_SLOTS + 20);
         for expect in 0..10 {
-            assert_eq!(stealer.steal(), Steal::Taken(expect));
+            assert_eq!(stealer.pop_top(), Steal::Taken(expect));
         }
         for expect in (10..INITIAL_SLOTS + 30).rev() {
             assert_eq!(d.pop(), Some(expect));
@@ -378,8 +379,8 @@ mod tests {
 
     #[test]
     fn expose_half_rounds_up_and_keeps_lifo() {
-        let (owner, stealer) = AbpBackend { capacity: 4 }.new_pair();
-        let d = PrivateFirst::<AbpBackend>::new(owner, calm());
+        let (owner, stealer) = abp_deque::new(4);
+        let d = PrivateFirst::new(owner, calm());
         assert_eq!(d.expose_half(), 0, "nothing to move");
         d.private().push(10);
         assert_eq!(d.expose_half(), 1, "one entry: it goes");
@@ -389,7 +390,7 @@ mod tests {
         // Five private entries: the older three fill the 4-slot deque.
         assert_eq!(d.expose_half(), 3);
         assert_eq!(d.expose_all(), 0, "full deque: the rest stay private");
-        assert_eq!(stealer.steal(), Steal::Taken(10));
+        assert_eq!(stealer.pop_top(), Steal::Taken(10));
         assert_eq!(d.pop(), Some(15));
         assert_eq!(d.pop(), Some(14));
         assert_eq!(d.pop(), Some(13), "private ran dry: public bottom next");

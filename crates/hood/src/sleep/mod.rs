@@ -154,8 +154,8 @@ pub struct SleepStats {
     pub timed_out_parks: u64,
 }
 
-/// The per-pool sleep/wake state; one instance lives in the pool's
-/// `Shared`.
+/// The per-pool sleep/wake state; one instance lives in each of the
+/// pool's shards.
 pub(crate) struct Sleep {
     kind: SleepKind,
     /// The packed eventcount word (see the module doc for the layout).

@@ -67,8 +67,9 @@ pub struct WorkerStats {
     /// Counted injector polls that grabbed an externally submitted job.
     pub injects: AtomicU64,
     /// Steal attempts that reached a task another worker had already
-    /// extracted (a multiplicity-relaxed backend's lost once-guard).
-    /// Structurally zero on exact backends — asserted at shutdown.
+    /// extracted (a multiplicity-relaxed deque's lost once-guard).
+    /// Structurally zero on the pool's exact ABP deque — asserted at
+    /// shutdown.
     pub duplicates: AtomicU64,
     /// yield system calls between steal scans.
     pub yields: AtomicU64,
@@ -191,8 +192,8 @@ impl PoolStats {
     }
 
     /// True iff every attempt is accounted for by exactly one outcome.
-    /// The `duplicates` term is structurally zero on exact backends, so
-    /// for them this is the familiar four-way identity.
+    /// The `duplicates` term is structurally zero on the pool's exact
+    /// ABP deque, so this is the familiar four-way identity.
     pub fn attempts_balance(&self) -> bool {
         self.steal_attempts
             == self.steals + self.aborts + self.empties + self.injects + self.duplicates

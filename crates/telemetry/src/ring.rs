@@ -359,6 +359,11 @@ mod tests {
             }
             i
         });
+        // Start only once the writer has wrapped the ring, so every
+        // snapshot below races a live writer and has records to check.
+        while ring.snapshot().pushed <= 64 {
+            std::thread::yield_now();
+        }
         let mut seen = 0u64;
         for _ in 0..200 {
             let s = ring.snapshot();

@@ -15,14 +15,10 @@
 //! multiplicity deque doesn't carry a tag (or any `cas` on its steal
 //! fast path) — it lets the race happen and resolves it at the per-slot
 //! once-guard, reporting the loser as `Steal::Duplicate`. A thief storm
-//! hammers one deque to surface real duplicates, and the same backend is
-//! then selected for a whole pool via `PoolConfig::with_deque`, where
-//! duplicates show up as a counted (never executed-twice) column in the
-//! shutdown report.
+//! hammers one deque to surface real duplicates.
 
 use abp_deque::model::{explore, ProgOp, Scenario};
 use abp_deque::{DequeOp, FenceFreeBackend, SimDeque, SimSteal, Steal, StepOutcome, TaskDeque};
-use hood::{join, Backend, PoolConfig, ThreadPool};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -138,40 +134,6 @@ fn fence_free_storm() {
     );
 }
 
-/// The same backend driving a whole pool: `with_deque` selects it, the
-/// monomorphized workers run fork-join over it, and the shutdown report
-/// pins the structural zeros (ABP: no duplicates; fence-free: no aborts).
-fn pool_backend_selection() {
-    fn fib(n: u64) -> u64 {
-        if n < 2 {
-            return n;
-        }
-        let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-        a + b
-    }
-    for backend in [
-        Backend::Abp { capacity: 1 << 13 },
-        Backend::FenceFree { capacity: 1 << 13 },
-    ] {
-        let pool =
-            ThreadPool::with_config(PoolConfig::default().with_num_procs(4).with_deque(backend));
-        assert_eq!(pool.install(|| fib(20)), 6_765);
-        let report = pool.shutdown();
-        let st = &report.stats;
-        println!(
-            "  {:<10}  fib(20) on 4 workers: attempts {} = steals {} + aborts {} + \
-             empties {} + injects {} + duplicates {}",
-            report.backend,
-            st.steal_attempts,
-            st.steals,
-            st.aborts,
-            st.empties,
-            st.injects,
-            st.duplicates,
-        );
-    }
-}
-
 fn main() {
     println!("The §3.3 ABA interleaving (deque holds one node, value 100):");
     println!();
@@ -202,8 +164,4 @@ fn main() {
     println!("The fence-free alternative: no tag, no cas on the steal path —");
     println!("the race is allowed and the per-slot once-guard counts the losers:");
     fence_free_storm();
-    println!();
-    println!("Backend selection through PoolConfig::with_deque (five-way identity");
-    println!("at shutdown; exact backends pin duplicates = 0, fence-free pins aborts = 0):");
-    pool_backend_selection();
 }

@@ -1,6 +1,5 @@
 //! Randomized exactly-once properties of the federated (K-pool)
-//! topology, plus the flat-pool structural-zero golden and the
-//! `Backend::parse` matrix.
+//! topology, plus the flat-pool structural-zero golden.
 //!
 //! External submitter threads are spread across the K pools by client
 //! affinity, so every pool's injector shard-set sees traffic while the
@@ -8,17 +7,13 @@
 //! execute exactly once — no loss at a pool boundary (a job routed to
 //! pool j must not be dropped because pool j's workers were asleep or
 //! busy robbing pool i) and no duplication via the cross-pool steal
-//! path. The pools are built from `PoolConfig::default()`, so CI's
-//! `HOOD_BACKEND` matrix re-runs this suite against every deque
-//! backend unchanged.
+//! path.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::runtime::{
-    join, Backend, BatchKind, PolicySet, PoolConfig, PoolReport, ThreadPool,
-};
+use multiprog_ws::runtime::{join, BatchKind, PolicySet, PoolConfig, PoolReport, ThreadPool};
 
 /// One seeded churn episode against a `pools`-way federated topology:
 /// `submitters` external threads push `jobs_per_submitter` jobs each
@@ -245,32 +240,6 @@ fn batched_federation_is_exactly_once_and_batch_consistent() {
             report.stats
         );
     }
-}
-
-/// `Backend::parse` accepts exactly the documented names (the empty
-/// string meaning "unset" maps to the default ABP deque).
-#[test]
-fn backend_parse_accepts_documented_names() {
-    assert!(matches!(Backend::parse(""), Backend::Abp { .. }));
-    assert!(matches!(Backend::parse("abp"), Backend::Abp { .. }));
-    assert!(matches!(
-        Backend::parse("abp-growable"),
-        Backend::AbpGrowable { .. }
-    ));
-    assert!(matches!(Backend::parse("locking"), Backend::Locking));
-    assert!(matches!(
-        Backend::parse("fence-free"),
-        Backend::FenceFree { .. }
-    ));
-}
-
-/// An unrecognized backend name panics with the valid names, instead of
-/// silently testing the wrong backend (the old behavior fell back to
-/// ABP, which made a typo in CI's matrix vacuously green).
-#[test]
-#[should_panic(expected = "expected abp, abp-growable, locking, or fence-free")]
-fn backend_parse_rejects_unknown_names() {
-    let _ = Backend::parse("wavefront");
 }
 
 /// `PoolConfig::with_cross_steal` accepts exactly the unit interval —

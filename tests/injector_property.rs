@@ -14,10 +14,10 @@
 //! [`ThreadPool::spawn_batch`]: multiprog_ws::runtime::ThreadPool::spawn_batch
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::runtime::{join, BatchKind, PolicySet, PoolConfig, ThreadPool};
+use multiprog_ws::runtime::{join, Backend, BatchKind, PolicySet, PoolConfig, ThreadPool};
 
 /// Runs one seeded churn episode: `submitters` external threads push
 /// `jobs_per_submitter` jobs each (singly or in seeded batches) into a
@@ -174,7 +174,9 @@ fn shutdown_drains_pending_submissions() {
 /// hammer the injector while a monitor thread samples the gauge the
 /// whole time; every sample must stay bounded by the jobs actually
 /// submitted so far, and the gauge must read exactly zero after the
-/// shutdown `pop_blocking` drain.
+/// shutdown `pop_blocking` drain. The submitters start only once the
+/// monitor has taken its first sample, so it watches the drain rather
+/// than, if scheduled late, arriving after it.
 #[test]
 fn backlog_gauge_never_underflows_under_batched_drain() {
     for seed in 0..4u64 {
@@ -190,6 +192,7 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
         let counts: Arc<Vec<AtomicU8>> = Arc::new((0..total).map(|_| AtomicU8::new(0)).collect());
         let submitted = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
+        let monitor_sampled = Arc::new(Barrier::new(submitters + 1));
 
         // The gauge monitor: an underflow wraps `pending` past the
         // number of jobs ever submitted, which no honest backlog can do.
@@ -197,9 +200,10 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
             let pool = Arc::clone(&pool);
             let submitted = Arc::clone(&submitted);
             let stop = Arc::clone(&stop);
+            let monitor_sampled = Arc::clone(&monitor_sampled);
             std::thread::spawn(move || {
                 let mut samples = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                loop {
                     // Read the gauge *before* the submission counter: a
                     // job counted in the gauge is always counted in
                     // `submitted` first, so backlog <= submitted holds
@@ -211,6 +215,12 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
                         "pending gauge underflow: backlog {backlog} with only {ceiling} submitted"
                     );
                     samples += 1;
+                    if samples == 1 {
+                        monitor_sampled.wait();
+                    }
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
                     std::thread::yield_now();
                 }
                 samples
@@ -222,7 +232,9 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
             let pool = Arc::clone(&pool);
             let counts = Arc::clone(&counts);
             let submitted = Arc::clone(&submitted);
+            let monitor_sampled = Arc::clone(&monitor_sampled);
             handles.push(std::thread::spawn(move || {
+                monitor_sampled.wait();
                 let mut rng = DetRng::new(seed ^ (0xBA7C_5000 + s as u64));
                 let mut next = s * per;
                 let end = next + per;
@@ -270,6 +282,49 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
         assert!(report.stats.attempts_balance(), "{:?}", report.stats);
         assert!(report.stats.batch_consistent(), "{:?}", report.stats);
     }
+}
+
+/// A batched injector poll runs its first job and parks the rest on the
+/// poller's own public deque; when that deque is full, the rest goes back
+/// through the injector. With two deque slots and batches of up to 8,
+/// the first poll of a 1 000-job backlog takes 8, so at least 5 of them
+/// are rerouted and polled a second time: `injects` exceeds the job count
+/// exactly when the reroute ran.
+#[test]
+fn a_full_deque_reroutes_a_polled_batch_through_the_injector() {
+    let jobs = 1_000usize;
+    let pool = ThreadPool::with_config(PoolConfig {
+        num_procs: 4,
+        backend: Backend { capacity: 2 },
+        injector_shards: 1,
+        policies: PolicySet::default().with_batch(BatchKind::Half { cap: 8 }),
+        ..PoolConfig::default()
+    });
+    let counts: Arc<Vec<AtomicU8>> = Arc::new((0..jobs).map(|_| AtomicU8::new(0)).collect());
+    pool.spawn_batch((0..jobs).map(|id| {
+        let counts = Arc::clone(&counts);
+        move || {
+            counts[id].fetch_add(1, Ordering::Relaxed);
+        }
+    }));
+    while counts.iter().any(|c| c.load(Ordering::Relaxed) == 0) {
+        std::thread::yield_now();
+    }
+    while pool.injector_backlog() != 0 {
+        std::thread::yield_now();
+    }
+    let report = pool.shutdown();
+    for (id, c) in counts.iter().enumerate() {
+        assert_eq!(c.load(Ordering::Relaxed), 1, "job {id}");
+    }
+    let st = &report.stats;
+    assert!(st.attempts_balance(), "{st:?}");
+    assert!(st.batch_consistent(), "{st:?}");
+    assert!(
+        st.injects > jobs as u64,
+        "no polled job was rerouted: {} injects for {jobs} jobs",
+        st.injects
+    );
 }
 
 /// The backlog gauge reflects pending submissions and returns to zero.

@@ -4,10 +4,9 @@
 //! on a live pool, liveness of exposure, and growth of the private ring.
 //!
 //! Everything is seeded ([`DetRng`]) and reproducible up to the steal
-//! interleaving. The backend comes from `Backend::default()`, so CI's
-//! `HOOD_BACKEND` matrix re-runs the suite in front of every deque; the
-//! pool sizes `P ∈ {1, 2, 8}` put one worker alone, one thief beside
-//! one owner, and four times more workers than this host has cores.
+//! interleaving. The pool sizes `P ∈ {1, 2, 8}` put one worker alone,
+//! one thief beside one owner, and four times more workers than a
+//! 2-core host has cores.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -15,9 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::deque::{
-    AbpBackend, DequeStealer, FenceFreeBackend, GrowableBackend, LockingBackend, Steal, TaskDeque,
-};
+use multiprog_ws::deque::Steal;
 use multiprog_ws::runtime::private::{Attention, PrivateFirst};
 use multiprog_ws::runtime::{
     join, par_sort_unstable, scope, Backend, IdleKind, PolicySet, PoolConfig, PoolReport,
@@ -26,29 +23,13 @@ use multiprog_ws::runtime::{
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
-/// Runs `$body` with `$b` bound to the descriptor of the backend the
-/// environment selects — the one place this suite names backend types.
-macro_rules! with_selected_backend {
-    (|$b:ident| $body:expr) => {
-        match Backend::default() {
-            Backend::Abp { capacity } => {
-                let $b = AbpBackend { capacity };
-                $body
-            }
-            Backend::AbpGrowable { initial_capacity } => {
-                let $b = GrowableBackend { initial_capacity };
-                $body
-            }
-            Backend::Locking => {
-                let $b = LockingBackend;
-                $body
-            }
-            Backend::FenceFree { capacity } => {
-                let $b = FenceFreeBackend { capacity };
-                $body
-            }
-        }
-    };
+/// A fresh private-first deque in front of a default-sized ABP deque,
+/// with its stealer.
+fn private_first(
+    attention: &Arc<Attention>,
+) -> (PrivateFirst, multiprog_ws::deque::Stealer<usize>) {
+    let (owner, stealer) = multiprog_ws::deque::new(Backend::default().capacity);
+    (PrivateFirst::new(owner, Arc::clone(attention)), stealer)
 }
 
 // ---------------------------------------------------------------------
@@ -62,11 +43,10 @@ macro_rules! with_selected_backend {
 /// is determined: the owner sees strict LIFO across the boundary,
 /// thieves see FIFO of the exposed prefix and nothing beyond it, and
 /// every word comes out exactly once.
-fn scripted_against_model<B: TaskDeque<usize>>(backend: &B, seed: u64, ops: usize) {
+fn scripted_against_model(seed: u64, ops: usize) {
     let mut rng = DetRng::new(seed);
     let attention = Arc::new(Attention::new(false));
-    let (owner, stealer) = backend.new_pair();
-    let d = PrivateFirst::<B>::new(owner, Arc::clone(&attention));
+    let (d, stealer) = private_first(&attention);
     let mut model: VecDeque<usize> = VecDeque::new();
     let mut exposed = 0usize;
     let mut next = 1usize;
@@ -102,7 +82,7 @@ fn scripted_against_model<B: TaskDeque<usize>>(backend: &B, seed: u64, ops: usiz
                 exposed = model.len();
                 assert!(d.private().is_empty());
             }
-            8 => match stealer.steal() {
+            8 => match stealer.pop_top() {
                 Steal::Taken(w) => {
                     assert!(exposed > 0, "stole {w} from behind the boundary");
                     assert_eq!(Some(w), model.pop_front(), "thieves take the oldest");
@@ -131,11 +111,9 @@ fn scripted_against_model<B: TaskDeque<usize>>(backend: &B, seed: u64, ops: usiz
 
 #[test]
 fn scripts_match_the_model_across_the_boundary() {
-    with_selected_backend!(|b| {
-        for seed in 0..40 {
-            scripted_against_model(&b, 0xA11CE + seed, 1_500);
-        }
-    });
+    for seed in 0..40 {
+        scripted_against_model(0xA11CE + seed, 1_500);
+    }
 }
 
 /// Sets the flag when dropped: the thieves below must be released even if
@@ -151,24 +129,19 @@ impl Drop for SetOnDrop<'_> {
 
 /// The same operations with `P − 1` real thieves stealing throughout.
 /// The owner's model can no longer predict *which* entries are left, but
-/// every word still comes out exactly once, and on the backends whose
-/// `popTop` takes strictly from the top (`TaskDeque::EXACT`: ABP,
-/// growable, locking) order still pins every outcome: thieves take the
-/// oldest entries, so whatever the owner pops is the newest word it
-/// pushed and has not popped, an empty pop means the thieves have
-/// everything older too, and each thief's haul is strictly increasing
-/// (the top only moves towards newer words). The fence-free deque's `top`
-/// is a hint — a slow thief can claim past older live entries — so there
-/// the owner's pop only has to be *a* word it still holds.
-fn scripted_under_thieves<B: TaskDeque<usize>>(backend: &B, seed: u64, thieves: usize) {
+/// every word still comes out exactly once, and order still pins every
+/// outcome: thieves take the oldest entries, so whatever the owner pops
+/// is the newest word it pushed and has not popped, an empty pop means
+/// the thieves have everything older too, and each thief's haul is
+/// strictly increasing (the top only moves towards newer words).
+fn scripted_under_thieves(seed: u64, thieves: usize) {
     const PUSHES: usize = 20_000;
     let mut rng = DetRng::new(seed);
     let attention = Arc::new(Attention::new(false));
     for _ in 0..thieves {
         attention.start_hunting();
     }
-    let (owner, stealer) = backend.new_pair();
-    let d = PrivateFirst::<B>::new(owner, Arc::clone(&attention));
+    let (d, stealer) = private_first(&attention);
     let done = AtomicBool::new(false);
     let (popped, hauls) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..thieves)
@@ -178,7 +151,7 @@ fn scripted_under_thieves<B: TaskDeque<usize>>(backend: &B, seed: u64, thieves: 
                 s.spawn(move || {
                     let mut haul = Vec::new();
                     loop {
-                        match stealer.steal() {
+                        match stealer.pop_top() {
                             Steal::Taken(w) => haul.push(w),
                             // Any miss ends the thief once the owner is
                             // done: it drains what is left itself.
@@ -200,12 +173,7 @@ fn scripted_under_thieves<B: TaskDeque<usize>>(backend: &B, seed: u64, thieves: 
         let mut popped = Vec::new();
         // Checks one owner pop against the words the owner still holds.
         let mut take = |mine: &mut Vec<usize>, w: usize| {
-            if B::EXACT {
-                assert_eq!(Some(w), mine.pop(), "owner pops the newest it holds");
-            } else {
-                let at = mine.iter().rposition(|&m| m == w);
-                mine.remove(at.expect("owner popped a word it does not hold"));
-            }
+            assert_eq!(Some(w), mine.pop(), "owner pops the newest it holds");
             popped.push(w);
         };
         let mut next = 1usize;
@@ -235,7 +203,7 @@ fn scripted_under_thieves<B: TaskDeque<usize>>(backend: &B, seed: u64, thieves: 
         (popped, hauls)
     });
     assert_eq!(d.pop(), None);
-    for haul in hauls.iter().filter(|_| B::EXACT) {
+    for haul in &hauls {
         assert!(
             haul.windows(2).all(|w| w[0] < w[1]),
             "a thief saw entries out of age order"
@@ -251,11 +219,9 @@ fn scripted_under_thieves<B: TaskDeque<usize>>(backend: &B, seed: u64, thieves: 
 
 #[test]
 fn thieves_see_fifo_and_every_word_exactly_once() {
-    with_selected_backend!(|b| {
-        for (i, p) in POOL_SIZES.into_iter().enumerate() {
-            scripted_under_thieves(&b, 0xBEEF + i as u64, p - 1);
-        }
-    });
+    for (i, p) in POOL_SIZES.into_iter().enumerate() {
+        scripted_under_thieves(0xBEEF + i as u64, p - 1);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -284,17 +250,14 @@ fn nested_scopes(depth: u32, fanout: u64, leaves: &AtomicU64) {
 }
 
 /// The identities `shutdown()` itself asserts, restated on the report so
-/// a failure names this suite, plus the backend's structural zeros.
+/// a failure names this suite.
 fn assert_accounting(report: &PoolReport, p: usize) {
     let st = &report.stats;
     assert!(st.attempts_balance(), "P={p}: {st:?}");
     assert!(st.batch_consistent(), "P={p}: {st:?}");
     assert!(st.locality_consistent(), "P={p}: {st:?}");
     assert!(st.parks_balance(), "P={p}: {st:?}");
-    let backend = Backend::default();
-    assert_eq!(report.backend, backend.name());
-    assert!(backend.can_abort() || st.aborts == 0, "P={p}: {st:?}");
-    assert!(!backend.exact() || st.duplicates == 0, "P={p}: {st:?}");
+    assert_eq!(st.duplicates, 0, "ABP is exact: P={p}: {st:?}");
     assert_eq!(st.remote_attempts, 0, "flat pool");
     assert_eq!((st.batch_steals, st.batched_tasks), (0, 0), "single steals");
 }
@@ -478,12 +441,14 @@ fn a_deep_chain_grows_the_ring() {
     }
     // A public deque of two slots: what does not fit stays private
     // (and is handed over as room appears) instead of running inline.
-    let pool = ThreadPool::with_config(
-        PoolConfig::default()
-            .with_num_procs(2)
-            .with_backend(Backend::Abp { capacity: 2 }),
-    );
-    assert_eq!(pool.install(|| chain(DEPTH)), DEPTH);
-    assert_eq!(pool.install(|| fib(16)), 987);
-    pool.shutdown();
+    for p in [2, 3] {
+        let pool = ThreadPool::with_config(PoolConfig {
+            num_procs: p,
+            backend: Backend { capacity: 2 },
+            ..PoolConfig::default()
+        });
+        assert_eq!(pool.install(|| chain(DEPTH)), DEPTH, "P={p}");
+        assert_eq!(pool.install(|| fib(18)), 2_584, "P={p}");
+        assert_accounting(&pool.shutdown(), p);
+    }
 }

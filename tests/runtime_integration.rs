@@ -43,33 +43,17 @@ fn mergesortish_check(pool: &ThreadPool, n: usize, seed: u64) {
 
 #[test]
 fn parallel_quicksort_all_configs() {
-    let configs = [
-        (
-            "abp+yield",
-            Backend::Abp { capacity: 1 << 15 },
-            hood::BackoffKind::Yield,
-        ),
-        (
-            "abp-noyield",
-            Backend::Abp { capacity: 1 << 15 },
-            hood::BackoffKind::None,
-        ),
-        ("locking+yield", Backend::Locking, hood::BackoffKind::Yield),
-    ];
-    for (name, backend, backoff) in configs {
-        let pool = ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(4)
-                .with_backend(backend)
-                .with_policies(hood::PolicySet::paper().with_backoff(backoff).with_idle(
+    for backoff in [hood::BackoffKind::Yield, hood::BackoffKind::None] {
+        let pool =
+            ThreadPool::with_config(PoolConfig::default().with_num_procs(4).with_policies(
+                hood::PolicySet::paper().with_backoff(backoff).with_idle(
                     hood::IdleKind::ParkAfter {
                         threshold: 64,
                         park_len: 100,
                     },
-                )),
-        );
+                ),
+            ));
         mergesortish_check(&pool, 50_000, 42);
-        let _ = name;
     }
 }
 
@@ -201,11 +185,12 @@ fn install_from_external_threads_concurrently() {
 
 #[test]
 fn tiny_capacity_falls_back_to_inline_execution() {
-    // A deque with room for 2 jobs forces constant overflow; everything
-    // must still compute correctly (just with less parallelism).
+    // A deque with room for 2 jobs overflows constantly; what does not
+    // fit stays on the owner's private stack, and everything must still
+    // compute correctly (just with less parallelism).
     let pool = ThreadPool::with_config(PoolConfig {
         num_procs: 3,
-        backend: Backend::Abp { capacity: 2 },
+        backend: Backend { capacity: 2 },
         ..PoolConfig::default()
     });
     fn fib(n: u64) -> u64 {

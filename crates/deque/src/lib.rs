@@ -51,7 +51,9 @@ pub use fence_free::{new_fence_free, FenceFreeStealer, FenceFreeWorker};
 pub use growable::{new_growable, new_growable_with_order, GrowableStealer, GrowableWorker};
 pub use locking::LockingDeque;
 pub use order::{DefaultProtocol, OrderProfile, RelaxedProtocol, SeqCstProtocol};
-pub use sim_deque::{DequeOp, MemModel, SimAge, SimBatch, SimDeque, SimSteal, StepOutcome, MAX_OP_STEPS};
+pub use sim_deque::{
+    DequeOp, MemModel, SimAge, SimBatch, SimDeque, SimSteal, StepOutcome, MAX_OP_STEPS,
+};
 pub use task_deque::{
     AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, GrowableBackend, LockingBackend,
     TaskDeque,

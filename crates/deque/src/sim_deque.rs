@@ -1106,6 +1106,7 @@ mod tests {
             assert_eq!(thief.step(&mut d), StepOutcome::Continue); // load age {g,0}
             assert_eq!(thief.step(&mut d), StepOutcome::Continue); // load bot = 4; want = 2
             assert_eq!(thief.step(&mut d), StepOutcome::Continue); // load slot[0]
+
             // Owner keep-pops indices 3, 2, 1; age untouched, bot = 1.
             assert_eq!(pop_bottom(&mut d), Some(13));
             assert_eq!(pop_bottom(&mut d), Some(12));
@@ -1120,7 +1121,11 @@ mod tests {
                 }
             };
             if revalidate {
-                assert_eq!(b.tasks, vec![10], "reloaded bot = 1 <= top = 1 stops the grab");
+                assert_eq!(
+                    b.tasks,
+                    vec![10],
+                    "reloaded bot = 1 <= top = 1 stops the grab"
+                );
             } else {
                 assert_eq!(
                     b.tasks,

@@ -26,9 +26,9 @@
 //!   [`Steal::Duplicate`]. Exact backends must show `duplicates == 0`
 //!   at shutdown; the fence-free backend may not.
 //!
-//! Consumers: `hood::pool` selects a backend per pool
-//! (`PoolConfig::with_deque`) and spawns monomorphized worker loops;
-//! the simulator's locking model delegates its queue state to the real
+//! Consumers: `hood::pool` binds the ABP deque ([`AbpBackend`]) as
+//! every worker's public deque; the other backends serve the deque
+//! benches and ablations, and the simulator's locking model delegates its queue state to the real
 //! [`LockingDeque`] through these same traits.
 
 use crate::atomic::{batch_want, PushError, Steal, Stealer, StolenBatch, Worker};

@@ -562,6 +562,7 @@ pub struct WorkerCtx {
     woken_pending: Cell<bool>,
     /// Timestamp of the wake-caused unpark (0 when tracing is off),
     /// for the unpark-to-work latency histogram.
+    #[cfg(feature = "telemetry")]
     woken_at: Cell<u64>,
     /// True from this worker's first failed pop of its own deque until
     /// its next push: while it is counted in the pool's [`Attention`]
@@ -1374,6 +1375,7 @@ fn spawn_workers(
                     PolicyRng::from_det(seed_rng.fork(index as u64)),
                 )),
                 woken_pending: Cell::new(false),
+                #[cfg(feature = "telemetry")]
                 woken_at: Cell::new(0),
                 hunting: Cell::new(false),
                 batch_buf: RefCell::new(StolenBatch::empty()),

@@ -26,7 +26,7 @@ use crate::trace::{RoundActivity, StealRecord, Trace};
 use abp_core::{
     BackoffAction, IdleAction, PolicyEngine, PolicyRng, PolicySet, StealResult, StealTally,
 };
-use abp_dag::{Dag, DetRng, EnablingTree, NodeId, ProcId};
+use abp_dag::{Dag, DetRng, EdgeKind, EnablingTree, NodeId, ProcId};
 use abp_deque::{DequeOp, SimDeque, SimSteal, StepOutcome};
 use abp_kernel::{Kernel, KernelView, YieldLedger, YieldPolicy};
 use abp_telemetry::StealOutcome;
@@ -726,13 +726,38 @@ impl<'a> WorkStealer<'a> {
     }
 
     /// Executes one instruction of process `i`.
+    ///
+    /// The phase is stepped in place: an in-flight deque op advances
+    /// through the borrowed phase, and a new phase is written only on a
+    /// transition, so the common instructions (a node execution that
+    /// stays at the loop top, a mid-op deque access) move nothing.
     fn instruction(&mut self, i: usize) {
-        // Temporarily take the phase to appease the borrow checker.
-        let phase = std::mem::replace(&mut self.procs[i].phase, Phase::Loop);
-        let next = match phase {
+        let next = match &mut self.procs[i].phase {
             Phase::Loop => self.at_loop_top(i),
-            Phase::PoppingBottom(op) => self.step_pop_bottom(i, op),
-            Phase::Pushing(op) => self.step_push(i, op),
+            Phase::PoppingBottom(op) => match step_op(&mut self.deques, i, i, op) {
+                OpDone::NotDone => None,
+                OpDone::PopBottom(Some(v)) => {
+                    let u = NodeId(v as u32);
+                    self.procs[i].assigned = Some(u);
+                    self.procs[i].engine.note_work_found();
+                    self.potential.assign(u, &self.tree);
+                    self.check_structure(i);
+                    Some(Phase::Loop)
+                }
+                OpDone::PopBottom(None) => {
+                    self.check_structure(i);
+                    Some(Phase::Loop) // becomes a thief next instruction
+                }
+                _ => unreachable!(),
+            },
+            Phase::Pushing(op) => match step_op(&mut self.deques, i, i, op) {
+                OpDone::NotDone => None,
+                OpDone::Push => {
+                    self.check_structure(i);
+                    Some(Phase::Loop)
+                }
+                _ => unreachable!(),
+            },
             Phase::Yielding => {
                 self.yields += 1;
                 let p = self.procs.len();
@@ -745,47 +770,56 @@ impl<'a> WorkStealer<'a> {
                     }
                     YieldPolicy::ToAll => self.ledger.yield_to_all(ProcId(i as u32)),
                 }
-                Phase::PickingVictim
+                Some(Phase::PickingVictim)
             }
-            Phase::PickingVictim => self.pick_and_steal(i),
+            Phase::PickingVictim => Some(self.pick_and_steal(i)),
             Phase::Stealing {
                 victim,
                 observe_as,
                 op,
-            } => self.step_steal(i, victim, observe_as, op),
-            Phase::Backing { left, then_yield } => {
-                // One milestone-free spin instruction.
-                if left > 1 {
-                    Phase::Backing {
-                        left: left - 1,
-                        then_yield,
+            } => {
+                let (victim, observe_as) = (*victim, *observe_as);
+                match step_op(&mut self.deques, i, victim, op) {
+                    OpDone::NotDone => None,
+                    OpDone::PopTop(result, aborted) => {
+                        self.finish_steal(i, victim, observe_as, result, aborted);
+                        Some(Phase::Loop)
                     }
-                } else if then_yield && self.config.yield_policy != YieldPolicy::None {
+                    _ => unreachable!(),
+                }
+            }
+            // One milestone-free spin instruction.
+            Phase::Backing { left, .. } if *left > 1 => {
+                *left -= 1;
+                None
+            }
+            Phase::Backing { then_yield, .. } => Some(
+                if *then_yield && self.config.yield_policy != YieldPolicy::None {
                     Phase::Yielding
                 } else {
                     self.pick_and_steal(i)
-                }
+                },
+            ),
+            // One milestone-free parked instruction; on wake, hunt again
+            // (skipping the idle check so the wake always attempts at
+            // least one steal).
+            Phase::Parked { left } if *left > 1 => {
+                *left -= 1;
+                None
             }
-            Phase::Parked { left } => {
-                // One milestone-free parked instruction; on wake, hunt
-                // again (skipping the idle check so the wake always
-                // attempts at least one steal).
-                if left > 1 {
-                    Phase::Parked { left: left - 1 }
-                } else {
-                    self.after_idle(i)
-                }
-            }
+            Phase::Parked { .. } => Some(self.after_idle(i)),
         };
-        self.procs[i].phase = next;
+        if let Some(next) = next {
+            self.procs[i].phase = next;
+        }
     }
 
     /// Top of the scheduling loop: execute the assigned node, or begin a
-    /// hunt for work.
-    fn at_loop_top(&mut self, i: usize) -> Phase {
+    /// hunt for work. Returns the next phase, or `None` to stay here.
+    fn at_loop_top(&mut self, i: usize) -> Option<Phase> {
         match self.procs[i].assigned {
             Some(u) => self.execute_node(i, u),
-            None => match self.procs[i].engine.idle_action() {
+            None => Some(match self.procs[i].engine.idle_action() {
                 IdleAction::Park(n) => Phase::Parked { left: n as u64 },
                 // The simulator has no producer-side wake events, so the
                 // untimed park is approximated by the legacy 100-unit
@@ -793,7 +827,7 @@ impl<'a> WorkStealer<'a> {
                 // the throw economy on its own).
                 IdleAction::ParkUntilWake => Phase::Parked { left: 100 },
                 IdleAction::Steal => self.after_idle(i),
-            },
+            }),
         }
     }
 
@@ -875,8 +909,9 @@ impl<'a> WorkStealer<'a> {
         }
     }
 
-    /// Executes assigned node `u` (one instruction; a milestone).
-    fn execute_node(&mut self, i: usize, u: NodeId) -> Phase {
+    /// Executes assigned node `u` (one instruction; a milestone). Returns
+    /// the next phase, or `None` to stay at the loop top.
+    fn execute_node(&mut self, i: usize, u: NodeId) -> Option<Phase> {
         debug_assert!(!self.executed[u.index()], "{u} executed twice");
         debug_assert_eq!(
             self.remaining_preds[u.index()],
@@ -924,28 +959,30 @@ impl<'a> WorkStealer<'a> {
         if u == self.dag.final_node() {
             self.done = true;
             self.procs[i].assigned = None;
-            return Phase::Loop;
+            return None;
         }
-        // Determine enabled children.
-        let mut enabled: Vec<(NodeId, abp_dag::EdgeKind)> = Vec::with_capacity(2);
+        // Determine enabled children (a node has at most two successors).
+        let mut enabled = [(u, EdgeKind::Continue); 2];
+        let mut n = 0;
         for &(v, kind) in self.dag.succs(u) {
             self.remaining_preds[v.index()] -= 1;
             if self.remaining_preds[v.index()] == 0 {
                 self.tree.record(u, v);
-                enabled.push((v, kind));
+                enabled[n] = (v, kind);
+                n += 1;
             }
         }
-        match enabled.len() {
+        match n {
             0 => {
                 // Die or block: get new work from the bottom of the deque.
                 self.procs[i].assigned = None;
-                Phase::PoppingBottom(self.new_op(LockKind::PopBottom))
+                Some(Phase::PoppingBottom(self.new_op(LockKind::PopBottom)))
             }
             1 => {
                 let (v, _) = enabled[0];
                 self.procs[i].assigned = Some(v);
                 self.potential.insert(v, ReadyState::Assigned, &self.tree);
-                Phase::Loop
+                None
             }
             _ => {
                 // Enable or spawn: one child is assigned, the other pushed.
@@ -953,18 +990,16 @@ impl<'a> WorkStealer<'a> {
                 self.procs[i].assigned = Some(a);
                 self.potential.insert(a, ReadyState::Assigned, &self.tree);
                 self.potential.insert(b, ReadyState::InDeque, &self.tree);
-                Phase::Pushing(self.new_op(LockKind::Push(b.index() as u64)))
+                Some(Phase::Pushing(
+                    self.new_op(LockKind::Push(b.index() as u64)),
+                ))
             }
         }
     }
 
     /// Chooses (assigned, pushed) among two enabled children per policy.
-    fn pick_assignment(
-        &self,
-        x: (NodeId, abp_dag::EdgeKind),
-        y: (NodeId, abp_dag::EdgeKind),
-    ) -> (NodeId, NodeId) {
-        use abp_dag::EdgeKind::Continue;
+    fn pick_assignment(&self, x: (NodeId, EdgeKind), y: (NodeId, EdgeKind)) -> (NodeId, NodeId) {
+        use EdgeKind::Continue;
         let (cont, other) = if x.1 == Continue {
             (Some(x.0), y.0)
         } else if y.1 == Continue {
@@ -990,148 +1025,77 @@ impl<'a> WorkStealer<'a> {
         }
     }
 
-    /// Steps an in-flight op against deque `target` on behalf of process
-    /// `me`, translating both backends to a unified result.
-    fn step_op(&mut self, me: usize, target: usize, op: &mut AnyOp) -> OpDone {
-        match (op, &mut self.deques) {
-            (AnyOp::Sim(op), Deques::Sim(dq)) => match op.step(&mut dq[target]) {
-                StepOutcome::Continue => OpDone::NotDone,
-                StepOutcome::PushDone => OpDone::Push,
-                StepOutcome::PopBottomDone(r) => OpDone::PopBottom(r),
-                StepOutcome::PopTopDone(SimSteal::Taken(v)) => OpDone::PopTop(Some(v), false),
-                StepOutcome::PopTopDone(SimSteal::Empty) => OpDone::PopTop(None, false),
-                StepOutcome::PopTopDone(SimSteal::Abort) => OpDone::PopTop(None, true),
-                StepOutcome::PopTopDone(SimSteal::Duplicate) => {
-                    unreachable!("stepped ABP deque is exact: no duplicates")
-                }
-                StepOutcome::PopTopBatchDone(_) => {
-                    // The simulator models batching at the pool level
-                    // (claim_batch_extras) and never issues the batch op.
-                    unreachable!("simulator ops are single push/pop/steal")
-                }
-            },
-            (AnyOp::Locked(op), Deques::Locked(dq)) => match op.step(&mut dq[target], me as u32) {
-                LockStepOutcome::Continue => OpDone::NotDone,
-                LockStepOutcome::PushDone => OpDone::Push,
-                LockStepOutcome::PopBottomDone(r) => OpDone::PopBottom(r),
-                LockStepOutcome::PopTopDone(LockedSteal::Taken(v)) => {
-                    OpDone::PopTop(Some(v), false)
-                }
-                LockStepOutcome::PopTopDone(LockedSteal::Empty) => OpDone::PopTop(None, false),
-            },
-            _ => unreachable!("op/backend mismatch"),
-        }
-    }
-
-    fn step_pop_bottom(&mut self, i: usize, mut op: AnyOp) -> Phase {
-        match self.step_op(i, i, &mut op) {
-            OpDone::NotDone => Phase::PoppingBottom(op),
-            OpDone::PopBottom(Some(v)) => {
-                let u = NodeId(v as u32);
-                self.procs[i].assigned = Some(u);
-                self.procs[i].engine.note_work_found();
-                self.potential.assign(u, &self.tree);
-                self.check_structure(i);
-                Phase::Loop
-            }
-            OpDone::PopBottom(None) => {
-                self.check_structure(i);
-                Phase::Loop // becomes a thief next instruction
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn step_push(&mut self, i: usize, mut op: AnyOp) -> Phase {
-        match self.step_op(i, i, &mut op) {
-            OpDone::NotDone => Phase::Pushing(op),
-            OpDone::Push => {
-                self.check_structure(i);
-                Phase::Loop
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn step_steal(
+    /// Accounts for a completed `popTop` by process `i` on `victim`'s
+    /// deque (a milestone) and takes the stolen node, if any.
+    fn finish_steal(
         &mut self,
         i: usize,
         victim: usize,
         observe_as: Option<usize>,
-        mut op: AnyOp,
-    ) -> Phase {
-        match self.step_op(i, victim, &mut op) {
-            OpDone::NotDone => Phase::Stealing {
-                victim,
-                observe_as,
-                op,
-            },
-            OpDone::PopTop(result, aborted) => {
-                let res = if result.is_some() {
-                    StealResult::Hit
-                } else if aborted {
-                    StealResult::Abort
-                } else {
-                    StealResult::Empty
-                };
-                let my_pool = self.pool_of[i] as usize;
-                let victim_pool = self.pool_of[victim] as usize;
-                let remote = victim_pool != my_pool;
-                self.tally.record_located(res, remote);
-                self.pool_tallies[my_pool].record_located(res, remote);
-                if remote {
-                    self.remote_attempts += 1;
-                    if result.is_some() {
-                        // The victim's pool remembers its robber, so its
-                        // members can steal their work back.
-                        self.last_thief[victim_pool] = i;
-                    } else if self.last_thief[my_pool] == victim {
-                        // A dry steal-back hint is stale: retire it.
-                        self.last_thief[my_pool] = usize::MAX;
-                    }
-                }
-                self.milestone(i, true);
-                if self.config.trace {
-                    self.round_attempted[i] = true;
-                    if result.is_some() {
-                        self.round_stole[i] = true;
-                    }
-                    self.trace.steals.push(StealRecord {
-                        // Round rows are pushed at round end, so the rows
-                        // recorded so far count the current round's index.
-                        round: self.trace.rounds.len() as u64,
-                        thief: ProcId(i as u32),
-                        victim: ProcId(victim as u32),
-                        outcome: match res {
-                            StealResult::Hit => StealOutcome::Hit,
-                            StealResult::Abort => StealOutcome::Abort,
-                            StealResult::Empty => StealOutcome::Empty,
-                            StealResult::Duplicate => StealOutcome::Duplicate,
-                        },
-                    });
-                }
-                if let Some(seen) = observe_as {
-                    self.procs[i].engine.observe(seen, res);
-                }
-                if let Some(v) = result {
-                    self.procs[i].engine.note_work_found();
-                    let u = NodeId(v as u32);
-                    self.procs[i].assigned = Some(u);
-                    self.potential.assign(u, &self.tree);
-                    self.check_structure(victim);
-                    // A cross-pool hit amortizes under the batch policy:
-                    // claim up to half the victim's remaining backlog in
-                    // the same round trip (same instruction — extra
-                    // claims cost no further synchronization episodes).
-                    if observe_as.is_none() && self.batch_cap > 1 {
-                        self.claim_batch_extras(i, victim);
-                    }
-                } else {
-                    self.procs[i].engine.note_failed();
-                }
-                Phase::Loop
+        result: Option<u64>,
+        aborted: bool,
+    ) {
+        let res = if result.is_some() {
+            StealResult::Hit
+        } else if aborted {
+            StealResult::Abort
+        } else {
+            StealResult::Empty
+        };
+        let my_pool = self.pool_of[i] as usize;
+        let victim_pool = self.pool_of[victim] as usize;
+        let remote = victim_pool != my_pool;
+        self.tally.record_located(res, remote);
+        self.pool_tallies[my_pool].record_located(res, remote);
+        if remote {
+            self.remote_attempts += 1;
+            if result.is_some() {
+                // The victim's pool remembers its robber, so its
+                // members can steal their work back.
+                self.last_thief[victim_pool] = i;
+            } else if self.last_thief[my_pool] == victim {
+                // A dry steal-back hint is stale: retire it.
+                self.last_thief[my_pool] = usize::MAX;
             }
-            _ => unreachable!(),
+        }
+        self.milestone(i, true);
+        if self.config.trace {
+            self.round_attempted[i] = true;
+            if result.is_some() {
+                self.round_stole[i] = true;
+            }
+            self.trace.steals.push(StealRecord {
+                // Round rows are pushed at round end, so the rows
+                // recorded so far count the current round's index.
+                round: self.trace.rounds.len() as u64,
+                thief: ProcId(i as u32),
+                victim: ProcId(victim as u32),
+                outcome: match res {
+                    StealResult::Hit => StealOutcome::Hit,
+                    StealResult::Abort => StealOutcome::Abort,
+                    StealResult::Empty => StealOutcome::Empty,
+                    StealResult::Duplicate => StealOutcome::Duplicate,
+                },
+            });
+        }
+        if let Some(seen) = observe_as {
+            self.procs[i].engine.observe(seen, res);
+        }
+        if let Some(v) = result {
+            self.procs[i].engine.note_work_found();
+            let u = NodeId(v as u32);
+            self.procs[i].assigned = Some(u);
+            self.potential.assign(u, &self.tree);
+            self.check_structure(victim);
+            // A cross-pool hit amortizes under the batch policy:
+            // claim up to half the victim's remaining backlog in
+            // the same round trip (same instruction — extra
+            // claims cost no further synchronization episodes).
+            if observe_as.is_none() && self.batch_cap > 1 {
+                self.claim_batch_extras(i, victim);
+            }
+        } else {
+            self.procs[i].engine.note_failed();
         }
     }
 
@@ -1164,7 +1128,7 @@ impl<'a> WorkStealer<'a> {
         for _ in 1..want {
             let mut op = self.new_op(LockKind::PopTop);
             let got = loop {
-                match self.step_op(i, victim, &mut op) {
+                match step_op(&mut self.deques, i, victim, &mut op) {
                     OpDone::NotDone => continue,
                     OpDone::PopTop(r, _) => break r,
                     _ => unreachable!(),
@@ -1190,7 +1154,7 @@ impl<'a> WorkStealer<'a> {
             // the potential tracker does not move.
             let mut push = self.new_op(LockKind::Push(v));
             loop {
-                match self.step_op(i, i, &mut push) {
+                match step_op(&mut self.deques, i, i, &mut push) {
                     OpDone::NotDone => continue,
                     OpDone::Push => break,
                     _ => unreachable!(),
@@ -1243,6 +1207,39 @@ impl<'a> WorkStealer<'a> {
         {
             self.structural_violations += 1;
         }
+    }
+}
+
+/// Steps an in-flight op against deque `target` on behalf of process
+/// `me`, translating both backends to a unified result. A free function
+/// so it can borrow the deques and a process's in-flight op (which lives
+/// in its phase) as disjoint fields of the stealer.
+fn step_op(deques: &mut Deques, me: usize, target: usize, op: &mut AnyOp) -> OpDone {
+    match (op, deques) {
+        (AnyOp::Sim(op), Deques::Sim(dq)) => match op.step(&mut dq[target]) {
+            StepOutcome::Continue => OpDone::NotDone,
+            StepOutcome::PushDone => OpDone::Push,
+            StepOutcome::PopBottomDone(r) => OpDone::PopBottom(r),
+            StepOutcome::PopTopDone(SimSteal::Taken(v)) => OpDone::PopTop(Some(v), false),
+            StepOutcome::PopTopDone(SimSteal::Empty) => OpDone::PopTop(None, false),
+            StepOutcome::PopTopDone(SimSteal::Abort) => OpDone::PopTop(None, true),
+            StepOutcome::PopTopDone(SimSteal::Duplicate) => {
+                unreachable!("stepped ABP deque is exact: no duplicates")
+            }
+            StepOutcome::PopTopBatchDone(_) => {
+                // The simulator models batching at the pool level
+                // (claim_batch_extras) and never issues the batch op.
+                unreachable!("simulator ops are single push/pop/steal")
+            }
+        },
+        (AnyOp::Locked(op), Deques::Locked(dq)) => match op.step(&mut dq[target], me as u32) {
+            LockStepOutcome::Continue => OpDone::NotDone,
+            LockStepOutcome::PushDone => OpDone::Push,
+            LockStepOutcome::PopBottomDone(r) => OpDone::PopBottom(r),
+            LockStepOutcome::PopTopDone(LockedSteal::Taken(v)) => OpDone::PopTop(Some(v), false),
+            LockStepOutcome::PopTopDone(LockedSteal::Empty) => OpDone::PopTop(None, false),
+        },
+        _ => unreachable!("op/backend mismatch"),
     }
 }
 

@@ -26,18 +26,16 @@
 //! * `injector_submit` — external-submission latency through
 //!   `ThreadPool::spawn` (shard lock + push + wakeup);
 //! * `wake_latency` — cold submit → first instruction of the job on an
-//!   all-parked pool, eventcount vs the condvar fallback (experiment
-//!   ID1's headline pair);
-//! * `idle_cpu` — sleep-subsystem churn under a trickle load: the
-//!   eventcount's untimed parks ride out idle gaps silently, while the
-//!   condvar baseline's 100 µs naps spin the park/unpark counters.
+//!   all-parked pool (the FD1/SB1 cold-submit shape);
+//! * `idle_cpu` — sleep-subsystem churn under a trickle load: untimed
+//!   parks ride out the idle gaps without a timed-out park.
 
 use abp_bench::harness::{Group, Harness};
 use abp_deque::{
     new_with_order, AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, OrderProfile,
     RelaxedProtocol, SeqCstProtocol, Steal, TaskDeque,
 };
-use hood::{IdleKind, PolicySet, PoolConfig, SleepKind, ThreadPool};
+use hood::{IdleKind, PolicySet, PoolConfig, ThreadPool};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -380,94 +378,80 @@ fn bench_injector_submit(h: &Harness) {
     g.finish();
 }
 
-/// Pool with the untimed-park policy and the given sleep backend, with a
-/// small park threshold so workers reach the parked state quickly.
-fn parked_pool(kind: SleepKind, p: usize) -> ThreadPool {
+/// Pool with the untimed-park policy, with a small park threshold so
+/// workers reach the parked state quickly.
+fn parked_pool(p: usize) -> ThreadPool {
     ThreadPool::with_config(
         PoolConfig::default()
             .with_num_procs(p)
-            .with_policies(PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }))
-            .with_sleep(kind),
+            .with_policies(PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 })),
     )
 }
-
-const SLEEP_BACKENDS: [(&str, SleepKind); 2] = [
-    ("eventcount", SleepKind::Eventcount),
-    ("condvar", SleepKind::CondvarFallback),
-];
 
 /// One cold-submit cycle: wait for the pool to be fully parked, submit a
 /// job that stamps its own submit→start latency, wait for the stamp.
 /// The harness-reported time is the whole cycle (park-wait included);
-/// the stamped submit→start p50 — the number ID1 gates on — is printed
-/// as a supplementary line per backend.
+/// the stamped submit→start p50 is printed as a supplementary line.
 fn bench_wake_latency(h: &Harness) {
     let mut g = h.group("wake_latency");
     g.sample_size(10);
-    for (label, kind) in SLEEP_BACKENDS {
-        let p = 4;
-        let pool = parked_pool(kind, p);
-        let stamps: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
-        let rec = Arc::clone(&stamps);
-        g.bench(&format!("cold_cycle/{label}"), || {
-            // The condvar backend's sleepers oscillate through naps, so
-            // bound the fully-parked wait and fall through.
-            let deadline = Instant::now() + Duration::from_millis(50);
-            while pool.sleeping_workers() < p && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(5));
-            }
-            let stamp = Arc::new(AtomicU64::new(0));
-            let s = Arc::clone(&stamp);
-            let t0 = Instant::now();
-            pool.spawn(move || {
-                s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
-            });
-            while stamp.load(Ordering::Acquire) == 0 {
-                std::thread::sleep(Duration::from_micros(5));
-            }
-            rec.lock().unwrap().push(stamp.load(Ordering::Acquire));
-        });
-        let mut v = stamps.lock().unwrap().clone();
-        if !v.is_empty() {
-            v.sort_unstable();
-            println!(
-                "    ^- stamped submit→start: p50 {} over {} cold submits",
-                abp_bench::harness::fmt_ns(v[v.len() / 2]),
-                v.len()
-            );
+    let p = 4;
+    let pool = parked_pool(p);
+    let stamps: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
+    let rec = Arc::clone(&stamps);
+    g.bench("cold_cycle", || {
+        // A fully parked pool is a steady state: untimed parks end only
+        // on a producer's wake.
+        while pool.sleeping_workers() < p {
+            std::thread::sleep(Duration::from_micros(5));
         }
-        pool.shutdown();
+        let stamp = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&stamp);
+        let t0 = Instant::now();
+        pool.spawn(move || {
+            s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
+        });
+        while stamp.load(Ordering::Acquire) == 0 {
+            std::thread::sleep(Duration::from_micros(5));
+        }
+        rec.lock().unwrap().push(stamp.load(Ordering::Acquire));
+    });
+    let mut v = stamps.lock().unwrap().clone();
+    if !v.is_empty() {
+        v.sort_unstable();
+        println!(
+            "    ^- stamped submit→start: p50 {} over {} cold submits",
+            abp_bench::harness::fmt_ns(v[v.len() / 2]),
+            v.len()
+        );
     }
+    pool.shutdown();
     g.finish();
 }
 
 /// A trickle load — one submission then a 200 µs silence per iteration —
 /// and the sleep-subsystem churn it causes. The timed number is the
 /// beat itself (dominated by the deliberate sleep); the story is the
-/// counter line per backend: the condvar's bounded naps rack up
-/// timed-out parks and spurious wakes across every idle gap, the
-/// eventcount stays silent until woken.
+/// counter line: untimed parks stay silent until woken, so no park
+/// times out across the idle gaps.
 fn bench_idle_cpu(h: &Harness) {
     let mut g = h.group("idle_cpu");
     g.sample_size(5);
-    for (label, kind) in SLEEP_BACKENDS {
-        let pool = parked_pool(kind, 4);
-        g.bench(&format!("trickle/{label}"), || {
-            let done = Arc::new(AtomicBool::new(false));
-            let d = Arc::clone(&done);
-            pool.spawn(move || d.store(true, Ordering::Release));
-            while !done.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        });
-        let report = pool.shutdown();
-        if report.stats.parks == 0 {
-            // The group was filtered out; the pool never ran.
-            continue;
+    let pool = parked_pool(4);
+    g.bench("trickle", || {
+        let done = Arc::new(AtomicBool::new(false));
+        let d = Arc::clone(&done);
+        pool.spawn(move || d.store(true, Ordering::Release));
+        while !done.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_micros(20));
         }
+        std::thread::sleep(Duration::from_micros(200));
+    });
+    let report = pool.shutdown();
+    // No parks: the group was filtered out and the pool never ran.
+    if report.stats.parks > 0 {
         println!(
-            "    ^- {label}: parks {} unparks {} wakes_sent {} spurious {} timed_out {}",
+            "    ^- parks {} unparks {} wakes_sent {} spurious {} timed_out {}",
             report.stats.parks,
             report.stats.unparks,
             report.sleep.wakes_sent,

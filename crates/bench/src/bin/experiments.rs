@@ -32,8 +32,6 @@ fn main() {
         "serve" => vec![exp::serve(false)],
         "serve-small" => vec![exp::serve(true)],
         "hotpath" => vec![exp::hotpath()],
-        "idle" => vec![exp::idle(false)],
-        "idle-small" => vec![exp::idle(true)],
         "par" => vec![exp::par(false)],
         "par-small" => vec![exp::par(true)],
         "deque-backends" => vec![exp::deque_backends(false)],
@@ -49,7 +47,7 @@ fn main() {
                 "unknown experiment `{other}`; one of: all fig1 fig2 thm1 thm2 thm9 \
                  thm9-tail thm10 thm11 thm12 hood-constant ablate-lock ablate-yield \
                  lemma3 deque-check ws-vs-sharing assign-policy hood-wallclock telemetry \
-                 policies policies-small serve serve-small hotpath idle idle-small \
+                 policies policies-small serve serve-small hotpath \
                  par par-small deque-backends deque-backends-small theory theory-small \
                  federation federation-small steal-batch steal-batch-small"
             );

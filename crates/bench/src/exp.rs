@@ -1537,9 +1537,7 @@ pub fn serve(small: bool) -> ExpResult {
     let st = &report.stats;
     pass &= st.attempts_balance();
     pass &= st.parks_balance();
-    if report.sleep_kind == hood::SleepKind::Eventcount {
-        pass &= report.sleep.wakes_sent >= report.sleep.hits_after_unpark;
-    }
+    pass &= report.sleep.wakes_sent >= report.sleep.hits_after_unpark;
     pass &= st.injects == expected;
     let snap = report.telemetry.as_ref().expect("telemetry configured");
     let inj = &snap.injector;
@@ -1770,9 +1768,7 @@ pub fn hotpath() -> ExpResult {
     let st = &report.stats;
     pass &= st.attempts_balance();
     pass &= st.parks_balance();
-    if report.sleep_kind == hood::SleepKind::Eventcount {
-        pass &= report.sleep.wakes_sent >= report.sleep.hits_after_unpark;
-    }
+    pass &= report.sleep.wakes_sent >= report.sleep.hits_after_unpark;
     // install roots also enter through the injector.
     pass &= st.injects >= submitted;
     for (i, w) in report.per_worker.iter().enumerate() {
@@ -1822,213 +1818,6 @@ pub fn hotpath() -> ExpResult {
     ExpResult::new(
         "HP1",
         "Hot path: memory-ordering relaxation trajectory",
-        body,
-        pass,
-    )
-}
-
-/// ID1 — the sleep/wake subsystem: eventcount wake-one vs the legacy
-/// condvar herd.
-///
-/// Both backends are runtime-selectable (`PoolConfig::with_sleep`), so
-/// one binary measures both. The workload is the cold-submit path the
-/// eventcount exists for: a pool whose workers are ALL parked under the
-/// untimed `ParkUntilWake` policy receives a single external job; the
-/// job stamps its own submit-to-start latency. Between samples the pool
-/// drains back to fully parked, so every sample exercises the
-/// park/announce/commit/wake machinery end to end (the run doubles as a
-/// trickle load for the spurious-wake and accounting counters).
-///
-/// Pass requires, under the eventcount: **zero timed-out parks** (untimed
-/// parks cannot time out — the missed-wakeup race is closed by
-/// construction, not by a bounded nap), `parks == unparks`,
-/// `wakes_sent >= hits_after_unpark`, and a **≥ 20% median cold-submit
-/// latency improvement** over the condvar baseline (which pays a
-/// `notify_all` herd plus serial sleep-mutex reacquisition per wake).
-/// Emits `target/BENCH_idle.json`, validated with the in-repo JSON
-/// parser; a blessed copy is committed at the repo root.
-pub fn idle(small: bool) -> ExpResult {
-    use abp_telemetry::json;
-    use hood::{IdleKind, PolicySet, PoolConfig, PoolStats, SleepKind, SleepStats, ThreadPool};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let p = 8;
-    let samples: usize = if small { 31 } else { 101 };
-
-    fn wait_parked(pool: &ThreadPool, p: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if pool.sleeping_workers() == p {
-                return true;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        pool.sleeping_workers() == p
-    }
-
-    /// Median cold-submit latencies plus end-of-run accounting for one
-    /// backend. Latency is stamped *inside* the job (`t0.elapsed()` with
-    /// `t0` taken just before `spawn`), so the producer's polite
-    /// sleep-wait while it waits for the stamp never inflates the
-    /// measurement — it only keeps the producer off the woken worker's
-    /// core.
-    ///
-    /// A background **metronome** thread (a 25 µs sleep loop) runs for
-    /// the whole sampling window under *both* backends. Without it the
-    /// comparison is rigged in the condvar's favour: its 100 µs nap
-    /// timers keep the CPU/scheduler out of deep idle as a side effect,
-    /// while the eventcount's untimed parks leave the machine truly
-    /// quiescent — so the eventcount's wakes would be charged several
-    /// extra microseconds of platform idle-exit cost that is not the
-    /// wake path's doing. The metronome pins both backends to the same
-    /// platform state; what remains is the protocol difference
-    /// (one targeted unpark vs a `notify_all` herd with serial
-    /// sleep-mutex reacquisition). The quiescence the metronome masks
-    /// is asserted separately: zero timed-out parks means the
-    /// eventcount itself generates no periodic timer churn at all.
-    fn cold_submit(kind: SleepKind, p: usize, samples: usize) -> (Vec<f64>, SleepStats, PoolStats) {
-        use std::sync::atomic::AtomicBool;
-        let pool = ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_policies(
-                    PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }),
-                )
-                .with_sleep(kind),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_c = Arc::clone(&stop);
-        let metronome = std::thread::spawn(move || {
-            while !stop_c.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_micros(25));
-            }
-        });
-        let mut lats = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            // The condvar fallback's sleepers oscillate through 100 µs
-            // naps, so a fully-parked state is transient there; take it
-            // when it shows and fall through after the timeout.
-            let _ = wait_parked(&pool, p, Duration::from_millis(200));
-            let stamp = Arc::new(AtomicU64::new(0));
-            let s = Arc::clone(&stamp);
-            let t0 = Instant::now();
-            pool.spawn(move || {
-                s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
-            });
-            while stamp.load(Ordering::Acquire) == 0 {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-            lats.push(stamp.load(Ordering::Acquire) as f64);
-        }
-        stop.store(true, Ordering::Relaxed);
-        metronome.join().unwrap();
-        let report = pool.shutdown();
-        (lats, report.sleep, report.stats)
-    }
-
-    fn quantile(sorted: &[f64], q: f64) -> f64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
-    // Warm both paths once (thread spawn + first park) before timing.
-    let _ = cold_submit(SleepKind::Eventcount, p, 3);
-    let _ = cold_submit(SleepKind::CondvarFallback, p, 3);
-
-    let (mut ec_lat, ec_sleep, ec_stats) = cold_submit(SleepKind::Eventcount, p, samples);
-    let (mut cv_lat, cv_sleep, cv_stats) = cold_submit(SleepKind::CondvarFallback, p, samples);
-    ec_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    cv_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let ec_med = quantile(&ec_lat, 0.5);
-    let cv_med = quantile(&cv_lat, 0.5);
-    let improvement = 1.0 - ec_med / cv_med;
-
-    let mut pass = true;
-    // Untimed parks cannot time out; any nonzero count means a worker
-    // fell back to a bounded nap, i.e. the race is not closed.
-    pass &= ec_sleep.timed_out_parks == 0;
-    pass &= improvement >= 0.20;
-    pass &= ec_stats.parks_balance();
-    pass &= cv_stats.parks_balance();
-    pass &= ec_sleep.wakes_sent >= ec_sleep.hits_after_unpark;
-
-    let mut t = TextTable::new([
-        "backend",
-        "p50 ns",
-        "p90 ns",
-        "timed-out",
-        "wakes",
-        "spurious",
-    ]);
-    for (name, lat, sl) in [
-        ("eventcount", &ec_lat, &ec_sleep),
-        ("condvar", &cv_lat, &cv_sleep),
-    ] {
-        t.row([
-            name.to_string(),
-            format!("{:.0}", quantile(lat, 0.5)),
-            format!("{:.0}", quantile(lat, 0.9)),
-            sl.timed_out_parks.to_string(),
-            sl.wakes_sent.to_string(),
-            sl.wakes_spurious.to_string(),
-        ]);
-    }
-
-    // -- machine-readable artifact ---------------------------------------
-    let artifact = format!(
-        "{{\n  \"bench\": \"idle\",\n  \"mode\": \"{}\",\n  \"p\": {},\n  \"samples\": {},\n  \
-         \"cold_submit\": {{\"eventcount_p50_ns\": {:.1}, \"eventcount_p90_ns\": {:.1}, \
-         \"condvar_p50_ns\": {:.1}, \"condvar_p90_ns\": {:.1}, \
-         \"median_improvement\": {:.4}}},\n  \
-         \"eventcount\": {{\"timed_out_parks\": {}, \"wakes_sent\": {}, \"wakes_skipped\": {}, \
-         \"wakes_spurious\": {}, \"hits_after_unpark\": {}, \"parks\": {}, \"unparks\": {}}},\n  \
-         \"condvar\": {{\"timed_out_parks\": {}, \"wakes_sent\": {}, \"parks\": {}, \
-         \"unparks\": {}}}\n}}\n",
-        if small { "small" } else { "full" },
-        p,
-        samples,
-        ec_med,
-        quantile(&ec_lat, 0.9),
-        cv_med,
-        quantile(&cv_lat, 0.9),
-        improvement,
-        ec_sleep.timed_out_parks,
-        ec_sleep.wakes_sent,
-        ec_sleep.wakes_skipped,
-        ec_sleep.wakes_spurious,
-        ec_sleep.hits_after_unpark,
-        ec_stats.parks,
-        ec_stats.unparks,
-        cv_sleep.timed_out_parks,
-        cv_sleep.wakes_sent,
-        cv_stats.parks,
-        cv_stats.unparks,
-    );
-    pass &= json::parse(&artifact).is_ok();
-    let _ = std::fs::create_dir_all("target");
-    let wrote = std::fs::write("target/BENCH_idle.json", &artifact).is_ok();
-
-    let body = format!(
-        "cold submit to a fully parked P={p} pool, {samples} samples per backend\n\
-         median: eventcount {ec_med:.0} ns vs condvar {cv_med:.0} ns \
-         ({:.1}% improvement; bar ≥ 20%)\n\
-         eventcount timed-out parks: {} (bar: exactly 0 — untimed parks cannot time out)\n\
-         accounting: eventcount parks {} == unparks {}; condvar parks {} == unparks {}\n\
-         wrote target/BENCH_idle.json ({} bytes{})\n\n{}",
-        improvement * 100.0,
-        ec_sleep.timed_out_parks,
-        ec_stats.parks,
-        ec_stats.unparks,
-        cv_stats.parks,
-        cv_stats.unparks,
-        artifact.len(),
-        if wrote { "" } else { ", WRITE FAILED" },
-        t.render()
-    );
-    ExpResult::new(
-        "ID1",
-        "Idle path: eventcount wake-one vs condvar herd",
         body,
         pass,
     )
@@ -2804,6 +2593,80 @@ pub fn theory(small: bool) -> ExpResult {
     )
 }
 
+/// How long the cold-submit harness waits for a pool to park fully.
+/// Generous: a pool that is idle parks within milliseconds, so the wait
+/// only runs out when something keeps a worker awake.
+const COLD_PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// The cold-submit harness shared by FD1 and SB1: `samples` single
+/// external jobs, each submitted to a pool whose workers are *all*
+/// parked, each stamping its own submit-to-start latency in ns. The
+/// config must park untimed ([`hood::IdleKind::ParkUntilWake`]). Returns
+/// the latencies sorted ascending, plus the pool's final report.
+///
+/// Latency is stamped *inside* the job (`t0.elapsed()` with `t0` taken
+/// just before `spawn`), so the producer's polite sleep-wait for the
+/// stamp never inflates it — it only keeps the producer off the woken
+/// worker's core. A background **metronome** (a 25 µs sleep loop) runs
+/// for the whole window and keeps the host out of deep idle states, so
+/// what is measured is the wake path, not the platform's idle-exit cost.
+///
+/// A fully parked pool is a steady state — untimed parks wake only on a
+/// producer's notify — so a sample that would start on a pool that is
+/// not fully parked is not a cold submit. The harness stops there and
+/// returns fewer than `samples` latencies; callers gate on the count.
+fn cold_submit(config: hood::PoolConfig, samples: usize) -> (Vec<f64>, hood::PoolReport) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let p = config.num_procs;
+    let pool = hood::ThreadPool::with_config(config);
+    let parked = || {
+        let deadline = Instant::now() + COLD_PARK_TIMEOUT;
+        while pool.sleeping_workers() < p {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        true
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_c = Arc::clone(&stop);
+    let metronome = std::thread::spawn(move || {
+        while !stop_c.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_micros(25));
+        }
+    });
+    let mut lats = Vec::with_capacity(samples);
+    while lats.len() < samples && parked() {
+        let stamp = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&stamp);
+        let t0 = Instant::now();
+        pool.spawn(move || {
+            s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
+        });
+        while stamp.load(Ordering::Acquire) == 0 {
+            std::thread::sleep(Duration::from_micros(20));
+        }
+        lats.push(stamp.load(Ordering::Acquire) as f64);
+    }
+    stop.store(true, Ordering::Relaxed);
+    metronome.join().unwrap();
+    lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (lats, pool.shutdown())
+}
+
+/// The `q`-quantile of ascending `sorted` (nearest rank); NaN when empty,
+/// so a gate comparing it fails.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
 /// FD1 — federation: the K-pool topology layer over both surfaces.
 ///
 /// Four gates, one artifact (`target/BENCH_federation.json`, validated
@@ -2820,8 +2683,9 @@ pub fn theory(small: bool) -> ExpResult {
 ///    external submission to one pool's injector and wakes through that
 ///    pool's sleep subsystem alone; the in-run median cold-submit
 ///    latency must stay within 4× of a flat pool measured back-to-back
-///    under the same metronome (the ID1 envelope, taken relative so the
-///    gate is machine-independent; absolute numbers are reported).
+///    under the same metronome (the cold-submit harness, taken relative
+///    so the gate is machine-independent; absolute numbers are
+///    reported). Every sample must start on a fully parked pool.
 /// 3. **Remote fraction** — 8 affinity-spread clients drive `hood::par`
 ///    fork-join work through K = 4 topologies; hierarchical scanning
 ///    must cut the remote-steal fraction ≥ 5× against the flat-scan
@@ -2835,13 +2699,8 @@ pub fn theory(small: bool) -> ExpResult {
 ///    on both surfaces.
 pub fn federation(small: bool) -> ExpResult {
     use abp_telemetry::json;
-    use hood::{
-        map_reduce, IdleKind, PolicySet, PoolConfig, PoolReport, PoolStats, SleepKind, SleepStats,
-        ThreadPool,
-    };
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use hood::{map_reduce, IdleKind, PolicySet, PoolConfig, PoolReport, PoolStats, ThreadPool};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     let mut pass = true;
 
@@ -2896,71 +2755,31 @@ pub fn federation(small: bool) -> ExpResult {
     pass &= scale_ok;
 
     // -- gate 2: federated cold submit stays within the flat envelope ----
-    // The ID1 harness (metronome + in-job stamp), parameterized by the
-    // pool count; one flat and one K = 4 run back-to-back on the same
-    // platform state.
-    fn wait_parked(pool: &ThreadPool, p: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if pool.sleeping_workers() == p {
-                return true;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        pool.sleeping_workers() == p
-    }
-    fn cold_submit(pools: usize, p: usize, samples: usize) -> (Vec<f64>, SleepStats, PoolReport) {
-        let pool = ThreadPool::with_config(
+    // One flat and one K = 4 run of the cold-submit harness, back-to-back
+    // on the same platform state.
+    let p = 8;
+    let samples: usize = if small { 21 } else { 61 };
+    let cold = |pools: usize, samples: usize| {
+        cold_submit(
             PoolConfig::default()
                 .with_num_procs(p)
                 .with_pools(pools)
                 .with_policies(
                     PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }),
-                )
-                .with_sleep(SleepKind::Eventcount),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_c = Arc::clone(&stop);
-        let metronome = std::thread::spawn(move || {
-            while !stop_c.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_micros(25));
-            }
-        });
-        let mut lats = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let _ = wait_parked(&pool, p, Duration::from_millis(200));
-            let stamp = Arc::new(AtomicU64::new(0));
-            let s = Arc::clone(&stamp);
-            let t0 = Instant::now();
-            pool.spawn(move || {
-                s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
-            });
-            while stamp.load(Ordering::Acquire) == 0 {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-            lats.push(stamp.load(Ordering::Acquire) as f64);
-        }
-        stop.store(true, Ordering::Relaxed);
-        metronome.join().unwrap();
-        let sleep = pool.sleep_stats();
-        let report = pool.shutdown();
-        (lats, sleep, report)
-    }
-    fn quantile(sorted: &[f64], q: f64) -> f64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-    let p = 8;
-    let samples: usize = if small { 21 } else { 61 };
-    let _ = cold_submit(1, p, 3); // warm thread-spawn + first park
-    let (mut flat_lat, _, flat_cold) = cold_submit(1, p, samples);
-    let (mut fed_lat, fed_sleep, fed_cold) = cold_submit(4, p, samples);
-    flat_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    fed_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                ),
+            samples,
+        )
+    };
+    let _ = cold(1, 3); // warm thread-spawn + first park
+    let (flat_lat, flat_cold) = cold(1, samples);
+    let (fed_lat, fed_cold) = cold(4, samples);
+    let all_cold = flat_lat.len() == samples && fed_lat.len() == samples;
     let flat_med = quantile(&flat_lat, 0.5);
     let fed_med = quantile(&fed_lat, 0.5);
     let cold_ratio = fed_med / flat_med;
-    pass &= cold_ratio <= 4.0;
-    pass &= fed_sleep.timed_out_parks == 0;
+    let cold_ok = all_cold && cold_ratio <= 4.0;
+    pass &= cold_ok;
+    pass &= fed_cold.sleep.timed_out_parks == 0;
     // gate 4 on these arms: identity + structural zero / sub-count.
     pass &= flat_cold.stats.attempts_balance() && flat_cold.stats.remote_attempts == 0;
     pass &= fed_cold.stats.attempts_balance() && fed_cold.stats.locality_consistent();
@@ -3079,7 +2898,7 @@ pub fn federation(small: bool) -> ExpResult {
         flat_med,
         fed_med,
         cold_ratio,
-        fed_sleep.timed_out_parks,
+        fed_cold.sleep.timed_out_parks,
         p,
         hier.stats.steal_attempts,
         hier.stats.remote_attempts,
@@ -3096,7 +2915,7 @@ pub fn federation(small: bool) -> ExpResult {
         flat_cold.stats.remote_attempts,
         fed_cold.stats.attempts_balance(),
         scale_ok,
-        cold_ratio <= 4.0,
+        cold_ok,
         frac_ok,
         sim_ok,
         pass,
@@ -3108,7 +2927,7 @@ pub fn federation(small: bool) -> ExpResult {
     let body = format!(
         "sim scaling, fork-join dag at fixed pool size 2 (dedicated kernel):\n{}\n\
          bar: rounds strictly decrease with K and K=4 is ≥ 2× K=1 — {}\n\n\
-         cold submit to a fully parked P={p} pool ({samples} samples/arm):\n\
+         cold submit to a fully parked P={p} pool ({}/{} samples/arm on a parked pool):\n\
          flat p50 {flat_med:.0} ns vs federated(K=4) p50 {fed_med:.0} ns \
          (ratio {cold_ratio:.2}; bar ≤ 4, federated timed-out parks = {})\n\n\
          remote-attempt fraction, {p} clients × {tasks} map_reduce tasks, K=4:\n{}\n\
@@ -3119,7 +2938,9 @@ pub fn federation(small: bool) -> ExpResult {
          wrote target/BENCH_federation.json ({} bytes{})",
         scale_t.render(),
         if scale_ok { "ok" } else { "FAIL" },
-        fed_sleep.timed_out_parks,
+        flat_lat.len().min(fed_lat.len()),
+        samples,
+        fed_cold.sleep.timed_out_parks,
         rt.render(),
         if frac_ok { "ok" } else { "FAIL" },
         sim_flat.remote_attempt_fraction(),
@@ -3167,7 +2988,8 @@ pub fn federation(small: bool) -> ExpResult {
 ///    identity + locality + batch invariants per run, and the
 ///    batched arm actually batches);
 /// 3. cold submit to a fully parked batched federation stays inside
-///    the ID1 envelope (p50 ratio ≤ 4 vs the flat single-steal pool);
+///    the cold-submit harness's envelope (p50 ratio ≤ 4 vs the flat
+///    single-steal pool, every sample on a fully parked pool);
 /// 4. a live batched churn pool holds the five-way identity and the
 ///    batch sub-count invariant, while the single-steal arm keeps the
 ///    structural zeros.
@@ -3177,12 +2999,10 @@ pub fn steal_batch(small: bool) -> ExpResult {
         Steal, TaskDeque,
     };
     use abp_telemetry::json;
-    use hood::{
-        join, BatchKind, IdleKind, PolicySet, PoolConfig, PoolReport, SleepKind, ThreadPool,
-    };
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+    use hood::{join, BatchKind, IdleKind, PolicySet, PoolConfig, PoolReport, ThreadPool};
+    use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::{Arc, Barrier};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     let entries: u64 = if small { 1 << 13 } else { 1 << 15 };
     // A busy few-core host can slow a whole arm for tens of ms at a
@@ -3523,24 +3343,11 @@ pub fn steal_batch(small: bool) -> ExpResult {
     let gate_amortized = amortization >= 2.0;
     pass &= gate_amortized;
 
-    // -- (3) cold submit stays inside the ID1 envelope with batching -----
-    fn wait_parked(pool: &ThreadPool, p: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if pool.sleeping_workers() == p {
-                return true;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        pool.sleeping_workers() == p
-    }
-    fn cold_submit(
-        pools: usize,
-        p: usize,
-        samples: usize,
-        batch: BatchKind,
-    ) -> (Vec<f64>, PoolReport) {
-        let pool = ThreadPool::with_config(
+    // -- (3) cold submit stays inside the envelope with batching ---------
+    let p = 8;
+    let cold_samples: usize = if small { 21 } else { 61 };
+    let cold = |pools: usize, samples: usize, batch: BatchKind| {
+        cold_submit(
             PoolConfig::default()
                 .with_num_procs(p)
                 .with_pools(pools)
@@ -3548,48 +3355,18 @@ pub fn steal_batch(small: bool) -> ExpResult {
                     PolicySet::paper()
                         .with_idle(IdleKind::ParkUntilWake { threshold: 4 })
                         .with_batch(batch),
-                )
-                .with_sleep(SleepKind::Eventcount),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_c = Arc::clone(&stop);
-        let metronome = std::thread::spawn(move || {
-            while !stop_c.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_micros(25));
-            }
-        });
-        let mut lats = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let _ = wait_parked(&pool, p, Duration::from_millis(200));
-            let stamp = Arc::new(AtomicU64::new(0));
-            let s = Arc::clone(&stamp);
-            let t0 = Instant::now();
-            pool.spawn(move || {
-                s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
-            });
-            while stamp.load(Ordering::Acquire) == 0 {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-            lats.push(stamp.load(Ordering::Acquire) as f64);
-        }
-        stop.store(true, Ordering::Relaxed);
-        metronome.join().unwrap();
-        (lats, pool.shutdown())
-    }
-    fn quantile(sorted: &[f64], q: f64) -> f64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-    let p = 8;
-    let cold_samples: usize = if small { 21 } else { 61 };
-    let _ = cold_submit(1, p, 3, BatchKind::Single); // warm thread-spawn + first park
-    let (mut flat_lat, flat_rep) = cold_submit(1, p, cold_samples, BatchKind::Single);
-    let (mut fed_lat, fed_rep) = cold_submit(4, p, cold_samples, BatchKind::Half { cap: 8 });
-    flat_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    fed_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                ),
+            samples,
+        )
+    };
+    let _ = cold(1, 3, BatchKind::Single); // warm thread-spawn + first park
+    let (flat_lat, flat_rep) = cold(1, cold_samples, BatchKind::Single);
+    let (fed_lat, fed_rep) = cold(4, cold_samples, BatchKind::Half { cap: 8 });
+    let all_cold = flat_lat.len() == cold_samples && fed_lat.len() == cold_samples;
     let flat_med = quantile(&flat_lat, 0.5);
     let fed_med = quantile(&fed_lat, 0.5);
     let cold_ratio = fed_med / flat_med;
-    let gate_cold = cold_ratio <= 4.0;
+    let gate_cold = all_cold && cold_ratio <= 4.0;
     pass &= gate_cold;
     pass &= flat_rep.stats.attempts_balance()
         && flat_rep.stats.batch_steals == 0
@@ -3714,7 +3491,7 @@ pub fn steal_batch(small: bool) -> ExpResult {
          sim federation (K=4, P=8, cross-steal 0.125):\n{}\n\
          remote round trips per migrated task: single {:.2} vs batched {:.2} \
          (amortization {:.2}×; bar ≥ 2 — {})\n\n\
-         cold submit to a fully parked P={p} pool ({cold_samples} samples/arm):\n\
+         cold submit to a fully parked P={p} pool ({}/{cold_samples} samples/arm on a parked pool):\n\
          flat/single p50 {flat_med:.0} ns vs batched federated(K=4) p50 {fed_med:.0} ns \
          (ratio {cold_ratio:.2}; bar ≤ 4 — {})\n\n\
          live churn (P={p}, K=4, fib(18) + {churn_jobs} submissions): \
@@ -3736,6 +3513,7 @@ pub fn steal_batch(small: bool) -> ExpResult {
         ratios[1],
         amortization,
         if gate_amortized { "ok" } else { "FAIL" },
+        flat_lat.len().min(fed_lat.len()),
         if gate_cold { "ok" } else { "FAIL" },
         live_single.stats.batch_steals,
         live_single.stats.batched_tasks,
@@ -3777,7 +3555,6 @@ pub fn all() -> Vec<ExpResult> {
         policies(false),
         serve(false),
         hotpath(),
-        idle(false),
         par(false),
         deque_backends(false),
         theory(false),

@@ -24,9 +24,10 @@
 //!
 //! Configuration ([`PoolConfig`]) exposes the scheduling policy — victim
 //! selection, whether thieves yield between steal attempts, what an idle
-//! worker does — plus the topology and the sleep protocol. The deque is
-//! always ABP: the locking and fence-free deques of `abp-deque` are
-//! ablations for the simulator and the deque-level experiments.
+//! worker does — plus the topology. The deque is always ABP and idle
+//! workers always park through the eventcount ([`sleep`]): the locking
+//! and fence-free deques of `abp-deque` are ablations for the simulator
+//! and the deque-level experiments.
 //!
 //! # External submission
 //!

@@ -176,10 +176,9 @@ pub struct PoolConfig {
     /// still *counted*, just not avoided — the control FD1 measures
     /// hierarchical stealing against.
     pub flat_scan: bool,
-    /// Which sleep/wake implementation idle workers park through. The
-    /// default tracks the `sleep-condvar-fallback` feature: the
-    /// eventcount normally, the legacy pool-wide condvar under the
-    /// feature (the measurable baseline for experiment ID1).
+    /// The sleep/wake protocol idle workers park through — always the
+    /// eventcount. A fingerprint stamp, not a choice: it stays a field
+    /// so run records that format the configuration keep naming it.
     pub sleep: SleepKind,
     /// Structured tracing: `Some(config)` records events and histograms
     /// into per-worker rings; `None` (the default) records nothing and
@@ -191,9 +190,7 @@ pub struct PoolConfig {
 impl PoolConfig {
     /// The default idle policy: park *untimed* after 64 consecutive
     /// failed steal scans and stay asleep until a producer's wake. Sound
-    /// because the eventcount closes the missed-wakeup race (and the
-    /// condvar fallback substitutes its legacy 100 µs bounded nap for
-    /// the untimed park, so the policy is safe under both backends).
+    /// because the eventcount closes the missed-wakeup race.
     pub const DEFAULT_IDLE: IdleKind = IdleKind::ParkUntilWake { threshold: 64 };
 
     /// Replaces the worker count.
@@ -252,12 +249,6 @@ impl PoolConfig {
     /// topology).
     pub fn with_flat_scan(mut self, flat_scan: bool) -> Self {
         self.flat_scan = flat_scan;
-        self
-    }
-
-    /// Replaces the sleep/wake backend.
-    pub fn with_sleep(mut self, sleep: SleepKind) -> Self {
-        self.sleep = sleep;
         self
     }
 
@@ -428,8 +419,8 @@ impl SharedCore {
     /// pool*. Publish-then-notify order is what the sleep protocol
     /// requires (INV-EC-PUB): the notify's epoch bump is the barrier
     /// that makes this push visible to any pool member racing into a
-    /// park, so — unlike the old condvar protocol — no wakeup can be
-    /// missed and no park timeout is needed to cap a race.
+    /// park, so no wakeup can be missed and no park timeout is needed
+    /// to cap a race.
     fn inject(&self, job: JobRef) {
         let shard = &self.shards[self.client_pool()];
         shard.injector.push(job.to_word(), self.submit_ns());
@@ -449,10 +440,7 @@ impl SharedCore {
     /// `shard`'s injector. External submitters have no worker timeline,
     /// so wake events are not traced here (the counters still move).
     fn notify_shard(&self, shard: &PoolShard, n: usize) {
-        match shard.sleep.kind() {
-            SleepKind::Eventcount => shard.sleep.notify_jobs(n, |_| {}),
-            SleepKind::CondvarFallback => shard.sleep.fallback_notify_all(),
-        }
+        shard.sleep.notify_jobs(n, |_| {});
     }
 
     /// Stamps the (pool-merged) sleep scalar counters into a telemetry
@@ -724,21 +712,17 @@ impl WorkerCtx {
     }
 
     /// Producer-side wake for `n` entries just exposed on the public
-    /// deque (none: nothing to do). With the eventcount this is the
-    /// external submitters' notify — an unconditional epoch bump, then
-    /// `min(n, sleepers)` targeted wakes: the bump is the store→load
-    /// barrier between the exposure and the look at the sleeper count
-    /// (INV-EC-PUB), so a hunter that was already committing to sleep
-    /// either fails its commit or is woken, and never sleeps on exposed
-    /// work. The legacy condvar protocol never woke anyone from a
-    /// worker's push, and its sleepers re-scan every 100 µs; the fallback
-    /// keeps that.
+    /// deque (none: nothing to do). This is the external submitters'
+    /// notify — an unconditional epoch bump, then `min(n, sleepers)`
+    /// targeted wakes: the bump is the store→load barrier between the
+    /// exposure and the look at the sleeper count (INV-EC-PUB), so a
+    /// hunter that was already committing to sleep either fails its
+    /// commit or is woken, and never sleeps on exposed work.
     fn notify_exposed(&self, n: usize) {
-        let sleep = &self.shard().sleep;
-        if n == 0 || sleep.kind() == SleepKind::CondvarFallback {
+        if n == 0 {
             return;
         }
-        sleep.notify_jobs(n, |_ev| {
+        self.shard().sleep.notify_jobs(n, |_ev| {
             #[cfg(feature = "telemetry")]
             self.tele_record(match _ev {
                 Some(target) => EventKind::WakeOne {
@@ -1213,10 +1197,10 @@ impl WorkerCtx {
     /// (`Some`, the legacy [`IdleAction::Park`] policy). May return
     /// without parking at all when the sleep protocol detects work.
     ///
-    /// Eventcount path — the three-step protocol from [`crate::sleep`]:
-    /// announce, re-scan every work source, then commit via the
-    /// epoch-checked CAS; a producer that publishes anywhere in between
-    /// either fails the commit or (once committed) is obliged to wake us.
+    /// The three-step protocol from [`crate::sleep`]: announce, re-scan
+    /// every work source, then commit via the epoch-checked CAS; a
+    /// producer that publishes anywhere in between either fails the
+    /// commit or (once committed) is obliged to wake us.
     /// Park/unpark counters and trace spans move only for *committed*
     /// parks, so `parks == unparks` holds exactly at shutdown.
     ///
@@ -1225,52 +1209,26 @@ impl WorkerCtx {
     /// private entry that its thieves could not see.
     fn park(&self, timeout: Option<Duration>) {
         debug_assert!(self.deque.private().is_empty(), "parking over private work");
-        let core = &self.core;
-        let shard = self.shard();
-        let sleep = &shard.sleep;
-        match sleep.kind() {
-            SleepKind::Eventcount => {
-                let token = sleep.announce();
-                if self.work_in_sight() {
-                    sleep.cancel_announce();
-                    return;
-                }
-                if !sleep.try_commit(self.local_index(), token) {
-                    // A producer moved the epoch after our re-scan began;
-                    // its work is visible now — resume hunting.
-                    return;
-                }
-                if self.woken_pending.replace(false) {
-                    // Woken last time but found nothing before sleeping
-                    // again: that wake bought no work.
-                    sleep.note_spurious_wake();
-                }
-                self.stats().parks.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
-                self.tele_record(EventKind::Park);
-                let outcome = sleep.park_committed(self.local_index(), timeout);
-                self.note_unpark(outcome);
-            }
-            SleepKind::CondvarFallback => {
-                if self.woken_pending.replace(false) {
-                    sleep.note_spurious_wake();
-                }
-                self.stats().parks.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
-                self.tele_record(EventKind::Park);
-                // The legacy protocol: pool-wide lock, re-check under it,
-                // bounded nap (even for the untimed policy — without the
-                // eventcount a wakeup genuinely can be missed, and the
-                // timeout is what caps that race).
-                let outcome = sleep.fallback_park(timeout, || {
-                    shard.injector.pending() > 0 || core.shutdown.load(Ordering::Acquire)
-                });
-                self.note_unpark(outcome);
-            }
+        let sleep = &self.shard().sleep;
+        let token = sleep.announce();
+        if self.work_in_sight() {
+            sleep.cancel_announce();
+            return;
         }
-    }
-
-    fn note_unpark(&self, outcome: SleepOutcome) {
+        if !sleep.try_commit(self.local_index(), token) {
+            // A producer moved the epoch after our re-scan began; its work
+            // is visible now — resume hunting.
+            return;
+        }
+        if self.woken_pending.replace(false) {
+            // Woken last time but found nothing before sleeping again:
+            // that wake bought no work.
+            sleep.note_spurious_wake();
+        }
+        self.stats().parks.fetch_add(1, Ordering::Relaxed);
+        #[cfg(feature = "telemetry")]
+        self.tele_record(EventKind::Park);
+        let outcome = sleep.park_committed(self.local_index(), timeout);
         self.stats().unparks.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Unpark);
@@ -1405,8 +1363,6 @@ pub struct PoolReport {
     pub per_pool: Vec<PoolStats>,
     /// Pool count `K` of the topology the pool ran.
     pub pools: usize,
-    /// Which sleep/wake backend the pool ran.
-    pub sleep_kind: SleepKind,
     /// Sleep/wake-subsystem counters over the pool's whole life.
     pub sleep: SleepStats,
     /// The final telemetry snapshot, if tracing was configured.
@@ -1460,7 +1416,7 @@ impl ThreadPool {
                     } else {
                         config.injector_shards
                     }),
-                    sleep: Sleep::new(end - start, config.sleep),
+                    sleep: Sleep::new(end - start),
                     last_thief: AtomicUsize::new(usize::MAX),
                 }
             })
@@ -1629,11 +1585,6 @@ impl ThreadPool {
         self.core.stats.iter().map(|w| w.snapshot()).collect()
     }
 
-    /// Which sleep/wake backend this pool runs.
-    pub fn sleep_kind(&self) -> SleepKind {
-        self.core.shards[0].sleep.kind()
-    }
-
     /// Workers currently asleep across every pool (a live gauge: exact
     /// at quiescence).
     pub fn sleeping_workers(&self) -> usize {
@@ -1754,11 +1705,9 @@ impl ThreadPool {
         );
         let sleep = self.core.sleep_stats();
         // Every hit-after-unpark is credited to exactly one delivered
-        // wake (the condvar fallback's herd makes the correspondence
-        // approximate, so the invariant is eventcount-only).
+        // wake.
         debug_assert!(
-            self.sleep_kind() != SleepKind::Eventcount
-                || sleep.wakes_sent >= sleep.hits_after_unpark,
+            sleep.wakes_sent >= sleep.hits_after_unpark,
             "wake accounting identity violated: {sleep:?}"
         );
         PoolReport {
@@ -1766,7 +1715,6 @@ impl ThreadPool {
             per_worker: self.per_worker_stats(),
             per_pool: self.per_pool_stats(),
             pools: self.core.shards.len(),
-            sleep_kind: self.sleep_kind(),
             sleep,
             #[cfg(feature = "telemetry")]
             telemetry: self.core.registry.as_ref().map(|r| {

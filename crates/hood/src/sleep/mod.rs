@@ -58,19 +58,12 @@
 //! submission and needs no weaker, peeking variant. Its forks never look
 //! at this word: a sleeping worker is still counted in the pool's
 //! attention word, and that count is what the fork fast path tests.
-//!
-//! # Fallback
-//!
-//! [`SleepKind::CondvarFallback`] keeps the legacy pool-wide lock +
-//! `notify_all` + timed-park protocol as a baseline for the ID1
-//! experiment (and the `sleep-condvar-fallback` feature flips the
-//! default, mirroring PR 4's `seqcst-fallback`).
 
 pub mod model;
 
 use crate::latch::Parker;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 const SLEEPER_ONE: u64 = 1;
@@ -94,31 +87,14 @@ fn epoch_of(word: u64) -> u64 {
     word >> 32
 }
 
-/// Which sleep/wake implementation a pool uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The pool's sleep/wake protocol. There is one — the eventcount — so
+/// this is not a choice: `PoolConfig::sleep` carries it only as a stamp
+/// for run fingerprints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SleepKind {
     /// The eventcount protocol: targeted wake-one, untimed parks.
+    #[default]
     Eventcount,
-    /// The legacy pool-wide `Mutex`+`Condvar`: `notify_all` on every
-    /// submission and 100 µs timed parks to paper over the missed-wakeup
-    /// race. Kept as the measurable baseline.
-    CondvarFallback,
-}
-
-// Not a `#[derive(Default)]` because the default variant is
-// feature-dependent, mirroring `abp-deque`'s `seqcst-fallback`.
-#[allow(clippy::derivable_impls)]
-impl Default for SleepKind {
-    fn default() -> Self {
-        #[cfg(feature = "sleep-condvar-fallback")]
-        {
-            SleepKind::CondvarFallback
-        }
-        #[cfg(not(feature = "sleep-condvar-fallback"))]
-        {
-            SleepKind::Eventcount
-        }
-    }
 }
 
 /// How a committed park ended.
@@ -126,8 +102,8 @@ impl Default for SleepKind {
 pub enum SleepOutcome {
     /// A producer (or shutdown) sent this worker a wake.
     Woken,
-    /// The bounded nap elapsed with no wake (timed policies only; the
-    /// eventcount's untimed parks can never produce this).
+    /// The bounded nap elapsed with no wake (timed policies only; an
+    /// untimed park can never produce this).
     TimedOut,
 }
 
@@ -137,8 +113,7 @@ pub enum SleepOutcome {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SleepStats {
     /// Targeted wakes delivered (one per sleeper popped and unparked,
-    /// including the shutdown wake-all; the condvar fallback counts the
-    /// whole herd each `notify_all`).
+    /// including the shutdown wake-all).
     pub wakes_sent: u64,
     /// Wake budget that found the sleeper stack already empty (the
     /// sleeper count read at the bump was stale by pop time).
@@ -147,17 +122,16 @@ pub struct SleepStats {
     /// sleep again — the idle-CPU burn metric for trickle loads.
     pub wakes_spurious: u64,
     /// Woken workers that found work on their first post-wake hunt.
-    /// For the eventcount, `wakes_sent >= hits_after_unpark` always.
+    /// `wakes_sent >= hits_after_unpark` always.
     pub hits_after_unpark: u64,
-    /// Timed parks that elapsed without a wake. Zero by construction
-    /// under the eventcount (asserted by experiment ID1).
+    /// Timed parks that elapsed without a wake. Zero under the untimed
+    /// `ParkUntilWake` policy, whose parks have no timeout.
     pub timed_out_parks: u64,
 }
 
 /// The per-pool sleep/wake state; one instance lives in each of the
 /// pool's shards.
 pub(crate) struct Sleep {
-    kind: SleepKind,
     /// The packed eventcount word (see the module doc for the layout).
     word: AtomicU64,
     /// LIFO stack of committed (or committing) sleepers' indices. The
@@ -166,11 +140,6 @@ pub(crate) struct Sleep {
     stack: Mutex<Vec<usize>>,
     /// One private padded parker per worker.
     parkers: Vec<Parker>,
-    // -- condvar fallback state (the legacy protocol) --------------------
-    fb_mutex: Mutex<()>,
-    fb_cv: Condvar,
-    /// Fallback-only gauge of workers currently inside the condvar wait.
-    fb_sleepers: AtomicU64,
     // -- counters ---------------------------------------------------------
     wakes_sent: AtomicU64,
     wakes_skipped: AtomicU64,
@@ -180,19 +149,15 @@ pub(crate) struct Sleep {
 }
 
 impl Sleep {
-    pub(crate) fn new(num_workers: usize, kind: SleepKind) -> Self {
+    pub(crate) fn new(num_workers: usize) -> Self {
         assert!(
             num_workers < (1 << 16),
             "the packed eventcount word holds at most 2^16-1 sleepers"
         );
         Sleep {
-            kind,
             word: AtomicU64::new(0),
             stack: Mutex::new(Vec::with_capacity(num_workers)),
             parkers: (0..num_workers).map(|_| Parker::new()).collect(),
-            fb_mutex: Mutex::new(()),
-            fb_cv: Condvar::new(),
-            fb_sleepers: AtomicU64::new(0),
             wakes_sent: AtomicU64::new(0),
             wakes_skipped: AtomicU64::new(0),
             wakes_spurious: AtomicU64::new(0),
@@ -201,18 +166,10 @@ impl Sleep {
         }
     }
 
-    pub(crate) fn kind(&self) -> SleepKind {
-        self.kind
-    }
-
-    /// Workers currently committed to sleep (eventcount) or inside the
-    /// condvar wait (fallback). A gauge: exact at quiescence, may lag by
-    /// in-flight transitions otherwise.
+    /// Workers currently committed to sleep. A gauge: exact at
+    /// quiescence, may lag by in-flight transitions otherwise.
     pub(crate) fn sleepers(&self) -> usize {
-        match self.kind {
-            SleepKind::Eventcount => sleepers_of(self.word.load(Ordering::SeqCst)) as usize,
-            SleepKind::CondvarFallback => self.fb_sleepers.load(Ordering::SeqCst) as usize,
-        }
+        sleepers_of(self.word.load(Ordering::SeqCst)) as usize
     }
 
     /// Cheapest possible idle gauge, for the data-parallel adaptive
@@ -229,13 +186,8 @@ impl Sleep {
     /// overhead, never correctness or liveness, which is what lets the
     /// splitter consult this on every recursion step.
     pub(crate) fn sleepers_hint(&self) -> usize {
-        match self.kind {
-            SleepKind::Eventcount => {
-                let word = self.word.load(Ordering::Relaxed);
-                (sleepers_of(word) + announced_of(word)) as usize
-            }
-            SleepKind::CondvarFallback => self.fb_sleepers.load(Ordering::Relaxed) as usize,
-        }
+        let word = self.word.load(Ordering::Relaxed);
+        (sleepers_of(word) + announced_of(word)) as usize
     }
 
     pub(crate) fn stats(&self) -> SleepStats {
@@ -256,7 +208,7 @@ impl Sleep {
         self.hits_after_unpark.fetch_add(1, Ordering::Relaxed);
     }
 
-    // -- worker side (eventcount) -----------------------------------------
+    // -- worker side ------------------------------------------------------
 
     /// Step 1: announce idleness. Returns the epoch token the commit CAS
     /// must re-observe. INV-EC-ANN: the `SeqCst` RMW is an acquire of
@@ -341,7 +293,7 @@ impl Sleep {
         outcome
     }
 
-    // -- producer side (eventcount) ---------------------------------------
+    // -- producer side ----------------------------------------------------
 
     /// Producer-side notify for `n_jobs` externally published jobs.
     /// INV-EC-PUB: callers publish the jobs *before* this call; the
@@ -351,7 +303,6 @@ impl Sleep {
     /// `on_event` runs once per budgeted wake with `Some(index)` for a
     /// delivered wake and `None` for a skipped one (for tracing).
     pub(crate) fn notify_jobs(&self, n_jobs: usize, on_event: impl FnMut(Option<usize>)) {
-        debug_assert_eq!(self.kind, SleepKind::Eventcount);
         let old = self.word.fetch_add(EPOCH_ONE, Ordering::SeqCst);
         let want = n_jobs.min(sleepers_of(old) as usize);
         self.wake_many(want, on_event);
@@ -385,59 +336,17 @@ impl Sleep {
     /// re-check it during the re-scan, and the announce-acquires-bump
     /// edge makes the flag visible).
     pub(crate) fn notify_shutdown(&self) {
-        match self.kind {
-            SleepKind::Eventcount => {
-                self.word.fetch_add(EPOCH_ONE, Ordering::SeqCst);
-                loop {
-                    let popped = self.stack.lock().unwrap().pop();
-                    match popped {
-                        Some(index) => {
-                            self.wakes_sent.fetch_add(1, Ordering::Relaxed);
-                            self.parkers[index].unpark();
-                        }
-                        None => break,
-                    }
+        self.word.fetch_add(EPOCH_ONE, Ordering::SeqCst);
+        loop {
+            let popped = self.stack.lock().unwrap().pop();
+            match popped {
+                Some(index) => {
+                    self.wakes_sent.fetch_add(1, Ordering::Relaxed);
+                    self.parkers[index].unpark();
                 }
+                None => break,
             }
-            SleepKind::CondvarFallback => self.fallback_notify_all(),
         }
-    }
-
-    // -- the legacy condvar protocol --------------------------------------
-
-    /// The legacy park: take the pool-wide lock, re-check for work via
-    /// `has_work` under it, and nap on the shared condvar with a bounded
-    /// timeout (the timeout is what caps the herd protocol's inherent
-    /// missed-wakeup race). `timeout` of `None` — the untimed policy —
-    /// still naps 100 µs here, because without the eventcount an untimed
-    /// park genuinely can miss its wakeup.
-    pub(crate) fn fallback_park(
-        &self,
-        timeout: Option<Duration>,
-        has_work: impl FnOnce() -> bool,
-    ) -> SleepOutcome {
-        let nap = timeout.unwrap_or(Duration::from_micros(100));
-        let guard = self.fb_mutex.lock().unwrap();
-        if has_work() {
-            return SleepOutcome::Woken;
-        }
-        self.fb_sleepers.fetch_add(1, Ordering::SeqCst);
-        let (_guard, res) = self.fb_cv.wait_timeout(guard, nap).unwrap();
-        self.fb_sleepers.fetch_sub(1, Ordering::SeqCst);
-        if res.timed_out() {
-            self.timed_out_parks.fetch_add(1, Ordering::Relaxed);
-            SleepOutcome::TimedOut
-        } else {
-            SleepOutcome::Woken
-        }
-    }
-
-    /// The legacy thundering herd. `wakes_sent` counts the whole herd
-    /// (every currently-parked worker receives the notification).
-    pub(crate) fn fallback_notify_all(&self) {
-        let herd = self.fb_sleepers.load(Ordering::SeqCst);
-        self.wakes_sent.fetch_add(herd, Ordering::Relaxed);
-        self.fb_cv.notify_all();
     }
 }
 
@@ -458,19 +367,11 @@ mod tests {
         assert_eq!(epoch_of(near.wrapping_add(EPOCH_ONE)), 0);
     }
 
-    #[test]
-    fn default_kind_tracks_feature() {
-        #[cfg(feature = "sleep-condvar-fallback")]
-        assert_eq!(SleepKind::default(), SleepKind::CondvarFallback);
-        #[cfg(not(feature = "sleep-condvar-fallback"))]
-        assert_eq!(SleepKind::default(), SleepKind::Eventcount);
-    }
-
     /// Commit succeeds when the epoch stands still, and the producer's
     /// wake pops the committed sleeper (LIFO).
     #[test]
     fn commit_then_wake() {
-        let s = Arc::new(Sleep::new(2, SleepKind::Eventcount));
+        let s = Arc::new(Sleep::new(2));
         let t0 = s.announce();
         assert!(s.try_commit(0, t0));
         assert_eq!(s.sleepers(), 1);
@@ -490,7 +391,7 @@ mod tests {
     /// missed-wakeup race, at the unit level.
     #[test]
     fn commit_fails_if_epoch_moved() {
-        let s = Sleep::new(1, SleepKind::Eventcount);
+        let s = Sleep::new(1);
         let t0 = s.announce();
         s.notify_jobs(1, |_| unreachable!("no sleepers to wake"));
         assert!(!s.try_commit(0, t0));
@@ -503,7 +404,7 @@ mod tests {
     /// LIFO order: the most recently parked worker is woken first.
     #[test]
     fn wake_is_lifo() {
-        let s = Sleep::new(3, SleepKind::Eventcount);
+        let s = Sleep::new(3);
         for i in 0..3 {
             let t = s.announce();
             assert!(s.try_commit(i, t));
@@ -532,7 +433,7 @@ mod tests {
     /// never as a hang or an underflow.
     #[test]
     fn stale_budget_is_skipped() {
-        let s = Sleep::new(1, SleepKind::Eventcount);
+        let s = Sleep::new(1);
         let t = s.announce();
         assert!(s.try_commit(0, t));
         let mut woken = Vec::new();
@@ -552,7 +453,7 @@ mod tests {
     /// given jobs.
     #[test]
     fn notify_wakes_at_most_n_and_aborts_commits_in_flight() {
-        let s = Sleep::new(2, SleepKind::Eventcount);
+        let s = Sleep::new(2);
         let t = s.announce();
         s.notify_jobs(1, |_| unreachable!("announced is not asleep"));
         assert!(!s.try_commit(0, t), "the bump aborts the commit in flight");
@@ -576,7 +477,7 @@ mod tests {
     /// any RMW of its own.
     #[test]
     fn sleepers_hint_counts_committed_and_announced() {
-        let s = Sleep::new(2, SleepKind::Eventcount);
+        let s = Sleep::new(2);
         assert_eq!(s.sleepers_hint(), 0);
         let t0 = s.announce();
         assert_eq!(s.sleepers_hint(), 1, "announced workers count");
@@ -590,27 +491,5 @@ mod tests {
         s.notify_shutdown();
         assert_eq!(s.park_committed(0, None), SleepOutcome::Woken);
         assert_eq!(s.sleepers_hint(), 0);
-    }
-
-    /// The fallback path counts the herd and times out its naps.
-    #[test]
-    fn fallback_counts_herd_and_timeouts() {
-        let s = Arc::new(Sleep::new(2, SleepKind::CondvarFallback));
-        assert_eq!(
-            s.fallback_park(Some(Duration::from_millis(1)), || false),
-            SleepOutcome::TimedOut
-        );
-        assert_eq!(s.stats().timed_out_parks, 1);
-        // A pending-work recheck under the lock skips the nap entirely.
-        assert_eq!(s.fallback_park(None, || true), SleepOutcome::Woken);
-        let s2 = Arc::clone(&s);
-        let h =
-            std::thread::spawn(move || s2.fallback_park(Some(Duration::from_secs(5)), || false));
-        while s.fb_sleepers.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        s.fallback_notify_all();
-        assert_eq!(h.join().unwrap(), SleepOutcome::Woken);
-        assert_eq!(s.stats().wakes_sent, 1);
     }
 }

@@ -18,7 +18,7 @@ use multiprog_ws::deque::Steal;
 use multiprog_ws::runtime::private::{Attention, PrivateFirst};
 use multiprog_ws::runtime::{
     join, par_sort_unstable, scope, Backend, IdleKind, PolicySet, PoolConfig, PoolReport,
-    SleepKind, ThreadPool,
+    ThreadPool,
 };
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
@@ -311,37 +311,27 @@ fn b_runs_beside_a() -> bool {
 
 /// Every other worker is parked, under the untimed policy, when the job
 /// is pushed: a sleeper still counts as hunting, so the single push
-/// exposes the job and wakes a thief for it. (Under the condvar protocol
-/// nobody is woken by a worker's push; the sleepers re-scan every 100 µs
-/// and the exposure alone feeds them.)
+/// exposes the job and wakes a thief for it.
 #[test]
 fn a_push_beside_parked_workers_is_stolen_without_another_push() {
-    for sleep in [SleepKind::Eventcount, SleepKind::CondvarFallback] {
-        for p in [2, 8] {
-            let pool = ThreadPool::with_config(
-                PoolConfig::default()
-                    .with_num_procs(p)
-                    .with_sleep(sleep)
-                    .with_policies(
-                        PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }),
-                    ),
+    for p in [2, 8] {
+        let pool =
+            ThreadPool::with_config(PoolConfig::default().with_num_procs(p).with_policies(
+                PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }),
+            ));
+        assert!(
+            wait_for(Duration::from_secs(10), || pool.sleeping_workers() == p),
+            "workers never parked"
+        );
+        for round in 0..4 {
+            assert!(
+                pool.install(b_runs_beside_a),
+                "P={p} round {round}: b was never stolen"
             );
-            if sleep == SleepKind::Eventcount {
-                assert!(
-                    wait_for(Duration::from_secs(10), || pool.sleeping_workers() == p),
-                    "workers never parked"
-                );
-            }
-            for round in 0..4 {
-                assert!(
-                    pool.install(b_runs_beside_a),
-                    "{sleep:?} P={p} round {round}: b was never stolen"
-                );
-            }
-            let report = pool.shutdown();
-            assert!(report.stats.steals >= 4, "{:?}", report.stats);
-            assert_accounting(&report, p);
         }
+        let report = pool.shutdown();
+        assert!(report.stats.steals >= 4, "{:?}", report.stats);
+        assert_accounting(&report, p);
     }
 }
 

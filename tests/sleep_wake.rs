@@ -1,15 +1,13 @@
 //! Integration tests for the `hood::sleep` eventcount subsystem: the
 //! missed-wakeup regression, targeted wake-one accounting, the
-//! `parks == unparks` shutdown invariant, and runtime selection of the
-//! legacy condvar fallback.
+//! `parks == unparks` and `wakes_sent >= hits_after_unpark` shutdown
+//! invariants, and the silence of a fully parked pool.
 //!
-//! Every test pins its `SleepKind` explicitly through
-//! [`PoolConfig::with_sleep`], so the whole file passes unchanged under
-//! both the default build and `--features sleep-condvar-fallback` (the
-//! feature only moves `SleepKind::default()`, which these tests never
-//! rely on).
+//! Most tests shrink the idle threshold so workers park after a few
+//! failed scans instead of 64; [`an_idle_pool_is_silent`] runs the
+//! default idle policy.
 
-use hood::{IdleKind, PolicySet, PoolConfig, SleepKind, ThreadPool};
+use hood::{IdleKind, PolicySet, PoolConfig, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,12 +18,11 @@ fn park_policies() -> PolicySet {
     PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 })
 }
 
-fn pool_with(sleep: SleepKind, workers: usize) -> ThreadPool {
+fn pool_with(workers: usize) -> ThreadPool {
     ThreadPool::with_config(
         PoolConfig::default()
             .with_num_procs(workers)
-            .with_policies(park_policies())
-            .with_sleep(sleep),
+            .with_policies(park_policies()),
     )
 }
 
@@ -48,7 +45,7 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// the notify; with no park timeout that job would hang forever.
 #[test]
 fn single_submit_to_fully_parked_pool_runs() {
-    let pool = pool_with(SleepKind::Eventcount, 4);
+    let pool = pool_with(4);
     assert!(
         wait_for(Duration::from_secs(10), || pool.sleeping_workers() == 4),
         "workers never parked: {} of 4 asleep",
@@ -84,7 +81,7 @@ fn single_submit_to_fully_parked_pool_runs() {
 /// wakes every remaining sleeper (and counts those wakes too).
 #[test]
 fn one_job_wakes_exactly_one_of_eight() {
-    let pool = pool_with(SleepKind::Eventcount, 8);
+    let pool = pool_with(8);
     assert!(
         wait_for(Duration::from_secs(10), || pool.sleeping_workers() == 8),
         "workers never parked: {} of 8 asleep",
@@ -118,7 +115,7 @@ fn one_job_wakes_exactly_one_of_eight() {
 /// bump, never more.
 #[test]
 fn batch_wakes_at_most_batch_len() {
-    let pool = pool_with(SleepKind::Eventcount, 8);
+    let pool = pool_with(8);
     assert!(wait_for(Duration::from_secs(10), || pool
         .sleeping_workers()
         == 8));
@@ -149,78 +146,68 @@ fn batch_wakes_at_most_batch_len() {
 }
 
 /// Satellite 3: the pool-level accounting invariants. Every committed
-/// park is matched by an unpark, and (eventcount only) a worker can
-/// credit at most one post-unpark work find per wake it was sent.
+/// park is matched by an unpark, and a worker can credit at most one
+/// post-unpark work find per wake it was sent.
 #[test]
 fn park_accounting_balances_at_shutdown() {
-    for kind in [SleepKind::Eventcount, SleepKind::CondvarFallback] {
-        let pool = pool_with(kind, 4);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..64 {
-            let h = Arc::clone(&hits);
-            pool.spawn(move || {
-                h.fetch_add(1, Ordering::Relaxed);
-            });
-            // A trickle, so workers park between submissions.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(wait_for(Duration::from_secs(10), || {
-            hits.load(Ordering::Relaxed) == 64
-        }));
-        let report = pool.shutdown();
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-        assert_eq!(
-            report.stats.parks, report.stats.unparks,
-            "{kind:?}: park/unpark accounting must balance at shutdown"
-        );
-        assert!(report.stats.parks_balance());
-        if kind == SleepKind::Eventcount {
-            assert!(
-                report.sleep.wakes_sent >= report.sleep.hits_after_unpark,
-                "{} wakes sent but {} post-unpark hits",
-                report.sleep.wakes_sent,
-                report.sleep.hits_after_unpark
-            );
-        }
-    }
-}
-
-/// The legacy condvar backend stays runtime-selectable and correct:
-/// jobs run, nothing hangs, and its bounded naps substitute for the
-/// untimed park (so `timed_out_parks` may be nonzero — that is the
-/// baseline behaviour ID1 measures against).
-#[test]
-fn condvar_fallback_still_serves_parked_pool() {
-    let pool = pool_with(SleepKind::CondvarFallback, 4);
-    assert_eq!(pool.sleep_kind(), SleepKind::CondvarFallback);
-
-    // The fallback's sleepers oscillate (100 µs naps), so don't demand
-    // a steady all-asleep state — just give workers time to go idle.
-    std::thread::sleep(Duration::from_millis(20));
-
+    let pool = pool_with(4);
     let hits = Arc::new(AtomicU64::new(0));
-    for _ in 0..16 {
+    for _ in 0..64 {
         let h = Arc::clone(&hits);
         pool.spawn(move || {
             h.fetch_add(1, Ordering::Relaxed);
         });
+        // A trickle, so workers park between submissions.
+        std::thread::sleep(Duration::from_millis(1));
     }
     assert!(wait_for(Duration::from_secs(10), || {
-        hits.load(Ordering::Relaxed) == 16
+        hits.load(Ordering::Relaxed) == 64
     }));
     let report = pool.shutdown();
-    assert_eq!(report.sleep_kind, SleepKind::CondvarFallback);
+    assert_eq!(hits.load(Ordering::Relaxed), 64);
+    assert_eq!(
+        report.stats.parks, report.stats.unparks,
+        "park/unpark accounting must balance at shutdown"
+    );
     assert!(report.stats.parks_balance());
+    assert!(
+        report.sleep.wakes_sent >= report.sleep.hits_after_unpark,
+        "{} wakes sent but {} post-unpark hits",
+        report.sleep.wakes_sent,
+        report.sleep.hits_after_unpark
+    );
 }
 
-/// The report's backend stamp matches what the config asked for, under
-/// both runtime selections.
+/// A fully parked pool under the default idle policy
+/// ([`PoolConfig::DEFAULT_IDLE`]) is a steady state: its untimed parks
+/// generate no timer churn, so an idle window adds no park, unpark,
+/// wake or timeout at all.
 #[test]
-fn report_stamps_selected_backend() {
-    for kind in [SleepKind::Eventcount, SleepKind::CondvarFallback] {
-        let pool = pool_with(kind, 2);
-        assert_eq!(pool.sleep_kind(), kind);
-        let report = pool.shutdown();
-        assert_eq!(report.sleep_kind, kind);
-    }
+fn an_idle_pool_is_silent() {
+    const P: usize = 4;
+    let pool = ThreadPool::with_config(PoolConfig::default().with_num_procs(P));
+    // A worker is a sleeper from its commit CAS and counts its park just
+    // after, so wait for both views to agree.
+    assert!(
+        wait_for(Duration::from_secs(10), || {
+            let st = pool.stats();
+            pool.sleeping_workers() == P && st.parks == st.unparks + P as u64
+        }),
+        "workers never all parked: {} of {P} asleep",
+        pool.sleeping_workers()
+    );
+    let (before, sleep_before) = (pool.stats(), pool.sleep_stats());
+    std::thread::sleep(Duration::from_millis(50));
+    let (after, sleep_after) = (pool.stats(), pool.sleep_stats());
+    assert_eq!(after.parks, before.parks, "parks during an idle window");
+    assert_eq!(
+        after.unparks, before.unparks,
+        "unparks during an idle window"
+    );
+    assert_eq!(sleep_after.wakes_sent, sleep_before.wakes_sent);
+    assert_eq!(sleep_after.timed_out_parks, 0);
+    assert_eq!(pool.sleeping_workers(), P);
+    let report = pool.shutdown();
+    assert_eq!(report.sleep.timed_out_parks, 0);
+    assert!(report.stats.parks_balance());
 }

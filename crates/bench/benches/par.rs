@@ -1,6 +1,6 @@
-//! Data-parallel layer benchmarks (experiment DP1's micro side): the
-//! `hood::par` combinators against sequential baselines and against
-//! eager grain recursion.
+//! Data-parallel layer micro-benchmarks (the end-to-end measurement is
+//! `hoodbench`'s `par_data` workload): the `hood::par` combinators
+//! against sequential baselines and against eager grain recursion.
 //!
 //! Three groups:
 //!

@@ -32,8 +32,6 @@ fn main() {
         "serve" => vec![exp::serve(false)],
         "serve-small" => vec![exp::serve(true)],
         "hotpath" => vec![exp::hotpath()],
-        "par" => vec![exp::par(false)],
-        "par-small" => vec![exp::par(true)],
         "deque-backends" => vec![exp::deque_backends(false)],
         "deque-backends-small" => vec![exp::deque_backends(true)],
         "theory" => vec![exp::theory(false)],
@@ -48,7 +46,7 @@ fn main() {
                  thm9-tail thm10 thm11 thm12 hood-constant ablate-lock ablate-yield \
                  lemma3 deque-check ws-vs-sharing assign-policy hood-wallclock telemetry \
                  policies policies-small serve serve-small hotpath \
-                 par par-small deque-backends deque-backends-small theory theory-small \
+                 deque-backends deque-backends-small theory theory-small \
                  federation federation-small steal-batch steal-batch-small"
             );
             std::process::exit(2);

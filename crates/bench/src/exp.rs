@@ -1823,249 +1823,6 @@ pub fn hotpath() -> ExpResult {
     )
 }
 
-/// DP1 — the data-parallel layer: adaptive splitting vs sequential
-/// baselines and vs eager grain recursion.
-///
-/// Three claims, one artifact (`target/BENCH_par.json`, validated with
-/// the in-repo JSON parser):
-///
-/// 1. **Speedup** — `par_sort_unstable` and `par_iter().map().reduce()`
-///    on a P = 8 pool against their single-thread sequential baselines,
-///    with a bar on every host that can show one: ≥ 3× when
-///    `c = min(cores, P)` is 8, ≥ 1× (parallel must not lose to the
-///    code it wraps) when `2 ≤ c < 8`. Only a 1-core host waives the
-///    bar, and the artifact then says so (`"speedup_gate": "waived: 1
-///    core"`), so an inactive gate cannot pass for a met one.
-/// 2. **Task economy** — the adaptive splitter spawns *strictly fewer*
-///    tasks than eager grain recursion on the same workloads (counted by
-///    the same `par_splits` counter on both pools) while matching its
-///    throughput (≤ 1.25× its time; typically well under 1×, since not
-///    forking into a busy pool is pure savings).
-/// 3. **Accounting** — the four-way identity
-///    `steal_attempts == steals + aborts + empties + injects` and
-///    `parks == unparks` hold on every pool at shutdown, and every
-///    split/sequential decision is counted (`par_splits + par_seq > 0`).
-pub fn par(small: bool) -> ExpResult {
-    use abp_dag::DetRng;
-    use abp_telemetry::json;
-    use hood::par::prelude::*;
-    use hood::{par_sort_unstable, PolicySet, PoolConfig, PoolStats, SplitKind, ThreadPool};
-    use std::time::Instant;
-
-    let p = 8;
-    let n_sort: usize = if small { 200_000 } else { 2_000_000 };
-    let n_reduce: usize = if small { 1_000_000 } else { 8_000_000 };
-    let reps: usize = if small { 3 } else { 5 };
-
-    fn median_ms(times: &mut [f64]) -> f64 {
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        times[times.len() / 2]
-    }
-
-    fn hash(x: u64) -> u64 {
-        (x ^ (x >> 7)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    let mut rng = DetRng::new(3);
-    let sort_data: Vec<u64> = (0..n_sort).map(|_| rng.below(u64::MAX / 2)).collect();
-    let reduce_data: Vec<u64> = (0..n_reduce).map(|_| rng.below(u64::MAX / 2)).collect();
-    let mut sorted_expect = sort_data.clone();
-    sorted_expect.sort_unstable();
-    let reduce_expect = reduce_data
-        .iter()
-        .map(|&x| hash(x))
-        .fold(0u64, u64::wrapping_add);
-
-    let mut pass = true;
-
-    // -- sequential baselines (no pool at all) ---------------------------
-    let mut times = Vec::new();
-    for _ in 0..reps {
-        let mut v = sort_data.clone();
-        let t0 = Instant::now();
-        v.sort_unstable();
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-        pass &= v == sorted_expect;
-    }
-    let seq_sort_ms = median_ms(&mut times);
-    let mut times = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let got = reduce_data
-            .iter()
-            .map(|&x| hash(x))
-            .fold(0u64, u64::wrapping_add);
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-        pass &= got == reduce_expect;
-    }
-    let seq_reduce_ms = median_ms(&mut times);
-
-    // -- one pool per split policy, both workloads on each ---------------
-    // Both pools count fork decisions through the same `par_splits`
-    // counter, so the adaptive-vs-eager task-count comparison is
-    // apples-to-apples.
-    struct PolicyRun {
-        sort_ms: f64,
-        reduce_ms: f64,
-        stats: PoolStats,
-    }
-    let mut measure = |split: SplitKind| -> PolicyRun {
-        let pool = ThreadPool::with_config(PoolConfig {
-            num_procs: p,
-            policies: PolicySet {
-                split,
-                ..PolicySet::default()
-            },
-            ..PoolConfig::default()
-        });
-        // Warm (first-touch wakes, page faults on the clone).
-        let mut warm = sort_data.clone();
-        pool.install(|| par_sort_unstable(&mut warm));
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            let mut v = sort_data.clone();
-            let t0 = Instant::now();
-            pool.install(|| par_sort_unstable(&mut v));
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            pass &= v == sorted_expect;
-        }
-        let sort_ms = median_ms(&mut times);
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let got = pool.install(|| {
-                reduce_data
-                    .par_iter()
-                    .map(|&x| hash(x))
-                    .reduce(|| 0u64, u64::wrapping_add)
-            });
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            pass &= got == reduce_expect;
-        }
-        let reduce_ms = median_ms(&mut times);
-        let report = pool.shutdown();
-        PolicyRun {
-            sort_ms,
-            reduce_ms,
-            stats: report.stats,
-        }
-    };
-
-    let adaptive = measure(SplitKind::Adaptive);
-    let eager = measure(SplitKind::EagerGrain { grain: 4_096 });
-
-    // -- claim 3: accounting ---------------------------------------------
-    for (name, st) in [("adaptive", &adaptive.stats), ("eager", &eager.stats)] {
-        pass &= st.attempts_balance();
-        pass &= st.parks_balance();
-        pass &= st.par_splits + st.par_seq > 0;
-        let _ = name;
-    }
-
-    // -- claim 2: task economy at equal-or-better throughput -------------
-    let ad_tasks = adaptive.stats.par_splits;
-    let eg_tasks = eager.stats.par_splits;
-    pass &= ad_tasks < eg_tasks;
-    pass &= adaptive.sort_ms <= eager.sort_ms * 1.25;
-    pass &= adaptive.reduce_ms <= eager.reduce_ms * 1.25;
-
-    // -- claim 1: speedup, with a bar for every host that has one -------
-    // `c = min(cores, P)` processors can run the pool's workers at once:
-    // with 8 the layer must be 3x sequential, with 2..8 it must at least
-    // not lose to the code it wraps, and only a single core — where no
-    // parallel speedup exists to measure — waives the bar, by name.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let sort_speedup = seq_sort_ms / adaptive.sort_ms;
-    let reduce_speedup = seq_reduce_ms / adaptive.reduce_ms;
-    let (speedup_bar, speedup_gate) = match cores.min(p) {
-        1 => (None, "waived: 1 core".to_owned()),
-        c if c < 8 => (Some(1.0), format!("active: >= 1.0x on {c} cores")),
-        c => (Some(3.0), format!("active: >= 3.0x on {c} cores")),
-    };
-    if let Some(bar) = speedup_bar {
-        pass &= sort_speedup >= bar;
-        pass &= reduce_speedup >= bar;
-    }
-
-    let mut t = TextTable::new(["workload", "seq ms", "adaptive ms", "eager ms", "speedup"]);
-    t.row([
-        format!("sort {n_sort}"),
-        f2(seq_sort_ms),
-        f2(adaptive.sort_ms),
-        f2(eager.sort_ms),
-        format!("{sort_speedup:.2}x"),
-    ]);
-    t.row([
-        format!("reduce {n_reduce}"),
-        f2(seq_reduce_ms),
-        f2(adaptive.reduce_ms),
-        f2(eager.reduce_ms),
-        format!("{reduce_speedup:.2}x"),
-    ]);
-
-    // -- machine-readable artifact ---------------------------------------
-    let artifact = format!(
-        "{{\n  \"bench\": \"par\",\n  \"mode\": \"{}\",\n  \"p\": {},\n  \"cores\": {},\n  \
-         \"speedup_gate\": \"{}\",\n  \
-         \"sort\": {{\"n\": {}, \"seq_ms\": {:.3}, \"adaptive_ms\": {:.3}, \"eager_ms\": {:.3}, \
-         \"speedup\": {:.3}}},\n  \
-         \"reduce\": {{\"n\": {}, \"seq_ms\": {:.3}, \"adaptive_ms\": {:.3}, \"eager_ms\": {:.3}, \
-         \"speedup\": {:.3}}},\n  \
-         \"adaptive\": {{\"par_splits\": {}, \"par_seq\": {}, \"steals\": {}, \
-         \"steal_attempts\": {}, \"parks\": {}, \"unparks\": {}}},\n  \
-         \"eager\": {{\"par_splits\": {}, \"par_seq\": {}, \"steals\": {}, \
-         \"steal_attempts\": {}, \"parks\": {}, \"unparks\": {}}}\n}}\n",
-        if small { "small" } else { "full" },
-        p,
-        cores,
-        speedup_gate,
-        n_sort,
-        seq_sort_ms,
-        adaptive.sort_ms,
-        eager.sort_ms,
-        sort_speedup,
-        n_reduce,
-        seq_reduce_ms,
-        adaptive.reduce_ms,
-        eager.reduce_ms,
-        reduce_speedup,
-        adaptive.stats.par_splits,
-        adaptive.stats.par_seq,
-        adaptive.stats.steals,
-        adaptive.stats.steal_attempts,
-        adaptive.stats.parks,
-        adaptive.stats.unparks,
-        eager.stats.par_splits,
-        eager.stats.par_seq,
-        eager.stats.steals,
-        eager.stats.steal_attempts,
-        eager.stats.parks,
-        eager.stats.unparks,
-    );
-    pass &= json::parse(&artifact).is_ok();
-    let _ = std::fs::create_dir_all("target");
-    let wrote = std::fs::write("target/BENCH_par.json", &artifact).is_ok();
-
-    let body = format!(
-        "data-parallel layer on a P={p} pool, {cores} core(s); \
-         speedup bar {speedup_gate}{}\n\
-         task economy: adaptive {ad_tasks} splits < eager {eg_tasks} splits \
-         at ≤ 1.25x eager's time (bar)\n\
-         accounting: attempts balance + parks balance on both pools; \
-         every split decision counted\n\
-         wrote target/BENCH_par.json ({} bytes{})\n\n{}",
-        if speedup_bar.is_none() {
-            " — speedups reported informationally"
-        } else {
-            ""
-        },
-        artifact.len(),
-        if wrote { "" } else { ", WRITE FAILED" },
-        t.render()
-    );
-    ExpResult::new("DP1", "Data-parallel layer: adaptive splitting", body, pass)
-}
-
 /// DQ1 — the pluggable deque-backend matrix: ABP vs the fence-free
 /// multiplicity deque, head to head through the [`abp_deque::TaskDeque`]
 /// seam.
@@ -2677,8 +2434,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 ///    growing the topology K ∈ {1, 2, 4} (P = 2K) under a dedicated
 ///    kernel must cut rounds monotonically, ≥ 2× in total at K = 4. The
 ///    simulator's multi-core model carries the speedup claim — the host
-///    may have any number of cores (the DP1 `cores_scarce` convention,
-///    taken to its conclusion).
+///    may have any number of cores.
 /// 2. **Cold submit** (real pool) — a federated K = 4 pool routes an
 ///    external submission to one pool's injector and wakes through that
 ///    pool's sleep subsystem alone; the in-run median cold-submit
@@ -2699,7 +2455,8 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 ///    on both surfaces.
 pub fn federation(small: bool) -> ExpResult {
     use abp_telemetry::json;
-    use hood::{map_reduce, IdleKind, PolicySet, PoolConfig, PoolReport, PoolStats, ThreadPool};
+    use hood::par::prelude::*;
+    use hood::{IdleKind, PolicySet, PoolConfig, PoolReport, PoolStats, SplitKind, ThreadPool};
     use std::sync::Arc;
 
     let mut pass = true;
@@ -2788,13 +2545,20 @@ pub fn federation(small: bool) -> ExpResult {
     // -- gate 3: remote-steal fraction, hierarchical vs flat-scan --------
     // Every pool gets its own clients (affinity-spread), so local work
     // exists everywhere and cross-pool steals are a choice of the scan
-    // policy, not the only conduit for work.
+    // policy, not the only conduit for work. An eager 64-element grain
+    // fixes the task shape: each call is the same 64-leaf halving tree of
+    // 63 forks, whatever the pool's idleness.
     fn serve_par(flat_scan: bool, p: usize, pools: usize, tasks: usize) -> PoolReport {
         let pool = Arc::new(ThreadPool::with_config(
             PoolConfig::default()
                 .with_num_procs(p)
                 .with_pools(pools)
-                .with_flat_scan(flat_scan),
+                .with_flat_scan(flat_scan)
+                .with_policies(
+                    PolicySet::paper()
+                        .with_idle(PoolConfig::DEFAULT_IDLE)
+                        .with_split(SplitKind::EagerGrain { grain: 64 }),
+                ),
         ));
         let data: Arc<Vec<u64>> = Arc::new((0..4096).collect());
         let expect: u64 = data.iter().sum();
@@ -2805,7 +2569,7 @@ pub fn federation(small: bool) -> ExpResult {
                 std::thread::spawn(move || {
                     for _ in 0..tasks {
                         let got =
-                            pool.install(|| map_reduce(&data, 64, 0u64, &|&x| x, &|a, b| a + b));
+                            pool.install(|| data.par_iter().copied().reduce(|| 0, |a, b| a + b));
                         assert_eq!(got, expect);
                     }
                 })
@@ -2930,7 +2694,7 @@ pub fn federation(small: bool) -> ExpResult {
          cold submit to a fully parked P={p} pool ({}/{} samples/arm on a parked pool):\n\
          flat p50 {flat_med:.0} ns vs federated(K=4) p50 {fed_med:.0} ns \
          (ratio {cold_ratio:.2}; bar ≤ 4, federated timed-out parks = {})\n\n\
-         remote-attempt fraction, {p} clients × {tasks} map_reduce tasks, K=4:\n{}\n\
+         remote-attempt fraction, {p} clients × {tasks} par reduce tasks, K=4:\n{}\n\
          bar: flat-scan attempt fraction ≥ 5× hierarchical — flat {flat_frac:.3} vs \
          hier {hier_frac:.3} ({})\n\
          sim mirror (attempt fraction): flat {:.3} vs hier {:.3} ({})\n\
@@ -3555,7 +3319,6 @@ pub fn all() -> Vec<ExpResult> {
         policies(false),
         serve(false),
         hotpath(),
-        par(false),
         deque_backends(false),
         theory(false),
         federation(false),

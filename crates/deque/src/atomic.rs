@@ -32,9 +32,9 @@
 //! window is `P::owner_fence()` / `P::thief_fence()`. The profile is
 //! [`DefaultProtocol`] unless instantiated explicitly via
 //! [`new_with_order`] — which is how the `hotpath` benchmarks compare the
-//! relaxed protocol against the blanket-SeqCst baseline in one binary —
-//! and the `seqcst-fallback` cargo feature flips the default back to
-//! all-`SeqCst` so behavioural equivalence can be pinned in CI.
+//! relaxed protocol against the blanket-SeqCst baseline in one binary,
+//! and how the `*_with::<SeqCstProtocol>` unit tests pin behavioural
+//! equivalence of the two.
 //!
 //! The store→load reordering that makes the fence necessary is modeled
 //! (and its omission caught) by [`crate::sim_deque::MemModel`] in the

@@ -22,8 +22,8 @@
 //! [`order`] names the memory-ordering protocol both real deques follow:
 //! the minimal acquire/release scheme with one `SeqCst` fence per side of
 //! the §3.3 window ([`order::RelaxedProtocol`]), or blanket `SeqCst`
-//! ([`order::SeqCstProtocol`] — the benchmark baseline, and the crate
-//! default under the `seqcst-fallback` feature).
+//! ([`order::SeqCstProtocol`] — the benchmark baseline, built only
+//! through the explicit `*_with_order` constructors).
 //!
 //! [`task_deque`] is the pluggable backend seam: the [`TaskDeque`] trait
 //! (owner handle + stealer handle + capability constants) behind which

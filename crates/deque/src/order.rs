@@ -6,9 +6,9 @@
 //! [`crate::growable`] can be instantiated either with the minimal correct
 //! protocol ([`RelaxedProtocol`]) or with blanket `SeqCst` on every access
 //! ([`SeqCstProtocol`]) — the latter is the measured *baseline* for the
-//! `hotpath` benchmarks and the crate-wide default when the
-//! `seqcst-fallback` cargo feature is enabled, so behavioural equivalence
-//! of the two can be pinned by running the same test suite under both.
+//! `hotpath` benchmarks. Behavioural equivalence of the two is pinned by
+//! the `*_with::<SeqCstProtocol>` twins of the `atomic` and `growable`
+//! unit tests.
 //!
 //! # The protocol invariants
 //!
@@ -72,8 +72,7 @@ use std::sync::atomic::{fence, Ordering};
 
 /// A memory-ordering assignment for the ABP protocol. Implemented by
 /// exactly two types: [`RelaxedProtocol`] (the minimal correct protocol)
-/// and [`SeqCstProtocol`] (blanket `SeqCst`, the benchmark baseline and
-/// the `seqcst-fallback` default).
+/// and [`SeqCstProtocol`] (blanket `SeqCst`, the benchmark baseline).
 pub trait OrderProfile: Copy + Default + Send + Sync + 'static {
     /// Accesses with no inter-thread obligation of their own: owner loads
     /// of owner-written locations (INV-OWNER), slot accesses validated by
@@ -161,16 +160,9 @@ impl OrderProfile for SeqCstProtocol {
 }
 
 /// The profile used by [`crate::new`] / [`crate::new_growable`] and hence
-/// by every runtime built on this crate: [`RelaxedProtocol`] normally,
-/// [`SeqCstProtocol`] under the `seqcst-fallback` feature (behavioural
-/// equivalence of the two is pinned in CI by running the linearizability
-/// and injector suites under both settings).
-#[cfg(not(feature = "seqcst-fallback"))]
+/// by every runtime built on this crate. [`SeqCstProtocol`] is reachable
+/// only through the explicit `*_with_order` constructors.
 pub type DefaultProtocol = RelaxedProtocol;
-/// The profile used by [`crate::new`] / [`crate::new_growable`]: the
-/// `seqcst-fallback` feature is enabled, so it is [`SeqCstProtocol`].
-#[cfg(feature = "seqcst-fallback")]
-pub type DefaultProtocol = SeqCstProtocol;
 
 #[cfg(test)]
 mod tests {

@@ -53,7 +53,7 @@
 //!
 //! # Data parallelism
 //!
-//! [`par`] is the rayon-style combinator layer — `par_iter()`, parallel
+//! [`par`] is the data-parallel API — `par_iter()` combinators, parallel
 //! sort, a FIFO scope — scheduled by *adaptive splitting*: ranges fork
 //! only while the sleep subsystem reports idle workers (one relaxed
 //! load), and run sequentially at full speed once the pool saturates.
@@ -65,7 +65,6 @@ pub mod job;
 pub mod join;
 pub mod latch;
 pub mod par;
-pub mod parallel;
 pub mod pool;
 pub mod private;
 pub mod scope;
@@ -76,8 +75,7 @@ pub use abp_core::{
     BackoffKind, BatchKind, IdleKind, InjectKind, PolicySet, SplitKind, VictimKind,
 };
 pub use join::join;
-pub use par::{par_sort_unstable, scope_fifo, ScopeFifo, Splitter};
-pub use parallel::{for_each_mut, map_collect, map_reduce, sort_unstable};
+pub use par::{par_sort_unstable, scope_fifo, ScopeFifo};
 pub use pool::{Backend, PoolConfig, PoolReport, ThreadPool, WorkerCtx};
 pub use scope::{scope, Scope};
 pub use sleep::{SleepKind, SleepStats};

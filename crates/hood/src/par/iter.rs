@@ -11,7 +11,7 @@
 //! closures are shared by reference — and hands it to one of two drive
 //! loops:
 //!
-//! * [`drive_fold`] — the general engine: consult the [`Splitter`]; on a
+//! * [`drive_fold`] — the general engine: consult the splitter; on a
 //!   split, `join` the two halves and combine their accumulators (the
 //!   combine tree mirrors the recursion, so non-commutative reductions
 //!   keep slice order); otherwise fold the whole remaining range in one

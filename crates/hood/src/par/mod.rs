@@ -16,25 +16,26 @@
 //! layer inherits the runtime's paper-derived properties — depth-first
 //! execution on one process, breadth-first stealing from many, graceful
 //! degradation when the kernel revokes processors — and adds one of its
-//! own: **how much** a computation forks is decided at run time by the
-//! [`Splitter`](split::Splitter), from the sleep subsystem's idle-worker
-//! gauge, instead of by a compile-time `grain` guess. See [`split`] for
-//! the heuristic and [`iter`] for the combinator architecture.
+//! own: **how much** a computation forks is decided at run time by an
+//! internal splitter, from the sleep subsystem's idle-worker gauge,
+//! instead of by a compile-time `grain` guess: the first ~`log2(4P)`
+//! levels always fork (a stolen range restarts that budget), and below
+//! them a range forks only while workers are parked. See [`iter`] for
+//! the combinator architecture.
 //!
-//! The policy knob is [`abp_core::SplitKind`] (fifth `PolicySet` axis):
-//! `Adaptive` (default), `EagerGrain { grain }` (classic
-//! recurse-to-the-grain), or `Sequential` (never fork — a debugging /
-//! baseline mode).
+//! The policy knob is [`abp_core::SplitKind`] (fifth `PolicySet` axis),
+//! set per pool, never per call: `Adaptive` (default), `EagerGrain {
+//! grain }` (classic recurse-to-the-grain), or `Sequential` (never fork —
+//! a debugging / baseline mode).
 
 pub mod iter;
 pub mod scope_fifo;
 pub mod sort;
-pub mod split;
+pub(crate) mod split;
 
 pub use iter::{IndexedParIterator, IntoParIter, ParIter, ParIterMut, ParIterator, ParRange};
 pub use scope_fifo::{scope_fifo, ScopeFifo};
 pub use sort::par_sort_unstable;
-pub use split::Splitter;
 
 /// One-stop import for the combinator surface:
 /// `use hood::par::prelude::*;`.

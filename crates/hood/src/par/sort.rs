@@ -44,7 +44,7 @@ pub fn par_sort_unstable<T: Ord + Send>(v: &mut [T]) {
 }
 
 /// Sort with an explicit splitter — the engine behind
-/// [`par_sort_unstable`] and the legacy `hood::sort_unstable`.
+/// [`par_sort_unstable`], called directly by the killer-input tests.
 pub(crate) fn sort_with<T: Ord + Send>(v: &mut [T], sp: Splitter) {
     let levels = 2 * v.len().max(1).ilog2();
     sort_levels(v, sp, levels);

@@ -32,9 +32,10 @@
 //! gauge on every recursion step.
 //!
 //! Every decision is counted on the deciding worker (`par_splits` /
-//! `par_seq` in [`crate::stats::PoolStats`]), so experiment DP1 can
-//! compare adaptive against eager-grain task counts from the same
-//! counters.
+//! `par_seq` in [`crate::stats::PoolStats`]), so adaptive and
+//! eager-grain task counts come from the same counters (the test
+//! `par_property::adaptive_splitter_forks_less_than_eager_grain` compares
+//! them).
 
 use crate::pool::current_worker;
 use abp_core::SplitKind;
@@ -68,35 +69,32 @@ impl Splitter {
     /// combinators degrade to plain sequential loops.
     pub fn new() -> Splitter {
         match current_worker() {
-            Some(w) => Splitter::with_kind(w.split_kind()),
+            Some(w) => {
+                let budget = budget_for(w.num_procs());
+                Splitter {
+                    kind: w.split_kind(),
+                    budget,
+                    full_budget: budget,
+                    origin: w.index(),
+                    min_len: 1,
+                }
+            }
             None => Splitter::sequential(),
         }
     }
 
-    /// A splitter with an explicit cadence, ignoring the pool policy
-    /// (used by the legacy explicit-grain helpers and by DP1's
-    /// adaptive-vs-eager comparison).
-    pub fn with_kind(kind: SplitKind) -> Splitter {
-        let (budget, origin) = match current_worker() {
-            Some(w) => (budget_for(w.num_procs()), w.index()),
-            None => (0, usize::MAX),
-        };
+    /// The classic recurse-to-the-grain cadence, whatever the pool's
+    /// policy says.
+    #[cfg(test)]
+    pub fn eager(grain: usize) -> Splitter {
         Splitter {
-            kind,
-            budget,
-            full_budget: budget,
-            origin,
-            min_len: 1,
+            kind: SplitKind::EagerGrain { grain },
+            ..Splitter::new()
         }
     }
 
-    /// The classic recurse-to-the-grain cadence.
-    pub fn eager(grain: usize) -> Splitter {
-        Splitter::with_kind(SplitKind::EagerGrain { grain })
-    }
-
     /// Never splits.
-    pub fn sequential() -> Splitter {
+    fn sequential() -> Splitter {
         Splitter {
             kind: SplitKind::Sequential,
             budget: 0,
@@ -154,12 +152,6 @@ impl Splitter {
             }
         }
         split
-    }
-}
-
-impl Default for Splitter {
-    fn default() -> Self {
-        Splitter::new()
     }
 }
 

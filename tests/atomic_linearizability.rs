@@ -20,10 +20,9 @@
 //! Histories are kept small (an owner running ~8 ops against three
 //! thieves running 4 `popTop`s each) so the Wing–Gong search stays
 //! cheap, and the case count high (800 seeded histories — 10× the
-//! original suite, re-validating the relaxed memory-ordering protocol;
-//! run under `--features seqcst-fallback` it covers the blanket-SeqCst
-//! profile too) so real interleavings — aborts, empty steals, races on
-//! the last element — actually occur.
+//! original suite, re-validating the relaxed memory-ordering protocol)
+//! so real interleavings — aborts, empty steals, races on the last
+//! element — actually occur.
 //!
 //! The same harness then turns the *multiplicity* judge
 //! (`history::check_multiplicity`) on the real fence-free deque

@@ -1,10 +1,13 @@
 //! Randomized tests of the hood runtime: randomized join trees, scope
-//! storms, and helper functions must always agree with their sequential
-//! counterparts. Seeded [`DetRng`] loops replace proptest (the workspace
-//! is dependency-free); every case is reproducible from its index.
+//! storms and map-reduce at any grain must always agree with their
+//! sequential counterparts (the rest of the data-parallel layer's are in
+//! `par_property.rs`). Seeded [`DetRng`] loops replace proptest (the
+//! workspace is dependency-free); every case is reproducible from its
+//! index.
 
 use abp_dag::DetRng;
-use hood::{join, scope, ThreadPool};
+use hood::par::prelude::*;
+use hood::{join, scope, PolicySet, PoolConfig, SplitKind, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A random binary expression tree evaluated both serially and with
@@ -102,22 +105,8 @@ fn scope_spawn_counts() {
     }
 }
 
-/// The parallel sort agrees with std's sort for arbitrary data.
-#[test]
-fn parallel_sort_matches_std() {
-    let mut rng = DetRng::new(0x5021);
-    for case in 0..24 {
-        let len = rng.below_usize(3000);
-        let mut v: Vec<u32> = (0..len).map(|_| rng.next_u64() as u32).collect();
-        let pool = ThreadPool::new(3);
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        pool.install(|| hood::sort_unstable(&mut v));
-        assert_eq!(v, expect, "case {case} (len={len})");
-    }
-}
-
-/// map_reduce with (+, 0) equals the serial sum for any grain.
+/// A (+, 0) map-reduce equals the serial sum for any grain; the grain is
+/// the pool's `SplitKind::EagerGrain` cadence.
 #[test]
 fn map_reduce_any_grain() {
     let mut rng = DetRng::new(0x0A12);
@@ -125,9 +114,16 @@ fn map_reduce_any_grain() {
         let len = rng.below_usize(2000);
         let grain = 1 + rng.below_usize(599);
         let v: Vec<u64> = (0..len).map(|_| rng.below(1000)).collect();
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::with_config(PoolConfig {
+            num_procs: 4,
+            policies: PolicySet {
+                split: SplitKind::EagerGrain { grain },
+                ..PolicySet::default()
+            },
+            ..PoolConfig::default()
+        });
         let expect: u64 = v.iter().sum();
-        let got = pool.install(|| hood::map_reduce(&v, grain, 0u64, &|&x| x, &|a, b| a + b));
+        let got = pool.install(|| v.par_iter().map(|&x| x).reduce(|| 0u64, |a, b| a + b));
         assert_eq!(got, expect, "case {case} (len={len}, grain={grain})");
     }
 }

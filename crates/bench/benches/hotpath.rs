@@ -1,7 +1,7 @@
 //! Hot-path micro-benchmarks (experiment HP1): the perf trajectory of the
 //! memory-ordering relaxation and the allocation-light fork-join.
 //!
-//! Four groups:
+//! The groups:
 //!
 //! * `owner_pingpong` — uncontended `pushBottom`/`popBottom` under the
 //!   blanket-SeqCst protocol vs the relaxed protocol (the headline
@@ -14,19 +14,15 @@
 //!   fast path has no `cas` on the shared `top`, so its advantage grows
 //!   with the thief count;
 //! * `backend_steal_batch` — the `backend_steal` traffic drained with
-//!   `steal_batch_into(16)` and a reused buffer (experiment SB1's
-//!   micro-shape): one age observation and zero allocations per grab
-//!   (the fence itself is paid per claim — INV-SB-REVAL);
-//! * `federation_steal` — the FD1 micro-shape: work in one of 8 deques
-//!   labeled as 2 pools; a local (4-victim) scan vs a flat (8-victim)
-//!   scan, 1/2/4 thieves — the wasted-probe cost hierarchical victim
-//!   selection removes;
+//!   `steal_batch_into(16)` and a reused buffer: one age observation
+//!   and zero allocations per grab (the fence itself is paid per claim
+//!   — INV-SB-REVAL);
 //! * `join_overhead` — full-granularity fork-join fib vs the sequential
 //!   function, isolating per-`join` cost on the never-stolen fast path;
 //! * `injector_submit` — external-submission latency through
 //!   `ThreadPool::spawn` (shard lock + push + wakeup);
 //! * `wake_latency` — cold submit → first instruction of the job on an
-//!   all-parked pool (the FD1/SB1 cold-submit shape);
+//!   all-parked pool;
 //! * `idle_cpu` — sleep-subsystem churn under a trickle load: untimed
 //!   parks ride out the idle gaps without a timed-out park.
 
@@ -249,77 +245,6 @@ fn bench_backend_steal_batch(h: &Harness) {
     g.finish();
 }
 
-/// The FD1 micro-shape: 8 worker deques labeled as 2 pools of 4, with
-/// work sitting in exactly one deque (the common sparse case a scanning
-/// thief actually faces). A "local" thief scans only the loaded deque's
-/// pool — 4 candidate victims; a "flat" thief scans all 8. The measured
-/// difference is the wasted-probe cost hierarchical victim selection
-/// removes, and it compounds as 1/2/4 thieves contend on the scan.
-fn federation_steal_with(g: &mut Group<'_>, local: bool, thieves: usize) {
-    const DEQUES: usize = 8;
-    const POOL: usize = 4; // deques per pool
-    const ITEMS: u64 = 256;
-    let label = format!("{}/{thieves}_thieves", if local { "local" } else { "flat" });
-    g.bench_with_setup(
-        &label,
-        || {
-            let backend = AbpBackend { capacity: 1 << 12 };
-            let (owners, stealers): (Vec<_>, Vec<_>) =
-                (0..DEQUES).map(|_| backend.new_pair()).unzip();
-            // The loaded deque is the last of pool 0, so a local scan
-            // still probes empties before the hit.
-            for i in 0..ITEMS {
-                owners[POOL - 1].push_bottom(i).unwrap();
-            }
-            let taken = Arc::new(AtomicU64::new(0));
-            let stop = Arc::new(AtomicBool::new(false));
-            let handles: Vec<_> = (0..thieves)
-                .map(|t| {
-                    let window: Vec<_> = if local {
-                        stealers[..POOL].to_vec()
-                    } else {
-                        stealers.to_vec()
-                    };
-                    let taken = Arc::clone(&taken);
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        let mut v = t % window.len();
-                        while !stop.load(Ordering::Acquire) {
-                            if let Steal::Taken(x) = window[v].steal() {
-                                black_box(x);
-                                taken.fetch_add(1, Ordering::Relaxed);
-                            }
-                            v = (v + 1) % window.len();
-                        }
-                    })
-                })
-                .collect();
-            (owners, taken, stop, handles)
-        },
-        |(owners, taken, stop, handles)| {
-            while taken.load(Ordering::Relaxed) < ITEMS {
-                std::thread::yield_now();
-            }
-            stop.store(true, Ordering::Release);
-            for h in handles {
-                h.join().unwrap();
-            }
-            drop(owners);
-        },
-    );
-}
-
-fn bench_federation_steal(h: &Harness) {
-    let mut g = h.group("federation_steal");
-    g.throughput_elems(256);
-    g.sample_size(15);
-    for thieves in [1usize, 2, 4] {
-        federation_steal_with(&mut g, true, thieves);
-        federation_steal_with(&mut g, false, thieves);
-    }
-    g.finish();
-}
-
 fn fib_seq(n: u64) -> u64 {
     if n < 2 {
         n
@@ -469,7 +394,6 @@ fn main() {
     bench_backend_pingpong(&h);
     bench_backend_steal(&h);
     bench_backend_steal_batch(&h);
-    bench_federation_steal(&h);
     bench_join_overhead(&h);
     bench_injector_submit(&h);
     bench_wake_latency(&h);

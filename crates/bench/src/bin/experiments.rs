@@ -36,18 +36,13 @@ fn main() {
         "deque-backends-small" => vec![exp::deque_backends(true)],
         "theory" => vec![exp::theory(false)],
         "theory-small" => vec![exp::theory(true)],
-        "federation" => vec![exp::federation(false)],
-        "federation-small" => vec![exp::federation(true)],
-        "steal-batch" => vec![exp::steal_batch(false)],
-        "steal-batch-small" => vec![exp::steal_batch(true)],
         other => {
             eprintln!(
                 "unknown experiment `{other}`; one of: all fig1 fig2 thm1 thm2 thm9 \
                  thm9-tail thm10 thm11 thm12 hood-constant ablate-lock ablate-yield \
                  lemma3 deque-check ws-vs-sharing assign-policy hood-wallclock telemetry \
                  policies policies-small serve serve-small hotpath \
-                 deque-backends deque-backends-small theory theory-small \
-                 federation federation-small steal-batch steal-batch-small"
+                 deque-backends deque-backends-small theory theory-small"
             );
             std::process::exit(2);
         }

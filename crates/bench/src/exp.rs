@@ -2350,951 +2350,6 @@ pub fn theory(small: bool) -> ExpResult {
     )
 }
 
-/// How long the cold-submit harness waits for a pool to park fully.
-/// Generous: a pool that is idle parks within milliseconds, so the wait
-/// only runs out when something keeps a worker awake.
-const COLD_PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
-
-/// The cold-submit harness shared by FD1 and SB1: `samples` single
-/// external jobs, each submitted to a pool whose workers are *all*
-/// parked, each stamping its own submit-to-start latency in ns. The
-/// config must park untimed ([`hood::IdleKind::ParkUntilWake`]). Returns
-/// the latencies sorted ascending, plus the pool's final report.
-///
-/// Latency is stamped *inside* the job (`t0.elapsed()` with `t0` taken
-/// just before `spawn`), so the producer's polite sleep-wait for the
-/// stamp never inflates it — it only keeps the producer off the woken
-/// worker's core. A background **metronome** (a 25 µs sleep loop) runs
-/// for the whole window and keeps the host out of deep idle states, so
-/// what is measured is the wake path, not the platform's idle-exit cost.
-///
-/// A fully parked pool is a steady state — untimed parks wake only on a
-/// producer's notify — so a sample that would start on a pool that is
-/// not fully parked is not a cold submit. The harness stops there and
-/// returns fewer than `samples` latencies; callers gate on the count.
-fn cold_submit(config: hood::PoolConfig, samples: usize) -> (Vec<f64>, hood::PoolReport) {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let p = config.num_procs;
-    let pool = hood::ThreadPool::with_config(config);
-    let parked = || {
-        let deadline = Instant::now() + COLD_PARK_TIMEOUT;
-        while pool.sleeping_workers() < p {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        true
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_c = Arc::clone(&stop);
-    let metronome = std::thread::spawn(move || {
-        while !stop_c.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_micros(25));
-        }
-    });
-    let mut lats = Vec::with_capacity(samples);
-    while lats.len() < samples && parked() {
-        let stamp = Arc::new(AtomicU64::new(0));
-        let s = Arc::clone(&stamp);
-        let t0 = Instant::now();
-        pool.spawn(move || {
-            s.store(t0.elapsed().as_nanos().max(1) as u64, Ordering::Release);
-        });
-        while stamp.load(Ordering::Acquire) == 0 {
-            std::thread::sleep(Duration::from_micros(20));
-        }
-        lats.push(stamp.load(Ordering::Acquire) as f64);
-    }
-    stop.store(true, Ordering::Relaxed);
-    metronome.join().unwrap();
-    lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (lats, pool.shutdown())
-}
-
-/// The `q`-quantile of ascending `sorted` (nearest rank); NaN when empty,
-/// so a gate comparing it fails.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
-/// FD1 — federation: the K-pool topology layer over both surfaces.
-///
-/// Four gates, one artifact (`target/BENCH_federation.json`, validated
-/// with the in-repo JSON parser; a blessed copy is committed at the repo
-/// root):
-///
-/// 1. **Scaling** (simulator) — with the pool size fixed at 2 workers,
-///    growing the topology K ∈ {1, 2, 4} (P = 2K) under a dedicated
-///    kernel must cut rounds monotonically, ≥ 2× in total at K = 4. The
-///    simulator's multi-core model carries the speedup claim — the host
-///    may have any number of cores.
-/// 2. **Cold submit** (real pool) — a federated K = 4 pool routes an
-///    external submission to one pool's injector and wakes through that
-///    pool's sleep subsystem alone; the in-run median cold-submit
-///    latency must stay within 4× of a flat pool measured back-to-back
-///    under the same metronome (the cold-submit harness, taken relative
-///    so the gate is machine-independent; absolute numbers are
-///    reported). Every sample must start on a fully parked pool.
-/// 3. **Remote fraction** — 8 affinity-spread clients drive `hood::par`
-///    fork-join work through K = 4 topologies; hierarchical scanning
-///    must cut the remote-steal fraction ≥ 5× against the flat-scan
-///    control arm (same pool labels, topology-blind scans), on the real
-///    pool's hit fraction and mirrored on the simulator's attempt
-///    fraction (the scan policy's own property).
-/// 4. **Accounting** — the extended identity
-///    `attempts == steals + aborts + empties + injects` holds on every
-///    arm with `steals = local + remote` riding outside it, per-pool
-///    stats sum to the aggregate, and K = 1 carries the structural zero
-///    on both surfaces.
-pub fn federation(small: bool) -> ExpResult {
-    use abp_telemetry::json;
-    use hood::par::prelude::*;
-    use hood::{IdleKind, PolicySet, PoolConfig, PoolReport, PoolStats, SplitKind, ThreadPool};
-    use std::sync::Arc;
-
-    let mut pass = true;
-
-    // -- gate 1: sim throughput scales with K at fixed pool size ---------
-    let dag = if small {
-        gen::fork_join_tree(8, 2)
-    } else {
-        gen::fork_join_tree(10, 2)
-    };
-    let mut scale_t = TextTable::new(["K", "P", "rounds", "wall", "remote/attempts", "speedup"]);
-    let mut scale_json = String::new();
-    let mut rounds_by_k = Vec::new();
-    for k_pools in [1usize, 2, 4] {
-        let p = 2 * k_pools;
-        let mut k = DedicatedKernel::new(p);
-        let cfg = ws_defaults(5).with_pools(k_pools);
-        let r = run_ws(&dag, p, &mut k, cfg);
-        pass &= r.completed && r.steal_accounting_balanced() && r.locality_consistent();
-        if k_pools == 1 {
-            pass &= r.remote_attempts == 0; // structural zero (gate 4)
-        }
-        rounds_by_k.push(r.rounds);
-        let speedup = rounds_by_k[0] as f64 / r.rounds as f64;
-        scale_t.row([
-            k_pools.to_string(),
-            p.to_string(),
-            r.rounds.to_string(),
-            r.wall_steps.to_string(),
-            format!("{}/{}", r.remote_attempts, r.steal_attempts),
-            f2(speedup),
-        ]);
-        if !scale_json.is_empty() {
-            scale_json.push_str(",\n");
-        }
-        write!(
-            scale_json,
-            "    {{\"pools\":{},\"p\":{},\"rounds\":{},\"wall_steps\":{},\
-             \"remote_attempts\":{},\"attempts\":{},\"remote_steals\":{},\"speedup\":{:.3}}}",
-            k_pools,
-            p,
-            r.rounds,
-            r.wall_steps,
-            r.remote_attempts,
-            r.steal_attempts,
-            r.remote_steals,
-            speedup,
-        )
-        .unwrap();
-    }
-    let scale_ok = rounds_by_k.windows(2).all(|w| w[1] < w[0])
-        && rounds_by_k[0] as f64 / rounds_by_k[2] as f64 >= 2.0;
-    pass &= scale_ok;
-
-    // -- gate 2: federated cold submit stays within the flat envelope ----
-    // One flat and one K = 4 run of the cold-submit harness, back-to-back
-    // on the same platform state.
-    let p = 8;
-    let samples: usize = if small { 21 } else { 61 };
-    let cold = |pools: usize, samples: usize| {
-        cold_submit(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_pools(pools)
-                .with_policies(
-                    PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }),
-                ),
-            samples,
-        )
-    };
-    let _ = cold(1, 3); // warm thread-spawn + first park
-    let (flat_lat, flat_cold) = cold(1, samples);
-    let (fed_lat, fed_cold) = cold(4, samples);
-    let all_cold = flat_lat.len() == samples && fed_lat.len() == samples;
-    let flat_med = quantile(&flat_lat, 0.5);
-    let fed_med = quantile(&fed_lat, 0.5);
-    let cold_ratio = fed_med / flat_med;
-    let cold_ok = all_cold && cold_ratio <= 4.0;
-    pass &= cold_ok;
-    pass &= fed_cold.sleep.timed_out_parks == 0;
-    // gate 4 on these arms: identity + structural zero / sub-count.
-    pass &= flat_cold.stats.attempts_balance() && flat_cold.stats.remote_attempts == 0;
-    pass &= fed_cold.stats.attempts_balance() && fed_cold.stats.locality_consistent();
-    pass &= flat_cold.pools == 1 && fed_cold.pools == 4;
-
-    // -- gate 3: remote-steal fraction, hierarchical vs flat-scan --------
-    // Every pool gets its own clients (affinity-spread), so local work
-    // exists everywhere and cross-pool steals are a choice of the scan
-    // policy, not the only conduit for work. An eager 64-element grain
-    // fixes the task shape: each call is the same 64-leaf halving tree of
-    // 63 forks, whatever the pool's idleness.
-    fn serve_par(flat_scan: bool, p: usize, pools: usize, tasks: usize) -> PoolReport {
-        let pool = Arc::new(ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_pools(pools)
-                .with_flat_scan(flat_scan)
-                .with_policies(
-                    PolicySet::paper()
-                        .with_idle(PoolConfig::DEFAULT_IDLE)
-                        .with_split(SplitKind::EagerGrain { grain: 64 }),
-                ),
-        ));
-        let data: Arc<Vec<u64>> = Arc::new((0..4096).collect());
-        let expect: u64 = data.iter().sum();
-        let clients: Vec<_> = (0..p)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                let data = Arc::clone(&data);
-                std::thread::spawn(move || {
-                    for _ in 0..tasks {
-                        let got =
-                            pool.install(|| data.par_iter().copied().reduce(|| 0, |a, b| a + b));
-                        assert_eq!(got, expect);
-                    }
-                })
-            })
-            .collect();
-        for c in clients {
-            c.join().unwrap();
-        }
-        Arc::try_unwrap(pool)
-            .unwrap_or_else(|_| panic!("all clones joined"))
-            .shutdown()
-    }
-    let tasks = if small { 12 } else { 40 };
-    let hier = serve_par(false, p, 4, tasks);
-    let flat_arm = serve_par(true, p, 4, tasks);
-    // Gate on the *attempt* fraction — the scan policy's own property.
-    // The hit fraction depends on whether victims happened to hold work
-    // when scanned (on a single-core host, deques are usually empty by
-    // the time another worker runs), so it is reported, not gated.
-    let hier_frac = hier.stats.remote_attempt_fraction();
-    let flat_frac = flat_arm.stats.remote_attempt_fraction();
-    let frac_ok = flat_arm.stats.steal_attempts > 0
-        && hier.stats.steal_attempts > 0
-        && flat_frac >= 5.0 * hier_frac
-        && flat_frac > 0.0;
-    pass &= frac_ok;
-    // gate 4 on these arms: identity, locality sub-count, per-pool sums.
-    for rep in [&hier, &flat_arm] {
-        pass &= rep.stats.attempts_balance() && rep.stats.locality_consistent();
-        pass &= rep.pools == 4 && rep.per_pool.len() == 4;
-        let sum = |f: fn(&PoolStats) -> u64| rep.per_pool.iter().map(f).sum::<u64>();
-        pass &= sum(|s| s.steals) == rep.stats.steals
-            && sum(|s| s.steal_attempts) == rep.stats.steal_attempts
-            && sum(|s| s.remote_steals) == rep.stats.remote_steals
-            && sum(|s| s.jobs) == rep.stats.jobs;
-    }
-    // Sim mirror on the attempt fraction (the scan policy's property).
-    let mirror_dag = gen::fib(if small { 13 } else { 15 }, 3);
-    let run_mirror = |flat: bool| {
-        let mut k = DedicatedKernel::new(8);
-        let cfg = ws_defaults(5).with_pools(4).with_flat_scan(flat);
-        run_ws(&mirror_dag, 8, &mut k, cfg)
-    };
-    let sim_hier = run_mirror(false);
-    let sim_flat = run_mirror(true);
-    pass &= sim_hier.completed && sim_flat.completed;
-    let sim_ok = sim_flat.remote_attempt_fraction() >= 5.0 * sim_hier.remote_attempt_fraction();
-    pass &= sim_ok;
-
-    let mut rt = TextTable::new([
-        "arm",
-        "attempts",
-        "remote att",
-        "att frac",
-        "steals",
-        "remote hits",
-        "injects",
-    ]);
-    for (name, rep) in [("hierarchical", &hier), ("flat-scan", &flat_arm)] {
-        rt.row([
-            name.to_string(),
-            rep.stats.steal_attempts.to_string(),
-            rep.stats.remote_attempts.to_string(),
-            f3(rep.stats.remote_attempt_fraction()),
-            rep.stats.steals.to_string(),
-            rep.stats.remote_steals.to_string(),
-            rep.stats.injects.to_string(),
-        ]);
-    }
-
-    // -- machine-readable artifact ---------------------------------------
-    let artifact = format!(
-        "{{\n  \"bench\": \"federation\",\n  \"mode\": \"{}\",\n  \
-         \"sim_scaling\": {{\"pool_size\": 2, \"cells\": [\n{}\n  ]}},\n  \
-         \"cold_submit\": {{\"p\": {}, \"samples\": {}, \"flat_p50_ns\": {:.1}, \
-         \"federated_p50_ns\": {:.1}, \"ratio\": {:.4}, \"timed_out_parks\": {}}},\n  \
-         \"remote_fraction\": {{\"p\": {}, \"pools\": 4, \
-         \"hier\": {{\"attempts\": {}, \"remote_attempts\": {}, \"attempt_fraction\": {:.6}, \
-         \"steals\": {}, \"remote_steals\": {}}}, \
-         \"flat_scan\": {{\"attempts\": {}, \"remote_attempts\": {}, \"attempt_fraction\": {:.6}, \
-         \"steals\": {}, \"remote_steals\": {}}}, \
-         \"sim_hier_attempt_fraction\": {:.6}, \"sim_flat_attempt_fraction\": {:.6}}},\n  \
-         \"identity\": {{\"flat_remote_attempts\": {}, \"federated_balanced\": {}}},\n  \
-         \"gates\": {{\"scaling\": {}, \"cold_submit\": {}, \"remote_fraction\": {}, \
-         \"sim_mirror\": {}, \"all\": {}}}\n}}\n",
-        if small { "small" } else { "full" },
-        scale_json,
-        p,
-        samples,
-        flat_med,
-        fed_med,
-        cold_ratio,
-        fed_cold.sleep.timed_out_parks,
-        p,
-        hier.stats.steal_attempts,
-        hier.stats.remote_attempts,
-        hier_frac,
-        hier.stats.steals,
-        hier.stats.remote_steals,
-        flat_arm.stats.steal_attempts,
-        flat_arm.stats.remote_attempts,
-        flat_frac,
-        flat_arm.stats.steals,
-        flat_arm.stats.remote_steals,
-        sim_hier.remote_attempt_fraction(),
-        sim_flat.remote_attempt_fraction(),
-        flat_cold.stats.remote_attempts,
-        fed_cold.stats.attempts_balance(),
-        scale_ok,
-        cold_ok,
-        frac_ok,
-        sim_ok,
-        pass,
-    );
-    pass &= json::parse(&artifact).is_ok();
-    let _ = std::fs::create_dir_all("target");
-    let wrote = std::fs::write("target/BENCH_federation.json", &artifact).is_ok();
-
-    let body = format!(
-        "sim scaling, fork-join dag at fixed pool size 2 (dedicated kernel):\n{}\n\
-         bar: rounds strictly decrease with K and K=4 is ≥ 2× K=1 — {}\n\n\
-         cold submit to a fully parked P={p} pool ({}/{} samples/arm on a parked pool):\n\
-         flat p50 {flat_med:.0} ns vs federated(K=4) p50 {fed_med:.0} ns \
-         (ratio {cold_ratio:.2}; bar ≤ 4, federated timed-out parks = {})\n\n\
-         remote-attempt fraction, {p} clients × {tasks} par reduce tasks, K=4:\n{}\n\
-         bar: flat-scan attempt fraction ≥ 5× hierarchical — flat {flat_frac:.3} vs \
-         hier {hier_frac:.3} ({})\n\
-         sim mirror (attempt fraction): flat {:.3} vs hier {:.3} ({})\n\
-         identity: K=1 remote attempts = {} (structural zero); federated arms balanced\n\
-         wrote target/BENCH_federation.json ({} bytes{})",
-        scale_t.render(),
-        if scale_ok { "ok" } else { "FAIL" },
-        flat_lat.len().min(fed_lat.len()),
-        samples,
-        fed_cold.sleep.timed_out_parks,
-        rt.render(),
-        if frac_ok { "ok" } else { "FAIL" },
-        sim_flat.remote_attempt_fraction(),
-        sim_hier.remote_attempt_fraction(),
-        if sim_ok { "ok" } else { "FAIL" },
-        flat_cold.stats.remote_attempts,
-        artifact.len(),
-        if wrote { "" } else { ", WRITE FAILED" },
-    );
-    ExpResult::new(
-        "FD1",
-        "Federation: K-pool topology, hierarchical stealing, affinity routing",
-        body,
-        pass,
-    )
-}
-
-/// SB1 — batched stealing end to end: `steal_batch` drain throughput
-/// against the single-steal baseline on every deque backend, federated
-/// migration amortization in the stepped simulator, and the cold-submit
-/// envelope with batching switched on.
-///
-/// Gates:
-/// 1. ABP and growable `steal_batch` drains are ≥ 1.05× their
-///    single-steal baselines at 2 and 4 thieves, and the fence-free
-///    drain is ≥ parity (every cell conserves tasks exactly). The
-///    bars are modest by design: the re-validated claim chain
-///    (INV-SB-REVAL — the owner's keep-path pops can invalidate a
-///    grab-start `bot` mid-chain, so each claim re-runs the fence +
-///    `bot` reload preamble) pays the `thief_fence` per *claim*, like
-///    single steals, so the drain-level win is the amortized `age`
-///    observation (each claim's CAS doubles as the next one's `age`
-///    load) plus the allocation-free reused buffer — ≥ 1.05× demands
-///    that win is real without claiming the old fence elision, which
-///    was measured at ≥ 1.5× before the chain was found unsound. The
-///    fence-free bar is parity: its single steal has no fence to
-///    amortize — the per-slot claim CAS is the cost floor either way.
-///    The dominant batching win is gate 2's round-trip amortization
-///    at the runtime layer (scan, wake, migration), which the chain
-///    fix does not touch;
-/// 2. in the K = 4 simulator, remote round trips per migrated task
-///    (attempts minus batch free-riders, over migrated tasks —
-///    [`RunReport::remote_trips_per_migrated_task`]) drop ≥ 2× when
-///    `BatchKind::Half` replaces `Single` (averaged over seeds, with
-///    identity + locality + batch invariants per run, and the
-///    batched arm actually batches);
-/// 3. cold submit to a fully parked batched federation stays inside
-///    the cold-submit harness's envelope (p50 ratio ≤ 4 vs the flat
-///    single-steal pool, every sample on a fully parked pool);
-/// 4. a live batched churn pool holds the five-way identity and the
-///    batch sub-count invariant, while the single-steal arm keeps the
-///    structural zeros.
-pub fn steal_batch(small: bool) -> ExpResult {
-    use abp_deque::{
-        AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, GrowableBackend, LockingBackend,
-        Steal, TaskDeque,
-    };
-    use abp_telemetry::json;
-    use hood::{join, BatchKind, IdleKind, PolicySet, PoolConfig, PoolReport, ThreadPool};
-    use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::{Arc, Barrier};
-    use std::time::Instant;
-
-    let entries: u64 = if small { 1 << 13 } else { 1 << 15 };
-    // A busy few-core host can slow a whole arm for tens of ms at a
-    // time; enough samples per cell keep the median out of those dips.
-    let samples: usize = if small { 11 } else { 21 };
-    let batch_cap: usize = 16;
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let mut pass = true;
-
-    // -- (1) drain matrix: single popTop vs steal_batch, per backend -----
-    struct Cell {
-        backend: &'static str,
-        thieves: usize,
-        batched: bool,
-        meps: f64,
-        takes: u64,
-        duplicates: u64,
-        multi_grabs: u64,
-        conserved: bool,
-    }
-
-    /// One timed drain (same harness as DQ1: pre-fill, release thieves
-    /// together, elapsed = max per-thief window). `batch` switches the
-    /// thief loop from `steal()` to `steal_batch(cap)`. Returns
-    /// (elapsed_s, takes, dups, multi_task_grabs, checksum).
-    fn drain_once<B: TaskDeque<u64>>(
-        backend: &B,
-        thieves: usize,
-        n: u64,
-        batch: Option<usize>,
-    ) -> (f64, u64, u64, u64, u64) {
-        let (owner, stealer) = backend.new_pair();
-        for i in 0..n {
-            owner.push_bottom(i).unwrap();
-        }
-        let barrier = Arc::new(Barrier::new(thieves));
-        let handles: Vec<_> = (0..thieves)
-            .map(|_| {
-                let s = stealer.clone();
-                let b = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    b.wait();
-                    let t0 = Instant::now();
-                    let (mut takes, mut dups, mut multi, mut sum) = (0u64, 0u64, 0u64, 0u64);
-                    match batch {
-                        Some(cap) => {
-                            // One reused buffer: the steady state is
-                            // allocation-free (`steal_batch_into`).
-                            let mut buf = abp_deque::StolenBatch::empty();
-                            loop {
-                                s.steal_batch_into(cap, &mut buf);
-                                dups += buf.duplicates;
-                                if buf.tasks.len() >= 2 {
-                                    multi += 1;
-                                }
-                                if buf.tasks.is_empty() {
-                                    // Aborted or duplicate-only grabs
-                                    // retry; with `bot` fixed during the
-                                    // drain, an Empty batch is definitive.
-                                    if buf.duplicates == 0 && !buf.aborted {
-                                        break;
-                                    }
-                                    continue;
-                                }
-                                for &v in &buf.tasks {
-                                    takes += 1;
-                                    sum = sum.wrapping_add(v);
-                                }
-                            }
-                        }
-                        None => loop {
-                            match s.steal() {
-                                Steal::Taken(v) => {
-                                    takes += 1;
-                                    sum = sum.wrapping_add(v);
-                                }
-                                Steal::Duplicate => dups += 1,
-                                Steal::Abort => {}
-                                Steal::Empty => break,
-                            }
-                        },
-                    }
-                    (t0.elapsed().as_secs_f64(), takes, dups, multi, sum)
-                })
-            })
-            .collect();
-        let (mut elapsed, mut takes, mut dups, mut multi, mut sum) = (0f64, 0u64, 0u64, 0u64, 0u64);
-        for h in handles {
-            let (e, t, d, m, s) = h.join().unwrap();
-            elapsed = elapsed.max(e);
-            takes += t;
-            dups += d;
-            multi += m;
-            sum = sum.wrapping_add(s);
-        }
-        assert_eq!(owner.pop_bottom(), None);
-        (elapsed, takes, dups, multi, sum)
-    }
-
-    fn median(v: &mut [f64]) -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    }
-
-    /// The single and batched cells for one (backend, thieves) point,
-    /// sampled *pairwise*: each sample runs the single drain and the
-    /// batched drain back-to-back, and the gated speedup is the median
-    /// of per-sample ratios. A shared-host slowdown spanning one pair
-    /// hits both arms and cancels; sampling the arms in separate blocks
-    /// (the obvious structure) lets the same slowdown bias a whole arm
-    /// and made the gate flaky.
-    fn drain_pair<B: TaskDeque<u64>>(
-        backend: &B,
-        thieves: usize,
-        n: u64,
-        samples: usize,
-        cap: usize,
-    ) -> (Cell, Cell, f64) {
-        let checksum = n * (n - 1) / 2;
-        let _ = drain_once(backend, thieves, n, None); // warmup
-        let _ = drain_once(backend, thieves, n, Some(cap));
-        let mut runs = [Vec::with_capacity(samples), Vec::with_capacity(samples)];
-        let mut ratios = Vec::with_capacity(samples);
-        let mut tot = [(0u64, 0u64, 0u64, true); 2];
-        for _ in 0..samples {
-            let mut pair = [0.0f64; 2];
-            for (i, batch) in [None, Some(cap)].into_iter().enumerate() {
-                let (elapsed, t, d, m, sum) = drain_once(backend, thieves, n, batch);
-                pair[i] = n as f64 / elapsed / 1e6;
-                runs[i].push(pair[i]);
-                tot[i].0 += t;
-                tot[i].1 += d;
-                tot[i].2 += m;
-                tot[i].3 &= t == n && sum == checksum;
-            }
-            ratios.push(pair[1] / pair[0]);
-        }
-        let cell = |i: usize, runs: &mut [f64], tot: (u64, u64, u64, bool)| Cell {
-            backend: B::NAME,
-            thieves,
-            batched: i == 1,
-            meps: median(runs),
-            takes: tot.0,
-            duplicates: tot.1,
-            multi_grabs: tot.2,
-            conserved: tot.3,
-        };
-        let [mut single_runs, mut batch_runs] = runs;
-        (
-            cell(0, &mut single_runs, tot[0]),
-            cell(1, &mut batch_runs, tot[1]),
-            median(&mut ratios),
-        )
-    }
-
-    let abp = AbpBackend {
-        capacity: entries as usize,
-    };
-    let growable = GrowableBackend {
-        initial_capacity: 64,
-    };
-    let locking = LockingBackend;
-    let ff = FenceFreeBackend {
-        capacity: entries as usize,
-    };
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut speedups: Vec<(&'static str, usize, f64)> = Vec::new();
-    for thieves in [1usize, 2, 4] {
-        let (mut singles, mut batches) = (Vec::new(), Vec::new());
-        let mut take = |(s, b, r): (Cell, Cell, f64)| {
-            speedups.push((s.backend, thieves, r));
-            singles.push(s);
-            batches.push(b);
-        };
-        take(drain_pair(&abp, thieves, entries, samples, batch_cap));
-        take(drain_pair(&growable, thieves, entries, samples, batch_cap));
-        take(drain_pair(&locking, thieves, entries, samples, batch_cap));
-        take(drain_pair(&ff, thieves, entries, samples, batch_cap));
-        cells.extend(singles);
-        cells.extend(batches);
-    }
-
-    let mut t = TextTable::new([
-        "backend",
-        "thieves",
-        "mode",
-        "Mtasks/s",
-        "takes",
-        "dups",
-        "multi-grabs",
-        "conserved",
-    ]);
-    let mut cells_json = String::new();
-    for c in &cells {
-        pass &= c.conserved;
-        // A batched drain of a deep deque that never claims ≥ 2 tasks
-        // at once is not exercising batching at all.
-        if c.batched {
-            pass &= c.multi_grabs > 0;
-        }
-        t.row([
-            c.backend.to_string(),
-            c.thieves.to_string(),
-            if c.batched { "batch" } else { "single" }.to_string(),
-            format!("{:.2}", c.meps),
-            c.takes.to_string(),
-            c.duplicates.to_string(),
-            c.multi_grabs.to_string(),
-            if c.conserved { "yes" } else { "LOST" }.to_string(),
-        ]);
-        if !cells_json.is_empty() {
-            cells_json.push_str(",\n");
-        }
-        write!(
-            cells_json,
-            "    {{\"backend\":\"{}\",\"thieves\":{},\"batched\":{},\"meps\":{:.3},\
-             \"takes\":{},\"duplicates\":{},\"multi_grabs\":{},\"conserved\":{}}}",
-            c.backend,
-            c.thieves,
-            c.batched,
-            c.meps,
-            c.takes,
-            c.duplicates,
-            c.multi_grabs,
-            c.conserved
-        )
-        .unwrap();
-    }
-
-    // Median of the per-sample batch/single ratio pairs (see
-    // `drain_pair`), not a ratio of arm medians.
-    let speedup = |name: &str, thieves: usize| {
-        speedups
-            .iter()
-            .find(|(n, t, _)| *n == name && *t == thieves)
-            .map(|(_, _, r)| *r)
-            .unwrap()
-    };
-    // 1.05: the re-validated chain pays the fence per claim (see the
-    // doc comment), so the bar is the amortized-age + reused-buffer
-    // win, not the old fence elision.
-    let gate_abp = speedup("abp", 2) >= 1.05 && speedup("abp", 4) >= 1.05;
-    let gate_growable = speedup("abp-growable", 2) >= 1.05 && speedup("abp-growable", 4) >= 1.05;
-    // Parity bar: the fence-free single steal already skips the seqcst
-    // fence, so there is nothing for the batch to amortize beyond the
-    // buffer reuse and the single trailing hint store (see doc above).
-    // 0.9 = parity within the residual pairwise jitter on a shared core.
-    let gate_ff = speedup("fence-free", 2) >= 0.9 && speedup("fence-free", 4) >= 0.9;
-    pass &= gate_abp && gate_growable && gate_ff;
-
-    // -- (2) federated amortization in the stepped simulator -------------
-    // Same K = 4 topology as FD1's scaling arm, at the default-ish
-    // cross-steal coin (0.125): infrequent cross-pool trips mean a
-    // victim accumulates a real backlog between visits, which is
-    // exactly when a steal-half batch pays off. Both arms share seeds,
-    // so the comparison is single-vs-batched and nothing else. The
-    // metric is round trips per migrated task: tasks past the first
-    // in a batch ride an already-paid trip, so they are subtracted
-    // from the attempt count before dividing by migrated tasks.
-    let dag = if small {
-        gen::fib(14, 3)
-    } else {
-        gen::fib(16, 3)
-    };
-    let seeds: Vec<u64> = if small { vec![5, 6] } else { vec![5, 6, 7] };
-    let run_fed = |batch: BatchKind, seed: u64| {
-        let mut k = DedicatedKernel::new(8);
-        let cfg = ws_defaults(seed)
-            .with_pools(4)
-            .with_cross_steal(0.125)
-            .with_policies(PolicySet::paper().with_batch(batch));
-        run_ws(&dag, 8, &mut k, cfg)
-    };
-    let mut sim_rows = TextTable::new([
-        "arm",
-        "seed",
-        "rounds",
-        "remote att",
-        "migrated",
-        "trips/task",
-        "batches",
-        "batched",
-    ]);
-    let mut sim_json = String::new();
-    let mut ratios = [0.0f64; 2]; // [single, batched] mean trips/task
-    for (idx, batch) in [BatchKind::Single, BatchKind::Half { cap: 8 }]
-        .into_iter()
-        .enumerate()
-    {
-        let mut sum = 0.0;
-        for &seed in &seeds {
-            let r = run_fed(batch, seed);
-            pass &= r.completed
-                && r.steal_accounting_balanced()
-                && r.locality_consistent()
-                && r.batch_consistent();
-            if batch.is_batched() {
-                pass &= r.batch_steals > 0; // the batched arm must batch
-            } else {
-                pass &= r.batch_steals == 0 && r.batched_tasks == 0;
-            }
-            let per_task = r.remote_trips_per_migrated_task();
-            sum += per_task;
-            sim_rows.row([
-                batch.label().to_string(),
-                seed.to_string(),
-                r.rounds.to_string(),
-                r.remote_attempts.to_string(),
-                r.remote_steals.to_string(),
-                f3(per_task),
-                r.batch_steals.to_string(),
-                r.batched_tasks.to_string(),
-            ]);
-            if !sim_json.is_empty() {
-                sim_json.push_str(",\n");
-            }
-            write!(
-                sim_json,
-                "    {{\"arm\":\"{}\",\"seed\":{},\"rounds\":{},\"remote_attempts\":{},\
-                 \"remote_steals\":{},\"trips_per_migrated\":{:.4},\
-                 \"batch_steals\":{},\"batched_tasks\":{}}}",
-                batch.label(),
-                seed,
-                r.rounds,
-                r.remote_attempts,
-                r.remote_steals,
-                r.remote_trips_per_migrated_task(),
-                r.batch_steals,
-                r.batched_tasks,
-            )
-            .unwrap();
-        }
-        ratios[idx] = sum / seeds.len() as f64;
-    }
-    let amortization = ratios[0] / ratios[1];
-    let gate_amortized = amortization >= 2.0;
-    pass &= gate_amortized;
-
-    // -- (3) cold submit stays inside the envelope with batching ---------
-    let p = 8;
-    let cold_samples: usize = if small { 21 } else { 61 };
-    let cold = |pools: usize, samples: usize, batch: BatchKind| {
-        cold_submit(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_pools(pools)
-                .with_policies(
-                    PolicySet::paper()
-                        .with_idle(IdleKind::ParkUntilWake { threshold: 4 })
-                        .with_batch(batch),
-                ),
-            samples,
-        )
-    };
-    let _ = cold(1, 3, BatchKind::Single); // warm thread-spawn + first park
-    let (flat_lat, flat_rep) = cold(1, cold_samples, BatchKind::Single);
-    let (fed_lat, fed_rep) = cold(4, cold_samples, BatchKind::Half { cap: 8 });
-    let all_cold = flat_lat.len() == cold_samples && fed_lat.len() == cold_samples;
-    let flat_med = quantile(&flat_lat, 0.5);
-    let fed_med = quantile(&fed_lat, 0.5);
-    let cold_ratio = fed_med / flat_med;
-    let gate_cold = all_cold && cold_ratio <= 4.0;
-    pass &= gate_cold;
-    pass &= flat_rep.stats.attempts_balance()
-        && flat_rep.stats.batch_steals == 0
-        && flat_rep.stats.batched_tasks == 0;
-    pass &= fed_rep.stats.attempts_balance() && fed_rep.stats.batch_consistent();
-
-    // -- (4) live churn: identities under real batched migration ---------
-    fn churn(p: usize, pools: usize, batch: BatchKind, jobs: usize) -> PoolReport {
-        let pool = Arc::new(ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_pools(pools)
-                .with_policies(PolicySet::paper().with_batch(batch)),
-        ));
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        let done: Arc<Vec<AtomicU8>> = Arc::new((0..jobs).map(|_| AtomicU8::new(0)).collect());
-        let submitters: Vec<_> = (0..4)
-            .map(|s| {
-                let pool = Arc::clone(&pool);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    let per = done.len() / 4;
-                    for id in s * per..(s + 1) * per {
-                        let done = Arc::clone(&done);
-                        pool.spawn(move || {
-                            done[id].fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                })
-            })
-            .collect();
-        assert_eq!(pool.install(|| fib(18)), 2_584);
-        for s in submitters {
-            s.join().unwrap();
-        }
-        while done.iter().any(|c| c.load(Ordering::Relaxed) == 0) {
-            std::thread::yield_now();
-        }
-        for c in done.iter() {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-        Arc::try_unwrap(pool)
-            .unwrap_or_else(|_| panic!("all clones joined"))
-            .shutdown()
-    }
-    let churn_jobs = if small { 400 } else { 1200 };
-    let live_single = churn(p, 4, BatchKind::Single, churn_jobs);
-    let live_batched = churn(p, 4, BatchKind::Half { cap: 8 }, churn_jobs);
-    pass &= live_single.stats.attempts_balance()
-        && live_single.stats.batch_steals == 0
-        && live_single.stats.batched_tasks == 0;
-    pass &= live_batched.stats.attempts_balance()
-        && live_batched.stats.locality_consistent()
-        && live_batched.stats.batch_consistent();
-
-    // -- machine-readable artifact ---------------------------------------
-    let artifact = format!(
-        "{{\n  \"bench\": \"steal_batch\",\n  \"mode\": \"{}\",\n  \"cores\": {},\n  \
-         \"drain\": {{\"entries\": {}, \"samples\": {}, \"batch_cap\": {}, \"cells\": [\n{}\n  ]}},\n  \
-         \"drain_speedups\": {{\"abp_2t\": {:.3}, \"abp_4t\": {:.3}, \
-         \"growable_2t\": {:.3}, \"growable_4t\": {:.3}, \
-         \"fence_free_2t\": {:.3}, \"fence_free_4t\": {:.3}}},\n  \
-         \"sim_federation\": {{\"pools\": 4, \"p\": 8, \"cross_steal\": 0.125, \"cells\": [\n{}\n  ],\n  \
-         \"trips_per_migrated\": {{\"single\": {:.4}, \"batched\": {:.4}, \"amortization\": {:.4}}}}},\n  \
-         \"cold_submit\": {{\"p\": {}, \"samples\": {}, \"flat_p50_ns\": {:.1}, \
-         \"batched_federated_p50_ns\": {:.1}, \"ratio\": {:.4}}},\n  \
-         \"live_churn\": {{\"single\": {{\"steals\": {}, \"batch_steals\": {}, \"batched_tasks\": {}}}, \
-         \"batched\": {{\"steals\": {}, \"batch_steals\": {}, \"batched_tasks\": {}}}}},\n  \
-         \"gates\": {{\"drain_abp\": {}, \"drain_growable\": {}, \"drain_fence_free\": {}, \
-         \"amortized\": {}, \"cold_submit\": {}, \"all\": {}}}\n}}\n",
-        if small { "small" } else { "full" },
-        cores,
-        entries,
-        samples,
-        batch_cap,
-        cells_json,
-        speedup("abp", 2),
-        speedup("abp", 4),
-        speedup("abp-growable", 2),
-        speedup("abp-growable", 4),
-        speedup("fence-free", 2),
-        speedup("fence-free", 4),
-        sim_json,
-        ratios[0],
-        ratios[1],
-        amortization,
-        p,
-        cold_samples,
-        flat_med,
-        fed_med,
-        cold_ratio,
-        live_single.stats.steals,
-        live_single.stats.batch_steals,
-        live_single.stats.batched_tasks,
-        live_batched.stats.steals,
-        live_batched.stats.batch_steals,
-        live_batched.stats.batched_tasks,
-        gate_abp,
-        gate_growable,
-        gate_ff,
-        gate_amortized,
-        gate_cold,
-        pass,
-    );
-    pass &= json::parse(&artifact).is_ok();
-    let _ = std::fs::create_dir_all("target");
-    let wrote = std::fs::write("target/BENCH_steal_batch.json", &artifact).is_ok();
-
-    let body = format!(
-        "drain matrix: {entries} entries, {samples} single+batch sample pairs per cell, \
-         cap {batch_cap}, {cores} core(s)\n{}\n\
-         gate (median of per-pair ratios): batch ≥ 1.05× single at 2 and 4 thieves \
-         (amortized age + reused buffer; the fence is per claim, INV-SB-REVAL) — abp {:.2}×/{:.2}× ({}), \
-         growable {:.2}×/{:.2}× ({}); fence-free ≥ parity (no fence to \
-         amortize) {:.2}×/{:.2}× ({})\n\n\
-         sim federation (K=4, P=8, cross-steal 0.125):\n{}\n\
-         remote round trips per migrated task: single {:.2} vs batched {:.2} \
-         (amortization {:.2}×; bar ≥ 2 — {})\n\n\
-         cold submit to a fully parked P={p} pool ({}/{cold_samples} samples/arm on a parked pool):\n\
-         flat/single p50 {flat_med:.0} ns vs batched federated(K=4) p50 {fed_med:.0} ns \
-         (ratio {cold_ratio:.2}; bar ≤ 4 — {})\n\n\
-         live churn (P={p}, K=4, fib(18) + {churn_jobs} submissions): \
-         single arm batch_steals={} batched_tasks={} (structural zeros); \
-         batched arm steals={} batch_steals={} batched_tasks={} (identity + batch sub-count hold)\n\
-         wrote target/BENCH_steal_batch.json ({} bytes{})",
-        t.render(),
-        speedup("abp", 2),
-        speedup("abp", 4),
-        if gate_abp { "ok" } else { "FAIL" },
-        speedup("abp-growable", 2),
-        speedup("abp-growable", 4),
-        if gate_growable { "ok" } else { "FAIL" },
-        speedup("fence-free", 2),
-        speedup("fence-free", 4),
-        if gate_ff { "ok" } else { "FAIL" },
-        sim_rows.render(),
-        ratios[0],
-        ratios[1],
-        amortization,
-        if gate_amortized { "ok" } else { "FAIL" },
-        flat_lat.len().min(fed_lat.len()),
-        if gate_cold { "ok" } else { "FAIL" },
-        live_single.stats.batch_steals,
-        live_single.stats.batched_tasks,
-        live_batched.stats.steals,
-        live_batched.stats.batch_steals,
-        live_batched.stats.batched_tasks,
-        artifact.len(),
-        if wrote { "" } else { ", WRITE FAILED" },
-    );
-    ExpResult::new(
-        "SB1",
-        "Batched stealing: steal_half drains, amortized migration, envelope",
-        body,
-        pass,
-    )
-}
-
 /// Runs every experiment, in index order.
 pub fn all() -> Vec<ExpResult> {
     vec![
@@ -3321,7 +2376,5 @@ pub fn all() -> Vec<ExpResult> {
         hotpath(),
         deque_backends(false),
         theory(false),
-        federation(false),
-        steal_batch(false),
     ]
 }

@@ -1,7 +1,6 @@
 //! The per-worker policy engine and its cloneable spec.
 
 use crate::backoff::{BackoffAction, BackoffKind, ContentionBackoff};
-use crate::batch::BatchKind;
 use crate::idle::{IdleAction, IdleKind, IdlePolicy};
 use crate::inject::{InjectKind, InjectPolicy};
 use crate::rng::PolicyRng;
@@ -31,12 +30,6 @@ pub struct PolicySet {
     /// directly by the runtime's splitter, not via the engine: split
     /// decisions happen inside running jobs, not in the steal loop.
     pub split: SplitKind,
-    /// How many tasks one successful cross-pool steal migrates
-    /// (runtimes without a federated topology ignore this axis). Read
-    /// directly by the runtime's steal path, not via the engine: the
-    /// batch size draws no randomness, so the `Single` default keeps
-    /// rng streams byte-identical to the one-task scheduler.
-    pub batch: BatchKind,
 }
 
 impl PolicySet {
@@ -75,20 +68,13 @@ impl PolicySet {
         self
     }
 
-    /// Replaces the steal batch size.
-    pub fn with_batch(mut self, batch: BatchKind) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Stable identity string, `"victim+backoff+idle"` — e.g. the
     /// default is `"uniform+yield+spin"`. Stamped on telemetry
     /// snapshots, `RunReport`s, and experiment JSON. A non-default
-    /// injector cadence is appended as a fourth `+` segment, a
-    /// non-default split cadence as a fifth, and a non-default steal
-    /// batch as a sixth; defaults are omitted so labels (and the golden
-    /// regression files that pin them) are unchanged for the three
-    /// classic axes.
+    /// injector cadence is appended as a fourth `+` segment and a
+    /// non-default split cadence as a fifth; defaults are omitted so
+    /// labels (and the golden regression files that pin them) are
+    /// unchanged for the three classic axes.
     pub fn label(&self) -> String {
         let mut s = format!(
             "{}+{}+{}",
@@ -103,10 +89,6 @@ impl PolicySet {
         if self.split != SplitKind::default() {
             s.push('+');
             s.push_str(self.split.label());
-        }
-        if self.batch != BatchKind::default() {
-            s.push('+');
-            s.push_str(self.batch.label());
         }
         s
     }
@@ -215,34 +197,6 @@ impl PolicyEngine {
     /// share it (the kernel's `ToRandom` yield target).
     pub fn uniform_other(&mut self, me: usize, p: usize) -> usize {
         self.rng.other_than(me, p)
-    }
-
-    /// A Bernoulli draw from this worker's stream against a fixed
-    /// 64-bit threshold (`threshold == 0` never fires, `u64::MAX`
-    /// virtually always) — the cross-pool steal coin of the federated
-    /// topology. Exactly one `next_u64` per call, and never called on a
-    /// flat K = 1 topology, so default streams stay byte-identical.
-    pub fn coin(&mut self, threshold: u64) -> bool {
-        self.rng.next_u64() < threshold
-    }
-
-    /// A uniform draw in `[0, n)` from this worker's stream — for
-    /// topology decisions outside the victim selector (picking which
-    /// remote pool/worker a cross-pool attempt targets).
-    pub fn draw_below(&mut self, n: usize) -> usize {
-        self.rng.below_usize(n)
-    }
-}
-
-/// Converts a cross-pool steal probability in `[0, 1]` to the fixed
-/// threshold [`PolicyEngine::coin`] compares one `next_u64` draw
-/// against.
-pub fn coin_threshold(prob: f64) -> u64 {
-    let p = prob.clamp(0.0, 1.0);
-    if p >= 1.0 {
-        u64::MAX
-    } else {
-        (p * u64::MAX as f64) as u64
     }
 }
 
@@ -353,24 +307,6 @@ mod tests {
         // Fourth and fifth segments compose.
         let set = set.with_inject(InjectKind::Never);
         assert_eq!(set.label(), "uniform+yield+spin+inject-never+split-grain");
-    }
-
-    #[test]
-    fn batch_axis_defaults_and_labels() {
-        use crate::batch::BatchKind;
-        // The default batch leaves the classic label untouched (the
-        // policy_regression goldens depend on that).
-        assert_eq!(PolicySet::paper().label(), "uniform+yield+spin");
-        let set = PolicySet::paper().with_batch(BatchKind::Half { cap: 8 });
-        assert_eq!(set.label(), "uniform+yield+spin+batch-half");
-        // The sixth segment composes after inject and split.
-        let set = set
-            .with_inject(InjectKind::Never)
-            .with_split(SplitKind::Sequential);
-        assert_eq!(
-            set.label(),
-            "uniform+yield+spin+inject-never+split-seq+batch-half"
-        );
     }
 
     #[test]

@@ -43,13 +43,6 @@
 //!   workers are visible, the default), `EagerGrain` (recurse to an
 //!   explicit grain, the classic baseline), and `Sequential`.
 //!
-//! * [`BatchKind`] — how many tasks one successful cross-pool steal
-//!   migrates: `Single` (the paper's one-task semantics, the default)
-//!   or `Half { cap }` (claim up to half the victim's visible backlog
-//!   in one grab). Like the split axis it is a plain spec read directly
-//!   by the runtime's steal path — it draws no randomness, so the
-//!   default keeps rng streams byte-identical.
-//!
 //! [`bounds`] holds the machine-checkable theory predicates next to the
 //! tally they consume: the Leiserson et al. rooted-tree steal bound
 //! ([`StealBoundCheck`]) and the work-stealing cache bound
@@ -75,7 +68,6 @@
 //! ```
 
 pub mod backoff;
-pub mod batch;
 pub mod bounds;
 pub mod engine;
 pub mod idle;
@@ -89,11 +81,10 @@ pub use backoff::{
     BackoffAction, BackoffKind, ContentionBackoff, ExpJitterBackoff, NoBackoff, PlainYield,
     SpinThenYield,
 };
-pub use batch::BatchKind;
 pub use bounds::{
     cache_extra_miss_bound, rooted_tree_steal_bound, CacheBoundCheck, StealBoundCheck, CACHE_KAPPA,
 };
-pub use engine::{coin_threshold, PolicyEngine, PolicySet};
+pub use engine::{PolicyEngine, PolicySet};
 pub use idle::{IdleAction, IdleKind, IdlePolicy, ParkAfter, ParkUntilWakeIdle, SpinIdle};
 pub use inject::{EveryN, EveryScan, InjectKind, InjectPolicy, NeverInject};
 pub use rng::PolicyRng;

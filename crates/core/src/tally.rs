@@ -16,20 +16,6 @@
 //! fence-free deque backend ever produces them, so every exact backend
 //! carries the identity with a structurally-zero `duplicates` term (and
 //! asserts the zero at shutdown).
-//!
-//! With the pool-federation topology, hits additionally split by
-//! *locality*: `remote_hits` counts hits landed on a victim outside the
-//! thief's pool, so `hits == local_hits() + remote_hits` without
-//! touching the five-way identity. A flat (K = 1) surface never records
-//! a remote hit, so the split carries a structural zero there — asserted
-//! at shutdown just like `duplicates`.
-//!
-//! Batched steals add a second outside-the-identity axis: a grab that
-//! claims `n` tasks under one synchronization episode records `n`
-//! attempts and `n` hits (tasks are still the unit of the five-way
-//! identity) plus one `batch_steals` increment and `batched_tasks += n`.
-//! Under the default `BatchKind::Single` both stay structurally zero —
-//! asserted at shutdown like the other structural zeros.
 
 /// Outcome of one completed steal attempt (`popTop` against a victim).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,18 +55,6 @@ pub struct StealTally {
     /// Attempts that lost a multiplicity once-guard race (fence-free
     /// backend only; structurally zero on exact backends).
     pub duplicates: u64,
-    /// Hits whose victim lives in a different pool than the thief
-    /// (sub-count of `hits`, outside the identity; structurally zero on
-    /// a flat K = 1 topology).
-    pub remote_hits: u64,
-    /// Multi-task grabs: steal episodes that claimed ≥ 2 tasks under
-    /// one synchronization round-trip (outside the identity;
-    /// structurally zero under `BatchKind::Single`).
-    pub batch_steals: u64,
-    /// Tasks moved by those multi-task grabs, the first kept task
-    /// included (outside the identity; structurally zero under
-    /// `BatchKind::Single`).
-    pub batched_tasks: u64,
 }
 
 impl StealTally {
@@ -94,46 +68,6 @@ impl StealTally {
             StealResult::Empty => self.empties += 1,
             StealResult::Duplicate => self.duplicates += 1,
         }
-    }
-
-    /// Records one completed attempt like [`StealTally::record`], also
-    /// noting whether the victim lives outside the thief's pool. Only a
-    /// [`StealResult::Hit`] contributes to `remote_hits`; misses carry
-    /// no locality.
-    #[inline]
-    pub fn record_located(&mut self, result: StealResult, remote: bool) {
-        self.record(result);
-        if remote && result.is_hit() {
-            self.remote_hits += 1;
-        }
-    }
-
-    /// Hits whose victim shared the thief's pool.
-    pub fn local_hits(&self) -> u64 {
-        self.hits - self.remote_hits
-    }
-
-    /// The locality split invariant: `remote_hits` never exceeds `hits`.
-    pub fn locality_consistent(&self) -> bool {
-        self.remote_hits <= self.hits
-    }
-
-    /// Records one batched grab that claimed `n` tasks (n ≥ 2) under a
-    /// single synchronization episode. The per-task `record`/
-    /// `record_located` calls still happen once per task — this only
-    /// bumps the outside-the-identity batch axis, mirroring how
-    /// `remote_hits` rides alongside `hits`.
-    #[inline]
-    pub fn record_batch(&mut self, n: u64) {
-        debug_assert!(n >= 2, "a batch is a multi-task grab");
-        self.batch_steals += 1;
-        self.batched_tasks += n;
-    }
-
-    /// The batch split invariant: every batched task came from some
-    /// hit, and every batch moved at least two tasks.
-    pub fn batch_consistent(&self) -> bool {
-        self.batched_tasks <= self.hits && self.batched_tasks >= 2 * self.batch_steals
     }
 
     /// Records one completed injector poll that found a job. (A poll
@@ -159,9 +93,6 @@ impl StealTally {
         self.empties += other.empties;
         self.injects += other.injects;
         self.duplicates += other.duplicates;
-        self.remote_hits += other.remote_hits;
-        self.batch_steals += other.batch_steals;
-        self.batched_tasks += other.batched_tasks;
     }
 }
 
@@ -236,65 +167,5 @@ mod tests {
         exact.merge(&ff);
         assert!(exact.balanced());
         assert_eq!(exact.duplicates, 1);
-    }
-
-    #[test]
-    fn batch_counters_ride_outside_the_identity() {
-        // A 3-task batched grab: three per-task records plus one batch
-        // record. The five-way identity and locality split never move.
-        let mut t = StealTally::default();
-        for _ in 0..3 {
-            t.record_located(StealResult::Hit, true);
-        }
-        t.record_batch(3);
-        assert!(t.balanced());
-        assert!(t.locality_consistent());
-        assert!(t.batch_consistent());
-        assert_eq!(t.attempts, 3);
-        assert_eq!(t.hits, 3);
-        assert_eq!(t.batch_steals, 1);
-        assert_eq!(t.batched_tasks, 3);
-        // A single-steal tally keeps the structural zeros.
-        let mut single = StealTally::default();
-        single.record(StealResult::Hit);
-        assert_eq!(single.batch_steals, 0);
-        assert_eq!(single.batched_tasks, 0);
-        assert!(single.batch_consistent());
-        // Merge carries the batch axis.
-        single.merge(&t);
-        assert!(single.balanced());
-        assert!(single.batch_consistent());
-        assert_eq!(single.batch_steals, 1);
-        assert_eq!(single.batched_tasks, 3);
-        // More batched tasks than hits is inconsistent.
-        let mut bogus = StealTally::default();
-        bogus.record(StealResult::Hit);
-        bogus.batch_steals = 1;
-        bogus.batched_tasks = 2;
-        assert!(!bogus.batch_consistent());
-    }
-
-    #[test]
-    fn remote_hits_split_rides_outside_the_identity() {
-        let mut t = StealTally::default();
-        t.record_located(StealResult::Hit, false);
-        t.record_located(StealResult::Hit, true);
-        t.record_located(StealResult::Empty, true); // misses carry no locality
-        t.record_located(StealResult::Abort, true);
-        assert!(t.balanced());
-        assert!(t.locality_consistent());
-        assert_eq!(t.hits, 2);
-        assert_eq!(t.remote_hits, 1);
-        assert_eq!(t.local_hits(), 1);
-        // A flat surface that only ever calls `record` keeps the
-        // structural zero.
-        let mut flat = StealTally::default();
-        flat.record(StealResult::Hit);
-        assert_eq!(flat.remote_hits, 0);
-        // Merge carries the split.
-        flat.merge(&t);
-        assert!(flat.balanced());
-        assert_eq!(flat.remote_hits, 1);
-        assert_eq!(flat.local_hits(), 2);
     }
 }

@@ -491,9 +491,9 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
     /// The fence is therefore *not* amortized — a grab of `k` pays `k`
     /// fences and `k` `bot` loads, like `k` single steals. What the
     /// batch still amortizes: the `age` load (each claim's `cas` doubles
-    /// as the next claim's `age` observation), the per-task allocation
-    /// (one reused buffer), and — the dominant term in the runtime — the
-    /// victim scan, sleeper wake, and cross-pool migration round-trips.
+    /// as the next claim's `age` observation) and the per-task allocation
+    /// (one reused buffer). The `hood` pool steals one task per `popTop`;
+    /// this grab is the seam the batch history and model checkers pin.
     pub fn pop_top_batch(&self, max: usize) -> StolenBatch<T> {
         let mut out = StolenBatch::empty();
         self.pop_top_batch_into(max, &mut out);

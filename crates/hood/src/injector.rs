@@ -122,8 +122,7 @@ pub(crate) struct Injector {
     /// Counted worker polls (hits + misses); shutdown draining is not a
     /// poll.
     pub(crate) polls: AtomicU64,
-    /// Jobs grabbed by counted worker polls (a batched poll counts one
-    /// poll but `n` hits).
+    /// Jobs grabbed by counted worker polls.
     pub(crate) hits: AtomicU64,
     /// Counted polls resolved by the `pending == 0` early return — no
     /// shard lock was touched. Splitting these from plain misses shows
@@ -269,45 +268,6 @@ impl Injector {
         None
     }
 
-    /// One counted, non-blocking *batched* worker poll: like
-    /// [`poll`](Injector::poll), but the first shard that yields jobs is
-    /// drained of up to `max` of them under its **single** `try_lock` —
-    /// one lock acquisition, one `pending` decrement of the whole batch
-    /// size. Each entry keeps its own `submit_ns`, so inject-to-start
-    /// latency histograms see every job individually. Counts one poll
-    /// and `n` hits; an empty result is a miss.
-    pub(crate) fn poll_batch(&self, start: usize, max: usize) -> Vec<(usize, u64)> {
-        self.polls.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        if self.pending() == 0 {
-            self.empty_fast.fetch_add(1, Ordering::Relaxed);
-            return out;
-        }
-        for i in 0..self.shards.len() {
-            let idx = start.wrapping_add(i) & self.mask;
-            match self.shards[idx].q.try_lock() {
-                Ok(mut q) => {
-                    while out.len() < max {
-                        match q.pop() {
-                            Some(v) => out.push(v),
-                            None => break,
-                        }
-                    }
-                    if !out.is_empty() {
-                        drop(q);
-                        self.pending.fetch_sub(out.len(), Ordering::Release);
-                        self.hits.fetch_add(out.len() as u64, Ordering::Relaxed);
-                        return out;
-                    }
-                }
-                Err(_) => {
-                    self.contention.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        out
-    }
-
     /// Uncounted blocking pop, for shutdown draining only: takes every
     /// shard lock in turn, so a `None` really means empty (with respect
     /// to submissions that happened before shutdown).
@@ -383,29 +343,12 @@ mod tests {
     fn empty_fast_counts_only_lock_free_misses() {
         let inj = Injector::new(2);
         assert_eq!(inj.poll(0), None);
-        assert!(inj.poll_batch(0, 4).is_empty());
+        assert_eq!(inj.poll(1), None);
         assert_eq!(inj.empty_fast.load(Ordering::Relaxed), 2);
         inj.push(1, 0);
         assert_eq!(inj.poll(0), Some((1, 0)));
         // A hit does not touch the fast-path counter.
         assert_eq!(inj.empty_fast.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn poll_batch_drains_one_shard_under_one_lock() {
-        let inj = Injector::new(1); // single shard: global FIFO
-        inj.push_batch(&[1, 2, 3, 4, 5], 9);
-        let got = inj.poll_batch(0, 3);
-        assert_eq!(got, vec![(1, 9), (2, 9), (3, 9)]);
-        assert_eq!(inj.pending(), 2);
-        // One poll, three hits: batched accounting.
-        assert_eq!(inj.polls.load(Ordering::Relaxed), 1);
-        assert_eq!(inj.hits.load(Ordering::Relaxed), 3);
-        let got = inj.poll_batch(0, 8);
-        assert_eq!(got, vec![(4, 9), (5, 9)]);
-        assert_eq!(inj.pending(), 0);
-        assert!(inj.poll_batch(0, 8).is_empty());
-        assert_eq!(inj.empty_fast.load(Ordering::Relaxed), 1);
     }
 
     #[test]

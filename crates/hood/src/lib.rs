@@ -24,7 +24,8 @@
 //!
 //! Configuration ([`PoolConfig`]) exposes the scheduling policy — victim
 //! selection, whether thieves yield between steal attempts, what an idle
-//! worker does — plus the topology. The deque is always ABP and idle
+//! worker does. The pool is one flat set of workers, each able to rob
+//! any other. The deque is always ABP and idle
 //! workers always park through the eventcount ([`sleep`]): the locking
 //! and fence-free deques of `abp-deque` are ablations for the simulator
 //! and the deque-level experiments.
@@ -71,9 +72,7 @@ pub mod scope;
 pub mod sleep;
 pub mod stats;
 
-pub use abp_core::{
-    BackoffKind, BatchKind, IdleKind, InjectKind, PolicySet, SplitKind, VictimKind,
-};
+pub use abp_core::{BackoffKind, IdleKind, InjectKind, PolicySet, SplitKind, VictimKind};
 pub use join::join;
 pub use par::{par_sort_unstable, scope_fifo, ScopeFifo};
 pub use pool::{Backend, PoolConfig, PoolReport, ThreadPool, WorkerCtx};

@@ -53,31 +53,6 @@
 //! [`ThreadPool::shutdown`] alongside the five-way accounting identity
 //! `attempts == hits + aborts + empties + injects + duplicates`.
 //!
-//! # Federation (the topology layer)
-//!
-//! [`PoolConfig::pools`] partitions the `P` workers into `K` pools
-//! ("sockets"): contiguous index blocks, each with its **own** sharded
-//! injector, its own sleep subsystem, and a steal-back hint
-//! ([`PoolShard`]). Victim selection becomes hierarchical in the sense
-//! of localized work stealing (Suksompong/Leiserson/Schardl): a thief
-//! scans its pool-mates first (the policy engine runs in pool-local
-//! coordinates, so any [`abp_core::VictimKind`] composes), then — with
-//! probability [`PoolConfig::cross_steal`] per empty-handed scan — makes
-//! one cross-pool attempt, preferring the *steal-back* target (the
-//! remote worker that most recently took this pool's work) over a
-//! uniformly random remote victim. External submissions route to a pool
-//! by sticky client affinity (the PR-3 round-robin shard cursor, lifted
-//! one level), and each pool's own workers drain their own front door
-//! before ever going remote, so a pool's externally submitted work is
-//! served — stolen back — by the pool that owns it. Cross-pool hits are
-//! counted as `remote_steals` (`steals = local + remote`, outside the
-//! five-way identity, structurally zero at `K = 1` and asserted so at
-//! shutdown). With `K == 1` every one of these paths collapses to the
-//! flat pool byte-for-byte: same draws, same scan order, same wakes.
-//! [`PoolConfig::flat_scan`] keeps the `K > 1` topology but scans all
-//! `P − 1` victims globally — the measured baseline federation is
-//! compared against (experiment FD1).
-//!
 //! With the `telemetry` feature (on by default) a pool can additionally
 //! record a structured event trace — spawns, job spans, every steal
 //! attempt with its outcome, yields, parks — into per-worker lock-free
@@ -92,13 +67,12 @@ use crate::private::{Attention, PrivateFirst, PrivateStack};
 use crate::sleep::{Sleep, SleepKind, SleepOutcome, SleepStats};
 use crate::stats::{PoolStats, WorkerStats};
 use abp_core::{
-    BackoffAction, BatchKind, IdleAction, IdleKind, PolicyEngine, PolicyRng, PolicySet, SplitKind,
-    StealResult,
+    BackoffAction, IdleAction, IdleKind, PolicyEngine, PolicyRng, PolicySet, SplitKind, StealResult,
 };
 use abp_dag::DetRng;
-use abp_deque::{AbpBackend, PushError, Steal, Stealer, StolenBatch, TaskDeque};
+use abp_deque::{AbpBackend, Steal, Stealer, TaskDeque};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -111,10 +85,9 @@ pub use abp_telemetry::{TelemetryConfig, TelemetrySnapshot};
 ///
 /// `capacity` bounds `bot` (see [`abp_deque::new`]). A deque that is
 /// full keeps further jobs on its owner's private stack — correct, just
-/// not stealable until there is room — and reroutes the rest of a
-/// stolen or polled batch through the pool's injector. The default is
-/// far beyond any depth a real computation reaches; tests shrink it to
-/// reach those paths.
+/// not stealable until there is room. The default is far beyond any
+/// depth a real computation reaches; tests shrink it to reach that
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backend {
     pub capacity: usize,
@@ -156,26 +129,9 @@ pub struct PoolConfig {
     /// jobs on the thief's stack ("leapfrogging"), so deep recursive
     /// workloads need headroom beyond the platform default.
     pub stack_size: usize,
-    /// Shards in each pool's external-submission injector; `0` (the
-    /// default) sizes each to its pool's worker count.
+    /// Shards in the external-submission injector; `0` (the default)
+    /// sizes it to the worker count.
     pub injector_shards: usize,
-    /// Number of pools ("sockets") the workers are partitioned into —
-    /// the topology layer. `1` (the default) is the classic flat pool;
-    /// `K > 1` splits the workers into `K` contiguous blocks, each with
-    /// its own injector shard-set, sleep subsystem, and local-first
-    /// victim scans. Must satisfy `1 ≤ pools ≤ num_procs`.
-    pub pools: usize,
-    /// Probability that an empty-handed hierarchical steal scan follows
-    /// its local pass with one cross-pool attempt. Only consulted when
-    /// `pools > 1` and `flat_scan` is off, so the flat pool draws no
-    /// extra randomness.
-    pub cross_steal: f64,
-    /// Baseline switch for experiments: keep the `K > 1` topology
-    /// (per-pool injectors, sleep, accounting) but scan all `P − 1`
-    /// victims globally, exactly like the flat pool. Remote steals are
-    /// still *counted*, just not avoided — the control FD1 measures
-    /// hierarchical stealing against.
-    pub flat_scan: bool,
     /// The sleep/wake protocol idle workers park through — always the
     /// eventcount. A fingerprint stamp, not a choice: it stays a field
     /// so run records that format the configuration keep naming it.
@@ -223,35 +179,6 @@ impl PoolConfig {
         self
     }
 
-    /// Partitions the workers into `pools` pools ("sockets").
-    pub fn with_pools(mut self, pools: usize) -> Self {
-        self.pools = pools;
-        self
-    }
-
-    /// Replaces the cross-pool steal probability.
-    ///
-    /// # Panics
-    ///
-    /// If `cross_steal` is NaN or outside `[0.0, 1.0]` — a coin with a
-    /// probability outside the unit interval is always a caller bug,
-    /// and the policy coin would otherwise silently clamp it.
-    pub fn with_cross_steal(mut self, cross_steal: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&cross_steal),
-            "cross_steal must be a probability in [0.0, 1.0], got {cross_steal}"
-        );
-        self.cross_steal = cross_steal;
-        self
-    }
-
-    /// Enables the flat-scan baseline (global victim scans on a `K > 1`
-    /// topology).
-    pub fn with_flat_scan(mut self, flat_scan: bool) -> Self {
-        self.flat_scan = flat_scan;
-        self
-    }
-
     /// Enables structured tracing with the given telemetry configuration.
     #[cfg(feature = "telemetry")]
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
@@ -271,9 +198,6 @@ impl Default for PoolConfig {
             seed: 0xAB9,
             stack_size: 8 * 1024 * 1024,
             injector_shards: 0,
-            pools: 1,
-            cross_steal: 0.125,
-            flat_scan: false,
             sleep: SleepKind::default(),
             #[cfg(feature = "telemetry")]
             telemetry: None,
@@ -281,119 +205,29 @@ impl Default for PoolConfig {
     }
 }
 
-/// One pool ("socket") of the federated topology: a contiguous block of
-/// workers with a private front door, a private sleep subsystem, and
-/// the steal-back hint of the localized-work-stealing model. A flat
-/// pool is exactly one of these spanning every worker.
-pub(crate) struct PoolShard {
-    /// Global worker indices `[start, end)` belong to this pool.
-    start: usize,
-    end: usize,
-    /// This pool's sharded external-submission injector.
-    injector: Injector,
-    /// This pool's sleep subsystem (parker slots are pool-local:
-    /// worker `i` parks as slot `i - start`).
-    sleep: Sleep,
-    /// Global index of the most recent cross-pool thief that took work
-    /// from this pool (`usize::MAX` = none). Pool members try it first
-    /// when they go remote — it plausibly still holds this pool's work
-    /// (Suksompong et al.'s steal-back).
-    last_thief: AtomicUsize,
-}
-
-/// Monotonic client ids for pool affinity, Weyl-spread so consecutive
-/// client threads land on different pools — the injector's shard cursor
-/// lifted one level up the topology.
-static NEXT_AFFINITY: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static AFFINITY_ID: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// This thread's sticky affinity token: assigned once, on the thread's
-/// first external submission, and reused for every pool thereafter —
-/// one client's submissions always land in one pool of any given pool's
-/// topology.
-fn client_affinity() -> usize {
-    AFFINITY_ID.with(|c| {
-        let v = c.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let id = NEXT_AFFINITY
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_mul(0x9E37_79B9);
-        c.set(id);
-        id
-    })
-}
-
 /// Everything workers and the pool handle share: one stealer handle per
-/// worker, the pool shards (injector + sleep + steal-back hint each),
-/// the topology tables, the shutdown flag, the per-worker stats, and
-/// (with tracing on) the telemetry registry.
+/// worker, the injector, the sleep subsystem, the shutdown flag, the
+/// per-worker stats, and (with tracing on) the telemetry registry.
 pub(crate) struct SharedCore {
     num_procs: usize,
     /// Worker `i`'s `popTop` handle is `stealers[i]`.
     stealers: Vec<Stealer<usize>>,
-    /// The `K ≥ 1` pools. `shards.len() == 1` is the classic flat pool.
-    shards: Vec<PoolShard>,
-    /// Pool index of each worker (precomputed: the blocks are uneven
-    /// when `K ∤ P`, so this is a table, not arithmetic).
-    pool_of: Vec<u32>,
-    /// Fixed threshold the cross-pool coin compares one `next_u64`
-    /// draw against ([`abp_core::coin_threshold`] of
-    /// [`PoolConfig::cross_steal`]).
-    cross_coin: u64,
-    /// Baseline mode: global victim scans despite `K > 1`.
-    flat_scan: bool,
+    /// The sharded external-submission injector (the front door).
+    injector: Injector,
+    /// The eventcount idle workers park on; worker `i` parks as slot `i`.
+    sleep: Sleep,
     shutdown: AtomicBool,
     /// The pool's split cadence, read by [`crate::par`]'s splitter.
     split: SplitKind,
-    /// The pool's steal-batching policy. `Single` keeps every steal and
-    /// injector poll a one-task transfer (the PR-9 hot paths, verbatim);
-    /// `Half { cap }` lets cross-pool steals and injector polls claim up
-    /// to `cap` tasks per round trip.
-    batch: BatchKind,
     pub(crate) stats: Vec<WorkerStats>,
     /// The pool's attention word: counts the workers that are hunting
-    /// for work; every push tests it. One word for the whole topology —
-    /// a pool whose neighbour is starving must expose work for the
-    /// neighbour's cross-pool attempts to find.
+    /// for work; every push tests it.
     attention: Arc<Attention>,
     #[cfg(feature = "telemetry")]
     registry: Option<Arc<Registry>>,
 }
 
 impl SharedCore {
-    /// The pool this client thread's submissions route to: sticky
-    /// per-thread affinity modulo the pool count.
-    fn client_pool(&self) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            client_affinity() % self.shards.len()
-        }
-    }
-
-    /// Jobs submitted from outside and not yet picked up, over every
-    /// pool's front door.
-    fn injector_pending(&self) -> usize {
-        self.shards.iter().map(|s| s.injector.pending()).sum()
-    }
-
-    /// Merged sleep counters over every pool's sleep subsystem.
-    fn sleep_stats(&self) -> SleepStats {
-        let mut out = SleepStats::default();
-        for s in &self.shards {
-            let st = s.sleep.stats();
-            out.wakes_sent += st.wakes_sent;
-            out.wakes_skipped += st.wakes_skipped;
-            out.wakes_spurious += st.wakes_spurious;
-            out.hits_after_unpark += st.hits_after_unpark;
-            out.timed_out_parks += st.timed_out_parks;
-        }
-        out
-    }
     /// Timestamp for an external submission (0 when tracing is off: the
     /// latency histogram is then skipped on the worker side). With
     /// tracing on, the stamp is clamped to at least 1ns so a submission
@@ -414,119 +248,47 @@ impl SharedCore {
         }
     }
 
-    /// Submits one external job through the client's affinity pool's
-    /// sharded injector, then wakes at most one parked worker *of that
-    /// pool*. Publish-then-notify order is what the sleep protocol
-    /// requires (INV-EC-PUB): the notify's epoch bump is the barrier
-    /// that makes this push visible to any pool member racing into a
-    /// park, so no wakeup can be missed and no park timeout is needed
-    /// to cap a race.
+    /// Submits one external job through the sharded injector, then
+    /// wakes at most one parked worker. Publish-then-notify order is
+    /// what the sleep protocol requires (INV-EC-PUB): the notify's epoch
+    /// bump is the barrier that makes this push visible to any worker
+    /// racing into a park, so no wakeup can be missed and no park
+    /// timeout is needed to cap a race. External submitters have no
+    /// worker timeline, so wake events are not traced here (the counters
+    /// still move).
     fn inject(&self, job: JobRef) {
-        let shard = &self.shards[self.client_pool()];
-        shard.injector.push(job.to_word(), self.submit_ns());
-        self.notify_shard(shard, 1);
+        self.injector.push(job.to_word(), self.submit_ns());
+        self.sleep.notify_jobs(1, |_| {});
     }
 
-    /// Submits a batch under one shard lock of the client's affinity
-    /// pool, then wakes `min(batch_len, sleepers)` of that pool's
-    /// workers — one per job, never the herd.
+    /// Submits a batch under one shard lock, then wakes
+    /// `min(batch_len, sleepers)` workers — one per job, never the herd.
     fn inject_batch(&self, words: &[usize]) {
-        let shard = &self.shards[self.client_pool()];
-        shard.injector.push_batch(words, self.submit_ns());
-        self.notify_shard(shard, words.len());
+        self.injector.push_batch(words, self.submit_ns());
+        self.sleep.notify_jobs(words.len(), |_| {});
     }
 
-    /// Producer-side wake for `n` just-published external jobs in
-    /// `shard`'s injector. External submitters have no worker timeline,
-    /// so wake events are not traced here (the counters still move).
-    fn notify_shard(&self, shard: &PoolShard, n: usize) {
-        shard.sleep.notify_jobs(n, |_| {});
-    }
-
-    /// Stamps the (pool-merged) sleep scalar counters into a telemetry
-    /// snapshot (the unpark-to-work histogram is already there; scalars
-    /// live with the pool, like the injector's).
+    /// The registry's snapshot with the scalar counters that live with
+    /// the pool stamped in: the injector's and the sleep subsystem's
+    /// (their histograms are already there), and the data-parallel
+    /// splitter's as named counters, so both JSON exporters (the metrics
+    /// dump and the Chrome trace) carry them.
     #[cfg(feature = "telemetry")]
-    fn stamp_sleep(&self, snap: &mut TelemetrySnapshot) {
-        let s = self.sleep_stats();
+    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        let mut snap = self.registry.as_ref()?.snapshot();
+        self.injector.stamp(&mut snap.injector);
+        let s = self.sleep.stats();
         snap.sleep.wakes_sent = s.wakes_sent;
         snap.sleep.wakes_skipped = s.wakes_skipped;
         snap.sleep.wakes_spurious = s.wakes_spurious;
         snap.sleep.hits_after_unpark = s.hits_after_unpark;
         snap.sleep.timed_out_parks = s.timed_out_parks;
-    }
-
-    /// Stamps the injector counters, summed over every pool's front
-    /// door, into a telemetry snapshot.
-    #[cfg(feature = "telemetry")]
-    fn stamp_injectors(&self, snap: &mut TelemetrySnapshot) {
-        // Accumulate only the counter fields: the snapshot's injector
-        // section also carries the registry's inject-to-start latency
-        // histogram, which must survive the stamp.
-        let out = &mut snap.injector;
-        out.shards = 0;
-        out.submissions = 0;
-        out.contention = 0;
-        out.polls = 0;
-        out.hits = 0;
-        out.empty_fast = 0;
-        for s in &self.shards {
-            let mut one = abp_telemetry::InjectorSnapshot::default();
-            s.injector.stamp(&mut one);
-            out.shards += one.shards;
-            out.submissions += one.submissions;
-            out.contention += one.contention;
-            out.polls += one.polls;
-            out.hits += one.hits;
-            out.empty_fast += one.empty_fast;
-        }
-    }
-
-    /// Stamps the steal-batching counters into a telemetry snapshot as
-    /// named counters. Only when a batch actually happened: `Single`
-    /// runs (and batched runs that never multi-claimed) leave both
-    /// exporters byte-identical.
-    #[cfg(feature = "telemetry")]
-    fn stamp_batch(&self, snap: &mut TelemetrySnapshot) {
-        let s = PoolStats::aggregate(&self.stats);
-        if s.batch_steals == 0 {
-            return;
-        }
+        let stats = PoolStats::aggregate(&self.stats);
         snap.counters
-            .push(("batch_steals".to_string(), s.batch_steals));
+            .push(("par_splits".to_string(), stats.par_splits));
         snap.counters
-            .push(("batched_tasks".to_string(), s.batched_tasks));
-    }
-
-    /// Stamps the topology counters — pool count, remote/local steal
-    /// split — into a telemetry snapshot as named counters, so both
-    /// JSON exporters carry the new accounting axis. Only on a `K > 1`
-    /// topology: flat snapshots stay byte-identical.
-    #[cfg(feature = "telemetry")]
-    fn stamp_topology(&self, snap: &mut TelemetrySnapshot) {
-        if self.shards.len() == 1 {
-            return;
-        }
-        let s = PoolStats::aggregate(&self.stats);
-        snap.counters
-            .push(("pools".to_string(), self.shards.len() as u64));
-        snap.counters
-            .push(("remote_steals".to_string(), s.remote_steals));
-        snap.counters
-            .push(("local_steals".to_string(), s.local_steals()));
-        snap.counters
-            .push(("remote_attempts".to_string(), s.remote_attempts));
-    }
-
-    /// Stamps the data-parallel splitter counters into a telemetry
-    /// snapshot as named counters, so both JSON exporters (the metrics
-    /// dump and the Chrome trace) carry them.
-    #[cfg(feature = "telemetry")]
-    fn stamp_par(&self, snap: &mut TelemetrySnapshot) {
-        let s = PoolStats::aggregate(&self.stats);
-        snap.counters.push(("par_splits".to_string(), s.par_splits));
-        snap.counters
-            .push(("par_seq_fallbacks".to_string(), s.par_seq));
+            .push(("par_seq_fallbacks".to_string(), stats.par_seq));
+        Some(snap)
     }
 }
 
@@ -535,11 +297,6 @@ impl SharedCore {
 /// `current_worker`.
 pub struct WorkerCtx {
     index: usize,
-    /// This worker's pool and its global index range, cached off
-    /// [`SharedCore`]'s topology tables (hot-path reads).
-    pool: usize,
-    pool_start: usize,
-    pool_end: usize,
     deque: PrivateFirst,
     core: Arc<SharedCore>,
     engine: RefCell<PolicyEngine>,
@@ -556,10 +313,6 @@ pub struct WorkerCtx {
     /// its next push: while it is counted in the pool's [`Attention`]
     /// word.
     hunting: Cell<bool>,
-    /// Reused scratch for batched cross-pool robs: after the first few
-    /// trips the capacity sticks at the batch cap and the steady state
-    /// allocates nothing.
-    batch_buf: RefCell<StolenBatch<usize>>,
     #[cfg(feature = "telemetry")]
     tele: Option<WorkerTelemetry>,
 }
@@ -599,17 +352,6 @@ impl WorkerCtx {
         &self.core.stats[self.index]
     }
 
-    /// This worker's pool shard (its injector, sleep subsystem, and
-    /// steal-back hint).
-    fn shard(&self) -> &PoolShard {
-        &self.core.shards[self.pool]
-    }
-
-    /// This worker's parker slot within its pool's sleep subsystem.
-    fn local_index(&self) -> usize {
-        self.index - self.pool_start
-    }
-
     /// The pool's worker count `P`.
     pub(crate) fn num_procs(&self) -> usize {
         self.core.num_procs
@@ -620,12 +362,11 @@ impl WorkerCtx {
         self.core.split
     }
 
-    /// Relaxed-load idle gauge for the adaptive splitter — this pool's
-    /// sleepers (splits feed local thieves first under federation). See
-    /// [`crate::sleep`]'s `sleepers_hint` for the race-tolerance
-    /// argument.
+    /// Relaxed-load idle gauge for the adaptive splitter — the pool's
+    /// sleepers. See [`crate::sleep`]'s `sleepers_hint` for the
+    /// race-tolerance argument.
     pub(crate) fn sleepers_hint(&self) -> usize {
-        self.shard().sleep.sleepers_hint()
+        self.core.sleep.sleepers_hint()
     }
 
     /// Counts one adaptive-splitter fork.
@@ -722,11 +463,11 @@ impl WorkerCtx {
         if n == 0 {
             return;
         }
-        self.shard().sleep.notify_jobs(n, |_ev| {
+        self.core.sleep.notify_jobs(n, |_ev| {
             #[cfg(feature = "telemetry")]
             self.tele_record(match _ev {
                 Some(target) => EventKind::WakeOne {
-                    target: (self.pool_start + target) as u32,
+                    target: target as u32,
                 },
                 None => EventKind::WakeSkipped,
             });
@@ -745,7 +486,7 @@ impl WorkerCtx {
     pub(crate) fn note_found_work(&self) {
         self.engine.borrow_mut().note_work_found();
         if self.woken_pending.replace(false) {
-            self.shard().sleep.note_hit_after_unpark();
+            self.core.sleep.note_hit_after_unpark();
             #[cfg(feature = "telemetry")]
             if let Some(t) = &self.tele {
                 let woken_at = self.woken_at.get();
@@ -797,20 +538,10 @@ impl WorkerCtx {
     }
 
     /// Records one completed steal attempt everywhere it is counted —
-    /// stats outcome counter (including the locality split), telemetry
-    /// event, steal-latency sample, the steal-back hint, and the policy
-    /// engine's victim feedback. One function so the outcome branches
-    /// cannot drift apart again. `observe_as` is the coordinate the
-    /// policy engine saw the victim under — pool-local in hierarchical
-    /// scans, global in flat scans, `None` for topology-driven cross
-    /// attempts that bypass the selector.
-    fn note_steal(
-        &self,
-        victim: usize,
-        result: StealResult,
-        scan_start_ns: Option<u64>,
-        observe_as: Option<usize>,
-    ) {
+    /// stats outcome counter, telemetry event, steal-latency sample, and
+    /// the policy engine's victim feedback. One function so the outcome
+    /// branches cannot drift apart again.
+    fn note_steal(&self, victim: usize, result: StealResult, scan_start_ns: Option<u64>) {
         let stats = self.stats();
         match result {
             StealResult::Hit => stats.steals.fetch_add(1, Ordering::Relaxed),
@@ -818,25 +549,6 @@ impl WorkerCtx {
             StealResult::Empty => stats.empties.fetch_add(1, Ordering::Relaxed),
             StealResult::Duplicate => stats.duplicates.fetch_add(1, Ordering::Relaxed),
         };
-        let core = &self.core;
-        if core.pool_of[victim] as usize != self.pool {
-            stats.remote_attempts.fetch_add(1, Ordering::Relaxed);
-            if result == StealResult::Hit {
-                stats.remote_steals.fetch_add(1, Ordering::Relaxed);
-                // We took the victim's pool's work: leave our card so
-                // its members can steal it back.
-                core.shards[core.pool_of[victim] as usize]
-                    .last_thief
-                    .store(self.index, Ordering::Relaxed);
-            } else {
-                // A missed remote attempt on our own steal-back hint
-                // retires the hint — it no longer holds our work.
-                let hint = &self.shard().last_thief;
-                if hint.load(Ordering::Relaxed) == victim {
-                    hint.store(usize::MAX, Ordering::Relaxed);
-                }
-            }
-        }
         #[cfg(feature = "telemetry")]
         if let Some(t) = self.tele.as_ref() {
             let now = t.now_ns();
@@ -859,9 +571,7 @@ impl WorkerCtx {
         }
         #[cfg(not(feature = "telemetry"))]
         let _ = scan_start_ns;
-        if let Some(seen) = observe_as {
-            self.engine.borrow_mut().observe(seen, result);
-        }
+        self.engine.borrow_mut().observe(victim, result);
     }
 
     /// One counted, non-blocking poll of the external-submission
@@ -869,27 +579,10 @@ impl WorkerCtx {
     /// contended) counts as an `empty` — either way exactly one outcome
     /// per attempt, so the accounting identity extends to the new path.
     pub(crate) fn poll_injector(&self) -> Option<JobRef> {
-        let cap = self.core.batch.cap();
-        if cap > 1 {
-            return self.poll_injector_batch(cap);
-        }
         let stats = self.stats();
         stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-        match self.shard().injector.poll(self.local_index()) {
-            Some((word, submit_ns)) => {
-                stats.injects.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
-                if let Some(t) = &self.tele {
-                    let now = t.now_ns();
-                    if submit_ns > 0 {
-                        t.inject_latency_ns(now.saturating_sub(submit_ns));
-                    }
-                    t.record_at(now, EventKind::InjectorPoll { hit: true });
-                }
-                #[cfg(not(feature = "telemetry"))]
-                let _ = submit_ns;
-                Some(JobRef::from_word(word))
-            }
+        match self.core.injector.poll(self.index) {
+            Some((word, submit_ns)) => Some(self.took_injected(word, submit_ns)),
             None => {
                 stats.empties.fetch_add(1, Ordering::Relaxed);
                 #[cfg(feature = "telemetry")]
@@ -899,196 +592,57 @@ impl WorkerCtx {
         }
     }
 
-    /// Batched spelling of [`WorkerCtx::poll_injector`], taken when the
-    /// batch policy is [`BatchKind::Half`]: up to `cap` jobs leave this
-    /// pool's front door under one shard lock ([`Injector::poll_batch`]
-    /// counts it as one poll with `n` hits). The first job is returned
-    /// to run now; the rest land on our own *public* deque bottom —
-    /// visible to pool-mates at once, which is legal because a worker
-    /// polls only with both its stacks empty (INV-PRIV-ORDER) — and wake
-    /// `min(rest, sleepers)` of them. Worker-side
-    /// accounting stays per-job (`n` attempts, `n` injects, one
-    /// inject-to-pickup latency sample per stamped job), so the five-way
-    /// identity and the SV1 histograms see exactly the jobs that moved.
-    /// Injector batches do *not* feed the `batch_steals` counters —
-    /// those measure steal round trips, and `batch_consistent()` bounds
-    /// them by `steals`.
-    fn poll_injector_batch(&self, cap: usize) -> Option<JobRef> {
-        let stats = self.stats();
-        let got = self.shard().injector.poll_batch(self.local_index(), cap);
-        if got.is_empty() {
-            stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            stats.empties.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
-            self.tele_record(EventKind::InjectorPoll { hit: false });
-            return None;
-        }
-        let n = got.len();
-        stats.steal_attempts.fetch_add(n as u64, Ordering::Relaxed);
-        stats.injects.fetch_add(n as u64, Ordering::Relaxed);
+    /// The outcome half of taking a job out of the injector, by a poll
+    /// or by the shutdown drain (whose caller counts the attempt): one
+    /// `inject`, one `InjectorPoll { hit: true }` event and one
+    /// inject-to-start latency sample, so the trace agrees with the
+    /// counters whichever path took the job.
+    fn took_injected(&self, word: usize, submit_ns: u64) -> JobRef {
+        self.stats().injects.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
             let now = t.now_ns();
-            for &(_, submit_ns) in &got {
-                if submit_ns > 0 {
-                    t.inject_latency_ns(now.saturating_sub(submit_ns));
-                }
-                t.record_at(now, EventKind::InjectorPoll { hit: true });
+            if submit_ns > 0 {
+                t.inject_latency_ns(now.saturating_sub(submit_ns));
             }
+            t.record_at(now, EventKind::InjectorPoll { hit: true });
         }
-        let mut jobs = got.into_iter();
-        let (first, _) = jobs.next().expect("non-empty injector batch");
-        let mut parked_here = 0usize;
-        for (word, submit_ns) in jobs {
-            match self.deque.push_public(word) {
-                Ok(()) => parked_here += 1,
-                // A full fixed-capacity deque (practically impossible at
-                // the default 1 << 15 slots) sends the job back through
-                // our own front door, original stamp preserved — a task
-                // is never dropped.
-                Err(PushError(w)) => {
-                    self.shard().injector.push(w, submit_ns);
-                    parked_here += 1;
-                }
-            }
-        }
-        if parked_here > 0 {
-            self.core.notify_shard(self.shard(), parked_here);
-        }
-        Some(JobRef::from_word(first))
+        #[cfg(not(feature = "telemetry"))]
+        let _ = submit_ns;
+        JobRef::from_word(word)
     }
 
-    /// One counted `popTop` against global worker `v`. ABP never reports
+    /// One counted `popTop` against worker `v`. ABP never reports
     /// [`Steal::Duplicate`]; were it to, the miss is counted and
     /// [`ThreadPool::shutdown`]'s `duplicates == 0` check fails.
-    fn try_rob(
-        &self,
-        v: usize,
-        scan_start: Option<u64>,
-        observe_as: Option<usize>,
-    ) -> Option<JobRef> {
+    fn try_rob(&self, v: usize, scan_start: Option<u64>) -> Option<JobRef> {
         self.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
         let result = match self.core.stealers[v].pop_top() {
             Steal::Taken(w) => {
-                self.note_steal(v, StealResult::Hit, scan_start, observe_as);
+                self.note_steal(v, StealResult::Hit, scan_start);
                 return Some(JobRef::from_word(w));
             }
             Steal::Abort => StealResult::Abort,
             Steal::Empty => StealResult::Empty,
             Steal::Duplicate => StealResult::Duplicate,
         };
-        self.note_steal(v, result, scan_start, observe_as);
+        self.note_steal(v, result, scan_start);
         None
     }
 
-    /// One *batched* cross-pool round trip against global worker `v`,
-    /// taken when the batch policy is [`BatchKind::Half`]: claim up to
-    /// `cap` tasks (biased to half the victim's visible backlog by ABP's
-    /// re-validated `cas` chain, refilling a per-worker scratch
-    /// buffer), keep the first to run now, push the
-    /// rest onto our own public deque bottom (a thief's stacks are both
-    /// empty, so INV-PRIV-ORDER holds), and wake `min(rest, sleepers)`
-    /// pool-mates so one migration fans work out locally instead of
-    /// costing one remote round trip per task.
-    ///
-    /// Accounting stays per-task — each claimed task is one attempt and
-    /// one [`StealResult::Hit`] through [`WorkerCtx::note_steal`], so
-    /// the five-way identity, the remote/local locality split, and the
-    /// steal-back hint are all maintained exactly as if the tasks had
-    /// been stolen one by one. Only the round-trip shape is new:
-    /// `batch_steals`/`batched_tasks` record it, outside the identity,
-    /// whenever a trip moved `n ≥ 2` tasks.
-    fn try_rob_batch(&self, v: usize, scan_start: Option<u64>, cap: usize) -> Option<JobRef> {
-        let stats = self.stats();
-        let mut batch = self.batch_buf.borrow_mut();
-        self.core.stealers[v].pop_top_batch_into(cap, &mut batch);
-        debug_assert_eq!(batch.duplicates, 0, "ABP's popTop is exactly-once");
-        if batch.tasks.is_empty() {
-            // Nothing claimed: the trip is one counted Abort or Empty, as
-            // for `try_rob`.
-            stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-            let result = if batch.aborted {
-                StealResult::Abort
-            } else {
-                StealResult::Empty
-            };
-            self.note_steal(v, result, scan_start, None);
-            return None;
-        }
-        let n = batch.tasks.len();
-        stats.steal_attempts.fetch_add(n as u64, Ordering::Relaxed);
-        for _ in 0..n {
-            self.note_steal(v, StealResult::Hit, scan_start, None);
-        }
-        if n >= 2 {
-            stats.batch_steals.fetch_add(1, Ordering::Relaxed);
-            stats.batched_tasks.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        let mut tasks = batch.tasks.drain(..);
-        let first = tasks.next().expect("non-empty batch");
-        let mut parked_here = 0usize;
-        for word in tasks {
-            match self.deque.push_public(word) {
-                Ok(()) => parked_here += 1,
-                // A full fixed-capacity deque (practically impossible at
-                // the default 1 << 15 slots) reroutes the task through
-                // our own front door — unstamped, like internal work —
-                // rather than dropping it.
-                Err(PushError(w)) => {
-                    self.shard().injector.push(w, 0);
-                    parked_here += 1;
-                }
-            }
-        }
-        if parked_here > 0 {
-            self.core.notify_shard(self.shard(), parked_here);
-        }
-        Some(JobRef::from_word(first))
-    }
-
     /// One counted injector poll, when the inject policy says it is due
-    /// and this pool's front door is non-empty.
+    /// and the front door is non-empty.
     fn maybe_poll_injector(&self) -> Option<JobRef> {
-        if self.shard().injector.pending() > 0 && self.engine.borrow_mut().injector_due() {
+        if self.core.injector.pending() > 0 && self.engine.borrow_mut().injector_due() {
             return self.poll_injector();
         }
         None
     }
 
-    /// The target of one cross-pool attempt: the steal-back hint (the
-    /// remote worker that most recently took this pool's work — per the
-    /// localized model it plausibly still holds it) when set, else a
-    /// uniformly random worker outside this pool.
-    fn remote_victim(&self) -> usize {
-        let hint = self.shard().last_thief.load(Ordering::Relaxed);
-        if hint != usize::MAX {
-            return hint;
-        }
-        let n_local = self.pool_end - self.pool_start;
-        let r = self
-            .engine
-            .borrow_mut()
-            .draw_below(self.core.num_procs - n_local);
-        if r < self.pool_start {
-            r
-        } else {
-            r + n_local
-        }
-    }
-
-    /// One full steal scan: backoff (per policy), then the victims in
-    /// the selector's order, then — when the inject policy says the
-    /// poll is due and this pool's injector is non-empty — the
+    /// One full steal scan: backoff (per policy), then all `P − 1`
+    /// other workers in the selector's order, then — when the inject
+    /// policy says the poll is due and the injector is non-empty — the
     /// injector.
-    ///
-    /// On a flat topology (`K == 1`, or the [`PoolConfig::flat_scan`]
-    /// baseline) the scan tries all `P − 1` workers, byte-identically
-    /// to the pre-topology pool. On a hierarchical topology the scan is
-    /// local-first: the `n − 1` pool-mates (the selector runs in
-    /// pool-local coordinates), then this pool's own front door — its
-    /// externally submitted work, which affinity routing keeps at home
-    /// — and only then, with probability [`PoolConfig::cross_steal`],
-    /// one cross-pool attempt at the [`WorkerCtx::remote_victim`].
     ///
     /// Every caller has just failed a pop of its own deque, so this is
     /// where a worker starts to count as hunting (INV-PRIV-REQ).
@@ -1115,62 +669,23 @@ impl WorkerCtx {
         let scan_start = self.tele.as_ref().map(|t| t.now_ns());
         #[cfg(not(feature = "telemetry"))]
         let scan_start = None;
-        let core = &self.core;
-        if core.shards.len() == 1 || core.flat_scan {
-            let n = core.num_procs;
-            if n > 1 {
-                self.engine.borrow_mut().begin_scan(self.index, n);
-                for _ in 0..n - 1 {
-                    let v = self.engine.borrow_mut().next_victim(self.index, n);
-                    if let Some(job) = self.try_rob(v, scan_start, Some(v)) {
-                        return Some(job);
-                    }
-                }
-            }
-            return self.maybe_poll_injector();
-        }
-        let n_local = self.pool_end - self.pool_start;
-        if n_local > 1 {
-            let me = self.local_index();
-            self.engine.borrow_mut().begin_scan(me, n_local);
-            for _ in 0..n_local - 1 {
-                let v_local = self.engine.borrow_mut().next_victim(me, n_local);
-                if let Some(job) =
-                    self.try_rob(self.pool_start + v_local, scan_start, Some(v_local))
-                {
+        let n = self.core.num_procs;
+        if n > 1 {
+            self.engine.borrow_mut().begin_scan(self.index, n);
+            for _ in 0..n - 1 {
+                let v = self.engine.borrow_mut().next_victim(self.index, n);
+                if let Some(job) = self.try_rob(v, scan_start) {
                     return Some(job);
                 }
             }
         }
-        if let Some(job) = self.maybe_poll_injector() {
-            return Some(job);
-        }
-        if self.engine.borrow_mut().coin(core.cross_coin) {
-            let v = self.remote_victim();
-            // `Single` takes the PR-9 single-steal path verbatim; the
-            // batched trip draws no extra randomness, so the policy rng
-            // streams stay aligned either way.
-            let cap = core.batch.cap();
-            let job = if cap > 1 {
-                self.try_rob_batch(v, scan_start, cap)
-            } else {
-                self.try_rob(v, scan_start, None)
-            };
-            if let Some(job) = job {
-                return Some(job);
-            }
-        }
-        None
+        self.maybe_poll_injector()
     }
 
     /// True if any source this worker could take work from looks
     /// non-empty: the shutdown flag (which also demands wakefulness),
-    /// this pool's injector, or the deques this worker's scan covers —
-    /// all other workers on a flat scan, the pool-mates on a
-    /// hierarchical one (a hierarchical thief is woken only by its own
-    /// pool, so it only stays up for its own pool; remote work is its
-    /// owners' responsibility). Our own deque is known empty — the
-    /// caller just failed a pop of both its stacks.
+    /// the injector, or any other worker's deque. Our own deque is known
+    /// empty — the caller just failed a pop of both its stacks.
     ///
     /// Only *public* deques can be seen. A victim that looks empty may
     /// hold private work; the caller stays counted as hunting while it
@@ -1178,18 +693,13 @@ impl WorkerCtx {
     /// ([`WorkerCtx::feed_hunters`]).
     fn work_in_sight(&self) -> bool {
         let core = &self.core;
-        if core.shutdown.load(Ordering::Acquire) || self.shard().injector.pending() > 0 {
+        if core.shutdown.load(Ordering::Acquire) || core.injector.pending() > 0 {
             return true;
         }
-        let (lo, hi) = if core.shards.len() == 1 || core.flat_scan {
-            (0, core.num_procs)
-        } else {
-            (self.pool_start, self.pool_end)
-        };
-        self.core.stealers[lo..hi]
+        core.stealers
             .iter()
             .enumerate()
-            .any(|(j, s)| lo + j != self.index && s.len_hint() > 0)
+            .any(|(j, s)| j != self.index && s.len_hint() > 0)
     }
 
     /// Parks this worker until a producer's wake (`timeout == None`, the
@@ -1209,13 +719,13 @@ impl WorkerCtx {
     /// private entry that its thieves could not see.
     fn park(&self, timeout: Option<Duration>) {
         debug_assert!(self.deque.private().is_empty(), "parking over private work");
-        let sleep = &self.shard().sleep;
+        let sleep = &self.core.sleep;
         let token = sleep.announce();
         if self.work_in_sight() {
             sleep.cancel_announce();
             return;
         }
-        if !sleep.try_commit(self.local_index(), token) {
+        if !sleep.try_commit(self.index, token) {
             // A producer moved the epoch after our re-scan began; its work
             // is visible now — resume hunting.
             return;
@@ -1228,7 +738,7 @@ impl WorkerCtx {
         self.stats().parks.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Park);
-        let outcome = sleep.park_committed(self.local_index(), timeout);
+        let outcome = sleep.park_committed(self.index, timeout);
         self.stats().unparks.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Unpark);
@@ -1262,15 +772,18 @@ fn worker_main(ctx: WorkerCtx) {
             }
             None => {
                 if ctx.core.shutdown.load(Ordering::Acquire) {
-                    // Drain this pool's front door before exiting so
-                    // every accepted external submission still runs
-                    // exactly once. Blocking pops: during shutdown a
-                    // `None` must really mean empty. (A shard whose
-                    // workers all exited already is drained by
+                    // Drain the front door before exiting so every
+                    // accepted external submission still runs exactly
+                    // once, each counted like a polled job. Blocking
+                    // pops: during shutdown a `None` must really mean
+                    // empty. (A straggler that lands after every
+                    // worker's last sweep is run by
                     // `ThreadPool::shutdown` itself.)
-                    if let Some((word, _)) = ctx.shard().injector.pop_blocking(ctx.local_index()) {
+                    if let Some((word, submit_ns)) = ctx.core.injector.pop_blocking(ctx.index) {
+                        ctx.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
+                        let job = ctx.took_injected(word, submit_ns);
                         ctx.note_found_work();
-                        ctx.execute_job(JobRef::from_word(word));
+                        ctx.execute_job(job);
                         continue;
                     }
                     break;
@@ -1320,12 +833,8 @@ fn spawn_workers(
         .into_iter()
         .enumerate()
         .map(|(index, deque)| {
-            let pool = core.pool_of[index] as usize;
             let ctx = WorkerCtx {
                 index,
-                pool,
-                pool_start: core.shards[pool].start,
-                pool_end: core.shards[pool].end,
                 deque: PrivateFirst::new(deque, Arc::clone(&core.attention)),
                 core: Arc::clone(core),
                 engine: RefCell::new(PolicyEngine::new(
@@ -1336,7 +845,6 @@ fn spawn_workers(
                 #[cfg(feature = "telemetry")]
                 woken_at: Cell::new(0),
                 hunting: Cell::new(false),
-                batch_buf: RefCell::new(StolenBatch::empty()),
                 #[cfg(feature = "telemetry")]
                 tele: core.registry.as_ref().map(|r| r.worker(index)),
             };
@@ -1358,11 +866,6 @@ pub struct PoolReport {
     pub stats: PoolStats,
     /// The same counters, per worker.
     pub per_worker: Vec<PoolStats>,
-    /// The same counters, aggregated per pool of the topology
-    /// (`pools` entries; one spanning everything on a flat pool).
-    pub per_pool: Vec<PoolStats>,
-    /// Pool count `K` of the topology the pool ran.
-    pub pools: usize,
     /// Sleep/wake-subsystem counters over the pool's whole life.
     pub sleep: SleepStats,
     /// The final telemetry snapshot, if tracing was configured.
@@ -1389,11 +892,6 @@ impl ThreadPool {
     pub fn with_config(config: PoolConfig) -> Self {
         assert!(config.num_procs >= 1);
         let p = config.num_procs;
-        let k = config.pools;
-        assert!(
-            (1..=p).contains(&k),
-            "pools must satisfy 1 <= pools ({k}) <= num_procs ({p})"
-        );
         #[cfg(feature = "telemetry")]
         let registry = config
             .telemetry
@@ -1403,43 +901,20 @@ impl ThreadPool {
         let traced = registry.is_some();
         #[cfg(not(feature = "telemetry"))]
         let traced = false;
-        // Contiguous near-even blocks: pool j owns [j·P/K, (j+1)·P/K).
-        let shards: Vec<PoolShard> = (0..k)
-            .map(|j| {
-                let start = j * p / k;
-                let end = (j + 1) * p / k;
-                PoolShard {
-                    start,
-                    end,
-                    injector: Injector::new(if config.injector_shards == 0 {
-                        end - start
-                    } else {
-                        config.injector_shards
-                    }),
-                    sleep: Sleep::new(end - start),
-                    last_thief: AtomicUsize::new(usize::MAX),
-                }
-            })
-            .collect();
-        let mut pool_of = vec![0u32; p];
-        for (j, s) in shards.iter().enumerate() {
-            for slot in &mut pool_of[s.start..s.end] {
-                *slot = j as u32;
-            }
-        }
         let (owners, stealers) = (0..p)
             .map(|_| abp_deque::new(config.backend.capacity))
             .unzip();
         let core = Arc::new(SharedCore {
             num_procs: p,
             stealers,
-            shards,
-            pool_of,
-            cross_coin: abp_core::coin_threshold(config.cross_steal),
-            flat_scan: config.flat_scan,
+            injector: Injector::new(if config.injector_shards == 0 {
+                p
+            } else {
+                config.injector_shards
+            }),
+            sleep: Sleep::new(p),
             shutdown: AtomicBool::new(false),
             split: config.policies.split,
-            batch: config.policies.batch,
             stats: (0..p).map(|_| WorkerStats::default()).collect(),
             attention: Arc::new(Attention::new(traced)),
             #[cfg(feature = "telemetry")]
@@ -1546,33 +1021,14 @@ impl ThreadPool {
         self.core.inject_batch(&words);
     }
 
-    /// Jobs submitted from outside and not yet picked up by a worker,
-    /// over every pool's front door.
+    /// Jobs submitted from outside and not yet picked up by a worker.
     pub fn injector_backlog(&self) -> usize {
-        self.core.injector_pending()
+        self.core.injector.pending()
     }
 
-    /// Total shards across every pool's front-door injector.
+    /// Shards of the front-door injector.
     pub fn injector_shards(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.injector.shard_count())
-            .sum()
-    }
-
-    /// Pool count `K` of the topology ([`PoolConfig::pools`]).
-    pub fn pool_count(&self) -> usize {
-        self.core.shards.len()
-    }
-
-    /// Aggregate statistics per pool of the topology.
-    pub fn per_pool_stats(&self) -> Vec<PoolStats> {
-        self.core
-            .shards
-            .iter()
-            .map(|s| PoolStats::aggregate(&self.core.stats[s.start..s.end]))
-            .collect()
+        self.core.injector.shard_count()
     }
 
     /// Aggregate scheduler statistics since pool creation.
@@ -1585,29 +1041,22 @@ impl ThreadPool {
         self.core.stats.iter().map(|w| w.snapshot()).collect()
     }
 
-    /// Workers currently asleep across every pool (a live gauge: exact
-    /// at quiescence).
+    /// Workers currently asleep (a live gauge: exact at quiescence).
     pub fn sleeping_workers(&self) -> usize {
-        self.core.shards.iter().map(|s| s.sleep.sleepers()).sum()
+        self.core.sleep.sleepers()
     }
 
     /// The adaptive splitter's idle gauge: committed-plus-announcing
-    /// sleepers from one `Relaxed` load per pool of the sleep
-    /// subsystem's packed eventcount word. Cheap enough to poll from
-    /// hot loops; may lag in-flight transitions by a scan (see
-    /// [`crate::sleep`]).
+    /// sleepers from one `Relaxed` load of the sleep subsystem's packed
+    /// eventcount word. Cheap enough to poll from hot loops; may lag
+    /// in-flight transitions by a scan (see [`crate::sleep`]).
     pub fn sleepers_hint(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.sleep.sleepers_hint())
-            .sum()
+        self.core.sleep.sleepers_hint()
     }
 
-    /// Live sleep/wake-subsystem counters since pool creation, merged
-    /// over every pool's sleep subsystem.
+    /// Live sleep/wake-subsystem counters since pool creation.
     pub fn sleep_stats(&self) -> SleepStats {
-        self.core.sleep_stats()
+        self.core.sleep.stats()
     }
 
     /// A live telemetry snapshot, if tracing was configured. Workers keep
@@ -1615,15 +1064,19 @@ impl ThreadPool {
     /// be exact, stop the pool with [`ThreadPool::shutdown`] instead.
     #[cfg(feature = "telemetry")]
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.core.registry.as_ref().map(|r| {
-            let mut snap = r.snapshot();
-            self.core.stamp_injectors(&mut snap);
-            self.core.stamp_sleep(&mut snap);
-            self.core.stamp_par(&mut snap);
-            self.core.stamp_topology(&mut snap);
-            self.core.stamp_batch(&mut snap);
-            snap
-        })
+        self.core.telemetry_snapshot()
+    }
+
+    /// Raises the shutdown flag, wakes every worker and joins them.
+    /// Flag first, wake second: `notify_shutdown`'s epoch bump makes the
+    /// flag visible to any worker racing into a park (its commit fails or
+    /// its wake arrives), so no worker can sleep through shutdown.
+    fn stop_workers(&mut self) {
+        self.core.shutdown.store(true, Ordering::Release);
+        self.core.sleep.notify_shutdown();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 
     /// Stops the pool (joining every worker) and returns the final,
@@ -1632,30 +1085,25 @@ impl ThreadPool {
     /// trace, the per-worker counters, and the aggregate are mutually
     /// consistent.
     pub fn shutdown(mut self) -> PoolReport {
-        // Flag first, wake second: `notify_shutdown`'s epoch bump makes
-        // the flag visible to any worker racing into a park (its commit
-        // fails or its wake arrives), so no worker can sleep through
-        // shutdown.
-        self.core.shutdown.store(true, Ordering::Release);
-        for shard in &self.core.shards {
-            shard.sleep.notify_shutdown();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        // Workers drain their own pool's injector before exiting, but a
-        // submission racing the shutdown flag could in principle land
-        // after the last worker's final sweep. Run (not leak) any
-        // stragglers here — every accepted job executes exactly once.
-        // Workers are gone, so this thread is the only consumer.
-        for shard in &self.core.shards {
-            while let Some((word, _)) = shard.injector.pop_blocking(0) {
-                // SAFETY: the word came out of the injector exactly once,
-                // so this is the job's single execution.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                    JobRef::from_word(word).execute()
-                }));
-            }
+        self.stop_workers();
+        // Workers drain the injector before exiting, but a submission
+        // racing the shutdown flag could in principle land after the last
+        // worker's final sweep. Run (not leak) any stragglers here —
+        // every accepted job executes exactly once. Workers are gone, so
+        // this thread is the only consumer, and worker 0's stats slot,
+        // which no worker writes any more, counts each straggler as one
+        // attempt, one inject and one job (untraced: this thread has no
+        // ring), so `injects` still equals the jobs ever submitted.
+        let slot = &self.core.stats[0];
+        while let Some((word, _)) = self.core.injector.pop_blocking(0) {
+            slot.steal_attempts.fetch_add(1, Ordering::Relaxed);
+            slot.injects.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: the word came out of the injector exactly once,
+            // so this is the job's single execution.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+                JobRef::from_word(word).execute()
+            }));
+            WorkerStats::bump(&slot.jobs);
         }
         let stats = self.stats();
         debug_assert!(
@@ -1676,34 +1124,7 @@ impl ThreadPool {
             stats.parks,
             stats.unparks
         );
-        // The locality split rides outside the identity but must stay a
-        // sub-count of hits, and a flat topology must show the
-        // structural zero (both checked in release builds too — they
-        // pin the `steals = local + remote` decomposition).
-        assert!(
-            stats.locality_consistent(),
-            "remote steals exceed steals: {stats:?}"
-        );
-        assert!(
-            self.core.shards.len() > 1 || stats.remote_attempts == 0,
-            "flat pool recorded remote attempts: {}",
-            stats.remote_attempts
-        );
-        // Batching rides outside the identity the same way the locality
-        // split does: every batched task is already a counted steal, a
-        // batch moves at least two of them, and under the single-steal
-        // default no batch can form at all (structural zeros).
-        assert!(
-            stats.batch_consistent(),
-            "batch accounting inconsistent: {stats:?}"
-        );
-        assert!(
-            self.core.batch.is_batched() || (stats.batch_steals == 0 && stats.batched_tasks == 0),
-            "single-steal pool recorded steal batches: batch_steals = {}, batched_tasks = {}",
-            stats.batch_steals,
-            stats.batched_tasks
-        );
-        let sleep = self.core.sleep_stats();
+        let sleep = self.core.sleep.stats();
         // Every hit-after-unpark is credited to exactly one delivered
         // wake.
         debug_assert!(
@@ -1713,31 +1134,15 @@ impl ThreadPool {
         PoolReport {
             stats,
             per_worker: self.per_worker_stats(),
-            per_pool: self.per_pool_stats(),
-            pools: self.core.shards.len(),
             sleep,
             #[cfg(feature = "telemetry")]
-            telemetry: self.core.registry.as_ref().map(|r| {
-                let mut snap = r.snapshot();
-                self.core.stamp_injectors(&mut snap);
-                self.core.stamp_sleep(&mut snap);
-                self.core.stamp_par(&mut snap);
-                self.core.stamp_topology(&mut snap);
-                self.core.stamp_batch(&mut snap);
-                snap
-            }),
+            telemetry: self.core.telemetry_snapshot(),
         }
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        for shard in &self.core.shards {
-            shard.sleep.notify_shutdown();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.stop_workers();
     }
 }

@@ -17,20 +17,18 @@
 //! the work-stealing bounds.
 //!
 //! **INV-PRIV-ORDER.** Every private entry is newer than every public
-//! one. Pushes only ever add the newest entry, to the private side;
-//! exposure moves the *oldest* private entries to the public bottom in
-//! age order; and the one other writer of the public bottom
-//! ([`PrivateFirst::push_public`], the scheduler's "park the rest of a
-//! batch") runs only while the private side is empty (asserted in debug
-//! builds). Hence [`PrivateFirst::pop`] — private first, then
-//! `popBottom` — is strict LIFO over the union, and thieves see the
-//! globally oldest exposed entries first, exactly as on a bare deque.
+//! one. Pushes only ever add the newest entry, to the private side, and
+//! exposure — the only writer of the public bottom — moves the *oldest*
+//! private entries there in age order. Hence [`PrivateFirst::pop`] —
+//! private first, then `popBottom` — is strict LIFO over the union, and
+//! thieves see the globally oldest exposed entries first, exactly as on
+//! a bare deque.
 //!
 //! INV-PRIV-REQ — who counts as hunting, and how an owner that sees a
 //! hunter answers — is the pool's half of the protocol; see
 //! `WorkerCtx::feed_hunters` in [`crate::pool`].
 
-use abp_deque::{PushError, Worker};
+use abp_deque::Worker;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -254,19 +252,6 @@ impl PrivateFirst {
     #[inline]
     pub fn pop(&self) -> Option<usize> {
         self.private.pop().or_else(|| self.public.pop_bottom())
-    }
-
-    /// `pushBottom` straight onto the public deque, for work that should
-    /// be stealable at once (the rest of a stolen or polled batch).
-    /// Only legal while the private side is empty — anything else would
-    /// put a newer entry under older ones.
-    pub fn push_public(&self, word: usize) -> Result<(), PushError<usize>> {
-        debug_assert!(
-            self.private.is_empty(),
-            "INV-PRIV-ORDER: public push under {} private entries",
-            self.private.len()
-        );
-        self.public.push_bottom(word)
     }
 
     /// Moves the oldest `n` private entries (all of them if fewer),

@@ -12,21 +12,10 @@
 //! on a miss) and
 //! it holds for each worker and for the aggregate (checked in the tests
 //! and relied on by the telemetry integration tests, which reconcile
-//! these counters against the event trace).
-//!
-//! Under the federated topology, `remote_steals` additionally splits
-//! `steals` by locality (`steals == local + remote`) without entering
-//! the identity: it counts hits whose victim lives in a different pool
-//! than the thief, and is structurally zero on a flat single-pool
-//! configuration (asserted at shutdown).
-//!
-//! Batched stealing (the `BatchKind::Half` policy) adds a second
-//! outside-the-identity split: a batched grab of `n` tasks records `n`
-//! attempts and `n` steals — so the five-way identity and the locality
-//! split are untouched — plus one `batch_steals` and `n`
-//! `batched_tasks` alongside ([`PoolStats::batch_consistent`]). Under
-//! the single-steal default both are structurally zero (asserted at
-//! shutdown).
+//! these counters against the event trace). Every job taken from the
+//! injector — polled, drained by an exiting worker, or run as a
+//! shutdown straggler — is one `inject`, so at shutdown `injects`
+//! equals the jobs ever submitted.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,19 +41,10 @@ pub struct WorkerStats {
     pub steals: AtomicU64,
     /// Steal attempts that lost a `cas` race.
     pub aborts: AtomicU64,
-    /// Successful steals whose victim belonged to a different pool than
-    /// this worker (sub-count of `steals`; structurally zero when the
-    /// topology is a single flat pool).
-    pub remote_steals: AtomicU64,
-    /// Completed steal attempts (any outcome) whose victim belonged to
-    /// a different pool — the scan policy's own property, independent of
-    /// whether the victim happened to hold work. Sub-count of
-    /// `steal_attempts`; structurally zero on a flat topology.
-    pub remote_attempts: AtomicU64,
     /// Steal attempts that found the victim's deque empty, plus
     /// injector polls that found the injector empty (or contended).
     pub empties: AtomicU64,
-    /// Counted injector polls that grabbed an externally submitted job.
+    /// Externally submitted jobs taken from the injector.
     pub injects: AtomicU64,
     /// Steal attempts that reached a task another worker had already
     /// extracted (a multiplicity-relaxed deque's lost once-guard).
@@ -79,15 +59,6 @@ pub struct WorkerStats {
     /// one unpark (wake or timeout), so `parks == unparks` at shutdown —
     /// the sleep-subsystem analogue of `attempts_balance`.
     pub unparks: AtomicU64,
-    /// Multi-task batched grabs this worker performed (a `steal_batch`
-    /// that returned n >= 2 tasks counts one batch). Rides outside the
-    /// attempts identity — each task in the batch is still recorded as
-    /// one attempt and one steal. Structurally zero under the
-    /// single-steal default policy (asserted at shutdown).
-    pub batch_steals: AtomicU64,
-    /// Tasks obtained through those batched grabs (sub-count of
-    /// `steals`; at least `2 * batch_steals` by definition of a batch).
-    pub batched_tasks: AtomicU64,
     /// Forks taken by the data-parallel adaptive splitter (each is one
     /// extra `join` operand pushed to this worker's deque).
     pub par_splits: AtomicU64,
@@ -112,18 +83,15 @@ impl WorkerStats {
             steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
-            remote_steals: self.remote_steals.load(Ordering::Relaxed),
-            remote_attempts: self.remote_attempts.load(Ordering::Relaxed),
             empties: self.empties.load(Ordering::Relaxed),
             injects: self.injects.load(Ordering::Relaxed),
             duplicates: self.duplicates.load(Ordering::Relaxed),
             yields: self.yields.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             unparks: self.unparks.load(Ordering::Relaxed),
-            batch_steals: self.batch_steals.load(Ordering::Relaxed),
-            batched_tasks: self.batched_tasks.load(Ordering::Relaxed),
             par_splits: self.par_splits.load(Ordering::Relaxed),
             par_seq: self.par_seq.load(Ordering::Relaxed),
+            ..PoolStats::default()
         }
     }
 }
@@ -136,11 +104,11 @@ pub struct PoolStats {
     pub steal_attempts: u64,
     pub steals: u64,
     pub aborts: u64,
-    /// Hits on victims outside the thief's pool (`steals = local +
-    /// remote`; outside the attempts identity).
+    /// Always 0: the pool is one flat set of workers, so no steal
+    /// crosses a pool boundary. Kept so code that builds or reads the
+    /// struct field by field keeps compiling.
     pub remote_steals: u64,
-    /// Completed attempts on victims outside the thief's pool
-    /// (sub-count of `steal_attempts`, outside the identity).
+    /// Always 0, like `remote_steals`.
     pub remote_attempts: u64,
     pub empties: u64,
     pub injects: u64,
@@ -148,10 +116,10 @@ pub struct PoolStats {
     pub yields: u64,
     pub parks: u64,
     pub unparks: u64,
-    /// Multi-task batched grabs (outside the attempts identity; zero
-    /// under the single-steal default).
+    /// Always 0: every steal and injector poll moves one job. Kept for
+    /// the same reason as `remote_steals`.
     pub batch_steals: u64,
-    /// Tasks obtained via batched grabs (sub-count of `steals`).
+    /// Always 0, like `batch_steals`.
     pub batched_tasks: u64,
     pub par_splits: u64,
     pub par_seq: u64,
@@ -166,16 +134,12 @@ impl PoolStats {
             s.steal_attempts += w.steal_attempts.load(Ordering::Relaxed);
             s.steals += w.steals.load(Ordering::Relaxed);
             s.aborts += w.aborts.load(Ordering::Relaxed);
-            s.remote_steals += w.remote_steals.load(Ordering::Relaxed);
-            s.remote_attempts += w.remote_attempts.load(Ordering::Relaxed);
             s.empties += w.empties.load(Ordering::Relaxed);
             s.injects += w.injects.load(Ordering::Relaxed);
             s.duplicates += w.duplicates.load(Ordering::Relaxed);
             s.yields += w.yields.load(Ordering::Relaxed);
             s.parks += w.parks.load(Ordering::Relaxed);
             s.unparks += w.unparks.load(Ordering::Relaxed);
-            s.batch_steals += w.batch_steals.load(Ordering::Relaxed);
-            s.batched_tasks += w.batched_tasks.load(Ordering::Relaxed);
             s.par_splits += w.par_splits.load(Ordering::Relaxed);
             s.par_seq += w.par_seq.load(Ordering::Relaxed);
         }
@@ -197,47 +161,6 @@ impl PoolStats {
     pub fn attempts_balance(&self) -> bool {
         self.steal_attempts
             == self.steals + self.aborts + self.empties + self.injects + self.duplicates
-    }
-
-    /// Steals whose victim shared the thief's pool.
-    pub fn local_steals(&self) -> u64 {
-        self.steals - self.remote_steals
-    }
-
-    /// True iff the locality split is consistent: each remote counter is
-    /// a sub-count of its total, and a remote hit is a remote attempt.
-    pub fn locality_consistent(&self) -> bool {
-        self.remote_steals <= self.steals
-            && self.remote_steals <= self.remote_attempts
-            && self.remote_attempts <= self.steal_attempts
-    }
-
-    /// Fraction of successful steals that crossed a pool boundary.
-    pub fn remote_steal_fraction(&self) -> f64 {
-        if self.steals == 0 {
-            0.0
-        } else {
-            self.remote_steals as f64 / self.steals as f64
-        }
-    }
-
-    /// Fraction of completed attempts that targeted another pool — the
-    /// scan policy's property, robust even when victims are empty.
-    pub fn remote_attempt_fraction(&self) -> f64 {
-        if self.steal_attempts == 0 {
-            0.0
-        } else {
-            self.remote_attempts as f64 / self.steal_attempts as f64
-        }
-    }
-
-    /// True iff the batch accounting is consistent: every batched task
-    /// is also a counted steal (the batch counters ride *outside* the
-    /// attempts identity), and every batch grabbed at least two tasks.
-    /// Under the single-steal default both counters are structurally
-    /// zero and this holds trivially.
-    pub fn batch_consistent(&self) -> bool {
-        self.batched_tasks <= self.steals && self.batched_tasks >= 2 * self.batch_steals
     }
 
     /// True iff every park this snapshot saw also returned. Holds at any
@@ -332,96 +255,6 @@ mod tests {
             ..PoolStats::default()
         }
         .attempts_balance());
-    }
-
-    #[test]
-    fn locality_split_rides_outside_the_identity() {
-        // remote_steals sub-counts steals without entering the attempts
-        // identity: the same five-way balance holds with or without it.
-        let s = PoolStats {
-            steal_attempts: 10,
-            steals: 4,
-            remote_steals: 3,
-            remote_attempts: 6,
-            aborts: 1,
-            empties: 5,
-            ..PoolStats::default()
-        };
-        assert!(s.attempts_balance());
-        assert!(s.locality_consistent());
-        assert_eq!(s.local_steals(), 1);
-        assert!((s.remote_steal_fraction() - 0.75).abs() < 1e-12);
-        assert!((s.remote_attempt_fraction() - 0.6).abs() < 1e-12);
-        assert!(!PoolStats {
-            steals: 1,
-            remote_steals: 2,
-            remote_attempts: 2,
-            steal_attempts: 2,
-            ..PoolStats::default()
-        }
-        .locality_consistent());
-        // A remote hit must also have been counted as a remote attempt.
-        assert!(!PoolStats {
-            steal_attempts: 5,
-            steals: 2,
-            remote_steals: 1,
-            remote_attempts: 0,
-            ..PoolStats::default()
-        }
-        .locality_consistent());
-        assert_eq!(PoolStats::default().remote_steal_fraction(), 0.0);
-        assert_eq!(PoolStats::default().remote_attempt_fraction(), 0.0);
-        // Aggregation carries the split.
-        let ws = [WorkerStats::default(), WorkerStats::default()];
-        ws[0].steals.store(2, Ordering::Relaxed);
-        ws[0].remote_steals.store(1, Ordering::Relaxed);
-        ws[1].steals.store(3, Ordering::Relaxed);
-        let agg = PoolStats::aggregate(&ws);
-        assert_eq!(agg.remote_steals, 1);
-        assert_eq!(agg.local_steals(), 4);
-    }
-
-    #[test]
-    fn batch_counters_ride_outside_the_identity() {
-        // A batch of 3 records 3 attempts + 3 steals (identity intact)
-        // plus one batch_steals and 3 batched_tasks alongside.
-        let s = PoolStats {
-            steal_attempts: 10,
-            steals: 5,
-            empties: 5,
-            batch_steals: 1,
-            batched_tasks: 3,
-            ..PoolStats::default()
-        };
-        assert!(s.attempts_balance());
-        assert!(s.batch_consistent());
-        // More batched tasks than steals: inconsistent.
-        assert!(!PoolStats {
-            steals: 2,
-            batch_steals: 1,
-            batched_tasks: 3,
-            ..PoolStats::default()
-        }
-        .batch_consistent());
-        // A "batch" of one task is not a batch.
-        assert!(!PoolStats {
-            steals: 5,
-            batch_steals: 1,
-            batched_tasks: 1,
-            ..PoolStats::default()
-        }
-        .batch_consistent());
-        // Structural zero under the single-steal default.
-        assert!(PoolStats::default().batch_consistent());
-        // Aggregation carries the batch counters.
-        let ws = [WorkerStats::default(), WorkerStats::default()];
-        ws[0].batch_steals.store(2, Ordering::Relaxed);
-        ws[0].batched_tasks.store(5, Ordering::Relaxed);
-        ws[1].batched_tasks.store(2, Ordering::Relaxed);
-        ws[1].batch_steals.store(1, Ordering::Relaxed);
-        let agg = PoolStats::aggregate(&ws);
-        assert_eq!(agg.batch_steals, 3);
-        assert_eq!(agg.batched_tasks, 7);
     }
 
     #[test]

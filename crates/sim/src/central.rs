@@ -210,11 +210,6 @@ pub fn run_central(
         successful_steals: 0,
         steal_aborts: 0,
         steal_empties: 0,
-        pools: 1,
-        remote_steals: 0,
-        remote_attempts: 0,
-        batch_steals: 0,
-        batched_tasks: 0,
         throws: 0,
         yields: 0,
         policy: "central-queue".to_string(),

@@ -28,8 +28,8 @@ pub mod trace;
 pub mod ws;
 
 pub use abp_core::{
-    cache_extra_miss_bound, rooted_tree_steal_bound, BackoffKind, BatchKind, CacheBoundCheck,
-    IdleKind, PolicySet, StealBoundCheck, StealTally, VictimKind, CACHE_KAPPA,
+    cache_extra_miss_bound, rooted_tree_steal_bound, BackoffKind, CacheBoundCheck, IdleKind,
+    PolicySet, StealBoundCheck, StealTally, VictimKind, CACHE_KAPPA,
 };
 pub use cache::{CacheConfig, CacheStats, LruCache};
 pub use central::{run_central, CentralConfig};

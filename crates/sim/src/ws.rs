@@ -90,21 +90,6 @@ pub struct WsConfig {
     /// misses, and deviations per executed node (`None` = no model, and
     /// all cache counters stay structurally zero).
     pub cache: Option<CacheConfig>,
-    /// Pool count `K` of the topology: processes partition into `K`
-    /// contiguous pools and thieves scan their own pool first, crossing
-    /// only with probability [`WsConfig::cross_steal`] (the federation
-    /// model the `hood` runtime mirrors). `1` (the default) is the flat
-    /// paper scheduler, bit-identical to the pre-topology simulator.
-    pub pools: usize,
-    /// Probability that a hierarchical victim draw goes *outside* the
-    /// thief's pool. Only consulted when `pools > 1` and `flat_scan` is
-    /// off; a thief alone in its pool always crosses.
-    pub cross_steal: f64,
-    /// Keep `pools > 1` accounting labels but scan all `P − 1` victims
-    /// uniformly, like the flat scheduler — the control arm that
-    /// isolates the victim-selection axis (remote-steal fractions stay
-    /// at their topology-blind baseline).
-    pub flat_scan: bool,
 }
 
 impl Default for WsConfig {
@@ -121,9 +106,6 @@ impl Default for WsConfig {
             track_phases: false,
             trace: false,
             cache: None,
-            pools: 1,
-            cross_steal: 0.125,
-            flat_scan: false,
         }
     }
 }
@@ -195,24 +177,6 @@ impl WsConfig {
         self
     }
 
-    /// Replaces the pool count of the topology.
-    pub fn with_pools(mut self, pools: usize) -> Self {
-        self.pools = pools;
-        self
-    }
-
-    /// Replaces the cross-pool steal probability.
-    pub fn with_cross_steal(mut self, cross_steal: f64) -> Self {
-        self.cross_steal = cross_steal;
-        self
-    }
-
-    /// Enables/disables the topology-blind flat-scan control arm.
-    pub fn with_flat_scan(mut self, on: bool) -> Self {
-        self.flat_scan = on;
-        self
-    }
-
     /// The policy identity stamped on reports and telemetry:
     /// `"victim+backoff+idle/yield-policy"`.
     pub fn policy_label(&self) -> String {
@@ -247,16 +211,8 @@ enum Phase {
     Yielding,
     /// About to pick a victim.
     PickingVictim,
-    /// `popTop` on the victim's deque in progress. `observe_as` is the
-    /// coordinate the policy engine sees the outcome under — the global
-    /// index on a flat scan, the pool-local index on a hierarchical one,
-    /// and `None` for cross-pool attempts, which bypass the victim
-    /// selector entirely (its state lives in pool-local coordinates).
-    Stealing {
-        victim: usize,
-        observe_as: Option<usize>,
-        op: AnyOp,
-    },
+    /// `popTop` on the victim's deque in progress.
+    Stealing { victim: usize, op: AnyOp },
     /// Spinning in a contention backoff: `left` more milestone-free
     /// instructions, then yield (if `then_yield`) or attempt directly.
     Backing { left: u64, then_yield: bool },
@@ -312,24 +268,9 @@ pub struct WorkStealer<'a> {
     /// Whether the configured policy set keeps Lemma 7's milestone
     /// accounting valid (no spinning backoff, no parking).
     milestone_safe: bool,
-    // Topology: pool of each process, [start, end) of each pool, the
-    // pre-scaled cross-steal coin, and per-pool steal-back hints (the
-    // global index of the last cross-pool thief that robbed the pool;
-    // `usize::MAX` = none).
-    pool_of: Vec<u32>,
-    pool_bounds: Vec<(usize, usize)>,
-    cross_coin: u64,
-    last_thief: Vec<usize>,
-    /// Ceiling on tasks per cross-pool round trip, from the policy set's
-    /// batch axis (`1` = the single-steal default, no batching anywhere).
-    batch_cap: usize,
     // measurement
     executed_count: u64,
     tally: StealTally,
-    remote_attempts: u64,
-    /// Per-pool attempt accounting (thief's pool) — each must balance
-    /// on its own, and they sum to `tally`.
-    pool_tallies: Vec<StealTally>,
     throws: u64,
     yields: u64,
     structural_violations: u64,
@@ -355,29 +296,6 @@ impl<'a> WorkStealer<'a> {
     /// Prepares a run of `dag` on `p` processes.
     pub fn new(dag: &'a Dag, p: usize, config: WsConfig) -> Self {
         assert!(p >= 1);
-        let k = config.pools;
-        assert!(
-            (1..=p).contains(&k),
-            "pools must satisfy 1 <= pools ({k}) <= procs ({p})"
-        );
-        // A migrated batch lands at the *bottom* of the thief's deque,
-        // which breaks the structural lemma's premise that every deque
-        // reads as a designated-parent chain top-to-bottom — the checker
-        // would report violations that are batching artifacts, not bugs.
-        assert!(
-            !(config.check_structural && config.policies.batch.is_batched()),
-            "check_structural is incompatible with batched stealing: \
-             migrated batches land at the thief's deque bottom, outside \
-             Lemma 3's deque-ordering premise"
-        );
-        let pool_bounds: Vec<(usize, usize)> =
-            (0..k).map(|j| (j * p / k, (j + 1) * p / k)).collect();
-        let mut pool_of = vec![0u32; p];
-        for (j, &(start, end)) in pool_bounds.iter().enumerate() {
-            for slot in &mut pool_of[start..end] {
-                *slot = j as u32;
-            }
-        }
         let mut seed_rng = DetRng::new(config.seed);
         let procs = (0..p)
             .map(|i| Proc {
@@ -415,15 +333,8 @@ impl<'a> WorkStealer<'a> {
             potential,
             done: false,
             milestone_safe: config.policies.preserves_milestones(),
-            pool_of,
-            pool_bounds,
-            cross_coin: abp_core::coin_threshold(config.cross_steal),
-            last_thief: vec![usize::MAX; k],
-            batch_cap: config.policies.batch.cap(),
             executed_count: 0,
             tally: StealTally::default(),
-            remote_attempts: 0,
-            pool_tallies: vec![StealTally::default(); k],
             throws: 0,
             yields: 0,
             structural_violations: 0,
@@ -612,59 +523,6 @@ impl<'a> WorkStealer<'a> {
                 self.tally.aborts
             );
         }
-        // Topology accounting: the locality split is a sub-count of hits
-        // (outside the identity), flat runs carry its structural zero,
-        // each pool's tally balances on its own, and the pools sum to
-        // the global tally.
-        assert!(
-            self.tally.locality_consistent(),
-            "remote hits exceed hits: {:?}",
-            self.tally
-        );
-        assert!(
-            self.pool_bounds.len() > 1 || self.tally.remote_hits == 0,
-            "flat run recorded remote steals: {}",
-            self.tally.remote_hits
-        );
-        // The batch split is a second outside-the-identity axis: bounded
-        // by hits, at least two tasks per batch, and *exactly* zero
-        // under the single-steal default.
-        assert!(
-            self.tally.batch_consistent(),
-            "batch accounting inconsistent: {:?}",
-            self.tally
-        );
-        assert!(
-            self.batch_cap > 1 || (self.tally.batch_steals == 0 && self.tally.batched_tasks == 0),
-            "single-steal run recorded batches: {:?}",
-            self.tally
-        );
-        let mut sum = StealTally::default();
-        for (j, t) in self.pool_tallies.iter().enumerate() {
-            assert!(t.balanced(), "pool {j} tally unbalanced: {t:?}");
-            sum.merge(t);
-        }
-        assert_eq!(
-            (
-                sum.attempts,
-                sum.hits,
-                sum.aborts,
-                sum.empties,
-                sum.remote_hits,
-                sum.batch_steals,
-                sum.batched_tasks
-            ),
-            (
-                self.tally.attempts,
-                self.tally.hits,
-                self.tally.aborts,
-                self.tally.empties,
-                self.tally.remote_hits,
-                self.tally.batch_steals,
-                self.tally.batched_tasks
-            ),
-            "per-pool tallies do not sum to the global tally"
-        );
         // Structural zero: with the cache model disabled, no code path
         // may touch the cache counters — telemetry goldens rely on it.
         if self.config.cache.is_none() {
@@ -695,11 +553,6 @@ impl<'a> WorkStealer<'a> {
             successful_steals: self.tally.hits,
             steal_aborts: self.tally.aborts,
             steal_empties: self.tally.empties,
-            pools: self.pool_bounds.len(),
-            remote_steals: self.tally.remote_hits,
-            remote_attempts: self.remote_attempts,
-            batch_steals: self.tally.batch_steals,
-            batched_tasks: self.tally.batched_tasks,
             throws: self.throws,
             yields: self.yields,
             policy: self.config.policy_label(),
@@ -773,16 +626,12 @@ impl<'a> WorkStealer<'a> {
                 Some(Phase::PickingVictim)
             }
             Phase::PickingVictim => Some(self.pick_and_steal(i)),
-            Phase::Stealing {
-                victim,
-                observe_as,
-                op,
-            } => {
-                let (victim, observe_as) = (*victim, *observe_as);
+            Phase::Stealing { victim, op } => {
+                let victim = *victim;
                 match step_op(&mut self.deques, i, victim, op) {
                     OpDone::NotDone => None,
                     OpDone::PopTop(result, aborted) => {
-                        self.finish_steal(i, victim, observe_as, result, aborted);
+                        self.finish_steal(i, victim, result, aborted);
                         Some(Phase::Loop)
                     }
                     _ => unreachable!(),
@@ -854,57 +703,14 @@ impl<'a> WorkStealer<'a> {
     }
 
     /// Picks the next victim (one scan of one attempt — the thief yields
-    /// between attempts) and starts the `popTop`.
-    ///
-    /// On a flat run (`pools == 1`, or the flat-scan control arm) the
-    /// engine draws over all `P − 1` others, consuming exactly the
-    /// pre-topology rng stream. On a hierarchical run the engine runs in
-    /// pool-local coordinates over the thief's own pool; a cross-steal
-    /// coin (or being alone in the pool) sends the attempt outside,
-    /// where the pool's steal-back hint is tried first and the victim
-    /// selector is bypassed (`observe_as: None`).
+    /// between attempts) over all `P − 1` others and starts the `popTop`.
     fn pick_and_steal(&mut self, i: usize) -> Phase {
         let p = self.procs.len();
-        if self.pool_bounds.len() == 1 || self.config.flat_scan {
-            let eng = &mut self.procs[i].engine;
-            eng.begin_scan(i, p);
-            let victim = eng.next_victim(i, p);
-            return Phase::Stealing {
-                victim,
-                observe_as: Some(victim),
-                op: self.new_op(LockKind::PopTop),
-            };
-        }
-        let my_pool = self.pool_of[i] as usize;
-        let (start, end) = self.pool_bounds[my_pool];
-        let n_local = end - start;
         let eng = &mut self.procs[i].engine;
-        if n_local > 1 && !eng.coin(self.cross_coin) {
-            let me_local = i - start;
-            eng.begin_scan(me_local, n_local);
-            let v_local = eng.next_victim(me_local, n_local);
-            return Phase::Stealing {
-                victim: start + v_local,
-                observe_as: Some(v_local),
-                op: self.new_op(LockKind::PopTop),
-            };
-        }
-        // Cross-pool: steal back from the last thief on record to have
-        // robbed this pool, else draw uniformly over the other pools.
-        let hint = self.last_thief[my_pool];
-        let victim = if hint != usize::MAX {
-            hint
-        } else {
-            let r = eng.draw_below(p - n_local);
-            if r < start {
-                r
-            } else {
-                r + n_local
-            }
-        };
+        eng.begin_scan(i, p);
+        let victim = eng.next_victim(i, p);
         Phase::Stealing {
             victim,
-            observe_as: None,
             op: self.new_op(LockKind::PopTop),
         }
     }
@@ -932,18 +738,10 @@ impl<'a> WorkStealer<'a> {
                     // The deviation signal doubles as the locality hint:
                     // the enabling processor plausibly still holds the
                     // rest of this subcomputation, so the `LastEnabler`
-                    // victim policy targets it on the next scan — in the
-                    // coordinate space that scan will run in. Cross-pool
-                    // enablers are unreachable from a local scan and are
-                    // dropped. `note_enabler` consumes no randomness, so
-                    // other victim policies stay bit-identical.
-                    let e = enabler as usize;
-                    if self.pool_bounds.len() == 1 || self.config.flat_scan {
-                        self.procs[i].engine.note_enabler(e);
-                    } else if self.pool_of[e] == self.pool_of[i] {
-                        let start = self.pool_bounds[self.pool_of[i] as usize].0;
-                        self.procs[i].engine.note_enabler(e - start);
-                    }
+                    // victim policy targets it on the next scan.
+                    // `note_enabler` consumes no randomness, so other
+                    // victim policies stay bit-identical.
+                    self.procs[i].engine.note_enabler(enabler as usize);
                 }
             }
             let frame_hit = self.caches[i].access(cache_cfg.frame_line(self.dag.thread_of(u)));
@@ -1027,14 +825,7 @@ impl<'a> WorkStealer<'a> {
 
     /// Accounts for a completed `popTop` by process `i` on `victim`'s
     /// deque (a milestone) and takes the stolen node, if any.
-    fn finish_steal(
-        &mut self,
-        i: usize,
-        victim: usize,
-        observe_as: Option<usize>,
-        result: Option<u64>,
-        aborted: bool,
-    ) {
+    fn finish_steal(&mut self, i: usize, victim: usize, result: Option<u64>, aborted: bool) {
         let res = if result.is_some() {
             StealResult::Hit
         } else if aborted {
@@ -1042,22 +833,7 @@ impl<'a> WorkStealer<'a> {
         } else {
             StealResult::Empty
         };
-        let my_pool = self.pool_of[i] as usize;
-        let victim_pool = self.pool_of[victim] as usize;
-        let remote = victim_pool != my_pool;
-        self.tally.record_located(res, remote);
-        self.pool_tallies[my_pool].record_located(res, remote);
-        if remote {
-            self.remote_attempts += 1;
-            if result.is_some() {
-                // The victim's pool remembers its robber, so its
-                // members can steal their work back.
-                self.last_thief[victim_pool] = i;
-            } else if self.last_thief[my_pool] == victim {
-                // A dry steal-back hint is stale: retire it.
-                self.last_thief[my_pool] = usize::MAX;
-            }
-        }
+        self.tally.record(res);
         self.milestone(i, true);
         if self.config.trace {
             self.round_attempted[i] = true;
@@ -1078,93 +854,15 @@ impl<'a> WorkStealer<'a> {
                 },
             });
         }
-        if let Some(seen) = observe_as {
-            self.procs[i].engine.observe(seen, res);
-        }
+        self.procs[i].engine.observe(victim, res);
         if let Some(v) = result {
             self.procs[i].engine.note_work_found();
             let u = NodeId(v as u32);
             self.procs[i].assigned = Some(u);
             self.potential.assign(u, &self.tree);
             self.check_structure(victim);
-            // A cross-pool hit amortizes under the batch policy:
-            // claim up to half the victim's remaining backlog in
-            // the same round trip (same instruction — extra
-            // claims cost no further synchronization episodes).
-            if observe_as.is_none() && self.batch_cap > 1 {
-                self.claim_batch_extras(i, victim);
-            }
         } else {
             self.procs[i].engine.note_failed();
-        }
-    }
-
-    /// Claims up to `batch_cap - 1` further tasks from `victim` right
-    /// after a successful cross-pool `popTop`, mirroring the runtime's
-    /// `steal_batch`: the grab is biased to half the victim's visible
-    /// backlog, the extras land at the thief's own deque bottom, and the
-    /// whole batch shares one synchronization episode (zero extra
-    /// simulated instructions — that amortization *is* the model of
-    /// batching). Each extra task is still its own counted attempt and
-    /// hit, so the five-way identity, the locality split, and the
-    /// trace's one-record-per-attempt invariant all hold per task;
-    /// `record_batch` logs the episode on the outside-the-identity axis
-    /// whenever ≥ 2 tasks moved.
-    ///
-    /// Only the non-blocking backends batch: a blocking deque would have
-    /// to reacquire the victim's lock per task — exactly the round-trip
-    /// cost batching exists to avoid — and a stepped lock acquisition
-    /// cannot complete inside one instruction while a rival holds it.
-    fn claim_batch_extras(&mut self, i: usize, victim: usize) {
-        if !matches!(self.deques, Deques::Sim(_)) {
-            return;
-        }
-        let my_pool = self.pool_of[i] as usize;
-        // The backlog the runtime's `batch_want` sees includes the task
-        // the just-completed popTop took.
-        let avail = self.deques.len_of(victim) + 1;
-        let want = self.batch_cap.min(avail.div_ceil(2)).max(1);
-        let mut claimed = 1u64;
-        for _ in 1..want {
-            let mut op = self.new_op(LockKind::PopTop);
-            let got = loop {
-                match step_op(&mut self.deques, i, victim, &mut op) {
-                    OpDone::NotDone => continue,
-                    OpDone::PopTop(r, _) => break r,
-                    _ => unreachable!(),
-                }
-            };
-            // Nothing left (a rival's earlier stale read cannot race us
-            // mid-instruction, but the backlog estimate can be stale):
-            // the chain simply stops, recording no extra outcome — the
-            // runtime's per-slot CAS chain stops the same way.
-            let Some(v) = got else { break };
-            self.tally.record_located(StealResult::Hit, true);
-            self.pool_tallies[my_pool].record_located(StealResult::Hit, true);
-            self.remote_attempts += 1;
-            if self.config.trace {
-                self.trace.steals.push(StealRecord {
-                    round: self.trace.rounds.len() as u64,
-                    thief: ProcId(i as u32),
-                    victim: ProcId(victim as u32),
-                    outcome: StealOutcome::Hit,
-                });
-            }
-            // Land the extra at our own bottom. It stays `InDeque`, so
-            // the potential tracker does not move.
-            let mut push = self.new_op(LockKind::Push(v));
-            loop {
-                match step_op(&mut self.deques, i, i, &mut push) {
-                    OpDone::NotDone => continue,
-                    OpDone::Push => break,
-                    _ => unreachable!(),
-                }
-            }
-            claimed += 1;
-        }
-        if claimed >= 2 {
-            self.tally.record_batch(claimed);
-            self.pool_tallies[my_pool].record_batch(claimed);
         }
     }
 
@@ -1227,8 +925,6 @@ fn step_op(deques: &mut Deques, me: usize, target: usize, op: &mut AnyOp) -> OpD
                 unreachable!("stepped ABP deque is exact: no duplicates")
             }
             StepOutcome::PopTopBatchDone(_) => {
-                // The simulator models batching at the pool level
-                // (claim_batch_extras) and never issues the batch op.
                 unreachable!("simulator ops are single push/pop/steal")
             }
         },
@@ -1583,101 +1279,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_flat_topology_is_byte_identical() {
-        // `pools: 1` must consume exactly the pre-topology rng stream:
-        // the whole run, not just the outcome, is bit-identical.
-        let d = gen::fib(13, 3);
-        let run = |cfg: WsConfig| {
-            let mut k = BenignKernel::new(6, CountSource::UniformBetween(1, 6), 7);
-            run_ws(&d, 6, &mut k, cfg)
-        };
-        let a = run(WsConfig::default());
-        let b = run(WsConfig::default().with_pools(1).with_cross_steal(0.9));
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.instructions, b.instructions);
-        assert_eq!(a.throws, b.throws);
-        assert_eq!(a.steal_attempts, b.steal_attempts);
-        assert_eq!(a.successful_steals, b.successful_steals);
-        assert_eq!((a.pools, a.remote_steals), (1, 0));
-        // The flat-scan control arm with pool labels also replays the
-        // flat stream — only the accounting axis moves.
-        let c = run(WsConfig::default().with_pools(2).with_flat_scan(true));
-        assert_eq!(a.rounds, c.rounds);
-        assert_eq!(a.instructions, c.instructions);
-        assert_eq!(a.steal_attempts, c.steal_attempts);
-        assert_eq!(c.pools, 2);
-        assert!(c.locality_consistent());
-    }
-
-    #[test]
-    fn hierarchical_topology_completes_clean() {
-        let d = gen::fib(13, 3);
-        for k_pools in [2, 4] {
-            let mut k = DedicatedKernel::new(8);
-            let cfg = WsConfig {
-                pools: k_pools,
-                ..checked_config()
-            };
-            let r = run_ws(&d, 8, &mut k, cfg);
-            assert_clean(&r);
-            assert_eq!(r.pools, k_pools);
-            assert!(r.locality_consistent());
-            assert!(
-                r.remote_steals > 0,
-                "fib on a dedicated K={k_pools} topology must cross pools sometimes"
-            );
-        }
-    }
-
-    #[test]
-    fn hierarchical_scans_keep_remote_fraction_low() {
-        // The whole point of the topology: hierarchical victim selection
-        // crosses pools far less often than a topology-blind flat scan
-        // over the same pool labels. The *attempt* fraction is the scan
-        // policy's own property (the hit fraction also depends on where
-        // the workload puts the work): a flat scan over K=4 pools of 2
-        // crosses 6/7 ≈ 0.86 of the time, the hierarchical scan at the
-        // cross-steal coin's rate (default 1/8).
-        let d = gen::fib(15, 3);
-        let run = |flat: bool| {
-            let mut k = DedicatedKernel::new(8);
-            let cfg = WsConfig::default().with_pools(4).with_flat_scan(flat);
-            run_ws(&d, 8, &mut k, cfg)
-        };
-        let hier = run(false);
-        let flat = run(true);
-        assert!(hier.completed && flat.completed);
-        assert!(
-            flat.remote_attempt_fraction() > 5.0 * hier.remote_attempt_fraction(),
-            "flat {:.3} vs hierarchical {:.3}",
-            flat.remote_attempt_fraction(),
-            hier.remote_attempt_fraction()
-        );
-        // Hits follow the same direction, if less sharply (work spreads
-        // out of the root's pool only via remote hits).
-        assert!(
-            flat.remote_steal_fraction() > hier.remote_steal_fraction(),
-            "flat {:.3} vs hierarchical {:.3}",
-            flat.remote_steal_fraction(),
-            hier.remote_steal_fraction()
-        );
-    }
-
-    #[test]
-    fn solo_pools_always_cross() {
-        // P pools of one process each: every steal is remote, and the
-        // run still completes (the steal-back hint keeps rotating).
-        let d = gen::fork_join_tree(6, 2);
-        let mut k = DedicatedKernel::new(4);
-        let cfg = WsConfig::default().with_pools(4);
-        let r = run_ws(&d, 4, &mut k, cfg);
-        assert!(r.completed);
-        assert_eq!(r.remote_steals, r.successful_steals);
-        assert_eq!(r.remote_attempts, r.steal_attempts);
-        assert!(r.successful_steals > 0);
-    }
-
-    #[test]
     fn last_enabler_policy_runs_clean_with_cache() {
         use abp_core::VictimKind;
         let d = gen::fib(13, 3);
@@ -1693,98 +1294,6 @@ mod tests {
         assert_clean(&r);
         let c = r.cache.expect("cache model enabled");
         assert!(c.deviations > 0, "a parallel run must deviate somewhere");
-    }
-
-    #[test]
-    fn batched_hierarchical_completes_clean_and_batches() {
-        use abp_core::BatchKind;
-        let d = gen::fib(15, 3);
-        for k_pools in [2, 4] {
-            let mut k = DedicatedKernel::new(8);
-            let cfg = WsConfig::default()
-                .with_pools(k_pools)
-                .with_policies(PolicySet::paper().with_batch(BatchKind::Half { cap: 4 }));
-            let r = run_ws(&d, 8, &mut k, cfg);
-            assert!(r.completed);
-            assert_eq!(r.executed, r.work);
-            assert!(r.steal_accounting_balanced(), "identity broken: {r:?}");
-            assert!(r.locality_consistent());
-            assert!(r.batch_consistent(), "batch split broken: {r:?}");
-            assert!(
-                r.batch_steals > 0,
-                "K={k_pools}: a deep fib run must multi-claim at least once"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_trace_keeps_one_record_per_attempt() {
-        // Every task claimed by a batch is its own attempt, so the
-        // trace's one-record-per-attempt invariant survives batching.
-        use abp_core::BatchKind;
-        let d = gen::fib(13, 3);
-        let mut k = DedicatedKernel::new(8);
-        let cfg = WsConfig::default()
-            .with_pools(4)
-            .with_trace(true)
-            .with_policies(PolicySet::paper().with_batch(BatchKind::Half { cap: 8 }));
-        let r = run_ws(&d, 8, &mut k, cfg);
-        assert!(r.completed);
-        let tr = r.trace.expect("trace requested");
-        assert_eq!(tr.steals.len() as u64, r.steal_attempts);
-        assert_eq!(
-            tr.steals.iter().filter(|s| s.hit()).count() as u64,
-            r.successful_steals
-        );
-    }
-
-    #[test]
-    fn single_batch_policy_keeps_structural_zero() {
-        // `run` asserts the zero internally; this pins the report
-        // surface on a hierarchical run under the default policy.
-        let d = gen::fib(13, 3);
-        let mut k = DedicatedKernel::new(8);
-        let r = run_ws(&d, 8, &mut k, WsConfig::default().with_pools(4));
-        assert!(r.completed);
-        assert_eq!((r.batch_steals, r.batched_tasks), (0, 0));
-    }
-
-    #[test]
-    fn locking_backend_ignores_batch_policy() {
-        // A blocking deque reacquires the lock per task — the round
-        // trip batching amortizes doesn't exist — so the policy is a
-        // documented no-op there.
-        use abp_core::BatchKind;
-        let d = gen::fork_join_tree(5, 2);
-        let mut k = DedicatedKernel::new(4);
-        let cfg = WsConfig::default()
-            .with_pools(2)
-            .with_backend(DequeBackend::Locking)
-            .with_policies(PolicySet::paper().with_batch(BatchKind::Half { cap: 4 }));
-        let r = run_ws(&d, 4, &mut k, cfg);
-        assert!(r.completed);
-        assert_eq!((r.batch_steals, r.batched_tasks), (0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "check_structural is incompatible with batched stealing")]
-    fn structural_checker_rejects_batched_config() {
-        use abp_core::BatchKind;
-        let d = gen::chain(4);
-        let mut k = DedicatedKernel::new(2);
-        let cfg = WsConfig::default()
-            .with_pools(2)
-            .with_check_structural(true)
-            .with_policies(PolicySet::paper().with_batch(BatchKind::Half { cap: 4 }));
-        let _ = run_ws(&d, 2, &mut k, cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "pools must satisfy")]
-    fn more_pools_than_procs_rejected() {
-        let d = gen::chain(4);
-        let mut k = DedicatedKernel::new(2);
-        let _ = run_ws(&d, 2, &mut k, WsConfig::default().with_pools(3));
     }
 
     #[test]

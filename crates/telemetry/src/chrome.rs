@@ -201,22 +201,6 @@ pub fn chrome_trace(snap: &TelemetrySnapshot) -> String {
             ),
         );
     }
-    // Batched-steal counters ride the same gated path: under the
-    // single-steal default no batch ever forms (structural zero), so
-    // every pinned golden stays byte-identical.
-    let batch_steals = named_counter(snap, "batch_steals");
-    if batch_steals > 0 {
-        let batched_tasks = named_counter(snap, "batched_tasks");
-        push_event(
-            &mut out,
-            &mut first,
-            "steal_batches",
-            "C",
-            0,
-            0,
-            &format!(",\"args\":{{\"batches\":{batch_steals},\"tasks\":{batched_tasks}}}"),
-        );
-    }
     // Injector fast-path counter, gated for the same reason: pinned
     // goldens predate the counter and must not grow an event.
     if snap.injector.empty_fast > 0 {
@@ -656,31 +640,6 @@ mod tests {
         assert!(trace.contains("\"name\":\"injector_fast_path\""));
         assert!(trace.contains("\"args\":{\"empty_fast\":17}"));
         assert!(crate::json::parse(&trace).is_ok());
-    }
-
-    #[test]
-    fn batch_counters_flow_through_both_exporters() {
-        let mut snap = tiny_snapshot();
-        snap.counters.push(("batch_steals".to_string(), 6));
-        snap.counters.push(("batched_tasks".to_string(), 19));
-        let trace = chrome_trace(&snap);
-        assert!(trace.contains("\"name\":\"steal_batches\""));
-        assert!(trace.contains("\"args\":{\"batches\":6,\"tasks\":19}"));
-        assert!(crate::json::parse(&trace).is_ok());
-        let metrics = metrics_json(&snap);
-        let v = crate::json::parse(&metrics).expect("valid JSON");
-        let counters = v.get("counters").expect("counters section");
-        assert_eq!(counters.get("batch_steals").unwrap().as_f64(), Some(6.0));
-        assert_eq!(counters.get("batched_tasks").unwrap().as_f64(), Some(19.0));
-        // The structural zero under single-steal policies leaves the
-        // trace byte-identical (goldens).
-        let zeroed = {
-            let mut s = tiny_snapshot();
-            s.counters.push(("batch_steals".to_string(), 0));
-            s.counters.push(("batched_tasks".to_string(), 0));
-            s
-        };
-        assert_eq!(chrome_trace(&zeroed), chrome_trace(&tiny_snapshot()));
     }
 
     #[test]

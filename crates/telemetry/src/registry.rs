@@ -291,7 +291,7 @@ pub struct InjectorSnapshot {
     pub contention: u64,
     /// Injector polls by workers (hits + misses).
     pub polls: u64,
-    /// Jobs grabbed by polls (a batched poll counts one poll, n hits).
+    /// Jobs grabbed by polls.
     pub hits: u64,
     /// Polls resolved by the `pending == 0` fast path without touching
     /// a shard lock.

@@ -1,67 +1,42 @@
-//! Randomized exactly-once properties of the federated (K-pool)
-//! topology, plus the flat-pool structural-zero golden.
+//! Randomized exactly-once properties of the pool's front door under
+//! internal churn, plus the flat-pool structural-zero golden.
 //!
-//! External submitter threads are spread across the K pools by client
-//! affinity, so every pool's injector shard-set sees traffic while the
-//! workers churn on internal fork-join work. Every submitted job must
-//! execute exactly once — no loss at a pool boundary (a job routed to
-//! pool j must not be dropped because pool j's workers were asleep or
-//! busy robbing pool i) and no duplication via the cross-pool steal
-//! path.
+//! The file and test names date from when the pool could be split into
+//! K federated pools; the pool is now one flat set of P workers, each
+//! able to rob any other, and these tests pin the same properties on it.
+//! External submitter threads push jobs (singly or in seeded batches)
+//! while the workers churn on internal fork-join work. Every submitted
+//! job must execute exactly once, and the per-worker counters must
+//! partition the aggregate exactly.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::runtime::{join, BatchKind, PolicySet, PoolConfig, PoolReport, ThreadPool};
+use multiprog_ws::runtime::{join, PoolConfig, PoolReport, PoolStats, ThreadPool};
 
-/// One seeded churn episode against a `pools`-way federated topology:
-/// `submitters` external threads push `jobs_per_submitter` jobs each
-/// (singly or in seeded batches) while the pool runs a recursive join
-/// workload. Asserts exactly-once delivery, the extended accounting
-/// identity, and per-pool/aggregate reconciliation, then returns the
+/// One seeded churn episode: `submitters` external threads push
+/// `jobs_per_submitter` jobs each while the pool runs a recursive join
+/// workload. With `drain_on_shutdown` the test does not wait for the
+/// jobs, so `shutdown` itself must deliver the backlog. Asserts
+/// exactly-once delivery, exact inject accounting, the attempts
+/// identity and per-worker/aggregate reconciliation, then returns the
 /// report for extra checks.
 fn federated_episode(
     seed: u64,
     workers: usize,
-    pools: usize,
     submitters: usize,
     jobs_per_submitter: usize,
     drain_on_shutdown: bool,
-) -> PoolReport {
-    federated_episode_with(
-        seed,
-        workers,
-        pools,
-        submitters,
-        jobs_per_submitter,
-        drain_on_shutdown,
-        PolicySet::default(),
-    )
-}
-
-/// [`federated_episode`] with an explicit policy set (the batched-steal
-/// episodes flip the sixth axis; everything else keeps the default).
-fn federated_episode_with(
-    seed: u64,
-    workers: usize,
-    pools: usize,
-    submitters: usize,
-    jobs_per_submitter: usize,
-    drain_on_shutdown: bool,
-    policies: PolicySet,
 ) -> PoolReport {
     let total = submitters * jobs_per_submitter;
     let pool = Arc::new(ThreadPool::with_config(
-        PoolConfig::default()
-            .with_num_procs(workers)
-            .with_pools(pools)
-            .with_policies(policies),
+        PoolConfig::default().with_num_procs(workers),
     ));
     let counts: Arc<Vec<AtomicU8>> = Arc::new((0..total).map(|_| AtomicU8::new(0)).collect());
 
-    // Internal churn keeps every pool's deques busy while the injectors
-    // are being hammered; the fork-join tree spreads via steals.
+    // Internal churn keeps the deques busy while the injector is being
+    // hammered; the fork-join tree spreads via steals.
     let churn_pool = Arc::clone(&pool);
     let churn = std::thread::spawn(move || {
         fn fib(n: u64) -> u64 {
@@ -115,8 +90,6 @@ fn federated_episode_with(
     assert_eq!(churn.join().unwrap(), 1597, "fib(17)");
 
     if !drain_on_shutdown {
-        // Wait for all jobs before shutdown; otherwise shutdown itself
-        // must deliver the backlog of every pool's injector.
         while counts.iter().any(|c| c.load(Ordering::Relaxed) == 0) {
             std::thread::yield_now();
         }
@@ -129,152 +102,86 @@ fn federated_episode_with(
         assert_eq!(
             c.load(Ordering::Relaxed),
             1,
-            "seed {seed:#x} K={pools}: job {id} ran a wrong number of times"
+            "seed {seed:#x}: job {id} ran a wrong number of times"
         );
     }
-    assert!(
-        report.stats.injects >= total as u64,
-        "seed {seed:#x} K={pools}: {} injector grabs for {total} submissions",
-        report.stats.injects
+    // The churn thread's `install` enters through the injector too.
+    assert_eq!(
+        report.stats.injects,
+        total as u64 + 1,
+        "seed {seed:#x}: injector grabs vs submissions"
     );
     assert!(
         report.stats.attempts_balance(),
-        "seed {seed:#x} K={pools}: identity broken: {:?}",
+        "seed {seed:#x}: identity broken: {:?}",
         report.stats
     );
-    assert!(
-        report.stats.locality_consistent(),
-        "seed {seed:#x} K={pools}: locality split broken: {:?}",
-        report.stats
-    );
-    // Per-pool stats must partition the aggregate exactly.
-    assert_eq!(report.pools, pools);
-    assert_eq!(report.per_pool.len(), pools);
+    // Per-worker stats must partition the aggregate exactly.
+    assert_eq!(report.per_worker.len(), workers);
     for field in [
-        |s: &multiprog_ws::runtime::PoolStats| s.jobs,
-        |s: &multiprog_ws::runtime::PoolStats| s.steal_attempts,
-        |s: &multiprog_ws::runtime::PoolStats| s.steals,
-        |s: &multiprog_ws::runtime::PoolStats| s.remote_steals,
-        |s: &multiprog_ws::runtime::PoolStats| s.remote_attempts,
-        |s: &multiprog_ws::runtime::PoolStats| s.injects,
-        |s: &multiprog_ws::runtime::PoolStats| s.batch_steals,
-        |s: &multiprog_ws::runtime::PoolStats| s.batched_tasks,
+        |s: &PoolStats| s.jobs,
+        |s: &PoolStats| s.steal_attempts,
+        |s: &PoolStats| s.steals,
+        |s: &PoolStats| s.injects,
     ] {
-        let sum: u64 = report.per_pool.iter().map(field).sum();
+        let sum: u64 = report.per_worker.iter().map(field).sum();
         let agg = field(&report.stats);
-        assert_eq!(sum, agg, "seed {seed:#x} K={pools}: per-pool sums diverge");
+        assert_eq!(sum, agg, "seed {seed:#x}: per-worker sums diverge");
     }
     report
 }
 
-/// Exactly-once across K ∈ {2, 4} pools under churn, across seeds.
+/// Exactly-once under churn from 4 external submitters, across seeds.
 #[test]
 fn federated_submissions_execute_exactly_once_under_churn() {
-    for (seed, pools) in [(0u64, 2), (1, 2), (2, 4), (3, 4)] {
-        federated_episode(0xFED5_0000 + seed, 4, pools, 4, 150, false);
+    for seed in 0..4u64 {
+        federated_episode(0xFED5_0000 + seed, 4, 4, 150, false);
     }
 }
 
-/// Shutdown drains every pool's injector: jobs submitted and never
-/// awaited still execute exactly once before `shutdown` returns, even
-/// when their pool's workers parked before the submission landed.
+/// Shutdown drains the injector while churn is still settling: jobs
+/// submitted from 6 threads and never awaited still execute exactly
+/// once before `shutdown` returns, even when the workers parked before
+/// the submission landed.
 #[test]
 fn federated_shutdown_drains_every_pool() {
-    for (seed, pools) in [(0u64, 2), (1, 4)] {
-        federated_episode(0xD1A1_0000 + seed, 4, pools, 6, 80, true);
+    for seed in 0..2u64 {
+        federated_episode(0xD1A1_0000 + seed, 4, 6, 80, true);
     }
 }
 
 /// Oversubscription: more workers than cores forces real preemption
 /// (the paper's multiprogrammed setting) — exactly-once must survive
-/// workers being descheduled mid-poll and mid-cross-pool-rob.
+/// workers being descheduled mid-poll and mid-steal.
 #[test]
 fn federated_exactly_once_with_more_workers_than_cores() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let workers = 2 * cores + 2;
-    federated_episode(0x0E5B_FED0, workers, 2.min(workers), 3, 100, false);
+    federated_episode(0x0E5B_FED0, 2 * cores + 2, 3, 100, false);
 }
 
-/// The K = 1 structural-zero golden on the real pool: an explicit
-/// single-pool topology is the flat pool — one per-pool entry equal to
-/// the aggregate and not a single remote attempt or hit recorded (the
-/// shutdown assertions enforce the same, but this pins the public
-/// report surface).
+/// The structural-zero golden on the real pool: one flat pool moving
+/// one job per steal records not a single remote attempt, remote hit or
+/// batched steal (the fields stay in `PoolStats` for compatibility and
+/// must read zero).
 #[test]
 fn flat_topology_reports_structural_zero() {
-    let report = federated_episode(0xF1A7_0001, 3, 1, 3, 120, false);
-    assert_eq!(report.pools, 1);
-    assert_eq!(report.per_pool.len(), 1);
+    let report = federated_episode(0xF1A7_0001, 3, 3, 120, false);
     assert_eq!(report.stats.remote_steals, 0);
     assert_eq!(report.stats.remote_attempts, 0);
-    assert_eq!(report.stats.remote_steal_fraction(), 0.0);
-    assert_eq!(report.per_pool[0], report.stats);
-    // Single-steal default: no batch can ever form (the shutdown
-    // asserts enforce the same; this pins the report surface).
     assert_eq!(report.stats.batch_steals, 0);
     assert_eq!(report.stats.batched_tasks, 0);
-}
-
-/// Exactly-once survives batched stealing: with `BatchKind::Half` the
-/// cross-pool thieves move multi-task batches and the injector drains
-/// under one lock per poll, and still no job is lost or duplicated.
-/// Batch accounting must stay consistent (every batched task is a
-/// counted steal; a batch moves at least two tasks).
-#[test]
-fn batched_federation_is_exactly_once_and_batch_consistent() {
-    for (seed, pools, cap) in [(0u64, 2, 4), (1, 4, 8), (2, 4, 2)] {
-        let report = federated_episode_with(
-            0xBA7C_0000 + seed,
-            4,
-            pools,
-            4,
-            150,
-            seed == 1,
-            PolicySet::default().with_batch(BatchKind::Half { cap }),
-        );
-        assert!(
-            report.stats.batch_consistent(),
-            "seed {seed:#x} K={pools} cap={cap}: batch accounting broken: {:?}",
-            report.stats
+    for (w, st) in report.per_worker.iter().enumerate() {
+        assert_eq!(
+            (
+                st.remote_steals,
+                st.remote_attempts,
+                st.batch_steals,
+                st.batched_tasks
+            ),
+            (0, 0, 0, 0),
+            "worker {w}: {st:?}"
         );
     }
-}
-
-/// `PoolConfig::with_cross_steal` accepts exactly the unit interval —
-/// a probability — and names the argument when it panics.
-#[test]
-fn cross_steal_accepts_the_unit_interval() {
-    for p in [0.0, 0.125, 0.5, 1.0] {
-        // Building the config must not panic; a tiny pool proves the
-        // value also survives construction.
-        let pool =
-            ThreadPool::with_config(PoolConfig::default().with_num_procs(1).with_cross_steal(p));
-        pool.shutdown();
-    }
-}
-
-#[test]
-#[should_panic(expected = "cross_steal must be a probability in [0.0, 1.0], got -0.1")]
-fn cross_steal_rejects_negative() {
-    let _ = PoolConfig::default().with_cross_steal(-0.1);
-}
-
-#[test]
-#[should_panic(expected = "cross_steal must be a probability in [0.0, 1.0], got 1.5")]
-fn cross_steal_rejects_above_one() {
-    let _ = PoolConfig::default().with_cross_steal(1.5);
-}
-
-#[test]
-#[should_panic(expected = "cross_steal must be a probability in [0.0, 1.0], got NaN")]
-fn cross_steal_rejects_nan() {
-    let _ = PoolConfig::default().with_cross_steal(f64::NAN);
-}
-
-#[test]
-#[should_panic(expected = "cross_steal must be a probability in [0.0, 1.0], got inf")]
-fn cross_steal_rejects_infinity() {
-    let _ = PoolConfig::default().with_cross_steal(f64::INFINITY);
 }

@@ -254,12 +254,8 @@ fn nested_scopes(depth: u32, fanout: u64, leaves: &AtomicU64) {
 fn assert_accounting(report: &PoolReport, p: usize) {
     let st = &report.stats;
     assert!(st.attempts_balance(), "P={p}: {st:?}");
-    assert!(st.batch_consistent(), "P={p}: {st:?}");
-    assert!(st.locality_consistent(), "P={p}: {st:?}");
     assert!(st.parks_balance(), "P={p}: {st:?}");
     assert_eq!(st.duplicates, 0, "ABP is exact: P={p}: {st:?}");
-    assert_eq!(st.remote_attempts, 0, "flat pool");
-    assert_eq!((st.batch_steals, st.batched_tasks), (0, 0), "single steals");
 }
 
 #[test]

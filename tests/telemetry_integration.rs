@@ -53,8 +53,8 @@ fn steal_counts_by_tid(trace: &str, workers: usize) -> Vec<[u64; 5]> {
     for e in events {
         let name = e.get("name").and_then(|v| v.as_str()).expect("name");
         let ph = e.get("ph").and_then(|v| v.as_str()).expect("ph");
-        // "C" covers the aggregate counter events (cache model, batch
-        // steals, the injector fast path), emitted only when nonzero.
+        // "C" covers the aggregate counter events (cache model, the
+        // injector fast path), emitted only when nonzero.
         assert!(
             matches!(ph, "M" | "B" | "E" | "i" | "C"),
             "unexpected phase {ph:?} on {name:?}"

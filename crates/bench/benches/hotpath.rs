@@ -8,15 +8,6 @@
 //!   before/after pair; both monomorphizations live in this one binary);
 //! * `steal_throughput` — the owner streams entries while 1/2/4 thieves
 //!   consume them, per protocol;
-//! * `backend_pingpong` / `backend_steal` — the same two shapes run
-//!   through the [`TaskDeque`] trait seam, ABP vs the fence-free
-//!   multiplicity deque (experiment DQ1's matrix): the fence-free steal
-//!   fast path has no `cas` on the shared `top`, so its advantage grows
-//!   with the thief count;
-//! * `backend_steal_batch` — the `backend_steal` traffic drained with
-//!   `steal_batch_into(16)` and a reused buffer: one age observation
-//!   and zero allocations per grab (the fence itself is paid per claim
-//!   — INV-SB-REVAL);
 //! * `join_overhead` — full-granularity fork-join fib vs the sequential
 //!   function, isolating per-`join` cost on the never-stolen fast path;
 //! * `injector_submit` — external-submission latency through
@@ -27,10 +18,7 @@
 //!   parks ride out the idle gaps without a timed-out park.
 
 use abp_bench::harness::{Group, Harness};
-use abp_deque::{
-    new_with_order, AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, OrderProfile,
-    RelaxedProtocol, SeqCstProtocol, Steal, TaskDeque,
-};
+use abp_deque::{new_with_order, OrderProfile, RelaxedProtocol, SeqCstProtocol, Steal};
 use hood::{IdleKind, PolicySet, PoolConfig, ThreadPool};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,135 +100,6 @@ fn bench_steal_throughput(h: &Harness) {
             &format!("relaxed/{thieves}_thieves"),
             thieves,
         );
-    }
-    g.finish();
-}
-
-/// Uncontended owner `pushBottom`/`popBottom` through the trait seam —
-/// the monomorphized cost the generic worker loops actually pay.
-fn backend_pingpong_with<B: TaskDeque<u64>>(g: &mut Group<'_>, backend: &B) {
-    let (w, _s) = backend.new_pair();
-    g.bench(B::NAME, || {
-        w.push_bottom(black_box(42)).unwrap();
-        black_box(w.pop_bottom());
-    });
-}
-
-fn bench_backend_pingpong(h: &Harness) {
-    let mut g = h.group("backend_pingpong");
-    g.throughput_elems(1);
-    backend_pingpong_with(&mut g, &AbpBackend { capacity: 1 << 12 });
-    backend_pingpong_with(&mut g, &FenceFreeBackend { capacity: 1 << 12 });
-    g.finish();
-}
-
-/// The DQ1 matrix: same streaming shape as `steal_throughput`, but run
-/// through [`DequeStealer::steal`] so ABP and fence-free face identical
-/// traffic. Duplicates (fence-free only) are counted, not re-executed.
-fn backend_steal_with<B: TaskDeque<u64>>(g: &mut Group<'_>, backend: &B, thieves: usize) {
-    g.bench_with_setup(
-        &format!("{}/{thieves}_thieves", B::NAME),
-        || {
-            let (w, s) = backend.new_pair();
-            let stop = Arc::new(AtomicBool::new(false));
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| {
-                    let s = s.clone();
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        let mut taken = 0u64;
-                        while !stop.load(Ordering::Acquire) {
-                            if let Steal::Taken(v) = s.steal() {
-                                taken = taken.wrapping_add(v);
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                        taken
-                    })
-                })
-                .collect();
-            (w, stop, handles)
-        },
-        |(w, stop, handles)| {
-            for i in 0..256u64 {
-                w.push_bottom(i).unwrap();
-            }
-            while w.pop_bottom().is_some() {}
-            stop.store(true, Ordering::Release);
-            for h in handles {
-                black_box(h.join().unwrap());
-            }
-        },
-    );
-}
-
-fn bench_backend_steal(h: &Harness) {
-    let mut g = h.group("backend_steal");
-    g.throughput_elems(256);
-    g.sample_size(15);
-    for thieves in [1usize, 2, 4] {
-        backend_steal_with(&mut g, &AbpBackend { capacity: 1 << 16 }, thieves);
-        backend_steal_with(&mut g, &FenceFreeBackend { capacity: 1 << 16 }, thieves);
-    }
-    g.finish();
-}
-
-/// The SB1 companion to `backend_steal`: identical streaming traffic,
-/// but each thief drains through [`DequeStealer::steal_batch_into`]
-/// with a reused buffer (cap 16), so the measured delta against the
-/// single-steal group is the per-grab cost batching amortizes — the
-/// `thief_fence` on ABP, nothing but the buffer on fence-free.
-fn backend_steal_batch_with<B: TaskDeque<u64>>(g: &mut Group<'_>, backend: &B, thieves: usize) {
-    const CAP: usize = 16;
-    g.bench_with_setup(
-        &format!("{}/{thieves}_thieves", B::NAME),
-        || {
-            let (w, s) = backend.new_pair();
-            let stop = Arc::new(AtomicBool::new(false));
-            let handles: Vec<_> = (0..thieves)
-                .map(|_| {
-                    let s = s.clone();
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        let mut taken = 0u64;
-                        let mut buf = abp_deque::StolenBatch::empty();
-                        while !stop.load(Ordering::Acquire) {
-                            s.steal_batch_into(CAP, &mut buf);
-                            if buf.tasks.is_empty() {
-                                std::thread::yield_now();
-                            } else {
-                                for &v in &buf.tasks {
-                                    taken = taken.wrapping_add(v);
-                                }
-                            }
-                        }
-                        taken
-                    })
-                })
-                .collect();
-            (w, stop, handles)
-        },
-        |(w, stop, handles)| {
-            for i in 0..256u64 {
-                w.push_bottom(i).unwrap();
-            }
-            while w.pop_bottom().is_some() {}
-            stop.store(true, Ordering::Release);
-            for h in handles {
-                black_box(h.join().unwrap());
-            }
-        },
-    );
-}
-
-fn bench_backend_steal_batch(h: &Harness) {
-    let mut g = h.group("backend_steal_batch");
-    g.throughput_elems(256);
-    g.sample_size(15);
-    for thieves in [1usize, 2, 4] {
-        backend_steal_batch_with(&mut g, &AbpBackend { capacity: 1 << 16 }, thieves);
-        backend_steal_batch_with(&mut g, &FenceFreeBackend { capacity: 1 << 16 }, thieves);
     }
     g.finish();
 }
@@ -391,9 +250,6 @@ fn main() {
     let h = Harness::from_args("hotpath");
     bench_owner_pingpong(&h);
     bench_steal_throughput(&h);
-    bench_backend_pingpong(&h);
-    bench_backend_steal(&h);
-    bench_backend_steal_batch(&h);
     bench_join_overhead(&h);
     bench_injector_submit(&h);
     bench_wake_latency(&h);

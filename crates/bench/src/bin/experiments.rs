@@ -32,8 +32,6 @@ fn main() {
         "serve" => vec![exp::serve(false)],
         "serve-small" => vec![exp::serve(true)],
         "hotpath" => vec![exp::hotpath()],
-        "deque-backends" => vec![exp::deque_backends(false)],
-        "deque-backends-small" => vec![exp::deque_backends(true)],
         "theory" => vec![exp::theory(false)],
         "theory-small" => vec![exp::theory(true)],
         other => {
@@ -42,7 +40,7 @@ fn main() {
                  thm9-tail thm10 thm11 thm12 hood-constant ablate-lock ablate-yield \
                  lemma3 deque-check ws-vs-sharing assign-policy hood-wallclock telemetry \
                  policies policies-small serve serve-small hotpath \
-                 deque-backends deque-backends-small theory theory-small"
+                 theory theory-small"
             );
             std::process::exit(2);
         }

@@ -1823,235 +1823,6 @@ pub fn hotpath() -> ExpResult {
     )
 }
 
-/// DQ1 — the pluggable deque-backend matrix: ABP vs the fence-free
-/// multiplicity deque, head to head through the [`abp_deque::TaskDeque`]
-/// seam.
-///
-/// One artifact (`target/BENCH_deque.json`, validated with the in-repo
-/// JSON parser; a blessed copy is committed at the repo root) holding a
-/// **steal-throughput drain matrix**: a deque pre-filled with N entries
-/// is drained to empty by 1/2/4 thieves through
-/// [`abp_deque::DequeStealer::steal`]; the metric is entries drained per
-/// second (median of S runs after a warmup). The fence-free steal fast
-/// path replaces ABP's contended `cas` on the shared `age` word with a
-/// per-slot claim, so contention spreads instead of serializing: the
-/// acceptance bar is **fence-free ≥ ABP at 2 and 4 thieves** (one thief
-/// is reported, not gated — without contention the protocols cost about
-/// the same). Every cell must conserve entries exactly (the guarded
-/// steal is exactly-once even on the multiplicity backend); ABP must
-/// show zero duplicates, fence-free zero aborts.
-///
-/// The live pool binds ABP alone, and its shutdown asserts the five-way
-/// identity with `duplicates == 0` on every run, so there is no pool
-/// half to this experiment.
-pub fn deque_backends(small: bool) -> ExpResult {
-    use abp_deque::{AbpBackend, DequeOwner, DequeStealer, FenceFreeBackend, Steal, TaskDeque};
-    use abp_telemetry::json;
-    use std::sync::{Arc, Barrier};
-    use std::time::Instant;
-
-    let entries: u64 = if small { 1 << 13 } else { 1 << 15 };
-    let samples: usize = if small { 5 } else { 9 };
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-
-    let mut pass = true;
-
-    // -- drain matrix -----------------------------------------------------
-    struct Cell {
-        backend: &'static str,
-        thieves: usize,
-        meps: f64, // median entries/s, millions
-        takes: u64,
-        duplicates: u64,
-        aborts: u64,
-        conserved: bool,
-    }
-
-    /// One timed drain: pre-fill, release the thieves together, wait for
-    /// all of them to observe `Empty`. Each thief times its own drain
-    /// window (barrier release → `Empty`) and the drain's elapsed time is
-    /// the max across thieves: on a many-core box that is the contended
-    /// wall time, and on a timeslice-starved box it still covers the
-    /// thief that did the work instead of crediting the scheduler's wake
-    /// order to the deque. Returns (elapsed_s, takes, dups, aborts,
-    /// checksum).
-    fn drain_once<B: TaskDeque<u64>>(
-        backend: &B,
-        thieves: usize,
-        n: u64,
-    ) -> (f64, u64, u64, u64, u64) {
-        let (owner, stealer) = backend.new_pair();
-        for i in 0..n {
-            owner.push_bottom(i).unwrap();
-        }
-        let barrier = Arc::new(Barrier::new(thieves));
-        let handles: Vec<_> = (0..thieves)
-            .map(|_| {
-                let s = stealer.clone();
-                let b = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    b.wait();
-                    let t0 = Instant::now();
-                    let (mut takes, mut dups, mut aborts, mut sum) = (0u64, 0u64, 0u64, 0u64);
-                    loop {
-                        match s.steal() {
-                            Steal::Taken(v) => {
-                                takes += 1;
-                                sum = sum.wrapping_add(v);
-                            }
-                            Steal::Duplicate => dups += 1,
-                            Steal::Abort => aborts += 1,
-                            // `bot` is fixed during the drain, so Empty is
-                            // definitive for every backend: all n entries
-                            // are out.
-                            Steal::Empty => break,
-                        }
-                    }
-                    (t0.elapsed().as_secs_f64(), takes, dups, aborts, sum)
-                })
-            })
-            .collect();
-        let (mut elapsed, mut takes, mut dups, mut aborts, mut sum) =
-            (0f64, 0u64, 0u64, 0u64, 0u64);
-        for h in handles {
-            let (e, t, d, a, s) = h.join().unwrap();
-            elapsed = elapsed.max(e);
-            takes += t;
-            dups += d;
-            aborts += a;
-            sum = sum.wrapping_add(s);
-        }
-        // The owner must find nothing left behind.
-        assert_eq!(owner.pop_bottom(), None);
-        (elapsed, takes, dups, aborts, sum)
-    }
-
-    fn drain_cell<B: TaskDeque<u64>>(backend: &B, thieves: usize, n: u64, samples: usize) -> Cell {
-        let checksum = n * (n - 1) / 2; // sum 0..n, u64-exact for our sizes
-        let _ = drain_once(backend, thieves, n); // warmup
-        let mut per_run: Vec<f64> = Vec::with_capacity(samples);
-        let (mut takes, mut dups, mut aborts) = (0u64, 0u64, 0u64);
-        let mut conserved = true;
-        for _ in 0..samples {
-            let (elapsed, t, d, a, sum) = drain_once(backend, thieves, n);
-            per_run.push(n as f64 / elapsed / 1e6);
-            conserved &= t == n && sum == checksum;
-            takes += t;
-            dups += d;
-            aborts += a;
-        }
-        per_run.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Cell {
-            backend: B::NAME,
-            thieves,
-            meps: per_run[samples / 2],
-            takes,
-            duplicates: dups,
-            aborts,
-            conserved,
-        }
-    }
-
-    let abp = AbpBackend {
-        capacity: entries as usize,
-    };
-    let ff = FenceFreeBackend {
-        capacity: entries as usize,
-    };
-    let mut cells: Vec<Cell> = Vec::new();
-    for thieves in [1usize, 2, 4] {
-        cells.push(drain_cell(&abp, thieves, entries, samples));
-        cells.push(drain_cell(&ff, thieves, entries, samples));
-    }
-
-    let mut t = TextTable::new([
-        "backend",
-        "thieves",
-        "Mdrains/s",
-        "takes",
-        "dups",
-        "aborts",
-        "conserved",
-    ]);
-    let mut cells_json = String::new();
-    for c in &cells {
-        pass &= c.conserved;
-        match c.backend {
-            "abp" => pass &= c.duplicates == 0, // exact: no once-guard to lose
-            "fence-free" => pass &= c.aborts == 0, // no cas, no lock: nothing to lose
-            _ => {}
-        }
-        t.row([
-            c.backend.to_string(),
-            c.thieves.to_string(),
-            format!("{:.2}", c.meps),
-            c.takes.to_string(),
-            c.duplicates.to_string(),
-            c.aborts.to_string(),
-            if c.conserved { "yes" } else { "LOST" }.to_string(),
-        ]);
-        if !cells_json.is_empty() {
-            cells_json.push_str(",\n");
-        }
-        write!(
-            cells_json,
-            "    {{\"backend\":\"{}\",\"thieves\":{},\"meps\":{:.3},\"takes\":{},\
-             \"duplicates\":{},\"aborts\":{},\"conserved\":{}}}",
-            c.backend, c.thieves, c.meps, c.takes, c.duplicates, c.aborts, c.conserved
-        )
-        .unwrap();
-    }
-
-    // The headline gate: under contention the fence-free deque must not
-    // be slower than ABP.
-    let meps = |name: &str, thieves: usize| {
-        cells
-            .iter()
-            .find(|c| c.backend == name && c.thieves == thieves)
-            .map(|c| c.meps)
-            .unwrap()
-    };
-    let ff_ge_abp_2t = meps("fence-free", 2) >= meps("abp", 2);
-    let ff_ge_abp_4t = meps("fence-free", 4) >= meps("abp", 4);
-    pass &= ff_ge_abp_2t && ff_ge_abp_4t;
-
-    // -- machine-readable artifact ---------------------------------------
-    let artifact = format!(
-        "{{\n  \"bench\": \"deque\",\n  \"mode\": \"{}\",\n  \"cores\": {},\n  \
-         \"drain\": {{\"entries\": {}, \"samples\": {}, \"cells\": [\n{}\n  ]}},\n  \
-         \"gates\": {{\"ff_ge_abp_2t\": {}, \"ff_ge_abp_4t\": {}}}\n}}\n",
-        if small { "small" } else { "full" },
-        cores,
-        entries,
-        samples,
-        cells_json,
-        ff_ge_abp_2t,
-        ff_ge_abp_4t,
-    );
-    pass &= json::parse(&artifact).is_ok();
-    let _ = std::fs::create_dir_all("target");
-    let wrote = std::fs::write("target/BENCH_deque.json", &artifact).is_ok();
-
-    let body = format!(
-        "drain matrix: {entries} entries, median of {samples} runs per cell, {cores} core(s)\n\
-         gate: fence-free ≥ ABP at 2 thieves ({}) and 4 thieves ({})\n\
-         wrote target/BENCH_deque.json ({} bytes{})\n\n{}",
-        if ff_ge_abp_2t { "yes" } else { "NO" },
-        if ff_ge_abp_4t { "yes" } else { "NO" },
-        artifact.len(),
-        if wrote { "" } else { ", WRITE FAILED" },
-        t.render()
-    );
-    ExpResult::new(
-        "DQ1",
-        "Deque backends: fence-free multiplicity vs ABP",
-        body,
-        pass,
-    )
-}
-
 /// TH1 — theory validation: machine-check the rooted-tree steal bound
 /// and the work-stealing cache bound against the exact simulator.
 ///
@@ -2374,7 +2145,6 @@ pub fn all() -> Vec<ExpResult> {
         policies(false),
         serve(false),
         hotpath(),
-        deque_backends(false),
         theory(false),
     ]
 }

@@ -5,17 +5,13 @@
 //! (the simulator did not even track aborts and empties separately).
 //! [`StealTally`] is the one place the counting order lives: every
 //! completed `popTop` records exactly one [`StealResult`], so the
-//! identity `attempts == hits + aborts + empties + injects + duplicates`
-//! holds by construction and both surfaces assert it. `injects` counts successful
-//! grabs from the external-submission injector (a fourth place an
-//! attempt can land work, added with the `hood` front door); an injector
-//! poll that finds nothing records [`StealResult::Empty`], so surfaces
-//! without an injector keep the classic three-way identity with
-//! `injects == 0`. `duplicates` counts extraction attempts that lost a
-//! multiplicity once-guard race ([`StealResult::Duplicate`]) — only the
-//! fence-free deque backend ever produces them, so every exact backend
-//! carries the identity with a structurally-zero `duplicates` term (and
-//! asserts the zero at shutdown).
+//! four-way identity `attempts == hits + aborts + empties + injects`
+//! holds by construction and both surfaces assert it. `injects` counts
+//! successful grabs from the external-submission injector (a fourth
+//! place an attempt can land work, added with the `hood` front door); an
+//! injector poll that finds nothing records [`StealResult::Empty`], so
+//! surfaces without an injector keep the classic three-way identity with
+//! `injects == 0`.
 
 /// Outcome of one completed steal attempt (`popTop` against a victim).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,9 +22,6 @@ pub enum StealResult {
     Abort,
     /// The victim's deque was empty.
     Empty,
-    /// The attempt raced an extraction of the same item and lost its
-    /// once-guard (fence-free multiplicity backend only).
-    Duplicate,
 }
 
 impl StealResult {
@@ -52,9 +45,6 @@ pub struct StealTally {
     /// Attempts that grabbed a job from the external-submission
     /// injector rather than a victim's deque.
     pub injects: u64,
-    /// Attempts that lost a multiplicity once-guard race (fence-free
-    /// backend only; structurally zero on exact backends).
-    pub duplicates: u64,
 }
 
 impl StealTally {
@@ -66,7 +56,6 @@ impl StealTally {
             StealResult::Hit => self.hits += 1,
             StealResult::Abort => self.aborts += 1,
             StealResult::Empty => self.empties += 1,
-            StealResult::Duplicate => self.duplicates += 1,
         }
     }
 
@@ -80,9 +69,9 @@ impl StealTally {
     }
 
     /// The accounting identity every surface asserts:
-    /// `attempts == hits + aborts + empties + injects + duplicates`.
+    /// `attempts == hits + aborts + empties + injects`.
     pub fn balanced(&self) -> bool {
-        self.attempts == self.hits + self.aborts + self.empties + self.injects + self.duplicates
+        self.attempts == self.hits + self.aborts + self.empties + self.injects
     }
 
     /// Adds another tally into this one (aggregating workers).
@@ -92,7 +81,6 @@ impl StealTally {
         self.aborts += other.aborts;
         self.empties += other.empties;
         self.injects += other.injects;
-        self.duplicates += other.duplicates;
     }
 }
 
@@ -147,25 +135,5 @@ mod tests {
         sum.merge(&t);
         assert!(sum.balanced());
         assert_eq!(sum.injects, 4);
-    }
-
-    #[test]
-    fn duplicates_extend_the_identity_with_a_zero_term_when_absent() {
-        // An exact backend's tally: duplicates stays structurally zero.
-        let mut exact = StealTally::default();
-        exact.record(StealResult::Hit);
-        exact.record(StealResult::Abort);
-        assert!(exact.balanced());
-        assert_eq!(exact.duplicates, 0);
-        // A fence-free tally: duplicates participate in the identity.
-        let mut ff = StealTally::default();
-        ff.record(StealResult::Hit);
-        ff.record(StealResult::Duplicate);
-        ff.record(StealResult::Empty);
-        assert!(ff.balanced());
-        assert_eq!(ff.duplicates, 1);
-        exact.merge(&ff);
-        assert!(exact.balanced());
-        assert_eq!(exact.duplicates, 1);
     }
 }

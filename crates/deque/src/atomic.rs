@@ -115,13 +115,6 @@ pub enum Steal<T> {
     /// The `cas` failed: another process removed the top entry first. The
     /// deque may well be non-empty; the caller may retry.
     Abort,
-    /// The extraction raced an extraction of the *same* item by another
-    /// process and lost the once-guard — only multiplicity-relaxed
-    /// backends ([`crate::fence_free`]) ever report this; the exact
-    /// backends (ABP, growable, locking) never do. The item is owned by
-    /// the winner; the caller must not retry *this* item but may retry
-    /// the steal.
-    Duplicate,
 }
 
 impl<T> Steal<T> {
@@ -137,29 +130,18 @@ impl<T> Steal<T> {
     pub fn is_abort(&self) -> bool {
         matches!(self, Steal::Abort)
     }
-
-    /// True for [`Steal::Duplicate`].
-    pub fn is_duplicate(&self) -> bool {
-        matches!(self, Steal::Duplicate)
-    }
 }
 
-/// Result of a batched steal ([`Stealer::pop_top_batch`] and the
-/// [`crate::task_deque::DequeStealer::steal_batch`] seam): up to `max`
-/// tasks claimed under one synchronization episode, biased toward half
-/// the victim's visible backlog.
+/// Result of a batched steal ([`Stealer::pop_top_batch`]): up to `max`
+/// tasks claimed by one chain of `cas`es, biased toward half the
+/// victim's visible backlog.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StolenBatch<T> {
     /// Claimed tasks in top order (oldest first).
     pub tasks: Vec<T>,
-    /// Extraction attempts inside the scanned range that lost a
-    /// once-guard race (fence-free backend only; exact backends always
-    /// report zero).
-    pub duplicates: u64,
-    /// True when the grab claimed nothing because it lost a race — the
-    /// first `cas` of the ABP/growable claim chain failed, or the
-    /// locking deque's `try_lock` was contended. The batch analogue of
-    /// [`Steal::Abort`]; never set once any task was claimed.
+    /// True when the grab claimed nothing because its first `cas` lost
+    /// a race. The batch analogue of [`Steal::Abort`]; never set once
+    /// any task was claimed.
     pub aborted: bool,
 }
 
@@ -168,7 +150,6 @@ impl<T> StolenBatch<T> {
     pub fn empty() -> Self {
         StolenBatch {
             tasks: Vec::new(),
-            duplicates: 0,
             aborted: false,
         }
     }
@@ -189,7 +170,6 @@ impl<T> StolenBatch<T> {
     /// allocations in steady state.
     pub fn clear(&mut self) {
         self.tasks.clear();
-        self.duplicates = 0;
         self.aborted = false;
     }
 }
@@ -197,8 +177,8 @@ impl<T> StolenBatch<T> {
 /// The per-grab claim target: up to `max` tasks, biased toward half the
 /// visible backlog (`hint` tasks), never less than one — except that a
 /// zero cap claims nothing at all (a `max == 0` grab must not be able to
-/// remove work). Shared by every backend so the "steal half" bias is
-/// identical across the seam.
+/// remove work). Shared with the stepped [`crate::sim_deque`] grab so
+/// the model checks the same bias the real deque uses.
 pub(crate) fn batch_want(hint: usize, max: usize) -> usize {
     if max == 0 {
         return 0;
@@ -493,7 +473,7 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
     /// batch still amortizes: the `age` load (each claim's `cas` doubles
     /// as the next claim's `age` observation) and the per-task allocation
     /// (one reused buffer). The `hood` pool steals one task per `popTop`;
-    /// this grab is the seam the batch history and model checkers pin.
+    /// this grab is what the batch history and model checkers pin.
     pub fn pop_top_batch(&self, max: usize) -> StolenBatch<T> {
         let mut out = StolenBatch::empty();
         self.pop_top_batch_into(max, &mut out);
@@ -722,7 +702,6 @@ mod tests {
         // Half of 8 visible entries, capped by max.
         let b = s.pop_top_batch(16);
         assert_eq!(b.tasks, vec![0, 1, 2, 3]);
-        assert_eq!(b.duplicates, 0);
         assert!(!b.aborted);
         // max caps below the half-backlog bias.
         let b = s.pop_top_batch(2);
@@ -771,9 +750,7 @@ mod tests {
                     }
                 }
                 _ => {
-                    let b = s.pop_top_batch(1 + (rng % 7) as usize);
-                    assert_eq!(b.duplicates, 0, "ABP is exact");
-                    seen.extend(b.tasks);
+                    seen.extend(s.pop_top_batch(1 + (rng % 7) as usize).tasks);
                 }
             }
         }
@@ -811,7 +788,6 @@ mod tests {
                         std::thread::yield_now();
                     }
                     Steal::Abort => {}
-                    Steal::Duplicate => unreachable!("ABP is exact: no duplicates"),
                 }
             }));
         }
@@ -877,7 +853,6 @@ mod tests {
                     // Grab sizes 2..=6, cycling so chains of every length
                     // race the owner's drains.
                     max = 2 + (max + t as usize) % 5;
-                    assert_eq!(buf.duplicates, 0, "ABP is exact");
                     for &v in &buf.tasks {
                         counts[v as usize].fetch_add(1, Ordering::Relaxed);
                     }

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::atomic::{batch_want, Steal, StolenBatch};
+use crate::atomic::Steal;
 
 /// A mutex-protected deque. `pushBottom`/`popBottom`/`popTop` all take the
 /// same lock; there is no owner/thief distinction in the type system
@@ -55,36 +55,6 @@ impl<T> LockingDeque<T> {
                 None => Steal::Empty,
             },
             Err(_) => Steal::Abort,
-        }
-    }
-
-    /// Batched pop from the top: up to `max` entries (biased toward
-    /// half the backlog, sized under the lock) under **one** `try_lock`.
-    /// Contention reports an aborted batch, mirroring
-    /// [`pop_top`](LockingDeque::pop_top)'s [`Steal::Abort`].
-    pub fn pop_top_batch(&self, max: usize) -> StolenBatch<T> {
-        let mut out = StolenBatch::empty();
-        self.pop_top_batch_into(max, &mut out);
-        out
-    }
-
-    /// [`pop_top_batch`](LockingDeque::pop_top_batch) into a
-    /// caller-owned buffer (cleared and refilled): a reused buffer
-    /// makes the grab allocation-free in steady state.
-    pub fn pop_top_batch_into(&self, max: usize, out: &mut StolenBatch<T>) {
-        out.clear();
-        match self.inner.try_lock() {
-            Ok(mut q) => {
-                let want = batch_want(q.len(), max);
-                out.tasks.reserve(want);
-                for _ in 0..want {
-                    match q.pop_front() {
-                        Some(v) => out.tasks.push(v),
-                        None => break,
-                    }
-                }
-            }
-            Err(_) => out.aborted = true,
         }
     }
 
@@ -133,24 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_pops_half_under_one_lock() {
-        let d = LockingDeque::new();
-        for i in 0..6 {
-            d.push_bottom(i);
-        }
-        let b = d.pop_top_batch(8);
-        assert_eq!(b.tasks, vec![0, 1, 2]);
-        assert!(!b.aborted);
-        assert_eq!(b.duplicates, 0);
-        let b = d.pop_top_batch(1);
-        assert_eq!(b.tasks, vec![3]);
-        d.pop_bottom();
-        d.pop_bottom();
-        let b = d.pop_top_batch(8);
-        assert!(b.is_empty() && !b.aborted);
-    }
-
-    #[test]
     fn concurrent_conservation() {
         use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
         const N: usize = 10_000;
@@ -174,7 +126,6 @@ mod tests {
                         std::thread::yield_now();
                     }
                     Steal::Abort => {}
-                    Steal::Duplicate => unreachable!("locking deque is exact: no duplicates"),
                 }
             }));
         }

@@ -93,8 +93,8 @@ pub fn explore(scenario: &Scenario, tagged: bool) -> Report {
 }
 
 /// Explores every interleaving of `scenario` starting from an arbitrary
-/// initial deque — e.g. [`SimDeque::with_growth`] to model the growable
-/// deque's buffer replacement racing concurrent `popTop`s.
+/// initial deque — e.g. one built with [`SimDeque::with_mem_model`] to
+/// model a reordering the fenced protocol forbids.
 pub fn explore_on(scenario: &Scenario, initial: SimDeque) -> Report {
     let procs: Vec<ProcState> = scenario
         .programs
@@ -354,7 +354,6 @@ fn step_bproc(
                         end: step,
                         claimed: b.tasks.len(),
                         tasks: b.tasks,
-                        duplicates: 0,
                     });
                     p.current = None;
                     Logged::Batch
@@ -559,34 +558,6 @@ mod tests {
         );
     }
 
-    /// A growth event racing concurrent popTops: with the faithful
-    /// copy-on-grow protocol (the one `crate::growable` implements),
-    /// every interleaving satisfies the relaxed semantics.
-    #[test]
-    fn growth_racing_poptop_is_clean_when_copied() {
-        use crate::sim_deque::SimDeque;
-        use ProgOp::*;
-        // cap = 1, so the second push grows the array while the thieves'
-        // popTops may be mid-flight (between their slot read and cas).
-        let scenarios = [
-            Scenario::new(vec![owner(&[Push(1), Push(2)]), vec![PopTop]]),
-            Scenario::new(vec![
-                owner(&[Push(1), Push(2), PopBottom]),
-                vec![PopTop],
-                vec![PopTop],
-            ]),
-        ];
-        for (i, sc) in scenarios.iter().enumerate() {
-            let rep = explore_on(sc, SimDeque::with_growth(true, 1, true));
-            assert!(rep.histories > 0);
-            assert!(
-                rep.ok(),
-                "scenario {i} violated: {:?}",
-                rep.example.as_ref().map(|v| &v.reason)
-            );
-        }
-    }
-
     /// INV-SB-REVAL necessity, exhaustively: the stale-`bot` chain
     /// (`revalidate = false`) double-takes against the owner's keep-path
     /// pops somewhere in the interleaving space — the checker must find
@@ -616,9 +587,7 @@ mod tests {
     }
 
     /// The shipped re-validated chain is clean over the same scenario —
-    /// and over a mixed one where a second thief single-steals — on both
-    /// the plain deque and the growable one (growth racing a mid-chain
-    /// grab).
+    /// and over a mixed one where a second thief single-steals.
     #[test]
     fn batch_revalidated_chain_is_clean() {
         use ProgOp::*;
@@ -641,36 +610,5 @@ mod tests {
                 rep.example.as_ref().map(|v| &v.reason)
             );
         }
-        // Growth racing a mid-chain grab (cap = 1: the second push
-        // replaces the buffer while the batch may hold a stale bound).
-        let rep = explore_batches(&scenarios[0], SimDeque::with_growth(true, 1, true), true);
-        assert!(
-            rep.ok(),
-            "growable violated: {:?}",
-            rep.example.as_ref().map(|v| &v.reason)
-        );
-    }
-
-    /// The broken growth variant — publish a fresh buffer without copying
-    /// the live region — is caught by the checker: a thief whose slot
-    /// read lands after the growth consumes a value that was never
-    /// pushed (the zeroed slot).
-    #[test]
-    fn growth_without_copy_is_caught() {
-        use crate::sim_deque::SimDeque;
-        use ProgOp::*;
-        let sc = Scenario::new(vec![owner(&[Push(1), Push(2)]), vec![PopTop]]);
-        let rep = explore_on(&sc, SimDeque::with_growth(true, 1, false));
-        assert!(
-            !rep.ok(),
-            "no-copy growth should violate conservation somewhere in {} histories",
-            rep.histories
-        );
-        let ex = rep.example.unwrap();
-        assert!(
-            ex.reason.contains("never pushed") || ex.reason.contains("no linearization"),
-            "unexpected reason: {}",
-            ex.reason
-        );
     }
 }

@@ -2,21 +2,20 @@
 //!
 //! The Figure-5 pseudocode is written against sequential consistency; the
 //! §3.3 race analysis is what licenses anything weaker. This module names
-//! every ordering the protocol uses, so [`crate::atomic`] and
-//! [`crate::growable`] can be instantiated either with the minimal correct
-//! protocol ([`RelaxedProtocol`]) or with blanket `SeqCst` on every access
+//! every ordering the protocol uses, so [`crate::atomic`] can be
+//! instantiated either with the minimal correct protocol
+//! ([`RelaxedProtocol`]) or with blanket `SeqCst` on every access
 //! ([`SeqCstProtocol`]) — the latter is the measured *baseline* for the
 //! `hotpath` benchmarks. Behavioural equivalence of the two is pinned by
-//! the `*_with::<SeqCstProtocol>` twins of the `atomic` and `growable`
-//! unit tests.
+//! the `*_with::<SeqCstProtocol>` twins of the `atomic` unit tests.
 //!
 //! # The protocol invariants
 //!
 //! Each relaxed access in the deque cites one of these by name (the
 //! DESIGN.md §7 table maps them back to the Figure 4/5 lines):
 //!
-//! * **INV-OWNER (owner-private reads)** — `bot` (and the growable
-//!   deque's buffer pointer) has a *single writer*: the owner. Per-location
+//! * **INV-OWNER (owner-private reads)** — `bot` has a *single writer*:
+//!   the owner. Per-location
 //!   coherence alone guarantees the owner reads its own latest write, so
 //!   owner loads of owner-written locations need no ordering.
 //! * **INV-PUSH (push publication)** — `pushBottom` stores the node into
@@ -159,9 +158,9 @@ impl OrderProfile for SeqCstProtocol {
     fn thief_fence() {}
 }
 
-/// The profile used by [`crate::new`] / [`crate::new_growable`] and hence
-/// by every runtime built on this crate. [`SeqCstProtocol`] is reachable
-/// only through the explicit `*_with_order` constructors.
+/// The profile used by [`crate::new`] and hence by every runtime built on
+/// this crate. [`SeqCstProtocol`] is reachable only through the explicit
+/// [`crate::new_with_order`] constructor.
 pub type DefaultProtocol = RelaxedProtocol;
 
 #[cfg(test)]

@@ -67,18 +67,6 @@ pub struct SimDeque {
     deq: Vec<u64>,
     tagged: bool,
     mem_model: MemModel,
-    /// `Some(cap)` models a bounded backing array that the owner grows
-    /// (doubles) when `pushBottom` finds it full, like
-    /// [`crate::growable`]; `None` (the default) is the paper's
-    /// "big enough" array, which simply resizes on demand with no
-    /// observable growth event.
-    cap: Option<usize>,
-    /// In growth mode: whether growing copies the live region into the
-    /// new buffer (the faithful [`crate::growable`] protocol) or
-    /// publishes a fresh zeroed buffer (a deliberately broken variant
-    /// for the model checker to catch).
-    copy_on_grow: bool,
-    growths: u64,
 }
 
 /// Result of a simulated `popTop`.
@@ -89,10 +77,6 @@ pub enum SimSteal {
     Empty,
     /// NIL because the `cas` lost a race.
     Abort,
-    /// NIL because the extraction lost a multiplicity once-guard — only
-    /// histories recorded from the guarded fence-free backend carry
-    /// this; the exact ABP protocol never produces it.
-    Duplicate,
 }
 
 impl SimSteal {
@@ -120,9 +104,6 @@ impl SimDeque {
             deq: Vec::new(),
             tagged,
             mem_model: MemModel::SeqCst,
-            cap: None,
-            copy_on_grow: true,
-            growths: 0,
         }
     }
 
@@ -136,55 +117,6 @@ impl SimDeque {
     /// The memory model this deque executes under.
     pub fn mem_model(&self) -> MemModel {
         self.mem_model
-    }
-
-    /// An empty deque with a *bounded* backing array of `cap` slots that
-    /// the owner doubles when `pushBottom` finds it full, modeling the
-    /// growable deque of [`crate::growable`]. The growth happens inside
-    /// `pushBottom`'s slot-store instruction (publish-then-store, one
-    /// shared-memory step), so thieves can observe the new buffer between
-    /// their own instructions. `copy_on_grow = false` builds the broken
-    /// variant whose growth forgets to copy the live region — the model
-    /// checker catches it racing a concurrent `popTop`.
-    ///
-    /// Default-constructed deques ([`SimDeque::new`] /
-    /// [`SimDeque::with_tagging`]) never take these paths, and growth
-    /// adds no extra instructions, so [`MAX_OP_STEPS`] and the default
-    /// step-for-step behaviour are unchanged.
-    pub fn with_growth(tagged: bool, cap: usize, copy_on_grow: bool) -> Self {
-        let cap = cap.max(1);
-        SimDeque {
-            age: SimAge { tag: 0, top: 0 },
-            bot: 0,
-            deq: vec![0; cap],
-            tagged,
-            mem_model: MemModel::SeqCst,
-            cap: Some(cap),
-            copy_on_grow,
-            growths: 0,
-        }
-    }
-
-    /// Number of growth events so far (growth mode only).
-    pub fn growths(&self) -> u64 {
-        self.growths
-    }
-
-    /// Grows the bounded backing array to twice its capacity. Faithful
-    /// growth copies the old contents (buffers in [`crate::growable`]
-    /// are immutable once superseded, so copying is equivalent to a
-    /// thief finishing its read from the retired buffer); the broken
-    /// variant publishes a fresh zeroed buffer.
-    fn grow(&mut self) {
-        let cap = self.cap.expect("grow only in bounded mode");
-        let new_cap = cap * 2;
-        if self.copy_on_grow {
-            self.deq.resize(new_cap, 0);
-        } else {
-            self.deq = vec![0; new_cap];
-        }
-        self.cap = Some(new_cap);
-        self.growths += 1;
     }
 
     /// Observed size (for invariant checks between operations).
@@ -396,13 +328,6 @@ impl DequeOp {
                     StepOutcome::Continue
                 }
                 1 => {
-                    // Bounded mode: a full array is grown (and published)
-                    // in the same shared-memory step as the slot store.
-                    if let Some(cap) = d.cap {
-                        if *local_bot as usize >= cap {
-                            d.grow();
-                        }
-                    }
                     // store node -> deq[localBot]
                     d.store_slot(*local_bot, *v);
                     *pc = 2;
@@ -940,40 +865,6 @@ mod tests {
             }
         }
         assert!(steps <= MAX_OP_STEPS, "pushBottom took {steps}");
-    }
-
-    /// Bounded growth mode: a full array doubles during `pushBottom`,
-    /// contents survive faithful growth, and the default (unbounded)
-    /// deque is byte-for-byte unaffected — push still takes exactly
-    /// three steps.
-    #[test]
-    fn bounded_growth_preserves_contents_and_default_steps() {
-        let mut d = SimDeque::with_growth(true, 2, true);
-        push(&mut d, 1);
-        push(&mut d, 2);
-        assert_eq!(d.growths(), 0);
-        push(&mut d, 3); // full: grows 2 -> 4 inside the store step
-        assert_eq!(d.growths(), 1);
-        assert_eq!(d.contents(), vec![1, 2, 3]);
-        assert_eq!(pop_top(&mut d), SimSteal::Taken(1));
-        assert_eq!(pop_bottom(&mut d), Some(3));
-        assert_eq!(pop_bottom(&mut d), Some(2));
-        assert!(d.is_empty());
-
-        // The broken variant forgets the copy: old values read as zero.
-        let mut b = SimDeque::with_growth(true, 1, false);
-        push(&mut b, 7);
-        push(&mut b, 8);
-        assert_eq!(b.growths(), 1);
-        assert_eq!(b.contents(), vec![0, 8], "live region was not copied");
-
-        // Default mode never grows and keeps the 3-step push.
-        let mut plain = SimDeque::new();
-        let mut op = DequeOp::push_bottom(9);
-        assert_eq!(op.step(&mut plain), StepOutcome::Continue);
-        assert_eq!(op.step(&mut plain), StepOutcome::Continue);
-        assert_eq!(op.step(&mut plain), StepOutcome::PushDone);
-        assert_eq!(plain.growths(), 0);
     }
 
     /// Directed version of the store→load-reordering race: with the

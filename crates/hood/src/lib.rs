@@ -27,8 +27,7 @@
 //! worker does. The pool is one flat set of workers, each able to rob
 //! any other. The deque is always ABP and idle
 //! workers always park through the eventcount ([`sleep`]): the locking
-//! and fence-free deques of `abp-deque` are ablations for the simulator
-//! and the deque-level experiments.
+//! deque of `abp-deque` is an ablation for the simulator.
 //!
 //! # External submission
 //!

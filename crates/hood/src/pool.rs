@@ -25,10 +25,10 @@
 //!
 //! Every worker's public deque is the non-blocking ABP deque of Figure 5
 //! ([`abp_deque::Worker`] / [`abp_deque::Stealer`]), fixed-capacity
-//! ([`PoolConfig::backend`]). The other deques in `abp-deque` (locking,
-//! growable, fence-free) are ablations: the paper's "non-blocking data
-//! structures are essential" claim is tested where its adversary lives,
-//! in the simulator and the deque-level drain matrices, not here. The
+//! ([`PoolConfig::backend`]). The locking deque in `abp-deque` is an
+//! ablation: the paper's "non-blocking data structures are essential"
+//! claim is tested where its adversary lives, in the simulator, not
+//! here. The
 //! worker loop, [`WorkerCtx`] and [`SharedCore`] (which holds every
 //! worker's stealer handle) are plain types, and code that runs *on* a
 //! worker — `join`, `scope`, the latches, the data-parallel layer —
@@ -48,10 +48,8 @@
 //! (INV-PRIV-ORDER, INV-PRIV-REQ) and what the scheme gives up are in
 //! [`crate::private`] and DESIGN.md § "Private-first fork path".
 //!
-//! ABP's `popTop` is exactly-once, so `duplicates` in
-//! [`crate::stats::PoolStats`] is a structural zero, asserted at
-//! [`ThreadPool::shutdown`] alongside the five-way accounting identity
-//! `attempts == hits + aborts + empties + injects + duplicates`.
+//! [`ThreadPool::shutdown`] asserts the four-way accounting identity
+//! `attempts == hits + aborts + empties + injects`.
 //!
 //! With the `telemetry` feature (on by default) a pool can additionally
 //! record a structured event trace — spawns, job spans, every steal
@@ -70,7 +68,7 @@ use abp_core::{
     BackoffAction, IdleAction, IdleKind, PolicyEngine, PolicyRng, PolicySet, SplitKind, StealResult,
 };
 use abp_dag::DetRng;
-use abp_deque::{AbpBackend, Steal, Stealer, TaskDeque};
+use abp_deque::{Steal, Stealer};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -95,16 +93,14 @@ pub struct Backend {
 
 impl Default for Backend {
     fn default() -> Self {
-        Backend {
-            capacity: AbpBackend::default().capacity,
-        }
+        Backend { capacity: 1 << 15 }
     }
 }
 
 impl Backend {
-    /// The deque's stable short label ([`TaskDeque::NAME`]: `"abp"`).
+    /// The deque's stable short label, stamped into run records.
     pub fn name(self) -> &'static str {
-        <AbpBackend as TaskDeque<usize>>::NAME
+        "abp"
     }
 }
 
@@ -547,7 +543,6 @@ impl WorkerCtx {
             StealResult::Hit => stats.steals.fetch_add(1, Ordering::Relaxed),
             StealResult::Abort => stats.aborts.fetch_add(1, Ordering::Relaxed),
             StealResult::Empty => stats.empties.fetch_add(1, Ordering::Relaxed),
-            StealResult::Duplicate => stats.duplicates.fetch_add(1, Ordering::Relaxed),
         };
         #[cfg(feature = "telemetry")]
         if let Some(t) = self.tele.as_ref() {
@@ -564,7 +559,6 @@ impl WorkerCtx {
                         StealResult::Hit => StealOutcome::Hit,
                         StealResult::Abort => StealOutcome::Abort,
                         StealResult::Empty => StealOutcome::Empty,
-                        StealResult::Duplicate => StealOutcome::Duplicate,
                     },
                 },
             );
@@ -612,9 +606,7 @@ impl WorkerCtx {
         JobRef::from_word(word)
     }
 
-    /// One counted `popTop` against worker `v`. ABP never reports
-    /// [`Steal::Duplicate`]; were it to, the miss is counted and
-    /// [`ThreadPool::shutdown`]'s `duplicates == 0` check fails.
+    /// One counted `popTop` against worker `v`.
     fn try_rob(&self, v: usize, scan_start: Option<u64>) -> Option<JobRef> {
         self.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
         let result = match self.core.stealers[v].pop_top() {
@@ -624,7 +616,6 @@ impl WorkerCtx {
             }
             Steal::Abort => StealResult::Abort,
             Steal::Empty => StealResult::Empty,
-            Steal::Duplicate => StealResult::Duplicate,
         };
         self.note_steal(v, result, scan_start);
         None
@@ -1109,14 +1100,6 @@ impl ThreadPool {
         debug_assert!(
             stats.attempts_balance(),
             "steal accounting identity violated: {stats:?}"
-        );
-        // ABP's `popTop` is exactly-once, so the identity's
-        // `duplicates` term is a structural zero (checked in release
-        // builds too — one comparison, once, at shutdown).
-        assert!(
-            stats.duplicates == 0,
-            "ABP is exact, yet duplicates = {}",
-            stats.duplicates
         );
         debug_assert!(
             stats.parks_balance(),

@@ -5,11 +5,11 @@
 //! `steal_attempt` and once under exactly one outcome, so the identity
 //!
 //! ```text
-//! steal_attempts == steals + aborts + empties + injects + duplicates
+//! steal_attempts == steals + aborts + empties + injects
 //! ```
 //!
-//! holds (injector polls land in `injects` on a grab and in `empties`
-//! on a miss) and
+//! — the four-way identity — holds (injector polls land in `injects` on
+//! a grab and in `empties` on a miss) and
 //! it holds for each worker and for the aggregate (checked in the tests
 //! and relied on by the telemetry integration tests, which reconcile
 //! these counters against the event trace). Every job taken from the
@@ -46,11 +46,6 @@ pub struct WorkerStats {
     pub empties: AtomicU64,
     /// Externally submitted jobs taken from the injector.
     pub injects: AtomicU64,
-    /// Steal attempts that reached a task another worker had already
-    /// extracted (a multiplicity-relaxed deque's lost once-guard).
-    /// Structurally zero on the pool's exact ABP deque — asserted at
-    /// shutdown.
-    pub duplicates: AtomicU64,
     /// yield system calls between steal scans.
     pub yields: AtomicU64,
     /// Times this worker parked for lack of work.
@@ -85,7 +80,6 @@ impl WorkerStats {
             aborts: self.aborts.load(Ordering::Relaxed),
             empties: self.empties.load(Ordering::Relaxed),
             injects: self.injects.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
             yields: self.yields.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             unparks: self.unparks.load(Ordering::Relaxed),
@@ -112,6 +106,8 @@ pub struct PoolStats {
     pub remote_attempts: u64,
     pub empties: u64,
     pub injects: u64,
+    /// Always 0: ABP's `popTop` extracts each job exactly once. Kept
+    /// for the same reason as `remote_steals`.
     pub duplicates: u64,
     pub yields: u64,
     pub parks: u64,
@@ -136,7 +132,6 @@ impl PoolStats {
             s.aborts += w.aborts.load(Ordering::Relaxed);
             s.empties += w.empties.load(Ordering::Relaxed);
             s.injects += w.injects.load(Ordering::Relaxed);
-            s.duplicates += w.duplicates.load(Ordering::Relaxed);
             s.yields += w.yields.load(Ordering::Relaxed);
             s.parks += w.parks.load(Ordering::Relaxed);
             s.unparks += w.unparks.load(Ordering::Relaxed);
@@ -155,12 +150,10 @@ impl PoolStats {
         }
     }
 
-    /// True iff every attempt is accounted for by exactly one outcome.
-    /// The `duplicates` term is structurally zero on the pool's exact
-    /// ABP deque, so this is the familiar four-way identity.
+    /// True iff every attempt is accounted for by exactly one outcome:
+    /// the four-way identity.
     pub fn attempts_balance(&self) -> bool {
-        self.steal_attempts
-            == self.steals + self.aborts + self.empties + self.injects + self.duplicates
+        self.steal_attempts == self.steals + self.aborts + self.empties + self.injects
     }
 
     /// True iff every park this snapshot saw also returned. Holds at any
@@ -235,23 +228,6 @@ mod tests {
         .attempts_balance());
         assert!(!PoolStats {
             injects: 1,
-            ..PoolStats::default()
-        }
-        .attempts_balance());
-        // The five-way extension: a duplicate outcome consumes an
-        // attempt like any other, and phantom duplicates unbalance.
-        assert!(PoolStats {
-            steal_attempts: 12,
-            steals: 3,
-            aborts: 2,
-            empties: 5,
-            injects: 1,
-            duplicates: 1,
-            ..PoolStats::default()
-        }
-        .attempts_balance());
-        assert!(!PoolStats {
-            duplicates: 1,
             ..PoolStats::default()
         }
         .attempts_balance());

@@ -10,18 +10,13 @@
 //!
 //! Only the lock *choreography* (who holds it, for how many instructions)
 //! is modelled here; the queue semantics are the real
-//! [`abp_deque::locking::LockingDeque`], reached through the
-//! [`TaskDeque`] trait family so the tree has exactly one locking-deque
+//! [`abp_deque::LockingDeque`], so the tree has exactly one locking-deque
 //! implementation. The simulated lock serializes all access within a run,
 //! so the real deque's internal `try_lock` is never contended from the
-//! simulator's point of view: the backend's [`Steal::Abort`] arm is
-//! unreachable here, matching this model's blocking (wait-out-contention)
-//! semantics.
+//! simulator's point of view: its [`Steal::Abort`] arm is unreachable
+//! here, matching this model's blocking (wait-out-contention) semantics.
 
-use abp_deque::{DequeOwner, DequeStealer, LockingBackend, Steal, TaskDeque};
-
-type Owner = <LockingBackend as TaskDeque<u64>>::Owner;
-type Thief = <LockingBackend as TaskDeque<u64>>::Stealer;
+use abp_deque::{LockingDeque, Steal};
 
 /// Result of a locked `popTop` body. There is no `Abort`: the blocking
 /// implementation waits out contention instead of failing fast.
@@ -31,11 +26,10 @@ pub enum LockedSteal {
     Empty,
 }
 
-/// The simulated lock plus handles to the real backing deque.
+/// The simulated lock plus the real backing deque.
 pub struct LockedSimDeque {
     holder: Option<u32>,
-    owner: Owner,
-    thief: Thief,
+    deque: LockingDeque<u64>,
 }
 
 impl std::fmt::Debug for LockedSimDeque {
@@ -55,11 +49,9 @@ impl Default for LockedSimDeque {
 
 impl LockedSimDeque {
     pub fn new() -> Self {
-        let (owner, thief) = LockingBackend.new_pair();
         LockedSimDeque {
             holder: None,
-            owner,
-            thief,
+            deque: LockingDeque::new(),
         }
     }
 
@@ -70,7 +62,7 @@ impl LockedSimDeque {
 
     /// Current size.
     pub fn len(&self) -> usize {
-        DequeOwner::len_hint(&self.owner) // exact for the locking backend
+        self.deque.len()
     }
 
     /// True if empty.
@@ -80,7 +72,7 @@ impl LockedSimDeque {
 
     /// Contents bottom→top (only meaningful when the lock is free).
     pub fn contents_bottom_to_top(&self) -> Vec<u64> {
-        self.owner.contents_bottom_to_top()
+        self.deque.contents_bottom_to_top()
     }
 }
 
@@ -162,19 +154,16 @@ impl LockOp {
             }
             let out = match self.kind {
                 LockKind::Push(v) => {
-                    DequeOwner::push_bottom(&d.owner, v).expect("locking backend never overflows");
+                    d.deque.push_bottom(v);
                     LockStepOutcome::PushDone
                 }
-                LockKind::PopBottom => {
-                    LockStepOutcome::PopBottomDone(DequeOwner::pop_bottom(&d.owner))
-                }
-                LockKind::PopTop => LockStepOutcome::PopTopDone(match d.thief.steal() {
+                LockKind::PopBottom => LockStepOutcome::PopBottomDone(d.deque.pop_bottom()),
+                LockKind::PopTop => LockStepOutcome::PopTopDone(match d.deque.pop_top() {
                     Steal::Taken(v) => LockedSteal::Taken(v),
                     Steal::Empty => LockedSteal::Empty,
                     Steal::Abort => {
                         unreachable!("simulated lock held: real try_lock is uncontended")
                     }
-                    Steal::Duplicate => unreachable!("locking backend is exact: no duplicates"),
                 }),
             };
             d.holder = None;

@@ -507,15 +507,9 @@ impl<'a> WorkStealer<'a> {
             "steal accounting identity violated: {:?}",
             self.tally
         );
-        // Per-backend structural zeros in the five-way identity: every
-        // simulated backend extracts exactly-once, and the blocking deque
-        // waits out contention rather than aborting, so those terms must
-        // be *exactly* zero — not merely balanced.
-        assert_eq!(
-            self.tally.duplicates, 0,
-            "sim backend {:?} is exact, yet duplicates = {}",
-            self.config.backend, self.tally.duplicates
-        );
+        // The blocking deque waits out contention rather than aborting,
+        // so its `aborts` term must be *exactly* zero — not merely
+        // balanced.
         if self.config.backend == DequeBackend::Locking {
             assert_eq!(
                 self.tally.aborts, 0,
@@ -850,7 +844,6 @@ impl<'a> WorkStealer<'a> {
                     StealResult::Hit => StealOutcome::Hit,
                     StealResult::Abort => StealOutcome::Abort,
                     StealResult::Empty => StealOutcome::Empty,
-                    StealResult::Duplicate => StealOutcome::Duplicate,
                 },
             });
         }
@@ -921,9 +914,6 @@ fn step_op(deques: &mut Deques, me: usize, target: usize, op: &mut AnyOp) -> OpD
             StepOutcome::PopTopDone(SimSteal::Taken(v)) => OpDone::PopTop(Some(v), false),
             StepOutcome::PopTopDone(SimSteal::Empty) => OpDone::PopTop(None, false),
             StepOutcome::PopTopDone(SimSteal::Abort) => OpDone::PopTop(None, true),
-            StepOutcome::PopTopDone(SimSteal::Duplicate) => {
-                unreachable!("stepped ABP deque is exact: no duplicates")
-            }
             StepOutcome::PopTopBatchDone(_) => {
                 unreachable!("simulator ops are single push/pop/steal")
             }

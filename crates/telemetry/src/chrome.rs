@@ -238,7 +238,7 @@ pub fn metrics_json(snap: &TelemetrySnapshot) -> String {
         let mut yields = 0u64;
         let mut parks = 0u64;
         let mut unparks = 0u64;
-        let (mut hits, mut empties, mut aborts, mut duplicates) = (0u64, 0u64, 0u64, 0u64);
+        let (mut hits, mut empties, mut aborts) = (0u64, 0u64, 0u64);
         let (mut inj_polls, mut inj_hits) = (0u64, 0u64);
         let (mut wakes, mut wake_skips) = (0u64, 0u64);
         for e in &w.events {
@@ -250,7 +250,6 @@ pub fn metrics_json(snap: &TelemetrySnapshot) -> String {
                     crate::StealOutcome::Hit => hits += 1,
                     crate::StealOutcome::Empty => empties += 1,
                     crate::StealOutcome::Abort => aborts += 1,
-                    crate::StealOutcome::Duplicate => duplicates += 1,
                 },
                 EventKind::InjectorPoll { hit } => {
                     inj_polls += 1;
@@ -265,18 +264,10 @@ pub fn metrics_json(snap: &TelemetrySnapshot) -> String {
         }
         let sl = &w.steal_latency;
         let jr = &w.job_run_time;
-        // Gated on being nonzero: exact backends never produce
-        // duplicates, so every pinned golden metrics dump stays
-        // byte-identical to before the counter existed.
-        let dup_field = if duplicates > 0 {
-            format!(",\"steal_duplicates\":{duplicates}")
-        } else {
-            String::new()
-        };
         let _ = write!(
             out,
             "{{\"worker\":{},\"events\":{},\"dropped\":{},\"spawns\":{},\"execs\":{},\
-             \"steal_hits\":{},\"steal_empties\":{},\"steal_aborts\":{}{},\
+             \"steal_hits\":{},\"steal_empties\":{},\"steal_aborts\":{},\
              \"inject_polls\":{},\"inject_hits\":{},\"yields\":{},\"parks\":{},\
              \"unparks\":{},\"wakes\":{},\"wake_skips\":{},\
              \"steal_latency\":{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p99_ns\":{}}},\
@@ -289,7 +280,6 @@ pub fn metrics_json(snap: &TelemetrySnapshot) -> String {
             hits,
             empties,
             aborts,
-            dup_field,
             inj_polls,
             inj_hits,
             yields,
@@ -309,9 +299,8 @@ pub fn metrics_json(snap: &TelemetrySnapshot) -> String {
     }
     let inj = &snap.injector;
     let lat = &inj.latency;
-    // Gated on nonzero like the per-worker duplicates field: golden
-    // dumps recorded before the fast-path counter existed stay
-    // byte-identical.
+    // Gated on nonzero: golden dumps recorded before the fast-path
+    // counter existed stay byte-identical.
     let fast_field = if inj.empty_fast > 0 {
         format!(",\"empty_fast\":{}", inj.empty_fast)
     } else {
@@ -467,35 +456,6 @@ mod tests {
             Some(7.0)
         );
         assert_eq!(v.get("policy").unwrap().as_str(), Some(""));
-    }
-
-    /// The duplicates counter is invisible until a Duplicate outcome
-    /// actually occurs (golden byte-stability for exact backends), then
-    /// surfaces in both exporters under the stable names.
-    #[test]
-    fn duplicate_outcomes_are_gated_on_nonzero() {
-        let base = metrics_json(&tiny_snapshot());
-        assert!(!base.contains("steal_duplicates"));
-        let mut snap = tiny_snapshot();
-        snap.workers[1].events.push(Event {
-            ts_ns: 9_800,
-            kind: EventKind::StealAttempt {
-                victim: 0,
-                outcome: StealOutcome::Duplicate,
-            },
-        });
-        let json = metrics_json(&snap);
-        let v = crate::json::parse(&json).expect("valid JSON");
-        let workers = v.get("workers").unwrap().as_array().unwrap();
-        assert_eq!(
-            workers[1]
-                .get("steal_duplicates")
-                .unwrap()
-                .as_f64()
-                .unwrap(),
-            1.0
-        );
-        assert!(chrome_trace(&snap).contains("\"name\":\"steal_duplicate\""));
     }
 
     #[test]

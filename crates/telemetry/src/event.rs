@@ -15,10 +15,6 @@ pub enum StealOutcome {
     Empty,
     /// The attempt lost the `cas` race (the paper's abort).
     Abort,
-    /// The attempt reached a task another process had already extracted
-    /// (a multiplicity-relaxed backend's lost once-guard; exact backends
-    /// never produce this).
-    Duplicate,
 }
 
 impl StealOutcome {
@@ -28,7 +24,6 @@ impl StealOutcome {
             StealOutcome::Hit => "steal_hit",
             StealOutcome::Empty => "steal_empty",
             StealOutcome::Abort => "steal_abort",
-            StealOutcome::Duplicate => "steal_duplicate",
         }
     }
 }
@@ -100,7 +95,6 @@ impl EventKind {
                     StealOutcome::Hit => 0u64,
                     StealOutcome::Empty => 1,
                     StealOutcome::Abort => 2,
-                    StealOutcome::Duplicate => 3,
                 };
                 TAG_STEAL | (o << 8) | ((victim as u64) << 32)
             }
@@ -124,7 +118,6 @@ impl EventKind {
                 let outcome = match (w >> 8) & 0xFF {
                     0 => StealOutcome::Hit,
                     1 => StealOutcome::Empty,
-                    3 => StealOutcome::Duplicate,
                     _ => StealOutcome::Abort,
                 };
                 EventKind::StealAttempt {
@@ -169,10 +162,6 @@ mod tests {
                 victim: 7,
                 outcome: StealOutcome::Abort,
             },
-            EventKind::StealAttempt {
-                victim: 11,
-                outcome: StealOutcome::Duplicate,
-            },
             EventKind::InjectorPoll { hit: true },
             EventKind::InjectorPoll { hit: false },
             EventKind::Yield,
@@ -193,6 +182,5 @@ mod tests {
         assert_eq!(StealOutcome::Hit.name(), "steal_hit");
         assert_eq!(StealOutcome::Empty.name(), "steal_empty");
         assert_eq!(StealOutcome::Abort.name(), "steal_abort");
-        assert_eq!(StealOutcome::Duplicate.name(), "steal_duplicate");
     }
 }

@@ -10,17 +10,9 @@
 //! against both the correct (tagged) deque and the broken (untagged)
 //! variant, then lets the exhaustive model checker quantify how many of
 //! the scenario's interleavings go wrong without the tag.
-//!
-//! A final act shows the *other* answer to the same race: the fence-free
-//! multiplicity deque doesn't carry a tag (or any `cas` on its steal
-//! fast path) — it lets the race happen and resolves it at the per-slot
-//! once-guard, reporting the loser as `Steal::Duplicate`. A thief storm
-//! hammers one deque to surface real duplicates.
 
 use abp_deque::model::{explore, ProgOp, Scenario};
-use abp_deque::{DequeOp, FenceFreeBackend, SimDeque, SimSteal, Steal, StepOutcome, TaskDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use abp_deque::{DequeOp, SimDeque, SimSteal, StepOutcome};
 
 fn run_scenario(tagged: bool) {
     println!(
@@ -77,63 +69,6 @@ fn run_scenario(tagged: bool) {
     println!();
 }
 
-/// A thief storm against one fence-free deque: N values in, 4 guarded
-/// thieves racing the owner's drain. The once-guard turns every lost
-/// race into a counted `Steal::Duplicate`; each value is still extracted
-/// exactly once, and nothing can abort.
-fn fence_free_storm() {
-    const N: usize = 20_000;
-    const THIEVES: usize = 4;
-    let backend = FenceFreeBackend { capacity: N };
-    let (owner, stealer) = backend.new_pair();
-    for v in 0..N as u64 {
-        owner.push_bottom(v).unwrap();
-    }
-    let counts: Arc<Vec<AtomicU8>> = Arc::new((0..N).map(|_| AtomicU8::new(0)).collect());
-    let handles: Vec<_> = (0..THIEVES)
-        .map(|_| {
-            let s = stealer.clone();
-            let counts = Arc::clone(&counts);
-            std::thread::spawn(move || {
-                let (mut takes, mut dups) = (0u64, 0u64);
-                loop {
-                    match s.steal() {
-                        Steal::Taken(v) => {
-                            takes += 1;
-                            counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Steal::Duplicate => dups += 1,
-                        Steal::Empty => break,
-                        Steal::Abort => unreachable!("fence-free popTop has no cas to lose"),
-                    }
-                }
-                (takes, dups)
-            })
-        })
-        .collect();
-    // The owner fights for the bottom end at the same time.
-    let mut owner_takes = 0u64;
-    while let Some(v) = owner.pop_bottom() {
-        owner_takes += 1;
-        counts[v as usize].fetch_add(1, Ordering::Relaxed);
-    }
-    let (mut takes, mut dups) = (owner_takes, 0u64);
-    for h in handles {
-        let (t, d) = h.join().unwrap();
-        takes += t;
-        dups += d;
-    }
-    assert_eq!(takes as usize, N, "every value extracted");
-    assert!(
-        counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-        "…exactly once"
-    );
-    println!(
-        "  {N} values, owner + {THIEVES} thieves: {takes} extractions (exactly once, \
-         checked), {dups} lost claim races counted as Duplicate, 0 aborts"
-    );
-}
-
 fn main() {
     println!("The §3.3 ABA interleaving (deque holds one node, value 100):");
     println!();
@@ -159,9 +94,4 @@ fn main() {
                 .unwrap_or_default()
         );
     }
-
-    println!();
-    println!("The fence-free alternative: no tag, no cas on the steal path —");
-    println!("the race is allowed and the per-slot once-guard counts the losers:");
-    fence_free_storm();
 }

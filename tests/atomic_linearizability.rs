@@ -23,22 +23,14 @@
 //! original suite, re-validating the relaxed memory-ordering protocol)
 //! so real interleavings — aborts, empty steals, races on the last
 //! element — actually occur.
-//!
-//! The same harness then turns the *multiplicity* judge
-//! (`history::check_multiplicity`) on the real fence-free deque
-//! (`deque::fence_free`): guarded steals must be exactly-once
-//! (`k = 1`, Duplicates excused), raw `steal_relaxed` steals must stay
-//! within the structural bound `k = 1 + THIEVES`, and forged
-//! over-extractions or lost values must be rejected.
 
 use std::sync::{Arc, Barrier};
 
 use multiprog_ws::dag::DetRng;
 use multiprog_ws::deque::history::{
-    check, check_multiplicity, check_multiplicity_with_batches, check_with_batches,
-    BatchInvocation, Invocation, MultiplicitySpec, OpResult, ProgOp, Recorder,
+    check, check_with_batches, BatchInvocation, Invocation, OpResult, ProgOp, Recorder,
 };
-use multiprog_ws::deque::{new, new_fence_free, SimSteal, Steal};
+use multiprog_ws::deque::{new, SimSteal, Steal};
 
 const OWNER_OPS: usize = 8;
 const THIEVES: usize = 3;
@@ -66,7 +58,6 @@ fn record_history(seed: u64) -> Vec<multiprog_ws::deque::history::Invocation> {
                     Steal::Taken(v) => SimSteal::Taken(v),
                     Steal::Empty => SimSteal::Empty,
                     Steal::Abort => SimSteal::Abort,
-                    Steal::Duplicate => unreachable!("ABP deque is exact: no duplicates"),
                 };
                 rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
             }
@@ -126,201 +117,6 @@ fn atomic_deque_histories_satisfy_relaxed_semantics() {
     // report them rather than asserting.)
     assert!(takes > 0, "no steal ever succeeded across {HISTORIES} runs");
     eprintln!("checked {HISTORIES} histories: {takes} takes, {aborts} aborts");
-}
-
-/// Runs one seeded owner-vs-thieves episode over the real *fence-free*
-/// deque and returns its recorded history. Thieves use the guarded
-/// `steal` (`raw = false`, exactly-once via the claim word) or the
-/// unguarded `steal_relaxed` (`raw = true`, at most once per handle);
-/// after the thieves finish, the owner drains to `None` so the
-/// `drained` half of the multiplicity spec applies.
-fn record_fence_free_history(seed: u64, raw: bool) -> Vec<Invocation> {
-    let (worker, stealer) = new_fence_free::<u64>(256);
-    let rec = Arc::new(Recorder::new());
-    let barrier = Arc::new(Barrier::new(1 + THIEVES));
-
-    let mut thieves = Vec::new();
-    for t in 0..THIEVES {
-        let mut stealer = stealer.clone();
-        let rec = Arc::clone(&rec);
-        let barrier = Arc::clone(&barrier);
-        thieves.push(std::thread::spawn(move || {
-            barrier.wait();
-            for _ in 0..STEALS_PER_THIEF {
-                let start = rec.invoked();
-                let res = if raw {
-                    stealer.steal_relaxed()
-                } else {
-                    stealer.steal()
-                };
-                let sim = match res {
-                    Steal::Taken(v) => SimSteal::Taken(v),
-                    Steal::Empty => SimSteal::Empty,
-                    Steal::Duplicate => SimSteal::Duplicate,
-                    Steal::Abort => unreachable!("fence-free popTop never aborts"),
-                };
-                rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
-            }
-        }));
-    }
-
-    let mut rng = DetRng::new(seed);
-    let mut next_val = 1u64;
-    barrier.wait();
-    for _ in 0..OWNER_OPS {
-        if rng.chance(0.55) {
-            let v = next_val;
-            next_val += 1;
-            let start = rec.invoked();
-            worker.push_bottom(v).expect("capacity is ample");
-            rec.responded(0, start, ProgOp::Push(v), OpResult::Pushed);
-        } else {
-            let start = rec.invoked();
-            let r = worker.pop_bottom();
-            rec.responded(0, start, ProgOp::PopBottom, OpResult::Popped(r));
-        }
-    }
-    for th in thieves {
-        th.join().unwrap();
-    }
-    // Quiesce: the owner pops until None, so every pushed value has been
-    // extracted at least once by the time the history closes.
-    loop {
-        let start = rec.invoked();
-        let r = worker.pop_bottom();
-        let done = r.is_none();
-        rec.responded(0, start, ProgOp::PopBottom, OpResult::Popped(r));
-        if done {
-            break;
-        }
-    }
-    rec.history()
-}
-
-/// Per-value extraction counts of a recorded history.
-fn extraction_counts(history: &[Invocation]) -> std::collections::HashMap<u64, u32> {
-    let mut counts = std::collections::HashMap::new();
-    for inv in history {
-        match inv.result {
-            OpResult::Popped(Some(v)) | OpResult::Stolen(SimSteal::Taken(v)) => {
-                *counts.entry(v).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-    counts
-}
-
-/// 800 seeded histories of the fence-free deque under *guarded* steals:
-/// the claim word makes extraction exactly-once, so the multiplicity
-/// spec degenerates to `k = 1` + drained, with losing claim races
-/// surfacing as excused Duplicates rather than double extractions.
-#[test]
-fn fence_free_guarded_histories_are_exactly_once() {
-    let spec = MultiplicitySpec {
-        k: 1,
-        drained: true,
-    };
-    let (mut takes, mut duplicates) = (0u64, 0u64);
-    for seed in 0..HISTORIES {
-        let history = record_fence_free_history(0xFF00_0000 + seed, false);
-        for inv in &history {
-            match inv.result {
-                OpResult::Stolen(SimSteal::Taken(_)) => takes += 1,
-                OpResult::Stolen(SimSteal::Duplicate) => duplicates += 1,
-                _ => {}
-            }
-        }
-        if let Err(reason) = check_multiplicity(&history, &spec) {
-            panic!("seed {seed}: multiplicity violation: {reason}\nhistory: {history:#?}");
-        }
-    }
-    assert!(takes > 0, "no steal ever succeeded across {HISTORIES} runs");
-    eprintln!(
-        "checked {HISTORIES} guarded fence-free histories: {takes} takes, {duplicates} duplicates"
-    );
-}
-
-/// 800 seeded histories of the fence-free deque under *raw* steals
-/// (`steal_relaxed`: no claim guard): extraction is at least once and
-/// at most `1 + THIEVES` times per value — the structural bound of one
-/// extraction per thief handle plus the owner, which the drain makes
-/// live (the owner's walk-down ignores raw extractions, so every
-/// raw-taken value is re-taken by the drain).
-#[test]
-fn fence_free_raw_histories_respect_the_structural_bound() {
-    let spec = MultiplicitySpec {
-        k: 1 + THIEVES as u32,
-        drained: true,
-    };
-    let (mut takes, mut multi) = (0u64, 0u64);
-    for seed in 0..HISTORIES {
-        let history = record_fence_free_history(0xFFAA_0000 + seed, true);
-        if let Err(reason) = check_multiplicity(&history, &spec) {
-            panic!("seed {seed}: multiplicity violation: {reason}\nhistory: {history:#?}");
-        }
-        for (_, c) in extraction_counts(&history) {
-            takes += c as u64;
-            if c > 1 {
-                multi += 1;
-            }
-        }
-    }
-    assert!(takes > 0, "no extraction across {HISTORIES} runs");
-    assert!(
-        multi > 0,
-        "raw mode never exhibited multiplicity > 1 across {HISTORIES} runs — the relaxation is not being exercised"
-    );
-    eprintln!("checked {HISTORIES} raw fence-free histories: {takes} extractions, {multi} values taken more than once");
-}
-
-/// The multiplicity checker is not vacuous on real fence-free histories:
-/// forging a (k+1)-th extraction of a consumed value, or erasing every
-/// extraction of a pushed value from a drained history, must be caught.
-#[test]
-fn multiplicity_checker_rejects_corrupted_real_histories() {
-    let spec = MultiplicitySpec {
-        k: 1 + THIEVES as u32,
-        drained: true,
-    };
-    let history = record_fence_free_history(0xBAD_F00D, true);
-    assert!(check_multiplicity(&history, &spec).is_ok());
-
-    // Forgery 1: take some consumed value k+1 times in total.
-    let counts = extraction_counts(&history);
-    let (&v, &c) = counts.iter().next().expect("drained history consumes");
-    let mut over = history.clone();
-    for i in 0..(spec.k + 1 - c) {
-        over.push(Invocation {
-            proc: 1,
-            start: 10_000 + 2 * i as u64,
-            end: 10_001 + 2 * i as u64,
-            kind: ProgOp::PopTop,
-            result: OpResult::Stolen(SimSteal::Taken(v)),
-        });
-    }
-    assert!(
-        check_multiplicity(&over, &spec).is_err(),
-        "forged {}-th extraction of {v} must be caught",
-        spec.k + 1
-    );
-
-    // Forgery 2: a pushed value that is never extracted in a drained
-    // history (turn each of its extractions into an Empty).
-    let mut lost = history.clone();
-    for inv in &mut lost {
-        match inv.result {
-            OpResult::Popped(Some(w)) if w == v => inv.result = OpResult::Popped(None),
-            OpResult::Stolen(SimSteal::Taken(w)) if w == v => {
-                inv.result = OpResult::Stolen(SimSteal::Empty)
-            }
-            _ => {}
-        }
-    }
-    assert!(
-        check_multiplicity(&lost, &spec).is_err(),
-        "value {v} pushed but never extracted must be caught in a drained history"
-    );
 }
 
 /// The checker is not vacuous on real histories: corrupting a recorded
@@ -388,7 +184,7 @@ fn record_batch_history(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
                 if round % 2 == 0 {
                     let batch = stealer.pop_top_batch(3);
                     if !batch.tasks.is_empty() {
-                        rec.responded_batch(1 + t, start, batch.tasks, batch.duplicates);
+                        rec.responded_batch(1 + t, start, batch.tasks);
                     } else {
                         // An empty batch is the ordinary Empty (or Abort)
                         // observation: record it as a plain popTop so the
@@ -405,7 +201,6 @@ fn record_batch_history(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
                         Steal::Taken(v) => SimSteal::Taken(v),
                         Steal::Empty => SimSteal::Empty,
                         Steal::Abort => SimSteal::Abort,
-                        Steal::Duplicate => unreachable!("ABP deque is exact"),
                     };
                     rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
                 }
@@ -500,7 +295,7 @@ fn record_batch_history_shallow(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocat
                 let start = rec.invoked();
                 let batch = stealer.pop_top_batch(max);
                 if !batch.tasks.is_empty() {
-                    rec.responded_batch(1 + t, start, batch.tasks, batch.duplicates);
+                    rec.responded_batch(1 + t, start, batch.tasks);
                 } else {
                     let sim = if batch.aborted {
                         SimSteal::Abort
@@ -592,88 +387,4 @@ fn batch_checker_rejects_a_forged_lost_task_in_range() {
         return;
     }
     panic!("no multi-task batch occurred to forge against");
-}
-
-/// Batched guarded steals on the real fence-free deque stay exactly
-/// once: the per-slot claim words are the ground truth of the range
-/// grab (INV-SB-GUARD), so the multiplicity spec degenerates to `k = 1`
-/// + drained with lost claim races surfacing as excused duplicates.
-#[test]
-fn fence_free_batched_histories_are_exactly_once() {
-    let spec = MultiplicitySpec {
-        k: 1,
-        drained: true,
-    };
-    let (mut takes, mut duplicates) = (0u64, 0u64);
-    for seed in 0..HISTORIES / 2 {
-        let (worker, stealer) = new_fence_free::<u64>(256);
-        let rec = Arc::new(Recorder::new());
-        let barrier = Arc::new(Barrier::new(1 + THIEVES));
-        let mut thieves = Vec::new();
-        for t in 0..THIEVES {
-            let stealer = stealer.clone();
-            let rec = Arc::clone(&rec);
-            let barrier = Arc::clone(&barrier);
-            thieves.push(std::thread::spawn(move || {
-                barrier.wait();
-                for _ in 0..STEALS_PER_THIEF {
-                    let start = rec.invoked();
-                    let batch = stealer.steal_batch(3);
-                    if batch.tasks.is_empty() && batch.duplicates == 0 {
-                        rec.responded(
-                            1 + t,
-                            start,
-                            ProgOp::PopTop,
-                            OpResult::Stolen(SimSteal::Empty),
-                        );
-                    } else {
-                        rec.responded_batch(1 + t, start, batch.tasks, batch.duplicates);
-                    }
-                }
-            }));
-        }
-        let mut rng = DetRng::new(0xFFBA_0000 + seed);
-        let mut next_val = 1u64;
-        barrier.wait();
-        for _ in 0..OWNER_OPS {
-            if rng.chance(0.55) {
-                let v = next_val;
-                next_val += 1;
-                let start = rec.invoked();
-                worker.push_bottom(v).expect("capacity is ample");
-                rec.responded(0, start, ProgOp::Push(v), OpResult::Pushed);
-            } else {
-                let start = rec.invoked();
-                let r = worker.pop_bottom();
-                rec.responded(0, start, ProgOp::PopBottom, OpResult::Popped(r));
-            }
-        }
-        for th in thieves {
-            th.join().unwrap();
-        }
-        loop {
-            let start = rec.invoked();
-            let r = worker.pop_bottom();
-            let done = r.is_none();
-            rec.responded(0, start, ProgOp::PopBottom, OpResult::Popped(r));
-            if done {
-                break;
-            }
-        }
-        let (history, batch_log) = (rec.history(), rec.batch_history());
-        for b in &batch_log {
-            takes += b.tasks.len() as u64;
-            duplicates += b.duplicates;
-        }
-        if let Err(reason) = check_multiplicity_with_batches(&history, &batch_log, &spec) {
-            panic!(
-                "seed {seed}: batched multiplicity violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
-            );
-        }
-    }
-    assert!(takes > 0, "no batched steal ever succeeded");
-    eprintln!(
-        "checked {} batched fence-free histories: {takes} takes, {duplicates} duplicates",
-        HISTORIES / 2
-    );
 }

@@ -162,9 +162,9 @@ fn federated_exactly_once_with_more_workers_than_cores() {
 }
 
 /// The structural-zero golden on the real pool: one flat pool moving
-/// one job per steal records not a single remote attempt, remote hit or
-/// batched steal (the fields stay in `PoolStats` for compatibility and
-/// must read zero).
+/// one job per steal with ABP's exactly-once `popTop` records not a
+/// single remote attempt, remote hit, batched steal or duplicate (the
+/// fields stay in `PoolStats` for compatibility and must read zero).
 #[test]
 fn flat_topology_reports_structural_zero() {
     let report = federated_episode(0xF1A7_0001, 3, 3, 120, false);
@@ -172,15 +172,17 @@ fn flat_topology_reports_structural_zero() {
     assert_eq!(report.stats.remote_attempts, 0);
     assert_eq!(report.stats.batch_steals, 0);
     assert_eq!(report.stats.batched_tasks, 0);
+    assert_eq!(report.stats.duplicates, 0);
     for (w, st) in report.per_worker.iter().enumerate() {
         assert_eq!(
             (
                 st.remote_steals,
                 st.remote_attempts,
                 st.batch_steals,
-                st.batched_tasks
+                st.batched_tasks,
+                st.duplicates
             ),
-            (0, 0, 0, 0),
+            (0, 0, 0, 0, 0),
             "worker {w}: {st:?}"
         );
     }

@@ -1,11 +1,11 @@
 //! Benchmarks for the hood runtime (experiment B1): fork-join throughput
-//! across process counts and the yield ablation. On an oversubscribed
-//! machine the yield-vs-no-yield gap is one of the paper's headline
-//! practical results (the ABP-vs-locking gap is measured in the
-//! simulator, experiment A1).
+//! across process counts. The paper's yield claim is measured in the
+//! simulator (experiment A2), and live oversubscription with yields on is
+//! `hoodbench`'s `multiprog` workload; the ABP-vs-locking gap is measured
+//! in the simulator too (experiment A1).
 
 use abp_bench::harness::Harness;
-use hood::{join, PoolConfig, ThreadPool};
+use hood::{join, ThreadPool};
 use std::hint::black_box;
 
 fn fib(n: u64) -> u64 {
@@ -59,38 +59,8 @@ fn bench_tree_sum(h: &Harness) {
     g.finish();
 }
 
-fn bench_yield_ablation(h: &Harness) {
-    // Oversubscribe: P well beyond the machine's processors, so yields
-    // matter (the multiprogrammed setting).
-    let over = 4 * std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut g = h.group(&format!("yield_fib22_P{over}_oversubscribed"));
-    g.sample_size(10);
-    for (name, backoff) in [
-        ("yield", hood::BackoffKind::Yield),
-        ("no-yield", hood::BackoffKind::None),
-    ] {
-        // Pure spinning on the idle axis, as in the original Hood: the
-        // yield is the only thing keeping thieves from wasting whole
-        // quanta.
-        let pool = ThreadPool::with_config(
-            PoolConfig::default().with_num_procs(over).with_policies(
-                hood::PolicySet::paper()
-                    .with_backoff(backoff)
-                    .with_idle(hood::IdleKind::Spin),
-            ),
-        );
-        g.bench(name, || {
-            pool.install(|| black_box(fib(22)));
-        });
-    }
-    g.finish();
-}
-
 fn main() {
     let h = Harness::from_args("fork_join");
     bench_fib(&h);
     bench_tree_sum(&h);
-    bench_yield_ablation(&h);
 }

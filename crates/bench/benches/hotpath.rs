@@ -14,12 +14,12 @@
 //!   `ThreadPool::spawn` (shard lock + push + wakeup);
 //! * `wake_latency` — cold submit → first instruction of the job on an
 //!   all-parked pool;
-//! * `idle_cpu` — sleep-subsystem churn under a trickle load: untimed
-//!   parks ride out the idle gaps without a timed-out park.
+//! * `idle_cpu` — sleep-subsystem churn under a trickle load: the parks,
+//!   wakes and spurious wakes the idle gaps cost.
 
 use abp_bench::harness::{Group, Harness};
 use abp_deque::{new_with_order, OrderProfile, RelaxedProtocol, SeqCstProtocol, Steal};
-use hood::{IdleKind, PolicySet, PoolConfig, ThreadPool};
+use hood::ThreadPool;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -162,16 +162,6 @@ fn bench_injector_submit(h: &Harness) {
     g.finish();
 }
 
-/// Pool with the untimed-park policy, with a small park threshold so
-/// workers reach the parked state quickly.
-fn parked_pool(p: usize) -> ThreadPool {
-    ThreadPool::with_config(
-        PoolConfig::default()
-            .with_num_procs(p)
-            .with_policies(PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 })),
-    )
-}
-
 /// One cold-submit cycle: wait for the pool to be fully parked, submit a
 /// job that stamps its own submit→start latency, wait for the stamp.
 /// The harness-reported time is the whole cycle (park-wait included);
@@ -180,7 +170,7 @@ fn bench_wake_latency(h: &Harness) {
     let mut g = h.group("wake_latency");
     g.sample_size(10);
     let p = 4;
-    let pool = parked_pool(p);
+    let pool = ThreadPool::new(p);
     let stamps: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
     let rec = Arc::clone(&stamps);
     g.bench("cold_cycle", || {
@@ -216,12 +206,12 @@ fn bench_wake_latency(h: &Harness) {
 /// A trickle load — one submission then a 200 µs silence per iteration —
 /// and the sleep-subsystem churn it causes. The timed number is the
 /// beat itself (dominated by the deliberate sleep); the story is the
-/// counter line: untimed parks stay silent until woken, so no park
-/// times out across the idle gaps.
+/// counter line: how many parks, wakes and spurious wakes the idle gaps
+/// cost.
 fn bench_idle_cpu(h: &Harness) {
     let mut g = h.group("idle_cpu");
     g.sample_size(5);
-    let pool = parked_pool(4);
+    let pool = ThreadPool::new(4);
     g.bench("trickle", || {
         let done = Arc::new(AtomicBool::new(false));
         let d = Arc::clone(&done);
@@ -235,12 +225,11 @@ fn bench_idle_cpu(h: &Harness) {
     // No parks: the group was filtered out and the pool never ran.
     if report.stats.parks > 0 {
         println!(
-            "    ^- parks {} unparks {} wakes_sent {} spurious {} timed_out {}",
+            "    ^- parks {} unparks {} wakes_sent {} spurious {}",
             report.stats.parks,
             report.stats.unparks,
             report.sleep.wakes_sent,
             report.sleep.wakes_spurious,
-            report.sleep.timed_out_parks,
         );
     }
     g.finish();

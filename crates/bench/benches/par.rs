@@ -18,7 +18,7 @@
 
 use abp_bench::harness::Harness;
 use hood::par::prelude::*;
-use hood::{par_sort_unstable, PolicySet, PoolConfig, SplitKind, ThreadPool};
+use hood::{par_sort_unstable, PoolConfig, SplitKind, ThreadPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,14 +44,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn pool_with_split(split: SplitKind) -> ThreadPool {
     let p = std::thread::available_parallelism().map_or(4, |p| p.get());
-    ThreadPool::with_config(PoolConfig {
-        num_procs: p,
-        policies: PolicySet {
-            split,
-            ..PolicySet::default()
-        },
-        ..PoolConfig::default()
-    })
+    ThreadPool::with_config(PoolConfig::default().with_num_procs(p).with_split(split))
 }
 
 fn data(n: usize) -> Vec<u64> {

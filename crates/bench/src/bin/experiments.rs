@@ -25,7 +25,6 @@ fn main() {
         "deque-check" => vec![exp::deque_check()],
         "ws-vs-sharing" => vec![exp::ws_vs_sharing()],
         "assign-policy" => vec![exp::assign_policy()],
-        "hood-wallclock" => vec![exp::hood_wallclock()],
         "telemetry" => vec![exp::telemetry()],
         "policies" => vec![exp::policies(false)],
         "policies-small" => vec![exp::policies(true)],
@@ -38,7 +37,7 @@ fn main() {
             eprintln!(
                 "unknown experiment `{other}`; one of: all fig1 fig2 thm1 thm2 thm9 \
                  thm9-tail thm10 thm11 thm12 hood-constant ablate-lock ablate-yield \
-                 lemma3 deque-check ws-vs-sharing assign-policy hood-wallclock telemetry \
+                 lemma3 deque-check ws-vs-sharing assign-policy telemetry \
                  policies policies-small serve serve-small hotpath \
                  theory theory-small"
             );

@@ -920,147 +920,6 @@ pub fn assign_policy() -> ExpResult {
     ExpResult::new("C2", "Ablation: spawn-first vs continue-first", body, pass)
 }
 
-/// H2 — the threaded runtime under oversubscription (wall clock).
-///
-/// The real-machine analog of A2/B1: with `P` worker threads well above
-/// the processor count (the multiprogrammed setting), the yield between
-/// steal scans is what keeps spinning thieves from eating the workers'
-/// timeslices. Wall-clock numbers are machine-dependent, so the pass
-/// criterion is correctness plus "yield never loses badly"; the timing
-/// columns are the interesting output.
-pub fn hood_wallclock() -> ExpResult {
-    use hood::{join, BackoffKind, IdleKind, PolicySet, PoolConfig, ThreadPool};
-    use std::time::Instant;
-
-    fn fib_serial(n: u64) -> u64 {
-        if n < 2 {
-            n
-        } else {
-            fib_serial(n - 1) + fib_serial(n - 2)
-        }
-    }
-    fn fib(n: u64) -> u64 {
-        if n < 16 {
-            return fib_serial(n);
-        }
-        let (x, y) = join(|| fib(n - 1), || fib(n - 2));
-        x + y
-    }
-    const N: u64 = 30;
-    const EXPECT: u64 = 832_040;
-
-    /// Latency-bound dependency chain: each round, `a` cannot finish until
-    /// another worker steals and runs `b`. With spinning (no-yield)
-    /// thieves on an oversubscribed machine, every round burns OS
-    /// timeslices; with yields it resolves in microseconds.
-    fn ping_pong(rounds: u32) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        for _ in 0..rounds {
-            let flag = AtomicBool::new(false);
-            join(
-                || {
-                    while !flag.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                },
-                || flag.store(true, Ordering::Release),
-            );
-        }
-    }
-    const PING_ROUNDS: u32 = 20;
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let over = 4 * cores;
-    let mut t = TextTable::new(["config", "P", "fib ms", "ping-pong ms", "steals", "yields"]);
-    let mut pass = true;
-    let mut yield_ms = 0.0f64;
-    let mut noyield_ms = 0.0f64;
-    let mut yield_pp = 0.0f64;
-    let mut noyield_pp = 0.0f64;
-    let spin_yield = PolicySet::paper().with_idle(IdleKind::Spin);
-    let spin_noyield = spin_yield.with_backoff(BackoffKind::None);
-    let cases: Vec<(&str, PoolConfig)> = vec![
-        ("abp, P=cores", PoolConfig::default().with_num_procs(cores)),
-        (
-            "abp+yield, oversubscribed",
-            PoolConfig::default()
-                .with_num_procs(over)
-                .with_policies(spin_yield),
-        ),
-        (
-            "abp no-yield, oversubscribed",
-            PoolConfig::default()
-                .with_num_procs(over)
-                .with_policies(spin_noyield),
-        ),
-    ];
-    for (name, cfg) in cases {
-        let p = cfg.num_procs;
-        let pool = ThreadPool::with_config(cfg);
-        // Warm up, then take the median of three timed runs.
-        pass &= pool.install(|| fib(21)) == 10_946;
-        let mut times = Vec::new();
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let got = pool.install(|| fib(N));
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            pass &= got == EXPECT;
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let ms = times[1];
-        // Ping-pong: median of three. Needs a second worker to steal the
-        // enabling job, so it is skipped for P = 1.
-        let pp = if p >= 2 {
-            let mut pp_times = Vec::new();
-            for _ in 0..3 {
-                let t0 = Instant::now();
-                pool.install(|| ping_pong(PING_ROUNDS));
-                pp_times.push(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            pp_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            pp_times[1]
-        } else {
-            f64::NAN
-        };
-        if name.starts_with("abp+yield") {
-            yield_ms = ms;
-            yield_pp = pp;
-        }
-        if name.starts_with("abp no-yield") {
-            noyield_ms = ms;
-            noyield_pp = pp;
-        }
-        let st = pool.stats();
-        t.row([
-            name.to_string(),
-            p.to_string(),
-            f2(ms),
-            if pp.is_nan() {
-                "n/a".to_string()
-            } else {
-                f2(pp)
-            },
-            st.steals.to_string(),
-            st.yields.to_string(),
-        ]);
-    }
-    // Yield must not lose badly on throughput, and must win clearly on
-    // the latency-bound dependency chain when the machine is shared.
-    pass &= yield_ms < noyield_ms * 1.5;
-    let cores_scarce = over > cores;
-    if cores_scarce {
-        pass &= noyield_pp > 2.0 * yield_pp;
-    }
-    let body = format!(
-        "fib({N}) on the threaded runtime, {cores} core(s), oversubscribed P = {over}\n\
-         (pure spinning, parking disabled — the original Hood discipline):\n\n{}",
-        t.render()
-    );
-    ExpResult::new("H2", "Threaded runtime under oversubscription", body, pass)
-}
-
 /// O1 — the observability pipeline end to end: a real pool run and a
 /// simulator run exported through the *same* telemetry schema.
 ///
@@ -1205,17 +1064,17 @@ pub fn telemetry() -> ExpResult {
     )
 }
 
-/// PL1 — policy matrix: pluggable victim/backoff/idle on both surfaces.
+/// PL1 — policy matrix: pluggable victim/backoff/idle in the simulator.
 ///
 /// Sweeps the `abp-core` policy sets over a workload × P matrix on the
-/// simulator (deterministic, seeded) and over the live pool, reporting
-/// throws, steal attempts, and T against the paper bound. Also emits
+/// simulator (deterministic, seeded), reporting throws, steal attempts,
+/// and T against the paper bound. The live pool runs only the paper's
+/// policy, so it has no cells here. Also emits
 /// `target/BENCH_policies.json`, validated with the `abp-telemetry` JSON
-/// parser — the sim half of that file is bit-reproducible across runs.
+/// parser — the file is bit-reproducible across runs.
 pub fn policies(small: bool) -> ExpResult {
     use abp_sim::{BackoffKind, IdleKind, PolicySet, VictimKind};
     use abp_telemetry::json;
-    use hood::{join, PoolConfig, ThreadPool};
 
     let policy_sets: Vec<PolicySet> = vec![
         PolicySet::paper(),
@@ -1315,120 +1174,26 @@ pub fn policies(small: bool) -> ExpResult {
         }
     }
 
-    // -- live pool: same policy sets drive the hood steal loop -----------
-    fn fib(n: u64) -> u64 {
-        if n < 12 {
-            let (mut a, mut b) = (0u64, 1u64);
-            for _ in 0..n {
-                let c = a + b;
-                a = b;
-                b = c;
-            }
-            return a;
-        }
-        let (x, y) = join(|| fib(n - 1), || fib(n - 2));
-        x + y
-    }
-    // Forced-steal ping-pong (as in H2): each round's second closure must
-    // be stolen and run by another worker before the first can finish, so
-    // every policy's actual steal path gets exercised even on one core.
-    fn ping_pong(rounds: u32) {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        for _ in 0..rounds {
-            let flag = AtomicBool::new(false);
-            join(
-                || {
-                    while !flag.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                },
-                || flag.store(true, Ordering::Release),
-            );
-        }
-    }
-    let (fib_n, fib_expect) = if small {
-        (18u64, 2_584u64)
-    } else {
-        (22u64, 17_711u64)
-    };
-    let ping_rounds = if small { 4 } else { 8 };
-    let mut pt = TextTable::new([
-        "policy", "P", "jobs", "attempts", "steals", "yields", "parks",
-    ]);
-    let mut pool_json = String::new();
-    for ps in &policy_sets {
-        // Keep the pool's engineering default (park when idle) except for
-        // the set that explicitly probes the idle axis.
-        let pool_ps = if matches!(ps.idle, IdleKind::Spin) {
-            ps.with_idle(PoolConfig::DEFAULT_IDLE)
-        } else {
-            *ps
-        };
-        let p = 4;
-        let pool = ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_policies(pool_ps),
-        );
-        pass &= pool.install(|| fib(fib_n)) == fib_expect;
-        pool.install(|| ping_pong(ping_rounds));
-        let report = pool.shutdown();
-        pass &= report.stats.steals >= ping_rounds as u64;
-        let st = &report.stats;
-        pass &= st.attempts_balance();
-        pt.row([
-            pool_ps.label(),
-            p.to_string(),
-            st.jobs.to_string(),
-            st.steal_attempts.to_string(),
-            st.steals.to_string(),
-            st.yields.to_string(),
-            st.parks.to_string(),
-        ]);
-        if !pool_json.is_empty() {
-            pool_json.push_str(",\n");
-        }
-        write!(
-            pool_json,
-            "    {{\"policy\":\"{}\",\"p\":{},\"jobs\":{},\"attempts\":{},\"steals\":{},\
-             \"aborts\":{},\"empties\":{},\"yields\":{},\"parks\":{}}}",
-            pool_ps.label(),
-            p,
-            st.jobs,
-            st.steal_attempts,
-            st.steals,
-            st.aborts,
-            st.empties,
-            st.yields,
-            st.parks,
-        )
-        .unwrap();
-    }
-
     // -- machine-readable artifact ---------------------------------------
     let artifact = format!(
-        "{{\n  \"bench\": \"policies\",\n  \"mode\": \"{}\",\n  \"sim\": [\n{}\n  ],\n  \
-         \"pool\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"policies\",\n  \"mode\": \"{}\",\n  \"sim\": [\n{}\n  ]\n}}\n",
         if small { "small" } else { "full" },
         sim_json,
-        pool_json
     );
     pass &= json::parse(&artifact).is_ok();
     let _ = std::fs::create_dir_all("target");
     let wrote = std::fs::write("target/BENCH_policies.json", &artifact).is_ok();
 
     let body = format!(
-        "Policy matrix over {} sets × {} workloads × P ∈ {:?} (sim, seeded) and the\n\
-         live pool (fib({fib_n}), P=4). ratio = T/(T1/P_A + Tinf·P/P_A); milestone-safe\n\
-         sets must meet the paper bound. wrote target/BENCH_policies.json ({} bytes{})\n\n\
-         simulator:\n{}\nlive pool:\n{}",
+        "Policy matrix over {} sets × {} workloads × P ∈ {:?} (sim, seeded).\n\
+         ratio = T/(T1/P_A + Tinf·P/P_A); milestone-safe sets must meet the paper\n\
+         bound. wrote target/BENCH_policies.json ({} bytes{})\n\n{}",
         policy_sets.len(),
         dags.len(),
         ps_list,
         artifact.len(),
         if wrote { "" } else { ", WRITE FAILED" },
         t.render(),
-        pt.render()
     );
     ExpResult::new(
         "PL1",
@@ -2140,7 +1905,6 @@ pub fn all() -> Vec<ExpResult> {
         deque_check(),
         ws_vs_sharing(),
         assign_policy(),
-        hood_wallclock(),
         telemetry(),
         policies(false),
         serve(false),

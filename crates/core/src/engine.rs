@@ -2,14 +2,12 @@
 
 use crate::backoff::{BackoffAction, BackoffKind, ContentionBackoff};
 use crate::idle::{IdleAction, IdleKind, IdlePolicy};
-use crate::inject::{InjectKind, InjectPolicy};
 use crate::rng::PolicyRng;
-use crate::split::SplitKind;
 use crate::tally::StealResult;
 use crate::victim::{VictimKind, VictimSelector};
 
-/// One choice per policy axis — the value that lives inside
-/// `WsConfig`/`PoolConfig` and gets stamped on telemetry and reports.
+/// One choice per policy axis — the value that lives inside the
+/// simulator's `WsConfig` and gets stamped on telemetry and reports.
 ///
 /// The default is [`PolicySet::paper`]: uniform victim, plain yield,
 /// spin idle — exactly Figure 3, so configs that never mention policies
@@ -22,14 +20,6 @@ pub struct PolicySet {
     pub backoff: BackoffKind,
     /// Whether a persistently idle worker parks.
     pub idle: IdleKind,
-    /// How often an idle worker polls the external-submission injector
-    /// (runtimes without an injector ignore this axis).
-    pub inject: InjectKind,
-    /// When a data-parallel computation forks vs. runs sequentially
-    /// (runtimes without a data-parallel layer ignore this axis). Read
-    /// directly by the runtime's splitter, not via the engine: split
-    /// decisions happen inside running jobs, not in the steal loop.
-    pub split: SplitKind,
 }
 
 impl PolicySet {
@@ -56,41 +46,16 @@ impl PolicySet {
         self
     }
 
-    /// Replaces the injector-poll cadence.
-    pub fn with_inject(mut self, inject: InjectKind) -> Self {
-        self.inject = inject;
-        self
-    }
-
-    /// Replaces the split cadence.
-    pub fn with_split(mut self, split: SplitKind) -> Self {
-        self.split = split;
-        self
-    }
-
     /// Stable identity string, `"victim+backoff+idle"` — e.g. the
     /// default is `"uniform+yield+spin"`. Stamped on telemetry
-    /// snapshots, `RunReport`s, and experiment JSON. A non-default
-    /// injector cadence is appended as a fourth `+` segment and a
-    /// non-default split cadence as a fifth; defaults are omitted so
-    /// labels (and the golden regression files that pin them) are
-    /// unchanged for the three classic axes.
+    /// snapshots, `RunReport`s, and experiment JSON.
     pub fn label(&self) -> String {
-        let mut s = format!(
+        format!(
             "{}+{}+{}",
             self.victim.label(),
             self.backoff.label(),
             self.idle.label()
-        );
-        if self.inject != InjectKind::default() {
-            s.push('+');
-            s.push_str(self.inject.label());
-        }
-        if self.split != SplitKind::default() {
-            s.push('+');
-            s.push_str(self.split.label());
-        }
-        s
+        )
     }
 
     /// True when the set keeps the paper's milestone accounting valid:
@@ -120,7 +85,6 @@ pub struct PolicyEngine {
     victim: Box<dyn VictimSelector>,
     backoff: Box<dyn ContentionBackoff>,
     idle: Box<dyn IdlePolicy>,
-    inject: Box<dyn InjectPolicy>,
     rng: PolicyRng,
     fails: u32,
 }
@@ -133,7 +97,6 @@ impl PolicyEngine {
             victim: set.victim.build(),
             backoff: set.backoff.build(),
             idle: set.idle.build(),
-            inject: set.inject.build(),
             rng,
             fails: 0,
         }
@@ -171,12 +134,6 @@ impl PolicyEngine {
         self.idle.on_idle(self.fails)
     }
 
-    /// Whether this hunt iteration should poll the external-submission
-    /// injector (runtimes without an injector never call this).
-    pub fn injector_due(&mut self) -> bool {
-        self.inject.should_poll(self.fails)
-    }
-
     /// A whole hunt found nothing: bump the consecutive-failure count.
     pub fn note_failed(&mut self) {
         self.fails = self.fails.saturating_add(1);
@@ -206,7 +163,6 @@ impl std::fmt::Debug for PolicyEngine {
             .field("victim", &self.victim.name())
             .field("backoff", &self.backoff.name())
             .field("idle", &self.idle.name())
-            .field("inject", &self.inject.name())
             .field("fails", &self.fails)
             .finish()
     }
@@ -277,36 +233,6 @@ mod tests {
         assert_eq!(eng.fails(), 200);
         eng.note_work_found();
         assert_eq!(eng.fails(), 0);
-    }
-
-    #[test]
-    fn inject_axis_defaults_and_labels() {
-        // The default cadence leaves the classic three-axis label
-        // untouched (the policy_regression goldens depend on that).
-        assert_eq!(PolicySet::paper().label(), "uniform+yield+spin");
-        let set = PolicySet::paper().with_inject(InjectKind::EveryN { n: 8 });
-        assert_eq!(set.label(), "uniform+yield+spin+inject-nth");
-        let mut eng = PolicyEngine::new(&set, PolicyRng::new(1));
-        assert!(eng.injector_due()); // fails == 0
-        eng.note_failed();
-        assert!(!eng.injector_due()); // fails == 1, period 8
-        let mut default_eng = PolicyEngine::new(&PolicySet::paper(), PolicyRng::new(1));
-        for _ in 0..5 {
-            assert!(default_eng.injector_due());
-            default_eng.note_failed();
-        }
-    }
-
-    #[test]
-    fn split_axis_defaults_and_labels() {
-        use crate::split::SplitKind;
-        // The default cadence leaves the classic label untouched.
-        assert_eq!(PolicySet::paper().label(), "uniform+yield+spin");
-        let set = PolicySet::paper().with_split(SplitKind::EagerGrain { grain: 64 });
-        assert_eq!(set.label(), "uniform+yield+spin+split-grain");
-        // Fourth and fifth segments compose.
-        let set = set.with_inject(InjectKind::Never);
-        assert_eq!(set.label(), "uniform+yield+spin+inject-never+split-grain");
     }
 
     #[test]

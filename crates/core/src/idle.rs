@@ -15,15 +15,8 @@
 pub enum IdleAction {
     /// Keep hunting: go attempt another steal.
     Steal,
-    /// Park for `n` units (microseconds in the runtime, instructions in
-    /// the simulator), then resume hunting.
+    /// Park for `n` simulated instructions, then resume hunting.
     Park(u32),
-    /// Park with no timeout: stay asleep until a producer wakes this
-    /// worker. Only sound on a runtime whose sleep subsystem closes the
-    /// missed-wakeup race by construction (the `hood::sleep` eventcount);
-    /// the timed [`IdleAction::Park`] is the legacy compromise that
-    /// papered over that race with a bounded nap.
-    ParkUntilWake,
 }
 
 /// Decides whether a worker with no work keeps stealing or parks.
@@ -47,12 +40,6 @@ pub enum IdleKind {
     Spin,
     /// Park for `park_len` units after `threshold` consecutive failures.
     ParkAfter { threshold: u32, park_len: u32 },
-    /// Park *untimed* after `threshold` consecutive failures and stay
-    /// asleep until woken. The successor to [`IdleKind::ParkAfter`] for
-    /// runtimes with an eventcount sleep/wake subsystem; labels and rng
-    /// streams of the two legacy kinds are untouched, so existing policy
-    /// goldens stay byte-identical.
-    ParkUntilWake { threshold: u32 },
 }
 
 impl IdleKind {
@@ -64,7 +51,6 @@ impl IdleKind {
                 threshold,
                 park_len,
             } => Box::new(ParkAfter::new(threshold, park_len)),
-            IdleKind::ParkUntilWake { threshold } => Box::new(ParkUntilWakeIdle::new(threshold)),
         }
     }
 
@@ -73,7 +59,6 @@ impl IdleKind {
         match self {
             IdleKind::Spin => "spin",
             IdleKind::ParkAfter { .. } => "park",
-            IdleKind::ParkUntilWake { .. } => "park-wake",
         }
     }
 }
@@ -138,48 +123,6 @@ impl IdlePolicy for ParkAfter {
     }
 }
 
-/// The eventcount-era idle policy: after `threshold` consecutive failed
-/// hunts, hand the quantum back to the kernel for good — the runtime's
-/// sleep subsystem guarantees a producer will wake the worker, so no
-/// timeout is needed (and none is taken: a timed park that never fires
-/// is still a syscall the kernel must arm).
-#[derive(Debug, Clone, Copy)]
-pub struct ParkUntilWakeIdle {
-    threshold: u32,
-}
-
-impl ParkUntilWakeIdle {
-    pub fn new(threshold: u32) -> Self {
-        ParkUntilWakeIdle {
-            threshold: threshold.max(1),
-        }
-    }
-}
-
-impl Default for ParkUntilWakeIdle {
-    fn default() -> Self {
-        ParkUntilWakeIdle::new(64)
-    }
-}
-
-impl IdlePolicy for ParkUntilWakeIdle {
-    fn on_idle(&mut self, fails: u32) -> IdleAction {
-        if fails >= self.threshold {
-            IdleAction::ParkUntilWake
-        } else {
-            IdleAction::Steal
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "park-wake"
-    }
-
-    fn may_park(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,18 +146,7 @@ mod tests {
         assert!(p.may_park());
     }
 
-    #[test]
-    fn park_until_wake_after_threshold() {
-        let mut p = ParkUntilWakeIdle::new(8);
-        assert_eq!(p.on_idle(0), IdleAction::Steal);
-        assert_eq!(p.on_idle(7), IdleAction::Steal);
-        assert_eq!(p.on_idle(8), IdleAction::ParkUntilWake);
-        assert_eq!(p.on_idle(1_000), IdleAction::ParkUntilWake);
-        assert!(p.may_park());
-    }
-
-    /// The two legacy kinds keep their labels (policy goldens pin them);
-    /// the untimed successor gets its own.
+    /// Labels are stable (policy goldens pin them).
     #[test]
     fn labels_are_stable() {
         assert_eq!(IdleKind::Spin.label(), "spin");
@@ -226,13 +158,6 @@ mod tests {
             .label(),
             "park"
         );
-        assert_eq!(
-            IdleKind::ParkUntilWake { threshold: 64 }.label(),
-            "park-wake"
-        );
-        assert_eq!(
-            IdleKind::ParkUntilWake { threshold: 64 }.build().name(),
-            "park-wake"
-        );
+        assert_eq!(IdleKind::Spin.build().name(), "spin");
     }
 }

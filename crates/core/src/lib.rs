@@ -1,13 +1,12 @@
-//! **abp-core** — the shared scheduling-policy layer.
+//! **abp-core** — the scheduling-policy layer of the simulator.
 //!
 //! The paper's work stealer (Figure 3) fixes one policy point: a thief
 //! yields (line 15), picks a **uniformly random** victim (line 16), and
 //! tries `popTop` on the victim's deque (line 17). The analysis machinery
 //! of Section 4 — throws, the potential function, the enabling tree — is
 //! exactly the instrument for comparing *alternative* policies, so this
-//! crate factors the three policy points out of the two execution
-//! surfaces (the `hood` threaded runtime and the `abp-sim`
-//! instruction-level simulator) into pluggable traits:
+//! crate factors the three policy points out of the `abp-sim`
+//! instruction-level simulator into pluggable traits:
 //!
 //! * [`VictimSelector`] — who to rob (Figure 3, line 16). Implementations:
 //!   [`UniformVictim`] (the paper), [`RoundRobinVictim`], the
@@ -23,25 +22,16 @@
 //!   engineering compromise).
 //!
 //! A cloneable [`PolicySet`] names one choice per axis (the spec that
-//! lives inside `WsConfig`/`PoolConfig`), and a per-worker
-//! [`PolicyEngine`] holds the built trait objects plus the seeded
-//! [`PolicyRng`], so both surfaces make **identical decisions from
-//! identical seeds**: the simulator and the runtime thread the same
-//! engine protocol (`backoff_action` → `begin_scan` → `next_victim` →
-//! `observe`) through their otherwise very different steal loops.
+//! lives inside `WsConfig`), and a per-process [`PolicyEngine`] holds the
+//! built trait objects plus the seeded [`PolicyRng`], threaded through
+//! the simulator's steal loop (`backoff_action` → `begin_scan` →
+//! `next_victim` → `observe`).
 //!
-//! * [`InjectPolicy`] — how often a work-less worker polls the external
-//!   submission injector, when the runtime has one. Implementations:
-//!   [`EveryScan`] (once per victim scan, the default), [`EveryN`]
-//!   (every n-th failed hunt), and [`NeverInject`] (the pre-injector
-//!   behavior, for ablation).
-//!
-//! * [`SplitKind`] — when a data-parallel computation forks vs. runs a
-//!   range sequentially, for runtimes with a `par_iter`-style layer.
-//!   Consulted from inside running jobs (not the steal loop), so it is a
-//!   plain spec with no engine hook: `Adaptive` (split while idle
-//!   workers are visible, the default), `EagerGrain` (recurse to an
-//!   explicit grain, the classic baseline), and `Sequential`.
+//! The `hood` thread pool runs Figure 3's policy only. It calls
+//! [`UniformVictim`] directly on a [`PolicyRng`] forked the same way, so
+//! a pool worker and a simulated process with the same seed draw the
+//! same scan starts; its yield, injector poll and park are fixed in the
+//! pool's loop.
 //!
 //! [`bounds`] holds the machine-checkable theory predicates next to the
 //! tally they consume: the Leiserson et al. rooted-tree steal bound
@@ -71,9 +61,7 @@ pub mod backoff;
 pub mod bounds;
 pub mod engine;
 pub mod idle;
-pub mod inject;
 pub mod rng;
-pub mod split;
 pub mod tally;
 pub mod victim;
 
@@ -85,10 +73,8 @@ pub use bounds::{
     cache_extra_miss_bound, rooted_tree_steal_bound, CacheBoundCheck, StealBoundCheck, CACHE_KAPPA,
 };
 pub use engine::{PolicyEngine, PolicySet};
-pub use idle::{IdleAction, IdleKind, IdlePolicy, ParkAfter, ParkUntilWakeIdle, SpinIdle};
-pub use inject::{EveryN, EveryScan, InjectKind, InjectPolicy, NeverInject};
+pub use idle::{IdleAction, IdleKind, IdlePolicy, ParkAfter, SpinIdle};
 pub use rng::PolicyRng;
-pub use split::SplitKind;
 pub use tally::{StealResult, StealTally};
 pub use victim::{
     LastEnabler, LastVictim, RoundRobinVictim, UniformVictim, VictimKind, VictimSelector,

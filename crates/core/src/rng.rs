@@ -8,7 +8,7 @@ use abp_dag::DetRng;
 /// SplitMix64) that fixes the *stream discipline*: each worker/process
 /// owns exactly one `PolicyRng`, forked from the config seed by worker
 /// index, and every policy draw on that worker comes from it in program
-/// order. Two surfaces configured with the same seed and the same
+/// order. Two runs configured with the same seed and the same
 /// [`crate::PolicySet`] therefore see identical random decisions —
 /// the property the simulator's determinism tests and the policy-swap
 /// regression tests pin down.

@@ -1,6 +1,7 @@
 //! Victim selection (Figure 3, line 16).
 //!
-//! The protocol is scan-oriented so one trait serves both surfaces:
+//! The protocol is scan-oriented so one trait serves both surfaces (the
+//! pool calls [`UniformVictim`] directly, with no trait object):
 //! a thief calls [`VictimSelector::begin_scan`] once when it starts
 //! hunting, then [`VictimSelector::next_victim`] for each attempt of the
 //! scan, and [`VictimSelector::observe`] with each attempt's outcome.

@@ -300,22 +300,6 @@ impl Parker {
         }
     }
 
-    /// Blocks until an unpark or until `timeout` elapses. Returns `true`
-    /// if woken by an unpark, `false` on timeout.
-    pub fn park_timeout(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut wake = self.wake.lock().unwrap();
-        while !*wake {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self.cv.wait_timeout(wake, deadline - now).unwrap();
-            wake = guard;
-        }
-        true
-    }
-
     /// Wakes the parked (or about-to-park) owner of this slot.
     pub fn unpark(&self) {
         let mut wake = self.wake.lock().unwrap();
@@ -386,18 +370,6 @@ mod tests {
         p.prepare();
         p.unpark();
         p.park(); // returns immediately: the flag latched the wake
-    }
-
-    #[test]
-    fn parker_timeout_and_rearm() {
-        let p = Parker::new();
-        p.prepare();
-        assert!(!p.park_timeout(std::time::Duration::from_millis(5)));
-        p.unpark();
-        assert!(p.park_timeout(std::time::Duration::from_millis(5)));
-        // prepare clears the stale wake
-        p.prepare();
-        assert!(!p.park_timeout(std::time::Duration::from_millis(5)));
     }
 
     #[test]

@@ -22,19 +22,22 @@
 //! assert_eq!(pool.install(|| fib(16)), 987);
 //! ```
 //!
-//! Configuration ([`PoolConfig`]) exposes the scheduling policy — victim
-//! selection, whether thieves yield between steal attempts, what an idle
-//! worker does. The pool is one flat set of workers, each able to rob
-//! any other. The deque is always ABP and idle
-//! workers always park through the eventcount ([`sleep`]): the locking
-//! deque of `abp-deque` is an ablation for the simulator.
+//! The pool runs Figure 3's policy and no other: a thief yields, scans
+//! the other workers from a uniformly random start, and polls the
+//! injector when it holds work; after 64 failed hunts it parks, untimed,
+//! through the eventcount ([`sleep`]). The pool is one flat set of
+//! workers, each able to rob any other, and the deque is always ABP: the
+//! locking deque of `abp-deque` and the alternative victim, backoff and
+//! idle policies of `abp-core` are ablations for the simulator.
+//! Configuration ([`PoolConfig`]) sets sizes, the seed, tracing, and the
+//! data-parallel split cadence.
 //!
 //! # External submission
 //!
 //! Non-worker threads submit work through the pool's sharded injector
 //! ("front door") with [`ThreadPool::spawn`] / [`ThreadPool::spawn_batch`];
-//! idle workers poll it between steal scans (cadence set by the
-//! [`InjectKind`] policy axis):
+//! idle workers poll it at the end of every steal scan that finds it
+//! non-empty, and once after every park:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,8 +60,8 @@
 //! sort, a FIFO scope — scheduled by *adaptive splitting*: ranges fork
 //! only while the sleep subsystem reports idle workers (one relaxed
 //! load), and run sequentially at full speed once the pool saturates.
-//! The [`SplitKind`] policy axis selects adaptive / eager-grain /
-//! sequential cadence per pool.
+//! [`PoolConfig::with_split`] selects the adaptive / eager-grain /
+//! sequential cadence ([`SplitKind`]) per pool.
 
 mod injector;
 pub mod job;
@@ -71,10 +74,9 @@ pub mod scope;
 pub mod sleep;
 pub mod stats;
 
-pub use abp_core::{BackoffKind, IdleKind, InjectKind, PolicySet, SplitKind, VictimKind};
 pub use join::join;
-pub use par::{par_sort_unstable, scope_fifo, ScopeFifo};
-pub use pool::{Backend, PoolConfig, PoolReport, ThreadPool, WorkerCtx};
+pub use par::{par_sort_unstable, scope_fifo, ScopeFifo, SplitKind};
+pub use pool::{Backend, PoolConfig, PoolPolicy, PoolReport, ThreadPool, WorkerCtx};
 pub use scope::{scope, Scope};
 pub use sleep::{SleepKind, SleepStats};
 pub use stats::{PoolStats, WorkerStats};

@@ -23,10 +23,10 @@
 //! them a range forks only while workers are parked. See [`iter`] for
 //! the combinator architecture.
 //!
-//! The policy knob is [`abp_core::SplitKind`] (fifth `PolicySet` axis),
-//! set per pool, never per call: `Adaptive` (default), `EagerGrain {
-//! grain }` (classic recurse-to-the-grain), or `Sequential` (never fork —
-//! a debugging / baseline mode).
+//! The knob is [`SplitKind`], set per pool with
+//! [`crate::PoolConfig::with_split`], never per call: `Adaptive`
+//! (default), `EagerGrain { grain }` (classic recurse-to-the-grain), or
+//! `Sequential` (never fork — a debugging / baseline mode).
 
 pub mod iter;
 pub mod scope_fifo;
@@ -36,6 +36,7 @@ pub(crate) mod split;
 pub use iter::{IndexedParIterator, IntoParIter, ParIter, ParIterMut, ParIterator, ParRange};
 pub use scope_fifo::{scope_fifo, ScopeFifo};
 pub use sort::par_sort_unstable;
+pub use split::SplitKind;
 
 /// One-stop import for the combinator surface:
 /// `use hood::par::prelude::*;`.

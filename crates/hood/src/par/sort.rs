@@ -33,7 +33,7 @@ use super::split::Splitter;
 use crate::join::join;
 
 /// Sorts the slice, potentially in parallel, honouring the current
-/// pool's [`abp_core::SplitKind`] policy. Deterministic pivot choice
+/// pool's [`crate::SplitKind`] policy. Deterministic pivot choice
 /// keeps runs reproducible; outside a pool this is exactly
 /// `slice::sort_unstable`.
 pub fn par_sort_unstable<T: Ord + Send>(v: &mut [T]) {

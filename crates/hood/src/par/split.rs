@@ -38,7 +38,39 @@
 //! them).
 
 use crate::pool::current_worker;
-use abp_core::SplitKind;
+
+/// When a data-parallel computation forks vs. runs a range sequentially
+/// — the one scheduling choice a pool still offers
+/// ([`crate::PoolConfig::with_split`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SplitKind {
+    /// Split while idle workers are visible (sleeper hint) after an
+    /// initial depth budget of ~`4P` leaves — the default. Sequential at
+    /// full speed once every processor is busy.
+    #[default]
+    Adaptive,
+    /// Classic eager recursion down to `grain` elements per leaf,
+    /// regardless of idleness — the pre-adaptive behavior, for ablation
+    /// and for callers that have tuned an explicit grain.
+    EagerGrain {
+        /// Maximum leaf length (clamped to ≥ 1).
+        grain: usize,
+    },
+    /// Never split: every range runs sequentially (ablation baseline,
+    /// and the behavior outside any pool).
+    Sequential,
+}
+
+impl SplitKind {
+    /// Short stable label for policy identity strings.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SplitKind::Adaptive => "split-adaptive",
+            SplitKind::EagerGrain { .. } => "split-grain",
+            SplitKind::Sequential => "split-seq",
+        }
+    }
+}
 
 /// Decides, per recursion step, whether a range of `len` items should
 /// fork (`should_split` → `true`) or run sequentially. `Copy` so a
@@ -64,9 +96,9 @@ fn budget_for(p: usize) -> u32 {
 }
 
 impl Splitter {
-    /// A splitter honouring the current pool's [`SplitKind`] policy
-    /// axis. Outside any pool this is [`Splitter::sequential`]: the
-    /// combinators degrade to plain sequential loops.
+    /// A splitter honouring the current pool's [`SplitKind`]. Outside
+    /// any pool this is [`Splitter::sequential`]: the combinators
+    /// degrade to plain sequential loops.
     pub fn new() -> Splitter {
         match current_worker() {
             Some(w) => {
@@ -159,6 +191,14 @@ impl Splitter {
 mod tests {
     use super::*;
     use crate::pool::ThreadPool;
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(SplitKind::Adaptive.label(), "split-adaptive");
+        assert_eq!(SplitKind::EagerGrain { grain: 64 }.label(), "split-grain");
+        assert_eq!(SplitKind::Sequential.label(), "split-seq");
+        assert_eq!(SplitKind::default(), SplitKind::Adaptive);
+    }
 
     #[test]
     fn budget_scales_with_p() {

@@ -4,20 +4,21 @@
 //!
 //! The scheduling loop follows Figure 3: a worker executes its assigned
 //! job; completed jobs are replaced by popping the bottom of its own
-//! deque; an empty deque turns the worker into a thief that backs off,
-//! picks a victim, and tries `popTop` on the victim's deque. The three
-//! policy points of that loop — victim selection (line 16), contention
-//! backoff (line 15), and what a persistently idle worker does — are
-//! pluggable via [`PoolConfig::policies`] (an [`abp_core::PolicySet`]);
-//! the default is the paper's uniform-random victim and yield, plus
-//! parking a completely idle worker so an idle pool does not burn CPU.
-//! Parking goes through the [`crate::sleep`] eventcount, whose
+//! deque; an empty deque turns the worker into a thief that yields,
+//! picks a victim, and tries `popTop` on the victim's deque. The pool
+//! runs that policy and no other: every scan starts with a yield
+//! (line 15) and visits all `P − 1` other workers from a uniformly random
+//! start ([`abp_core::UniformVictim`], line 16), then polls the injector
+//! when it holds work. Hood's one engineering addition is the park: a
+//! worker whose last 64 hunts all failed parks so an idle pool does not
+//! burn CPU. Parking goes through the [`crate::sleep`] eventcount, whose
 //! announce/re-scan/commit protocol closes the missed-wakeup race by
-//! construction — so the default park is *untimed*
-//! ([`IdleKind::ParkUntilWake`]) and producers wake exactly
-//! `min(jobs, sleepers)` workers instead of the whole pool. All
+//! construction — so the park is *untimed* and producers wake exactly
+//! `min(jobs, sleepers)` workers instead of the whole pool. The one
+//! choice a pool still offers is the data-parallel split cadence
+//! ([`PoolConfig::policies`], a [`PoolPolicy`]). All
 //! inter-worker synchronization is non-blocking (the deque) except that
-//! optional parking, which never holds locks around work, so it cannot
+//! park, which never holds locks around work, so it cannot
 //! reintroduce the preemption pathology the paper's non-blocking design
 //! eliminates.
 //!
@@ -61,18 +62,16 @@
 use crate::injector::Injector;
 use crate::job::JobRef;
 use crate::latch::LockLatch;
+use crate::par::SplitKind;
 use crate::private::{Attention, PrivateFirst, PrivateStack};
-use crate::sleep::{Sleep, SleepKind, SleepOutcome, SleepStats};
+use crate::sleep::{Sleep, SleepKind, SleepStats};
 use crate::stats::{PoolStats, WorkerStats};
-use abp_core::{
-    BackoffAction, IdleAction, IdleKind, PolicyEngine, PolicyRng, PolicySet, SplitKind, StealResult,
-};
+use abp_core::{PolicyRng, StealResult, UniformVictim, VictimSelector};
 use abp_dag::DetRng;
 use abp_deque::{Steal, Stealer};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 #[cfg(feature = "telemetry")]
 use abp_telemetry::{EventKind, Registry, StealOutcome, WorkerTelemetry};
@@ -104,6 +103,35 @@ impl Backend {
     }
 }
 
+/// Consecutive failed hunts after which an idle worker parks (untimed,
+/// until a producer's wake).
+const PARK_AFTER_FAILED_HUNTS: u32 = 64;
+
+/// The pool's scheduling policy. The steal loop is fixed to Figure 3's
+/// (yield, uniform victim, `popTop`) with an untimed park after 64
+/// failed hunts; what is left to choose is the data-parallel split
+/// cadence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PoolPolicy {
+    /// When a data-parallel range forks vs. runs sequentially, read by
+    /// [`crate::par`]'s splitter.
+    pub split: SplitKind,
+}
+
+impl PoolPolicy {
+    /// Stable identity string stamped on telemetry snapshots and run
+    /// fingerprints: `"uniform+yield+park-wake"`, with the split
+    /// cadence appended when it is not the default.
+    pub fn label(&self) -> String {
+        let mut s = String::from("uniform+yield+park-wake");
+        if self.split != SplitKind::default() {
+            s.push('+');
+            s.push_str(self.split.label());
+        }
+        s
+    }
+}
+
 /// Pool construction parameters.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -111,14 +139,9 @@ pub struct PoolConfig {
     pub num_procs: usize,
     /// Sizing of each worker's public ABP deque.
     pub backend: Backend,
-    /// The scheduling-policy set (victim selection, contention backoff,
-    /// idle behaviour). The default is the paper's policy with Hood's
-    /// engineering compromise on the idle axis: uniform victims, a yield
-    /// between failed steal scans, and an untimed park
-    /// ([`PoolConfig::DEFAULT_IDLE`]) after 64 consecutive failed scans,
-    /// ended only by a producer's wake, so an idle pool does not burn
-    /// CPU.
-    pub policies: PolicySet,
+    /// The scheduling policy: Figure 3's steal loop, plus the split
+    /// cadence of the data-parallel layer.
+    pub policies: PoolPolicy,
     /// Seed for victim selection.
     pub seed: u64,
     /// Worker thread stack size in bytes. Work stealing executes stolen
@@ -140,20 +163,15 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// The default idle policy: park *untimed* after 64 consecutive
-    /// failed steal scans and stay asleep until a producer's wake. Sound
-    /// because the eventcount closes the missed-wakeup race.
-    pub const DEFAULT_IDLE: IdleKind = IdleKind::ParkUntilWake { threshold: 64 };
-
     /// Replaces the worker count.
     pub fn with_num_procs(mut self, num_procs: usize) -> Self {
         self.num_procs = num_procs;
         self
     }
 
-    /// Replaces the scheduling-policy set.
-    pub fn with_policies(mut self, policies: PolicySet) -> Self {
-        self.policies = policies;
+    /// Replaces the data-parallel split cadence.
+    pub fn with_split(mut self, split: SplitKind) -> Self {
+        self.policies.split = split;
         self
     }
 
@@ -190,7 +208,7 @@ impl Default for PoolConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             backend: Backend::default(),
-            policies: PolicySet::paper().with_idle(PoolConfig::DEFAULT_IDLE),
+            policies: PoolPolicy::default(),
             seed: 0xAB9,
             stack_size: 8 * 1024 * 1024,
             injector_shards: 0,
@@ -295,7 +313,12 @@ pub struct WorkerCtx {
     index: usize,
     deque: PrivateFirst,
     core: Arc<SharedCore>,
-    engine: RefCell<PolicyEngine>,
+    /// The paper's uniform victim selector and the stream it draws
+    /// from, forked from the pool seed by worker index.
+    victim: RefCell<UniformVictim>,
+    rng: RefCell<PolicyRng>,
+    /// Consecutive hunts that found no work; reset by any found work.
+    fails: Cell<u32>,
     /// True between returning from a wake-caused unpark and finding the
     /// first piece of work. Finding work converts it into a
     /// `hits_after_unpark`; committing back to sleep with it still set
@@ -353,7 +376,7 @@ impl WorkerCtx {
         self.core.num_procs
     }
 
-    /// The pool's split cadence (the fifth policy axis).
+    /// The pool's split cadence.
     pub(crate) fn split_kind(&self) -> SplitKind {
         self.core.split
     }
@@ -477,10 +500,10 @@ impl WorkerCtx {
     }
 
     /// Bookkeeping for work found anywhere (own pop, steal, injector):
-    /// resets the policy engine's failure streak and, if this worker was
-    /// recently woken, credits the wake and records its latency.
+    /// resets the failure streak and, if this worker was recently woken,
+    /// credits the wake and records its latency.
     pub(crate) fn note_found_work(&self) {
-        self.engine.borrow_mut().note_work_found();
+        self.fails.set(0);
         if self.woken_pending.replace(false) {
             self.core.sleep.note_hit_after_unpark();
             #[cfg(feature = "telemetry")]
@@ -534,9 +557,8 @@ impl WorkerCtx {
     }
 
     /// Records one completed steal attempt everywhere it is counted —
-    /// stats outcome counter, telemetry event, steal-latency sample, and
-    /// the policy engine's victim feedback. One function so the outcome
-    /// branches cannot drift apart again.
+    /// stats outcome counter, telemetry event and steal-latency sample.
+    /// One function so the outcome branches cannot drift apart again.
     fn note_steal(&self, victim: usize, result: StealResult, scan_start_ns: Option<u64>) {
         let stats = self.stats();
         match result {
@@ -564,8 +586,7 @@ impl WorkerCtx {
             );
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = scan_start_ns;
-        self.engine.borrow_mut().observe(victim, result);
+        let _ = (victim, scan_start_ns);
     }
 
     /// One counted, non-blocking poll of the external-submission
@@ -621,19 +642,9 @@ impl WorkerCtx {
         None
     }
 
-    /// One counted injector poll, when the inject policy says it is due
-    /// and the front door is non-empty.
-    fn maybe_poll_injector(&self) -> Option<JobRef> {
-        if self.core.injector.pending() > 0 && self.engine.borrow_mut().injector_due() {
-            return self.poll_injector();
-        }
-        None
-    }
-
-    /// One full steal scan: backoff (per policy), then all `P − 1`
-    /// other workers in the selector's order, then — when the inject
-    /// policy says the poll is due and the injector is non-empty — the
-    /// injector.
+    /// One full steal scan (Figure 3, lines 15–17): a yield, then all
+    /// `P − 1` other workers from a uniformly random start, then — when
+    /// it holds work — the injector.
     ///
     /// Every caller has just failed a pop of its own deque, so this is
     /// where a worker starts to count as hunting (INV-PRIV-REQ).
@@ -641,36 +652,26 @@ impl WorkerCtx {
         if !self.hunting.replace(true) {
             self.core.attention.start_hunting();
         }
-        match self.engine.borrow_mut().backoff_action() {
-            BackoffAction::Proceed => {}
-            BackoffAction::Yield => self.do_yield(),
-            BackoffAction::Spin(n) => {
-                for _ in 0..n {
-                    std::hint::spin_loop();
-                }
-            }
-            BackoffAction::SpinThenYield(n) => {
-                for _ in 0..n {
-                    std::hint::spin_loop();
-                }
-                self.do_yield();
-            }
-        }
+        self.do_yield();
         #[cfg(feature = "telemetry")]
         let scan_start = self.tele.as_ref().map(|t| t.now_ns());
         #[cfg(not(feature = "telemetry"))]
         let scan_start = None;
         let n = self.core.num_procs;
         if n > 1 {
-            self.engine.borrow_mut().begin_scan(self.index, n);
+            let (mut victim, mut rng) = (self.victim.borrow_mut(), self.rng.borrow_mut());
+            victim.begin_scan(self.index, n, &mut rng);
             for _ in 0..n - 1 {
-                let v = self.engine.borrow_mut().next_victim(self.index, n);
+                let v = victim.next_victim(self.index, n, &mut rng);
                 if let Some(job) = self.try_rob(v, scan_start) {
                     return Some(job);
                 }
             }
         }
-        self.maybe_poll_injector()
+        if self.core.injector.pending() > 0 {
+            return self.poll_injector();
+        }
+        None
     }
 
     /// True if any source this worker could take work from looks
@@ -693,10 +694,8 @@ impl WorkerCtx {
             .any(|(j, s)| j != self.index && s.len_hint() > 0)
     }
 
-    /// Parks this worker until a producer's wake (`timeout == None`, the
-    /// [`IdleAction::ParkUntilWake`] policy) or for a bounded nap
-    /// (`Some`, the legacy [`IdleAction::Park`] policy). May return
-    /// without parking at all when the sleep protocol detects work.
+    /// Parks this worker until a producer's wake. May return without
+    /// parking at all when the sleep protocol detects work.
     ///
     /// The three-step protocol from [`crate::sleep`]: announce, re-scan
     /// every work source, then commit via the epoch-checked CAS; a
@@ -708,7 +707,7 @@ impl WorkerCtx {
     /// Only `worker_main` parks, and only after a pop of both stacks
     /// failed, so a sleeping worker holds nothing — in particular no
     /// private entry that its thieves could not see.
-    fn park(&self, timeout: Option<Duration>) {
+    fn park(&self) {
         debug_assert!(self.deque.private().is_empty(), "parking over private work");
         let sleep = &self.core.sleep;
         let token = sleep.announce();
@@ -729,16 +728,14 @@ impl WorkerCtx {
         self.stats().parks.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Park);
-        let outcome = sleep.park_committed(self.index, timeout);
+        sleep.park_committed(self.index);
         self.stats().unparks.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Unpark);
-        if outcome == SleepOutcome::Woken {
-            self.woken_pending.set(true);
-            #[cfg(feature = "telemetry")]
-            self.woken_at
-                .set(self.tele.as_ref().map_or(0, |t| t.now_ns()));
-        }
+        self.woken_pending.set(true);
+        #[cfg(feature = "telemetry")]
+        self.woken_at
+            .set(self.tele.as_ref().map_or(0, |t| t.now_ns()));
     }
 }
 
@@ -779,27 +776,14 @@ fn worker_main(ctx: WorkerCtx) {
                     }
                     break;
                 }
-                let action = {
-                    let mut engine = ctx.engine.borrow_mut();
-                    engine.note_failed();
-                    engine.idle_action()
-                };
-                let parked = match action {
-                    IdleAction::Steal => false,
-                    IdleAction::Park(us) => {
-                        ctx.park(Some(Duration::from_micros(us as u64)));
-                        true
-                    }
-                    IdleAction::ParkUntilWake => {
-                        ctx.park(None);
-                        true
-                    }
-                };
-                if parked {
+                let fails = ctx.fails.get().saturating_add(1);
+                ctx.fails.set(fails);
+                if fails >= PARK_AFTER_FAILED_HUNTS {
+                    ctx.park();
                     // A wake-up usually means an external submission;
-                    // poll unconditionally (counted) so even an
-                    // `InjectKind::Never` ablation drains the front
-                    // door after parking.
+                    // poll unconditionally (counted), even when the
+                    // backlog gauge reads empty, so a woken worker
+                    // reaches the injected job straight away.
                     if let Some(job) = ctx.poll_injector() {
                         ctx.note_found_work();
                         ctx.execute_job(job);
@@ -828,10 +812,9 @@ fn spawn_workers(
                 index,
                 deque: PrivateFirst::new(deque, Arc::clone(&core.attention)),
                 core: Arc::clone(core),
-                engine: RefCell::new(PolicyEngine::new(
-                    &config.policies,
-                    PolicyRng::from_det(seed_rng.fork(index as u64)),
-                )),
+                victim: RefCell::new(UniformVictim::new()),
+                rng: RefCell::new(PolicyRng::from_det(seed_rng.fork(index as u64))),
+                fails: Cell::new(0),
                 woken_pending: Cell::new(false),
                 #[cfg(feature = "telemetry")]
                 woken_at: Cell::new(0),
@@ -1127,5 +1110,30 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.stop_workers();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The label run fingerprints stamp: Figure 3 plus the untimed park,
+    /// with a suffix only for a non-default split cadence.
+    #[test]
+    fn policy_label_is_the_paper_plus_the_split_suffix() {
+        assert_eq!(
+            PoolConfig::default().policies.label(),
+            "uniform+yield+park-wake"
+        );
+        let label = |split| PoolConfig::default().with_split(split).policies.label();
+        assert_eq!(label(SplitKind::Adaptive), "uniform+yield+park-wake");
+        assert_eq!(
+            label(SplitKind::EagerGrain { grain: 64 }),
+            "uniform+yield+park-wake+split-grain"
+        );
+        assert_eq!(
+            label(SplitKind::Sequential),
+            "uniform+yield+park-wake+split-seq"
+        );
     }
 }

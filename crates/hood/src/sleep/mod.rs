@@ -64,7 +64,6 @@ pub mod model;
 use crate::latch::Parker;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 const SLEEPER_ONE: u64 = 1;
 const SLEEPERS_MASK: u64 = 0xFFFF;
@@ -97,16 +96,6 @@ pub enum SleepKind {
     Eventcount,
 }
 
-/// How a committed park ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SleepOutcome {
-    /// A producer (or shutdown) sent this worker a wake.
-    Woken,
-    /// The bounded nap elapsed with no wake (timed policies only; an
-    /// untimed park can never produce this).
-    TimedOut,
-}
-
 /// Scalar sleep/wake counters, readable live and reported at shutdown.
 /// `parks`/`unparks` live with the per-worker [`crate::stats`] counters;
 /// these are the pool-level ones (producers are not always workers).
@@ -124,8 +113,8 @@ pub struct SleepStats {
     /// Woken workers that found work on their first post-wake hunt.
     /// `wakes_sent >= hits_after_unpark` always.
     pub hits_after_unpark: u64,
-    /// Timed parks that elapsed without a wake. Zero under the untimed
-    /// `ParkUntilWake` policy, whose parks have no timeout.
+    /// Always zero: every park is untimed and ends only in a wake. Kept
+    /// so run records and the telemetry schema keep the field.
     pub timed_out_parks: u64,
 }
 
@@ -145,7 +134,6 @@ pub(crate) struct Sleep {
     wakes_skipped: AtomicU64,
     wakes_spurious: AtomicU64,
     hits_after_unpark: AtomicU64,
-    timed_out_parks: AtomicU64,
 }
 
 impl Sleep {
@@ -162,7 +150,6 @@ impl Sleep {
             wakes_skipped: AtomicU64::new(0),
             wakes_spurious: AtomicU64::new(0),
             hits_after_unpark: AtomicU64::new(0),
-            timed_out_parks: AtomicU64::new(0),
         }
     }
 
@@ -196,7 +183,7 @@ impl Sleep {
             wakes_skipped: self.wakes_skipped.load(Ordering::Relaxed),
             wakes_spurious: self.wakes_spurious.load(Ordering::Relaxed),
             hits_after_unpark: self.hits_after_unpark.load(Ordering::Relaxed),
-            timed_out_parks: self.timed_out_parks.load(Ordering::Relaxed),
+            timed_out_parks: 0,
         }
     }
 
@@ -258,39 +245,12 @@ impl Sleep {
         }
     }
 
-    /// Parks after a successful [`Sleep::try_commit`]. The committed
-    /// sleeper slot is released (sleeper count decremented, stack entry
-    /// consumed) exactly once, whichever way the park ends.
-    pub(crate) fn park_committed(&self, index: usize, timeout: Option<Duration>) -> SleepOutcome {
-        let outcome = match timeout {
-            None => {
-                self.parkers[index].park();
-                SleepOutcome::Woken
-            }
-            Some(d) => {
-                if self.parkers[index].park_timeout(d) {
-                    SleepOutcome::Woken
-                } else {
-                    // Timed out: withdraw from the stack — unless a
-                    // producer popped us first, in which case its unpark
-                    // is already in flight and we wait for it (briefly)
-                    // so the wake is consumed, not leaked.
-                    let mut stack = self.stack.lock().unwrap();
-                    if let Some(pos) = stack.iter().position(|&i| i == index) {
-                        stack.remove(pos);
-                        drop(stack);
-                        self.timed_out_parks.fetch_add(1, Ordering::Relaxed);
-                        SleepOutcome::TimedOut
-                    } else {
-                        drop(stack);
-                        self.parkers[index].park();
-                        SleepOutcome::Woken
-                    }
-                }
-            }
-        };
+    /// Parks after a successful [`Sleep::try_commit`] until a producer's
+    /// (or shutdown's) wake, which has already popped this worker off the
+    /// stack; then releases the committed sleeper count.
+    pub(crate) fn park_committed(&self, index: usize) {
+        self.parkers[index].park();
         self.word.fetch_sub(SLEEPER_ONE, Ordering::SeqCst);
-        outcome
     }
 
     // -- producer side ----------------------------------------------------
@@ -319,9 +279,8 @@ impl Sleep {
                     on_event(Some(index));
                 }
                 None => {
-                    // The sleeper we budgeted for withdrew (timed out or
-                    // was taken by a racing producer) between our bump
-                    // and this pop.
+                    // The sleeper we budgeted for was taken by a racing
+                    // producer between our bump and this pop.
                     self.wakes_skipped.fetch_add(1, Ordering::Relaxed);
                     on_event(None);
                     return;
@@ -381,7 +340,7 @@ mod tests {
             s2.notify_jobs(1, |ev| woken.push(ev));
             woken
         });
-        assert_eq!(s.park_committed(0, None), SleepOutcome::Woken);
+        s.park_committed(0);
         assert_eq!(h.join().unwrap(), vec![Some(0)]);
         assert_eq!(s.sleepers(), 0);
         assert_eq!(s.stats().wakes_sent, 1);
@@ -414,18 +373,12 @@ mod tests {
         assert_eq!(woken, vec![2, 1]);
         // Consume the parks so the committed sleepers are released.
         for &i in &woken {
-            assert_eq!(
-                s.park_committed(i, Some(Duration::ZERO)),
-                SleepOutcome::Woken
-            );
+            s.park_committed(i);
         }
-        assert_eq!(
-            s.park_committed(0, Some(Duration::ZERO)),
-            SleepOutcome::TimedOut
-        );
-        let st = s.stats();
-        assert_eq!(st.wakes_sent, 2);
-        assert_eq!(st.timed_out_parks, 1);
+        assert_eq!(s.sleepers(), 1, "worker 0 still sleeps");
+        s.notify_shutdown();
+        s.park_committed(0);
+        assert_eq!(s.stats().wakes_sent, 3);
         assert_eq!(s.sleepers(), 0);
     }
 
@@ -445,7 +398,7 @@ mod tests {
         assert_eq!(skipped, vec![None]);
         assert_eq!(woken, vec![0]);
         assert_eq!(s.stats().wakes_skipped, 1);
-        assert_eq!(s.park_committed(0, None), SleepOutcome::Woken);
+        s.park_committed(0);
     }
 
     /// notify_jobs wakes nobody while nobody sleeps — but its bump still
@@ -469,7 +422,7 @@ mod tests {
         assert_eq!(s.sleepers(), 2);
         s.notify_shutdown();
         for i in 0..2 {
-            assert_eq!(s.park_committed(i, None), SleepOutcome::Woken);
+            s.park_committed(i);
         }
     }
 
@@ -489,7 +442,7 @@ mod tests {
         let _ = t1;
         assert_eq!(s.sleepers_hint(), 1);
         s.notify_shutdown();
-        assert_eq!(s.park_committed(0, None), SleepOutcome::Woken);
+        s.park_committed(0);
         assert_eq!(s.sleepers_hint(), 0);
     }
 }

@@ -51,7 +51,7 @@ pub struct WorkerStats {
     /// Times this worker parked for lack of work.
     pub parks: AtomicU64,
     /// Times this worker returned from a park. Every park ends in exactly
-    /// one unpark (wake or timeout), so `parks == unparks` at shutdown —
+    /// one unpark (its wake), so `parks == unparks` at shutdown —
     /// the sleep-subsystem analogue of `attempts_balance`.
     pub unparks: AtomicU64,
     /// Forks taken by the data-parallel adaptive splitter (each is one

@@ -664,11 +664,6 @@ impl<'a> WorkStealer<'a> {
             Some(u) => self.execute_node(i, u),
             None => Some(match self.procs[i].engine.idle_action() {
                 IdleAction::Park(n) => Phase::Parked { left: n as u64 },
-                // The simulator has no producer-side wake events, so the
-                // untimed park is approximated by the legacy 100-unit
-                // bounded park (a sleeping simulated process must rejoin
-                // the throw economy on its own).
-                IdleAction::ParkUntilWake => Phase::Parked { left: 100 },
                 IdleAction::Steal => self.after_idle(i),
             }),
         }

@@ -316,8 +316,8 @@ pub struct SleepSnapshot {
     pub wakes_spurious: u64,
     /// Woken workers that found work on their first post-wake hunt.
     pub hits_after_unpark: u64,
-    /// Timed parks that elapsed without a wake (zero under the
-    /// eventcount protocol, whose parks are untimed).
+    /// Always zero: the pool's parks are untimed and end only in a
+    /// wake. Kept so the exported schema keeps the field.
     pub timed_out_parks: u64,
     /// Unpark-to-work latency (ns from a wake-caused unpark to the woken
     /// worker finding work).

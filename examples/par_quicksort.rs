@@ -6,15 +6,15 @@
 //!
 //! Sorts the same random data three ways — `std`'s sequential
 //! `sort_unstable`, hood's adaptive [`hood::par_sort_unstable`], and the
-//! same quicksort pinned to an eager fixed grain via the
-//! [`hood::SplitKind`] policy axis — and prints timings plus the
+//! same quicksort pinned to an eager fixed grain via
+//! [`hood::PoolConfig::with_split`] — and prints timings plus the
 //! splitter's task accounting. The interesting number is the
 //! `par splits` column: the adaptive run forks only while idle workers
 //! exist, so it spawns far fewer tasks than eager grain recursion while
 //! reaching the same (or better) throughput.
 
 use abp_dag::DetRng;
-use hood::{par_sort_unstable, PolicySet, PoolConfig, SplitKind, ThreadPool};
+use hood::{par_sort_unstable, PoolConfig, SplitKind, ThreadPool};
 use std::time::Instant;
 
 fn random_data(len: usize, seed: u64) -> Vec<u64> {
@@ -24,14 +24,7 @@ fn random_data(len: usize, seed: u64) -> Vec<u64> {
 
 fn run(split: SplitKind, label: &str, data: &[u64], expect: &[u64]) {
     let p = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let pool = ThreadPool::with_config(PoolConfig {
-        num_procs: p,
-        policies: PolicySet {
-            split,
-            ..PolicySet::default()
-        },
-        ..PoolConfig::default()
-    });
+    let pool = ThreadPool::with_config(PoolConfig::default().with_num_procs(p).with_split(split));
     let mut v = data.to_vec();
     let t = Instant::now();
     pool.install(|| par_sort_unstable(&mut v));

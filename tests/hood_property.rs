@@ -7,7 +7,7 @@
 
 use abp_dag::DetRng;
 use hood::par::prelude::*;
-use hood::{join, scope, PolicySet, PoolConfig, SplitKind, ThreadPool};
+use hood::{join, scope, PoolConfig, SplitKind, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A random binary expression tree evaluated both serially and with
@@ -114,14 +114,11 @@ fn map_reduce_any_grain() {
         let len = rng.below_usize(2000);
         let grain = 1 + rng.below_usize(599);
         let v: Vec<u64> = (0..len).map(|_| rng.below(1000)).collect();
-        let pool = ThreadPool::with_config(PoolConfig {
-            num_procs: 4,
-            policies: PolicySet {
-                split: SplitKind::EagerGrain { grain },
-                ..PolicySet::default()
-            },
-            ..PoolConfig::default()
-        });
+        let pool = ThreadPool::with_config(
+            PoolConfig::default()
+                .with_num_procs(4)
+                .with_split(SplitKind::EagerGrain { grain }),
+        );
         let expect: u64 = v.iter().sum();
         let got = pool.install(|| v.par_iter().map(|&x| x).reduce(|| 0u64, |a, b| a + b));
         assert_eq!(got, expect, "case {case} (len={len}, grain={grain})");

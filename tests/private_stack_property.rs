@@ -17,8 +17,7 @@ use multiprog_ws::dag::DetRng;
 use multiprog_ws::deque::Steal;
 use multiprog_ws::runtime::private::{Attention, PrivateFirst};
 use multiprog_ws::runtime::{
-    join, par_sort_unstable, scope, Backend, IdleKind, PolicySet, PoolConfig, PoolReport,
-    ThreadPool,
+    join, par_sort_unstable, scope, Backend, PoolConfig, PoolReport, ThreadPool,
 };
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
@@ -305,16 +304,13 @@ fn b_runs_beside_a() -> bool {
     seen
 }
 
-/// Every other worker is parked, under the untimed policy, when the job
-/// is pushed: a sleeper still counts as hunting, so the single push
-/// exposes the job and wakes a thief for it.
+/// Every other worker is parked, untimed, when the job is pushed: a
+/// sleeper still counts as hunting, so the single push exposes the job
+/// and wakes a thief for it.
 #[test]
 fn a_push_beside_parked_workers_is_stolen_without_another_push() {
     for p in [2, 8] {
-        let pool =
-            ThreadPool::with_config(PoolConfig::default().with_num_procs(p).with_policies(
-                PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 }),
-            ));
+        let pool = ThreadPool::with_config(PoolConfig::default().with_num_procs(p));
         assert!(
             wait_for(Duration::from_secs(10), || pool.sleeping_workers() == p),
             "workers never parked"
@@ -331,18 +327,14 @@ fn a_push_beside_parked_workers_is_stolen_without_another_push() {
     }
 }
 
-/// Nobody ever parks (the paper's pure yield policy), so no wake and no
-/// sleeper count can help: the other workers went hunting — at birth,
-/// or after the previous round — while this one held nothing, and its
-/// *next* push, whenever it comes, answers them.
+/// The other workers went hunting — at birth, or after the previous
+/// round — while this one held nothing, and some may be parked by the
+/// time it pushes: its *next* push, whenever it comes, answers them,
+/// with a wake for a parked one.
 #[test]
 fn hunters_that_found_a_victim_empty_are_fed_by_its_next_push() {
     for p in [2, 8] {
-        let pool = ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(p)
-                .with_policies(PolicySet::paper()),
-        );
+        let pool = ThreadPool::with_config(PoolConfig::default().with_num_procs(p));
         for round in 0..4 {
             assert!(
                 pool.install(b_runs_beside_a),
@@ -350,7 +342,6 @@ fn hunters_that_found_a_victim_empty_are_fed_by_its_next_push() {
             );
         }
         let report = pool.shutdown();
-        assert_eq!(report.stats.parks, 0, "the paper policy never parks");
         assert!(report.stats.steals >= 4, "{:?}", report.stats);
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the hood threaded runtime: realistic parallel
 //! algorithms, configuration matrix, oversubscription, and reuse.
 
-use hood::{join, scope, Backend, PoolConfig, ThreadPool};
+use hood::{join, scope, Backend, PoolConfig, SplitKind, ThreadPool};
 use multiprog_ws::dag::DetRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,52 +43,46 @@ fn mergesortish_check(pool: &ThreadPool, n: usize, seed: u64) {
 
 #[test]
 fn parallel_quicksort_all_configs() {
-    for backoff in [hood::BackoffKind::Yield, hood::BackoffKind::None] {
-        let pool =
-            ThreadPool::with_config(PoolConfig::default().with_num_procs(4).with_policies(
-                hood::PolicySet::paper().with_backoff(backoff).with_idle(
-                    hood::IdleKind::ParkAfter {
-                        threshold: 64,
-                        park_len: 100,
-                    },
-                ),
-            ));
-        mergesortish_check(&pool, 50_000, 42);
+    // The pool's remaining shape knobs: worker count (a lone worker, a
+    // small pool, an oversubscribed one) and the injector's sharding (one
+    // shard per worker, or one shared shard).
+    for p in [1, 4, 16] {
+        for shards in [0, 1] {
+            let pool = ThreadPool::with_config(
+                PoolConfig::default()
+                    .with_num_procs(p)
+                    .with_injector_shards(shards),
+            );
+            mergesortish_check(&pool, 50_000, 42);
+        }
     }
 }
 
 #[test]
 fn every_policy_set_completes_with_balanced_accounting() {
-    // One pool per point of the policy space: each victim selector,
-    // backoff, and idle policy must complete real work and keep the
-    // attempts == steals + aborts + empties identity.
-    let sets = [
-        hood::PolicySet::paper(),
-        hood::PolicySet::paper().with_victim(hood::VictimKind::RoundRobin),
-        hood::PolicySet::paper().with_victim(hood::VictimKind::LastVictim),
-        hood::PolicySet::paper().with_backoff(hood::BackoffKind::None),
-        hood::PolicySet::paper().with_backoff(hood::BackoffKind::ExpJitter { base: 4, cap: 64 }),
-        hood::PolicySet::paper().with_backoff(hood::BackoffKind::SpinThenYield {
-            spin: 8,
-            threshold: 3,
-        }),
-        hood::PolicySet::paper().with_idle(hood::IdleKind::ParkAfter {
-            threshold: 16,
-            park_len: 50,
-        }),
+    // One pool per split cadence, the one policy choice a pool offers:
+    // each must complete real work and keep the
+    // attempts == steals + aborts + empties + injects identity.
+    let splits = [
+        SplitKind::Adaptive,
+        SplitKind::EagerGrain { grain: 64 },
+        SplitKind::Sequential,
     ];
-    for policies in sets {
-        let pool = ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(4)
-                .with_policies(policies),
-        );
+    for split in splits {
+        let config = PoolConfig::default().with_num_procs(4).with_split(split);
+        let label = config.policies.label();
+        let pool = ThreadPool::with_config(config);
         mergesortish_check(&pool, 20_000, 99);
+        let mut v: Vec<u64> = (0..20_000).rev().collect();
+        pool.install(|| hood::par_sort_unstable(&mut v));
+        assert!(
+            v.windows(2).all(|w| w[0] <= w[1]),
+            "not sorted under {label}"
+        );
         let report = pool.shutdown();
         assert!(
             report.stats.attempts_balance(),
-            "steal accounting out of balance under {}",
-            policies.label()
+            "steal accounting out of balance under {label}"
         );
         for w in &report.per_worker {
             assert!(w.attempts_balance());

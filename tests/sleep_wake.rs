@@ -3,27 +3,16 @@
 //! `parks == unparks` and `wakes_sent >= hits_after_unpark` shutdown
 //! invariants, and the silence of a fully parked pool.
 //!
-//! Most tests shrink the idle threshold so workers park after a few
-//! failed scans instead of 64; [`an_idle_pool_is_silent`] runs the
-//! default idle policy.
+//! Every test runs the pool's one idle policy: an untimed park after 64
+//! consecutive failed hunts, ended only by a producer's wake.
 
-use hood::{IdleKind, PolicySet, PoolConfig, ThreadPool};
+use hood::{PoolConfig, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Untimed-park policy with a tiny threshold so workers reach the
-/// parked state quickly instead of after 64 failed scans.
-fn park_policies() -> PolicySet {
-    PolicySet::paper().with_idle(IdleKind::ParkUntilWake { threshold: 4 })
-}
-
 fn pool_with(workers: usize) -> ThreadPool {
-    ThreadPool::with_config(
-        PoolConfig::default()
-            .with_num_procs(workers)
-            .with_policies(park_policies()),
-    )
+    ThreadPool::with_config(PoolConfig::default().with_num_procs(workers))
 }
 
 /// Spin until `cond` holds or the deadline passes; returns success.
@@ -39,8 +28,7 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// The regression the eventcount exists to close: a single submission
-/// to a pool whose workers are ALL parked under an *untimed* policy
-/// must still run. Under the old pool-wide lock a producer could check
+/// to a pool whose workers are ALL parked, untimed, must still run. Under the old pool-wide lock a producer could check
 /// the sleeper count before a worker finished falling asleep and skip
 /// the notify; with no park timeout that job would hang forever.
 #[test]
@@ -178,14 +166,13 @@ fn park_accounting_balances_at_shutdown() {
     );
 }
 
-/// A fully parked pool under the default idle policy
-/// ([`PoolConfig::DEFAULT_IDLE`]) is a steady state: its untimed parks
-/// generate no timer churn, so an idle window adds no park, unpark,
-/// wake or timeout at all.
+/// A fully parked pool is a steady state: its untimed parks generate no
+/// timer churn, so an idle window adds no park, unpark, wake or timeout
+/// at all.
 #[test]
 fn an_idle_pool_is_silent() {
     const P: usize = 4;
-    let pool = ThreadPool::with_config(PoolConfig::default().with_num_procs(P));
+    let pool = pool_with(P);
     // A worker is a sleeper from its commit CAS and counts its park just
     // after, so wait for both views to agree.
     assert!(

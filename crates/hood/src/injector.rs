@@ -22,7 +22,11 @@
 //!   *never* blocks — a contended poll is just a miss. The steal loop
 //!   therefore keeps the paper's non-blocking property: a worker's hunt
 //!   iteration completes in a bounded number of its own steps no matter
-//!   what clients or other workers are doing.
+//!   what clients or other workers are doing. A miss also keeps the
+//!   paper's yield: only a poll that returned a job lets the worker's
+//!   next scan skip it (the pool's drain rule), so a worker that found
+//!   the shards locked yields before it polls again, and a submitter
+//!   descheduled while holding a lock gets the processor back.
 //!
 //! Entries carry `(job_word, submit_ns)` so the worker that grabs a job
 //! can record the inject-to-start latency histogram. The injector

@@ -25,10 +25,13 @@
 //! The pool runs Figure 3's policy and no other: a thief yields, scans
 //! the other workers from a uniformly random start, and polls the
 //! injector when it holds work; after 64 failed hunts it parks, untimed,
-//! through the eventcount ([`sleep`]). The pool is one flat set of
-//! workers, each able to rob any other, and the deque is always ABP: the
-//! locking deque of `abp-deque` and the alternative victim, backoff and
-//! idle policies of `abp-core` are ablations for the simulator.
+//! through the eventcount ([`sleep`]). The yield is skipped only while a
+//! worker drains the injector — its last poll returned a job and the
+//! backlog is still non-zero — and any miss re-arms it. The pool is one
+//! flat set of workers, each able to rob any other, and the deque is
+//! always ABP: the locking deque of `abp-deque` and the alternative
+//! victim, backoff and idle policies of `abp-core` are ablations for the
+//! simulator.
 //! Configuration ([`PoolConfig`]) sets sizes, the seed, tracing, and the
 //! data-parallel split cadence.
 //!
@@ -37,7 +40,9 @@
 //! Non-worker threads submit work through the pool's sharded injector
 //! ("front door") with [`ThreadPool::spawn`] / [`ThreadPool::spawn_batch`];
 //! idle workers poll it at the end of every steal scan that finds it
-//! non-empty, and once after every park:
+//! non-empty, and once after every park. A poll takes one job, and a
+//! worker whose poll took one scans again without yielding while the
+//! backlog lasts:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,11 +9,16 @@
 //! runs that policy and no other: every scan starts with a yield
 //! (line 15) and visits all `P − 1` other workers from a uniformly random
 //! start ([`abp_core::UniformVictim`], line 16), then polls the injector
-//! when it holds work. Hood's one engineering addition is the park: a
-//! worker whose last 64 hunts all failed parks so an idle pool does not
-//! burn CPU. Parking goes through the [`crate::sleep`] eventcount, whose
-//! announce/re-scan/commit protocol closes the missed-wakeup race by
-//! construction — so the park is *untimed* and producers wake exactly
+//! when it holds work. The one scan that skips the yield is a *drain*'s:
+//! the worker's last attempt was an injector poll that returned a job and
+//! the backlog gauge still reads non-zero, so it takes a batch apart
+//! without a `sched_yield` per job; any miss re-arms the yield
+//! (`WorkerCtx::find_distant_work`). Hood's other engineering addition
+//! is the park: a worker whose last 64 hunts all failed parks so an idle
+//! pool does not burn CPU. Parking goes through the [`crate::sleep`]
+//! eventcount, whose announce/re-scan/commit protocol closes the
+//! missed-wakeup race by construction — so the park is *untimed* and
+//! producers wake exactly
 //! `min(jobs, sleepers)` workers instead of the whole pool. The one
 //! choice a pool still offers is the data-parallel split cadence
 //! ([`PoolConfig::policies`], a [`PoolPolicy`]). All
@@ -319,6 +324,13 @@ pub struct WorkerCtx {
     rng: RefCell<PolicyRng>,
     /// Consecutive hunts that found no work; reset by any found work.
     fails: Cell<u32>,
+    /// True while this worker's most recent attempt to find work was an
+    /// injector poll that returned a job: every poll sets it to its
+    /// outcome, and every scan clears it before its own poll, so a steal
+    /// hit or a scan that returns nothing leaves it false. While it holds
+    /// and the backlog gauge reads non-zero, the next scan skips its
+    /// yield ([`WorkerCtx::find_distant_work`]).
+    draining: Cell<bool>,
     /// True between returning from a wake-caused unpark and finding the
     /// first piece of work. Finding work converts it into a
     /// `hits_after_unpark`; committing back to sleep with it still set
@@ -548,7 +560,8 @@ impl WorkerCtx {
         }
     }
 
-    /// The paper's `yield` between steal scans (§4.4).
+    /// The paper's `yield` before a steal scan (§4.4), skipped only by a
+    /// drain ([`WorkerCtx::find_distant_work`]).
     fn do_yield(&self) {
         self.stats().yields.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
@@ -593,10 +606,18 @@ impl WorkerCtx {
     /// injector. A grab counts as an `inject`; a miss (empty or
     /// contended) counts as an `empty` — either way exactly one outcome
     /// per attempt, so the accounting identity extends to the new path.
+    ///
+    /// A grab starts (or continues) a drain streak and a miss ends it,
+    /// whichever caller polled — the scan's tail or the poll after a
+    /// park — so a worker whose poll lost a shard's `try_lock` yields
+    /// before its next scan: the lock may belong to a descheduled
+    /// submitter.
     pub(crate) fn poll_injector(&self) -> Option<JobRef> {
         let stats = self.stats();
         stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-        match self.core.injector.poll(self.index) {
+        let polled = self.core.injector.poll(self.index);
+        self.draining.set(polled.is_some());
+        match polled {
             Some((word, submit_ns)) => Some(self.took_injected(word, submit_ns)),
             None => {
                 stats.empties.fetch_add(1, Ordering::Relaxed);
@@ -646,13 +667,28 @@ impl WorkerCtx {
     /// `P − 1` other workers from a uniformly random start, then — when
     /// it holds work — the injector.
     ///
+    /// The yield is skipped in one case, the drain: this worker's most
+    /// recent attempt to find work was an injector poll that returned a
+    /// job, and the backlog gauge still reads non-zero. A worker taking a
+    /// `spawn_batch` apart one job per poll then pays no `sched_yield`
+    /// per job. The yield exists so that a thief whose attempt may fail
+    /// hands its processor to a process that holds work (§4.4); here the
+    /// last attempt succeeded and the work is still in sight. Any miss —
+    /// a poll that found the injector empty or a shard locked, or a scan
+    /// that found nothing — re-arms it, so a fork-join hunt, where the
+    /// injector is empty, is exactly Figure 3's.
+    ///
     /// Every caller has just failed a pop of its own deque, so this is
     /// where a worker starts to count as hunting (INV-PRIV-REQ).
     pub(crate) fn find_distant_work(&self) -> Option<JobRef> {
         if !self.hunting.replace(true) {
             self.core.attention.start_hunting();
         }
-        self.do_yield();
+        // The streak ends here; only this scan's poll, if it hits, can
+        // start it again.
+        if !(self.draining.replace(false) && self.core.injector.pending() > 0) {
+            self.do_yield();
+        }
         #[cfg(feature = "telemetry")]
         let scan_start = self.tele.as_ref().map(|t| t.now_ns());
         #[cfg(not(feature = "telemetry"))]
@@ -815,6 +851,7 @@ fn spawn_workers(
                 victim: RefCell::new(UniformVictim::new()),
                 rng: RefCell::new(PolicyRng::from_det(seed_rng.fork(index as u64))),
                 fails: Cell::new(0),
+                draining: Cell::new(false),
                 woken_pending: Cell::new(false),
                 #[cfg(feature = "telemetry")]
                 woken_at: Cell::new(0),

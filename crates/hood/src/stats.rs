@@ -46,7 +46,9 @@ pub struct WorkerStats {
     pub empties: AtomicU64,
     /// Externally submitted jobs taken from the injector.
     pub injects: AtomicU64,
-    /// yield system calls between steal scans.
+    /// yield system calls before steal scans: one per scan, except a
+    /// scan that continues a drain of the injector (the last poll
+    /// returned a job and the backlog is still non-zero), which skips it.
     pub yields: AtomicU64,
     /// Times this worker parked for lack of work.
     pub parks: AtomicU64,

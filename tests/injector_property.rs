@@ -13,7 +13,7 @@
 //! [`ThreadPool::spawn`]: multiprog_ws::runtime::ThreadPool::spawn
 //! [`ThreadPool::spawn_batch`]: multiprog_ws::runtime::ThreadPool::spawn_batch
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use multiprog_ws::dag::DetRng;
@@ -299,6 +299,48 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
         }
         assert!(report.stats.attempts_balance(), "{:?}", report.stats);
     }
+}
+
+/// A worker that just took an injected job and still sees a backlog
+/// scans again without a yield, so draining a batch costs no
+/// `sched_yield` per job. A lone worker is parked, one batch of `N` jobs
+/// arrives, and the worker drains it and parks again. Figure 3's yield
+/// before every scan would count `N − 1` drain yields plus the 64 of the
+/// idle spell before the park; the drain leaves only that spell, whose
+/// first scan takes nothing and so re-arms the yield.
+#[test]
+fn a_lone_worker_drains_a_batch_without_a_yield_per_job() {
+    const N: usize = 1_000;
+    let pool = ThreadPool::new(1);
+    while pool.sleeping_workers() != 1 {
+        std::thread::yield_now();
+    }
+    let before = pool.per_worker_stats()[0];
+    let ran = Arc::new(AtomicUsize::new(0));
+    pool.spawn_batch((0..N).map(|_| {
+        let ran = Arc::clone(&ran);
+        move || {
+            ran.fetch_add(1, Ordering::Relaxed);
+        }
+    }));
+    while ran.load(Ordering::Relaxed) < N || pool.sleeping_workers() != 1 {
+        std::thread::yield_now();
+    }
+    let after = pool.per_worker_stats()[0];
+    let report = pool.shutdown();
+
+    assert_eq!(after.injects - before.injects, N as u64, "{after:?}");
+    assert!(after.attempts_balance(), "{after:?}");
+    assert!(report.stats.attempts_balance(), "{:?}", report.stats);
+    let yields = after.yields - before.yields;
+    assert!(
+        yields < (N / 10) as u64,
+        "{yields} yields to drain {N} injected jobs: one per job"
+    );
+    assert!(
+        yields >= 1,
+        "the scan that found the injector empty did not yield"
+    );
 }
 
 /// The backlog gauge reflects pending submissions and returns to zero.

@@ -1,7 +1,6 @@
-//! Experiment harness and benchmarks regenerating every table and figure
-//! of ABP SPAA 1998. See DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded results.
+//! Benchmarks of the deque, the pool and the simulator, driven by a small
+//! std-only [`harness`]. The paper's claims are gated by `cargo test`;
+//! see DESIGN.md §3 for the claim → test index and EXPERIMENTS.md for
+//! recorded results.
 
-pub mod exp;
 pub mod harness;
-pub mod table;

@@ -328,13 +328,22 @@ mod tests {
     #[test]
     fn brent_meets_theorem2_bound_too() {
         for (dag, p) in [(gen::fork_join_tree(5, 2), 4usize), (gen::fib(11, 3), 6)] {
-            let table = KernelTable::dedicated(p);
-            let sched = brent(&dag, &table, 10_000_000);
-            sched.validate(&dag, &table).unwrap();
-            let t = sched.length() as f64;
-            let pa = sched.processor_average();
-            let bound = (dag.work() as f64 + dag.critical_path() as f64 * (p as f64 - 1.0)) / pa;
-            assert!(t <= bound + 1e-9, "T={t} > bound={bound}");
+            // Dedicated, a sawtooth of 8 → 1 → 8 processes, and an on/off
+            // table with two dead steps per cycle.
+            for table in [
+                KernelTable::dedicated(p),
+                KernelTable::from_counts(8, &[8, 6, 4, 2, 1, 2, 4, 6], Tail::Cycle),
+                KernelTable::from_counts(6, &[6, 6, 6, 0, 0, 1], Tail::Cycle),
+            ] {
+                let p = table.num_procs();
+                let sched = brent(&dag, &table, 10_000_000);
+                sched.validate(&dag, &table).unwrap();
+                let t = sched.length() as f64;
+                let pa = sched.processor_average();
+                let bound =
+                    (dag.work() as f64 + dag.critical_path() as f64 * (p as f64 - 1.0)) / pa;
+                assert!(t <= bound + 1e-9, "P={p}: T={t} > bound={bound}");
+            }
         }
     }
 

@@ -1002,6 +1002,31 @@ mod tests {
             let r = run_ws(&d, 2, &mut k, cfg);
             assert_clean(&r);
         }
+
+        // §3.1: the bounds hold for either choice, so on larger dags the
+        // two policies finish within 2× of each other at P = 8.
+        for d in [
+            gen::fork_join_tree(10, 2),
+            gen::fib(18, 4),
+            gen::comb(200, 3, 2),
+            gen::wavefront(24, 48),
+        ] {
+            let rounds = [AssignPolicy::SpawnFirst, AssignPolicy::ContinueFirst].map(|assign| {
+                let mut k = DedicatedKernel::new(8);
+                let cfg = WsConfig {
+                    assign,
+                    seed: 19,
+                    check_structural: true,
+                    ..WsConfig::default()
+                };
+                let r = run_ws(&d, 8, &mut k, cfg);
+                assert!(r.completed, "{assign:?}: {r}");
+                assert_eq!(r.structural_violations, 0, "{assign:?}: {r}");
+                r.rounds as f64
+            });
+            let spread = rounds[0].max(rounds[1]) / rounds[0].min(rounds[1]);
+            assert!(spread < 2.0, "rounds {rounds:?} differ by {spread:.2}×");
+        }
     }
 
     #[test]
@@ -1310,5 +1335,35 @@ mod tests {
                 "{label}: avg throws {avg} exceeds 32·P·T∞ = {bound}"
             );
         }
+
+        // The high-probability tail: over 200 seeds the worst run stays
+        // within 16·P·T∞, and within 2.5× the median, since the tail adds
+        // only O(P·lg(1/ε)) throws.
+        let d = gen::fork_join_tree(9, 2);
+        let p = 8;
+        let mut throws: Vec<u64> = (0..200)
+            .map(|seed| {
+                let mut k = DedicatedKernel::new(p);
+                let cfg = WsConfig {
+                    seed,
+                    ..WsConfig::default()
+                };
+                let r = run_ws(&d, p, &mut k, cfg);
+                assert!(r.completed, "seed {seed}");
+                r.throws
+            })
+            .collect();
+        throws.sort_unstable();
+        let (median, max) = (throws[throws.len() / 2], throws[throws.len() - 1]);
+        let pt = (p as u64 * d.critical_path()) as f64;
+        assert!(
+            (max as f64) < 16.0 * pt,
+            "max throws {max} ≥ 16·P·T∞ = {}",
+            16.0 * pt
+        );
+        assert!(
+            (max as f64) < 2.5 * median as f64,
+            "max throws {max} ≥ 2.5 × median {median}"
+        );
     }
 }

@@ -177,6 +177,18 @@ fn swapped_policies_complete_the_same_corpus() {
                 "{}: structural lemma broke",
                 set.label()
             );
+            assert!(r.policy.starts_with(&set.label()), "{}", r.policy);
+            // Milestone accounting, and so the paper bound, applies only
+            // to sets that neither spin nor park.
+            if set.preserves_milestones() {
+                assert_eq!(r.milestone_violations, 0, "{}", set.label());
+                assert!(
+                    r.bound_ratio() < 4.0,
+                    "{}: bound ratio {}",
+                    set.label(),
+                    r.bound_ratio()
+                );
+            }
         }
     }
 }

@@ -7,7 +7,7 @@ use multiprog_ws::kernel::{
     AdaptiveCriticalStarver, AdaptiveThiefStarver, AdaptiveWorkerStarver, BenignKernel,
     CountSource, DedicatedKernel, Kernel, ObliviousKernel, YieldPolicy,
 };
-use multiprog_ws::sim::{run_ws, RunReport, WsConfig};
+use multiprog_ws::sim::{run_ws, DequeBackend, RunReport, WsConfig};
 
 fn workload_suite() -> Vec<(&'static str, Dag)> {
     vec![
@@ -155,24 +155,36 @@ fn bound_ratio_is_stable_across_adversaries() {
     );
 }
 
-/// Dedicated speedup: with parallelism ≫ P, time scales down ~linearly.
+/// Dedicated speedup (Theorem 9): with parallelism ≫ P, time scales down
+/// ~linearly, and at least half-linearly wherever P ≤ parallelism/10.
 #[test]
 fn dedicated_linear_speedup_regime() {
-    let dag = gen::wide_shallow(128, 60); // parallelism ~ 100+
-    let mut prev_rounds = None;
-    for p in [1usize, 2, 4, 8] {
-        let mut k = DedicatedKernel::new(p);
-        let r = run_ws(&dag, p, &mut k, WsConfig::default());
-        assert!(r.completed);
-        if let Some(prev) = prev_rounds {
-            let gain = prev as f64 / r.rounds as f64;
-            assert!(
-                gain > 1.5,
-                "doubling P={p} gained only {gain:.2}x ({prev} -> {})",
-                r.rounds
-            );
+    // Parallelism ≈ 94 and ≈ 169.
+    for dag in [gen::wide_shallow(128, 60), gen::fork_join_tree(10, 2)] {
+        let mut t1_rounds = None;
+        let mut prev_rounds = None;
+        for p in [1usize, 2, 4, 8, 16] {
+            let mut k = DedicatedKernel::new(p);
+            let r = run_ws(&dag, p, &mut k, WsConfig::default());
+            assert!(r.completed);
+            if let Some(prev) = prev_rounds {
+                let gain = prev as f64 / r.rounds as f64;
+                assert!(
+                    gain > 1.5,
+                    "doubling P={p} gained only {gain:.2}x ({prev} -> {})",
+                    r.rounds
+                );
+            }
+            prev_rounds = Some(r.rounds);
+            let speedup = *t1_rounds.get_or_insert(r.rounds) as f64 / r.rounds as f64;
+            if p as f64 <= dag.parallelism() / 10.0 {
+                assert!(
+                    speedup >= 0.5 * p as f64,
+                    "P={p}: speedup {speedup:.2} < P/2 at parallelism {:.1}",
+                    dag.parallelism()
+                );
+            }
         }
-        prev_rounds = Some(r.rounds);
     }
 }
 
@@ -240,4 +252,49 @@ fn starvation_reported_not_hung() {
     assert!(!r.completed);
     assert_eq!(r.rounds, 50_000);
     assert!(r.executed < r.work);
+}
+
+/// §1: non-blocking deques are essential under multiprogramming. A
+/// process preempted inside a locked deque operation keeps the lock, so
+/// every thief that targets it spins until the holder runs again. A kernel
+/// that never schedules a lock holder livelocks the locking scheduler,
+/// while ABP, which has no lock to hold, finishes. Yields are off so the
+/// deque is the only variable.
+#[test]
+fn locking_deque_livelocks_under_the_lock_targeting_adversary() {
+    let run = |dag: &Dag, kernel: &mut dyn Kernel, backend: DequeBackend, cap: u64| {
+        let cfg = WsConfig::default()
+            .with_seed(13)
+            .with_backend(backend)
+            .with_yield_policy(YieldPolicy::None)
+            .with_max_rounds(cap);
+        run_ws(dag, 8, kernel, cfg)
+    };
+    let dag = gen::fib(14, 3);
+    let cap = 200_000;
+    let targeting = || AdaptiveCriticalStarver::new(8, CountSource::Constant(4), 99);
+    let abp = run(&dag, &mut targeting(), DequeBackend::Abp, cap);
+    assert!(
+        abp.completed,
+        "ABP must finish under the lock targeter ({abp})"
+    );
+    let locking = run(&dag, &mut targeting(), DequeBackend::Locking, cap);
+    assert!(
+        !locking.completed,
+        "the locking deque must livelock under the lock targeter ({locking})"
+    );
+
+    // An oblivious rotation, which does not look for lock holders, still
+    // charges the locks a visible penalty.
+    let dag = gen::fib(16, 2);
+    let rotating = || ObliviousKernel::rotating(8, 4, 5, 2_000_000);
+    let abp = run(&dag, &mut rotating(), DequeBackend::Abp, 30_000_000);
+    let locking = run(&dag, &mut rotating(), DequeBackend::Locking, 30_000_000);
+    assert!(abp.completed && locking.completed);
+    assert!(
+        locking.rounds as f64 > 1.1 * abp.rounds as f64,
+        "locking {} rounds vs ABP {} under rotating(4, q=5)",
+        locking.rounds,
+        abp.rounds
+    );
 }

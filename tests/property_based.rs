@@ -251,7 +251,7 @@ fn builder_never_panics_on_random_syncs() {
     }
 }
 
-/// Steals-vs-bound regression: a fixed 3-policy × 2-tree golden matrix
+/// Steals-vs-bound regression: a fixed 3-policy × 4-tree golden matrix
 /// where every cell must respect the rooted-tree steal bound (applied to
 /// the binarized spawn tree, capped by the edge count). The bound check
 /// itself is non-vacuous: forging an impossible steal count rejects.
@@ -262,7 +262,9 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
     use multiprog_ws::sim::{PolicySet, StealBoundCheck, VictimKind};
 
     let trees = [
+        ("spine(40)", tree::spine(40)),
         ("kary(3,4)", tree::full_kary(3, 4)),
+        ("random(60)", tree::random_attachment(0xA77, 60)),
         ("caterpillar(12,4)", tree::caterpillar(12, 4)),
     ];
     let victims = [
@@ -276,14 +278,17 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
         let h2 = t.spawn_height();
         let edges = t.num_edges() as u64;
         for vk in victims {
-            for p in [2usize, 4] {
+            for p in [2usize, 4, 8] {
                 for seed in [3u64, 17] {
                     let mut k = DedicatedKernel::new(p);
                     let cfg = WsConfig::default()
                         .with_seed(seed)
                         .with_policies(PolicySet::paper().with_victim(vk));
                     let r = run_ws(&dag, p, &mut k, cfg);
-                    assert!(r.completed, "{name} {vk:?} P={p} seed={seed}");
+                    assert!(
+                        r.completed && r.steal_accounting_balanced(),
+                        "{name} {vk:?} P={p} seed={seed}"
+                    );
                     let check = StealBoundCheck::rooted_tree(r.successful_steals, 2, h2, edges, p);
                     assert!(
                         check.holds(),
@@ -300,13 +305,15 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
     }
 }
 
-/// The cache bound holds on the golden matrix, and disabling the model
-/// is structurally zero: the report then carries no cache block at all.
+/// The cache bound holds on the golden matrix, under the uniform victim
+/// policy and under `LastEnabler` (the bound is policy-independent), and
+/// disabling the model is structurally zero: the report then carries no
+/// cache block at all.
 #[test]
 fn cache_bound_holds_on_golden_matrix() {
     use multiprog_ws::dag::tree;
     use multiprog_ws::kernel::DedicatedKernel;
-    use multiprog_ws::sim::{CacheBoundCheck, CacheConfig};
+    use multiprog_ws::sim::{CacheBoundCheck, CacheConfig, PolicySet, VictimKind};
 
     let dag = tree::full_kary(2, 6).to_dag(3);
     let serial = {
@@ -316,23 +323,28 @@ fn cache_bound_holds_on_golden_matrix() {
     };
     let q1 = serial.cache.as_ref().expect("cache model enabled");
     assert_eq!(q1.deviations, 0, "P=1 cannot deviate");
-    for p in [2usize, 4] {
-        let mut k = DedicatedKernel::new(p);
-        let cfg = WsConfig::default().with_cache(CacheConfig::default());
-        let r = run_ws(&dag, p, &mut k, cfg);
-        let qp = r.cache.as_ref().expect("cache model enabled");
-        let check = CacheBoundCheck {
-            serial_misses: q1.misses,
-            parallel_misses: qp.misses,
-            deviations: qp.deviations,
-            cache_lines: qp.lines,
-        };
-        assert!(
-            check.holds(),
-            "P={p}: {} extra misses > bound {}",
-            check.extra_misses(),
-            check.bound(),
-        );
+    for vk in [VictimKind::Uniform, VictimKind::LastEnabler] {
+        for p in [2usize, 4, 8] {
+            let mut k = DedicatedKernel::new(p);
+            let cfg = WsConfig::default()
+                .with_cache(CacheConfig::default())
+                .with_policies(PolicySet::paper().with_victim(vk));
+            let r = run_ws(&dag, p, &mut k, cfg);
+            assert!(r.completed, "{vk:?} P={p}");
+            let qp = r.cache.as_ref().expect("cache model enabled");
+            let check = CacheBoundCheck {
+                serial_misses: q1.misses,
+                parallel_misses: qp.misses,
+                deviations: qp.deviations,
+                cache_lines: qp.lines,
+            };
+            assert!(
+                check.holds(),
+                "{vk:?} P={p}: {} extra misses > bound {}",
+                check.extra_misses(),
+                check.bound(),
+            );
+        }
     }
     // Disabled model: no stats block, and nothing was counted.
     let mut k = DedicatedKernel::new(4);

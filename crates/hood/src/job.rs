@@ -5,17 +5,27 @@
 //! field is a [`JobHeader`] — one word, one indirect call to execute,
 //! exactly the paper's "deque of (pointers to) threads".
 //!
-//! Two concrete job kinds:
+//! Three concrete job kinds:
 //! * [`StackJob`] — lives in the frame of a `join` call; the caller
 //!   guarantees (by waiting on the latch) that the frame outlives any
 //!   execution;
-//! * [`HeapJob`] — boxed, freed after execution: what `Scope::spawn`,
-//!   `ScopeFifo::spawn_fifo`, `ThreadPool::install` and the front door
-//!   (`ThreadPool::spawn` / `spawn_batch`) allocate per job.
+//! * [`InlineJob`] — a small closure stored by value, in a 64-byte body
+//!   slot of its spawner's private stack: what `Scope::spawn` and
+//!   `ScopeFifo::spawn_fifo` write. Its word is the slot's address and
+//!   never reaches a thief: the owner that pops it runs it from the
+//!   slot, moving the closure out as it starts, and exposure boxes it
+//!   first (DESIGN.md § "Inline bodies");
+//! * [`HeapJob`] — boxed, freed after execution. A spawn no longer
+//!   allocates one: a `HeapJob` is made for a spawned closure too big or
+//!   too aligned for a body slot, for an inline body as it is exposed to
+//!   thieves, and for every `ThreadPool::install` and front-door job
+//!   (`ThreadPool::spawn` / `spawn_batch`).
 
 use crate::latch::SpinLatch;
 use std::cell::UnsafeCell;
+use std::mem::{align_of, size_of, MaybeUninit};
 use std::panic::AssertUnwindSafe;
+use std::ptr;
 
 /// First field of every job structure; `execute` receives the pointer to
 /// the header and downcasts to the concrete job type.
@@ -191,6 +201,138 @@ where
     }
 }
 
+/// Closure words an [`InlineJob`] holds: with its ops pointer, one
+/// 64-byte cache line.
+const INLINE_WORDS: usize = 7;
+
+/// What an [`InlineJob`] can do with the closure it holds, for the one
+/// concrete type it was written with.
+struct InlineOps {
+    /// Moves the closure out of the body and calls it.
+    run: unsafe fn(*const MaybeUninit<[usize; INLINE_WORDS]>),
+    /// Moves the closure out of the body into a [`HeapJob`].
+    boxed: unsafe fn(*const MaybeUninit<[usize; INLINE_WORDS]>) -> JobRef,
+}
+
+/// A fire-and-forget closure stored by value in a 64-byte body slot: an
+/// ops pointer and up to seven words of closure. A slot has no
+/// destructor, so whoever owns a written one must consume it exactly
+/// once, by [`InlineJob::run`] or [`InlineJob::into_job_ref`]; both move
+/// the closure out of the slot first, so the slot is free again the
+/// moment either starts.
+#[repr(C)]
+pub struct InlineJob {
+    ops: &'static InlineOps,
+    data: MaybeUninit<[usize; INLINE_WORDS]>,
+}
+
+/// Bytes of one [`InlineJob`]: a body slot.
+pub const INLINE_JOB_BYTES: usize = size_of::<InlineJob>();
+const _: () = assert!(INLINE_JOB_BYTES == 64);
+
+struct InlineVtable<F>(F);
+
+impl<F> InlineVtable<F>
+where
+    F: FnOnce() + Send,
+{
+    const OPS: InlineOps = InlineOps {
+        run: Self::run,
+        boxed: Self::boxed,
+    };
+
+    /// # Safety
+    ///
+    /// `data` must hold an `F` written by [`InlineJob::write`] and not
+    /// yet moved out; this moves it out.
+    unsafe fn run(data: *const MaybeUninit<[usize; INLINE_WORDS]>) {
+        (data as *const F).read()()
+    }
+
+    /// # Safety
+    ///
+    /// As for `run`.
+    unsafe fn boxed(data: *const MaybeUninit<[usize; INLINE_WORDS]>) -> JobRef {
+        HeapJob::into_job_ref((data as *const F).read())
+    }
+}
+
+impl InlineJob {
+    /// True when a closure of type `F` fits a body slot: at most seven
+    /// words, aligned to at most a word. Larger or over-aligned closures
+    /// are boxed at spawn time instead.
+    pub const fn fits<F>() -> bool {
+        size_of::<F>() <= size_of::<[usize; INLINE_WORDS]>()
+            && align_of::<F>() <= align_of::<usize>()
+    }
+
+    /// Writes `f` into `slot` as an inline job.
+    ///
+    /// # Safety
+    ///
+    /// `slot` must be valid for a write of an `InlineJob`, `F` must
+    /// [fit](InlineJob::fits), and the job is then owed exactly one
+    /// consumption, under [`HeapJob::into_job_ref`]'s lifetime contract.
+    #[inline]
+    pub unsafe fn write<F>(slot: *mut InlineJob, f: F)
+    where
+        F: FnOnce() + Send,
+    {
+        debug_assert!(Self::fits::<F>());
+        ptr::addr_of_mut!((*slot).ops).write(&InlineVtable::<F>::OPS);
+        (ptr::addr_of_mut!((*slot).data) as *mut F).write(f);
+    }
+
+    /// Moves the closure out of `slot` and runs it, consuming the job.
+    ///
+    /// # Safety
+    ///
+    /// `slot` must hold a job written by [`InlineJob::write`] and not yet
+    /// consumed.
+    #[inline]
+    pub unsafe fn run(slot: *const InlineJob) {
+        ((*slot).ops.run)(ptr::addr_of!((*slot).data))
+    }
+
+    /// Moves the closure out of `slot` into a [`HeapJob`]: what exposure
+    /// does to an inline entry, so that thieves only ever see boxed
+    /// words.
+    ///
+    /// # Safety
+    ///
+    /// As for [`InlineJob::run`].
+    pub unsafe fn into_job_ref(slot: *const InlineJob) -> JobRef {
+        ((*slot).ops.boxed)(ptr::addr_of!((*slot).data))
+    }
+}
+
+/// A job as a worker takes it to run: a word from a deque, or an inline
+/// body still in its slot of the worker's own private stack. An inline
+/// one must run before that stack's next push, which could overwrite or
+/// move the slot; running it moves the closure out first, so the body's
+/// own pushes are free to reuse it.
+pub enum Job {
+    /// A word from a deque or the injector.
+    Ref(JobRef),
+    /// A body slot of the running worker's own private stack.
+    Inline(*const InlineJob),
+}
+
+impl Job {
+    /// Runs the job.
+    ///
+    /// # Safety
+    ///
+    /// As for [`JobRef::execute`] or [`InlineJob::run`].
+    #[inline]
+    pub unsafe fn execute(self) {
+        match self {
+            Job::Ref(r) => r.execute(),
+            Job::Inline(slot) => InlineJob::run(slot),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +384,34 @@ mod tests {
         };
         unsafe { job.execute() };
         assert!(hit.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn inline_job_runs_or_boxes_its_closure_once() {
+        use std::sync::Arc;
+        let token = Arc::new(());
+        let mut slot = MaybeUninit::<InlineJob>::uninit();
+        let t = Arc::clone(&token);
+        unsafe { InlineJob::write(slot.as_mut_ptr(), move || drop(t)) };
+        assert_eq!(Arc::strong_count(&token), 2);
+        unsafe { InlineJob::run(slot.as_ptr()) };
+        assert_eq!(Arc::strong_count(&token), 1, "ran and dropped once");
+
+        let t = Arc::clone(&token);
+        unsafe { InlineJob::write(slot.as_mut_ptr(), move || drop(t)) };
+        let boxed = unsafe { InlineJob::into_job_ref(slot.as_ptr()) };
+        assert_eq!(Arc::strong_count(&token), 2, "boxing does not run it");
+        unsafe { Job::Ref(boxed).execute() };
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn fits_bounds_size_and_alignment() {
+        #[repr(align(64))]
+        struct Wide(#[allow(dead_code)] u8);
+        assert!(InlineJob::fits::<[usize; 7]>());
+        assert!(!InlineJob::fits::<[usize; 8]>());
+        assert!(!InlineJob::fits::<Wide>());
     }
 
     #[test]

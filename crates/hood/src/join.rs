@@ -24,7 +24,7 @@
 //! `b` is stolen, we still wait for `b` to finish before unwinding, so no
 //! thief can touch a dead stack frame.
 
-use crate::job::{JobRef, JobResult, StackJob};
+use crate::job::{Job, JobRef, JobResult, StackJob};
 use crate::pool::{current_worker, WorkerCtx};
 use std::panic::AssertUnwindSafe;
 
@@ -109,6 +109,12 @@ where
 /// through the worker's deque until `job_ref` comes back un-run (`None`)
 /// or its latch is set (`Some(result)`).
 ///
+/// `popped` may be an inline spawn, whose body sits in the slot the pop
+/// just freed: it is claimed first, and run from that slot before
+/// anything here can push over it. That check lives here, on the cold
+/// path, and not in `join_on_worker`, whose fast path stays a pop and a
+/// compare.
+///
 /// Pop first, probe the latch second: a `b` that was exposed but not
 /// stolen comes straight back from the deque, so the latch is only worth
 /// reading once a pop has told us `b` is gone.
@@ -117,15 +123,18 @@ fn reconcile<B, RB>(
     worker: &WorkerCtx,
     job_b: &StackJob<B, RB>,
     job_ref: JobRef,
-    mut popped: Option<JobRef>,
+    popped: Option<JobRef>,
 ) -> Option<JobResult<RB>>
 where
     B: FnOnce() -> RB + Send,
     RB: Send,
 {
+    // SAFETY: `popped` came off the private stack with no push since,
+    // and is claimed once.
+    let mut popped = popped.map(|j| unsafe { worker.private().claim(j.to_word()) });
     loop {
         match popped.take().or_else(|| worker.pop()) {
-            Some(j) if j == job_ref => {
+            Some(Job::Ref(j)) if j == job_ref => {
                 // Popped our own job back: nobody else will ever run it.
                 return None;
             }

@@ -15,7 +15,6 @@
 //! runs the *oldest* queued closure. Deque order becomes irrelevant to
 //! service order; the queue alone decides, and it is first-in-first-out.
 
-use crate::job::HeapJob;
 use crate::latch::CountLatch;
 use crate::pool::current_worker;
 use std::any::Any;
@@ -58,8 +57,10 @@ impl<'scope> ScopeFifo<'scope> {
                 // every closure out, so the wrapper (which borrows
                 // `self`, and through the queue borrows `'scope` data)
                 // cannot outlive its borrows; the deque delivers it
-                // exactly once.
-                w.push(unsafe { HeapJob::into_job_ref(run) });
+                // exactly once. The wrapper is one pointer, so it rides
+                // inline on the private stack; only the queued closure
+                // is boxed.
+                unsafe { w.spawn(run) };
             }
             None => run(), // no pool: immediate (and trivially FIFO)
         }

@@ -65,7 +65,7 @@
 //! instrumentation point costs one branch on an `Option`.
 
 use crate::injector::Injector;
-use crate::job::JobRef;
+use crate::job::{Job, JobRef};
 use crate::latch::LockLatch;
 use crate::par::SplitKind;
 use crate::private::{Attention, PrivateFirst, PrivateStack};
@@ -418,11 +418,24 @@ impl WorkerCtx {
         }
     }
 
-    /// Pushes `job` as the newest entry of this worker's deque: onto the
-    /// private stack, where only a raised [`Attention`] word costs more
-    /// than a store and an index bump.
-    pub(crate) fn push(&self, job: JobRef) {
-        if self.deque.private().push(job.to_word()) {
+    /// Pushes the closure `f` as the newest entry of this worker's
+    /// deque: by value onto the private stack
+    /// ([`PrivateStack::push_inline`]), where only a raised
+    /// [`Attention`] word costs more than the write and an index bump,
+    /// and where it is boxed only if it is exposed or too big for a body
+    /// slot.
+    ///
+    /// # Safety
+    ///
+    /// As for [`crate::job::HeapJob::into_job_ref`]: the caller keeps
+    /// everything `f` borrows alive until it has run (scopes wait on
+    /// their latch), and the deque runs it exactly once.
+    #[inline]
+    pub(crate) unsafe fn spawn<F>(&self, f: F)
+    where
+        F: FnOnce() + Send,
+    {
+        if self.deque.private().push_inline(f) {
             self.after_push();
         }
     }
@@ -534,16 +547,16 @@ impl WorkerCtx {
     /// every job boundary. (`join` reclaims its own operand straight off
     /// the private stack without this check: whatever it runs next forks,
     /// and so checks, almost at once.)
-    pub(crate) fn pop(&self) -> Option<JobRef> {
-        let word = self.deque.pop()?;
+    pub(crate) fn pop(&self) -> Option<Job> {
+        let job = self.deque.pop_job()?;
         self.feed_hunters(false);
-        Some(JobRef::from_word(word))
+        Some(job)
     }
 
     /// Executes `job` and maintains the job counter, the job-run-time
     /// histogram, and the `ExecStart`/`ExecEnd` trace span. Every job the
     /// scheduler runs goes through here so counts and traces agree.
-    pub(crate) fn execute_job(&self, job: JobRef) {
+    pub(crate) fn execute_job(&self, job: Job) {
         #[cfg(feature = "telemetry")]
         let started = self.tele.as_ref().map(|t| {
             let now = t.now_ns();
@@ -680,7 +693,7 @@ impl WorkerCtx {
     ///
     /// Every caller has just failed a pop of its own deque, so this is
     /// where a worker starts to count as hunting (INV-PRIV-REQ).
-    pub(crate) fn find_distant_work(&self) -> Option<JobRef> {
+    pub(crate) fn find_distant_work(&self) -> Option<Job> {
         if !self.hunting.replace(true) {
             self.core.attention.start_hunting();
         }
@@ -700,12 +713,12 @@ impl WorkerCtx {
             for _ in 0..n - 1 {
                 let v = victim.next_victim(self.index, n, &mut rng);
                 if let Some(job) = self.try_rob(v, scan_start) {
-                    return Some(job);
+                    return Some(Job::Ref(job));
                 }
             }
         }
         if self.core.injector.pending() > 0 {
-            return self.poll_injector();
+            return self.poll_injector().map(Job::Ref);
         }
         None
     }
@@ -807,7 +820,7 @@ fn worker_main(ctx: WorkerCtx) {
                         ctx.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
                         let job = ctx.took_injected(word, submit_ns);
                         ctx.note_found_work();
-                        ctx.execute_job(job);
+                        ctx.execute_job(Job::Ref(job));
                         continue;
                     }
                     break;
@@ -822,7 +835,7 @@ fn worker_main(ctx: WorkerCtx) {
                     // reaches the injected job straight away.
                     if let Some(job) = ctx.poll_injector() {
                         ctx.note_found_work();
-                        ctx.execute_job(job);
+                        ctx.execute_job(Job::Ref(job));
                     }
                 }
             }

@@ -27,9 +27,24 @@
 //! INV-PRIV-REQ — who counts as hunting, and how an owner that sees a
 //! hunter answers — is the pool's half of the protocol; see
 //! `WorkerCtx::feed_hunters` in [`crate::pool`].
+//!
+//! **Inline bodies.** A spawned closure need not be boxed to sit on the
+//! private stack: [`PrivateStack::push_inline`] writes it, as an
+//! [`InlineJob`], into a second ring of 64-byte body slots that shares
+//! the word ring's indices, and pushes the slot's address as its word.
+//! An entry is inline exactly when its word points into the body ring.
+//! The owner that pops one runs it before it pushes again, moving the
+//! closure out of its slot as it starts ([`PrivateStack::claim`]).
+//! Exposure ([`PrivateFirst::expose_half`]) boxes one before it moves it
+//! to the public deque. So thieves, and every invariant above, only ever
+//! see boxed words, and a spawn allocates only when it is exposed —
+//! about once per steal.
 
+use crate::job::{HeapJob, InlineJob, Job, JobRef, INLINE_JOB_BYTES};
 use abp_deque::Worker;
+use std::alloc::{self, Layout};
 use std::cell::Cell;
+use std::ptr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -92,19 +107,26 @@ impl Attention {
 /// no atomics, no fences. `head` counts entries ever taken from the old
 /// end, `tail` entries ever pushed minus those popped; the live entries
 /// are `head..tail`, stored at `index & mask`.
+///
+/// Beside the words sits the body ring: `mask + 1` [`InlineJob`] slots,
+/// one per word slot, allocated on the first inline push (a worker that
+/// never spawns never pays for one) and grown with the words. The word
+/// of an inline entry is the address of its own body slot.
 pub struct PrivateStack {
     buf: Cell<*mut usize>,
+    bodies: Cell<*mut InlineJob>,
     mask: Cell<usize>,
     head: Cell<usize>,
     tail: Cell<usize>,
     attention: Arc<Attention>,
 }
 
-// SAFETY: `buf` is an allocation this value owns outright (made in
-// `alloc`, freed in `grow` and `Drop`) holding plain words, and
-// `Arc<Attention>` is `Send`. The `Cell`s keep the type `!Sync`, which is
-// the point — one thread at a time — but the pool builds each stack on
-// the spawning thread and then moves it, whole, into its worker.
+// SAFETY: `buf` and `bodies` are allocations this value owns outright
+// (made in `alloc`/`alloc_bodies`, freed in `grow` and `Drop`) holding
+// plain words and `Send` closures, and `Arc<Attention>` is `Send`. The
+// `Cell`s keep the type `!Sync`, which is the point — one thread at a
+// time — but the pool builds each stack on the spawning thread and then
+// moves it, whole, into its worker.
 unsafe impl Send for PrivateStack {}
 
 impl PrivateStack {
@@ -112,6 +134,7 @@ impl PrivateStack {
     pub fn new(attention: Arc<Attention>) -> Self {
         PrivateStack {
             buf: Cell::new(Self::alloc(INITIAL_SLOTS)),
+            bodies: Cell::new(ptr::null_mut()),
             mask: Cell::new(INITIAL_SLOTS - 1),
             head: Cell::new(0),
             tail: Cell::new(0),
@@ -130,9 +153,33 @@ impl PrivateStack {
     ///
     /// `buf` must have come from `alloc(slots)` and not been freed.
     unsafe fn free(buf: *mut usize, slots: usize) {
-        drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-            buf, slots,
-        )));
+        drop(Box::from_raw(ptr::slice_from_raw_parts_mut(buf, slots)));
+    }
+
+    /// The layout of `slots` body slots, each on a cache line of its own.
+    fn body_layout(slots: usize) -> Layout {
+        Layout::from_size_align(slots * INLINE_JOB_BYTES, INLINE_JOB_BYTES)
+            .expect("body ring size overflows")
+    }
+
+    /// `slots` uninitialised body slots, leaked; `free_bodies` is the
+    /// inverse.
+    fn alloc_bodies(slots: usize) -> *mut InlineJob {
+        let layout = Self::body_layout(slots);
+        // SAFETY: the layout has a non-zero size.
+        let bodies = unsafe { alloc::alloc(layout) } as *mut InlineJob;
+        if bodies.is_null() {
+            alloc::handle_alloc_error(layout);
+        }
+        bodies
+    }
+
+    /// # Safety
+    ///
+    /// `bodies` must have come from `alloc_bodies(slots)` and not been
+    /// freed.
+    unsafe fn free_bodies(bodies: *mut InlineJob, slots: usize) {
+        alloc::dealloc(bodies as *mut u8, Self::body_layout(slots));
     }
 
     /// Entries held.
@@ -147,23 +194,73 @@ impl PrivateStack {
         self.len() == 0
     }
 
-    /// Pushes `word` as the newest entry. Returns true when the attention
-    /// word is raised (the caller then takes its slow path); the fast
-    /// path is a store, an index bump and that one relaxed load.
+    /// Makes room for one more entry; returns the index it goes to.
     #[inline]
-    pub fn push(&self, word: usize) -> bool {
-        let mut tail = self.tail.get();
+    fn reserve(&self) -> usize {
+        let tail = self.tail.get();
         if tail.wrapping_sub(self.head.get()) > self.mask.get() {
             self.grow();
-            tail = self.tail.get();
+            return self.tail.get();
         }
+        tail
+    }
+
+    /// Stores `word` at `tail` and makes it the newest entry; returns the
+    /// attention check.
+    #[inline]
+    fn publish(&self, tail: usize, word: usize) -> bool {
         // SAFETY: `buf` holds `mask + 1` words and the index is masked.
         unsafe { *self.buf.get().add(tail & self.mask.get()) = word };
         self.tail.set(tail.wrapping_add(1));
         self.attention.raised()
     }
 
-    /// Pops the newest entry.
+    /// Pushes `word` as the newest entry. Returns true when the attention
+    /// word is raised (the caller then takes its slow path); the fast
+    /// path is a store, an index bump and that one relaxed load.
+    #[inline]
+    pub fn push(&self, word: usize) -> bool {
+        let tail = self.reserve();
+        self.publish(tail, word)
+    }
+
+    /// Pushes the closure `f` as the newest entry, by value in a body
+    /// slot when it [fits](InlineJob::fits) and boxed as a [`HeapJob`]
+    /// otherwise. Returns what [`PrivateStack::push`] returns.
+    ///
+    /// # Safety
+    ///
+    /// As for [`HeapJob::into_job_ref`]: the entry must be run exactly
+    /// once — popped and [claimed](PrivateStack::claim), or exposed and
+    /// stolen — before anything `f` borrows dies.
+    #[inline]
+    pub unsafe fn push_inline<F>(&self, f: F) -> bool
+    where
+        F: FnOnce() + Send,
+    {
+        if !InlineJob::fits::<F>() {
+            return self.push(HeapJob::into_job_ref(f).to_word());
+        }
+        let tail = self.reserve();
+        let mut bodies = self.bodies.get();
+        if bodies.is_null() {
+            bodies = self.first_bodies();
+        }
+        let slot = bodies.add(tail & self.mask.get());
+        InlineJob::write(slot, f);
+        self.publish(tail, slot as usize)
+    }
+
+    /// Allocates the body ring on the first inline push.
+    #[cold]
+    fn first_bodies(&self) -> *mut InlineJob {
+        let bodies = Self::alloc_bodies(self.mask.get() + 1);
+        self.bodies.set(bodies);
+        bodies
+    }
+
+    /// Pops the newest entry's word. An inline entry's body stays in its
+    /// slot until the next push; [`PrivateStack::claim`] takes it out.
     #[inline]
     pub fn pop(&self) -> Option<usize> {
         let tail = self.tail.get();
@@ -172,15 +269,66 @@ impl PrivateStack {
         }
         let tail = tail.wrapping_sub(1);
         self.tail.set(tail);
-        // SAFETY: as in `push`.
+        // SAFETY: as in `publish`.
         Some(unsafe { *self.buf.get().add(tail & self.mask.get()) })
     }
 
-    /// The oldest entry, left in place.
+    /// True when `word` is the address of one of the body slots: the
+    /// entry that holds it is inline.
+    #[inline]
+    fn holds_body(&self, word: usize) -> bool {
+        let bodies = self.bodies.get() as usize;
+        bodies != 0 && word.wrapping_sub(bodies) < (self.mask.get() + 1) * INLINE_JOB_BYTES
+    }
+
+    /// Turns a word just popped off this stack into a job the caller may
+    /// run: an inline entry's body slot, which the caller must run before
+    /// this stack's next push (running it moves the closure out of the
+    /// slot before the body starts); any other word is a [`JobRef`].
+    ///
+    /// # Safety
+    ///
+    /// `word` must have come from [`PrivateStack::pop`] on this stack
+    /// with no push since, and be claimed at most once.
+    #[inline]
+    pub unsafe fn claim(&self, word: usize) -> Job {
+        if self.holds_body(word) {
+            Job::Inline(word as *const InlineJob)
+        } else {
+            Job::Ref(JobRef::from_word(word))
+        }
+    }
+
+    /// Pops the newest entry as a job to run (see [`PrivateStack::claim`]).
+    #[inline]
+    pub fn pop_job(&self) -> Option<Job> {
+        // SAFETY: the word was just popped, and is claimed once.
+        self.pop().map(|word| unsafe { self.claim(word) })
+    }
+
+    /// The oldest entry, left in place, as a word a thief may take: an
+    /// inline body is boxed first, and its word replaced by the box's,
+    /// so it stays boxed if the caller leaves it private after all.
     fn oldest(&self) -> Option<usize> {
         let head = self.head.get();
-        // SAFETY: as in `push`.
-        (head != self.tail.get()).then(|| unsafe { *self.buf.get().add(head & self.mask.get()) })
+        if head == self.tail.get() {
+            return None;
+        }
+        // SAFETY: `buf` holds `mask + 1` words and the index is masked.
+        let at = unsafe { self.buf.get().add(head & self.mask.get()) };
+        // SAFETY: `at` is in bounds (above) and holds a live entry.
+        let word = unsafe { *at };
+        if !self.holds_body(word) {
+            return Some(word);
+        }
+        // SAFETY: the entry is live and inline, so its slot holds a job
+        // that nothing has consumed; the word now owns the box instead,
+        // written back to the in-bounds `at`.
+        unsafe {
+            let boxed = InlineJob::into_job_ref(word as *const InlineJob).to_word();
+            *at = boxed;
+            Some(boxed)
+        }
     }
 
     /// Forgets the oldest entry (the caller has moved it elsewhere).
@@ -189,30 +337,62 @@ impl PrivateStack {
         self.head.set(self.head.get().wrapping_add(1));
     }
 
-    /// Doubles the ring, keeping the entries in age order.
+    /// Doubles the ring — the body ring with it, if it exists — keeping
+    /// the entries in age order and rewriting each inline entry's word to
+    /// its body's new slot.
     #[cold]
     fn grow(&self) {
         let (old, old_slots) = (self.buf.get(), self.mask.get() + 1);
+        let old_bodies = self.bodies.get();
         let new = Self::alloc(old_slots * 2);
+        let new_bodies = if old_bodies.is_null() {
+            old_bodies
+        } else {
+            Self::alloc_bodies(old_slots * 2)
+        };
         let head = self.head.get();
         for i in 0..self.len() {
+            let from = head.wrapping_add(i) & (old_slots - 1);
             // SAFETY: `i < old_slots ≤ 2·old_slots`, and the source
             // index is masked to the old ring.
-            unsafe { *new.add(i) = *old.add(head.wrapping_add(i) & (old_slots - 1)) };
+            let mut word = unsafe { *old.add(from) };
+            if self.holds_body(word) {
+                debug_assert_eq!(word, old_bodies.wrapping_add(from) as usize);
+                // SAFETY: the slots are in bounds of their rings (as for
+                // the words), and the rings are distinct allocations.
+                unsafe { ptr::copy_nonoverlapping(old_bodies.add(from), new_bodies.add(i), 1) };
+                word = new_bodies.wrapping_add(i) as usize;
+            }
+            // SAFETY: `i < 2·old_slots`, the new ring's size.
+            unsafe { *new.add(i) = word };
         }
         self.tail.set(self.len());
         self.head.set(0);
         self.buf.set(new);
+        self.bodies.set(new_bodies);
         self.mask.set(old_slots * 2 - 1);
-        // SAFETY: `old` came from `alloc(old_slots)` and is now unreachable.
-        unsafe { Self::free(old, old_slots) };
+        // SAFETY: `old` came from `alloc(old_slots)`, and `old_bodies`
+        // from `alloc_bodies(old_slots)`; both are now unreachable.
+        unsafe {
+            Self::free(old, old_slots);
+            if !old_bodies.is_null() {
+                Self::free_bodies(old_bodies, old_slots);
+            }
+        }
     }
 }
 
 impl Drop for PrivateStack {
     fn drop(&mut self) {
-        // SAFETY: `buf` came from `alloc(mask + 1)`.
-        unsafe { Self::free(self.buf.get(), self.mask.get() + 1) };
+        let slots = self.mask.get() + 1;
+        // SAFETY: `buf` came from `alloc(slots)`, and `bodies`, if any,
+        // from `alloc_bodies(slots)`.
+        unsafe {
+            Self::free(self.buf.get(), slots);
+            if !self.bodies.get().is_null() {
+                Self::free_bodies(self.bodies.get(), slots);
+            }
+        }
     }
 }
 
@@ -248,15 +428,29 @@ impl PrivateFirst {
     }
 
     /// Pops the newest entry of the union: private first, then the
-    /// public `popBottom` (INV-PRIV-ORDER makes that LIFO).
+    /// public `popBottom` (INV-PRIV-ORDER makes that LIFO). An inline
+    /// entry comes back as its slot's address; [`PrivateFirst::pop_job`]
+    /// is the pop that runs it.
     #[inline]
     pub fn pop(&self) -> Option<usize> {
         self.private.pop().or_else(|| self.public.pop_bottom())
     }
 
+    /// [`PrivateFirst::pop`] as a job to run: an inline entry is copied
+    /// out of its body slot ([`PrivateStack::claim`]).
+    #[inline]
+    pub fn pop_job(&self) -> Option<Job> {
+        self.private.pop_job().or_else(|| {
+            self.public
+                .pop_bottom()
+                .map(|w| Job::Ref(JobRef::from_word(w)))
+        })
+    }
+
     /// Moves the oldest `n` private entries (all of them if fewer),
-    /// oldest first, to the public bottom. Returns how many moved; stops
-    /// early, leaving the rest private, if the public deque fills.
+    /// oldest first, to the public bottom, boxing inline ones on the
+    /// way. Returns how many moved; stops early, leaving the rest
+    /// private, if the public deque fills.
     fn expose(&self, n: usize) -> usize {
         let mut moved = 0;
         while moved < n {
@@ -382,5 +576,194 @@ mod tests {
         assert_eq!(d.pop(), Some(12));
         assert_eq!(d.pop(), Some(11));
         assert_eq!(d.pop(), None);
+    }
+
+    /// What a test expects back from a pop: a plain word, or the inline
+    /// closure that logs `id`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Entry {
+        Word(usize),
+        Inline(usize),
+    }
+
+    type Log = Arc<std::sync::Mutex<Vec<usize>>>;
+
+    /// Pushes an inline closure that appends `id` to `log`, and checks
+    /// that it went to a body slot.
+    fn push_logger(s: &PrivateStack, log: &Log, id: usize) {
+        let log = Arc::clone(log);
+        // SAFETY: every test pops or steals and runs each entry once,
+        // and the closure owns everything it touches.
+        unsafe { s.push_inline(move || log.lock().unwrap().push(id)) };
+        let newest = s.tail.get().wrapping_sub(1) & s.mask.get();
+        assert!(s.holds_body(unsafe { *s.buf.get().add(newest) }));
+    }
+
+    /// Pops `entry` back and runs it if it is inline.
+    fn pop_expecting(d: &PrivateFirst, log: &Log, entry: Entry) {
+        match (d.pop_job(), entry) {
+            (Some(Job::Ref(r)), Entry::Word(w)) => assert_eq!(r.to_word(), w),
+            (Some(Job::Inline(body)), Entry::Inline(id)) => {
+                unsafe { InlineJob::run(body) };
+                assert_eq!(log.lock().unwrap().last(), Some(&id));
+            }
+            (Some(Job::Ref(r)), e) => panic!("got word {:#x}, wanted {e:?}", r.to_word()),
+            (Some(Job::Inline(_)), e) => panic!("got an inline body, wanted {e:?}"),
+            (None, e) => panic!("ran dry, wanted {e:?}"),
+        }
+    }
+
+    #[test]
+    fn words_alone_never_allocate_a_body_ring() {
+        let (s, _) = stack();
+        for w in 0..INITIAL_SLOTS * 2 + 1 {
+            s.push(w);
+        }
+        assert!(s.bodies.get().is_null());
+        let log = Log::default();
+        push_logger(&s, &log, 0);
+        assert!(
+            !s.bodies.get().is_null(),
+            "the first inline push allocates it"
+        );
+        let Some(Job::Inline(body)) = s.pop_job() else {
+            panic!("the newest entry is inline");
+        };
+        unsafe { InlineJob::run(body) };
+        assert_eq!(Arc::strong_count(&log), 1);
+    }
+
+    #[test]
+    fn mixed_words_and_inline_entries_come_out_lifo() {
+        let (owner, _stealer) = abp_deque::new(16);
+        let d = PrivateFirst::new(owner, calm());
+        let log = Log::default();
+        let mut pushed = Vec::new();
+        for i in 0..20usize {
+            if i.is_multiple_of(3) {
+                d.private().push(2 * i + 1);
+                pushed.push(Entry::Word(2 * i + 1));
+            } else {
+                push_logger(d.private(), &log, i);
+                pushed.push(Entry::Inline(i));
+            }
+        }
+        for &entry in pushed.iter().rev() {
+            pop_expecting(&d, &log, entry);
+        }
+        assert!(d.pop_job().is_none());
+        assert_eq!(Arc::strong_count(&log), 1, "every closure ran once");
+    }
+
+    /// Growth with `head` mid-ring and inline bodies on both sides of the
+    /// wrap: every body moves to its entry's new slot, and every entry
+    /// comes out once, in order, at either end.
+    #[test]
+    fn grow_moves_inline_bodies_of_a_wrapped_ring() {
+        let (owner, stealer) = abp_deque::new(1 << 10);
+        let d = PrivateFirst::new(owner, calm());
+        let log = Log::default();
+        let entry = |i: usize| {
+            if i.is_multiple_of(2) {
+                Entry::Inline(i)
+            } else {
+                Entry::Word(i)
+            }
+        };
+        let push = |i: usize| match entry(i) {
+            Entry::Inline(id) => push_logger(d.private(), &log, id),
+            Entry::Word(w) => {
+                d.private().push(w);
+            }
+        };
+        (0..INITIAL_SLOTS).for_each(push);
+        assert_eq!(d.expose(10), 10);
+        (INITIAL_SLOTS..INITIAL_SLOTS + 30).for_each(push);
+        assert_eq!(d.private().len(), INITIAL_SLOTS + 20);
+        assert_eq!(d.private().mask.get() + 1, INITIAL_SLOTS * 2, "it grew");
+        for i in 0..10 {
+            let Steal::Taken(w) = stealer.pop_top() else {
+                panic!("exposed entry {i} missing");
+            };
+            match entry(i) {
+                Entry::Word(expect) => assert_eq!(w, expect),
+                Entry::Inline(id) => {
+                    assert!(!d.private().holds_body(w), "exposed unboxed");
+                    unsafe { JobRef::from_word(w).execute() };
+                    assert_eq!(log.lock().unwrap().last(), Some(&id));
+                }
+            }
+        }
+        for i in (10..INITIAL_SLOTS + 30).rev() {
+            pop_expecting(&d, &log, entry(i));
+        }
+        assert!(d.pop_job().is_none());
+        assert_eq!(Arc::strong_count(&log), 1, "every closure ran once");
+    }
+
+    #[test]
+    fn expose_half_boxes_an_inline_oldest_entry_for_a_thief() {
+        let (owner, stealer) = abp_deque::new(4);
+        let d = PrivateFirst::new(owner, calm());
+        let log = Log::default();
+        push_logger(d.private(), &log, 7);
+        d.private().push(9);
+        assert_eq!(d.expose_half(), 1);
+        let Steal::Taken(w) = stealer.pop_top() else {
+            panic!("the exposed entry is not stealable");
+        };
+        assert!(!d.private().holds_body(w), "a thief got a body slot");
+        assert_eq!(Arc::strong_count(&log), 2, "boxing did not run it");
+        unsafe { JobRef::from_word(w).execute() };
+        assert_eq!(*log.lock().unwrap(), [7]);
+        assert_eq!(Arc::strong_count(&log), 1);
+        pop_expecting(&d, &log, Entry::Word(9));
+    }
+
+    /// A full public deque leaves an exposed-and-boxed entry private:
+    /// its word is now the box's, and the owner runs it through that.
+    #[test]
+    fn an_entry_boxed_for_a_full_deque_stays_private_and_runs_once() {
+        let (owner, _stealer) = abp_deque::new(1);
+        let d = PrivateFirst::new(owner, calm());
+        let log = Log::default();
+        push_logger(d.private(), &log, 1);
+        push_logger(d.private(), &log, 2);
+        assert_eq!(d.expose_all(), 1, "the one-slot deque fills");
+        assert_eq!(d.private().len(), 1);
+        let Some(Job::Ref(boxed)) = d.pop_job() else {
+            panic!("the refused entry should be boxed");
+        };
+        unsafe { boxed.execute() };
+        let Some(Job::Ref(public)) = d.pop_job() else {
+            panic!("the exposed entry should come back boxed");
+        };
+        unsafe { public.execute() };
+        assert_eq!(*log.lock().unwrap(), [2, 1]);
+        assert_eq!(Arc::strong_count(&log), 1);
+    }
+
+    #[test]
+    fn a_closure_too_big_or_too_aligned_is_boxed_at_push() {
+        #[repr(align(64))]
+        struct Wide(usize);
+        let (s, _) = stack();
+        let log = Log::default();
+        let (big, l) = ([3usize; 8], Arc::clone(&log));
+        unsafe { s.push_inline(move || l.lock().unwrap().push(big.iter().sum())) };
+        let (wide, l) = (Wide(5), Arc::clone(&log));
+        unsafe {
+            s.push_inline(move || {
+                let wide = wide; // the whole value, not just its field
+                l.lock().unwrap().push(wide.0)
+            })
+        };
+        assert!(s.bodies.get().is_null(), "nothing went inline");
+        while let Some(job) = s.pop_job() {
+            assert!(matches!(job, Job::Ref(_)));
+            unsafe { job.execute() };
+        }
+        assert_eq!(*log.lock().unwrap(), [5, 24]);
+        assert_eq!(Arc::strong_count(&log), 1);
     }
 }

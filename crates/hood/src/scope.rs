@@ -5,9 +5,11 @@
 //! Spawned jobs become the newest entries of the spawning worker's deque
 //! exactly like a join's second operand — on its private stack first,
 //! exposed oldest-first while some worker is out of work — and idle
-//! workers steal them from the top.
+//! workers steal them from the top. A spawned closure of up to seven
+//! words (the user's closure plus the scope pointer) is stored by value
+//! in the private stack's body ring and allocates nothing unless it is
+//! exposed (see [`crate::private`]).
 
-use crate::job::HeapJob;
 use crate::latch::CountLatch;
 use crate::pool::current_worker;
 use std::any::Any;
@@ -58,7 +60,7 @@ impl<'scope> Scope<'scope> {
                 // every job out, so the job (which borrows `self` and
                 // `'scope` data) cannot outlive its borrows; the deque
                 // delivers it exactly once.
-                w.push(unsafe { HeapJob::into_job_ref(run) });
+                unsafe { w.spawn(run) };
             }
             None => run(), // no pool: immediate execution
         }

@@ -7,7 +7,8 @@
 use abp_dag::DetRng;
 use hood::{scope, scope_fifo, Scope, ScopeFifo, ThreadPool};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One round's shape and its tallies. Node `i > 0` of the spawn tree
 /// hangs under a uniformly random earlier node, so the tree has hubs
@@ -200,4 +201,116 @@ fn spawns_from_another_pools_worker_are_counted() {
         });
     }
     assert_eq!(hits.load(Ordering::Relaxed), 50 * 20);
+}
+
+/// A spawned closure leaves its spawner's private stack one of three
+/// ways: popped and run by value by its owner, boxed as it is exposed
+/// and then stolen, or boxed at spawn time because it is too big for a
+/// body slot. Each closure below owns a clone of one `Arc`; the strong
+/// count returning to 1 says every one was run, and dropped, once.
+#[test]
+fn inline_spawns_popped_by_their_owner_run_exactly_once() {
+    let pool = ThreadPool::new(1);
+    let token = Arc::new(());
+    let hits = &AtomicU64::new(0);
+    pool.install(|| {
+        scope(|s| {
+            for _ in 0..1000 {
+                let t = Arc::clone(&token);
+                s.spawn(move |_| {
+                    drop(t);
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), 1000);
+    assert_eq!(Arc::strong_count(&token), 1);
+}
+
+/// The spawner never pops again until its spawn has run, so only a thief
+/// can run it: a worker's first push after it takes up new work is
+/// always exposed, so the inline body is boxed and stolen.
+#[test]
+fn an_exposed_inline_spawn_stolen_by_a_thief_runs_exactly_once() {
+    const ROUNDS: u64 = 20;
+    let pool = ThreadPool::new(4);
+    let token = Arc::new(());
+    for _ in 0..ROUNDS {
+        let done = &AtomicBool::new(false);
+        pool.install(|| {
+            scope(|s| {
+                let t = Arc::clone(&token);
+                s.spawn(move |_| {
+                    drop(t);
+                    done.store(true, Ordering::Release);
+                });
+                while !done.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+        });
+    }
+    assert_eq!(Arc::strong_count(&token), 1);
+    let stats = pool.stats();
+    assert!(
+        stats.steals >= ROUNDS,
+        "not every spawn was stolen: {stats:?}"
+    );
+}
+
+#[test]
+fn spawns_boxed_at_spawn_time_run_exactly_once() {
+    let pool = ThreadPool::new(2);
+    let token = Arc::new(());
+    let sum = &AtomicU64::new(0);
+    pool.install(|| {
+        scope(|s| {
+            for i in 0..500u64 {
+                let (t, big) = (Arc::clone(&token), [i; 8]);
+                s.spawn(move |_| {
+                    drop(t);
+                    sum.fetch_add(big.iter().sum::<u64>(), Ordering::Relaxed);
+                });
+            }
+        });
+    });
+    assert_eq!(sum.load(Ordering::Relaxed), 8 * 500 * 499 / 2);
+    assert_eq!(Arc::strong_count(&token), 1);
+}
+
+/// A body that panics is run by value like any other; its panic still
+/// surfaces from `scope` only once every sibling has run, whether it is
+/// popped first (spawned last) or last (spawned first).
+#[test]
+fn a_panicking_inline_body_surfaces_after_every_sibling() {
+    let pool = ThreadPool::new(1);
+    for bomb_first in [true, false] {
+        let completed = AtomicU64::new(0);
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| {
+                scope(|s| {
+                    if bomb_first {
+                        s.spawn(|_| panic!("inline bomb"));
+                    }
+                    for _ in 0..10 {
+                        s.spawn(|_| {
+                            completed.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                    if !bomb_first {
+                        s.spawn(|_| panic!("inline bomb"));
+                    }
+                });
+            })
+        }));
+        let payload = r.expect_err("the panic was lost");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"inline bomb"));
+        assert_eq!(
+            completed.load(Ordering::Relaxed),
+            10,
+            "bomb_first = {bomb_first}"
+        );
+    }
+    assert_eq!(pool.install(|| 2 + 2), 4);
 }

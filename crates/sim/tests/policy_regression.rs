@@ -12,7 +12,9 @@
 
 use abp_dag::{gen, Dag};
 use abp_kernel::{BenignKernel, CountSource, DedicatedKernel, Kernel, YieldPolicy};
-use abp_sim::{run_ws, BackoffKind, IdleKind, PolicySet, RunReport, VictimKind, WsConfig};
+use abp_sim::{
+    run_ws, BackoffKind, CacheConfig, IdleKind, PolicySet, RunReport, VictimKind, WsConfig,
+};
 
 struct Golden {
     name: &'static str,
@@ -115,6 +117,66 @@ fn goldens() -> Vec<Golden> {
     .collect()
 }
 
+/// `LastEnabler` with the default cache model (its hint comes from the
+/// model's deviation signal) on the same corpus, recorded before the
+/// policy layer collapsed to the two victim points a claim uses.
+fn last_enabler_goldens() -> Vec<Golden> {
+    [
+        (
+            "fork-join(8,2)/dedicated",
+            (35, 140, 5563, 1596, 3575, 29, 5, 5, 31),
+        ),
+        (
+            "fib(14,3)/dedicated",
+            (14, 112, 4310, 647, 2002, 119, 28, 13, 121),
+        ),
+        (
+            "wide(64,25)/benign",
+            (22, 74, 2871, 959, 1915, 88, 21, 13, 92),
+        ),
+        (
+            "pipeline(6,80)/benign-none",
+            (31, 62, 2432, 1332, 490, 459, 23, 35, 0),
+        ),
+        (
+            "series-par(41)/dedicated-torandom",
+            (152, 1216, 48350, 7076, 8003, 8001, 23, 998, 8007),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, g)| Golden {
+        name,
+        rounds: g.0,
+        proc_rounds: g.1,
+        instructions: g.2,
+        wall_steps: g.3,
+        executed: g.4,
+        steal_attempts: g.5,
+        successful_steals: g.6,
+        throws: g.7,
+        yields: g.8,
+    })
+    .collect()
+}
+
+fn check_golden(r: &RunReport, g: &Golden) {
+    assert!(r.completed, "{}: did not complete", g.name);
+    check_identity(r, g.name);
+    assert_eq!(r.rounds, g.rounds, "{}: rounds drifted", g.name);
+    assert_eq!(r.proc_rounds, g.proc_rounds, "{}: proc_rounds", g.name);
+    assert_eq!(r.instructions, g.instructions, "{}: instructions", g.name);
+    assert_eq!(r.wall_steps, g.wall_steps, "{}: wall_steps", g.name);
+    assert_eq!(r.executed, g.executed, "{}: executed", g.name);
+    assert_eq!(r.steal_attempts, g.steal_attempts, "{}: attempts", g.name);
+    assert_eq!(
+        r.successful_steals, g.successful_steals,
+        "{}: steals",
+        g.name
+    );
+    assert_eq!(r.throws, g.throws, "{}: throws", g.name);
+    assert_eq!(r.yields, g.yields, "{}: yields", g.name);
+}
+
 fn check_identity(r: &RunReport, name: &str) {
     assert!(
         r.steal_accounting_balanced(),
@@ -131,21 +193,18 @@ fn paper_default_matches_pre_refactor_goldens() {
     for ((dag, p, cfg, mut mk_kernel), g) in corpus().into_iter().zip(goldens()) {
         assert_eq!(cfg.policies, PolicySet::paper());
         let r = run_ws(&dag, p, mk_kernel().as_mut(), cfg);
-        assert!(r.completed, "{}: did not complete", g.name);
-        check_identity(&r, g.name);
-        assert_eq!(r.rounds, g.rounds, "{}: rounds drifted", g.name);
-        assert_eq!(r.proc_rounds, g.proc_rounds, "{}: proc_rounds", g.name);
-        assert_eq!(r.instructions, g.instructions, "{}: instructions", g.name);
-        assert_eq!(r.wall_steps, g.wall_steps, "{}: wall_steps", g.name);
-        assert_eq!(r.executed, g.executed, "{}: executed", g.name);
-        assert_eq!(r.steal_attempts, g.steal_attempts, "{}: attempts", g.name);
-        assert_eq!(
-            r.successful_steals, g.successful_steals,
-            "{}: steals",
-            g.name
-        );
-        assert_eq!(r.throws, g.throws, "{}: throws", g.name);
-        assert_eq!(r.yields, g.yields, "{}: yields", g.name);
+        check_golden(&r, &g);
+    }
+}
+
+#[test]
+fn last_enabler_with_cache_matches_goldens() {
+    for ((dag, p, cfg, mut mk_kernel), g) in corpus().into_iter().zip(last_enabler_goldens()) {
+        let cfg = cfg
+            .with_policies(PolicySet::paper().with_victim(VictimKind::LastEnabler))
+            .with_cache(CacheConfig::default());
+        let r = run_ws(&dag, p, mk_kernel().as_mut(), cfg);
+        check_golden(&r, &g);
     }
 }
 

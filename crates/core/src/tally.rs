@@ -24,13 +24,6 @@ pub enum StealResult {
     Empty,
 }
 
-impl StealResult {
-    /// True for [`StealResult::Hit`].
-    pub fn is_hit(self) -> bool {
-        self == StealResult::Hit
-    }
-}
-
 /// Counters over completed steal attempts, one increment per attempt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealTally {

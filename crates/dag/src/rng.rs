@@ -97,6 +97,23 @@ impl DetRng {
         self.below(n as u64) as usize
     }
 
+    /// Uniform process index in `[0, p)` other than `me` (`me` itself
+    /// when `p == 1`, with no draw) — the paper's line-16 victim draw,
+    /// shared so yield targets and victim picks consume a process's
+    /// stream the same way.
+    #[inline]
+    pub fn other_than(&mut self, me: usize, p: usize) -> usize {
+        if p <= 1 {
+            return me.min(p.saturating_sub(1));
+        }
+        let r = self.below_usize(p - 1);
+        if r >= me {
+            r + 1
+        } else {
+            r
+        }
+    }
+
     /// Uniform integer in `[lo, hi]` (inclusive).
     #[inline]
     pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
@@ -197,6 +214,26 @@ mod tests {
             let dev = (c as f64 - expect).abs() / expect;
             assert!(dev < 0.05, "bucket off by {:.1}%", dev * 100.0);
         }
+    }
+
+    #[test]
+    fn other_than_skips_me_and_covers_everyone() {
+        let mut rng = DetRng::new(5);
+        let p = 6;
+        let me = 2;
+        let mut seen = vec![false; p];
+        for _ in 0..1000 {
+            let v = rng.other_than(me, p);
+            assert!(v < p && v != me);
+            seen[v] = true;
+        }
+        assert_eq!(seen.iter().filter(|&&s| s).count(), p - 1);
+    }
+
+    #[test]
+    fn other_than_degenerate_p1() {
+        let mut rng = DetRng::new(5);
+        assert_eq!(rng.other_than(0, 1), 0);
     }
 
     #[test]

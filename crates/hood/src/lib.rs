@@ -29,9 +29,8 @@
 //! worker drains the injector — its last poll returned a job and the
 //! backlog is still non-zero — and any miss re-arms it. The pool is one
 //! flat set of workers, each able to rob any other, and the deque is
-//! always ABP: the locking deque of `abp-deque` and the alternative
-//! victim, backoff and idle policies of `abp-core` are ablations for the
-//! simulator.
+//! always ABP: the locking deque of `abp-deque` and the `LastEnabler`
+//! victim hint of `abp-core` are for the simulator.
 //! Configuration ([`PoolConfig`]) sets sizes, the seed, tracing, and the
 //! data-parallel split cadence.
 //!

@@ -11,12 +11,12 @@
 //! closures are shared by reference — and hands it to one of two drive
 //! loops:
 //!
-//! * [`drive_fold`] — the general engine: consult the splitter; on a
+//! * `drive_fold` — the general engine: consult the splitter; on a
 //!   split, `join` the two halves and combine their accumulators (the
 //!   combine tree mirrors the recursion, so non-commutative reductions
 //!   keep slice order); otherwise fold the whole remaining range in one
 //!   tight sequential loop.
-//! * [`drive_fill`] — the indexed engine behind `map_collect`: exact-
+//! * `drive_fill` — the indexed engine behind `map_collect`: exact-
 //!   length pipelines write each result straight into a pre-sized uninit
 //!   spine (no per-node `Vec`s, no `Default` pre-fill — one allocation
 //!   total).

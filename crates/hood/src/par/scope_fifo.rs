@@ -1,6 +1,6 @@
 //! A spawn scope with FIFO *service order*: `scope_fifo(|s| s.spawn_fifo(..))`.
 //!
-//! The plain [`crate::scope`] inherits the deque's LIFO discipline on
+//! The plain [`crate::scope()`] inherits the deque's LIFO discipline on
 //! the owning worker: the most recently spawned job runs first. That is
 //! the right default for divide-and-conquer, but pipeline-shaped code
 //! (stage N spawning stage N+1 for many items) wants the opposite —

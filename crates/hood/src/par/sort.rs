@@ -3,7 +3,7 @@
 //! Quicksort with a deterministic median-of-three pivot. Each level
 //! partitions the slice in place into `< pivot | pivot | >= pivot` with
 //! one branch-free pass and recurses on the two sides in parallel via
-//! `join`. The [`Splitter`] decides per level whether the recursion
+//! `join`. The `Splitter` decides per level whether the recursion
 //! forks or stays sequential — once the pool stops reporting idle
 //! workers the remaining sub-ranges are handed to `std`'s
 //! `sort_unstable`, so the sequential leaves run at full library speed

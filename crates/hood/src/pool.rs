@@ -35,7 +35,7 @@
 //! ablation: the paper's "non-blocking data structures are essential"
 //! claim is tested where its adversary lives, in the simulator, not
 //! here. The
-//! worker loop, [`WorkerCtx`] and [`SharedCore`] (which holds every
+//! worker loop, [`WorkerCtx`] and `SharedCore` (which holds every
 //! worker's stealer handle) are plain types, and code that runs *on* a
 //! worker — `join`, `scope`, the latches, the data-parallel layer —
 //! reaches its [`WorkerCtx`] through one thin TLS pointer and calls it
@@ -48,7 +48,7 @@
 //! owner-private ring and cost a store, an index bump and one relaxed
 //! load of the pool's [`Attention`] word; pops take from the ring
 //! first. Work reaches the public deque — becomes stealable — only
-//! through [`WorkerCtx::feed_hunters`], while some worker of the pool is
+//! through `WorkerCtx::feed_hunters`, while some worker of the pool is
 //! out of work, so the `pushBottom` release, the `popBottom` fence and
 //! the wake are paid per steal, not per fork. The invariants
 //! (INV-PRIV-ORDER, INV-PRIV-REQ) and what the scheme gives up are in
@@ -71,7 +71,7 @@ use crate::par::SplitKind;
 use crate::private::{Attention, PrivateFirst, PrivateStack};
 use crate::sleep::{Sleep, SleepKind, SleepStats};
 use crate::stats::{PoolStats, WorkerStats};
-use abp_core::{PolicyRng, StealResult, UniformVictim, VictimSelector};
+use abp_core::{StealResult, UniformVictim};
 use abp_dag::DetRng;
 use abp_deque::{Steal, Stealer};
 use std::cell::{Cell, RefCell};
@@ -321,7 +321,7 @@ pub struct WorkerCtx {
     /// The paper's uniform victim selector and the stream it draws
     /// from, forked from the pool seed by worker index.
     victim: RefCell<UniformVictim>,
-    rng: RefCell<PolicyRng>,
+    rng: RefCell<DetRng>,
     /// Consecutive hunts that found no work; reset by any found work.
     fails: Cell<u32>,
     /// True while this worker's most recent attempt to find work was an
@@ -709,9 +709,9 @@ impl WorkerCtx {
         let n = self.core.num_procs;
         if n > 1 {
             let (mut victim, mut rng) = (self.victim.borrow_mut(), self.rng.borrow_mut());
-            victim.begin_scan(self.index, n, &mut rng);
+            victim.begin_scan(n, &mut rng);
             for _ in 0..n - 1 {
-                let v = victim.next_victim(self.index, n, &mut rng);
+                let v = victim.next_victim(self.index, n);
                 if let Some(job) = self.try_rob(v, scan_start) {
                     return Some(Job::Ref(job));
                 }
@@ -862,7 +862,7 @@ fn spawn_workers(
                 deque: PrivateFirst::new(deque, Arc::clone(&core.attention)),
                 core: Arc::clone(core),
                 victim: RefCell::new(UniformVictim::new()),
-                rng: RefCell::new(PolicyRng::from_det(seed_rng.fork(index as u64))),
+                rng: RefCell::new(seed_rng.fork(index as u64)),
                 fails: Cell::new(0),
                 draining: Cell::new(false),
                 woken_pending: Cell::new(false),

@@ -54,7 +54,7 @@
 //! A *worker* is a producer only when it exposes private entries on its
 //! public deque (`WorkerCtx::feed_hunters` in [`crate::pool`]), which
 //! happens while some worker is out of work, not per fork — so it pays
-//! the same unconditional [`Sleep::notify_jobs`] bump as an external
+//! the same unconditional `Sleep::notify_jobs` bump as an external
 //! submission and needs no weaker, peeking variant. Its forks never look
 //! at this word: a sleeping worker is still counted in the pool's
 //! attention word, and that count is what the fork fast path tests.

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A slot has exactly one writer: the worker it belongs to, through
 /// `WorkerCtx::stats()`. Every other thread only takes snapshots. The
 /// counters on the per-job path (`jobs`, `par_splits`, `par_seq`) are
-/// therefore advanced with [`WorkerStats::bump`] — a `Relaxed` load and
+/// therefore advanced with `WorkerStats::bump` — a `Relaxed` load and
 /// a `Relaxed` store instead of a `lock xadd` — which loses no count
 /// because no second writer can store between the two; a concurrent
 /// snapshot reads the value before or after, as it would with the

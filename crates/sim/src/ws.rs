@@ -23,9 +23,7 @@ use crate::invariants::{check_structural_lemma, PotentialTracker, ReadyState};
 use crate::locked_deque::{LockKind, LockOp, LockStepOutcome, LockedSimDeque, LockedSteal};
 use crate::metrics::{PhaseStats, RunReport};
 use crate::trace::{RoundActivity, StealRecord, Trace};
-use abp_core::{
-    BackoffAction, IdleAction, PolicyEngine, PolicyRng, PolicySet, StealResult, StealTally,
-};
+use abp_core::{StealResult, StealTally, VictimKind};
 use abp_dag::{Dag, DetRng, EdgeKind, EnablingTree, NodeId, ProcId};
 use abp_deque::{DequeOp, SimDeque, SimSteal, StepOutcome};
 use abp_kernel::{Kernel, KernelView, YieldLedger, YieldPolicy};
@@ -69,9 +67,9 @@ pub struct WsConfig {
     pub yield_policy: YieldPolicy,
     pub backend: DequeBackend,
     pub assign: AssignPolicy,
-    /// The scheduling-policy set (victim selection, contention backoff,
-    /// idle behaviour). Defaults to [`PolicySet::paper`].
-    pub policies: PolicySet,
+    /// Who a thief robs (Figure 3, line 16). `LastEnabler` needs the
+    /// cache model, whose deviation signal is its hint.
+    pub victim: VictimKind,
     /// Seed for victim selection and quantum jitter.
     pub seed: u64,
     /// Abort the run after this many rounds (starvation protection for
@@ -98,7 +96,7 @@ impl Default for WsConfig {
             yield_policy: YieldPolicy::ToAll,
             backend: DequeBackend::Abp,
             assign: AssignPolicy::SpawnFirst,
-            policies: PolicySet::paper(),
+            victim: VictimKind::Uniform,
             seed: 0x5EED,
             max_rounds: 50_000_000,
             check_structural: false,
@@ -129,9 +127,9 @@ impl WsConfig {
         self
     }
 
-    /// Replaces the scheduling-policy set.
-    pub fn with_policies(mut self, policies: PolicySet) -> Self {
-        self.policies = policies;
+    /// Replaces the victim policy.
+    pub fn with_victim(mut self, victim: VictimKind) -> Self {
+        self.victim = victim;
         self
     }
 
@@ -178,9 +176,15 @@ impl WsConfig {
     }
 
     /// The policy identity stamped on reports and telemetry:
-    /// `"victim+backoff+idle/yield-policy"`.
+    /// `"victim+yield+spin/yield-policy"`. The `+yield+spin` middle is
+    /// the fixed backoff and idle point of Figure 3 (yield before every
+    /// attempt, never park), kept so labels stay comparable across runs.
     pub fn policy_label(&self) -> String {
-        format!("{}/{}", self.policies.label(), self.yield_policy.label())
+        format!(
+            "{}+yield+spin/{}",
+            self.victim.label(),
+            self.yield_policy.label()
+        )
     }
 }
 
@@ -213,19 +217,18 @@ enum Phase {
     PickingVictim,
     /// `popTop` on the victim's deque in progress.
     Stealing { victim: usize, op: AnyOp },
-    /// Spinning in a contention backoff: `left` more milestone-free
-    /// instructions, then yield (if `then_yield`) or attempt directly.
-    Backing { left: u64, then_yield: bool },
-    /// Parked by the idle policy for `left` more milestone-free
-    /// instructions.
-    Parked { left: u64 },
 }
 
 struct Proc {
     assigned: Option<NodeId>,
     phase: Phase,
     milestones_this_round: u32,
-    engine: PolicyEngine,
+    /// This process's stream, forked from the seed by its index: victim
+    /// draws and `ToRandom` yield targets.
+    rng: DetRng,
+    /// `LastEnabler`'s hint: the process that enabled the node this one
+    /// last ran (never this process). Cleared by a miss on it.
+    enabler: Option<usize>,
 }
 
 /// One of the two deque arrays, depending on backend.
@@ -265,9 +268,6 @@ pub struct WorkStealer<'a> {
     tree: EnablingTree,
     potential: PotentialTracker,
     done: bool,
-    /// Whether the configured policy set keeps Lemma 7's milestone
-    /// accounting valid (no spinning backoff, no parking).
-    milestone_safe: bool,
     // measurement
     executed_count: u64,
     tally: StealTally,
@@ -296,16 +296,20 @@ impl<'a> WorkStealer<'a> {
     /// Prepares a run of `dag` on `p` processes.
     pub fn new(dag: &'a Dag, p: usize, config: WsConfig) -> Self {
         assert!(p >= 1);
+        assert!(
+            config.victim != VictimKind::LastEnabler || config.cache.is_some(),
+            "VictimKind::LastEnabler needs the cache model (WsConfig::with_cache): \
+             its hint is the model's deviation signal, so without it the \
+             policy would silently run the uniform draw"
+        );
         let mut seed_rng = DetRng::new(config.seed);
         let procs = (0..p)
             .map(|i| Proc {
                 assigned: if i == 0 { Some(dag.root()) } else { None },
                 phase: Phase::Loop,
                 milestones_this_round: 0,
-                engine: PolicyEngine::new(
-                    &config.policies,
-                    PolicyRng::from_det(seed_rng.fork(i as u64)),
-                ),
+                rng: seed_rng.fork(i as u64),
+                enabler: None,
             })
             .collect();
         let deques = match config.backend {
@@ -332,7 +336,6 @@ impl<'a> WorkStealer<'a> {
             phase_start_potential: last_log_potential,
             potential,
             done: false,
-            milestone_safe: config.policies.preserves_milestones(),
             executed_count: 0,
             tally: StealTally::default(),
             throws: 0,
@@ -458,10 +461,9 @@ impl<'a> WorkStealer<'a> {
             }
             // Milestone accounting: every scheduled process that received a
             // full quantum must have hit ≥ 2 milestones (§4.1) — guaranteed
-            // for the non-blocking backends under the paper's policies,
-            // and precisely what the Locking backend (and any spinning or
-            // parking policy) loses.
-            if !self.done && self.config.backend != DequeBackend::Locking && self.milestone_safe {
+            // for the non-blocking backends, and precisely what the
+            // Locking backend loses.
+            if !self.done && self.config.backend != DequeBackend::Locking {
                 for (pos, &i) in scheduled.iter().enumerate() {
                     if quanta[pos] >= 2 * MILESTONE_C as u64
                         && self.procs[i].milestones_this_round < 2
@@ -586,7 +588,6 @@ impl<'a> WorkStealer<'a> {
                 OpDone::PopBottom(Some(v)) => {
                     let u = NodeId(v as u32);
                     self.procs[i].assigned = Some(u);
-                    self.procs[i].engine.note_work_found();
                     self.potential.assign(u, &self.tree);
                     self.check_structure(i);
                     Some(Phase::Loop)
@@ -611,7 +612,7 @@ impl<'a> WorkStealer<'a> {
                 match self.config.yield_policy {
                     YieldPolicy::None => unreachable!("Yielding phase with no yield policy"),
                     YieldPolicy::ToRandom => {
-                        let target = self.procs[i].engine.uniform_other(i, p);
+                        let target = self.procs[i].rng.other_than(i, p);
                         self.ledger
                             .yield_to_random(ProcId(i as u32), ProcId(target as u32));
                     }
@@ -631,26 +632,6 @@ impl<'a> WorkStealer<'a> {
                     _ => unreachable!(),
                 }
             }
-            // One milestone-free spin instruction.
-            Phase::Backing { left, .. } if *left > 1 => {
-                *left -= 1;
-                None
-            }
-            Phase::Backing { then_yield, .. } => Some(
-                if *then_yield && self.config.yield_policy != YieldPolicy::None {
-                    Phase::Yielding
-                } else {
-                    self.pick_and_steal(i)
-                },
-            ),
-            // One milestone-free parked instruction; on wake, hunt again
-            // (skipping the idle check so the wake always attempts at
-            // least one steal).
-            Phase::Parked { left } if *left > 1 => {
-                *left -= 1;
-                None
-            }
-            Phase::Parked { .. } => Some(self.after_idle(i)),
         };
         if let Some(next) = next {
             self.procs[i].phase = next;
@@ -662,42 +643,27 @@ impl<'a> WorkStealer<'a> {
     fn at_loop_top(&mut self, i: usize) -> Option<Phase> {
         match self.procs[i].assigned {
             Some(u) => self.execute_node(i, u),
-            None => Some(match self.procs[i].engine.idle_action() {
-                IdleAction::Park(n) => Phase::Parked { left: n as u64 },
-                IdleAction::Steal => self.after_idle(i),
+            // The paper's path: yield (line 15), then pick a victim —
+            // unless the yield ablation removed line 15, in which case
+            // the victim draw happens right here, in this instruction.
+            None => Some(if self.config.yield_policy != YieldPolicy::None {
+                Phase::Yielding
+            } else {
+                self.pick_and_steal(i)
             }),
         }
     }
 
-    /// The idle policy said to keep hunting: consult the backoff, then
-    /// head for a steal attempt.
-    fn after_idle(&mut self, i: usize) -> Phase {
-        match self.procs[i].engine.backoff_action() {
-            // The paper's path: yield (line 15), then pick a victim —
-            // unless the yield ablation removed line 15, in which case
-            // the victim draw happens right here, in this instruction.
-            BackoffAction::Yield if self.config.yield_policy != YieldPolicy::None => {
-                Phase::Yielding
-            }
-            BackoffAction::Yield | BackoffAction::Proceed => self.pick_and_steal(i),
-            BackoffAction::Spin(n) => Phase::Backing {
-                left: n as u64,
-                then_yield: false,
-            },
-            BackoffAction::SpinThenYield(n) => Phase::Backing {
-                left: n as u64,
-                then_yield: true,
-            },
-        }
-    }
-
-    /// Picks the next victim (one scan of one attempt — the thief yields
-    /// between attempts) over all `P − 1` others and starts the `popTop`.
+    /// Picks the next victim (one attempt — the thief yields between
+    /// attempts) and starts the `popTop`: `LastEnabler`'s hint when it
+    /// holds one, else the paper's uniform draw over the `P − 1` others.
     fn pick_and_steal(&mut self, i: usize) -> Phase {
         let p = self.procs.len();
-        let eng = &mut self.procs[i].engine;
-        eng.begin_scan(i, p);
-        let victim = eng.next_victim(i, p);
+        let proc = &mut self.procs[i];
+        let victim = match proc.enabler {
+            Some(v) => v,
+            None => proc.rng.other_than(i, p),
+        };
         Phase::Stealing {
             victim,
             op: self.new_op(LockKind::PopTop),
@@ -728,9 +694,9 @@ impl<'a> WorkStealer<'a> {
                     // the enabling processor plausibly still holds the
                     // rest of this subcomputation, so the `LastEnabler`
                     // victim policy targets it on the next scan.
-                    // `note_enabler` consumes no randomness, so other
-                    // victim policies stay bit-identical.
-                    self.procs[i].engine.note_enabler(enabler as usize);
+                    if self.config.victim == VictimKind::LastEnabler {
+                        self.procs[i].enabler = Some(enabler as usize);
+                    }
                 }
             }
             let frame_hit = self.caches[i].access(cache_cfg.frame_line(self.dag.thread_of(u)));
@@ -842,15 +808,15 @@ impl<'a> WorkStealer<'a> {
                 },
             });
         }
-        self.procs[i].engine.observe(victim, res);
         if let Some(v) = result {
-            self.procs[i].engine.note_work_found();
             let u = NodeId(v as u32);
             self.procs[i].assigned = Some(u);
             self.potential.assign(u, &self.tree);
             self.check_structure(victim);
-        } else {
-            self.procs[i].engine.note_failed();
+        } else if self.procs[i].enabler == Some(victim) {
+            // Rob an enabler only while it yields: a miss forgets the
+            // hint, so the next attempt draws uniformly again.
+            self.procs[i].enabler = None;
         }
     }
 
@@ -1290,20 +1256,49 @@ mod tests {
 
     #[test]
     fn last_enabler_policy_runs_clean_with_cache() {
-        use abp_core::VictimKind;
         let d = gen::fib(13, 3);
-        let mut policies = PolicySet::paper();
-        policies.victim = VictimKind::LastEnabler;
         let mut k = DedicatedKernel::new(8);
-        let cfg = WsConfig {
-            policies,
-            ..checked_config()
-        }
-        .with_cache(crate::cache::CacheConfig::default());
+        let cfg = checked_config()
+            .with_victim(VictimKind::LastEnabler)
+            .with_cache(crate::cache::CacheConfig::default());
         let r = run_ws(&d, 8, &mut k, cfg);
         assert_clean(&r);
         let c = r.cache.expect("cache model enabled");
         assert!(c.deviations > 0, "a parallel run must deviate somewhere");
+    }
+
+    /// A hinted pick robs the enabler without drawing; a miss on it
+    /// forgets the hint, and the next pick draws uniformly.
+    #[test]
+    fn last_enabler_follows_hints_and_forgets_on_miss() {
+        let d = gen::fib(10, 3);
+        let cfg = WsConfig::default()
+            .with_victim(VictimKind::LastEnabler)
+            .with_cache(crate::cache::CacheConfig::default());
+        let mut ws = WorkStealer::new(&d, 6, cfg);
+        let me = 1;
+        ws.procs[me].enabler = Some(4);
+        let before = ws.procs[me].rng.clone();
+        let Phase::Stealing { victim, .. } = ws.pick_and_steal(me) else {
+            panic!("a pick starts a popTop")
+        };
+        assert_eq!(victim, 4);
+        assert_eq!(ws.procs[me].rng, before, "a hinted pick draws nothing");
+        ws.finish_steal(me, 4, None, false);
+        assert_eq!(ws.procs[me].enabler, None, "a miss forgets the hint");
+        let mut reference = before;
+        let Phase::Stealing { victim, .. } = ws.pick_and_steal(me) else {
+            panic!("a pick starts a popTop")
+        };
+        assert_eq!(victim, reference.other_than(me, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "LastEnabler needs the cache model")]
+    fn last_enabler_without_cache_model_is_rejected() {
+        let d = gen::fib(10, 3);
+        let cfg = WsConfig::default().with_victim(VictimKind::LastEnabler);
+        WorkStealer::new(&d, 4, cfg);
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Policy-swap regression: the paper-default policy path must produce
+//! Policy-swap regression: the paper-default victim draw must produce
 //! metrics identical to the pre-policy-layer simulator on a fixed DAG
-//! corpus, and swapping any policy axis must still complete the same
-//! computations.
+//! corpus, the `LastEnabler` locality hint must reproduce its own
+//! recorded table, and swapping the victim policy must still complete
+//! the same computations.
 //!
-//! The golden numbers below were captured from the simulator *before*
+//! The first golden table was captured from the simulator *before*
 //! victim selection, backoff, and idle handling moved behind the
-//! `abp-core` traits. Byte-identical randomness is the contract: the
-//! default `UniformVictim` draws exactly one `below_usize(p - 1)` per
-//! scan from the same forked per-process stream the inlined code used,
-//! so every field — not just aggregates — must match.
+//! `abp-core` traits; the second was recorded while those traits still
+//! existed, before they collapsed to the uniform draw and the hint.
+//! Byte-identical randomness is the contract: the uniform draw takes
+//! exactly one `below_usize(p - 1)` per attempt from the same forked
+//! per-process stream the inlined code used, so every field — not just
+//! aggregates — must match.
 
 use abp_dag::{gen, Dag};
 use abp_kernel::{BenignKernel, CountSource, DedicatedKernel, Kernel, YieldPolicy};
-use abp_sim::{
-    run_ws, BackoffKind, CacheConfig, IdleKind, PolicySet, RunReport, VictimKind, WsConfig,
-};
+use abp_sim::{run_ws, CacheConfig, RunReport, VictimKind, WsConfig};
 
 struct Golden {
     name: &'static str,
@@ -159,6 +160,13 @@ fn last_enabler_goldens() -> Vec<Golden> {
     .collect()
 }
 
+/// `cfg` switched to the `LastEnabler` victim, with the cache model its
+/// hint comes from.
+fn last_enabler(cfg: WsConfig) -> WsConfig {
+    cfg.with_victim(VictimKind::LastEnabler)
+        .with_cache(CacheConfig::default())
+}
+
 fn check_golden(r: &RunReport, g: &Golden) {
     assert!(r.completed, "{}: did not complete", g.name);
     check_identity(r, g.name);
@@ -191,7 +199,7 @@ fn check_identity(r: &RunReport, name: &str) {
 #[test]
 fn paper_default_matches_pre_refactor_goldens() {
     for ((dag, p, cfg, mut mk_kernel), g) in corpus().into_iter().zip(goldens()) {
-        assert_eq!(cfg.policies, PolicySet::paper());
+        assert_eq!(cfg.victim, VictimKind::Uniform);
         let r = run_ws(&dag, p, mk_kernel().as_mut(), cfg);
         check_golden(&r, &g);
     }
@@ -200,76 +208,55 @@ fn paper_default_matches_pre_refactor_goldens() {
 #[test]
 fn last_enabler_with_cache_matches_goldens() {
     for ((dag, p, cfg, mut mk_kernel), g) in corpus().into_iter().zip(last_enabler_goldens()) {
-        let cfg = cfg
-            .with_policies(PolicySet::paper().with_victim(VictimKind::LastEnabler))
-            .with_cache(CacheConfig::default());
-        let r = run_ws(&dag, p, mk_kernel().as_mut(), cfg);
+        let r = run_ws(&dag, p, mk_kernel().as_mut(), last_enabler(cfg));
         check_golden(&r, &g);
     }
 }
 
 #[test]
 fn swapped_policies_complete_the_same_corpus() {
-    let swaps = [
-        PolicySet::paper().with_victim(VictimKind::RoundRobin),
-        PolicySet::paper().with_victim(VictimKind::LastVictim),
-        PolicySet::paper().with_backoff(BackoffKind::None),
-        PolicySet::paper().with_backoff(BackoffKind::ExpJitter { base: 2, cap: 64 }),
-        PolicySet::paper().with_backoff(BackoffKind::SpinThenYield {
-            spin: 4,
-            threshold: 2,
-        }),
-        PolicySet::paper().with_idle(IdleKind::ParkAfter {
-            threshold: 8,
-            park_len: 32,
-        }),
-    ];
-    for set in swaps {
-        for (dag, p, cfg, mut mk_kernel) in corpus() {
-            let r = run_ws(&dag, p, mk_kernel().as_mut(), cfg.with_policies(set));
-            assert!(r.completed, "{}: did not complete", set.label());
-            assert_eq!(r.executed, dag.work(), "{}: lost nodes", set.label());
-            check_identity(&r, &set.label());
-            assert_eq!(
-                r.structural_violations,
-                0,
-                "{}: structural lemma broke",
-                set.label()
-            );
-            assert!(r.policy.starts_with(&set.label()), "{}", r.policy);
-            // Milestone accounting, and so the paper bound, applies only
-            // to sets that neither spin nor park.
-            if set.preserves_milestones() {
-                assert_eq!(r.milestone_violations, 0, "{}", set.label());
-                assert!(
-                    r.bound_ratio() < 4.0,
-                    "{}: bound ratio {}",
-                    set.label(),
-                    r.bound_ratio()
-                );
-            }
-        }
+    for (dag, p, cfg, mut mk_kernel) in corpus() {
+        let r = run_ws(&dag, p, mk_kernel().as_mut(), last_enabler(cfg));
+        let label = &r.policy;
+        assert!(r.completed, "{label}: did not complete");
+        assert_eq!(r.executed, dag.work(), "{label}: lost nodes");
+        check_identity(&r, label);
+        assert_eq!(
+            r.structural_violations, 0,
+            "{label}: structural lemma broke"
+        );
+        assert!(label.starts_with("last-enabler+yield+spin/"), "{label}");
+        // The hint neither spins nor parks, so Lemma 7's milestone
+        // accounting, and so the paper bound, applies.
+        assert_eq!(r.milestone_violations, 0, "{label}");
+        assert!(
+            r.bound_ratio() < 4.0,
+            "{label}: bound ratio {}",
+            r.bound_ratio()
+        );
     }
 }
 
 #[test]
 fn non_default_victim_changes_the_execution() {
-    // Sanity that the policy axis is actually live: round-robin victims
-    // must diverge from uniform somewhere on the corpus.
-    let mut any_diff = false;
+    // Sanity that the victim axis is live: with the same cache model
+    // (so the only difference is the hint), `LastEnabler` must diverge
+    // from uniform on every case of the corpus.
     for (dag, p, cfg, mut mk_kernel) in corpus() {
-        let base = run_ws(&dag, p, mk_kernel().as_mut(), cfg.clone());
-        let rr = run_ws(
+        let base = run_ws(
             &dag,
             p,
             mk_kernel().as_mut(),
-            cfg.with_policies(PolicySet::paper().with_victim(VictimKind::RoundRobin)),
+            cfg.clone().with_cache(CacheConfig::default()),
         );
-        if base.instructions != rr.instructions || base.steal_attempts != rr.steal_attempts {
-            any_diff = true;
-        }
+        let hinted = run_ws(&dag, p, mk_kernel().as_mut(), last_enabler(cfg));
+        assert!(
+            base.instructions != hinted.instructions
+                || base.steal_attempts != hinted.steal_attempts,
+            "last-enabler behaved identically to uniform on a {}-node dag at P={p}",
+            dag.work()
+        );
     }
-    assert!(any_diff, "round-robin behaved identically to uniform");
 }
 
 #[test]
@@ -277,38 +264,25 @@ fn same_seed_same_policy_identical_victim_sequence() {
     // Determinism at the finest grain: not just aggregate counters but
     // the full (round, thief, victim, outcome) sequence must repeat.
     let dag = gen::fib(13, 3);
-    for set in [
-        PolicySet::paper(),
-        PolicySet::paper().with_victim(VictimKind::RoundRobin),
-        PolicySet::paper().with_victim(VictimKind::LastVictim),
-        PolicySet::paper().with_backoff(BackoffKind::ExpJitter { base: 2, cap: 32 }),
-    ] {
+    let base = WsConfig::default().with_seed(0xD15C).with_trace(true);
+    for cfg in [base.clone(), last_enabler(base)] {
         let run = || {
             let mut k = BenignKernel::new(6, CountSource::UniformBetween(2, 6), 17);
-            run_ws(
-                &dag,
-                6,
-                &mut k,
-                WsConfig::default()
-                    .with_seed(0xD15C)
-                    .with_trace(true)
-                    .with_policies(set),
-            )
+            run_ws(&dag, 6, &mut k, cfg.clone())
         };
         let (a, b) = (run(), run());
+        let label = &a.policy;
         let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
         assert_eq!(
             ta.steals.len(),
             tb.steals.len(),
-            "{}: attempt counts differ",
-            set.label()
+            "{label}: attempt counts differ"
         );
         for (x, y) in ta.steals.iter().zip(&tb.steals) {
             assert_eq!(
                 (x.round, x.thief, x.victim, x.outcome),
                 (y.round, y.thief, y.victim, y.outcome),
-                "{}: steal sequence diverged",
-                set.label()
+                "{label}: steal sequence diverged"
             );
         }
     }
@@ -325,9 +299,7 @@ fn policy_identity_is_stamped_on_reports() {
         &dag,
         4,
         &mut k,
-        WsConfig::default()
-            .with_yield_policy(YieldPolicy::ToRandom)
-            .with_policies(PolicySet::paper().with_victim(VictimKind::LastVictim)),
+        last_enabler(WsConfig::default().with_yield_policy(YieldPolicy::ToRandom)),
     );
-    assert_eq!(r.policy, "last-victim+yield+spin/to-random");
+    assert_eq!(r.policy, "last-enabler+yield+spin/to-random");
 }

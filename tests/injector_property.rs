@@ -7,8 +7,10 @@
 //! deque traffic for the workers' attention. Every submitted job must
 //! execute exactly once — no loss (a dropped segment, a pop that misses
 //! a shard) and no duplication (two workers grabbing the same slot).
-//! As everywhere else, randomness comes from the deterministic
-//! [`DetRng`] with fixed seeds, so every failure is reproducible.
+//! The per-worker counters must partition the aggregate exactly, and
+//! shutdown must deliver a backlog nobody waited for. As everywhere
+//! else, randomness comes from the deterministic [`DetRng`] with fixed
+//! seeds, so every failure is reproducible.
 //!
 //! [`ThreadPool::spawn`]: multiprog_ws::runtime::ThreadPool::spawn
 //! [`ThreadPool::spawn_batch`]: multiprog_ws::runtime::ThreadPool::spawn_batch
@@ -17,14 +19,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::runtime::{join, PoolConfig, ThreadPool};
+use multiprog_ws::runtime::{join, PoolConfig, PoolStats, ThreadPool};
 
 /// Runs one seeded churn episode: `submitters` external threads push
 /// `jobs_per_submitter` jobs each (singly or in seeded batches) into a
 /// `workers`-wide pool that is simultaneously running a recursive join
-/// workload. Returns after asserting every job ran exactly once and was
-/// counted as exactly one inject.
-fn exactly_once_episode(seed: u64, workers: usize, submitters: usize, jobs_per_submitter: usize) {
+/// workload. With `drain_on_shutdown` the test does not wait for the
+/// jobs, so `shutdown` itself must deliver the backlog. Asserts every
+/// job ran exactly once and was counted as exactly one inject, the
+/// attempts identity, per-worker/aggregate reconciliation and the
+/// structural zeros.
+fn exactly_once_episode(
+    seed: u64,
+    workers: usize,
+    submitters: usize,
+    jobs_per_submitter: usize,
+    drain_on_shutdown: bool,
+) {
     let total = submitters * jobs_per_submitter;
     let pool = Arc::new(ThreadPool::with_config(
         PoolConfig::default()
@@ -88,9 +99,12 @@ fn exactly_once_episode(seed: u64, workers: usize, submitters: usize, jobs_per_s
     }
     assert_eq!(churn.join().unwrap(), 2584, "fib(18)");
 
-    // Wait for the injector to drain and all jobs to run.
-    while counts.iter().any(|c| c.load(Ordering::Relaxed) == 0) {
-        std::thread::yield_now();
+    // Wait for the injector to drain and all jobs to run, unless
+    // shutdown is to deliver them.
+    if !drain_on_shutdown {
+        while counts.iter().any(|c| c.load(Ordering::Relaxed) == 0) {
+            std::thread::yield_now();
+        }
     }
     let report = Arc::try_unwrap(pool)
         .unwrap_or_else(|_| panic!("all clones joined"))
@@ -114,47 +128,77 @@ fn exactly_once_episode(seed: u64, workers: usize, submitters: usize, jobs_per_s
         "seed {seed:#x}: identity broken: {:?}",
         report.stats
     );
-    // One flat pool moving one job per steal: the kept topology and
-    // batch fields read zero.
-    let st = &report.stats;
-    assert_eq!(
-        (
-            st.remote_steals,
-            st.remote_attempts,
-            st.batch_steals,
-            st.batched_tasks
-        ),
-        (0, 0, 0, 0),
-        "seed {seed:#x}: {st:?}"
-    );
+    // Per-worker stats must partition the aggregate exactly.
+    assert_eq!(report.per_worker.len(), workers);
+    for field in [
+        |s: &PoolStats| s.jobs,
+        |s: &PoolStats| s.steal_attempts,
+        |s: &PoolStats| s.steals,
+        |s: &PoolStats| s.injects,
+    ] {
+        let sum: u64 = report.per_worker.iter().map(field).sum();
+        let agg = field(&report.stats);
+        assert_eq!(sum, agg, "seed {seed:#x}: per-worker sums diverge");
+    }
+    // One flat pool moving one job per steal with ABP's exactly-once
+    // `popTop`: the kept topology, batch and duplicate fields read zero,
+    // in the aggregate and on every worker.
+    for (w, st) in std::iter::once(&report.stats)
+        .chain(&report.per_worker)
+        .enumerate()
+    {
+        assert_eq!(
+            (
+                st.remote_steals,
+                st.remote_attempts,
+                st.batch_steals,
+                st.batched_tasks,
+                st.duplicates
+            ),
+            (0, 0, 0, 0, 0),
+            "seed {seed:#x}, stats row {w} (0 = aggregate): {st:?}"
+        );
+    }
 }
 
-/// Exactly-once under churn from 4 external submitters, across seeds
-/// (alternating between per-worker sharding and a single shared shard).
+/// Exactly-once under churn from external submitters, across seeds
+/// (alternating between per-worker sharding and a single shared shard)
+/// and pool shapes.
 #[test]
 fn external_submissions_execute_exactly_once_under_churn() {
     for seed in 0..6u64 {
-        exactly_once_episode(0xF00D_0000 + seed, 4, 4, 200);
+        exactly_once_episode(0xF00D_0000 + seed, 4, 4, 200, false);
     }
+    for seed in 0..4u64 {
+        exactly_once_episode(0xFED5_0000 + seed, 4, 4, 150, false);
+    }
+    exactly_once_episode(0xF1A7_0001, 3, 3, 120, false);
 }
 
 /// Oversubscription: more workers than cores forces real preemption (the
 /// paper's multiprogrammed setting) — exactly-once must survive workers
-/// being descheduled mid-poll.
+/// being descheduled mid-poll and mid-steal.
 #[test]
 fn exactly_once_with_more_workers_than_cores() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    exactly_once_episode(0x0E5B_0001, 2 * cores + 1, 3, 150);
+    exactly_once_episode(0x0E5B_0001, 2 * cores + 1, 3, 150, false);
+    exactly_once_episode(0x0E5B_FED0, 2 * cores + 2, 3, 100, false);
 }
 
 /// Shutdown drains the injector: jobs submitted and never awaited still
 /// execute exactly once before `shutdown` returns, and each is counted
 /// as one inject whichever path ran it — a poll, an exiting worker's
-/// drain, or `shutdown`'s own straggler loop.
+/// drain, or `shutdown`'s own straggler loop. The same holds while
+/// churn is still settling: jobs from 6 submitter threads, never
+/// awaited, run exactly once even when the workers parked before the
+/// submission landed.
 #[test]
 fn shutdown_drains_pending_submissions() {
+    for seed in 0..2u64 {
+        exactly_once_episode(0xD1A1_0000 + seed, 4, 6, 80, true);
+    }
     for seed in 0..4u64 {
         let pool = ThreadPool::new(2);
         let total = 300usize;

@@ -251,15 +251,17 @@ fn builder_never_panics_on_random_syncs() {
     }
 }
 
-/// Steals-vs-bound regression: a fixed 3-policy × 4-tree golden matrix
-/// where every cell must respect the rooted-tree steal bound (applied to
-/// the binarized spawn tree, capped by the edge count). The bound check
-/// itself is non-vacuous: forging an impossible steal count rejects.
+/// Steals-vs-bound regression: a fixed 2-policy × 4-tree golden matrix
+/// (the uniform victim, and `LastEnabler` with the cache model its hint
+/// comes from) where every cell must respect the rooted-tree steal bound
+/// (applied to the binarized spawn tree, capped by the edge count). The
+/// bound check itself is non-vacuous: forging an impossible steal count
+/// rejects.
 #[test]
 fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
     use multiprog_ws::dag::tree;
     use multiprog_ws::kernel::DedicatedKernel;
-    use multiprog_ws::sim::{PolicySet, StealBoundCheck, VictimKind};
+    use multiprog_ws::sim::{CacheConfig, StealBoundCheck, VictimKind};
 
     let trees = [
         ("spine(40)", tree::spine(40)),
@@ -267,11 +269,7 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
         ("random(60)", tree::random_attachment(0xA77, 60)),
         ("caterpillar(12,4)", tree::caterpillar(12, 4)),
     ];
-    let victims = [
-        VictimKind::Uniform,
-        VictimKind::RoundRobin,
-        VictimKind::LastVictim,
-    ];
+    let victims = [VictimKind::Uniform, VictimKind::LastEnabler];
     for (name, t) in &trees {
         t.check_invariants();
         let dag = t.to_dag(2);
@@ -281,9 +279,10 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
             for p in [2usize, 4, 8] {
                 for seed in [3u64, 17] {
                     let mut k = DedicatedKernel::new(p);
-                    let cfg = WsConfig::default()
-                        .with_seed(seed)
-                        .with_policies(PolicySet::paper().with_victim(vk));
+                    let mut cfg = WsConfig::default().with_seed(seed).with_victim(vk);
+                    if vk == VictimKind::LastEnabler {
+                        cfg = cfg.with_cache(CacheConfig::default());
+                    }
                     let r = run_ws(&dag, p, &mut k, cfg);
                     assert!(
                         r.completed && r.steal_accounting_balanced(),
@@ -313,7 +312,7 @@ fn tree_steals_respect_rooted_tree_bound_golden_matrix() {
 fn cache_bound_holds_on_golden_matrix() {
     use multiprog_ws::dag::tree;
     use multiprog_ws::kernel::DedicatedKernel;
-    use multiprog_ws::sim::{CacheBoundCheck, CacheConfig, PolicySet, VictimKind};
+    use multiprog_ws::sim::{CacheBoundCheck, CacheConfig, VictimKind};
 
     let dag = tree::full_kary(2, 6).to_dag(3);
     let serial = {
@@ -328,7 +327,7 @@ fn cache_bound_holds_on_golden_matrix() {
             let mut k = DedicatedKernel::new(p);
             let cfg = WsConfig::default()
                 .with_cache(CacheConfig::default())
-                .with_policies(PolicySet::paper().with_victim(vk));
+                .with_victim(vk);
             let r = run_ws(&dag, p, &mut k, cfg);
             assert!(r.completed, "{vk:?} P={p}");
             let qp = r.cache.as_ref().expect("cache model enabled");

@@ -15,10 +15,21 @@
 //! thief's `cas` — which compares the whole `age` word — fails. The paper
 //! notes the counter tag can wrap and points at bounded-tags constructions;
 //! here `tag` is 32 bits wide and only ever incremented on a bottom-reset,
-//! so wrap requires 2³² owner resets to occur while a thief sleeps inside
-//! one `popTop` — unreachable in practice (and the instruction-stepped
-//! model checker in [`crate::model`] verifies the protocol logic
-//! exhaustively at small scope).
+//! so wrap needs 2³² owner resets while one thief sleeps inside one
+//! `popTop`. The exhaustive checker in [`crate::model`] shows what a wrap
+//! does: with the tag narrowed to one bit
+//! ([`Mutant::OneBitTag`](crate::stepped::Mutant::OneBitTag)), two resets
+//! inside a thief's window bring the ABA back, and the same scenario is
+//! clean at 32 bits.
+//!
+//! # One body, two memories
+//!
+//! Each Figure-5 operation is written once, as a function generic over
+//! `Memory`: the loads and stores of `bot`, `age` and the slots, the
+//! `age` cas, the two fences and the tag bump. [`Worker`] and [`Stealer`]
+//! run the bodies on `Atomics` — this module's atomics under an
+//! [`OrderProfile`]. The simulator and the model checker run the same
+//! bodies on [`crate::stepped`]'s plain memory, one shared access per step.
 //!
 //! # Memory orderings
 //!
@@ -29,15 +40,17 @@
 //! licenses it (the `INV-*` names and the full argument live in
 //! [`crate::order`]; DESIGN.md §7 maps them to Figure 4/5 lines). The
 //! single deliberate full fence on each side of the §3.3 owner/thief
-//! window is `P::owner_fence()` / `P::thief_fence()`. The profile is
+//! window is `owner_fence()` / `thief_fence()`. The profile is
 //! [`DefaultProtocol`] unless instantiated explicitly via
 //! [`new_with_order`] — which is how the `hotpath` benchmarks compare the
 //! relaxed protocol against the blanket-SeqCst baseline in one binary,
 //! and how the `*_with::<SeqCstProtocol>` unit tests pin behavioural
 //! equivalence of the two.
 //!
-//! The store→load reordering that makes the fence necessary is modeled
-//! (and its omission caught) by [`crate::sim_deque::MemModel`] in the
+//! The reorderings that make the fences necessary are modeled, and their
+//! omission caught, by the stepped memory's
+//! [`Mutant::NoOwnerFence`](crate::stepped::Mutant::NoOwnerFence) and
+//! [`Mutant::NoThiefFence`](crate::stepped::Mutant::NoThiefFence) in the
 //! exhaustive checker, and the whole protocol re-runs under the
 //! linearizability history suite (`tests/atomic_linearizability.rs`) at
 //! 3 thieves.
@@ -57,30 +70,55 @@
 use crate::order::{DefaultProtocol, OrderProfile};
 use crate::word::Word;
 use std::marker::PhantomData;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Packed `age` word: tag in the high 32 bits, top in the low 32 bits —
 /// the structure of Figure 4, fitting in one atomically-updatable word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct AgeWord {
-    tag: u32,
-    top: u32,
+pub(crate) struct AgeWord {
+    pub(crate) tag: u32,
+    pub(crate) top: u32,
 }
 
 impl AgeWord {
     #[inline]
-    fn pack(self) -> u64 {
+    pub(crate) fn pack(self) -> u64 {
         ((self.tag as u64) << 32) | self.top as u64
     }
 
     #[inline]
-    fn unpack(w: u64) -> Self {
+    pub(crate) fn unpack(w: u64) -> Self {
         AgeWord {
             tag: (w >> 32) as u32,
             top: w as u32,
         }
     }
+}
+
+/// Figure 5's shared accesses: the only way the four operation bodies
+/// below touch a deque. Each access takes the ordering its call site
+/// names; a memory without orderings ignores it.
+pub(crate) trait Memory {
+    /// The profile the bodies take their orderings from.
+    type P: OrderProfile;
+    fn load_bot(&mut self, order: Ordering) -> u64;
+    fn store_bot(&mut self, bot: u64, order: Ordering);
+    /// Loads the packed `age` word.
+    fn load_age(&mut self, order: Ordering) -> u64;
+    fn store_age(&mut self, age: u64, order: Ordering);
+    /// `cas(age, old, new)`; true when it took effect.
+    fn cas_age(&mut self, old: u64, new: u64, success: Ordering, failure: Ordering) -> bool;
+    fn load_slot(&mut self, index: u64, order: Ordering) -> u64;
+    fn store_slot(&mut self, index: u64, word: u64, order: Ordering);
+    /// The owner half of INV-FENCE.
+    fn owner_fence(&mut self);
+    /// The thief half of INV-FENCE.
+    fn thief_fence(&mut self);
+    /// The tag a reset publishes after `tag`.
+    fn bump_tag(&self, tag: u32) -> u32;
+    /// Number of slots; a push at this index fails. A local read.
+    fn capacity(&self) -> u64;
 }
 
 /// Pads a word onto its own cache line. `age` is CAS-hammered by thieves
@@ -102,6 +140,82 @@ struct Inner<T: Word> {
 // machine word (Word is Copy and round-trips through u64).
 unsafe impl<T: Word> Send for Inner<T> {}
 unsafe impl<T: Word> Sync for Inner<T> {}
+
+/// The shipped [`Memory`]: one deque's atomics under the profile `P`.
+struct Atomics<'a, T: Word, P: OrderProfile> {
+    inner: &'a Inner<T>,
+    _order: PhantomData<fn() -> P>,
+}
+
+impl<'a, T: Word, P: OrderProfile> Atomics<'a, T, P> {
+    fn new(inner: &'a Inner<T>) -> Self {
+        Atomics {
+            inner,
+            _order: PhantomData,
+        }
+    }
+
+    /// Observed size (`bot - top`), for diagnostics only: Relaxed reads of
+    /// both words, stale the instant they are produced regardless of
+    /// ordering.
+    fn len_hint(&self) -> usize {
+        let age = AgeWord::unpack(self.inner.age.0.load(Ordering::Relaxed));
+        let bot = self.inner.bot.0.load(Ordering::Relaxed);
+        bot.saturating_sub(age.top as u64) as usize
+    }
+}
+
+impl<T: Word, P: OrderProfile> Memory for Atomics<'_, T, P> {
+    type P = P;
+
+    fn load_bot(&mut self, order: Ordering) -> u64 {
+        self.inner.bot.0.load(order)
+    }
+
+    fn store_bot(&mut self, bot: u64, order: Ordering) {
+        self.inner.bot.0.store(bot, order)
+    }
+
+    fn load_age(&mut self, order: Ordering) -> u64 {
+        self.inner.age.0.load(order)
+    }
+
+    fn store_age(&mut self, age: u64, order: Ordering) {
+        self.inner.age.0.store(age, order)
+    }
+
+    fn cas_age(&mut self, old: u64, new: u64, success: Ordering, failure: Ordering) -> bool {
+        self.inner
+            .age
+            .0
+            .compare_exchange(old, new, success, failure)
+            .is_ok()
+    }
+
+    fn load_slot(&mut self, index: u64, order: Ordering) -> u64 {
+        self.inner.deq[index as usize].load(order)
+    }
+
+    fn store_slot(&mut self, index: u64, word: u64, order: Ordering) {
+        self.inner.deq[index as usize].store(word, order)
+    }
+
+    fn owner_fence(&mut self) {
+        P::owner_fence()
+    }
+
+    fn thief_fence(&mut self) {
+        P::thief_fence()
+    }
+
+    fn bump_tag(&self, tag: u32) -> u32 {
+        tag.wrapping_add(1)
+    }
+
+    fn capacity(&self) -> u64 {
+        self.inner.deq.len() as u64
+    }
+}
 
 /// Result of a steal attempt ([`Stealer::pop_top`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,9 +291,8 @@ impl<T> StolenBatch<T> {
 /// The per-grab claim target: up to `max` tasks, biased toward half the
 /// visible backlog (`hint` tasks), never less than one — except that a
 /// zero cap claims nothing at all (a `max == 0` grab must not be able to
-/// remove work). Shared with the stepped [`crate::sim_deque`] grab so
-/// the model checks the same bias the real deque uses.
-pub(crate) fn batch_want(hint: usize, max: usize) -> usize {
+/// remove work).
+fn batch_want(hint: usize, max: usize) -> usize {
     if max == 0 {
         return 0;
     }
@@ -267,109 +380,212 @@ pub fn new_with_order<T: Word, P: OrderProfile>(capacity: usize) -> (Worker<T, P
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushError<T>(pub T);
 
+/// The body of [`Worker::push_bottom`].
+pub(crate) fn push_bottom<T: Word, M: Memory>(m: &mut M, node: T) -> Result<(), PushError<T>> {
+    // 1: load localBot <- bot. Relaxed: the owner is the sole writer
+    // of bot, so coherence alone yields its own latest value
+    // [INV-OWNER].
+    let local_bot = m.load_bot(M::P::RELAXED);
+    if local_bot >= m.capacity() {
+        return Err(PushError(node));
+    }
+    // 2: store node -> deq[localBot]. Relaxed: published by the
+    // Release store of bot below [INV-PUSH]; a thief that reads the
+    // slot without having acquired that bot has its value rejected by
+    // the tag cas [INV-TAG].
+    m.store_slot(local_bot, node.to_word(), M::P::RELAXED);
+    // 3-4: store localBot + 1 -> bot. Release: a thief that
+    // Acquire-loads the advanced bot also observes the slot contents
+    // [INV-PUSH].
+    m.store_bot(local_bot + 1, M::P::RELEASE);
+    Ok(())
+}
+
+/// The body of [`Worker::pop_bottom`].
+pub(crate) fn pop_bottom<T: Word, M: Memory>(m: &mut M) -> Option<T> {
+    // 1: load localBot <- bot. Relaxed: owner is bot's sole writer
+    // [INV-OWNER].
+    let local_bot = m.load_bot(M::P::RELAXED);
+    // 2-3: empty deque.
+    if local_bot == 0 {
+        return None;
+    }
+    // 4-5: localBot -= 1; store localBot -> bot. Relaxed: the claim
+    // only *decides* anything at the fence below [INV-FENCE], and a
+    // shrinking bot publishes no data [INV-PUSH is about pushes].
+    let local_bot = local_bot - 1;
+    m.store_bot(local_bot, M::P::RELAXED);
+    // The §3.3 owner/thief race window: the claim store must be
+    // globally ordered before the age load, or a thief (whose
+    // symmetric fence sits between its age and bot loads) and the
+    // owner could both observe the pre-race state and take the same
+    // entry — the store-buffering outcome [INV-FENCE]. This is the
+    // one full fence the owner ever pays.
+    m.owner_fence();
+    // 6: load node <- deq[localBot]. Relaxed: the owner wrote this
+    // slot itself [INV-OWNER].
+    let node = T::from_word(m.load_slot(local_bot, M::P::RELAXED));
+    // 7: load oldAge <- age. Acquire: ordered after the claim store by
+    // the fence [INV-FENCE]; synchronizes with the Release half of any
+    // observed steal cas, so the slot rewrites that follow a reset
+    // cannot be read by that thief's earlier slot read [INV-STEAL-HB].
+    let old_age = AgeWord::unpack(m.load_age(M::P::ACQUIRE));
+    // 8-9: plenty of entries left: the claimed one is ours.
+    if local_bot > old_age.top as u64 {
+        return Some(node);
+    }
+    // 10: the deque is now empty or we are racing thieves for the last
+    // entry. Reset bot. Relaxed: published by the Release age reset
+    // below — a thief that observes the new age also observes bot = 0
+    // [INV-RESET].
+    m.store_bot(0, M::P::RELAXED);
+    // 11-12: fresh age: top = 0, bumped tag.
+    let new_age = AgeWord {
+        tag: m.bump_tag(old_age.tag),
+        top: 0,
+    };
+    // 13-16: race for the last entry. Success AcqRel: Release
+    // publishes the bot reset [INV-RESET] (the last-entry race itself
+    // is arbitrated by per-location cas atomicity on age). Failure
+    // Acquire: the failure load reads the winning thief's Release cas,
+    // and the owner goes on to reset and reuse low slots
+    // [INV-STEAL-HB].
+    if local_bot == old_age.top as u64
+        && m.cas_age(
+            old_age.pack(),
+            new_age.pack(),
+            M::P::RESET_CAS,
+            M::P::RESET_CAS_FAIL,
+        )
+    {
+        return Some(node);
+    }
+    // 17-18: a thief won (or the deque was already empty): publish the
+    // reset age and give up. Release: publishes bot = 0 [INV-RESET].
+    // Only the owner ever *stores* age directly, so this cannot
+    // clobber a concurrent thief update beyond what the algorithm
+    // intends.
+    m.store_age(new_age.pack(), M::P::RELEASE);
+    None
+}
+
+/// The body of [`Stealer::pop_top`].
+pub(crate) fn pop_top<T: Word, M: Memory>(m: &mut M) -> Steal<T> {
+    // 1: load oldAge <- age. Acquire: a thief that observes a reset
+    // age must also observe bot = 0 (pairs with the owner's Release
+    // reset) instead of acting on a stale large bot [INV-RESET].
+    let old_age = AgeWord::unpack(m.load_age(M::P::ACQUIRE));
+    // The thief half of the §3.3 window: the age load must be
+    // globally ordered before the bot load, mirroring the owner's
+    // fence between its claim store and age load [INV-FENCE].
+    m.thief_fence();
+    // 2: load localBot <- bot. Acquire: pairs with pushBottom's
+    // Release so the slot store below bot is visible [INV-PUSH].
+    let local_bot = m.load_bot(M::P::ACQUIRE);
+    // 3-4: empty.
+    if local_bot <= old_age.top as u64 {
+        return Steal::Empty;
+    }
+    // 5: read the top entry *before* the cas; a successful cas
+    // validates that this read saw the live value (the tag makes a
+    // stale read impossible to validate [INV-TAG]), so Relaxed
+    // suffices here.
+    let node = T::from_word(m.load_slot(old_age.top as u64, M::P::RELAXED));
+    // 6-7: newAge = oldAge with top + 1.
+    let new_age = AgeWord {
+        tag: old_age.tag,
+        top: old_age.top + 1,
+    };
+    // 8-10: the cas; success means we own the entry. SeqCst (not
+    // AcqRel): the successful steal must enter the single total order
+    // so a third agent's fence-separated loads cannot observe it while
+    // the owner's post-fence age load misses it — see the three-agent
+    // argument in [`crate::order`] [INV-FENCE]; its Release half also
+    // keeps the slot read above ordered before the epoch can advance
+    // [INV-STEAL-HB]. Failure Relaxed: the attempt is abandoned.
+    if m.cas_age(
+        old_age.pack(),
+        new_age.pack(),
+        M::P::STEAL_CAS,
+        M::P::STEAL_CAS_FAIL,
+    ) {
+        return Steal::Taken(node);
+    }
+    // 11: contention: someone else took it.
+    Steal::Abort
+}
+
+/// The body of [`Stealer::pop_top_batch_into`].
+pub(crate) fn pop_top_batch_into<T: Word, M: Memory>(
+    m: &mut M,
+    max: usize,
+    out: &mut StolenBatch<T>,
+) {
+    out.clear();
+    // Entry sequence of `pop_top`, paid once for the whole grab
+    // [INV-RESET, INV-FENCE, INV-PUSH].
+    let mut age = AgeWord::unpack(m.load_age(M::P::ACQUIRE));
+    m.thief_fence();
+    let mut bot = m.load_bot(M::P::ACQUIRE);
+    if bot <= age.top as u64 {
+        return;
+    }
+    let avail = (bot - age.top as u64) as usize;
+    let want = batch_want(avail, max);
+    out.tasks.reserve(want);
+    while out.tasks.len() < want {
+        // Slot read before the cas, validated by it [INV-TAG].
+        let node = T::from_word(m.load_slot(age.top as u64, M::P::RELAXED));
+        let new_age = AgeWord {
+            tag: age.tag,
+            top: age.top + 1,
+        };
+        // Same orderings as the single steal [INV-FENCE,
+        // INV-STEAL-HB]; the first failure aborts the grab, later
+        // failures just end it (the claimed prefix is ours).
+        if !m.cas_age(
+            age.pack(),
+            new_age.pack(),
+            M::P::STEAL_CAS,
+            M::P::STEAL_CAS_FAIL,
+        ) {
+            out.aborted = out.tasks.is_empty();
+            break;
+        }
+        out.tasks.push(node);
+        age = new_age;
+        if out.tasks.len() == want {
+            break;
+        }
+        // INV-SB-REVAL: re-run the steal preamble before the next
+        // claim — the owner's keep path may have drained past our
+        // stale bound without touching `age`.
+        m.thief_fence();
+        bot = m.load_bot(M::P::ACQUIRE);
+        if bot <= age.top as u64 {
+            break;
+        }
+    }
+}
+
 impl<T: Word, P: OrderProfile> Worker<T, P> {
     /// `pushBottom` (Figure 5): store the node at `deq[bot]` and advance
     /// `bot`. Owner-only; never blocks, never fails except on array
     /// exhaustion.
     pub fn push_bottom(&self, node: T) -> Result<(), PushError<T>> {
-        let inner = &*self.inner;
-        // 1: load localBot <- bot. Relaxed: the owner is the sole writer
-        // of bot, so coherence alone yields its own latest value
-        // [INV-OWNER].
-        let local_bot = inner.bot.0.load(P::RELAXED);
-        if local_bot as usize >= inner.deq.len() {
-            return Err(PushError(node));
-        }
-        // 2: store node -> deq[localBot]. Relaxed: published by the
-        // Release store of bot below [INV-PUSH]; a thief that reads the
-        // slot without having acquired that bot has its value rejected by
-        // the tag cas [INV-TAG].
-        inner.deq[local_bot as usize].store(node.to_word(), P::RELAXED);
-        // 3-4: store localBot + 1 -> bot. Release: a thief that
-        // Acquire-loads the advanced bot also observes the slot contents
-        // [INV-PUSH].
-        inner.bot.0.store(local_bot + 1, P::RELEASE);
-        Ok(())
+        push_bottom(&mut Atomics::<T, P>::new(&self.inner), node)
     }
 
     /// `popBottom` (Figure 5): claim the bottom entry, then reconcile with
     /// thieves through `age` if the deque looked empty or nearly so.
     pub fn pop_bottom(&self) -> Option<T> {
-        let inner = &*self.inner;
-        // 1: load localBot <- bot. Relaxed: owner is bot's sole writer
-        // [INV-OWNER].
-        let local_bot = inner.bot.0.load(P::RELAXED);
-        // 2-3: empty deque.
-        if local_bot == 0 {
-            return None;
-        }
-        // 4-5: localBot -= 1; store localBot -> bot. Relaxed: the claim
-        // only *decides* anything at the fence below [INV-FENCE], and a
-        // shrinking bot publishes no data [INV-PUSH is about pushes].
-        let local_bot = local_bot - 1;
-        inner.bot.0.store(local_bot, P::RELAXED);
-        // The §3.3 owner/thief race window: the claim store must be
-        // globally ordered before the age load, or a thief (whose
-        // symmetric fence sits between its age and bot loads) and the
-        // owner could both observe the pre-race state and take the same
-        // entry — the store-buffering outcome [INV-FENCE]. This is the
-        // one full fence the owner ever pays.
-        P::owner_fence();
-        // 6: load node <- deq[localBot]. Relaxed: the owner wrote this
-        // slot itself [INV-OWNER].
-        let node = T::from_word(inner.deq[local_bot as usize].load(P::RELAXED));
-        // 7: load oldAge <- age. Acquire: ordered after the claim store by
-        // the fence [INV-FENCE]; synchronizes with the Release half of any
-        // observed steal cas, so the slot rewrites that follow a reset
-        // cannot be read by that thief's earlier slot read [INV-STEAL-HB].
-        let old_age = AgeWord::unpack(inner.age.0.load(P::ACQUIRE));
-        // 8-9: plenty of entries left: the claimed one is ours.
-        if local_bot > old_age.top as u64 {
-            return Some(node);
-        }
-        // 10: the deque is now empty or we are racing thieves for the last
-        // entry. Reset bot. Relaxed: published by the Release age reset
-        // below — a thief that observes the new age also observes bot = 0
-        // [INV-RESET].
-        inner.bot.0.store(0, P::RELAXED);
-        // 11-12: fresh age: top = 0, bumped tag.
-        let new_age = AgeWord {
-            tag: old_age.tag.wrapping_add(1),
-            top: 0,
-        };
-        // 13-16: race for the last entry. Success AcqRel: Release
-        // publishes the bot reset [INV-RESET] (the last-entry race itself
-        // is arbitrated by per-location cas atomicity on age). Failure
-        // Acquire: the failure load reads the winning thief's Release cas,
-        // and the owner goes on to reset and reuse low slots
-        // [INV-STEAL-HB].
-        if local_bot == old_age.top as u64
-            && inner
-                .age
-                .0
-                .compare_exchange(
-                    old_age.pack(),
-                    new_age.pack(),
-                    P::RESET_CAS,
-                    P::RESET_CAS_FAIL,
-                )
-                .is_ok()
-        {
-            return Some(node);
-        }
-        // 17-18: a thief won (or the deque was already empty): publish the
-        // reset age and give up. Release: publishes bot = 0 [INV-RESET].
-        // Only the owner ever *stores* age directly, so this cannot
-        // clobber a concurrent thief update beyond what the algorithm
-        // intends.
-        inner.age.0.store(new_age.pack(), P::RELEASE);
-        None
+        pop_bottom(&mut Atomics::<T, P>::new(&self.inner))
     }
 
     /// Observed size (`bot - top`), for diagnostics/heuristics only — it is
     /// immediately stale under concurrency.
     pub fn len_hint(&self) -> usize {
-        len_hint(&self.inner)
+        Atomics::<T, P>::new(&self.inner).len_hint()
     }
 
     /// Creates another stealer handle for this deque.
@@ -385,54 +601,7 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
     /// `popTop` (Figure 5): read `age` and `bot`, and if the deque is
     /// non-empty try to advance `top` with a `cas` on the whole age word.
     pub fn pop_top(&self) -> Steal<T> {
-        let inner = &*self.inner;
-        // 1: load oldAge <- age. Acquire: a thief that observes a reset
-        // age must also observe bot = 0 (pairs with the owner's Release
-        // reset) instead of acting on a stale large bot [INV-RESET].
-        let old_age = AgeWord::unpack(inner.age.0.load(P::ACQUIRE));
-        // The thief half of the §3.3 window: the age load must be
-        // globally ordered before the bot load, mirroring the owner's
-        // fence between its claim store and age load [INV-FENCE].
-        P::thief_fence();
-        // 2: load localBot <- bot. Acquire: pairs with pushBottom's
-        // Release so the slot store below bot is visible [INV-PUSH].
-        let local_bot = inner.bot.0.load(P::ACQUIRE);
-        // 3-4: empty.
-        if local_bot <= old_age.top as u64 {
-            return Steal::Empty;
-        }
-        // 5: read the top entry *before* the cas; a successful cas
-        // validates that this read saw the live value (the tag makes a
-        // stale read impossible to validate [INV-TAG]), so Relaxed
-        // suffices here.
-        let node = T::from_word(inner.deq[old_age.top as usize].load(P::RELAXED));
-        // 6-7: newAge = oldAge with top + 1.
-        let new_age = AgeWord {
-            tag: old_age.tag,
-            top: old_age.top + 1,
-        };
-        // 8-10: the cas; success means we own the entry. SeqCst (not
-        // AcqRel): the successful steal must enter the single total order
-        // so a third agent's fence-separated loads cannot observe it while
-        // the owner's post-fence age load misses it — see the three-agent
-        // argument in [`crate::order`] [INV-FENCE]; its Release half also
-        // keeps the slot read above ordered before the epoch can advance
-        // [INV-STEAL-HB]. Failure Relaxed: the attempt is abandoned.
-        if inner
-            .age
-            .0
-            .compare_exchange(
-                old_age.pack(),
-                new_age.pack(),
-                P::STEAL_CAS,
-                P::STEAL_CAS_FAIL,
-            )
-            .is_ok()
-        {
-            return Steal::Taken(node);
-        }
-        // 11: contention: someone else took it.
-        Steal::Abort
+        pop_top(&mut Atomics::<T, P>::new(&self.inner))
     }
 
     /// Batched `popTop`: claim up to `max` entries (biased toward half
@@ -484,70 +653,13 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
     /// buffer: `out` is cleared and refilled, so a reused buffer makes
     /// the grab allocation-free in steady state.
     pub fn pop_top_batch_into(&self, max: usize, out: &mut StolenBatch<T>) {
-        out.clear();
-        let inner = &*self.inner;
-        // Entry sequence of `pop_top`, paid once for the whole grab
-        // [INV-RESET, INV-FENCE, INV-PUSH].
-        let mut age = AgeWord::unpack(inner.age.0.load(P::ACQUIRE));
-        P::thief_fence();
-        let mut bot = inner.bot.0.load(P::ACQUIRE);
-        if bot <= age.top as u64 {
-            return;
-        }
-        let avail = (bot - age.top as u64) as usize;
-        let want = batch_want(avail, max);
-        out.tasks.reserve(want);
-        while out.tasks.len() < want {
-            // Slot read before the cas, validated by it [INV-TAG].
-            let node = T::from_word(inner.deq[age.top as usize].load(P::RELAXED));
-            let new_age = AgeWord {
-                tag: age.tag,
-                top: age.top + 1,
-            };
-            // Same orderings as the single steal [INV-FENCE,
-            // INV-STEAL-HB]; the first failure aborts the grab, later
-            // failures just end it (the claimed prefix is ours).
-            match inner.age.0.compare_exchange(
-                age.pack(),
-                new_age.pack(),
-                P::STEAL_CAS,
-                P::STEAL_CAS_FAIL,
-            ) {
-                Ok(_) => {
-                    out.tasks.push(node);
-                    age = new_age;
-                    if out.tasks.len() == want {
-                        break;
-                    }
-                    // INV-SB-REVAL: re-run the steal preamble before the
-                    // next claim — the owner's keep path may have drained
-                    // past our stale bound without touching `age`.
-                    P::thief_fence();
-                    bot = inner.bot.0.load(P::ACQUIRE);
-                    if bot <= age.top as u64 {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    out.aborted = out.tasks.is_empty();
-                    break;
-                }
-            }
-        }
+        pop_top_batch_into(&mut Atomics::<T, P>::new(&self.inner), max, out)
     }
 
     /// Observed size; immediately stale under concurrency.
     pub fn len_hint(&self) -> usize {
-        len_hint(&self.inner)
+        Atomics::<T, P>::new(&self.inner).len_hint()
     }
-}
-
-fn len_hint<T: Word>(inner: &Inner<T>) -> usize {
-    // Diagnostic only: Relaxed reads of both words; the answer is stale
-    // the instant it is produced regardless of ordering.
-    let age = AgeWord::unpack(inner.age.0.load(std::sync::atomic::Ordering::Relaxed));
-    let bot = inner.bot.0.load(std::sync::atomic::Ordering::Relaxed);
-    bot.saturating_sub(age.top as u64) as usize
 }
 
 #[cfg(test)]

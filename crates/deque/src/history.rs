@@ -17,8 +17,8 @@
 //!    (`VecDeque` specification).
 //!
 //! Two clients drive the same checker: the bounded-exhaustive explorer
-//! in [`crate::model`] feeds it every interleaving of the
-//! instruction-stepped [`crate::sim_deque`], and the
+//! in [`crate::model`] feeds it every interleaving of the shipped
+//! operations stepped by [`crate::stepped`], and the
 //! `atomic_linearizability` integration test feeds it timestamped
 //! histories recorded (via [`Recorder`]) from *real* concurrent threads
 //! hammering the production [`crate::atomic`] deque.
@@ -45,7 +45,7 @@
 //!   top end in push order: their push invocations started in strictly
 //!   increasing tick order.
 
-use crate::sim_deque::SimSteal;
+use crate::Steal;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -79,7 +79,7 @@ pub struct Invocation {
 pub enum OpResult {
     Pushed,
     Popped(Option<u64>),
-    Stolen(SimSteal),
+    Stolen(Steal<u64>),
 }
 
 /// A relaxed-semantics violation with the offending history.
@@ -111,7 +111,7 @@ pub fn conservation(history: &[Invocation]) -> Result<(), String> {
                 }
             }
             OpResult::Popped(Some(v)) => consumed.push(v),
-            OpResult::Stolen(SimSteal::Taken(v)) => consumed.push(v),
+            OpResult::Stolen(Steal::Taken(v)) => consumed.push(v),
             _ => {}
         }
     }
@@ -143,7 +143,7 @@ pub fn conservation(history: &[Invocation]) -> Result<(), String> {
 /// mask a deque bug where `popTop` aborts spuriously on an empty deque.
 pub fn aborts_excused(history: &[Invocation]) -> Result<(), String> {
     for inv in history {
-        if inv.result != OpResult::Stolen(SimSteal::Abort) {
+        if inv.result != OpResult::Stolen(Steal::Abort) {
             continue;
         }
         let excused = history.iter().any(|other| {
@@ -152,7 +152,7 @@ pub fn aborts_excused(history: &[Invocation]) -> Result<(), String> {
                 && other.end >= inv.start
                 && matches!(
                     other.result,
-                    OpResult::Popped(Some(_)) | OpResult::Stolen(SimSteal::Taken(_))
+                    OpResult::Popped(Some(_)) | OpResult::Stolen(Steal::Taken(_))
                 )
         });
         if !excused {
@@ -167,7 +167,7 @@ pub fn aborts_excused(history: &[Invocation]) -> Result<(), String> {
 pub fn linearizable(history: &[Invocation]) -> Result<(), String> {
     let ops: Vec<&Invocation> = history
         .iter()
-        .filter(|inv| inv.result != OpResult::Stolen(SimSteal::Abort))
+        .filter(|inv| inv.result != OpResult::Stolen(Steal::Abort))
         .collect();
     let mut linearized = vec![false; ops.len()];
     let mut spec = VecDeque::new();
@@ -208,7 +208,7 @@ fn lin_search(ops: &[&Invocation], linearized: &mut [bool], spec: &mut VecDeque<
                     false
                 }
             }
-            (ProgOp::PopTop, OpResult::Stolen(SimSteal::Taken(v))) => {
+            (ProgOp::PopTop, OpResult::Stolen(Steal::Taken(v))) => {
                 if spec.front() == Some(&v) {
                     spec.pop_front();
                     true
@@ -216,7 +216,7 @@ fn lin_search(ops: &[&Invocation], linearized: &mut [bool], spec: &mut VecDeque<
                     false
                 }
             }
-            (ProgOp::PopTop, OpResult::Stolen(SimSteal::Empty)) => spec.is_empty(),
+            (ProgOp::PopTop, OpResult::Stolen(Steal::Empty)) => spec.is_empty(),
             other => panic!("malformed invocation {other:?}"),
         };
         if ok {
@@ -234,7 +234,7 @@ fn lin_search(ops: &[&Invocation], linearized: &mut [bool], spec: &mut VecDeque<
             (ProgOp::PopBottom, OpResult::Popped(Some(v))) if ok => {
                 spec.push_back(v);
             }
-            (ProgOp::PopTop, OpResult::Stolen(SimSteal::Taken(v))) if ok => {
+            (ProgOp::PopTop, OpResult::Stolen(Steal::Taken(v))) if ok => {
                 spec.push_front(v);
             }
             _ => {}
@@ -273,7 +273,7 @@ fn expand_batches(history: &[Invocation], batches: &[BatchInvocation]) -> Vec<In
                 start: b.start,
                 end: b.end,
                 kind: ProgOp::PopTop,
-                result: OpResult::Stolen(SimSteal::Taken(v)),
+                result: OpResult::Stolen(Steal::Taken(v)),
             });
         }
     }
@@ -351,7 +351,7 @@ fn drained_complete(history: &[Invocation]) -> Result<(), String> {
         match (inv.kind, inv.result) {
             (ProgOp::Push(v), OpResult::Pushed) => pushed.push(v),
             (_, OpResult::Popped(Some(v))) => consumed.push(v),
-            (_, OpResult::Stolen(SimSteal::Taken(v))) => consumed.push(v),
+            (_, OpResult::Stolen(Steal::Taken(v))) => consumed.push(v),
             _ => {}
         }
     }
@@ -454,13 +454,7 @@ mod tests {
         let h = [
             inv(0, 0, 1, ProgOp::Push(7), OpResult::Pushed),
             inv(0, 2, 3, ProgOp::PopBottom, OpResult::Popped(Some(7))),
-            inv(
-                1,
-                2,
-                4,
-                ProgOp::PopTop,
-                OpResult::Stolen(SimSteal::Taken(7)),
-            ),
+            inv(1, 2, 4, ProgOp::PopTop, OpResult::Stolen(Steal::Taken(7))),
         ];
         assert!(conservation(&h).is_err());
     }
@@ -472,7 +466,7 @@ mod tests {
             0,
             1,
             ProgOp::PopTop,
-            OpResult::Stolen(SimSteal::Taken(9)),
+            OpResult::Stolen(Steal::Taken(9)),
         )];
         assert!(conservation(&h).unwrap_err().contains("never pushed"));
     }
@@ -484,13 +478,7 @@ mod tests {
         let h = [
             inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
             inv(0, 2, 3, ProgOp::Push(2), OpResult::Pushed),
-            inv(
-                1,
-                4,
-                5,
-                ProgOp::PopTop,
-                OpResult::Stolen(SimSteal::Taken(2)),
-            ),
+            inv(1, 4, 5, ProgOp::PopTop, OpResult::Stolen(Steal::Taken(2))),
         ];
         assert!(linearizable(&h).is_err());
     }
@@ -501,7 +489,7 @@ mod tests {
         // time and nothing overlaps: not linearizable.
         let h = [
             inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
-            inv(1, 2, 3, ProgOp::PopTop, OpResult::Stolen(SimSteal::Empty)),
+            inv(1, 2, 3, ProgOp::PopTop, OpResult::Stolen(Steal::Empty)),
         ];
         assert!(linearizable(&h).is_err());
     }
@@ -510,13 +498,13 @@ mod tests {
     fn abort_needs_an_overlapping_removal() {
         let lone_abort = [
             inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
-            inv(1, 2, 3, ProgOp::PopTop, OpResult::Stolen(SimSteal::Abort)),
+            inv(1, 2, 3, ProgOp::PopTop, OpResult::Stolen(Steal::Abort)),
         ];
         assert!(aborts_excused(&lone_abort).is_err());
         let excused = [
             inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
             inv(0, 2, 4, ProgOp::PopBottom, OpResult::Popped(Some(1))),
-            inv(1, 3, 5, ProgOp::PopTop, OpResult::Stolen(SimSteal::Abort)),
+            inv(1, 3, 5, ProgOp::PopTop, OpResult::Stolen(Steal::Abort)),
         ];
         assert!(aborts_excused(&excused).is_ok());
         assert!(check(&excused).is_ok());

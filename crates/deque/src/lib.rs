@@ -1,22 +1,24 @@
 //! The Arora–Blumofe–Plaxton non-blocking work-stealing deque (SPAA 1998).
 //!
-//! Three realizations of the same Figure-5 protocol:
+//! Two realizations:
 //!
-//! * [`atomic`] — the production lock-free deque on real atomics, with a
-//!   single-word `age = {tag, top}` and `cas`, split into a unique
-//!   [`Worker`] owner handle and cloneable [`Stealer`] handles;
-//! * [`sim_deque`] — the identical pseudocode executed one instruction at
-//!   a time, so the simulator's adversarial kernel can preempt processes
-//!   mid-operation (and so the tag's purpose can be demonstrated);
+//! * [`atomic`] — the lock-free Figure-5 deque, with a single-word
+//!   `age = {tag, top}` and `cas`, split into a unique [`Worker`] owner
+//!   handle and cloneable [`Stealer`] handles. Each operation is written
+//!   once, against a small memory trait; the shipped handles run it on
+//!   real atomics, and [`stepped`] runs the same code one shared access
+//!   at a time, so the simulator's adversarial kernel can preempt a
+//!   process mid-operation (and so the tag's purpose can be
+//!   demonstrated);
 //! * [`locking`] — a mutex-based baseline for the paper's "non-blocking
 //!   data structures are essential" ablation.
 //!
 //! [`model`] exhaustively checks the relaxed semantics of §3.2 over all
-//! interleavings of small owner/thief programs, standing in for the
-//! paper's companion correctness proof. The checker itself lives in
-//! [`history`], which also records timestamped histories from real
-//! concurrent threads so the same judge runs over the production
-//! [`atomic`] deque.
+//! interleavings of small owner/thief programs of the stepped shipped
+//! code, standing in for the paper's companion correctness proof. The
+//! checker itself lives in [`history`], which also records timestamped
+//! histories from real concurrent threads so the same judge runs over
+//! the production [`atomic`] deque.
 //!
 //! [`order`] names the memory-ordering protocol the real deque follows:
 //! the minimal acquire/release scheme with one `SeqCst` fence per side of
@@ -29,13 +31,10 @@ pub mod history;
 pub mod locking;
 pub mod model;
 pub mod order;
-pub mod sim_deque;
+pub mod stepped;
 pub mod word;
 
 pub use atomic::{new, new_with_order, PushError, Steal, Stealer, StolenBatch, Worker};
 pub use locking::LockingDeque;
 pub use order::{DefaultProtocol, OrderProfile, RelaxedProtocol, SeqCstProtocol};
-pub use sim_deque::{
-    DequeOp, MemModel, SimAge, SimBatch, SimDeque, SimSteal, StepOutcome, MAX_OP_STEPS,
-};
 pub use word::Word;

@@ -29,8 +29,9 @@
 //!   pre-race snapshot and both take the same entry (a store-buffering
 //!   outcome). One `SeqCst` fence on each side — the only full fences in
 //!   the protocol — closes the window. This is the reordering the model
-//!   checker's [`crate::sim_deque::MemModel`] variants reintroduce (and
-//!   catch).
+//!   checker reintroduces (and catches) with the stepped memory's
+//!   [`Mutant::NoOwnerFence`](crate::stepped::Mutant::NoOwnerFence) and
+//!   [`Mutant::NoThiefFence`](crate::stepped::Mutant::NoThiefFence).
 //! * **INV-RESET (reset publication)** — the owner writes `bot = 0`
 //!   *before* publishing the reset `age` (tag bump, `top = 0`) with
 //!   `Release` (the reset CAS or the lost-race store). A thief whose

@@ -19,9 +19,12 @@
 //! * **preemption sensitivity** — a process preempted while holding the
 //!   queue lock stalls *all* work distribution, not just one deque.
 
-use crate::locked_deque::{LockKind, LockOp, LockStepOutcome, LockedSimDeque};
+use crate::locked_deque::LockedSimDeque;
 use crate::metrics::RunReport;
 use abp_dag::{Dag, DetRng, EnablingTree, NodeId};
+use abp_deque::model::ProgOp;
+use abp_deque::stepped::Done;
+use abp_deque::Steal;
 use abp_kernel::{Kernel, KernelView};
 
 /// Configuration for the work-sharing run.
@@ -42,11 +45,11 @@ impl Default for CentralConfig {
 
 enum Phase {
     Loop,
-    /// Pushing enabled children to the shared queue; remaining nodes to
-    /// push after the in-flight op.
-    Pushing(LockOp, Vec<NodeId>),
+    /// Pushing an enabled child to the shared queue; remaining nodes to
+    /// push after it.
+    Pushing(u64, Vec<NodeId>),
     /// Taking the next assigned node from the shared queue.
-    Taking(LockOp),
+    Taking,
 }
 
 struct Proc {
@@ -150,40 +153,29 @@ pub fn run_central(
                                     if rest.is_empty() {
                                         Phase::Loop
                                     } else {
-                                        Phase::Pushing(
-                                            LockOp::new(LockKind::Push(rest[0].index() as u64)),
-                                            rest[1..].to_vec(),
-                                        )
+                                        Phase::Pushing(rest[0].index() as u64, rest[1..].to_vec())
                                     }
                                 }
-                                None => Phase::Taking(LockOp::new(LockKind::PopTop)),
+                                None => Phase::Taking,
                             }
                         }
-                        None => Phase::Taking(LockOp::new(LockKind::PopTop)),
+                        None => Phase::Taking,
                     },
-                    Phase::Pushing(mut op, mut pending) => match op.step(&mut queue, i as u32) {
-                        LockStepOutcome::Continue => Phase::Pushing(op, pending),
-                        LockStepOutcome::PushDone => {
-                            if let Some(next) = pending.pop() {
-                                Phase::Pushing(
-                                    LockOp::new(LockKind::Push(next.index() as u64)),
-                                    pending,
-                                )
-                            } else {
-                                Phase::Loop
-                            }
-                        }
-                        other => unreachable!("push produced {other:?}"),
+                    Phase::Pushing(v, mut pending) => match queue.step(ProgOp::Push(v), i as u32) {
+                        None => Phase::Pushing(v, pending),
+                        Some(_) => match pending.pop() {
+                            Some(next) => Phase::Pushing(next.index() as u64, pending),
+                            None => Phase::Loop,
+                        },
                     },
-                    Phase::Taking(mut op) => match op.step(&mut queue, i as u32) {
-                        LockStepOutcome::Continue => Phase::Taking(op),
-                        LockStepOutcome::PopTopDone(res) => {
-                            if let crate::locked_deque::LockedSteal::Taken(v) = res {
+                    Phase::Taking => match queue.step(ProgOp::PopTop, i as u32) {
+                        None => Phase::Taking,
+                        Some(res) => {
+                            if let Done::Stolen(Steal::Taken(v)) = res {
                                 procs[i].assigned = Some(NodeId(v as u32));
                             }
                             Phase::Loop
                         }
-                        other => unreachable!("take produced {other:?}"),
                     },
                 };
             }

@@ -13,29 +13,24 @@
 //! [`abp_deque::LockingDeque`], so the tree has exactly one locking-deque
 //! implementation. The simulated lock serializes all access within a run,
 //! so the real deque's internal `try_lock` is never contended from the
-//! simulator's point of view: its [`Steal::Abort`] arm is unreachable
+//! simulator's point of view: its [`abp_deque::Steal::Abort`] arm is unreachable
 //! here, matching this model's blocking (wait-out-contention) semantics.
 
-use abp_deque::{LockingDeque, Steal};
-
-/// Result of a locked `popTop` body. There is no `Abort`: the blocking
-/// implementation waits out contention instead of failing fast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockedSteal {
-    Taken(u64),
-    Empty,
-}
+use abp_deque::model::ProgOp;
+use abp_deque::stepped::Done;
+use abp_deque::LockingDeque;
 
 /// The simulated lock plus the real backing deque.
 pub struct LockedSimDeque {
-    holder: Option<u32>,
+    /// The lock holder and the body instructions its operation has left.
+    holder: Option<(u32, u8)>,
     deque: LockingDeque<u64>,
 }
 
 impl std::fmt::Debug for LockedSimDeque {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockedSimDeque")
-            .field("holder", &self.holder)
+            .field("holder", &self.holder())
             .field("len", &self.len())
             .finish()
     }
@@ -44,6 +39,17 @@ impl std::fmt::Debug for LockedSimDeque {
 impl Default for LockedSimDeque {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Instructions spent inside the critical section (the last one also
+/// releases the lock), sized to match the non-blocking deque's
+/// operations so the dedicated-machine comparison is apples to apples:
+/// push = 3, pops = 4, counting the acquire.
+fn body_steps(kind: ProgOp) -> u8 {
+    match kind {
+        ProgOp::Push(_) => 2,
+        ProgOp::PopBottom | ProgOp::PopTop => 3,
     }
 }
 
@@ -57,7 +63,7 @@ impl LockedSimDeque {
 
     /// Who holds the lock, if anyone (for diagnostics).
     pub fn holder(&self) -> Option<u32> {
-        self.holder
+        self.holder.map(|(h, _)| h)
     }
 
     /// Current size.
@@ -74,100 +80,45 @@ impl LockedSimDeque {
     pub fn contents_bottom_to_top(&self) -> Vec<u64> {
         self.deque.contents_bottom_to_top()
     }
-}
 
-/// The operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    Push(u64),
-    PopBottom,
-    PopTop,
-}
-
-/// Completion results, mirroring [`abp_deque::StepOutcome`] shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockStepOutcome {
-    /// Still spinning on the lock, or mid-operation.
-    Continue,
-    PushDone,
-    PopBottomDone(Option<u64>),
-    PopTopDone(LockedSteal),
-}
-
-/// An in-flight locked operation.
-#[derive(Debug, Clone)]
-pub struct LockOp {
-    kind: LockKind,
-    acquired: bool,
-    /// Body instructions still to execute while holding the lock; sized to
-    /// match the instruction counts of the non-blocking deque's operations
-    /// so the dedicated-machine comparison is apples to apples.
-    body_left: u8,
-}
-
-impl LockKind {
-    /// Instructions spent inside the critical section (the last one also
-    /// releases the lock). Matches the ABP operation costs: push = 3,
-    /// pops = 4.
-    fn body_steps(self) -> u8 {
-        match self {
-            LockKind::Push(_) => 2,
-            LockKind::PopBottom | LockKind::PopTop => 3,
-        }
-    }
-}
-
-impl LockOp {
-    pub fn new(kind: LockKind) -> Self {
-        LockOp {
-            kind,
-            acquired: false,
-            body_left: kind.body_steps(),
-        }
-    }
-
-    /// Executes one instruction on behalf of process `me`: a lock-acquire
-    /// attempt (spinning while someone else holds it), then the body
-    /// instructions; the final body instruction releases the lock.
+    /// Executes one instruction of operation `kind` on behalf of process
+    /// `me`: a lock-acquire attempt (spinning while someone else holds
+    /// it), then the body instructions; the final body instruction
+    /// releases the lock and returns the result. A `popTop` never
+    /// aborts: the blocking implementation waits out contention.
     ///
     /// A process preempted anywhere inside the body *keeps the lock*
     /// across its absence — the pathology that makes blocking deques
     /// unusable under multiprogramming.
-    pub fn step(&mut self, d: &mut LockedSimDeque, me: u32) -> LockStepOutcome {
-        if !self.acquired {
-            match d.holder {
-                None => {
-                    d.holder = Some(me);
-                    self.acquired = true;
-                    LockStepOutcome::Continue
-                }
-                Some(h) => {
-                    debug_assert_ne!(h, me, "process already holds the lock");
-                    LockStepOutcome::Continue // spin
-                }
+    pub fn step(&mut self, kind: ProgOp, me: u32) -> Option<Done> {
+        match &mut self.holder {
+            None => {
+                self.holder = Some((me, body_steps(kind)));
+                None
             }
-        } else {
-            debug_assert_eq!(d.holder, Some(me));
-            self.body_left -= 1;
-            if self.body_left > 0 {
-                return LockStepOutcome::Continue;
-            }
-            let out = match self.kind {
-                LockKind::Push(v) => {
-                    d.deque.push_bottom(v);
-                    LockStepOutcome::PushDone
+            Some((h, _)) if *h != me => None, // spin
+            Some((_, left)) => {
+                *left -= 1;
+                if *left > 0 {
+                    return None;
                 }
-                LockKind::PopBottom => LockStepOutcome::PopBottomDone(d.deque.pop_bottom()),
-                LockKind::PopTop => LockStepOutcome::PopTopDone(match d.deque.pop_top() {
-                    Steal::Taken(v) => LockedSteal::Taken(v),
-                    Steal::Empty => LockedSteal::Empty,
-                    Steal::Abort => {
-                        unreachable!("simulated lock held: real try_lock is uncontended")
+                self.holder = None;
+                Some(match kind {
+                    ProgOp::Push(v) => {
+                        self.deque.push_bottom(v);
+                        Done::Pushed
                     }
-                }),
-            };
-            d.holder = None;
-            out
+                    ProgOp::PopBottom => Done::Popped(self.deque.pop_bottom()),
+                    ProgOp::PopTop => {
+                        let stolen = self.deque.pop_top();
+                        assert!(
+                            !stolen.is_abort(),
+                            "simulated lock held: real try_lock is uncontended"
+                        );
+                        Done::Stolen(stolen)
+                    }
+                })
+            }
         }
     }
 }
@@ -175,12 +126,11 @@ impl LockOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abp_deque::Steal;
 
-    fn run(d: &mut LockedSimDeque, kind: LockKind, me: u32) -> LockStepOutcome {
-        let mut op = LockOp::new(kind);
+    fn run(d: &mut LockedSimDeque, kind: ProgOp, me: u32) -> Done {
         loop {
-            let out = op.step(d, me);
-            if out != LockStepOutcome::Continue {
+            if let Some(out) = d.step(kind, me) {
                 return out;
             }
         }
@@ -189,10 +139,10 @@ mod tests {
     #[test]
     fn uncontended_push_takes_three_steps() {
         let mut d = LockedSimDeque::new();
-        let mut op = LockOp::new(LockKind::Push(7));
-        assert_eq!(op.step(&mut d, 0), LockStepOutcome::Continue); // acquire
-        assert_eq!(op.step(&mut d, 0), LockStepOutcome::Continue); // body 1
-        assert_eq!(op.step(&mut d, 0), LockStepOutcome::PushDone); // body 2 + release
+        let push = ProgOp::Push(7);
+        assert_eq!(d.step(push, 0), None); // acquire
+        assert_eq!(d.step(push, 0), None); // body 1
+        assert_eq!(d.step(push, 0), Some(Done::Pushed)); // body 2 + release
         assert_eq!(d.len(), 1);
         assert_eq!(d.holder(), None);
     }
@@ -201,59 +151,36 @@ mod tests {
     fn deque_semantics() {
         let mut d = LockedSimDeque::new();
         for v in [1, 2, 3] {
-            run(&mut d, LockKind::Push(v), 0);
+            run(&mut d, ProgOp::Push(v), 0);
         }
         assert_eq!(
-            run(&mut d, LockKind::PopTop, 1),
-            LockStepOutcome::PopTopDone(LockedSteal::Taken(1))
+            run(&mut d, ProgOp::PopTop, 1),
+            Done::Stolen(Steal::Taken(1))
         );
-        assert_eq!(
-            run(&mut d, LockKind::PopBottom, 0),
-            LockStepOutcome::PopBottomDone(Some(3))
-        );
+        assert_eq!(run(&mut d, ProgOp::PopBottom, 0), Done::Popped(Some(3)));
         assert_eq!(d.contents_bottom_to_top(), vec![2]);
     }
 
     #[test]
     fn preempted_holder_blocks_everyone() {
         let mut d = LockedSimDeque::new();
-        run(&mut d, LockKind::Push(5), 0);
+        run(&mut d, ProgOp::Push(5), 0);
         // Owner acquires the lock and is then "preempted".
-        let mut owner_op = LockOp::new(LockKind::PopBottom);
-        assert_eq!(owner_op.step(&mut d, 0), LockStepOutcome::Continue);
+        assert_eq!(d.step(ProgOp::PopBottom, 0), None);
         assert_eq!(d.holder(), Some(0));
         // A thief spins fruitlessly for as long as the owner sleeps.
-        let mut thief_op = LockOp::new(LockKind::PopTop);
         for _ in 0..100 {
-            assert_eq!(thief_op.step(&mut d, 1), LockStepOutcome::Continue);
+            assert_eq!(d.step(ProgOp::PopTop, 1), None);
         }
         // Owner resumes and completes; now the thief can finish.
-        loop {
-            match owner_op.step(&mut d, 0) {
-                LockStepOutcome::Continue => continue,
-                out => {
-                    assert_eq!(out, LockStepOutcome::PopBottomDone(Some(5)));
-                    break;
-                }
-            }
-        }
-        assert_eq!(
-            run(&mut d, LockKind::PopTop, 1),
-            LockStepOutcome::PopTopDone(LockedSteal::Empty)
-        );
-        let _ = thief_op;
+        assert_eq!(run(&mut d, ProgOp::PopBottom, 0), Done::Popped(Some(5)));
+        assert_eq!(run(&mut d, ProgOp::PopTop, 1), Done::Stolen(Steal::Empty));
     }
 
     #[test]
     fn empty_pops() {
         let mut d = LockedSimDeque::new();
-        assert_eq!(
-            run(&mut d, LockKind::PopBottom, 0),
-            LockStepOutcome::PopBottomDone(None)
-        );
-        assert_eq!(
-            run(&mut d, LockKind::PopTop, 2),
-            LockStepOutcome::PopTopDone(LockedSteal::Empty)
-        );
+        assert_eq!(run(&mut d, ProgOp::PopBottom, 0), Done::Popped(None));
+        assert_eq!(run(&mut d, ProgOp::PopTop, 2), Done::Stolen(Steal::Empty));
     }
 }

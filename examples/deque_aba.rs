@@ -12,7 +12,17 @@
 //! the scenario's interleavings go wrong without the tag.
 
 use abp_deque::model::{explore, ProgOp, Scenario};
-use abp_deque::{DequeOp, SimDeque, SimSteal, StepOutcome};
+use abp_deque::stepped::{Done, Mutant, Op, SteppedDeque};
+use abp_deque::Steal;
+
+/// The shipped deque, or the one whose reset leaves the tag unchanged.
+fn deque(tagged: bool) -> SteppedDeque {
+    if tagged {
+        SteppedDeque::new()
+    } else {
+        SteppedDeque::with_mutant(Mutant::NoTag)
+    }
+}
 
 fn run_scenario(tagged: bool) {
     println!(
@@ -23,21 +33,21 @@ fn run_scenario(tagged: bool) {
             "UNTAGGED (broken)"
         }
     );
-    let mut d = SimDeque::with_tagging(tagged);
-    DequeOp::push_bottom(100).run_to_completion(&mut d);
+    let mut d = deque(tagged);
+    Op::new(ProgOp::Push(100)).run(&mut d);
     println!(
         "owner : pushBottom(100)            deque = {:?}",
         d.contents()
     );
 
-    let mut thief = DequeOp::pop_top();
+    let mut thief = Op::new(ProgOp::PopTop);
     thief.step(&mut d); // load age
     thief.step(&mut d); // load bot
     thief.step(&mut d); // load deq[top] = 100
     println!("thief : popTop reads age, bot, and deq[top]=100 … then is PREEMPTED");
 
-    match DequeOp::pop_bottom().run_to_completion(&mut d) {
-        StepOutcome::PopBottomDone(r) => {
+    match Op::new(ProgOp::PopBottom).run(&mut d) {
+        Done::Popped(r) => {
             println!(
                 "owner : popBottom() -> {r:?}           (resets bot and top{})",
                 if tagged { ", bumps tag" } else { "" }
@@ -45,7 +55,7 @@ fn run_scenario(tagged: bool) {
         }
         o => panic!("{o:?}"),
     }
-    DequeOp::push_bottom(200).run_to_completion(&mut d);
+    Op::new(ProgOp::Push(200)).run(&mut d);
     println!(
         "owner : pushBottom(200)            deque = {:?}",
         d.contents()
@@ -53,11 +63,11 @@ fn run_scenario(tagged: bool) {
 
     print!("thief : resumes, cas(age, oldAge, oldAge.top+1) -> ");
     match thief.step(&mut d) {
-        StepOutcome::PopTopDone(SimSteal::Abort) => {
+        Some(Done::Stolen(Steal::Abort)) => {
             println!("FAILS (tag changed)");
             println!("        200 is safe in the deque: {:?}", d.contents());
         }
-        StepOutcome::PopTopDone(SimSteal::Taken(v)) => {
+        Some(Done::Stolen(Steal::Taken(v))) => {
             println!("SUCCEEDS, steals {v}");
             println!(
                 "        but {v} was already popped by the owner, and 200 has vanished: {:?}",
@@ -82,7 +92,7 @@ fn main() {
         vec![ProgOp::PopTop],
     ]);
     for tagged in [true, false] {
-        let rep = explore(&sc, tagged);
+        let rep = explore(&sc, deque(tagged));
         println!(
             "  tag {}: {} interleavings, {} violate the relaxed semantics{}",
             if tagged { "on " } else { "off" },

@@ -30,7 +30,7 @@ use multiprog_ws::dag::DetRng;
 use multiprog_ws::deque::history::{
     check, check_with_batches, BatchInvocation, Invocation, OpResult, ProgOp, Recorder,
 };
-use multiprog_ws::deque::{new, SimSteal, Steal};
+use multiprog_ws::deque::{new, Steal};
 
 const OWNER_OPS: usize = 8;
 const THIEVES: usize = 3;
@@ -54,12 +54,7 @@ fn record_history(seed: u64) -> Vec<multiprog_ws::deque::history::Invocation> {
             for _ in 0..STEALS_PER_THIEF {
                 let start = rec.invoked();
                 let res = stealer.pop_top();
-                let sim = match res {
-                    Steal::Taken(v) => SimSteal::Taken(v),
-                    Steal::Empty => SimSteal::Empty,
-                    Steal::Abort => SimSteal::Abort,
-                };
-                rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
+                rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(res));
             }
         }));
     }
@@ -103,8 +98,8 @@ fn atomic_deque_histories_satisfy_relaxed_semantics() {
         );
         for inv in &history {
             match inv.result {
-                OpResult::Stolen(SimSteal::Abort) => aborts += 1,
-                OpResult::Stolen(SimSteal::Taken(_)) => takes += 1,
+                OpResult::Stolen(Steal::Abort) => aborts += 1,
+                OpResult::Stolen(Steal::Taken(_)) => takes += 1,
                 _ => {}
             }
         }
@@ -126,7 +121,7 @@ fn checker_rejects_a_corrupted_real_history() {
     let mut history = record_history(0xBAD_5EED);
     // Find a consumed value and forge a second consumption of it.
     let stolen = history.iter().find_map(|inv| match inv.result {
-        OpResult::Stolen(SimSteal::Taken(v)) => Some(v),
+        OpResult::Stolen(Steal::Taken(v)) => Some(v),
         OpResult::Popped(Some(v)) => Some(v),
         _ => None,
     });
@@ -158,7 +153,7 @@ fn checker_rejects_a_corrupted_real_history() {
         start: 2_000,
         end: 2_001,
         kind: ProgOp::PopTop,
-        result: OpResult::Stolen(SimSteal::Taken(v)),
+        result: OpResult::Stolen(Steal::Taken(v)),
     });
     assert!(check(&history).is_err(), "forged duplicate must be caught");
 }
@@ -190,19 +185,15 @@ fn record_batch_history(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
                         // observation: record it as a plain popTop so the
                         // abort excuse applies to it.
                         let sim = if batch.aborted {
-                            SimSteal::Abort
+                            Steal::Abort
                         } else {
-                            SimSteal::Empty
+                            Steal::Empty
                         };
                         rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
                     }
                 } else {
-                    let sim = match stealer.pop_top() {
-                        Steal::Taken(v) => SimSteal::Taken(v),
-                        Steal::Empty => SimSteal::Empty,
-                        Steal::Abort => SimSteal::Abort,
-                    };
-                    rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
+                    let res = stealer.pop_top();
+                    rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(res));
                 }
             }
         }));
@@ -298,9 +289,9 @@ fn record_batch_history_shallow(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocat
                     rec.responded_batch(1 + t, start, batch.tasks);
                 } else {
                     let sim = if batch.aborted {
-                        SimSteal::Abort
+                        Steal::Abort
                     } else {
-                        SimSteal::Empty
+                        Steal::Empty
                     };
                     rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
                 }

@@ -9,7 +9,8 @@
 //! what the proptest defaults did.
 
 use multiprog_ws::dag::{gen, DagBuilder, DetRng, NodeId};
-use multiprog_ws::deque::{DequeOp, SimDeque, StepOutcome};
+use multiprog_ws::deque::model::ProgOp;
+use multiprog_ws::deque::stepped::{Done, Op, SteppedDeque};
 use multiprog_ws::kernel::{BenignKernel, CountSource, KernelTable, Tail, YieldPolicy};
 use multiprog_ws::sim::{greedy, run_ws, WsConfig};
 
@@ -126,36 +127,36 @@ fn ws_sim_clean_on_random_inputs() {
     }
 }
 
-/// Sequentially interleaved sim-deque operations agree with a VecDeque
-/// specification for arbitrary op sequences.
+/// Sequentially interleaved stepped-deque operations agree with a
+/// VecDeque specification for arbitrary op sequences.
 #[test]
 fn sim_deque_matches_spec() {
     let mut rng = DetRng::new(0xD0_0D);
     for case in 0..64 {
         let n_ops = 1 + rng.below_usize(399);
-        let mut d = SimDeque::new();
+        let mut d = SteppedDeque::new();
         let mut spec = std::collections::VecDeque::new();
         let mut next = 0u64;
         for _ in 0..n_ops {
             match rng.below(4) {
                 0 | 1 => {
-                    match DequeOp::push_bottom(next).run_to_completion(&mut d) {
-                        StepOutcome::PushDone => {}
+                    match Op::new(ProgOp::Push(next)).run(&mut d) {
+                        Done::Pushed => {}
                         o => panic!("case {case}: unexpected {o:?}"),
                     }
                     spec.push_back(next);
                     next += 1;
                 }
                 2 => {
-                    let got = match DequeOp::pop_bottom().run_to_completion(&mut d) {
-                        StepOutcome::PopBottomDone(r) => r,
+                    let got = match Op::new(ProgOp::PopBottom).run(&mut d) {
+                        Done::Popped(r) => r,
                         o => panic!("case {case}: unexpected {o:?}"),
                     };
                     assert_eq!(got, spec.pop_back(), "case {case}");
                 }
                 _ => {
-                    let got = match DequeOp::pop_top().run_to_completion(&mut d) {
-                        StepOutcome::PopTopDone(r) => r.taken(),
+                    let got = match Op::new(ProgOp::PopTop).run(&mut d) {
+                        Done::Stolen(r) => r.taken(),
                         o => panic!("case {case}: unexpected {o:?}"),
                     };
                     assert_eq!(got, spec.pop_front(), "case {case}");

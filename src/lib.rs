@@ -7,8 +7,9 @@
 //! This crate is an umbrella that re-exports the workspace members:
 //!
 //! * [`deque`] ([`abp_deque`]) — the ABP lock-free deque (Figure 5), a
-//!   locking baseline, an instruction-stepped variant, and an
-//!   interleaving model checker for the §3.2 relaxed semantics;
+//!   locking baseline, a stepper that runs the shipped deque code one
+//!   shared access at a time, and an interleaving model checker for the
+//!   §3.2 relaxed semantics;
 //! * [`dag`] ([`abp_dag`]) — computation dags (`T₁`, `T∞`, threads,
 //!   enabling trees) and workload generators;
 //! * [`kernel`] ([`abp_kernel`]) — kernel schedules, processor average,

@@ -9,7 +9,8 @@
 //!   real atomics, and [`stepped`] runs the same code one shared access
 //!   at a time, so the simulator's adversarial kernel can preempt a
 //!   process mid-operation (and so the tag's purpose can be
-//!   demonstrated);
+//!   demonstrated). The replay log it steps with is [`step`], generic
+//!   over the memory, which `hood` steps its sleep protocol with too;
 //! * [`locking`] — a mutex-based baseline for the paper's "non-blocking
 //!   data structures are essential" ablation.
 //!
@@ -31,6 +32,7 @@ pub mod history;
 pub mod locking;
 pub mod model;
 pub mod order;
+pub mod step;
 pub mod stepped;
 pub mod word;
 

@@ -12,13 +12,11 @@
 //! [`crate::atomic`] against a [`SteppedDeque`].
 //!
 //! Each [`Op::step`] performs exactly one shared access — a load or store
-//! of `bot`, `age` or a slot, or the `age` cas. It re-runs the body from
-//! its start against the op's inline log: accesses already taken replay
-//! their logged results, the next one runs for real, and any after it is
-//! a dry access with no effect (a load returns 0, a cas fails). The op is
-//! done when the body returns without asking for another access. Fences
-//! cost no step: every access here is sequentially consistent. No step
-//! allocates, except a batched grab's result buffer.
+//! of `bot`, `age` or a slot, or the `age` cas — by replaying the body
+//! against the op's inline log ([`crate::step`]): a dry load returns 0
+//! and a dry cas fails. Fences cost no step: every access here is
+//! sequentially consistent. No step allocates, except a batched grab's
+//! result buffer.
 //!
 //! The element type is a bare `u64` (the simulator stores node ids). The
 //! slots grow on demand, modeling the paper's "big enough" array.
@@ -30,6 +28,7 @@
 use crate::atomic::{pop_bottom, pop_top, pop_top_batch_into, push_bottom, AgeWord, Memory};
 use crate::history::ProgOp;
 use crate::order::RelaxedProtocol;
+use crate::step::{Log, Step};
 use crate::{Steal, StolenBatch};
 use std::sync::atomic::Ordering;
 
@@ -37,10 +36,6 @@ use std::sync::atomic::Ordering;
 /// takes (a `popBottom` that loses the last-entry cas); used to derive the
 /// milestone constant `C` in the simulator.
 pub const MAX_OP_STEPS: u32 = 7;
-
-/// Accesses an op's log holds: a single-entry op takes at most
-/// [`MAX_OP_STEPS`]; a batched grab of `k` tasks takes up to `3k + 1`.
-const LOG: usize = 16;
 
 /// A protection of the shipped protocol, switched off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,10 +152,8 @@ enum Body {
 #[derive(Debug, Clone)]
 pub struct Op {
     body: Body,
-    /// Results of the accesses taken, by position in the body.
-    log: [u64; LOG],
-    /// Positions taken so far, as a bit set.
-    taken: u16,
+    /// The accesses taken so far.
+    log: Log,
     /// The body is done, but a buffered store still has to drain.
     draining: bool,
 }
@@ -184,8 +177,7 @@ impl Op {
     fn with_body(body: Body) -> Op {
         Op {
             body,
-            log: [0; LOG],
-            taken: 0,
+            log: Log::default(),
             draining: false,
         }
     }
@@ -209,18 +201,13 @@ impl Op {
         let owner = self.is_owner();
         let real = if self.draining {
             None
-        } else if d.mutant == Some(Mutant::NoThiefFence) && !owner && self.taken == 0 {
+        } else if d.mutant == Some(Mutant::NoThiefFence) && !owner && self.log.is_empty() {
             Some(1)
         } else {
-            Some(self.taken.trailing_ones())
+            Some(self.log.next())
         };
-        let mut m = Step {
-            d: &mut *d,
-            log: &mut self.log,
-            taken: self.taken,
-            real,
-            next: 0,
-            dry: false,
+        let mut m = Access {
+            s: Step::new(&mut *d, &mut self.log, real),
             owner,
             first_bot: None,
         };
@@ -237,12 +224,7 @@ impl Op {
                 Done::Batch(out)
             }
         };
-        let dry = m.dry;
-        if let Some(pos) = real {
-            debug_assert!(m.next > pos, "the body ended before its next access");
-            self.taken |= 1 << pos;
-        }
-        if dry {
+        if !m.s.finish() {
             return None;
         }
         if owner && d.buffered.is_some() {
@@ -265,42 +247,24 @@ impl Op {
     }
 }
 
-/// One step's view of the memory: replays the accesses taken, runs the
-/// one at position `real`, and makes every other one dry.
-struct Step<'a> {
-    d: &'a mut SteppedDeque,
-    log: &'a mut [u64; LOG],
-    taken: u16,
-    real: Option<u32>,
-    next: u32,
-    dry: bool,
+/// One step's view of the deque: the stepped [`Memory`].
+struct Access<'a> {
+    s: Step<'a, SteppedDeque>,
     owner: bool,
     /// The grab's first `bot` value, for [`Mutant::NoChainReload`].
     first_bot: Option<u64>,
 }
 
-impl Step<'_> {
-    fn access(&mut self, run: impl FnOnce(&mut SteppedDeque) -> u64) -> u64 {
-        let pos = self.next;
-        self.next += 1;
-        assert!((pos as usize) < LOG, "more than {LOG} accesses in one op");
-        if self.taken & (1 << pos) != 0 {
-            self.log[pos as usize]
-        } else if self.real == Some(pos) {
-            let v = run(self.d);
-            self.log[pos as usize] = v;
-            v
-        } else {
-            self.dry = true;
-            0
-        }
+impl Access<'_> {
+    fn mutant(&self) -> Option<Mutant> {
+        self.s.memory().mutant
     }
 
     /// An `age` or slot write. An owner's buffered `bot` store drains
     /// first: stores leave a store buffer in order, and a cas empties it.
     fn write(&mut self, run: impl FnOnce(&mut SteppedDeque) -> u64) -> u64 {
         let owner = self.owner;
-        self.access(|d| {
+        self.s.access(|d| {
             if owner {
                 d.drain();
             }
@@ -309,17 +273,17 @@ impl Step<'_> {
     }
 }
 
-impl Memory for Step<'_> {
+impl Memory for Access<'_> {
     /// Orderings are ignored: every access is sequentially consistent.
     type P = RelaxedProtocol;
 
     fn load_bot(&mut self, _: Ordering) -> u64 {
-        let stale = match self.d.mutant {
+        let stale = match self.mutant() {
             Some(Mutant::NoChainReload) => self.first_bot,
             _ => None,
         };
         let owner = self.owner;
-        let bot = self.access(|d| match (stale, d.buffered) {
+        let bot = self.s.access(|d| match (stale, d.buffered) {
             (Some(bot), _) => bot,
             (None, Some(bot)) if owner => bot,
             _ => d.bot,
@@ -330,7 +294,7 @@ impl Memory for Step<'_> {
 
     fn store_bot(&mut self, bot: u64, _: Ordering) {
         let owner = self.owner;
-        self.access(|d| {
+        self.s.access(|d| {
             if owner && d.mutant == Some(Mutant::NoOwnerFence) {
                 d.buffered = Some(bot);
             } else {
@@ -341,7 +305,7 @@ impl Memory for Step<'_> {
     }
 
     fn load_age(&mut self, _: Ordering) -> u64 {
-        self.access(|d| d.age)
+        self.s.access(|d| d.age)
     }
 
     fn store_age(&mut self, age: u64, _: Ordering) {
@@ -362,7 +326,8 @@ impl Memory for Step<'_> {
     }
 
     fn load_slot(&mut self, index: u64, _: Ordering) -> u64 {
-        self.access(|d| d.deq.get(index as usize).copied().unwrap_or(0))
+        self.s
+            .access(|d| d.deq.get(index as usize).copied().unwrap_or(0))
     }
 
     fn store_slot(&mut self, index: u64, word: u64, _: Ordering) {
@@ -381,7 +346,7 @@ impl Memory for Step<'_> {
     fn thief_fence(&mut self) {}
 
     fn bump_tag(&self, tag: u32) -> u32 {
-        match self.d.mutant {
+        match self.mutant() {
             Some(Mutant::NoTag) => tag,
             Some(Mutant::OneBitTag) => tag ^ 1,
             _ => tag.wrapping_add(1),

@@ -759,14 +759,9 @@ impl WorkerCtx {
     fn park(&self) {
         debug_assert!(self.deque.private().is_empty(), "parking over private work");
         let sleep = &self.core.sleep;
-        let token = sleep.announce();
-        if self.work_in_sight() {
-            sleep.cancel_announce();
-            return;
-        }
-        if !sleep.try_commit(self.index, token) {
-            // A producer moved the epoch after our re-scan began; its work
-            // is visible now — resume hunting.
+        if !sleep.try_commit(self.index, || self.work_in_sight()) {
+            // Work in sight, or a producer moved the epoch after our
+            // re-scan began and its work is visible now: resume hunting.
             return;
         }
         if self.woken_pending.replace(false) {
@@ -1018,6 +1013,9 @@ impl ThreadPool {
     /// exactly once (workers drain the injector before exiting, and
     /// `shutdown` itself runs any straggler that slipped in after the
     /// last worker's final sweep — nothing is leaked).
+    ///
+    /// A panic in `f` is caught and dropped: it ends the job, which still
+    /// counts as run, and not the worker that runs it.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
@@ -1025,7 +1023,7 @@ impl ThreadPool {
         // SAFETY: the closure is 'static and the injector/worker
         // protocol executes each submitted job exactly once (each entry
         // is popped by exactly one worker, and shutdown drains leftovers).
-        let job = unsafe { crate::job::HeapJob::into_job_ref(f) };
+        let job = unsafe { crate::job::HeapJob::into_job_ref(detached(f)) };
         self.core.inject(job);
     }
 
@@ -1040,7 +1038,7 @@ impl ThreadPool {
         let words: Vec<usize> = jobs
             .into_iter()
             // SAFETY: as in `spawn` — exactly-once execution of each ref.
-            .map(|f| unsafe { crate::job::HeapJob::into_job_ref(f) }.to_word())
+            .map(|f| unsafe { crate::job::HeapJob::into_job_ref(detached(f)) }.to_word())
             .collect();
         self.core.inject_batch(&words);
     }
@@ -1123,10 +1121,9 @@ impl ThreadPool {
             slot.steal_attempts.fetch_add(1, Ordering::Relaxed);
             slot.injects.fetch_add(1, Ordering::Relaxed);
             // SAFETY: the word came out of the injector exactly once,
-            // so this is the job's single execution.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                JobRef::from_word(word).execute()
-            }));
+            // so this is the job's single execution. Every injected job
+            // catches its own panic (`detached`, `install`).
+            unsafe { JobRef::from_word(word).execute() };
             WorkerStats::bump(&slot.jobs);
         }
         let stats = self.stats();
@@ -1154,6 +1151,14 @@ impl ThreadPool {
             #[cfg(feature = "telemetry")]
             telemetry: self.core.telemetry_snapshot(),
         }
+    }
+}
+
+/// A fire-and-forget job whose panic ends the job and not its worker:
+/// nobody waits on the job to take the panic up.
+fn detached<F: FnOnce() + Send + 'static>(f: F) -> impl FnOnce() + Send + 'static {
+    move || {
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
     }
 }
 

@@ -7,9 +7,9 @@
 //! This crate is an umbrella that re-exports the workspace members:
 //!
 //! * [`deque`] ([`abp_deque`]) — the ABP lock-free deque (Figure 5), a
-//!   locking baseline, a stepper that runs the shipped deque code one
-//!   shared access at a time, and an interleaving model checker for the
-//!   §3.2 relaxed semantics;
+//!   locking baseline, a replay log that runs shipped code one shared
+//!   access at a time (`step`), a stepper for the deque's own code, and
+//!   an interleaving model checker for the §3.2 relaxed semantics;
 //! * [`dag`] ([`abp_dag`]) — computation dags (`T₁`, `T∞`, threads,
 //!   enabling trees) and workload generators;
 //! * [`kernel`] ([`abp_kernel`]) — kernel schedules, processor average,
@@ -17,7 +17,9 @@
 //! * [`sim`] ([`abp_sim`]) — the instruction-level simulator of the
 //!   Figure-3 scheduling loop with live Lemma-3/potential checking, plus
 //!   greedy and Brent offline schedulers;
-//! * [`runtime`] ([`hood`]) — the real threaded fork-join runtime;
+//! * [`runtime`] ([`hood`]) — the real threaded fork-join runtime, whose
+//!   sleep/wake eventcount is model-checked as shipped, one shared
+//!   access at a time, through the deque crate's replay log;
 //! * [`telemetry`] ([`abp_telemetry`]) — the shared tracing/metrics
 //!   subsystem: lock-free per-worker event rings, histograms, and
 //!   Chrome-trace (Perfetto) / JSON exporters used by both the runtime

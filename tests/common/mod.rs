@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::runtime::{join, PoolConfig, PoolStats, ThreadPool};
+use multiprog_ws::runtime::{join, PoolConfig, PoolReport, PoolStats, ThreadPool};
 
 /// Runs one seeded churn episode: `submitters` external threads push
 /// `jobs_per_submitter` jobs each (singly or in seeded batches) into a
@@ -16,14 +16,14 @@ use multiprog_ws::runtime::{join, PoolConfig, PoolStats, ThreadPool};
 /// jobs, so `shutdown` itself must deliver the backlog. Asserts every
 /// job ran exactly once and was counted as exactly one inject, the
 /// attempts identity, per-worker/aggregate reconciliation and the
-/// structural zeros.
+/// structural zeros. Returns the shutdown report.
 pub fn exactly_once_episode(
     seed: u64,
     workers: usize,
     submitters: usize,
     jobs_per_submitter: usize,
     drain_on_shutdown: bool,
-) {
+) -> PoolReport {
     let total = submitters * jobs_per_submitter;
     let pool = Arc::new(ThreadPool::with_config(
         PoolConfig::default()
@@ -147,4 +147,5 @@ pub fn exactly_once_episode(
             "seed {seed:#x}, stats row {w} (0 = aggregate): {st:?}"
         );
     }
+    report
 }

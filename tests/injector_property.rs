@@ -17,6 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use multiprog_ws::dag::DetRng;
 use multiprog_ws::runtime::{PoolConfig, ThreadPool};
@@ -44,6 +45,47 @@ fn exactly_once_with_more_workers_than_cores() {
         .map(|n| n.get())
         .unwrap_or(4);
     exactly_once_episode(0x0E5B_0001, 2 * cores + 1, 3, 150, false);
+}
+
+/// P ≫ cores: 64 workers on a host with a few cores, so most of them
+/// are idle hunters heading for the sleep protocol — concurrent
+/// announces, commits and wakes on one eventcount word and sleeper stack
+/// (how many park within an episode depends on the schedule). Besides
+/// exactly-once, the sleep accounting must balance: every committed park
+/// ended in an unpark, and every credited wake was delivered.
+#[test]
+fn exactly_once_with_64_workers() {
+    for seed in 0..4u64 {
+        let report = exactly_once_episode(0x0E5B_0040 + seed, 64, 4, 500, false);
+        let (stats, sleep) = (&report.stats, &report.sleep);
+        assert!(stats.parks_balance(), "seed {seed}: {stats:?}");
+        let parks: u64 = report.per_worker.iter().map(|w| w.parks).sum();
+        assert_eq!(parks, stats.parks, "seed {seed}: per-worker parks diverge");
+        assert!(
+            sleep.wakes_sent >= sleep.hits_after_unpark,
+            "seed {seed}: {sleep:?}"
+        );
+    }
+}
+
+/// A panic in a `spawn`ed or batched job ends that job, not the worker
+/// running it: on a one-worker pool, a job submitted after two panicking
+/// ones still runs, and all three count as run.
+#[test]
+fn a_panicking_spawn_leaves_its_worker_alive() {
+    let pool = ThreadPool::new(1);
+    let (tx, rx) = std::sync::mpsc::channel();
+    pool.spawn(|| panic!("a spawned job panics"));
+    pool.spawn_batch([|| panic!("a batched job panics")]);
+    pool.spawn(move || tx.send(7).unwrap());
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(10)),
+        Ok(7),
+        "the worker died with a panicking job"
+    );
+    let report = pool.shutdown();
+    assert_eq!(report.stats.jobs, 3, "{:?}", report.stats);
+    assert_eq!(report.stats.injects, 3, "{:?}", report.stats);
 }
 
 /// Shutdown drains the injector: jobs submitted and never awaited still

@@ -381,6 +381,7 @@ pub fn new_with_order<T: Word, P: OrderProfile>(capacity: usize) -> (Worker<T, P
 pub struct PushError<T>(pub T);
 
 /// The body of [`Worker::push_bottom`].
+#[inline]
 pub(crate) fn push_bottom<T: Word, M: Memory>(m: &mut M, node: T) -> Result<(), PushError<T>> {
     // 1: load localBot <- bot. Relaxed: the owner is the sole writer
     // of bot, so coherence alone yields its own latest value
@@ -402,6 +403,7 @@ pub(crate) fn push_bottom<T: Word, M: Memory>(m: &mut M, node: T) -> Result<(), 
 }
 
 /// The body of [`Worker::pop_bottom`].
+#[inline]
 pub(crate) fn pop_bottom<T: Word, M: Memory>(m: &mut M) -> Option<T> {
     // 1: load localBot <- bot. Relaxed: owner is bot's sole writer
     // [INV-OWNER].
@@ -470,6 +472,7 @@ pub(crate) fn pop_bottom<T: Word, M: Memory>(m: &mut M) -> Option<T> {
 }
 
 /// The body of [`Stealer::pop_top`].
+#[inline]
 pub(crate) fn pop_top<T: Word, M: Memory>(m: &mut M) -> Steal<T> {
     // 1: load oldAge <- age. Acquire: a thief that observes a reset
     // age must also observe bot = 0 (pairs with the owner's Release
@@ -516,6 +519,7 @@ pub(crate) fn pop_top<T: Word, M: Memory>(m: &mut M) -> Steal<T> {
 }
 
 /// The body of [`Stealer::pop_top_batch_into`].
+#[inline]
 pub(crate) fn pop_top_batch_into<T: Word, M: Memory>(
     m: &mut M,
     max: usize,

@@ -24,11 +24,15 @@
 //!
 //! The pool runs Figure 3's policy and no other: a thief yields, scans
 //! the other workers from a uniformly random start, and polls the
-//! injector when it holds work; after 64 failed hunts it parks, untimed,
-//! through the eventcount ([`sleep`]). The yield is skipped only while a
-//! worker drains the injector — its last poll returned a job and the
-//! backlog is still non-zero — and any miss re-arms it. The pool is one
-//! flat set of workers, each able to rob any other, and the deque is
+//! injector when it holds work. Out of work, it parks, untimed, through
+//! the eventcount ([`sleep`]): after a full spin of 64 failed hunts
+//! while most of its recent idle episodes (the last eight) ended within
+//! one such spin, and after its first failed hunt otherwise — a rule
+//! each worker measures for itself, in the spirit of competitive
+//! spinning. The yield is skipped only while a worker drains the
+//! injector — its last poll returned a job and the backlog is still
+//! non-zero — and any miss re-arms it. The pool is one flat set of
+//! workers, each able to rob any other, and the deque is
 //! always ABP: the locking deque of `abp-deque` and the `LastEnabler`
 //! victim hint of `abp-core` are for the simulator.
 //! Configuration ([`PoolConfig`]) sets sizes, the seed, tracing, and the
@@ -67,6 +71,7 @@
 //! [`PoolConfig::with_split`] selects the adaptive / eager-grain /
 //! sequential cadence ([`SplitKind`]) per pool.
 
+mod idle;
 mod injector;
 pub mod job;
 pub mod join;

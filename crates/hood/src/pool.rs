@@ -14,11 +14,13 @@
 //! the backlog gauge still reads non-zero, so it takes a batch apart
 //! without a `sched_yield` per job; any miss re-arms the yield
 //! (`WorkerCtx::find_distant_work`). Hood's other engineering addition
-//! is the park: a worker whose last 64 hunts all failed parks so an idle
-//! pool does not burn CPU. Parking goes through the [`crate::sleep`]
-//! eventcount, whose announce/re-scan/commit protocol closes the
-//! missed-wakeup race by construction — so the park is *untimed* and
-//! producers wake exactly
+//! is the park, so an idle pool does not burn CPU. When to park is
+//! measured per worker (the crate-private `idle` module): a worker out of
+//! work parks after a full spin of 64 failed hunts while most of its
+//! recent idle episodes ended within one, and after its first failed
+//! hunt otherwise. Parking goes through the [`crate::sleep`] eventcount,
+//! whose announce/re-scan/commit protocol closes the missed-wakeup race
+//! by construction — so the park is *untimed* and producers wake exactly
 //! `min(jobs, sleepers)` workers instead of the whole pool. The one
 //! choice a pool still offers is the data-parallel split cadence
 //! ([`PoolConfig::policies`], a [`PoolPolicy`]). All
@@ -64,6 +66,7 @@
 //! is off unless [`PoolConfig::telemetry`] is `Some`, and when off each
 //! instrumentation point costs one branch on an `Option`.
 
+use crate::idle::IdleRule;
 use crate::injector::Injector;
 use crate::job::{Job, JobRef};
 use crate::latch::LockLatch;
@@ -77,6 +80,7 @@ use abp_deque::{Steal, Stealer};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 #[cfg(feature = "telemetry")]
 use abp_telemetry::{EventKind, Registry, StealOutcome, WorkerTelemetry};
@@ -108,13 +112,10 @@ impl Backend {
     }
 }
 
-/// Consecutive failed hunts after which an idle worker parks (untimed,
-/// until a producer's wake).
-const PARK_AFTER_FAILED_HUNTS: u32 = 64;
-
 /// The pool's scheduling policy. The steal loop is fixed to Figure 3's
-/// (yield, uniform victim, `popTop`) with an untimed park after 64
-/// failed hunts; what is left to choose is the data-parallel split
+/// (yield, uniform victim, `popTop`) with an untimed park when the
+/// worker's measured idle rule says so (after one failed hunt or a full
+/// spin of 64); what is left to choose is the data-parallel split
 /// cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolPolicy {
@@ -323,7 +324,13 @@ pub struct WorkerCtx {
     victim: RefCell<UniformVictim>,
     rng: RefCell<DetRng>,
     /// Consecutive hunts that found no work; reset by any found work.
+    /// Non-zero exactly while an idle episode is open.
     fails: Cell<u32>,
+    /// When this worker's current idle episode began: its first failed
+    /// hunt. Read only while `fails` is non-zero.
+    idle_since: Cell<Instant>,
+    /// When to park: the measured spin-or-park rule.
+    idle: IdleRule,
     /// True while this worker's most recent attempt to find work was an
     /// injector poll that returned a job: every poll sets it to its
     /// outcome, and every scan clears it before its own poll, so a steal
@@ -524,11 +531,14 @@ impl WorkerCtx {
         self.notify_exposed(self.deque.expose_all());
     }
 
-    /// Bookkeeping for work found anywhere (own pop, steal, injector):
-    /// resets the failure streak and, if this worker was recently woken,
-    /// credits the wake and records its latency.
-    pub(crate) fn note_found_work(&self) {
-        self.fails.set(0);
+    /// Bookkeeping for work found by `worker_main` (own pop, steal,
+    /// injector): ends the idle episode, if one is open, and, if this
+    /// worker was recently woken, credits the wake and records its
+    /// latency.
+    fn note_found_work(&self) {
+        if self.fails.replace(0) > 0 {
+            self.idle.episode_done(self.idle_ns());
+        }
         if self.woken_pending.replace(false) {
             self.core.sleep.note_hit_after_unpark();
             #[cfg(feature = "telemetry")]
@@ -743,6 +753,26 @@ impl WorkerCtx {
             .any(|(j, s)| j != self.index && s.len_hint() > 0)
     }
 
+    /// Nanoseconds since this worker's idle episode began.
+    fn idle_ns(&self) -> u64 {
+        u64::try_from(self.idle_since.get().elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Counts one failed hunt of `worker_main` and says whether to park
+    /// now. The first failure opens an idle episode; the one that ends a
+    /// full spin times it.
+    fn hunt_failed(&self) -> bool {
+        let fails = self.fails.get().saturating_add(1);
+        self.fails.set(fails);
+        let park_after = self.idle.park_after();
+        if fails == 1 {
+            self.idle_since.set(Instant::now());
+        } else if fails == park_after {
+            self.idle.spin_done(self.idle_ns());
+        }
+        fails >= park_after
+    }
+
     /// Parks this worker until a producer's wake. May return without
     /// parking at all when the sleep protocol detects work.
     ///
@@ -820,9 +850,7 @@ fn worker_main(ctx: WorkerCtx) {
                     }
                     break;
                 }
-                let fails = ctx.fails.get().saturating_add(1);
-                ctx.fails.set(fails);
-                if fails >= PARK_AFTER_FAILED_HUNTS {
+                if ctx.hunt_failed() {
                     ctx.park();
                     // A wake-up usually means an external submission;
                     // poll unconditionally (counted), even when the
@@ -859,6 +887,8 @@ fn spawn_workers(
                 victim: RefCell::new(UniformVictim::new()),
                 rng: RefCell::new(seed_rng.fork(index as u64)),
                 fails: Cell::new(0),
+                idle_since: Cell::new(Instant::now()),
+                idle: IdleRule::default(),
                 draining: Cell::new(false),
                 woken_pending: Cell::new(false),
                 #[cfg(feature = "telemetry")]

@@ -1,14 +1,17 @@
 //! Integration tests for the `hood::sleep` eventcount subsystem: the
 //! missed-wakeup regression, targeted wake-one accounting, the
 //! `parks == unparks` and `wakes_sent >= hits_after_unpark` shutdown
-//! invariants, and the silence of a fully parked pool.
+//! invariants, the silence of a fully parked pool, the idle rule's
+//! short hunt under a trickle, and a panic unwinding past a parked thief.
 //!
-//! Every test runs the pool's one idle policy: an untimed park after 64
-//! consecutive failed hunts, ended only by a producer's wake.
+//! Every test runs the pool's one idle policy: an untimed park, ended
+//! only by a producer's wake, after a full spin of 64 failed hunts while
+//! most of the worker's recent idle episodes ended within one, and after
+//! its first failed hunt otherwise.
 
 use hood::{PoolConfig, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn pool_with(workers: usize) -> ThreadPool {
@@ -197,4 +200,89 @@ fn an_idle_pool_is_silent() {
     let report = pool.shutdown();
     assert_eq!(report.sleep.timed_out_parks, 0);
     assert!(report.stats.parks_balance());
+}
+
+/// Waits until all `p` workers are asleep and have counted their parks.
+fn all_parked(pool: &ThreadPool, p: usize) -> bool {
+    wait_for(Duration::from_secs(10), || {
+        let st = pool.stats();
+        pool.sleeping_workers() == p && st.parks == st.unparks + p as u64
+    })
+}
+
+/// Under a trickle every idle episode outlasts a full spin, so a worker
+/// soon parks after its first failed hunt instead of spinning 64 hunts
+/// per request. Eight warm-up requests let the rule see that; over the
+/// next 32, yields stay within 8 per park. (A fixed 64-hunt spin reads
+/// 64 yields per park here.) The bound assumes the workers get their
+/// processors: where the host is so oversubscribed that a 64-hunt spin
+/// outlasts the 2 ms gaps, spinning catches the work and the rule spins.
+#[test]
+fn a_trickle_parks_after_a_short_hunt() {
+    const P: usize = 2;
+    let pool = pool_with(P);
+    let (tx, rx) = mpsc::channel();
+    let mut before = None;
+    for i in 0..40 {
+        if i == 8 {
+            assert!(all_parked(&pool, P), "workers never parked");
+            before = Some(pool.stats());
+        }
+        let tx = tx.clone();
+        pool.spawn(move || tx.send(i).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(i));
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(all_parked(&pool, P), "workers never parked");
+    let (before, after) = (before.unwrap(), pool.stats());
+    let (yields, parks) = (after.yields - before.yields, after.parks - before.parks);
+    assert!(parks > 0, "no park over 32 trickled requests");
+    assert!(
+        yields <= 8 * parks,
+        "{yields} yields over {parks} parks: the hunt before a park is not short"
+    );
+    assert!(pool.shutdown().stats.parks_balance());
+}
+
+/// A job that panics while a thief parks. Each round waits until a
+/// worker sleeps, then installs a `join` whose `a` forks and then panics;
+/// the exposure of `b` wakes the sleeper, which may steal `b` while `a`
+/// unwinds. Every round must surface the panic, the pool must still
+/// compute afterwards, and the park and wake accounting must balance.
+#[test]
+fn a_panic_with_a_parked_thief_unwinds_cleanly() {
+    fn fib(n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (a, b) = hood::join(|| fib(n - 1), || fib(n - 2));
+        a + b
+    }
+    let pool = pool_with(2);
+    for round in 0..100 {
+        assert!(
+            wait_for(Duration::from_secs(10), || pool.sleeping_workers() >= 1),
+            "round {round}: no worker ever slept"
+        );
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                hood::join(
+                    || {
+                        let _ = hood::join(|| fib(8), || fib(8));
+                        panic!("a panics with a thief about");
+                    },
+                    || fib(12),
+                )
+            })
+        }));
+        assert!(r.is_err(), "round {round}: the panic did not surface");
+    }
+    assert_eq!(pool.install(|| fib(15)), 610);
+    let report = pool.shutdown();
+    assert!(report.stats.parks_balance(), "{:?}", report.stats);
+    assert!(
+        report.sleep.wakes_sent >= report.sleep.hits_after_unpark,
+        "{:?}",
+        report.sleep
+    );
 }

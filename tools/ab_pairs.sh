@@ -1,0 +1,89 @@
+#!/usr/bin/env bash
+# Interleaved A/B pairs of `hoodbench` between two revisions.
+#
+#   tools/ab_pairs.sh PARENT CHANGE PAIRS WORKLOAD...
+#
+# Exports PARENT and CHANGE with `git archive` into two directories whose
+# paths have equal length (code layout, and with it `fib_seq`'s speed,
+# follows the checkout path's length), builds `hoodbench` in each, and
+# runs PAIRS pairs of every WORKLOAD with seeds 101, 102, ..., alternating
+# which side runs first. Then it prints each binary's `fib_seq` address
+# mod 64 and, per workload and end-to-end metric, both medians, the
+# parent's quartile spread (q3 - q1), the change in %, and the pairs in
+# which the change was better (ties count for neither side).
+#
+# A claim needs the change better in at least 9 of 10 pairs and a gap
+# between the medians larger than the parent's q3 - q1 (ROADMAP.md,
+# "Rules for every item"). Run nothing else meanwhile: a compile beside
+# it moves the open-loop workloads.
+#
+# Work files go to a fresh `mktemp -d` directory (set TMPDIR to place
+# it), which is kept and named at the end; nothing is written into the
+# repository. AB_SECONDS overrides the 12 s measured per run (for a
+# quick look only; a claim uses 12).
+set -euo pipefail
+
+if [ "$#" -lt 4 ]; then
+    echo "usage: $0 PARENT CHANGE PAIRS WORKLOAD..." >&2
+    exit 2
+fi
+parent=$1 change=$2 pairs=$3
+shift 3
+seconds=${AB_SECONDS:-12}
+repo=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+
+for side in p c; do
+    rev=$parent
+    [ "$side" = c ] && rev=$change
+    mkdir "$work/$side"
+    git -C "$repo" archive "$rev" | tar -x -C "$work/$side"
+    echo "building $rev in $work/$side" >&2
+    cargo build --release --offline --quiet --manifest-path "$work/$side/benchmark/Cargo.toml"
+done
+
+i=0
+for seed in $(seq 101 $((100 + pairs))); do
+    if [ $((i % 2)) -eq 0 ]; then order="p c"; else order="c p"; fi
+    i=$((i + 1))
+    for workload in "$@"; do
+        for side in $order; do
+            (cd "$work/$side" && ./benchmark/target/release/hoodbench --workload "$workload" \
+                --seed "$seed" --seconds "$seconds" --trace 0) \
+                > "$work/$side.$workload.$seed.json" 2> "$work/$side.$workload.$seed.err"
+        done
+        echo "pair $seed $workload done" >&2
+    done
+done
+
+for side in p c; do
+    addr=$(nm "$work/$side/benchmark/target/release/hoodbench" | awk '/fib_seq/ && !seen { print $1; seen = 1 }')
+    echo "$side fib_seq 0x$addr mod 64 = $((16#$addr % 64))"
+done
+
+python3 - "$work" "$pairs" "$@" <<'EOF'
+import json, statistics, sys
+
+work, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+seeds = range(101, 101 + pairs)
+
+def load(side, workload, seed):
+    lines = open(f"{work}/{side}.{workload}.{seed}.json").read().splitlines()
+    detail, result = json.loads(lines[-2]), json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        print(f"  {side} {workload} seed {seed}: correct={result['correct']} failed={result['failed']}")
+    return detail, result
+
+print(f"{'workload':14} {'metric':15} {'parent':>10} {'p q3-q1':>9} {'change':>10} {'delta':>8}  better")
+for workload in workloads:
+    runs = {s: [load(s, workload, seed) for seed in seeds] for s in "pc"}
+    for metric, info in runs["p"][0][1]["metrics"].items():
+        lower = runs["p"][0][0]["metrics"][metric]["better"] == "lower"
+        v = {s: [r["metrics"][metric]["value"] for _, r in runs[s]] for s in "pc"}
+        mp, mc = statistics.median(v["p"]), statistics.median(v["c"])
+        q = statistics.quantiles(v["p"], n=4) if pairs > 1 else [mp, mp, mp]
+        won = sum((c < p) if lower else (c > p) for p, c in zip(v["p"], v["c"]))
+        delta = 100 * (mc - mp) / mp if mp else float("nan")
+        print(f"{workload:14} {metric:15} {mp:10.4g} {q[2] - q[0]:9.3g} {mc:10.4g} {delta:+7.1f}%  {won}/{pairs}")
+EOF
+echo "runs kept in $work"

@@ -8,9 +8,8 @@
 //! avoid:
 //!
 //! * The queue is split into `N` cache-line-padded **shards**, each a
-//!   mutex-protected **segment queue** (a linked list of fixed-size
-//!   slot arrays, so pushes and pops touch one segment and allocation
-//!   is amortized over [`SEG_CAP`] submissions).
+//!   mutex-protected `VecDeque` of entries (`push_back` in, `pop_front`
+//!   out). `N` is the pool's worker count rounded up to a power of two.
 //! * Each submitting client thread gets a **round-robin cursor** seeded
 //!   from a process-wide client id, so concurrent clients start on
 //!   different shards and each client spreads its own submissions
@@ -38,77 +37,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Slots per segment. One segment is one allocation; a full segment is
-/// retired (dropped) once drained.
-pub(crate) const SEG_CAP: usize = 64;
-
-struct Segment {
-    read: usize,
-    write: usize,
-    slots: [(usize, u64); SEG_CAP],
-}
-
-impl Segment {
-    fn new() -> Box<Segment> {
-        Box::new(Segment {
-            read: 0,
-            write: 0,
-            slots: [(0, 0); SEG_CAP],
-        })
-    }
-
-    fn push(&mut self, v: (usize, u64)) -> bool {
-        if self.write == SEG_CAP {
-            return false;
-        }
-        self.slots[self.write] = v;
-        self.write += 1;
-        true
-    }
-
-    fn pop(&mut self) -> Option<(usize, u64)> {
-        if self.read == self.write {
-            return None;
-        }
-        let v = self.slots[self.read];
-        self.read += 1;
-        Some(v)
-    }
-}
-
-/// FIFO of segments behind one shard's mutex.
-#[derive(Default)]
-struct SegQueue {
-    segs: VecDeque<Box<Segment>>,
-}
-
-impl SegQueue {
-    fn push(&mut self, v: (usize, u64)) {
-        if let Some(seg) = self.segs.back_mut() {
-            if seg.push(v) {
-                return;
-            }
-        }
-        let mut seg = Segment::new();
-        seg.push(v);
-        self.segs.push_back(seg);
-    }
-
-    fn pop(&mut self) -> Option<(usize, u64)> {
-        loop {
-            let front = self.segs.front_mut()?;
-            if let Some(v) = front.pop() {
-                return Some(v);
-            }
-            // Drained segment: retire it and try the next.
-            self.segs.pop_front();
-        }
-    }
-}
-
 #[repr(align(128))]
 struct Shard {
-    q: Mutex<SegQueue>,
+    q: Mutex<VecDeque<(usize, u64)>>,
 }
 
 /// The sharded front door. One per pool, shared by all submitters and
@@ -162,7 +93,7 @@ impl Injector {
         Injector {
             shards: (0..n)
                 .map(|_| Shard {
-                    q: Mutex::new(SegQueue::default()),
+                    q: Mutex::new(VecDeque::new()),
                 })
                 .collect(),
             mask: n - 1,
@@ -173,10 +104,6 @@ impl Injector {
             hits: AtomicU64::new(0),
             empty_fast: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Jobs currently enqueued. `Acquire` so a nonzero read happens
@@ -196,7 +123,7 @@ impl Injector {
             let idx = ticket.wrapping_add(i) & self.mask;
             match self.shards[idx].q.try_lock() {
                 Ok(mut q) => {
-                    q.push((word, submit_ns));
+                    q.push_back((word, submit_ns));
                     self.finish_push(1);
                     drop(q);
                     return;
@@ -207,7 +134,7 @@ impl Injector {
             }
         }
         let mut q = self.shards[ticket & self.mask].q.lock().unwrap();
-        q.push((word, submit_ns));
+        q.push_back((word, submit_ns));
         self.finish_push(1);
         drop(q);
     }
@@ -227,9 +154,7 @@ impl Injector {
                 self.shards[home].q.lock().unwrap()
             }
         };
-        for &w in words {
-            q.push((w, submit_ns));
-        }
+        q.extend(words.iter().map(|&w| (w, submit_ns)));
         self.finish_push(words.len());
         drop(q);
     }
@@ -257,7 +182,7 @@ impl Injector {
             let idx = start.wrapping_add(i) & self.mask;
             match self.shards[idx].q.try_lock() {
                 Ok(mut q) => {
-                    if let Some(v) = q.pop() {
+                    if let Some(v) = q.pop_front() {
                         drop(q);
                         self.pending.fetch_sub(1, Ordering::Release);
                         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -278,7 +203,7 @@ impl Injector {
     pub(crate) fn pop_blocking(&self, start: usize) -> Option<(usize, u64)> {
         for i in 0..self.shards.len() {
             let idx = start.wrapping_add(i) & self.mask;
-            if let Some(v) = self.shards[idx].q.lock().unwrap().pop() {
+            if let Some(v) = self.shards[idx].q.lock().unwrap().pop_front() {
                 self.pending.fetch_sub(1, Ordering::Release);
                 return Some(v);
             }
@@ -301,14 +226,15 @@ impl Injector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicU8};
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(Injector::new(0).shard_count(), 1);
-        assert_eq!(Injector::new(3).shard_count(), 4);
-        assert_eq!(Injector::new(8).shard_count(), 8);
-        assert_eq!(Injector::new(1000).shard_count(), 128);
+        assert_eq!(Injector::new(0).shards.len(), 1);
+        assert_eq!(Injector::new(3).shards.len(), 4);
+        assert_eq!(Injector::new(8).shards.len(), 8);
+        assert_eq!(Injector::new(1000).shards.len(), 128);
     }
 
     #[test]
@@ -356,21 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_retire_across_many_pushes() {
-        let inj = Injector::new(2);
-        let n = SEG_CAP * 5 + 3;
-        for w in 0..n {
-            inj.push(w + 1, 0);
-        }
-        let mut seen = 0;
-        while inj.pop_blocking(1).is_some() {
-            seen += 1;
-        }
-        assert_eq!(seen, n);
-        assert_eq!(inj.pending(), 0);
-    }
-
-    #[test]
     fn concurrent_submitters_lose_nothing() {
         let inj = Arc::new(Injector::new(4));
         let clients = 8;
@@ -398,5 +309,98 @@ mod tests {
             inj.submissions.load(Ordering::Relaxed),
             (clients * per) as u64
         );
+    }
+
+    /// One shard shared by every client: batched submitters and pollers
+    /// race on a single lock while a monitor samples the `pending` gauge
+    /// the whole time. Every word comes out exactly once, and no sample
+    /// reads above the jobs submitted so far — the unsigned gauge, were
+    /// it ever decremented past its increments, would wrap far beyond
+    /// that. The submitters start only after the monitor's first sample.
+    #[test]
+    fn one_shard_batched_drain_is_exactly_once_and_never_underflows() {
+        let (submitters, per, pollers) = (4usize, 500usize, 2usize);
+        let total = submitters * per;
+        let inj = Arc::new(Injector::new(1));
+        let counts: Arc<Vec<AtomicU8>> = Arc::new((0..total).map(|_| AtomicU8::new(0)).collect());
+        let submitted = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(submitters + 1));
+
+        let monitor = {
+            let (inj, stop, start) = (Arc::clone(&inj), Arc::clone(&stop), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut samples = 0u64;
+                loop {
+                    // The gauge first: a job counted in it was counted
+                    // in `submissions` before.
+                    let pending = inj.pending();
+                    let ceiling = inj.submissions.load(Ordering::Relaxed);
+                    assert!(
+                        pending as u64 <= ceiling,
+                        "pending gauge underflow: {pending} with {ceiling} submitted"
+                    );
+                    samples += 1;
+                    if samples == 1 {
+                        start.wait();
+                    }
+                    if stop.load(Ordering::Acquire) {
+                        return samples;
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let clients: Vec<_> = (0..submitters)
+            .map(|c| {
+                let (inj, start) = (Arc::clone(&inj), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let (mut next, end) = (c * per, (c + 1) * per);
+                    while next < end {
+                        let len = (1 + (c + next) % 6).min(end - next);
+                        let words: Vec<usize> = (next + 1..=next + len).collect();
+                        inj.push_batch(&words, 0);
+                        next += len;
+                    }
+                })
+            })
+            .collect();
+        let drains: Vec<_> = (0..pollers)
+            .map(|i| {
+                let (inj, counts, submitted) = (
+                    Arc::clone(&inj),
+                    Arc::clone(&counts),
+                    Arc::clone(&submitted),
+                );
+                std::thread::spawn(move || loop {
+                    // Read the flag before polling: once it is up, an
+                    // empty poll of a zero gauge means every word is out.
+                    let done = submitted.load(Ordering::Acquire);
+                    match inj.poll(i) {
+                        Some((w, _)) => {
+                            counts[w - 1].fetch_add(1, Ordering::Relaxed);
+                        }
+                        None if done && inj.pending() == 0 => return,
+                        None => std::thread::yield_now(),
+                    }
+                })
+            })
+            .collect();
+        for h in clients {
+            h.join().unwrap();
+        }
+        submitted.store(true, Ordering::Release);
+        for h in drains {
+            h.join().unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        assert!(monitor.join().unwrap() >= 1);
+        for (i, c) in counts.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "word {}", i + 1);
+        }
+        assert_eq!(inj.pending(), 0);
+        assert_eq!(inj.submissions.load(Ordering::Relaxed), total as u64);
+        assert_eq!(inj.hits.load(Ordering::Relaxed), total as u64);
     }
 }

@@ -10,11 +10,11 @@
 //!   guarantees (by waiting on the latch) that the frame outlives any
 //!   execution;
 //! * [`InlineJob`] — a small closure stored by value, in a 64-byte body
-//!   slot of its spawner's private stack: what `Scope::spawn` and
-//!   `ScopeFifo::spawn_fifo` write. Its word is the slot's address and
-//!   never reaches a thief: the owner that pops it runs it from the
-//!   slot, moving the closure out as it starts, and exposure boxes it
-//!   first (DESIGN.md § "Inline bodies");
+//!   slot of its spawner's private stack: what `Scope::spawn` writes.
+//!   Its word is the slot's address and never reaches a thief: the
+//!   owner that pops it runs it from the slot, moving the closure out as
+//!   it starts, and exposure boxes it first (DESIGN.md § "Inline
+//!   bodies");
 //! * [`HeapJob`] — boxed, freed after execution. A spawn no longer
 //!   allocates one: a `HeapJob` is made for a spawned closure too big or
 //!   too aligned for a body slot, for an inline body as it is exposed to

@@ -64,8 +64,8 @@
 //!
 //! # Data parallelism
 //!
-//! [`par`] is the data-parallel API — `par_iter()` combinators, parallel
-//! sort, a FIFO scope — scheduled by *adaptive splitting*: ranges fork
+//! [`par`] is the data-parallel API — `par_iter()` combinators and
+//! parallel sort — scheduled by *adaptive splitting*: ranges fork
 //! only while the sleep subsystem reports idle workers (one relaxed
 //! load), and run sequentially at full speed once the pool saturates.
 //! [`PoolConfig::with_split`] selects the adaptive / eager-grain /
@@ -84,7 +84,7 @@ pub mod sleep;
 pub mod stats;
 
 pub use join::join;
-pub use par::{par_sort_unstable, scope_fifo, ScopeFifo, SplitKind};
+pub use par::{par_sort_unstable, SplitKind};
 pub use pool::{Backend, PoolConfig, PoolPolicy, PoolReport, ThreadPool, WorkerCtx};
 pub use scope::{scope, Scope};
 pub use sleep::{SleepKind, SleepStats};

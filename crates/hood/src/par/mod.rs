@@ -1,6 +1,6 @@
-//! `hood::par` — the data-parallel layer: parallel iterator combinators,
-//! parallel sort, and a FIFO spawn scope, all scheduled by **adaptive
-//! splitting**.
+//! `hood::par` — the data-parallel layer: parallel iterator combinators
+//! and parallel sort, both scheduled by **adaptive splitting**. The one
+//! spawn scope is [`crate::scope()`].
 //!
 //! ```
 //! use hood::par::prelude::*;
@@ -29,12 +29,10 @@
 //! `Sequential` (never fork — a debugging / baseline mode).
 
 pub mod iter;
-pub mod scope_fifo;
 pub mod sort;
 pub(crate) mod split;
 
 pub use iter::{IndexedParIterator, IntoParIter, ParIter, ParIterMut, ParIterator, ParRange};
-pub use scope_fifo::{scope_fifo, ScopeFifo};
 pub use sort::par_sort_unstable;
 pub use split::SplitKind;
 

@@ -8,7 +8,7 @@
 //! processors idle. The paper's machinery gives us exactly the signal
 //! needed to do better: the sleep subsystem's packed eventcount word
 //! counts idle workers, and one `Relaxed` load of it
-//! ([`crate::pool::ThreadPool::sleepers_hint`]) is essentially free.
+//! (`WorkerCtx::sleepers_hint`) is essentially free.
 //!
 //! [`Splitter`] combines two heuristics, in the spirit of lazy-splitting
 //! schedulers (Rito & Paulino, PAPERS.md):

@@ -154,9 +154,6 @@ pub struct PoolConfig {
     /// jobs on the thief's stack ("leapfrogging"), so deep recursive
     /// workloads need headroom beyond the platform default.
     pub stack_size: usize,
-    /// Shards in the external-submission injector; `0` (the default)
-    /// sizes it to the worker count.
-    pub injector_shards: usize,
     /// The sleep/wake protocol idle workers park through — always the
     /// eventcount. A fingerprint stamp, not a choice: it stays a field
     /// so run records that format the configuration keep naming it.
@@ -193,12 +190,6 @@ impl PoolConfig {
         self
     }
 
-    /// Replaces the injector shard count (`0` = one shard per worker).
-    pub fn with_injector_shards(mut self, injector_shards: usize) -> Self {
-        self.injector_shards = injector_shards;
-        self
-    }
-
     /// Enables structured tracing with the given telemetry configuration.
     #[cfg(feature = "telemetry")]
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
@@ -217,7 +208,6 @@ impl Default for PoolConfig {
             policies: PoolPolicy::default(),
             seed: 0xAB9,
             stack_size: 8 * 1024 * 1024,
-            injector_shards: 0,
             sleep: SleepKind::default(),
             #[cfg(feature = "telemetry")]
             telemetry: None,
@@ -956,11 +946,7 @@ impl ThreadPool {
         let core = Arc::new(SharedCore {
             num_procs: p,
             stealers,
-            injector: Injector::new(if config.injector_shards == 0 {
-                p
-            } else {
-                config.injector_shards
-            }),
+            injector: Injector::new(p),
             sleep: Sleep::new(p),
             shutdown: AtomicBool::new(false),
             split: config.policies.split,
@@ -1078,11 +1064,6 @@ impl ThreadPool {
         self.core.injector.pending()
     }
 
-    /// Shards of the front-door injector.
-    pub fn injector_shards(&self) -> usize {
-        self.core.injector.shard_count()
-    }
-
     /// Aggregate scheduler statistics since pool creation.
     pub fn stats(&self) -> PoolStats {
         PoolStats::aggregate(&self.core.stats)
@@ -1096,14 +1077,6 @@ impl ThreadPool {
     /// Workers currently asleep (a live gauge: exact at quiescence).
     pub fn sleeping_workers(&self) -> usize {
         self.core.sleep.sleepers()
-    }
-
-    /// The adaptive splitter's idle gauge: committed-plus-announcing
-    /// sleepers from one `Relaxed` load of the sleep subsystem's packed
-    /// eventcount word. Cheap enough to poll from hot loops; may lag
-    /// in-flight transitions by a scan (see [`crate::sleep`]).
-    pub fn sleepers_hint(&self) -> usize {
-        self.core.sleep.sleepers_hint()
     }
 
     /// Live sleep/wake-subsystem counters since pool creation.
@@ -1123,11 +1096,19 @@ impl ThreadPool {
     /// Flag first, wake second: `notify_shutdown`'s epoch bump makes the
     /// flag visible to any worker racing into a park (its commit fails or
     /// its wake arrives), so no worker can sleep through shutdown.
+    ///
+    /// A job may drop the last handle to its own pool (or shut it down),
+    /// and then this runs on one of the pool's workers. That worker is
+    /// not joined — a thread cannot join itself — but detached: it sees
+    /// the flag and exits once the job returns.
     fn stop_workers(&mut self) {
         self.core.shutdown.store(true, Ordering::Release);
         self.core.sleep.notify_shutdown();
+        let me = std::thread::current().id();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 

@@ -26,7 +26,7 @@ use crate::trace::{RoundActivity, StealRecord, Trace};
 use abp_core::{StealResult, StealTally, VictimKind};
 use abp_dag::{Dag, DetRng, EdgeKind, EnablingTree, NodeId, ProcId};
 use abp_deque::model::ProgOp;
-use abp_deque::stepped::{Done, Mutant, Op, SteppedDeque};
+use abp_deque::stepped::{Done, Op, SteppedDeque};
 use abp_deque::Steal;
 use abp_kernel::{Kernel, KernelView, YieldLedger, YieldPolicy};
 use abp_telemetry::StealOutcome;
@@ -44,9 +44,6 @@ pub enum DequeBackend {
     /// The non-blocking ABP deque (the paper's algorithm).
     #[default]
     Abp,
-    /// The ABP deque with the tag mechanism disabled (§3.3's broken
-    /// variant) — for demonstrations; unsafe.
-    AbpUntagged,
     /// A blocking, lock-based deque.
     Locking,
 }
@@ -302,11 +299,6 @@ impl<'a> WorkStealer<'a> {
             .collect();
         let deques = match config.backend {
             DequeBackend::Abp => Deques::Abp((0..p).map(|_| SteppedDeque::new()).collect()),
-            DequeBackend::AbpUntagged => Deques::Abp(
-                (0..p)
-                    .map(|_| SteppedDeque::with_mutant(Mutant::NoTag))
-                    .collect(),
-            ),
             DequeBackend::Locking => {
                 Deques::Locked((0..p).map(|_| LockedSimDeque::new()).collect())
             }

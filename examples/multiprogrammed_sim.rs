@@ -13,11 +13,19 @@ use abp_kernel::{
 };
 use abp_sim::{run_ws, WsConfig};
 
+/// Parses the optional seed argument; 42 when there is none.
+fn seed_arg() -> u64 {
+    match std::env::args().nth(1) {
+        None => 42,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("usage: multiprogrammed_sim [seed]  (seed must be a number, got {s:?})");
+            std::process::exit(2);
+        }),
+    }
+}
+
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = seed_arg();
     let dag = gen::fib(18, 4);
     let p = 8;
     println!(

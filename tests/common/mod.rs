@@ -26,9 +26,7 @@ pub fn exactly_once_episode(
 ) -> PoolReport {
     let total = submitters * jobs_per_submitter;
     let pool = Arc::new(ThreadPool::with_config(
-        PoolConfig::default()
-            .with_num_procs(workers)
-            .with_injector_shards(if seed.is_multiple_of(2) { 0 } else { 1 }),
+        PoolConfig::default().with_num_procs(workers),
     ));
     let counts: Arc<Vec<AtomicU8>> = Arc::new((0..total).map(|_| AtomicU8::new(0)).collect());
 

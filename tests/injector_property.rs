@@ -5,7 +5,7 @@
 //! [`ThreadPool::spawn_batch`] while the pool is churning on internal
 //! fork-join work, so externally injected jobs contend with ordinary
 //! deque traffic for the workers' attention. Every submitted job must
-//! execute exactly once — no loss (a dropped segment, a pop that misses
+//! execute exactly once — no loss (a dropped entry, a pop that misses
 //! a shard) and no duplication (two workers grabbing the same slot).
 //! The per-worker counters must partition the aggregate exactly, and
 //! shutdown must deliver a backlog nobody waited for. As everywhere
@@ -26,9 +26,7 @@ mod common;
 
 use common::exactly_once_episode;
 
-/// Exactly-once under churn from external submitters, across seeds
-/// (alternating between per-worker sharding and a single shared shard)
-/// and pool shapes.
+/// Exactly-once under churn from external submitters, across seeds.
 #[test]
 fn external_submissions_execute_exactly_once_under_churn() {
     for seed in 0..6u64 {
@@ -142,9 +140,7 @@ fn backlog_gauge_never_underflows_under_batched_drain() {
         let per = 250usize;
         let total = submitters * per;
         let pool = Arc::new(ThreadPool::with_config(
-            PoolConfig::default()
-                .with_num_procs(4)
-                .with_injector_shards(if seed.is_multiple_of(2) { 0 } else { 1 }),
+            PoolConfig::default().with_num_procs(4),
         ));
         let counts: Arc<Vec<AtomicU8>> = Arc::new((0..total).map(|_| AtomicU8::new(0)).collect());
         let submitted = Arc::new(AtomicU64::new(0));

@@ -7,7 +7,7 @@
 
 use abp_dag::DetRng;
 use hood::par::prelude::*;
-use hood::par::{par_sort_unstable, scope_fifo, IntoParIter};
+use hood::par::{par_sort_unstable, IntoParIter};
 use hood::{PoolConfig, SplitKind, ThreadPool};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,15 +189,6 @@ fn combinators_outside_any_pool_fall_back_to_sequential() {
     let mut w = vec![3u8, 1, 2];
     par_sort_unstable(&mut w);
     assert_eq!(w, vec![1, 2, 3]);
-    let hits = AtomicU64::new(0);
-    scope_fifo(|s| {
-        for _ in 0..4 {
-            s.spawn_fifo(|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), 4);
 }
 
 #[test]
@@ -431,23 +422,6 @@ fn adaptive_splitter_forks_less_than_eager_grain() {
         2 * adaptive < eager,
         "adaptive made {adaptive} splits, eager {eager}"
     );
-}
-
-#[test]
-fn scope_fifo_services_in_spawn_order_on_one_worker() {
-    let pool = ThreadPool::new(1);
-    let order = Mutex::new(Vec::new());
-    pool.install(|| {
-        let order = &order;
-        scope_fifo(|s| {
-            for i in 0..64 {
-                s.spawn_fifo(move |_| {
-                    order.lock().unwrap().push(i);
-                });
-            }
-        });
-    });
-    assert_eq!(*order.lock().unwrap(), (0..64).collect::<Vec<i32>>());
 }
 
 /// Mixed workload: combinators nested inside joins inside scopes, all on

@@ -4,6 +4,8 @@
 use hood::{join, scope, Backend, PoolConfig, SplitKind, ThreadPool};
 use multiprog_ws::dag::DetRng;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn quicksort(v: &mut [u64]) {
     if v.len() <= 32 {
@@ -43,18 +45,35 @@ fn mergesortish_check(pool: &ThreadPool, n: usize, seed: u64) {
 
 #[test]
 fn parallel_quicksort_all_configs() {
-    // The pool's remaining shape knobs: worker count (a lone worker, a
-    // small pool, an oversubscribed one) and the injector's sharding (one
-    // shard per worker, or one shared shard).
+    // The pool's one shape knob: the worker count (a lone worker, a
+    // small pool, an oversubscribed one).
     for p in [1, 4, 16] {
-        for shards in [0, 1] {
-            let pool = ThreadPool::with_config(
-                PoolConfig::default()
-                    .with_num_procs(p)
-                    .with_injector_shards(shards),
-            );
-            mergesortish_check(&pool, 50_000, 42);
-        }
+        let pool = ThreadPool::with_config(PoolConfig::default().with_num_procs(p));
+        mergesortish_check(&pool, 50_000, 42);
+    }
+}
+
+/// A job that drops the last handle to its own pool runs on one of the
+/// workers that drop stops, so the drop cannot join that worker's
+/// thread; it must still return, and the job must go on to finish.
+#[test]
+fn dropping_the_last_handle_inside_its_own_job_returns() {
+    for round in 0..20 {
+        let pool = Arc::new(ThreadPool::new(2));
+        let (tx, rx) = mpsc::channel();
+        let last = Arc::clone(&pool);
+        pool.spawn(move || {
+            // Hold the job until the caller's handle is gone, so this
+            // one is the last.
+            while Arc::strong_count(&last) > 1 {
+                std::thread::yield_now();
+            }
+            drop(last);
+            tx.send(()).unwrap();
+        });
+        drop(pool);
+        rx.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("round {round}: the job never got past the drop ({e})"));
     }
 }
 

@@ -1,11 +1,11 @@
-//! Completion counting of `hood::scope` and `hood::scope_fifo`: a scope
-//! returns when, and only when, every job spawned inside it has run —
-//! whichever worker spawned it, whichever ran it, and whether or not it
-//! was a worker at all. Seeded [`DetRng`] rounds on a live pool; every
-//! round is reproducible from its seed up to the steal interleaving.
+//! Completion counting of `hood::scope`: a scope returns when, and only
+//! when, every job spawned inside it has run — whichever worker spawned
+//! it, whichever ran it, and whether or not it was a worker at all.
+//! Seeded [`DetRng`] rounds on a live pool; every round is reproducible
+//! from its seed up to the steal interleaving.
 
 use abp_dag::DetRng;
-use hood::{scope, scope_fifo, Scope, ScopeFifo, ThreadPool};
+use hood::{scope, Scope, ThreadPool};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,98 +55,79 @@ impl Round {
     }
 }
 
-/// The same round for both scope flavours: `$scope`/`$Scope`/`$spawn`
-/// name the entry point, the handle type and its spawn method.
-macro_rules! scope_rounds {
-    ($test:ident, $scope:ident, $Scope:ident, $spawn:ident) => {
-        #[test]
-        fn $test() {
-            /// Visits `v`: counts itself, then spawns one job per child.
-            /// Some nodes also open a nested scope and wait for it
-            /// (while the outer scope's jobs sit in the same deque), and
-            /// some hand the scope to a plain thread that spawns from
-            /// outside the pool — the latch's shared slot.
-            fn visit<'s>(r: &'s Round, s: &$Scope<'s>, v: u32) {
-                r.executed.fetch_add(1, Ordering::Relaxed);
-                if Some(v) == r.bomb {
-                    panic!("bomb at node {v}");
-                }
-                if v % 61 == 7 {
-                    let inner = AtomicU64::new(0);
-                    $scope(|s2| {
-                        for _ in 0..5 {
-                            s2.$spawn(|s3| {
-                                inner.fetch_add(1, Ordering::Relaxed);
-                                s3.$spawn(|_| {
-                                    inner.fetch_add(1, Ordering::Relaxed);
-                                });
-                            });
-                        }
-                    });
-                    assert_eq!(inner.load(Ordering::Relaxed), 10, "nested scope at {v}");
-                }
-                if v % 211 == 3 {
-                    std::thread::scope(|t| {
-                        t.spawn(|| {
-                            for _ in 0..3 {
-                                r.spawned.fetch_add(1, Ordering::Relaxed);
-                                s.$spawn(|_| {
-                                    r.executed.fetch_add(1, Ordering::Relaxed);
-                                });
-                            }
+#[test]
+fn scope_returns_when_executed_equals_spawned() {
+    /// Visits `v`: counts itself, then spawns one job per child. Some
+    /// nodes also open a nested scope and wait for it (while the outer
+    /// scope's jobs sit in the same deque), and some hand the scope to a
+    /// plain thread that spawns from outside the pool — the latch's
+    /// shared slot.
+    fn visit<'s>(r: &'s Round, s: &Scope<'s>, v: u32) {
+        r.executed.fetch_add(1, Ordering::Relaxed);
+        if Some(v) == r.bomb {
+            panic!("bomb at node {v}");
+        }
+        if v % 61 == 7 {
+            let inner = AtomicU64::new(0);
+            scope(|s2| {
+                for _ in 0..5 {
+                    s2.spawn(|s3| {
+                        inner.fetch_add(1, Ordering::Relaxed);
+                        s3.spawn(|_| {
+                            inner.fetch_add(1, Ordering::Relaxed);
                         });
                     });
                 }
-                for &c in r.children(v) {
-                    r.spawned.fetch_add(1, Ordering::Relaxed);
-                    s.$spawn(move |s| visit(r, s, c));
-                }
-            }
-
-            let pool = ThreadPool::new(4);
-            let mut total = 0;
-            for seed in 0..200u64 {
-                let with_panic = seed % 8 == 5;
-                let r = Round::new(seed, 2_000 + 100 * (seed as usize % 11), with_panic);
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    pool.install(|| {
-                        $scope(|s| {
-                            r.spawned.fetch_add(1, Ordering::Relaxed);
-                            s.$spawn(|s| visit(&r, s, 0));
-                        })
-                    })
-                }));
-                assert_eq!(outcome.is_err(), with_panic, "seed {seed}");
-                // The scope has returned: nothing may still be running,
-                // so both tallies are final and must agree. A bomb cuts
-                // its own subtree off, on both sides alike.
-                let spawned = r.spawned.load(Ordering::Relaxed);
-                assert_eq!(r.executed.load(Ordering::Relaxed), spawned, "seed {seed}");
-                if !with_panic {
-                    assert!(spawned >= 2_000, "seed {seed}");
-                }
-                total += spawned;
-            }
-            assert!(total >= 100_000, "only {total} spawns");
-            let report = pool.shutdown();
-            assert!(report.stats.steals > 0, "no job was ever stolen");
-            assert!(report.stats.attempts_balance());
+            });
+            assert_eq!(inner.load(Ordering::Relaxed), 10, "nested scope at {v}");
         }
-    };
-}
+        if v % 211 == 3 {
+            std::thread::scope(|t| {
+                t.spawn(|| {
+                    for _ in 0..3 {
+                        r.spawned.fetch_add(1, Ordering::Relaxed);
+                        s.spawn(|_| {
+                            r.executed.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            });
+        }
+        for &c in r.children(v) {
+            r.spawned.fetch_add(1, Ordering::Relaxed);
+            s.spawn(move |s| visit(r, s, c));
+        }
+    }
 
-scope_rounds!(
-    scope_returns_when_executed_equals_spawned,
-    scope,
-    Scope,
-    spawn
-);
-scope_rounds!(
-    scope_fifo_returns_when_executed_equals_spawned,
-    scope_fifo,
-    ScopeFifo,
-    spawn_fifo
-);
+    let pool = ThreadPool::new(4);
+    let mut total = 0;
+    for seed in 0..200u64 {
+        let with_panic = seed % 8 == 5;
+        let r = Round::new(seed, 2_000 + 100 * (seed as usize % 11), with_panic);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| {
+                scope(|s| {
+                    r.spawned.fetch_add(1, Ordering::Relaxed);
+                    s.spawn(|s| visit(&r, s, 0));
+                })
+            })
+        }));
+        assert_eq!(outcome.is_err(), with_panic, "seed {seed}");
+        // The scope has returned: nothing may still be running,
+        // so both tallies are final and must agree. A bomb cuts
+        // its own subtree off, on both sides alike.
+        let spawned = r.spawned.load(Ordering::Relaxed);
+        assert_eq!(r.executed.load(Ordering::Relaxed), spawned, "seed {seed}");
+        if !with_panic {
+            assert!(spawned >= 2_000, "seed {seed}");
+        }
+        total += spawned;
+    }
+    assert!(total >= 100_000, "only {total} spawns");
+    let report = pool.shutdown();
+    assert!(report.stats.steals > 0, "no job was ever stolen");
+    assert!(report.stats.attempts_balance());
+}
 
 /// A worker waiting on a scope drains its own deque, which may also hold
 /// jobs of an enclosing scope. It must notice that its own scope is

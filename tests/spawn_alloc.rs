@@ -6,7 +6,7 @@
 //! beside each other do not see one another's, and the measured region
 //! runs on the single worker of a one-worker pool.
 
-use hood::{scope, scope_fifo, ThreadPool};
+use hood::{scope, ThreadPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,31 +97,6 @@ fn ten_thousand_small_spawns_make_a_few_dozen_allocations() {
     assert!(
         again <= allocs,
         "{again} allocations on grown rings, {allocs} first"
-    );
-}
-
-#[test]
-fn fifo_wrappers_ride_inline() {
-    const N: usize = 1_000;
-    let pool = ThreadPool::new(1);
-    let hits = AtomicUsize::new(0);
-    let allocs = pool.install(|| {
-        allocs_during(|| {
-            scope_fifo(|s| {
-                for _ in 0..N {
-                    s.spawn_fifo(|_| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            })
-        })
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), N);
-    // The FIFO queue still boxes each user closure (and grows its
-    // buffer); the wrapper job that takes one from it allocates nothing.
-    assert!(
-        allocs <= N + FIXED,
-        "{allocs} allocations for {N} FIFO spawns"
     );
 }
 

@@ -135,6 +135,16 @@ enum Body {
     Batch(usize),
 }
 
+impl Body {
+    fn of(kind: ProgOp) -> Body {
+        match kind {
+            ProgOp::Push(v) => Body::Push(v),
+            ProgOp::PopBottom => Body::PopBottom,
+            ProgOp::PopTop => Body::PopTop,
+        }
+    }
+}
+
 /// An in-flight deque operation: which body it runs and the results of
 /// the shared accesses it has taken so far.
 ///
@@ -161,11 +171,17 @@ pub struct Op {
 impl Op {
     /// Starts `pushBottom(v)`, `popBottom()` or `popTop()`.
     pub fn new(kind: ProgOp) -> Op {
-        Op::with_body(match kind {
-            ProgOp::Push(v) => Body::Push(v),
-            ProgOp::PopBottom => Body::PopBottom,
-            ProgOp::PopTop => Body::PopTop,
-        })
+        Op::with_body(Body::of(kind))
+    }
+
+    /// Starts `kind` in this op's place, as [`Op::new`] would: the log is
+    /// zeroed, not merely marked empty, so a restarted op compares and
+    /// hashes equal to a fresh one. A caller that runs one op after
+    /// another (the simulator's per-process op slot) moves nothing.
+    pub fn restart(&mut self, kind: ProgOp) {
+        self.body = Body::of(kind);
+        self.log = Log::default();
+        self.draining = false;
     }
 
     /// Starts a batched `popTop` of up to `max` tasks (at most 5, the
@@ -532,6 +548,40 @@ mod tests {
         assert!(n <= MAX_OP_STEPS, "popTop took {n}");
         let n = steps(&mut d, Op::new(ProgOp::Push(9)));
         assert!(n <= MAX_OP_STEPS, "pushBottom took {n}");
+    }
+
+    /// A restarted op is a fresh one: after each kind of completed op, on
+    /// the shipped memory and on one whose owner stores drain in a step
+    /// of their own, `restart(kind)` steps like `Op::new(kind)` on a
+    /// clone of the deque, with the same results at the same step.
+    #[test]
+    fn restart_steps_like_a_fresh_op() {
+        let kinds = [ProgOp::Push(9), ProgOp::PopBottom, ProgOp::PopTop];
+        for mutant in [None, Some(Mutant::NoOwnerFence)] {
+            for before in kinds {
+                for kind in kinds {
+                    let mut d = mutant.map_or_else(SteppedDeque::new, SteppedDeque::with_mutant);
+                    for v in [1, 2, 3] {
+                        push(&mut d, v);
+                    }
+                    let mut slot = Op::new(before);
+                    while slot.step(&mut d).is_none() {}
+                    slot.restart(kind);
+                    assert_eq!(slot.log, Log::default(), "{before:?} then {kind:?}");
+                    assert!(!slot.draining);
+                    let mut fresh = Op::new(kind);
+                    let mut twin = d.clone();
+                    loop {
+                        let (a, b) = (slot.step(&mut d), fresh.step(&mut twin));
+                        assert_eq!(a, b, "{before:?} then {kind:?}");
+                        if a.is_some() {
+                            break;
+                        }
+                    }
+                    assert_eq!(d.contents(), twin.contents());
+                }
+            }
+        }
     }
 
     /// Directed version of the store→load-reordering race: with the

@@ -75,17 +75,22 @@ pub struct WsConfig {
     /// adversaries that defeat the configuration under test).
     pub max_rounds: u64,
     /// Check Lemma 3 / Corollary 4 at every deque-operation completion.
+    /// Turns on the proof state: the enabling tree and Φ, O(nodes) to
+    /// build and updated at every node execution.
     pub check_structural: bool,
     /// Check Φ monotonicity at every round boundary (O(nodes) per round).
+    /// Turns on the proof state.
     pub check_potential: bool,
-    /// Collect Lemma-8 phase statistics (phases of ≥ P throws).
+    /// Collect Lemma-8 phase statistics (phases of ≥ P throws). Turns on
+    /// the proof state.
     pub track_phases: bool,
     /// Record a full per-round activity [`Trace`] (adds O(P) per round
     /// plus one entry per steal attempt).
     pub trace: bool,
     /// Model per-process LRU caches of the given shape, counting hits,
     /// misses, and deviations per executed node (`None` = no model, and
-    /// all cache counters stay structurally zero).
+    /// all cache counters stay structurally zero). The model reads
+    /// designated parents, so it turns on the proof state too.
     pub cache: Option<CacheConfig>,
 }
 
@@ -174,6 +179,12 @@ impl WsConfig {
         self
     }
 
+    /// True when a check or the cache model reads the proof state, the
+    /// only case in which a run builds it.
+    fn needs_proof(&self) -> bool {
+        self.check_structural || self.check_potential || self.track_phases || self.cache.is_some()
+    }
+
     /// The policy identity stamped on reports and telemetry:
     /// `"victim+yield+spin/yield-policy"`. The `+yield+spin` middle is
     /// the fixed backoff and idle point of Figure 3 (yield before every
@@ -187,26 +198,31 @@ impl WsConfig {
     }
 }
 
-/// What a process is doing, at instruction granularity.
+/// What a process is doing, at instruction granularity. A deque op in
+/// progress lives in the process's op slot, [`Proc::op`].
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Top of the scheduling loop: execute assigned node or start
     /// stealing.
     Loop,
     /// `popBottom` in progress after the assigned thread died/blocked.
-    PoppingBottom(Op),
+    PoppingBottom,
     /// `pushBottom(child)` in progress after enabling two children.
-    Pushing(Op),
+    Pushing,
     /// About to perform the yield system call.
     Yielding,
     /// About to pick a victim.
     PickingVictim,
     /// `popTop` on the victim's deque in progress.
-    Stealing { victim: usize, op: Op },
+    Stealing { victim: usize },
 }
 
 struct Proc {
     assigned: Option<NodeId>,
     phase: Phase,
+    /// The deque op of an op phase. Each op start restarts it in place,
+    /// so the op's replay log never moves.
+    op: Op,
     milestones_this_round: u32,
     /// This process's stream, forked from the seed by its index: victim
     /// draws and `ToRandom` yield targets.
@@ -242,6 +258,23 @@ impl Deques {
     }
 }
 
+/// The proof bookkeeping: the enabling tree (designated parents and
+/// weights) and the potential Φ over ready nodes. O(nodes) to build and
+/// updated at every node execution, so a run keeps it only when a check
+/// or the cache model reads it ([`WsConfig::needs_proof`]).
+struct Proof {
+    tree: EnablingTree,
+    potential: PotentialTracker,
+}
+
+impl Proof {
+    fn new(dag: &Dag) -> Self {
+        let tree = EnablingTree::new(dag);
+        let potential = PotentialTracker::new(dag, &tree);
+        Proof { tree, potential }
+    }
+}
+
 /// The full simulator state for one run.
 pub struct WorkStealer<'a> {
     dag: &'a Dag,
@@ -249,9 +282,11 @@ pub struct WorkStealer<'a> {
     procs: Vec<Proc>,
     deques: Deques,
     remaining_preds: Vec<u32>,
+    /// Which nodes ran, for the exactly-once `debug_assert!`.
+    #[cfg(debug_assertions)]
     executed: Vec<bool>,
-    tree: EnablingTree,
-    potential: PotentialTracker,
+    /// `Some` exactly when [`WsConfig::needs_proof`].
+    proof: Option<Proof>,
     done: bool,
     // measurement
     executed_count: u64,
@@ -292,6 +327,8 @@ impl<'a> WorkStealer<'a> {
             .map(|i| Proc {
                 assigned: if i == 0 { Some(dag.root()) } else { None },
                 phase: Phase::Loop,
+                // Idle until the first op start restarts it.
+                op: Op::new(ProgOp::PopBottom),
                 milestones_this_round: 0,
                 rng: seed_rng.fork(i as u64),
                 enabler: None,
@@ -303,9 +340,11 @@ impl<'a> WorkStealer<'a> {
                 Deques::Locked((0..p).map(|_| LockedSimDeque::new()).collect())
             }
         };
-        let tree = EnablingTree::new(dag);
-        let potential = PotentialTracker::new(dag, &tree);
-        let last_log_potential = potential.log_potential();
+        let proof = config.needs_proof().then(|| Proof::new(dag));
+        // Read only by the checks that build the proof state.
+        let last_log_potential = proof
+            .as_ref()
+            .map_or(0.0, |pf| pf.potential.log_potential());
         WorkStealer {
             dag,
             procs,
@@ -313,10 +352,10 @@ impl<'a> WorkStealer<'a> {
             remaining_preds: (0..dag.num_nodes())
                 .map(|i| dag.in_degree(NodeId(i as u32)) as u32)
                 .collect(),
+            #[cfg(debug_assertions)]
             executed: vec![false; dag.num_nodes()],
-            tree,
+            proof,
             phase_start_potential: last_log_potential,
-            potential,
             done: false,
             executed_count: 0,
             tally: StealTally::default(),
@@ -490,7 +529,7 @@ impl<'a> WorkStealer<'a> {
                 self.trace.rounds.push(row);
             }
             if self.config.check_potential {
-                let now = self.potential.log_potential();
+                let now = self.proof().potential.log_potential();
                 if now > self.last_log_potential + 1e-9 {
                     self.potential_violations += 1;
                 }
@@ -575,19 +614,21 @@ impl<'a> WorkStealer<'a> {
 
     /// Executes one instruction of process `i`.
     ///
-    /// The phase is stepped in place: an in-flight deque op advances
-    /// through the borrowed phase, and a new phase is written only on a
-    /// transition, so the common instructions (a node execution that
-    /// stays at the loop top, a mid-op deque access) move nothing.
+    /// A deque op steps in place, in the process's op slot, and a new
+    /// phase (a plain tag) is written only on a transition, so the common
+    /// instructions (a node execution that stays at the loop top, a
+    /// mid-op deque access) move nothing.
     fn instruction(&mut self, i: usize) {
-        let next = match &mut self.procs[i].phase {
+        let next = match self.procs[i].phase {
             Phase::Loop => self.at_loop_top(i),
-            Phase::PoppingBottom(op) => match step_op(&mut self.deques, i, i, op) {
+            Phase::PoppingBottom => match self.step_op(i, i) {
                 None => None,
                 Some(Done::Popped(Some(v))) => {
                     let u = NodeId(v as u32);
                     self.procs[i].assigned = Some(u);
-                    self.potential.assign(u, &self.tree);
+                    if let Some(pf) = &mut self.proof {
+                        pf.potential.assign(u, &pf.tree);
+                    }
                     self.check_structure(i);
                     Some(Phase::Loop)
                 }
@@ -597,7 +638,7 @@ impl<'a> WorkStealer<'a> {
                 }
                 Some(other) => unreachable!("popBottom returned {other:?}"),
             },
-            Phase::Pushing(op) => match step_op(&mut self.deques, i, i, op) {
+            Phase::Pushing => match self.step_op(i, i) {
                 None => None,
                 Some(Done::Pushed) => {
                     self.check_structure(i);
@@ -620,21 +661,34 @@ impl<'a> WorkStealer<'a> {
                 Some(Phase::PickingVictim)
             }
             Phase::PickingVictim => Some(self.pick_and_steal(i)),
-            Phase::Stealing { victim, op } => {
-                let victim = *victim;
-                match step_op(&mut self.deques, i, victim, op) {
-                    None => None,
-                    Some(Done::Stolen(stolen)) => {
-                        self.finish_steal(i, victim, stolen);
-                        Some(Phase::Loop)
-                    }
-                    Some(other) => unreachable!("popTop returned {other:?}"),
+            Phase::Stealing { victim } => match self.step_op(i, victim) {
+                None => None,
+                Some(Done::Stolen(stolen)) => {
+                    self.finish_steal(i, victim, stolen);
+                    Some(Phase::Loop)
                 }
-            }
+                Some(other) => unreachable!("popTop returned {other:?}"),
+            },
         };
         if let Some(next) = next {
             self.procs[i].phase = next;
         }
+    }
+
+    /// Steps process `me`'s in-flight op against deque `target`.
+    fn step_op(&mut self, me: usize, target: usize) -> Option<Done> {
+        let op = &mut self.procs[me].op;
+        match &mut self.deques {
+            Deques::Abp(dq) => op.step(&mut dq[target]),
+            Deques::Locked(dq) => dq[target].step(op.kind(), me as u32),
+        }
+    }
+
+    /// The proof state, which a run builds whenever a reader of it is on.
+    fn proof(&self) -> &Proof {
+        self.proof
+            .as_ref()
+            .expect("a check or the cache model is on, so the run built the proof state")
     }
 
     /// Top of the scheduling loop: execute the assigned node, or begin a
@@ -663,29 +717,30 @@ impl<'a> WorkStealer<'a> {
             Some(v) => v,
             None => proc.rng.other_than(i, p),
         };
-        Phase::Stealing {
-            victim,
-            op: Op::new(ProgOp::PopTop),
-        }
+        proc.op.restart(ProgOp::PopTop);
+        Phase::Stealing { victim }
     }
 
     /// Executes assigned node `u` (one instruction; a milestone). Returns
     /// the next phase, or `None` to stay at the loop top.
     fn execute_node(&mut self, i: usize, u: NodeId) -> Option<Phase> {
-        debug_assert!(!self.executed[u.index()], "{u} executed twice");
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(!self.executed[u.index()], "{u} executed twice");
+            self.executed[u.index()] = true;
+        }
         debug_assert_eq!(
             self.remaining_preds[u.index()],
             0,
             "{u} executed while not ready"
         );
-        self.executed[u.index()] = true;
         self.executed_count += 1;
         if let Some(cache_cfg) = self.config.cache {
             // A node run on a different process than its designated
             // parent is a deviation — the migration count of the
             // Gu/Napier/Sun extra-miss bound.
             self.executed_on[u.index()] = i as u32;
-            if let Some(par) = self.tree.designated_parent(u) {
+            if let Some(par) = self.proof().tree.designated_parent(u) {
                 let enabler = self.executed_on[par.index()];
                 if enabler != i as u32 {
                     self.cache_stats.deviations += 1;
@@ -707,7 +762,9 @@ impl<'a> WorkStealer<'a> {
             self.round_executed[i] = true;
         }
         self.milestone(i, false);
-        self.potential.remove(u);
+        if let Some(pf) = &mut self.proof {
+            pf.potential.remove(u);
+        }
         if u == self.dag.final_node() {
             self.done = true;
             self.procs[i].assigned = None;
@@ -719,7 +776,9 @@ impl<'a> WorkStealer<'a> {
         for &(v, kind) in self.dag.succs(u) {
             self.remaining_preds[v.index()] -= 1;
             if self.remaining_preds[v.index()] == 0 {
-                self.tree.record(u, v);
+                if let Some(pf) = &mut self.proof {
+                    pf.tree.record(u, v);
+                }
                 enabled[n] = (v, kind);
                 n += 1;
             }
@@ -728,21 +787,27 @@ impl<'a> WorkStealer<'a> {
             0 => {
                 // Die or block: get new work from the bottom of the deque.
                 self.procs[i].assigned = None;
-                Some(Phase::PoppingBottom(Op::new(ProgOp::PopBottom)))
+                self.procs[i].op.restart(ProgOp::PopBottom);
+                Some(Phase::PoppingBottom)
             }
             1 => {
                 let (v, _) = enabled[0];
                 self.procs[i].assigned = Some(v);
-                self.potential.insert(v, ReadyState::Assigned, &self.tree);
+                if let Some(pf) = &mut self.proof {
+                    pf.potential.insert(v, ReadyState::Assigned, &pf.tree);
+                }
                 None
             }
             _ => {
                 // Enable or spawn: one child is assigned, the other pushed.
                 let (a, b) = self.pick_assignment(enabled[0], enabled[1]);
                 self.procs[i].assigned = Some(a);
-                self.potential.insert(a, ReadyState::Assigned, &self.tree);
-                self.potential.insert(b, ReadyState::InDeque, &self.tree);
-                Some(Phase::Pushing(Op::new(ProgOp::Push(b.index() as u64))))
+                if let Some(pf) = &mut self.proof {
+                    pf.potential.insert(a, ReadyState::Assigned, &pf.tree);
+                    pf.potential.insert(b, ReadyState::InDeque, &pf.tree);
+                }
+                self.procs[i].op.restart(ProgOp::Push(b.index() as u64));
+                Some(Phase::Pushing)
             }
         }
     }
@@ -795,7 +860,9 @@ impl<'a> WorkStealer<'a> {
         if let Steal::Taken(v) = stolen {
             let u = NodeId(v as u32);
             self.procs[i].assigned = Some(u);
-            self.potential.assign(u, &self.tree);
+            if let Some(pf) = &mut self.proof {
+                pf.potential.assign(u, &pf.tree);
+            }
             self.check_structure(victim);
         } else if self.procs[i].enabler == Some(victim) {
             // Rob an enabler only while it yields: a miss forgets the
@@ -814,7 +881,7 @@ impl<'a> WorkStealer<'a> {
                 self.phase_throws += 1;
                 if self.phase_throws >= self.procs.len() as u64 {
                     // A phase of ≥ P throws ended: did Φ drop by ≥ 1/4?
-                    let now = self.potential.log_potential();
+                    let now = self.proof().potential.log_potential();
                     self.phase_stats.phases += 1;
                     const LN_4_3: f64 = 0.2876820724517809; // ln(4/3)
                     if now <= self.phase_start_potential - LN_4_3 {
@@ -838,22 +905,14 @@ impl<'a> WorkStealer<'a> {
             .into_iter()
             .map(|v| NodeId(v as u32))
             .collect();
-        if let Err(_e) =
-            check_structural_lemma(&self.tree, self.dag, self.procs[q].assigned, &contents)
-        {
+        if let Err(_e) = check_structural_lemma(
+            &self.proof().tree,
+            self.dag,
+            self.procs[q].assigned,
+            &contents,
+        ) {
             self.structural_violations += 1;
         }
-    }
-}
-
-/// Steps an in-flight op against deque `target` on behalf of process
-/// `me`. A free function so it can borrow the deques and a process's
-/// in-flight op (which lives in its phase) as disjoint fields of the
-/// stealer.
-fn step_op(deques: &mut Deques, me: usize, target: usize, op: &mut Op) -> Option<Done> {
-    match deques {
-        Deques::Abp(dq) => op.step(&mut dq[target]),
-        Deques::Locked(dq) => dq[target].step(op.kind(), me as u32),
     }
 }
 

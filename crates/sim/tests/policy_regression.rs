@@ -16,9 +16,12 @@
 //! per-process stream the inlined code used, so every field — not just
 //! aggregates — must match.
 
-use abp_dag::{gen, Dag};
-use abp_kernel::{BenignKernel, CountSource, DedicatedKernel, Kernel, YieldPolicy};
+mod corpus;
+
+use abp_dag::gen;
+use abp_kernel::{BenignKernel, CountSource, DedicatedKernel, YieldPolicy};
 use abp_sim::{run_ws, CacheConfig, RunReport, VictimKind, WsConfig};
+use corpus::policy_corpus;
 
 struct Golden {
     name: &'static str,
@@ -31,54 +34,6 @@ struct Golden {
     successful_steals: u64,
     throws: u64,
     yields: u64,
-}
-
-type KernelFactory = Box<dyn FnMut() -> Box<dyn Kernel>>;
-
-/// The fixed corpus: (dag, p, config, kernel factory) spanning both
-/// kernels, all three yield policies, and varied DAG shapes.
-fn corpus() -> Vec<(Dag, usize, WsConfig, KernelFactory)> {
-    vec![
-        (
-            gen::fork_join_tree(8, 2),
-            4,
-            WsConfig::default().with_seed(11),
-            Box::new(|| Box::new(DedicatedKernel::new(4)) as Box<dyn Kernel>),
-        ),
-        (
-            gen::fib(14, 3),
-            8,
-            WsConfig::default().with_seed(7),
-            Box::new(|| Box::new(DedicatedKernel::new(8)) as Box<dyn Kernel>),
-        ),
-        (
-            gen::wide_shallow(64, 25),
-            6,
-            WsConfig::default().with_seed(3),
-            Box::new(|| {
-                Box::new(BenignKernel::new(6, CountSource::UniformBetween(2, 6), 99))
-                    as Box<dyn Kernel>
-            }),
-        ),
-        (
-            gen::sync_pipeline(6, 80),
-            4,
-            WsConfig::default()
-                .with_seed(23)
-                .with_yield_policy(YieldPolicy::None),
-            Box::new(|| {
-                Box::new(BenignKernel::new(4, CountSource::Constant(2), 5)) as Box<dyn Kernel>
-            }),
-        ),
-        (
-            gen::random_series_parallel(41, 8000),
-            8,
-            WsConfig::default()
-                .with_seed(13)
-                .with_yield_policy(YieldPolicy::ToRandom),
-            Box::new(|| Box::new(DedicatedKernel::new(8)) as Box<dyn Kernel>),
-        ),
-    ]
 }
 
 /// Captured from the pre-refactor simulator (same corpus, same seeds).
@@ -201,7 +156,7 @@ fn check_identity(r: &RunReport, name: &str) {
 
 #[test]
 fn paper_default_matches_pre_refactor_goldens() {
-    for ((dag, p, cfg, mut mk_kernel), g) in corpus().into_iter().zip(goldens()) {
+    for ((dag, p, cfg, mut mk_kernel), g) in policy_corpus().into_iter().zip(goldens()) {
         assert_eq!(cfg.victim, VictimKind::Uniform);
         let r = run_ws(&dag, p, mk_kernel().as_mut(), cfg);
         check_golden(&r, &g);
@@ -210,7 +165,8 @@ fn paper_default_matches_pre_refactor_goldens() {
 
 #[test]
 fn last_enabler_with_cache_matches_goldens() {
-    for ((dag, p, cfg, mut mk_kernel), g) in corpus().into_iter().zip(last_enabler_goldens()) {
+    for ((dag, p, cfg, mut mk_kernel), g) in policy_corpus().into_iter().zip(last_enabler_goldens())
+    {
         let r = run_ws(&dag, p, mk_kernel().as_mut(), last_enabler(cfg));
         check_golden(&r, &g);
     }
@@ -218,7 +174,7 @@ fn last_enabler_with_cache_matches_goldens() {
 
 #[test]
 fn swapped_policies_complete_the_same_corpus() {
-    for (dag, p, cfg, mut mk_kernel) in corpus() {
+    for (dag, p, cfg, mut mk_kernel) in policy_corpus() {
         let r = run_ws(&dag, p, mk_kernel().as_mut(), last_enabler(cfg));
         let label = &r.policy;
         assert!(r.completed, "{label}: did not complete");
@@ -245,7 +201,7 @@ fn non_default_victim_changes_the_execution() {
     // Sanity that the victim axis is live: with the same cache model
     // (so the only difference is the hint), `LastEnabler` must diverge
     // from uniform on every case of the corpus.
-    for (dag, p, cfg, mut mk_kernel) in corpus() {
+    for (dag, p, cfg, mut mk_kernel) in policy_corpus() {
         let base = run_ws(
             &dag,
             p,

@@ -1,9 +1,11 @@
 //! Allocation guard for the simulator's step loop: executing a node
 //! must not touch the heap. A counting global allocator tallies the
-//! allocations made by the test's own thread (per-thread, so the test
-//! harness's other threads cannot perturb the count), and one
-//! `run_ws(fib(22, 4))` at `P = 8` must allocate far fewer times than it
-//! executes nodes — the loop's allocations are O(rounds), not O(work).
+//! allocations, and the bytes they ask for, made by the test's own thread
+//! (per-thread, so the test harness's other threads cannot perturb the
+//! count), and one `run_ws(fib(22, 4))` at `P = 8` must allocate far
+//! fewer times than it executes nodes — the loop's allocations are
+//! O(rounds), not O(work). Its bytes are bounded too: a default run keeps
+//! no per-node proof state.
 
 use abp_dag::gen;
 use abp_kernel::DedicatedKernel;
@@ -15,29 +17,32 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+/// Counts one allocation of `bytes` (a reallocation counts its new size).
+fn note_alloc(bytes: usize) {
     // `try_with`: the allocator can run while this thread's locals are
     // being torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call forwards to `System` unchanged; the counter is a
 // const-initialised thread local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,24 +54,63 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
+/// (allocations, bytes) so far on this thread.
+fn allocs() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
-#[test]
-fn executing_a_node_does_not_allocate() {
+/// Runs `config` over `fib(22, 4)` at `P = 8`; returns the work, the
+/// rounds, and the (allocations, bytes) the run made.
+fn measured_run(config: WsConfig) -> (u64, u64, (u64, u64)) {
     let p = 8;
     let dag = gen::fib(22, 4);
     let mut kernel = DedicatedKernel::new(p);
     let before = allocs();
-    let r = run_ws(&dag, p, &mut kernel, WsConfig::default());
-    let spent = allocs() - before;
+    let r = run_ws(&dag, p, &mut kernel, config);
+    let after = allocs();
     assert!(r.completed);
     assert_eq!(r.executed, dag.work());
-    assert!(
-        spent < dag.work() / 8,
-        "run_ws allocated {spent} times for {} nodes over {} rounds",
+    (
         dag.work(),
-        r.rounds
+        r.rounds,
+        (after.0 - before.0, after.1 - before.1),
+    )
+}
+
+/// Bytes a run may allocate per node: `remaining_preds` (4) and, in a
+/// debug build, the `executed` flags (1). The proof state alone would
+/// add about 29 (the enabling tree's parent, depth and flag, and Φ's
+/// exponent).
+const BYTES_PER_NODE: u64 = 8;
+/// Bytes a run may allocate per round: the kernel's choice and the
+/// scheduled processes and their quanta, a few words per process (about
+/// 190 at `P = 8`).
+const BYTES_PER_ROUND: u64 = 512;
+
+#[test]
+fn executing_a_node_does_not_allocate() {
+    let (work, rounds, (spent, _)) = measured_run(WsConfig::default());
+    assert!(
+        spent < work / 8,
+        "run_ws allocated {spent} times for {work} nodes over {rounds} rounds"
+    );
+}
+
+/// A default run builds no proof state, so its bytes are a few per node
+/// plus O(rounds); a run with a check on builds it, and the same bound
+/// catches that.
+#[test]
+fn a_default_run_keeps_no_per_node_proof_state() {
+    let (work, rounds, (_, bytes)) = measured_run(WsConfig::default());
+    let bound = BYTES_PER_NODE * work + BYTES_PER_ROUND * rounds;
+    assert!(
+        bytes <= bound,
+        "run_ws allocated {bytes} bytes for {work} nodes over {rounds} rounds (bound {bound})"
+    );
+    let (work, rounds, (_, bytes)) = measured_run(WsConfig::default().with_check_potential(true));
+    let bound = BYTES_PER_NODE * work + BYTES_PER_ROUND * rounds;
+    assert!(
+        bytes > bound,
+        "a checked run allocated only {bytes} bytes for {work} nodes over {rounds} rounds"
     );
 }

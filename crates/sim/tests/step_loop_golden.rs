@@ -5,57 +5,10 @@
 //! seed, so any change to the step loop that alters an rng draw, an
 //! instruction count or a phase transition shows up here as a drift.
 
-use abp_dag::{gen, tree, Dag};
-use abp_kernel::{AdaptiveWorkerStarver, CountSource, DedicatedKernel, Kernel, YieldPolicy};
-use abp_sim::{run_ws, RunReport, WsConfig};
+mod corpus;
 
-const P: usize = 8;
-const SEED: u64 = 1;
-
-/// `(rounds, proc_rounds, instructions, wall_steps, steal_attempts,
-/// successful_steals, throws, yields, executed)`.
-type Counts = (u64, u64, u64, u64, u64, u64, u64, u64, u64);
-
-fn counts(r: &RunReport) -> Counts {
-    (
-        r.rounds,
-        r.proc_rounds,
-        r.instructions,
-        r.wall_steps,
-        r.steal_attempts,
-        r.successful_steals,
-        r.throws,
-        r.yields,
-        r.executed,
-    )
-}
-
-fn dags() -> Vec<(&'static str, Dag)> {
-    vec![
-        ("fib(22,4)", gen::fib(22, 4)),
-        ("wide_shallow(1024,48)", gen::wide_shallow(1024, 48)),
-        (
-            "random_attachment(1,16000)",
-            tree::random_attachment(SEED, 16_000).to_dag(3),
-        ),
-    ]
-}
-
-fn run(dag: &Dag, adversarial: bool, stream: u64) -> RunReport {
-    let seed = SEED ^ stream;
-    let config = WsConfig::default().with_seed(seed);
-    if adversarial {
-        let mut kernel = AdaptiveWorkerStarver::new(P, CountSource::Constant(4), seed);
-        run_ws(
-            dag,
-            P,
-            &mut kernel as &mut dyn Kernel,
-            config.with_yield_policy(YieldPolicy::ToAll),
-        )
-    } else {
-        run_ws(dag, P, &mut DedicatedKernel::new(P), config)
-    }
-}
+use abp_sim::WsConfig;
+use corpus::{counts, sim_ws_dags, sim_ws_run, Counts};
 
 /// Recorded from the simulator when a `popBottom` that finds the deque
 /// already emptied by thieves stopped spending a step on the `cas` it
@@ -72,10 +25,10 @@ const GOLDEN: [Counts; 6] = [
 #[test]
 fn sim_ws_runs_match_the_recorded_counts() {
     let mut got = Vec::new();
-    for (i, (name, dag)) in dags().into_iter().enumerate() {
+    for (i, (name, dag)) in sim_ws_dags().into_iter().enumerate() {
         for adversarial in [false, true] {
             let k = 2 * i + usize::from(adversarial);
-            let r = run(&dag, adversarial, k as u64 + 1);
+            let r = sim_ws_run(&dag, adversarial, k as u64 + 1, WsConfig::default());
             assert!(
                 r.completed,
                 "{name} (adversarial: {adversarial}) did not complete"

@@ -4,13 +4,20 @@
 #   tools/ab_pairs.sh PARENT CHANGE PAIRS WORKLOAD...
 #
 # Exports PARENT and CHANGE with `git archive` into two directories whose
-# paths have equal length (code layout, and with it `fib_seq`'s speed,
-# follows the checkout path's length), builds `hoodbench` in each, and
-# runs PAIRS pairs of every WORKLOAD with seeds 101, 102, ..., alternating
-# which side runs first. Then it prints each binary's `fib_seq` address
-# mod 64 and, per workload and end-to-end metric, both medians, the
-# parent's quartile spread (q3 - q1), the change in %, and the pairs in
-# which the change was better (ties count for neither side).
+# paths have equal length, builds `hoodbench` in each, and runs PAIRS
+# pairs of every WORKLOAD with seeds AB_SEED, AB_SEED + 1, ... (AB_SEED
+# defaults to 101; set another to recheck a claim on unseen seeds),
+# alternating which side runs first. Then it prints each binary's
+# `fib_seq` address mod 64 and, per workload and end-to-end metric, both
+# medians, the parent's quartile spread (q3 - q1), the change in %, and
+# the pairs in which the change was better (ties count for neither side).
+#
+# Code layout, and with it the speed of `fib_seq` (the sequential
+# baseline of `fj_fine` and `multiprog`), moves with the checkout path's
+# length and also with the directory's name. Equal-length paths remove
+# the first cause only, so the script prints a "layout differs" line
+# whenever the two `fib_seq` values mod 64 differ: a move of `fj_fine` or
+# `multiprog` in such a run may be layout, not the change.
 #
 # A claim needs the change better in at least 9 of 10 pairs and a gap
 # between the medians larger than the parent's q3 - q1 (ROADMAP.md,
@@ -30,6 +37,7 @@ fi
 parent=$1 change=$2 pairs=$3
 shift 3
 seconds=${AB_SECONDS:-12}
+first=${AB_SEED:-101}
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
 
@@ -43,7 +51,7 @@ for side in p c; do
 done
 
 i=0
-for seed in $(seq 101 $((100 + pairs))); do
+for seed in $(seq "$first" $((first + pairs - 1))); do
     if [ $((i % 2)) -eq 0 ]; then order="p c"; else order="c p"; fi
     i=$((i + 1))
     for workload in "$@"; do
@@ -56,16 +64,24 @@ for seed in $(seq 101 $((100 + pairs))); do
     done
 done
 
+mods=""
 for side in p c; do
     addr=$(nm "$work/$side/benchmark/target/release/hoodbench" | awk '/fib_seq/ && !seen { print $1; seen = 1 }')
-    echo "$side fib_seq 0x$addr mod 64 = $((16#$addr % 64))"
+    mod=$((16#$addr % 64))
+    echo "$side fib_seq 0x$addr mod 64 = $mod"
+    mods="$mods $mod"
 done
+read -r mod_p mod_c <<< "$mods"
+if [ "$mod_p" != "$mod_c" ]; then
+    echo "layout differs: fib_seq is at $mod_p mod 64 in the parent and $mod_c in the change;" \
+        "fj_fine and multiprog may move with the layout, not the change"
+fi
 
-python3 - "$work" "$pairs" "$@" <<'EOF'
+python3 - "$work" "$pairs" "$first" "$@" <<'EOF'
 import json, statistics, sys
 
-work, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
-seeds = range(101, 101 + pairs)
+work, pairs, first, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+seeds = range(first, first + pairs)
 
 def load(side, workload, seed):
     lines = open(f"{work}/{side}.{workload}.{seed}.json").read().splitlines()

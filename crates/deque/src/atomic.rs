@@ -218,7 +218,7 @@ impl<T: Word, P: OrderProfile> Memory for Atomics<'_, T, P> {
 }
 
 /// Result of a steal attempt ([`Stealer::pop_top`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Steal<T> {
     /// The top entry was taken.
     Taken(T),

@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One deque operation, as recorded in a history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgOp {
     /// Owner-only: `pushBottom(v)`.
     Push(u64),
@@ -62,7 +62,7 @@ pub enum ProgOp {
 }
 
 /// A completed invocation within one history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Invocation {
     pub proc: usize,
     /// Time (global instruction index or logical clock tick) at which
@@ -75,7 +75,7 @@ pub struct Invocation {
 }
 
 /// The result attached to a completed invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpResult {
     Pushed,
     Popped(Option<u64>),
@@ -250,7 +250,7 @@ fn lin_search(ops: &[&Invocation], linearized: &mut [bool], spec: &mut VecDeque<
 /// of tasks returned; the invariant INV-SB-1 bites on hand-built and
 /// forged histories, where `claimed` comes from the range the batch
 /// actually advanced `top` over.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BatchInvocation {
     pub proc: usize,
     pub start: u64,

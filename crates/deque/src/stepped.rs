@@ -38,7 +38,7 @@ use std::sync::atomic::Ordering;
 pub const MAX_OP_STEPS: u32 = 7;
 
 /// A protection of the shipped protocol, switched off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mutant {
     /// The reset leaves the tag unchanged: §3.3's ABA-vulnerable deque.
     NoTag,
@@ -60,7 +60,7 @@ pub enum Mutant {
 }
 
 /// Shared memory of one stepped deque: `age`, `bot` and the slots.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SteppedDeque {
     age: u64,
     bot: u64,
@@ -127,7 +127,7 @@ pub enum Done {
     Batch(StolenBatch<u64>),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Body {
     Push(u64),
     PopBottom,
@@ -159,7 +159,7 @@ impl Body {
 /// assert_eq!(op.step(&mut d), Some(Done::Pushed)); // store bot
 /// assert_eq!(d.contents(), vec![7]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Op {
     body: Body,
     /// The accesses taken so far.

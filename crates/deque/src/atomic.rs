@@ -96,7 +96,7 @@ impl AgeWord {
     }
 }
 
-/// Figure 5's shared accesses: the only way the four operation bodies
+/// Figure 5's shared accesses: the only way the three operation bodies
 /// below touch a deque. Each access takes the ordering its call site
 /// names; a memory without orderings ignores it.
 pub(crate) trait Memory {
@@ -246,57 +246,39 @@ impl<T> Steal<T> {
     }
 }
 
-/// Result of a batched steal ([`Stealer::pop_top_batch`]): up to `max`
-/// tasks claimed by one chain of `cas`es, biased toward half the
-/// victim's visible backlog.
+/// The tasks one [`Stealer::pop_top_batch_into`] call took, oldest
+/// first.
+///
+/// A vestige: the grab is a run of single [`Stealer::pop_top`]s, and
+/// this type and that method stay only so code that names them (a
+/// per-task steal-cost probe) keeps compiling. No scheduler uses either;
+/// ROADMAP.md item 1 deletes both.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StolenBatch<T> {
-    /// Claimed tasks in top order (oldest first).
+    /// Taken tasks in top order (oldest first).
     pub tasks: Vec<T>,
-    /// True when the grab claimed nothing because its first `cas` lost
-    /// a race. The batch analogue of [`Steal::Abort`]; never set once
-    /// any task was claimed.
-    pub aborted: bool,
 }
 
 impl<T> StolenBatch<T> {
-    /// An empty, non-aborted batch (the [`Steal::Empty`] analogue).
+    /// A batch with no task.
     pub fn empty() -> Self {
-        StolenBatch {
-            tasks: Vec::new(),
-            aborted: false,
-        }
+        StolenBatch { tasks: Vec::new() }
     }
 
-    /// Number of tasks claimed.
+    /// Number of tasks taken.
     pub fn len(&self) -> usize {
         self.tasks.len()
     }
 
-    /// True when no task was claimed.
+    /// True when no task was taken.
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
 
-    /// Resets the batch to empty while keeping the task buffer's
-    /// allocation — the caller-side half of the amortization story: a
-    /// thief that reuses one `StolenBatch` across grabs pays zero
-    /// allocations in steady state.
+    /// Empties the batch, keeping the task buffer's allocation.
     pub fn clear(&mut self) {
         self.tasks.clear();
-        self.aborted = false;
     }
-}
-
-/// The per-grab claim target: up to `max` tasks, biased toward half the
-/// visible backlog (`hint` tasks), never less than one — except that a
-/// zero cap claims nothing at all (a `max == 0` grab must not be able to
-/// remove work).
-fn batch_want(hint: usize, max: usize) -> usize {
-    if max == 0 {
-        return 0;
-    }
-    max.min(hint.div_ceil(2)).max(1)
 }
 
 /// The owner handle: `pushBottom` and `popBottom`.
@@ -518,60 +500,6 @@ pub(crate) fn pop_top<T: Word, M: Memory>(m: &mut M) -> Steal<T> {
     Steal::Abort
 }
 
-/// The body of [`Stealer::pop_top_batch_into`].
-#[inline]
-pub(crate) fn pop_top_batch_into<T: Word, M: Memory>(
-    m: &mut M,
-    max: usize,
-    out: &mut StolenBatch<T>,
-) {
-    out.clear();
-    // Entry sequence of `pop_top`, paid once for the whole grab
-    // [INV-RESET, INV-FENCE, INV-PUSH].
-    let mut age = AgeWord::unpack(m.load_age(M::P::ACQUIRE));
-    m.thief_fence();
-    let mut bot = m.load_bot(M::P::ACQUIRE);
-    if bot <= age.top as u64 {
-        return;
-    }
-    let avail = (bot - age.top as u64) as usize;
-    let want = batch_want(avail, max);
-    out.tasks.reserve(want);
-    while out.tasks.len() < want {
-        // Slot read before the cas, validated by it [INV-TAG].
-        let node = T::from_word(m.load_slot(age.top as u64, M::P::RELAXED));
-        let new_age = AgeWord {
-            tag: age.tag,
-            top: age.top + 1,
-        };
-        // Same orderings as the single steal [INV-FENCE,
-        // INV-STEAL-HB]; the first failure aborts the grab, later
-        // failures just end it (the claimed prefix is ours).
-        if !m.cas_age(
-            age.pack(),
-            new_age.pack(),
-            M::P::STEAL_CAS,
-            M::P::STEAL_CAS_FAIL,
-        ) {
-            out.aborted = out.tasks.is_empty();
-            break;
-        }
-        out.tasks.push(node);
-        age = new_age;
-        if out.tasks.len() == want {
-            break;
-        }
-        // INV-SB-REVAL: re-run the steal preamble before the next
-        // claim — the owner's keep path may have drained past our
-        // stale bound without touching `age`.
-        m.thief_fence();
-        bot = m.load_bot(M::P::ACQUIRE);
-        if bot <= age.top as u64 {
-            break;
-        }
-    }
-}
-
 impl<T: Word, P: OrderProfile> Worker<T, P> {
     /// `pushBottom` (Figure 5): store the node at `deq[bot]` and advance
     /// `bot`. Owner-only; never blocks, never fails except on array
@@ -608,56 +536,18 @@ impl<T: Word, P: OrderProfile> Stealer<T, P> {
         pop_top(&mut Atomics::<T, P>::new(&self.inner))
     }
 
-    /// Batched `popTop`: claim up to `max` entries (biased toward half
-    /// the visible backlog) as a chain of single-slot `cas`es on `age`,
-    /// re-running the steal preamble between claims.
-    ///
-    /// Why a chain and not one `cas` of `{tag, top} -> {tag, top + k}`
-    /// (INV-SB-CHAIN): the owner's `popBottom` keep path removes entries
-    /// at indices *strictly above* `top` without ever touching `age`, so
-    /// a range claim could succeed after the owner has already taken
-    /// entries inside `[top + 1, top + k)` — a double take the age word
-    /// cannot detect. Only the entry *at* `top` is arbitrated (the
-    /// owner's last-entry reset bumps the tag), so each claim must
-    /// advance `top` by exactly one.
-    ///
-    /// Why the preamble must be re-run per claim (INV-SB-REVAL): the
-    /// same keep path makes a `bot` bound loaded once at grab start go
-    /// stale *mid-chain*. With `top = 0`, `bot = 4`, a thief that loads
-    /// `bot = 4` and plans two claims races an owner that keep-pops
-    /// indices 3, 2, 1 (never touching `age`): the thief's second `cas`
-    /// `{g,1} -> {g,2}` still succeeds — `age` never changed — and index
-    /// 1 runs twice. The single steal is immune because every episode
-    /// reloads `bot` after observing `age`, with the thief fence in
-    /// between [INV-FENCE]; so after every successful claim `cas` (a
-    /// SeqCst rmw, which is this claim's `age` observation) the chain
-    /// re-runs exactly that preamble — `thief_fence()` then an Acquire
-    /// reload of `bot` — and stops when `bot <= top`. The store-buffering
-    /// argument then applies per claim: either the owner's post-fence
-    /// `age` load sees our `cas` and backs off through the reset path,
-    /// or our `bot` reload sees the owner's claim and the chain stops.
-    /// Each claim keeps the single-steal invariants — the slot read is
-    /// validated by the full-word `cas` [INV-TAG], and every claimed
-    /// index lies below a `bot` bound loaded *after* the `age` value the
-    /// `cas` validated [INV-PUSH].
-    ///
-    /// The fence is therefore *not* amortized — a grab of `k` pays `k`
-    /// fences and `k` `bot` loads, like `k` single steals. What the
-    /// batch still amortizes: the `age` load (each claim's `cas` doubles
-    /// as the next claim's `age` observation) and the per-task allocation
-    /// (one reused buffer). The `hood` pool steals one task per `popTop`;
-    /// this grab is what the batch history and model checkers pin.
-    pub fn pop_top_batch(&self, max: usize) -> StolenBatch<T> {
-        let mut out = StolenBatch::empty();
-        self.pop_top_batch_into(max, &mut out);
-        out
-    }
-
-    /// [`pop_top_batch`](Stealer::pop_top_batch) into a caller-owned
-    /// buffer: `out` is cleared and refilled, so a reused buffer makes
-    /// the grab allocation-free in steady state.
+    /// Up to `max` [`pop_top`](Stealer::pop_top)s into `out`, which is
+    /// cleared first: each `Taken` task is pushed in order, and the
+    /// first `Empty` or `Abort` ends the run. Each task is taken by its
+    /// own checked `popTop`, so the run needs no protocol of its own.
     pub fn pop_top_batch_into(&self, max: usize, out: &mut StolenBatch<T>) {
-        pop_top_batch_into(&mut Atomics::<T, P>::new(&self.inner), max, out)
+        out.clear();
+        while out.len() < max {
+            match self.pop_top() {
+                Steal::Taken(task) => out.tasks.push(task),
+                Steal::Empty | Steal::Abort => break,
+            }
+        }
     }
 
     /// Observed size; immediately stale under concurrency.
@@ -810,37 +700,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_claims_half_the_backlog_in_top_order() {
+    fn batch_takes_up_to_max_in_top_order() {
         let (w, s) = new::<u64>(64);
         for i in 0..8 {
             w.push_bottom(i).unwrap();
         }
-        // Half of 8 visible entries, capped by max.
-        let b = s.pop_top_batch(16);
-        assert_eq!(b.tasks, vec![0, 1, 2, 3]);
-        assert!(!b.aborted);
-        // max caps below the half-backlog bias.
-        let b = s.pop_top_batch(2);
-        assert_eq!(b.tasks, vec![4, 5]);
-        // Remaining entries drain; an empty deque yields an empty,
-        // non-aborted batch.
-        assert_eq!(s.pop_top_batch(16).tasks, vec![6]);
-        assert_eq!(s.pop_top_batch(16).tasks, vec![7]);
-        let b = s.pop_top_batch(16);
-        assert!(b.is_empty() && !b.aborted);
+        let mut b = StolenBatch::empty();
+        s.pop_top_batch_into(5, &mut b);
+        assert_eq!(b.tasks, vec![0, 1, 2, 3, 4]);
+        // The next grab reuses the buffer's allocation and stops at
+        // empty, short of its cap.
+        let buffer = b.tasks.as_ptr();
+        s.pop_top_batch_into(16, &mut b);
+        assert_eq!(b.tasks, vec![5, 6, 7]);
+        assert_eq!(b.tasks.as_ptr(), buffer);
+        s.pop_top_batch_into(16, &mut b);
+        assert!(b.is_empty());
     }
 
     #[test]
     fn batch_with_zero_cap_claims_nothing() {
-        // A zero-cap grab must not be able to remove work: batch_want's
-        // `.max(1)` floor only applies once max >= 1.
-        assert_eq!(batch_want(5, 0), 0);
-        assert_eq!(batch_want(0, 0), 0);
-        assert_eq!(batch_want(1, 1), 1);
         let (w, s) = new::<u64>(8);
         w.push_bottom(7).unwrap();
-        let b = s.pop_top_batch(0);
-        assert!(b.is_empty() && !b.aborted);
+        let mut b = StolenBatch::empty();
+        s.pop_top_batch_into(0, &mut b);
+        assert!(b.is_empty());
         assert_eq!(w.pop_bottom(), Some(7));
     }
 
@@ -852,6 +736,7 @@ mod tests {
         let mut rng = 0xBA7C4u64;
         let mut next = 0u64;
         let mut seen = vec![];
+        let mut b = StolenBatch::empty();
         for _ in 0..4000 {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             match rng >> 62 {
@@ -866,7 +751,8 @@ mod tests {
                     }
                 }
                 _ => {
-                    seen.extend(s.pop_top_batch(1 + (rng % 7) as usize).tasks);
+                    s.pop_top_batch_into(1 + (rng % 7) as usize, &mut b);
+                    seen.extend(&b.tasks);
                 }
             }
         }
@@ -940,82 +826,6 @@ mod tests {
     #[test]
     fn concurrent_owner_and_thieves_conserve_items() {
         concurrent_conservation_with::<RelaxedProtocol>();
-    }
-
-    fn batch_chain_vs_owner_keep_path_conserves_with<P: OrderProfile>() {
-        // Regression for the stale-`bot` chain race: a thief whose batch
-        // grab reused the `bot` loaded at the start of the chain could
-        // claim an index the owner's keep-path `pop_bottom` (which never
-        // touches `age`) had already returned — a double take. The owner
-        // churns shallow bursts (push 2–7, drain flat out), so its
-        // keep-path pops constantly overlap thieves' chains with the
-        // backlog inside the claimed range — the window the deep-burst
-        // tests almost never open.
-        use std::sync::atomic::{AtomicBool, AtomicU8};
-        const N: usize = 300_000;
-        let (w, s) = new_with_order::<u64, P>(64);
-        let counts: Arc<Vec<AtomicU8>> = Arc::new((0..N).map(|_| AtomicU8::new(0)).collect());
-        let done = Arc::new(AtomicBool::new(false));
-        let mut thieves = Vec::new();
-        for t in 0..2u64 {
-            let s = s.clone();
-            let counts = Arc::clone(&counts);
-            let done = Arc::clone(&done);
-            thieves.push(std::thread::spawn(move || {
-                let mut buf = StolenBatch::empty();
-                let mut max = 2 + t as usize;
-                loop {
-                    s.pop_top_batch_into(max, &mut buf);
-                    // Grab sizes 2..=6, cycling so chains of every length
-                    // race the owner's drains.
-                    max = 2 + (max + t as usize) % 5;
-                    for &v in &buf.tasks {
-                        counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                    if buf.is_empty() && !buf.aborted {
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-            }));
-        }
-        let mut next = 0u64;
-        let mut rng = 0x6EE9_F00Du64;
-        while (next as usize) < N {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let burst = (2 + rng % 6).min(N as u64 - next);
-            for _ in 0..burst {
-                w.push_bottom(next).unwrap();
-                next += 1;
-            }
-            // Keep-path pops racing the thieves' chains.
-            while let Some(v) = w.pop_bottom() {
-                counts[v as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        done.store(true, Ordering::Release);
-        for th in thieves {
-            th.join().unwrap();
-        }
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(
-                c.load(Ordering::Relaxed),
-                1,
-                "value {i} consumed wrong number of times"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_chain_vs_owner_keep_path_conserves() {
-        batch_chain_vs_owner_keep_path_conserves_with::<RelaxedProtocol>();
-    }
-
-    #[test]
-    fn batch_chain_vs_owner_keep_path_conserves_seqcst_baseline() {
-        batch_chain_vs_owner_keep_path_conserves_with::<SeqCstProtocol>();
     }
 
     #[test]

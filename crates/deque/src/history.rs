@@ -29,21 +29,6 @@
 //! before the operation is invoked and the end tick after it returns,
 //! so tick intervals contain the true real-time intervals and every
 //! real-time overlap is preserved.
-//!
-//! **Batched steals.** A `pop_top_batch` call claims a *range* of top
-//! slots in one invocation. Such calls are recorded as
-//! [`BatchInvocation`]s (via [`Recorder::responded_batch`]) alongside
-//! the single-op history, and judged by [`check_with_batches`], which
-//! expands each batch into per-task pseudo-`popTop` invocations sharing
-//! the batch's interval — so the ordinary Wing–Gong judge still applies
-//! — after enforcing two batch-specific invariants:
-//!
-//! * **INV-SB-1 (claim conservation)** — a batch that claimed `c`
-//!   slots returns exactly `c` tasks. A task lost inside a claimed range
-//!   is unexcusable.
-//! * **INV-SB-2 (top order)** — the tasks of one batch come off the
-//!   top end in push order: their push invocations started in strictly
-//!   increasing tick order.
 
 use crate::Steal;
 use std::collections::VecDeque;
@@ -243,126 +228,6 @@ fn lin_search(ops: &[&Invocation], linearized: &mut [bool], spec: &mut VecDeque<
     false
 }
 
-/// One completed batched steal: a single call that claimed `claimed`
-/// top slots with one `cas` chain, yielding `tasks` in top order.
-///
-/// For histories recorded from the real deque, `claimed` is the number
-/// of tasks returned; the invariant INV-SB-1 bites on hand-built and
-/// forged histories, where `claimed` comes from the range the batch
-/// actually advanced `top` over.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BatchInvocation {
-    pub proc: usize,
-    pub start: u64,
-    pub end: u64,
-    /// Top slots the batch took responsibility for.
-    pub claimed: usize,
-    /// Values taken, in top (= push) order.
-    pub tasks: Vec<u64>,
-}
-
-/// Expands each batch into one pseudo-`popTop` invocation per taken
-/// task, sharing the batch's interval and process. The expanded
-/// history is what the ordinary single-op judges run over.
-fn expand_batches(history: &[Invocation], batches: &[BatchInvocation]) -> Vec<Invocation> {
-    let mut combined = history.to_vec();
-    for b in batches {
-        for &v in &b.tasks {
-            combined.push(Invocation {
-                proc: b.proc,
-                start: b.start,
-                end: b.end,
-                kind: ProgOp::PopTop,
-                result: OpResult::Stolen(Steal::Taken(v)),
-            });
-        }
-    }
-    combined
-}
-
-/// The batch-specific invariants: INV-SB-1 (claim conservation) per
-/// batch, and INV-SB-2 (tasks in strictly increasing push order)
-/// against the push table of `history`. Every batch task must have been
-/// pushed.
-fn batch_invariants(history: &[Invocation], batches: &[BatchInvocation]) -> Result<(), String> {
-    use std::collections::HashMap;
-    let mut push_start: HashMap<u64, u64> = HashMap::new();
-    for inv in history {
-        if let (ProgOp::Push(v), OpResult::Pushed) = (inv.kind, inv.result) {
-            if push_start.insert(v, inv.start).is_some() {
-                return Err(format!(
-                    "value {v} pushed twice; histories must use unique values"
-                ));
-            }
-        }
-    }
-    for (i, b) in batches.iter().enumerate() {
-        if b.tasks.len() != b.claimed {
-            return Err(format!(
-                "INV-SB-1: batch {i} claimed {} slots but returned {} tasks",
-                b.claimed,
-                b.tasks.len()
-            ));
-        }
-        let mut prev: Option<u64> = None;
-        for &v in &b.tasks {
-            let s = match push_start.get(&v) {
-                Some(&s) => s,
-                None => return Err(format!("batch {i} took value {v} that was never pushed")),
-            };
-            if let Some(p) = prev {
-                if s <= p {
-                    return Err(format!(
-                        "INV-SB-2: batch {i} returned value {v} out of push order"
-                    ));
-                }
-            }
-            prev = Some(s);
-        }
-    }
-    Ok(())
-}
-
-/// Checks a history plus its batched steals against the exact relaxed
-/// semantics: the batch invariants (INV-SB-1, INV-SB-2), then [`check`]
-/// over the batch-expanded history. With `drained`, every pushed value
-/// must have been consumed (by a single op or a batch) — the "no task
-/// lost in a claimed range" non-vacuity teeth.
-pub fn check_with_batches(
-    history: &[Invocation],
-    batches: &[BatchInvocation],
-    drained: bool,
-) -> Result<(), String> {
-    batch_invariants(history, batches)?;
-    let combined = expand_batches(history, batches);
-    check(&combined)?;
-    if drained {
-        drained_complete(&combined)?;
-    }
-    Ok(())
-}
-
-/// Drained completeness: every pushed value was
-/// consumed (conservation already bounds it to exactly once).
-fn drained_complete(history: &[Invocation]) -> Result<(), String> {
-    let mut pushed = Vec::new();
-    let mut consumed = Vec::new();
-    for inv in history {
-        match (inv.kind, inv.result) {
-            (ProgOp::Push(v), OpResult::Pushed) => pushed.push(v),
-            (_, OpResult::Popped(Some(v))) => consumed.push(v),
-            (_, OpResult::Stolen(Steal::Taken(v))) => consumed.push(v),
-            _ => {}
-        }
-    }
-    for v in pushed {
-        if !consumed.contains(&v) {
-            return Err(format!("drained history lost value {v}: never consumed"));
-        }
-    }
-    Ok(())
-}
-
 /// Records timestamped invoke/response histories from real concurrent
 /// threads, for checking with [`check`].
 ///
@@ -377,7 +242,6 @@ fn drained_complete(history: &[Invocation]) -> Result<(), String> {
 pub struct Recorder {
     clock: AtomicU64,
     log: Mutex<Vec<Invocation>>,
-    batch_log: Mutex<Vec<BatchInvocation>>,
 }
 
 impl Recorder {
@@ -405,33 +269,11 @@ impl Recorder {
         });
     }
 
-    /// Takes the response tick and appends a completed *batched* steal.
-    /// Call right after `pop_top_batch` returns, passing the tick from
-    /// [`Recorder::invoked`] and the taken tasks in returned (top)
-    /// order. `claimed` is derived — the real deque returns exactly the
-    /// slots it advanced `top` over.
-    pub fn responded_batch(&self, proc: usize, start: u64, tasks: Vec<u64>) {
-        let end = self.clock.fetch_add(1, Ordering::SeqCst);
-        self.batch_log.lock().unwrap().push(BatchInvocation {
-            proc,
-            start,
-            end,
-            claimed: tasks.len(),
-            tasks,
-        });
-    }
-
     /// The history recorded so far. Call after joining every recording
     /// thread — a history with operations still in flight is incomplete
     /// and [`check`] may reject it spuriously.
     pub fn history(&self) -> Vec<Invocation> {
         self.log.lock().unwrap().clone()
-    }
-
-    /// The batched-steal invocations recorded so far, for
-    /// [`check_with_batches`].
-    pub fn batch_history(&self) -> Vec<BatchInvocation> {
-        self.batch_log.lock().unwrap().clone()
     }
 }
 
@@ -508,94 +350,6 @@ mod tests {
         ];
         assert!(aborts_excused(&excused).is_ok());
         assert!(check(&excused).is_ok());
-    }
-
-    fn batch(proc: usize, start: u64, end: u64, claimed: usize, tasks: &[u64]) -> BatchInvocation {
-        BatchInvocation {
-            proc,
-            start,
-            end,
-            claimed,
-            tasks: tasks.to_vec(),
-        }
-    }
-
-    #[test]
-    fn good_batch_history_checks_out() {
-        // Owner pushes 1..=4, a thief batch-steals {1, 2}, the owner
-        // pops 4 and 3, a second thief's batch takes the last one.
-        let h = [
-            inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
-            inv(0, 2, 3, ProgOp::Push(2), OpResult::Pushed),
-            inv(0, 4, 5, ProgOp::Push(3), OpResult::Pushed),
-            inv(0, 6, 7, ProgOp::Push(4), OpResult::Pushed),
-            inv(0, 10, 11, ProgOp::PopBottom, OpResult::Popped(Some(4))),
-            inv(0, 12, 13, ProgOp::PopBottom, OpResult::Popped(Some(3))),
-        ];
-        let b = [batch(1, 8, 9, 2, &[1, 2]), batch(2, 14, 15, 1, &[3])];
-        // Batch 2 takes value 3 — but the owner already popped it.
-        assert!(check_with_batches(&h, &b, true).is_err());
-        let b = [batch(1, 8, 9, 2, &[1, 2])];
-        assert!(check_with_batches(&h[..5], &b, false).is_ok());
-        // Drained: value 3 is never consumed anywhere.
-        let err = check_with_batches(&h[..5], &b, true).unwrap_err();
-        assert!(err.contains("lost value 3"), "{err}");
-    }
-
-    #[test]
-    fn forged_lost_task_in_claimed_range_is_rejected() {
-        // A batch claims 3 top slots but surfaces only 2 tasks: the
-        // third task evaporated inside the claimed range. INV-SB-1 must
-        // catch this.
-        let h = [
-            inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
-            inv(0, 2, 3, ProgOp::Push(2), OpResult::Pushed),
-            inv(0, 4, 5, ProgOp::Push(3), OpResult::Pushed),
-        ];
-        let b = [batch(1, 6, 7, 3, &[1, 2])];
-        let err = check_with_batches(&h, &b, false).unwrap_err();
-        assert!(err.contains("INV-SB-1"), "{err}");
-    }
-
-    #[test]
-    fn batch_tasks_out_of_push_order_are_rejected() {
-        let h = [
-            inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed),
-            inv(0, 2, 3, ProgOp::Push(2), OpResult::Pushed),
-        ];
-        let b = [batch(1, 4, 5, 2, &[2, 1])];
-        let err = check_with_batches(&h, &b, false).unwrap_err();
-        assert!(err.contains("INV-SB-2"), "{err}");
-    }
-
-    #[test]
-    fn batch_double_take_across_invocations_is_rejected() {
-        // Two sequential batches both claim value 1: combined
-        // conservation over the expanded history must reject it.
-        let h = [inv(0, 0, 1, ProgOp::Push(1), OpResult::Pushed)];
-        let b = [batch(1, 2, 3, 1, &[1]), batch(2, 4, 5, 1, &[1])];
-        let err = check_with_batches(&h, &b, false).unwrap_err();
-        assert!(err.contains("consumed twice"), "{err}");
-    }
-
-    #[test]
-    fn recorder_batches_feed_the_batch_judge() {
-        let rec = Recorder::new();
-        for v in 1..=4 {
-            let s = rec.invoked();
-            rec.responded(0, s, ProgOp::Push(v), OpResult::Pushed);
-        }
-        let s = rec.invoked();
-        rec.responded_batch(1, s, vec![1, 2]);
-        let s = rec.invoked();
-        rec.responded(0, s, ProgOp::PopBottom, OpResult::Popped(Some(4)));
-        let s = rec.invoked();
-        rec.responded(0, s, ProgOp::PopBottom, OpResult::Popped(Some(3)));
-        let h = rec.history();
-        let b = rec.batch_history();
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].claimed, 2);
-        assert!(check_with_batches(&h, &b, true).is_ok());
     }
 
     #[test]

@@ -24,9 +24,7 @@
 use crate::step::{self, System};
 use crate::stepped::{Done, Op, SteppedDeque};
 
-pub use crate::history::{
-    check, check_with_batches, BatchInvocation, Invocation, OpResult, ProgOp, Violation,
-};
+pub use crate::history::{check, Invocation, OpResult, ProgOp, Violation};
 
 /// A scenario: `programs[0]` is the owner (may push/pop bottom), the rest
 /// are thieves (must only `PopTop`) — the "good invocation sets" of §3.2.
@@ -47,29 +45,6 @@ impl Scenario {
         }
         Scenario { programs }
     }
-}
-
-/// One step of a thief program in a [`BatchScenario`]: a plain `popTop`
-/// or a batched grab of up to `max` tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThiefOp {
-    PopTop,
-    Batch(usize),
-}
-
-/// A scenario whose thieves may issue *batched* grabs, judged by
-/// [`check_with_batches`] (INV-SB-1/INV-SB-2 plus the single-op
-/// semantics over the batch-expanded history). This is the exhaustive
-/// counterpart of the concurrent batch histories recorded from the real
-/// deque — small enough programs that every interleaving of the stepped
-/// grab against the owner can be enumerated, including the keep-path
-/// overlap a wall-clock test practically never schedules.
-#[derive(Debug, Clone)]
-pub struct BatchScenario {
-    /// The owner's program (push/pop bottom).
-    pub owner: Vec<ProgOp>,
-    /// Thief programs; each step is a single or batched steal.
-    pub thieves: Vec<Vec<ThiefOp>>,
 }
 
 /// Outcome of exploring every interleaving of a scenario.
@@ -95,7 +70,7 @@ impl Report {
     }
 }
 
-/// Explores every interleaving of `scenario` on `initial` — the shipped
+/// Explores every interleaving of `scenario` on `deque` — the shipped
 /// deque, or one with a [`Mutant`](crate::stepped::Mutant) switched on.
 ///
 /// ```
@@ -109,36 +84,32 @@ impl Report {
 /// assert!(explore(&sc, SteppedDeque::new()).ok()); // the shipped code is clean
 /// assert!(!explore(&sc, SteppedDeque::with_mutant(Mutant::NoTag)).ok()); // untagged is not
 /// ```
-pub fn explore(scenario: &Scenario, initial: SteppedDeque) -> Report {
-    let programs = scenario
+pub fn explore(scenario: &Scenario, deque: SteppedDeque) -> Report {
+    let programs: Vec<Vec<Op>> = scenario
         .programs
         .iter()
         .map(|p| p.iter().map(|&k| Op::new(k)).collect())
         .collect();
-    explore_ops(programs, initial)
-}
-
-/// Explores every interleaving of a scenario with batched grabs on
-/// `initial`. The shipped chain re-runs the steal preamble after every
-/// claim (INV-SB-REVAL); [`Mutant::NoChainReload`] is the broken
-/// stale-`bot` chain, and exploring it must produce a violation (see the
-/// tests), which is the non-vacuity check for the former.
-///
-/// [`Mutant::NoChainReload`]: crate::stepped::Mutant::NoChainReload
-pub fn explore_batches(scenario: &BatchScenario, initial: SteppedDeque) -> Report {
-    let mut programs = vec![scenario.owner.iter().map(|&k| Op::new(k)).collect()];
-    for thief in &scenario.thieves {
-        programs.push(
-            thief
-                .iter()
-                .map(|op| match *op {
-                    ThiefOp::PopTop => Op::new(ProgOp::PopTop),
-                    ThiefOp::Batch(max) => Op::batch(max),
-                })
-                .collect(),
-        );
+    let initial = World {
+        deque,
+        procs: vec![Proc::default(); programs.len()],
+        ..World::default()
+    };
+    let mut system = Programs {
+        programs,
+        max_op_steps: 0,
+    };
+    let x = step::explore(&mut system, initial);
+    Report {
+        histories: x.paths,
+        violating: x.violating_paths,
+        example: x.first.map(|c| Violation {
+            reason: c.reason,
+            history: c.state.ops,
+        }),
+        max_op_steps: system.max_op_steps,
+        states: x.states,
     }
-    explore_ops(programs, initial)
 }
 
 /// A process's place in its program.
@@ -158,7 +129,6 @@ struct World {
     /// The rank the next invocation or response takes.
     clock: u64,
     ops: Vec<Invocation>,
-    batches: Vec<BatchInvocation>,
 }
 
 /// The programs of a scenario, as a [`System`] whose agents are the
@@ -202,19 +172,6 @@ impl System for Programs {
             Done::Pushed => OpResult::Pushed,
             Done::Popped(r) => OpResult::Popped(r),
             Done::Stolen(r) => OpResult::Stolen(r),
-            Done::Batch(b) => {
-                // Every successful cas claimed exactly one slot and took
-                // exactly one task, so claimed == tasks (the exact-backend
-                // shape of INV-SB-1).
-                w.batches.push(BatchInvocation {
-                    proc: i,
-                    start,
-                    end: now,
-                    claimed: b.tasks.len(),
-                    tasks: b.tasks,
-                });
-                return Some((w, i));
-            }
         };
         w.ops.push(Invocation {
             proc: i,
@@ -227,34 +184,7 @@ impl System for Programs {
     }
 
     fn verdict(&self, w: &World) -> Result<(), String> {
-        if w.batches.is_empty() {
-            check(&w.ops)
-        } else {
-            check_with_batches(&w.ops, &w.batches, false)
-        }
-    }
-}
-
-fn explore_ops(programs: Vec<Vec<Op>>, deque: SteppedDeque) -> Report {
-    let initial = World {
-        deque,
-        procs: vec![Proc::default(); programs.len()],
-        ..World::default()
-    };
-    let mut system = Programs {
-        programs,
-        max_op_steps: 0,
-    };
-    let x = step::explore(&mut system, initial);
-    Report {
-        histories: x.paths,
-        violating: x.violating_paths,
-        example: x.first.map(|c| Violation {
-            reason: c.reason,
-            history: c.state.ops,
-        }),
-        max_op_steps: system.max_op_steps,
-        states: x.states,
+        check(&w.ops)
     }
 }
 
@@ -401,54 +331,17 @@ mod tests {
         assert_clean(&explore(&sc, SteppedDeque::new()), "in-order", 263);
     }
 
-    /// INV-SB-REVAL necessity, exhaustively: the stale-`bot` chain
-    /// ([`Mutant::NoChainReload`]) double-takes against the owner's
-    /// keep-path pops somewhere in the interleaving space — the checker
-    /// must find it. Three pushes and two aggressive pops around a 2-task
-    /// grab is the minimal shape: the thief's bound (bot = 3) goes stale
-    /// while the owner keep-pops indices 2 and 1, and the chain's second
-    /// cas re-takes index 1.
-    #[test]
-    fn batch_stale_bot_chain_is_caught() {
-        let sc = BatchScenario {
-            owner: vec![Push(1), Push(2), Push(3), PopBottom, PopBottom],
-            thieves: vec![vec![ThiefOp::Batch(2)]],
-        };
-        assert_caught(
-            explore_batches(&sc, SteppedDeque::with_mutant(Mutant::NoChainReload)),
-            "stale-bot chain",
-            53_694,
-            178,
-        );
-    }
-
-    /// The shipped re-validated chain is clean over the same scenario —
-    /// and over a mixed one where a second thief single-steals.
+    /// A batched grab is a run of single steals: a thief taking two
+    /// `popTop`s against an owner's three pushes and two pops is clean.
     #[test]
     fn batch_revalidated_chain_is_clean() {
-        let scenarios = [
-            (
-                BatchScenario {
-                    owner: vec![Push(1), Push(2), Push(3), PopBottom, PopBottom],
-                    thieves: vec![vec![ThiefOp::Batch(2)]],
-                },
-                35_852,
-            ),
-            (
-                BatchScenario {
-                    owner: vec![Push(1), Push(2), PopBottom],
-                    thieves: vec![vec![ThiefOp::Batch(2)], vec![ThiefOp::PopTop]],
-                },
-                2_931_696,
-            ),
-        ];
-        for (i, (sc, histories)) in scenarios.iter().enumerate() {
-            assert_clean(
-                &explore_batches(sc, SteppedDeque::new()),
-                &format!("scenario {i}"),
-                *histories,
-            );
-        }
+        let sc = Scenario::new(vec![
+            vec![Push(1), Push(2), Push(3), PopBottom, PopBottom],
+            vec![PopTop, PopTop],
+        ]);
+        let rep = explore(&sc, SteppedDeque::new());
+        assert_clean(&rep, "a grab of two", 1_011_772);
+        assert_eq!(rep.states, 17_845);
     }
 
     /// A narrowed tag wraps. With one bit, a single reset still changes

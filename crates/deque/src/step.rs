@@ -22,9 +22,12 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Accesses an operation's log holds. A single-entry deque operation
-/// takes at most 7 and a batched grab of `k` tasks up to `3k + 1`.
-pub const LOG: usize = 16;
+/// Accesses an operation's log holds: the most any stepped body takes.
+/// A deque operation takes at most 7 (`stepped::MAX_OP_STEPS`). The
+/// longest body is `hood`'s sleep checker's worker commit: its `cas`
+/// retry loop takes 12 accesses under the `NoEpochCas` mutant with two
+/// workers and two producers.
+pub const LOG: usize = 12;
 
 /// The accesses an operation has taken so far: each one's result, by
 /// position in the body. Plain data, so an explorer can clone, compare

@@ -8,28 +8,26 @@
 //! thief preempted between reading the top entry and its `cas`). The
 //! exhaustive checker in [`crate::model`] interleaves the same steps.
 //! Both run the code that ships: an [`Op`] steps the body of
-//! `push_bottom`, `pop_bottom`, `pop_top` or `pop_top_batch_into` from
-//! [`crate::atomic`] against a [`SteppedDeque`].
+//! `push_bottom`, `pop_bottom` or `pop_top` from [`crate::atomic`]
+//! against a [`SteppedDeque`].
 //!
 //! Each [`Op::step`] performs exactly one shared access — a load or store
 //! of `bot`, `age` or a slot, or the `age` cas — by replaying the body
 //! against the op's inline log ([`crate::step`]): a dry load returns 0
 //! and a dry cas fails. Fences cost no step: every access here is
-//! sequentially consistent. No step allocates, except a batched grab's
-//! result buffer.
+//! sequentially consistent. No step allocates.
 //!
 //! The element type is a bare `u64` (the simulator stores node ids). The
 //! slots grow on demand, modeling the paper's "big enough" array.
 //!
 //! A [`Mutant`] switches off one protection the shipped code relies on —
-//! the tag, a fence, or the batch chain's `bot` reload — so the checker
-//! can show that it catches the loss.
+//! the tag or a fence — so the checker can show that it catches the loss.
 
-use crate::atomic::{pop_bottom, pop_top, pop_top_batch_into, push_bottom, AgeWord, Memory};
+use crate::atomic::{pop_bottom, pop_top, push_bottom, AgeWord, Memory};
 use crate::history::ProgOp;
 use crate::order::RelaxedProtocol;
 use crate::step::{Log, Step};
-use crate::{Steal, StolenBatch};
+use crate::Steal;
 use std::sync::atomic::Ordering;
 
 /// Upper bound on the number of steps any single-entry deque operation
@@ -54,9 +52,6 @@ pub enum Mutant {
     /// thief fence forbids. A thief's first step takes its `bot` load,
     /// and its second the `age` load.
     NoThiefFence,
-    /// The batch chain reuses the `bot` it loaded at grab start: every
-    /// later `bot` load of the grab returns that first value.
-    NoChainReload,
 }
 
 /// Shared memory of one stepped deque: `age`, `bot` and the slots.
@@ -123,26 +118,6 @@ pub enum Done {
     Popped(Option<u64>),
     /// `popTop`'s result.
     Stolen(Steal<u64>),
-    /// A batched grab's result.
-    Batch(StolenBatch<u64>),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Body {
-    Push(u64),
-    PopBottom,
-    PopTop,
-    Batch(usize),
-}
-
-impl Body {
-    fn of(kind: ProgOp) -> Body {
-        match kind {
-            ProgOp::Push(v) => Body::Push(v),
-            ProgOp::PopBottom => Body::PopBottom,
-            ProgOp::PopTop => Body::PopTop,
-        }
-    }
 }
 
 /// An in-flight deque operation: which body it runs and the results of
@@ -161,7 +136,7 @@ impl Body {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Op {
-    body: Body,
+    kind: ProgOp,
     /// The accesses taken so far.
     log: Log,
     /// The body is done, but a buffered store still has to drain.
@@ -171,7 +146,11 @@ pub struct Op {
 impl Op {
     /// Starts `pushBottom(v)`, `popBottom()` or `popTop()`.
     pub fn new(kind: ProgOp) -> Op {
-        Op::with_body(Body::of(kind))
+        Op {
+            kind,
+            log: Log::default(),
+            draining: false,
+        }
     }
 
     /// Starts `kind` in this op's place, as [`Op::new`] would: the log is
@@ -179,36 +158,18 @@ impl Op {
     /// hashes equal to a fresh one. A caller that runs one op after
     /// another (the simulator's per-process op slot) moves nothing.
     pub fn restart(&mut self, kind: ProgOp) {
-        self.body = Body::of(kind);
+        self.kind = kind;
         self.log = Log::default();
         self.draining = false;
     }
 
-    /// Starts a batched `popTop` of up to `max` tasks (at most 5, the
-    /// inline log's reach).
-    pub fn batch(max: usize) -> Op {
-        Op::with_body(Body::Batch(max))
-    }
-
-    fn with_body(body: Body) -> Op {
-        Op {
-            body,
-            log: Log::default(),
-            draining: false,
-        }
-    }
-
-    /// The operation, with a batched grab reported as the `popTop` it is.
+    /// The operation.
     pub fn kind(&self) -> ProgOp {
-        match self.body {
-            Body::Push(v) => ProgOp::Push(v),
-            Body::PopBottom => ProgOp::PopBottom,
-            Body::PopTop | Body::Batch(_) => ProgOp::PopTop,
-        }
+        self.kind
     }
 
     fn is_owner(&self) -> bool {
-        matches!(self.body, Body::Push(_) | Body::PopBottom)
+        matches!(self.kind, ProgOp::Push(_) | ProgOp::PopBottom)
     }
 
     /// Performs this operation's next shared access on `d`; returns the
@@ -225,20 +186,14 @@ impl Op {
         let mut m = Access {
             s: Step::new(&mut *d, &mut self.log, real),
             owner,
-            first_bot: None,
         };
-        let done = match self.body {
-            Body::Push(v) => match push_bottom(&mut m, v) {
+        let done = match self.kind {
+            ProgOp::Push(v) => match push_bottom(&mut m, v) {
                 Ok(()) => Done::Pushed,
                 Err(_) => unreachable!("stepped slots grow on demand"),
             },
-            Body::PopBottom => Done::Popped(pop_bottom(&mut m)),
-            Body::PopTop => Done::Stolen(pop_top(&mut m)),
-            Body::Batch(max) => {
-                let mut out = StolenBatch::empty();
-                pop_top_batch_into(&mut m, max, &mut out);
-                Done::Batch(out)
-            }
+            ProgOp::PopBottom => Done::Popped(pop_bottom(&mut m)),
+            ProgOp::PopTop => Done::Stolen(pop_top(&mut m)),
         };
         if !m.s.finish() {
             return None;
@@ -267,8 +222,6 @@ impl Op {
 struct Access<'a> {
     s: Step<'a, SteppedDeque>,
     owner: bool,
-    /// The grab's first `bot` value, for [`Mutant::NoChainReload`].
-    first_bot: Option<u64>,
 }
 
 impl Access<'_> {
@@ -294,18 +247,11 @@ impl Memory for Access<'_> {
     type P = RelaxedProtocol;
 
     fn load_bot(&mut self, _: Ordering) -> u64 {
-        let stale = match self.mutant() {
-            Some(Mutant::NoChainReload) => self.first_bot,
-            _ => None,
-        };
         let owner = self.owner;
-        let bot = self.s.access(|d| match (stale, d.buffered) {
-            (Some(bot), _) => bot,
-            (None, Some(bot)) if owner => bot,
+        self.s.access(|d| match d.buffered {
+            Some(bot) if owner => bot,
             _ => d.bot,
-        });
-        self.first_bot.get_or_insert(bot);
-        bot
+        })
     }
 
     fn store_bot(&mut self, bot: u64, _: Ordering) {
@@ -392,13 +338,6 @@ mod tests {
     fn pop_top(d: &mut SteppedDeque) -> Steal<u64> {
         match Op::new(ProgOp::PopTop).run(d) {
             Done::Stolen(r) => r,
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    fn pop_top_batch(d: &mut SteppedDeque, max: usize) -> StolenBatch<u64> {
-        match Op::batch(max).run(d) {
-            Done::Batch(b) => b,
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -663,77 +602,6 @@ mod tests {
         // bot = 0 <= top = 0: the empty test fires — the dangerous
         // stale-bot/fresh-age pairing is impossible in order.
         assert_eq!(thief.step(&mut d), Some(Done::Stolen(Steal::Empty)));
-    }
-
-    #[test]
-    fn batch_sequential_matches_single_steals() {
-        // Half of 8, capped by max; uninterleaved, the stale-bot chain
-        // agrees with the shipped one.
-        for mutant in [None, Some(Mutant::NoChainReload)] {
-            let mut d = mutant.map_or_else(SteppedDeque::new, SteppedDeque::with_mutant);
-            for v in [1, 2, 3, 4, 5, 6, 7, 8] {
-                push(&mut d, v);
-            }
-            assert_eq!(pop_top_batch(&mut d, 16).tasks, vec![1, 2, 3, 4]);
-            assert_eq!(pop_top_batch(&mut d, 2).tasks, vec![5, 6]);
-            assert_eq!(pop_top_batch(&mut d, 0), StolenBatch::empty());
-            assert_eq!(pop_top_batch(&mut d, 16).tasks, vec![7]);
-            assert_eq!(pop_top_batch(&mut d, 16).tasks, vec![8]);
-            let b = pop_top_batch(&mut d, 16);
-            assert!(b.tasks.is_empty() && !b.aborted);
-        }
-    }
-
-    /// Directed version of the stale-`bot` chain race the batched steal
-    /// must survive: top = 0, bot = 4; a thief plans a 2-task grab from
-    /// a `bot` loaded before the owner keep-path-pops indices 3, 2, 1
-    /// (never touching `age`). The stale chain's second cas
-    /// `{g,1} -> {g,2}` still succeeds — `age` never changed — and index
-    /// 1 is consumed twice. The shipped chain's preamble re-run
-    /// (INV-SB-REVAL) reloads `bot = 1 <= top = 1` and stops after the
-    /// first claim.
-    #[test]
-    fn batch_stale_bot_vs_owner_keep_path_double_take() {
-        for revalidate in [false, true] {
-            let mut d = if revalidate {
-                SteppedDeque::new()
-            } else {
-                SteppedDeque::with_mutant(Mutant::NoChainReload)
-            };
-            for v in [10, 11, 12, 13] {
-                push(&mut d, v);
-            }
-            let mut thief = Op::batch(2);
-            assert_eq!(thief.step(&mut d), None); // load age {g,0}
-            assert_eq!(thief.step(&mut d), None); // load bot = 4; want = 2
-            assert_eq!(thief.step(&mut d), None); // load slot[0]
-
-            // Owner keep-pops indices 3, 2, 1; age untouched, bot = 1.
-            assert_eq!(pop_bottom(&mut d), Some(13));
-            assert_eq!(pop_bottom(&mut d), Some(12));
-            assert_eq!(pop_bottom(&mut d), Some(11));
-            assert_eq!(d.age, 0);
-            assert_eq!(d.bot, 1);
-            // Thief resumes: first cas {g,0} -> {g,1} wins slot 0.
-            assert_eq!(thief.step(&mut d), None);
-            let Done::Batch(b) = thief.run(&mut d) else {
-                panic!("a batch op returns a batch")
-            };
-            if revalidate {
-                assert_eq!(
-                    b.tasks,
-                    vec![10],
-                    "reloaded bot = 1 <= top = 1 stops the grab"
-                );
-            } else {
-                assert_eq!(
-                    b.tasks,
-                    vec![10, 11],
-                    "stale bot lets the chain re-take the owner's entry"
-                );
-            }
-            assert!(d.is_empty());
-        }
     }
 
     #[test]

@@ -292,7 +292,6 @@ impl SharedCore {
         snap.sleep.wakes_skipped = s.wakes_skipped;
         snap.sleep.wakes_spurious = s.wakes_spurious;
         snap.sleep.hits_after_unpark = s.hits_after_unpark;
-        snap.sleep.timed_out_parks = s.timed_out_parks;
         let stats = PoolStats::aggregate(&self.stats);
         snap.counters
             .push(("par_splits".to_string(), stats.par_splits));

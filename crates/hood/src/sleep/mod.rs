@@ -123,7 +123,7 @@ pub struct SleepStats {
     /// `wakes_sent >= hits_after_unpark` always.
     pub hits_after_unpark: u64,
     /// Always zero: every park is untimed and ends only in a wake. Kept
-    /// so run records and the telemetry schema keep the field.
+    /// so code that builds the struct field by field keeps compiling.
     pub timed_out_parks: u64,
 }
 

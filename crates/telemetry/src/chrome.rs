@@ -327,13 +327,12 @@ pub fn metrics_json(snap: &TelemetrySnapshot) -> String {
     let _ = writeln!(
         out,
         "\"sleep\":{{\"wakes_sent\":{},\"wakes_skipped\":{},\"wakes_spurious\":{},\
-         \"hits_after_unpark\":{},\"timed_out_parks\":{},\
+         \"hits_after_unpark\":{},\
          \"unpark_to_work\":{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p99_ns\":{}}}}},",
         sl.wakes_sent,
         sl.wakes_skipped,
         sl.wakes_spurious,
         sl.hits_after_unpark,
-        sl.timed_out_parks,
         uw.count(),
         uw.mean(),
         uw.quantile_upper_bound(0.5),
@@ -504,7 +503,6 @@ mod tests {
         snap.sleep.wakes_skipped = 1;
         snap.sleep.wakes_spurious = 2;
         snap.sleep.hits_after_unpark = 3;
-        snap.sleep.timed_out_parks = 0;
         let trace = chrome_trace(&snap);
         assert!(trace.contains("\"name\":\"wake\""));
         assert!(trace.contains("\"args\":{\"target\":1}"));
@@ -516,7 +514,6 @@ mod tests {
         assert_eq!(sleep.get("wakes_sent").unwrap().as_f64(), Some(5.0));
         assert_eq!(sleep.get("wakes_spurious").unwrap().as_f64(), Some(2.0));
         assert_eq!(sleep.get("hits_after_unpark").unwrap().as_f64(), Some(3.0));
-        assert_eq!(sleep.get("timed_out_parks").unwrap().as_f64(), Some(0.0));
         let w0 = &v.get("workers").unwrap().as_array().unwrap()[0];
         assert_eq!(w0.get("wakes").unwrap().as_f64(), Some(1.0));
         assert_eq!(w0.get("wake_skips").unwrap().as_f64(), Some(1.0));

@@ -316,9 +316,6 @@ pub struct SleepSnapshot {
     pub wakes_spurious: u64,
     /// Woken workers that found work on their first post-wake hunt.
     pub hits_after_unpark: u64,
-    /// Always zero: the pool's parks are untimed and end only in a
-    /// wake. Kept so the exported schema keeps the field.
-    pub timed_out_parks: u64,
     /// Unpark-to-work latency (ns from a wake-caused unpark to the woken
     /// worker finding work).
     pub unpark_to_work: HistogramSnapshot,
@@ -457,7 +454,6 @@ mod tests {
         // Scalar counters are the pool's to stamp; the registry leaves
         // them zero.
         assert_eq!(snap.sleep.wakes_sent, 0);
-        assert_eq!(snap.sleep.timed_out_parks, 0);
     }
 
     #[test]

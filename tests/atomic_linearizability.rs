@@ -27,9 +27,7 @@
 use std::sync::{Arc, Barrier};
 
 use multiprog_ws::dag::DetRng;
-use multiprog_ws::deque::history::{
-    check, check_with_batches, BatchInvocation, Invocation, OpResult, ProgOp, Recorder,
-};
+use multiprog_ws::deque::history::{check, OpResult, ProgOp, Recorder};
 use multiprog_ws::deque::{new, Steal};
 
 const OWNER_OPS: usize = 8;
@@ -156,226 +154,4 @@ fn checker_rejects_a_corrupted_real_history() {
         result: OpResult::Stolen(Steal::Taken(v)),
     });
     assert!(check(&history).is_err(), "forged duplicate must be caught");
-}
-
-/// Runs one seeded episode where thieves alternate single `popTop`s and
-/// multi-task `pop_top_batch(3)` grabs against the real atomic deque.
-/// The owner pre-loads a burst so the early batches see real backlog,
-/// then churns as usual. Returns the plain history plus the batch log.
-fn record_batch_history(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
-    let (worker, stealer) = new::<u64>(64);
-    let rec = Arc::new(Recorder::new());
-    let barrier = Arc::new(Barrier::new(1 + THIEVES));
-
-    let mut thieves = Vec::new();
-    for t in 0..THIEVES {
-        let stealer = stealer.clone();
-        let rec = Arc::clone(&rec);
-        let barrier = Arc::clone(&barrier);
-        thieves.push(std::thread::spawn(move || {
-            barrier.wait();
-            for round in 0..STEALS_PER_THIEF {
-                let start = rec.invoked();
-                if round % 2 == 0 {
-                    let batch = stealer.pop_top_batch(3);
-                    if !batch.tasks.is_empty() {
-                        rec.responded_batch(1 + t, start, batch.tasks);
-                    } else {
-                        // An empty batch is the ordinary Empty (or Abort)
-                        // observation: record it as a plain popTop so the
-                        // abort excuse applies to it.
-                        let sim = if batch.aborted {
-                            Steal::Abort
-                        } else {
-                            Steal::Empty
-                        };
-                        rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
-                    }
-                } else {
-                    let res = stealer.pop_top();
-                    rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(res));
-                }
-            }
-        }));
-    }
-
-    let mut rng = DetRng::new(seed);
-    let mut next_val = 1u64;
-    // Pre-load a burst so the first batched grabs see a deep deque.
-    for _ in 0..5 {
-        let v = next_val;
-        next_val += 1;
-        let start = rec.invoked();
-        worker.push_bottom(v).expect("capacity is ample");
-        rec.responded(0, start, ProgOp::Push(v), OpResult::Pushed);
-    }
-    barrier.wait();
-    for _ in 0..OWNER_OPS {
-        if rng.chance(0.55) {
-            let v = next_val;
-            next_val += 1;
-            let start = rec.invoked();
-            worker.push_bottom(v).expect("capacity is ample");
-            rec.responded(0, start, ProgOp::Push(v), OpResult::Pushed);
-        } else {
-            let start = rec.invoked();
-            let r = worker.pop_bottom();
-            rec.responded(0, start, ProgOp::PopBottom, OpResult::Popped(r));
-        }
-    }
-    for th in thieves {
-        th.join().unwrap();
-    }
-    (rec.history(), rec.batch_history())
-}
-
-/// 400 seeded batched histories over the real atomic deque all satisfy
-/// the batch invariants (claim conservation, top order) on top of the
-/// relaxed semantics — and multi-task grabs actually happen.
-#[test]
-fn atomic_deque_batched_histories_satisfy_relaxed_semantics() {
-    let (mut batches, mut multi_task) = (0u64, 0u64);
-    for seed in 0..HISTORIES / 2 {
-        let (history, batch_log) = record_batch_history(0xBA7C_0000 + seed);
-        batches += batch_log.len() as u64;
-        multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
-        if let Err(reason) = check_with_batches(&history, &batch_log, false) {
-            panic!(
-                "seed {seed}: batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
-            );
-        }
-    }
-    assert!(batches > 0, "no batch ever claimed a task");
-    assert!(
-        multi_task > 0,
-        "no batch ever claimed >= 2 tasks across {} runs — batching is not being exercised",
-        HISTORIES / 2
-    );
-    eprintln!(
-        "checked {} batched histories: {batches} non-empty batches, {multi_task} multi-task",
-        HISTORIES / 2
-    );
-}
-
-/// Runs one seeded *shallow* batched episode: the owner pre-loads only
-/// 2–6 values and then pops aggressively (pop-biased churn), while
-/// every thief grab is batched with `max` close to the backlog. This is
-/// the schedule shape that maximizes the overlap between a thief's
-/// claim chain and the owner's keep-path pops — the window where a
-/// stale `bot` bound would let the chain re-take an owner-returned
-/// index (the INV-SB-REVAL race; the deep-burst episode above almost
-/// never generates it because the owner rarely drains to within the
-/// claimed range mid-chain).
-fn record_batch_history_shallow(seed: u64) -> (Vec<Invocation>, Vec<BatchInvocation>) {
-    let (worker, stealer) = new::<u64>(64);
-    let rec = Arc::new(Recorder::new());
-    let barrier = Arc::new(Barrier::new(1 + THIEVES));
-    let backlog = 2 + (seed % 5) as usize; // 2..=6
-
-    let mut thieves = Vec::new();
-    for t in 0..THIEVES {
-        let stealer = stealer.clone();
-        let rec = Arc::clone(&rec);
-        let barrier = Arc::clone(&barrier);
-        thieves.push(std::thread::spawn(move || {
-            barrier.wait();
-            for round in 0..STEALS_PER_THIEF {
-                // max tracks the backlog (2..=6): want lands right at
-                // the range the owner is draining into.
-                let max = 2 + (backlog + round + t) % 5;
-                let start = rec.invoked();
-                let batch = stealer.pop_top_batch(max);
-                if !batch.tasks.is_empty() {
-                    rec.responded_batch(1 + t, start, batch.tasks);
-                } else {
-                    let sim = if batch.aborted {
-                        Steal::Abort
-                    } else {
-                        Steal::Empty
-                    };
-                    rec.responded(1 + t, start, ProgOp::PopTop, OpResult::Stolen(sim));
-                }
-            }
-        }));
-    }
-
-    let mut rng = DetRng::new(seed);
-    let mut next_val = 1u64;
-    for _ in 0..backlog {
-        let v = next_val;
-        next_val += 1;
-        let start = rec.invoked();
-        worker.push_bottom(v).expect("capacity is ample");
-        rec.responded(0, start, ProgOp::Push(v), OpResult::Pushed);
-    }
-    barrier.wait();
-    // Pop-biased churn: the owner spends most of its ops draining
-    // toward (and past) the thieves' claimed ranges via the keep path.
-    for _ in 0..OWNER_OPS {
-        if rng.chance(0.3) {
-            let v = next_val;
-            next_val += 1;
-            let start = rec.invoked();
-            worker.push_bottom(v).expect("capacity is ample");
-            rec.responded(0, start, ProgOp::Push(v), OpResult::Pushed);
-        } else {
-            let start = rec.invoked();
-            let r = worker.pop_bottom();
-            rec.responded(0, start, ProgOp::PopBottom, OpResult::Popped(r));
-        }
-    }
-    for th in thieves {
-        th.join().unwrap();
-    }
-    (rec.history(), rec.batch_history())
-}
-
-/// 400 seeded shallow batched histories (backlog 2–6, pop-heavy owner,
-/// batch `max` near the backlog) all satisfy the batch invariants on
-/// top of the relaxed semantics. Targets the keep-path/chain overlap
-/// window directly; the double take a stale-`bot` chain produces there
-/// is caught as a conservation violation by `check_with_batches`.
-#[test]
-fn atomic_deque_shallow_batched_histories_satisfy_relaxed_semantics() {
-    let (mut batches, mut multi_task) = (0u64, 0u64);
-    for seed in 0..HISTORIES / 2 {
-        let (history, batch_log) = record_batch_history_shallow(0x5A11_0000 + seed);
-        batches += batch_log.len() as u64;
-        multi_task += batch_log.iter().filter(|b| b.tasks.len() >= 2).count() as u64;
-        if let Err(reason) = check_with_batches(&history, &batch_log, false) {
-            panic!(
-                "seed {seed}: shallow batched violation: {reason}\nhistory: {history:#?}\nbatches: {batch_log:#?}"
-            );
-        }
-    }
-    assert!(batches > 0, "no batch ever claimed a task");
-    assert!(
-        multi_task > 0,
-        "no batch ever claimed >= 2 tasks across {} shallow runs — the overlap window is not being exercised",
-        HISTORIES / 2
-    );
-    eprintln!(
-        "checked {} shallow batched histories: {batches} non-empty batches, {multi_task} multi-task",
-        HISTORIES / 2
-    );
-}
-
-/// The batch judge is not vacuous on real histories: erasing one task
-/// from the middle of a real multi-task batch (keeping the claimed
-/// count) forges a task lost inside a claimed range, which INV-SB-1
-/// must reject.
-#[test]
-fn batch_checker_rejects_a_forged_lost_task_in_range() {
-    for seed in 0..HISTORIES / 2 {
-        let (history, mut batch_log) = record_batch_history(0xDEAD_0000 + seed);
-        let Some(b) = batch_log.iter_mut().find(|b| b.tasks.len() >= 2) else {
-            continue;
-        };
-        b.tasks.remove(b.tasks.len() / 2);
-        let err = check_with_batches(&history, &batch_log, false)
-            .expect_err("a lost-in-range forgery must be caught");
-        assert!(err.contains("INV-SB-1"), "wrong rejection: {err}");
-        return;
-    }
-    panic!("no multi-task batch occurred to forge against");
 }

@@ -220,6 +220,8 @@ pub struct AdaptiveWorkerStarver {
     p: usize,
     counts: CountSource,
     rng: DetRng,
+    /// The round's preference order, refilled by every `choose`.
+    order: Vec<usize>,
 }
 
 impl AdaptiveWorkerStarver {
@@ -228,6 +230,7 @@ impl AdaptiveWorkerStarver {
             p,
             counts,
             rng: DetRng::new(seed),
+            order: Vec::with_capacity(p),
         }
     }
 }
@@ -241,14 +244,18 @@ impl Kernel for AdaptiveWorkerStarver {
         let k = self.counts.next(view.round, &mut self.rng).min(self.p);
         // Thieves first (no assigned node), then workers with the shortest
         // deques; the processes sitting on the most work run last.
-        let mut order: Vec<usize> = (0..self.p).collect();
-        order.sort_by_key(|&i| {
+        // The index breaks every tie, so the in-place unstable sort orders
+        // exactly as a stable sort of `0..p` would.
+        self.order.clear();
+        self.order.extend(0..self.p);
+        self.order.sort_unstable_by_key(|&i| {
             (
                 view.has_assigned[i] as usize, // thieves (false) first
                 usize::MAX - view.deque_len[i].min(usize::MAX - 1), // long deques last
+                i,
             )
         });
-        ProcSet::from_iter(self.p, order.into_iter().take(k).map(|i| ProcId(i as u32)))
+        ProcSet::from_iter(self.p, self.order[..k].iter().map(|&i| ProcId(i as u32)))
     }
 }
 
@@ -281,10 +288,14 @@ impl Kernel for AdaptiveThiefStarver {
 
     fn choose(&mut self, view: &KernelView<'_>) -> ProcSet {
         let k = self.counts.next(view.round, &mut self.rng).min(self.p);
-        let mut order: Vec<usize> = (0..self.p).collect();
-        // Workers (have assigned) first: thieves never run.
-        order.sort_by_key(|&i| !view.has_assigned[i] as usize);
-        ProcSet::from_iter(self.p, order.into_iter().take(k).map(|i| ProcId(i as u32)))
+        // Workers (have assigned) first, each group in index order:
+        // thieves never run.
+        let workers = (0..self.p).filter(|&i| view.has_assigned[i]);
+        let thieves = (0..self.p).filter(|&i| !view.has_assigned[i]);
+        ProcSet::from_iter(
+            self.p,
+            workers.chain(thieves).take(k).map(|i| ProcId(i as u32)),
+        )
     }
 }
 
@@ -303,6 +314,8 @@ pub struct AdaptiveCriticalStarver {
     p: usize,
     counts: CountSource,
     rng: DetRng,
+    /// The round's shuffled order, refilled by every `choose`.
+    order: Vec<usize>,
 }
 
 impl AdaptiveCriticalStarver {
@@ -311,6 +324,7 @@ impl AdaptiveCriticalStarver {
             p,
             counts,
             rng: DetRng::new(seed),
+            order: Vec::with_capacity(p),
         }
     }
 }
@@ -322,11 +336,18 @@ impl Kernel for AdaptiveCriticalStarver {
 
     fn choose(&mut self, view: &KernelView<'_>) -> ProcSet {
         let k = self.counts.next(view.round, &mut self.rng).min(self.p);
-        let mut order: Vec<usize> = (0..self.p).collect();
-        self.rng.shuffle(&mut order);
-        // Lock holders go last: they run only if there is no alternative.
-        order.sort_by_key(|&i| view.in_critical_section[i] as usize);
-        ProcSet::from_iter(self.p, order.into_iter().take(k).map(|i| ProcId(i as u32)))
+        self.order.clear();
+        self.order.extend(0..self.p);
+        self.rng.shuffle(&mut self.order);
+        // Lock holders go last, each group in shuffled order: they run
+        // only if there is no alternative.
+        let cs = view.in_critical_section;
+        let free = self.order.iter().filter(|&&i| !cs[i]);
+        let holders = self.order.iter().filter(|&&i| cs[i]);
+        ProcSet::from_iter(
+            self.p,
+            free.chain(holders).take(k).map(|&i| ProcId(i as u32)),
+        )
     }
 }
 

@@ -3,23 +3,36 @@
 //! Kernel schedules manipulate subsets of the `P` processes at every step;
 //! [`ProcSet`] is a fixed-universe bitset sized to `P`, cheap to copy
 //! per-round and to intersect with yield constraints.
+//!
+//! The bits live inline, in four 64-bit words, so a set is a plain `Copy`
+//! value: choosing, copying and rewriting a round's set never touches the
+//! heap. That caps the universe at 256 processes, which every constructor
+//! asserts; the largest universe in this repository is 100.
 
 use abp_dag::ProcId;
 use std::fmt;
 
-/// A subset of the processes `p0..p(P-1)`, backed by 64-bit words.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// Inline 64-bit words per set.
+const WORDS: usize = 4;
+/// The largest universe a [`ProcSet`] holds.
+const CAP: usize = 64 * WORDS;
+
+/// A subset of the processes `p0..p(P-1)`, `P` ≤ 256, backed by inline
+/// 64-bit words.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcSet {
     universe: usize,
-    words: Vec<u64>,
+    words: [u64; WORDS],
 }
 
 impl ProcSet {
-    /// The empty set over a universe of `p` processes.
+    /// The empty set over a universe of `p` processes. Panics if `p`
+    /// exceeds the cap of 256.
     pub fn empty(p: usize) -> Self {
+        assert!(p <= CAP, "a ProcSet holds at most {CAP} processes, not {p}");
         ProcSet {
             universe: p,
-            words: vec![0; p.div_ceil(64)],
+            words: [0; WORDS],
         }
     }
 
@@ -153,6 +166,31 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.first_absent(), Some(ProcId(0)));
+    }
+
+    #[test]
+    fn the_top_index_of_the_cap() {
+        let mut s = ProcSet::empty(256);
+        s.insert(ProcId(255));
+        s.insert(ProcId(0));
+        assert!(s.contains(ProcId(255)));
+        assert_eq!(s.len(), 2);
+        let v: Vec<u32> = s.iter().map(|p| p.0).collect();
+        assert_eq!(v, vec![0, 255]);
+        s.remove(ProcId(255));
+        assert!(!s.contains(ProcId(255)));
+        let mut f = ProcSet::full(256);
+        assert_eq!(f.len(), 256);
+        assert_eq!(f.first_absent(), None);
+        assert_eq!(f.iter().last(), Some(ProcId(255)));
+        f.remove(ProcId(255));
+        assert_eq!(f.first_absent(), Some(ProcId(255)));
+    }
+
+    #[test]
+    #[should_panic(expected = "a ProcSet holds at most 256 processes, not 257")]
+    fn a_universe_over_the_cap_panics() {
+        ProcSet::empty(257);
     }
 
     #[test]

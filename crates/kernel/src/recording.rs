@@ -51,7 +51,7 @@ impl<K: Kernel> Kernel for RecordingKernel<K> {
 
     fn choose(&mut self, view: &KernelView<'_>) -> ProcSet {
         let set = self.inner.choose(view);
-        self.log.push(set.clone());
+        self.log.push(set);
         set
     }
 }

@@ -91,14 +91,14 @@ impl KernelTable {
         assert!(i >= 1, "kernel steps are numbered from 1");
         let idx = (i - 1) as usize;
         if idx < self.steps.len() {
-            return self.steps[idx].clone();
+            return self.steps[idx];
         }
         match self.tail {
-            Tail::Cycle => self.steps[idx % self.steps.len()].clone(),
+            Tail::Cycle => self.steps[idx % self.steps.len()],
             Tail::HoldLast => self
                 .steps
                 .last()
-                .cloned()
+                .copied()
                 .unwrap_or_else(|| ProcSet::full(self.p)),
             Tail::AllProcs => ProcSet::full(self.p),
         }

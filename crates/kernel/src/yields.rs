@@ -120,9 +120,8 @@ impl YieldLedger {
     /// Returns the rewritten set. The caller must then call
     /// [`YieldLedger::note_scheduled`] with the *final* set.
     pub fn enforce(&self, raw: &ProcSet) -> ProcSet {
-        let mut chosen = raw.clone();
-        let blocked: Vec<ProcId> = raw.iter().filter(|&q| self.is_blocked(q)).collect();
-        for q in blocked {
+        let mut chosen = *raw;
+        for q in raw.iter().filter(|&q| self.is_blocked(q)) {
             chosen.remove(q);
             // Prefer the process the constraint waits on.
             let sub = self

@@ -403,6 +403,10 @@ impl<'a> WorkStealer<'a> {
         let mut has_assigned = vec![false; p];
         let mut deque_len = vec![0usize; p];
         let mut in_cs = vec![false; p];
+        // The round's scheduled processes and their quanta, refilled every
+        // round, so a round allocates nothing.
+        let mut scheduled: Vec<usize> = Vec::with_capacity(p);
+        let mut quanta: Vec<u64> = Vec::with_capacity(p);
 
         while !self.done && rounds < self.config.max_rounds {
             rounds += 1;
@@ -436,14 +440,13 @@ impl<'a> WorkStealer<'a> {
 
             // Quanta: the kernel grants each scheduled process 2C..3C
             // instructions (its choice; here jittered deterministically).
-            let scheduled: Vec<usize> = chosen.iter().map(|q| q.index()).collect();
-            let quanta: Vec<u64> = scheduled
-                .iter()
-                .map(|_| {
-                    self.quantum_rng
-                        .range_inclusive(2 * MILESTONE_C as u64, 3 * MILESTONE_C as u64)
-                })
-                .collect();
+            scheduled.clear();
+            scheduled.extend(chosen.iter().map(|q| q.index()));
+            quanta.clear();
+            quanta.extend(scheduled.iter().map(|_| {
+                self.quantum_rng
+                    .range_inclusive(2 * MILESTONE_C as u64, 3 * MILESTONE_C as u64)
+            }));
             for &i in &scheduled {
                 self.procs[i].milestones_this_round = 0;
             }
@@ -456,26 +459,32 @@ impl<'a> WorkStealer<'a> {
             // Interleave instruction-by-instruction in round-robin order
             // with a random starting offset (the kernel may interleave
             // arbitrarily; this realizes one adversary-ish choice).
-            let offset = if scheduled.is_empty() {
+            let n = scheduled.len();
+            let offset = if n == 0 {
                 0
             } else {
-                self.quantum_rng.below_usize(scheduled.len())
+                self.quantum_rng.below_usize(n)
             };
             let max_q = quanta.iter().copied().max().unwrap_or(0);
             // Where the final node executed, as (step, k): the quanta of
             // this round stop there.
             let mut cut = None;
             'round: for step in 0..max_q {
-                for k in 0..scheduled.len() {
-                    let idx = (k + offset) % scheduled.len();
+                // The cursor visits `offset, offset + 1, …, n - 1, 0, …,
+                // offset - 1`: the k-th visit is `(k + offset) % n`.
+                let mut idx = offset;
+                for k in 0..n {
                     if step < quanta[idx] {
-                        let proc = scheduled[idx];
-                        self.instruction(proc);
+                        self.instruction(scheduled[idx]);
                         instructions += 1;
                         if self.done {
                             cut = Some((step, k));
                             break 'round;
                         }
+                    }
+                    idx += 1;
+                    if idx == n {
+                        idx = 0;
                     }
                 }
             }
@@ -498,7 +507,6 @@ impl<'a> WorkStealer<'a> {
                 }
             }
             if self.config.trace {
-                let n = scheduled.len();
                 // Instructions the process at `pos` ran before completion
                 // stopped the round.
                 let cut_short = |pos: usize| match cut {

@@ -1,14 +1,16 @@
-//! Allocation guard for the simulator's step loop: executing a node
-//! must not touch the heap. A counting global allocator tallies the
-//! allocations, and the bytes they ask for, made by the test's own thread
-//! (per-thread, so the test harness's other threads cannot perturb the
-//! count), and one `run_ws(fib(22, 4))` at `P = 8` must allocate far
-//! fewer times than it executes nodes — the loop's allocations are
-//! O(rounds), not O(work). Its bytes are bounded too: a default run keeps
-//! no per-node proof state.
+//! Allocation guard for the simulator's step loop: neither executing a
+//! node nor running a round may touch the heap. A counting global
+//! allocator tallies the allocations, and the bytes they ask for, made by
+//! the test's own thread (per-thread, so the test harness's other threads
+//! cannot perturb the count). One `run_ws(fib(22, 4))` at `P = 8` must
+//! allocate a constant number of times, under a dedicated kernel and
+//! under the adaptive adversary with `yieldToAll`: its allocations are
+//! the run's setup and the deques' growth, and grow with neither work nor
+//! rounds. Its bytes are bounded too: a default run keeps no per-node
+//! proof state.
 
 use abp_dag::gen;
-use abp_kernel::DedicatedKernel;
+use abp_kernel::{AdaptiveWorkerStarver, CountSource, DedicatedKernel, Kernel, YieldPolicy};
 use abp_sim::{run_ws, WsConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,14 +61,15 @@ fn allocs() -> (u64, u64) {
     (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
-/// Runs `config` over `fib(22, 4)` at `P = 8`; returns the work, the
-/// rounds, and the (allocations, bytes) the run made.
-fn measured_run(config: WsConfig) -> (u64, u64, (u64, u64)) {
-    let p = 8;
+/// Simulated processes.
+const P: usize = 8;
+
+/// Runs `config` over `fib(22, 4)` at `P = 8` under `kernel`; returns the
+/// work, the rounds, and the (allocations, bytes) the run made.
+fn measured_run(kernel: &mut dyn Kernel, config: WsConfig) -> (u64, u64, (u64, u64)) {
     let dag = gen::fib(22, 4);
-    let mut kernel = DedicatedKernel::new(p);
     let before = allocs();
-    let r = run_ws(&dag, p, &mut kernel, config);
+    let r = run_ws(&dag, P, kernel, config);
     let after = allocs();
     assert!(r.completed);
     assert_eq!(r.executed, dag.work());
@@ -77,38 +80,65 @@ fn measured_run(config: WsConfig) -> (u64, u64, (u64, u64)) {
     )
 }
 
+fn dedicated() -> DedicatedKernel {
+    DedicatedKernel::new(P)
+}
+
+/// The adversarial half of `hoodbench`'s `sim_ws`: four of the eight
+/// processes per round, thieves first.
+fn starver() -> AdaptiveWorkerStarver {
+    AdaptiveWorkerStarver::new(P, CountSource::Constant(4), 0x5EED)
+}
+
+/// Allocations a run may make, whatever its rounds: the per-process
+/// state, the deques and their growth, the per-node counters, the yield
+/// ledger, the kernel view's and the round's buffers. A run makes about
+/// 40; before rounds stopped allocating, the dedicated run made about
+/// 2 000 over its 356 rounds.
+const ALLOCS_PER_RUN: u64 = 64;
+
 /// Bytes a run may allocate per node: `remaining_preds` (4) and, in a
 /// debug build, the `executed` flags (1). The proof state alone would
 /// add about 29 (the enabling tree's parent, depth and flag, and Φ's
 /// exponent).
 const BYTES_PER_NODE: u64 = 8;
-/// Bytes a run may allocate per round: the kernel's choice and the
-/// scheduled processes and their quanta, a few words per process (about
-/// 190 at `P = 8`).
-const BYTES_PER_ROUND: u64 = 512;
+/// Bytes a run may allocate beyond its nodes' share: its per-process
+/// state, deques and buffers.
+const BYTES_PER_RUN: u64 = 64 * 1024;
 
 #[test]
-fn executing_a_node_does_not_allocate() {
-    let (work, rounds, (spent, _)) = measured_run(WsConfig::default());
+fn a_dedicated_round_does_not_allocate() {
+    let (work, rounds, (spent, _)) = measured_run(&mut dedicated(), WsConfig::default());
     assert!(
-        spent < work / 8,
+        spent <= ALLOCS_PER_RUN,
+        "run_ws allocated {spent} times for {work} nodes over {rounds} rounds"
+    );
+}
+
+#[test]
+fn an_adversarial_round_does_not_allocate() {
+    let config = WsConfig::default().with_yield_policy(YieldPolicy::ToAll);
+    let (work, rounds, (spent, _)) = measured_run(&mut starver(), config);
+    assert!(
+        spent <= ALLOCS_PER_RUN,
         "run_ws allocated {spent} times for {work} nodes over {rounds} rounds"
     );
 }
 
 /// A default run builds no proof state, so its bytes are a few per node
-/// plus O(rounds); a run with a check on builds it, and the same bound
+/// plus a constant; a run with a check on builds it, and the same bound
 /// catches that.
 #[test]
 fn a_default_run_keeps_no_per_node_proof_state() {
-    let (work, rounds, (_, bytes)) = measured_run(WsConfig::default());
-    let bound = BYTES_PER_NODE * work + BYTES_PER_ROUND * rounds;
+    let (work, rounds, (_, bytes)) = measured_run(&mut dedicated(), WsConfig::default());
+    let bound = BYTES_PER_NODE * work + BYTES_PER_RUN;
     assert!(
         bytes <= bound,
         "run_ws allocated {bytes} bytes for {work} nodes over {rounds} rounds (bound {bound})"
     );
-    let (work, rounds, (_, bytes)) = measured_run(WsConfig::default().with_check_potential(true));
-    let bound = BYTES_PER_NODE * work + BYTES_PER_ROUND * rounds;
+    let config = WsConfig::default().with_check_potential(true);
+    let (work, rounds, (_, bytes)) = measured_run(&mut dedicated(), config);
+    let bound = BYTES_PER_NODE * work + BYTES_PER_RUN;
     assert!(
         bytes > bound,
         "a checked run allocated only {bytes} bytes for {work} nodes over {rounds} rounds"

@@ -9,8 +9,20 @@
 # defaults to 101; set another to recheck a claim on unseen seeds),
 # alternating which side runs first. Then it prints each binary's
 # `fib_seq` address mod 64 and, per workload and end-to-end metric, both
-# medians, the parent's quartile spread (q3 - q1), the change in %, and
-# the pairs in which the change was better (ties count for neither side).
+# medians, the parent's quartile spread (q3 - q1), the change in %, the
+# pairs in which the change was better (ties count for neither side), and
+# a verdict by ROADMAP.md's rules, with each metric's `bound` read from
+# the parent's BENCHMARK.json:
+#
+#   WORSE       the change's median is worse than the parent's by more
+#               than bound x the parent's median;
+#   unresolved  the parent's q3 - q1 exceeds bound x its median, so the
+#               runs spread too widely to tell;
+#   gain        the change won at least 9 in 10 pairs and its median is
+#               better by more than the parent's q3 - q1;
+#   ok          none of these.
+#
+# The first verdict that holds, in this order, is printed.
 #
 # Code layout, and with it the speed of `fib_seq` (the sequential
 # baseline of `fj_fine` and `multiprog`), moves with the checkout path's
@@ -19,10 +31,9 @@
 # whenever the two `fib_seq` values mod 64 differ: a move of `fj_fine` or
 # `multiprog` in such a run may be layout, not the change.
 #
-# A claim needs the change better in at least 9 of 10 pairs and a gap
-# between the medians larger than the parent's q3 - q1 (ROADMAP.md,
-# "Rules for every item"). Run nothing else meanwhile: a compile beside
-# it moves the open-loop workloads.
+# A claim needs the verdict `gain` (ROADMAP.md, "Rules for every item").
+# Run nothing else meanwhile: a compile beside it moves the open-loop
+# workloads.
 #
 # Work files go to a fresh `mktemp -d` directory (set TMPDIR to place
 # it), which is kept and named at the end; nothing is written into the
@@ -82,6 +93,8 @@ import json, statistics, sys
 
 work, pairs, first, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
 seeds = range(first, first + pairs)
+bench = json.load(open(f"{work}/p/BENCHMARK.json"))
+bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
 def load(side, workload, seed):
     lines = open(f"{work}/{side}.{workload}.{seed}.json").read().splitlines()
@@ -90,7 +103,21 @@ def load(side, workload, seed):
         print(f"  {side} {workload} seed {seed}: correct={result['correct']} failed={result['failed']}")
     return detail, result
 
-print(f"{'workload':14} {'metric':15} {'parent':>10} {'p q3-q1':>9} {'change':>10} {'delta':>8}  better")
+def verdict(metric, lower, mp, mc, spread, won):
+    """The first of WORSE, unresolved, gain that holds, else ok."""
+    if metric not in bounds:
+        return "-"
+    bound = bounds[metric]
+    gap = (mp - mc) if lower else (mc - mp)
+    if gap < -bound * abs(mp):
+        return "WORSE"
+    if spread > bound * abs(mp):
+        return "unresolved"
+    if 10 * won >= 9 * pairs and gap > spread:
+        return "gain"
+    return "ok"
+
+print(f"{'workload':14} {'metric':15} {'parent':>10} {'p q3-q1':>9} {'change':>10} {'delta':>8}  better  verdict")
 for workload in workloads:
     runs = {s: [load(s, workload, seed) for seed in seeds] for s in "pc"}
     for metric, info in runs["p"][0][1]["metrics"].items():
@@ -100,6 +127,8 @@ for workload in workloads:
         q = statistics.quantiles(v["p"], n=4) if pairs > 1 else [mp, mp, mp]
         won = sum((c < p) if lower else (c > p) for p, c in zip(v["p"], v["c"]))
         delta = 100 * (mc - mp) / mp if mp else float("nan")
-        print(f"{workload:14} {metric:15} {mp:10.4g} {q[2] - q[0]:9.3g} {mc:10.4g} {delta:+7.1f}%  {won}/{pairs}")
+        spread = q[2] - q[0]
+        print(f"{workload:14} {metric:15} {mp:10.4g} {spread:9.3g} {mc:10.4g} {delta:+7.1f}%  "
+              f"{f'{won}/{pairs}':>6}  {verdict(metric, lower, mp, mc, spread, won)}")
 EOF
 echo "runs kept in $work"

@@ -15,7 +15,8 @@
 //! * [`YieldLedger`] — `yieldToRandom` / `yieldToAll` as constraints on
 //!   the kernel's choices, enforced by substitution exactly as Section 4.4
 //!   defines;
-//! * [`ProcSet`] — compact process subsets.
+//! * [`ProcSet`] — compact process subsets, held inline (at most 256
+//!   processes).
 
 pub mod kernel;
 pub mod procset;

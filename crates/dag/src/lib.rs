@@ -27,7 +27,6 @@ pub mod builder;
 pub mod dag;
 pub mod enabling;
 pub mod examples;
-pub mod export;
 pub mod gen;
 pub mod ids;
 pub mod rng;
@@ -36,7 +35,6 @@ pub mod tree;
 pub use builder::DagBuilder;
 pub use dag::{Dag, DagError, Edge, EdgeKind};
 pub use enabling::EnablingTree;
-pub use export::{stats, to_dot, DagStats};
 pub use ids::{NodeId, ProcId, ThreadId};
 pub use rng::DetRng;
 pub use tree::RootedTree;

@@ -146,25 +146,6 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
-
-    /// Selects `k` distinct indices from `[0, n)` uniformly at random,
-    /// returned in ascending order. Used by the benign kernel adversary to
-    /// pick which processes run at a round.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        debug_assert!(k <= n);
-        // Floyd's algorithm: O(k) expected, no O(n) scratch.
-        let mut chosen = Vec::with_capacity(k);
-        for j in (n - k)..n {
-            let t = self.below_usize(j + 1);
-            if chosen.contains(&t) {
-                chosen.push(j);
-            } else {
-                chosen.push(t);
-            }
-        }
-        chosen.sort_unstable();
-        chosen
-    }
 }
 
 #[cfg(test)]
@@ -277,27 +258,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle was identity");
-    }
-
-    #[test]
-    fn sample_indices_distinct_sorted() {
-        let mut rng = DetRng::new(13);
-        for _ in 0..200 {
-            let k = rng.below_usize(16);
-            let s = rng.sample_indices(16, k);
-            assert_eq!(s.len(), k);
-            for w in s.windows(2) {
-                assert!(w[0] < w[1], "not strictly ascending: {s:?}");
-            }
-            assert!(s.iter().all(|&i| i < 16));
-        }
-    }
-
-    #[test]
-    fn sample_indices_full_and_empty() {
-        let mut rng = DetRng::new(21);
-        assert_eq!(rng.sample_indices(5, 0), Vec::<usize>::new());
-        assert_eq!(rng.sample_indices(5, 5), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -123,6 +123,18 @@ impl Kernel for DedicatedKernel {
     }
 }
 
+/// `k` of the processes `p0..p(P-1)`, drawn uniformly at random by
+/// Floyd's algorithm: `k` draws, and no scratch beyond the set itself.
+fn sample(p: usize, k: usize, rng: &mut DetRng) -> ProcSet {
+    debug_assert!(k <= p);
+    let mut set = ProcSet::empty(p);
+    for j in (p - k)..p {
+        let t = ProcId(rng.below_usize(j + 1) as u32);
+        set.insert(if set.contains(t) { ProcId(j as u32) } else { t });
+    }
+    set
+}
+
 /// The benign adversary (Theorem 10): picks `p_i` per its [`CountSource`];
 /// the *members* are chosen uniformly at random, outside its control.
 #[derive(Debug)]
@@ -150,8 +162,7 @@ impl Kernel for BenignKernel {
 
     fn choose(&mut self, view: &KernelView<'_>) -> ProcSet {
         let k = self.counts.next(view.round, &mut self.rng).min(self.p);
-        let idx = self.rng.sample_indices(self.p, k);
-        ProcSet::from_iter(self.p, idx.into_iter().map(|i| ProcId(i as u32)))
+        sample(self.p, k, &mut self.rng)
     }
 }
 
@@ -190,11 +201,7 @@ impl ObliviousKernel {
         let mut steps = Vec::with_capacity(rounds as usize);
         for r in 1..=rounds {
             let k = counts.next(r, &mut rng).min(p);
-            let idx = rng.sample_indices(p, k);
-            steps.push(ProcSet::from_iter(
-                p,
-                idx.into_iter().map(|i| ProcId(i as u32)),
-            ));
+            steps.push(sample(p, k, &mut rng));
         }
         ObliviousKernel::new(KernelTable::new(p, steps, Tail::Cycle))
     }
@@ -242,8 +249,8 @@ impl Kernel for AdaptiveWorkerStarver {
 
     fn choose(&mut self, view: &KernelView<'_>) -> ProcSet {
         let k = self.counts.next(view.round, &mut self.rng).min(self.p);
-        // Thieves first (no assigned node), then workers with the shortest
-        // deques; the processes sitting on the most work run last.
+        // Thieves first (no assigned node), then workers, the longest
+        // deque first; the workers with the shortest deques run last.
         // The index breaks every tie, so the in-place unstable sort orders
         // exactly as a stable sort of `0..p` would.
         self.order.clear();
@@ -251,7 +258,7 @@ impl Kernel for AdaptiveWorkerStarver {
         self.order.sort_unstable_by_key(|&i| {
             (
                 view.has_assigned[i] as usize, // thieves (false) first
-                usize::MAX - view.deque_len[i].min(usize::MAX - 1), // long deques last
+                usize::MAX - view.deque_len[i].min(usize::MAX - 1), // long deques first
                 i,
             )
         });
@@ -512,6 +519,35 @@ mod tests {
         let dq = [5usize, 0, 1, 0];
         let s = k.choose(&dummy_view(1, &has, &dq));
         assert!(s.contains(ProcId(1)) && s.contains(ProcId(3)), "{s:?}");
+    }
+
+    #[test]
+    fn worker_starver_runs_the_longest_deques_first() {
+        // After the thieves p1 and p3, the one slot left goes to p0, whose
+        // deque holds 5 entries, not to p2, whose deque holds 1.
+        let mut k = AdaptiveWorkerStarver::new(4, CountSource::Constant(3), 3);
+        let has = [true, false, true, false];
+        let dq = [5usize, 0, 1, 0];
+        let s = k.choose(&dummy_view(1, &has, &dq));
+        assert_eq!(s, ProcSet::from_iter(4, [0, 1, 3].map(ProcId)));
+    }
+
+    #[test]
+    fn sample_draws_k_distinct_members() {
+        let mut rng = DetRng::new(13);
+        for _ in 0..200 {
+            let k = rng.below_usize(16);
+            let s = sample(16, k, &mut rng);
+            assert_eq!(s.len(), k, "{s:?}");
+            assert!(s.iter().all(|q| q.index() < 16));
+        }
+    }
+
+    #[test]
+    fn sample_full_and_empty() {
+        let mut rng = DetRng::new(21);
+        assert!(sample(5, 0, &mut rng).is_empty());
+        assert_eq!(sample(5, 5, &mut rng), ProcSet::full(5));
     }
 
     #[test]

@@ -55,18 +55,6 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Replaces the line capacity.
-    pub fn with_lines(mut self, lines: usize) -> Self {
-        self.lines = lines;
-        self
-    }
-
-    /// Replaces the block granularity.
-    pub fn with_block(mut self, block: usize) -> Self {
-        self.block = block;
-        self
-    }
-
     /// The frame line of thread `t`.
     pub fn frame_line(&self, t: ThreadId) -> u64 {
         FRAME_BASE + t.index() as u64
@@ -159,14 +147,6 @@ impl CacheStats {
         }
     }
 
-    /// Overall miss rate.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            return 0.0;
-        }
-        self.misses as f64 / self.accesses as f64
-    }
-
     /// Records one access by process `i`.
     pub fn record(&mut self, i: usize, hit: bool) {
         self.accesses += 1;
@@ -251,13 +231,14 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.per_proc_misses, vec![1, 1]);
-        assert!((s.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CacheStats::default().miss_rate(), 0.0);
     }
 
     #[test]
     fn line_mapping_separates_frames_from_data() {
-        let cfg = CacheConfig::default().with_block(4);
+        let cfg = CacheConfig {
+            block: 4,
+            ..CacheConfig::default()
+        };
         // Nodes 0..3 share a data line; 4 starts the next.
         assert_eq!(cfg.data_line(NodeId(0)), cfg.data_line(NodeId(3)));
         assert_ne!(cfg.data_line(NodeId(3)), cfg.data_line(NodeId(4)));

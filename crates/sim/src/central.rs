@@ -7,11 +7,14 @@
 //! compares against are lock-based). Each loop iteration a process:
 //!
 //! 1. executes its assigned node (1 instruction, as in the work stealer);
-//! 2. pushes any enabled children to the shared queue (lock + body);
+//! 2. pushes the enabled child it does not keep, if any, to the shared
+//!    queue (lock + body);
 //! 3. takes its next assigned node from the shared queue (lock + body).
 //!
-//! Two structural handicaps relative to work stealing, both measured by
-//! the `ws-vs-sharing` experiment:
+//! It runs on the work stealer's round driver, so the two see the same
+//! kernel view, quanta and round-robin interleaving from a random
+//! starting process, and their times are directly comparable. Two
+//! structural handicaps relative to work stealing (EXPERIMENTS.md § C1):
 //!
 //! * **serialization** — every queue operation excludes every other
 //!   process, so queue traffic bounds throughput no matter how many
@@ -21,11 +24,12 @@
 
 use crate::locked_deque::LockedSimDeque;
 use crate::metrics::RunReport;
-use abp_dag::{Dag, DetRng, EnablingTree, NodeId};
+use crate::round::{self, Machine};
+use abp_dag::{Dag, DetRng, NodeId};
 use abp_deque::model::ProgOp;
 use abp_deque::stepped::Done;
 use abp_deque::Steal;
-use abp_kernel::{Kernel, KernelView};
+use abp_kernel::Kernel;
 
 /// Configuration for the work-sharing run.
 #[derive(Debug, Clone)]
@@ -43,11 +47,11 @@ impl Default for CentralConfig {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Phase {
     Loop,
-    /// Pushing an enabled child to the shared queue; remaining nodes to
-    /// push after it.
-    Pushing(u64, Vec<NodeId>),
+    /// Pushing an enabled child to the shared queue.
+    Pushing(NodeId),
     /// Taking the next assigned node from the shared queue.
     Taking,
 }
@@ -55,6 +59,76 @@ enum Phase {
 struct Proc {
     assigned: Option<NodeId>,
     phase: Phase,
+}
+
+/// The work-sharing scheduler's state for one run.
+struct Sharing<'a> {
+    dag: &'a Dag,
+    /// The shared queue; only its FIFO end is used.
+    queue: LockedSimDeque,
+    procs: Vec<Proc>,
+    remaining: Vec<u32>,
+    executed: u64,
+}
+
+impl Machine for Sharing<'_> {
+    fn observe(&self, has_assigned: &mut [bool], deque_len: &mut [usize], in_cs: &mut [bool]) {
+        for (i, proc) in self.procs.iter().enumerate() {
+            has_assigned[i] = proc.assigned.is_some();
+            // The shared queue length is global state; report it for p0
+            // so adaptive adversaries see *something* comparable.
+            deque_len[i] = if i == 0 { self.queue.len() } else { 0 };
+            in_cs[i] = self.queue.holder() == Some(i as u32);
+        }
+    }
+
+    fn step(&mut self, i: usize) -> bool {
+        let proc = &mut self.procs[i];
+        proc.phase = match proc.phase {
+            Phase::Loop => match proc.assigned.take() {
+                Some(u) => {
+                    debug_assert_eq!(self.remaining[u.index()], 0);
+                    self.executed += 1;
+                    if u == self.dag.final_node() {
+                        return true;
+                    }
+                    // A node enables at most two children.
+                    let mut enabled = [None; 2];
+                    let mut n = 0;
+                    for &(v, _) in self.dag.succs(u) {
+                        self.remaining[v.index()] -= 1;
+                        if self.remaining[v.index()] == 0 {
+                            enabled[n] = Some(v);
+                            n += 1;
+                        }
+                    }
+                    // Keep one child assigned (the same courtesy the work
+                    // stealer gets), share the other.
+                    proc.assigned = enabled[0];
+                    match enabled {
+                        [Some(_), Some(v)] => Phase::Pushing(v),
+                        [Some(_), None] => Phase::Loop,
+                        _ => Phase::Taking,
+                    }
+                }
+                None => Phase::Taking,
+            },
+            Phase::Pushing(v) => match self.queue.step(ProgOp::Push(v.index() as u64), i as u32) {
+                None => Phase::Pushing(v),
+                Some(_) => Phase::Loop,
+            },
+            Phase::Taking => match self.queue.step(ProgOp::PopTop, i as u32) {
+                None => Phase::Taking,
+                Some(res) => {
+                    if let Done::Stolen(Steal::Taken(v)) = res {
+                        proc.assigned = Some(NodeId(v as u32));
+                    }
+                    Phase::Loop
+                }
+            },
+        };
+        false
+    }
 }
 
 /// Runs the computation under `kernel` with the centralized scheduler.
@@ -67,151 +141,32 @@ pub fn run_central(
     config: CentralConfig,
 ) -> RunReport {
     assert!(p >= 1 && kernel.num_procs() == p);
-    // The shared queue is "deque 0"; only its FIFO end is used.
-    let mut queue = LockedSimDeque::new();
-    let mut procs: Vec<Proc> = (0..p)
-        .map(|i| Proc {
-            assigned: if i == 0 { Some(dag.root()) } else { None },
-            phase: Phase::Loop,
-        })
-        .collect();
-    let mut remaining: Vec<u32> = (0..dag.num_nodes())
-        .map(|i| dag.in_degree(NodeId(i as u32)) as u32)
-        .collect();
-    let mut tree = EnablingTree::new(dag);
-    let mut executed_count = 0u64;
-    let mut done = false;
-
-    let mut rounds = 0u64;
-    let mut proc_rounds = 0u64;
-    let mut instructions = 0u64;
-    let mut wall_steps = 0u64;
-    let mut rng = DetRng::new(config.seed);
-
-    let mut has_assigned = vec![false; p];
-    let mut deque_len = vec![0usize; p];
-    let mut in_cs = vec![false; p];
-
-    while !done && rounds < config.max_rounds {
-        rounds += 1;
-        for i in 0..p {
-            has_assigned[i] = procs[i].assigned.is_some();
-            // The shared queue length is global state; report it for p0
-            // so adaptive adversaries see *something* comparable.
-            deque_len[i] = if i == 0 { queue.len() } else { 0 };
-            in_cs[i] = queue.holder() == Some(i as u32);
-        }
-        let view = KernelView {
-            round: rounds,
-            has_assigned: &has_assigned,
-            deque_len: &deque_len,
-            in_critical_section: &in_cs,
-        };
-        let chosen = kernel.choose(&view);
-        proc_rounds += chosen.len() as u64;
-        let scheduled: Vec<usize> = chosen.iter().map(|q| q.index()).collect();
-        let quanta: Vec<u64> = scheduled
-            .iter()
-            .map(|_| {
-                rng.range_inclusive(
-                    2 * crate::ws::MILESTONE_C as u64,
-                    3 * crate::ws::MILESTONE_C as u64,
-                )
+    let mut sharing = Sharing {
+        dag,
+        queue: LockedSimDeque::new(),
+        procs: (0..p)
+            .map(|i| Proc {
+                assigned: if i == 0 { Some(dag.root()) } else { None },
+                phase: Phase::Loop,
             })
-            .collect();
-        let max_q = quanta.iter().copied().max().unwrap_or(0);
-        'round: for step in 0..max_q {
-            for (pos, &i) in scheduled.iter().enumerate() {
-                if step >= quanta[pos] {
-                    continue;
-                }
-                instructions += 1;
-                let phase = std::mem::replace(&mut procs[i].phase, Phase::Loop);
-                procs[i].phase = match phase {
-                    Phase::Loop => match procs[i].assigned.take() {
-                        Some(u) => {
-                            // Execute the node.
-                            debug_assert_eq!(remaining[u.index()], 0);
-                            executed_count += 1;
-                            if u == dag.final_node() {
-                                done = true;
-                                break 'round;
-                            }
-                            let mut enabled = Vec::new();
-                            for &(v, _) in dag.succs(u) {
-                                remaining[v.index()] -= 1;
-                                if remaining[v.index()] == 0 {
-                                    tree.record(u, v);
-                                    enabled.push(v);
-                                }
-                            }
-                            match enabled.split_first() {
-                                // Keep one child assigned (same courtesy
-                                // the work stealer gets), share the rest.
-                                Some((&first, rest)) => {
-                                    procs[i].assigned = Some(first);
-                                    if rest.is_empty() {
-                                        Phase::Loop
-                                    } else {
-                                        Phase::Pushing(rest[0].index() as u64, rest[1..].to_vec())
-                                    }
-                                }
-                                None => Phase::Taking,
-                            }
-                        }
-                        None => Phase::Taking,
-                    },
-                    Phase::Pushing(v, mut pending) => match queue.step(ProgOp::Push(v), i as u32) {
-                        None => Phase::Pushing(v, pending),
-                        Some(_) => match pending.pop() {
-                            Some(next) => Phase::Pushing(next.index() as u64, pending),
-                            None => Phase::Loop,
-                        },
-                    },
-                    Phase::Taking => match queue.step(ProgOp::PopTop, i as u32) {
-                        None => Phase::Taking,
-                        Some(res) => {
-                            if let Done::Stolen(Steal::Taken(v)) = res {
-                                procs[i].assigned = Some(NodeId(v as u32));
-                            }
-                            Phase::Loop
-                        }
-                    },
-                };
-            }
-        }
-        wall_steps += max_q;
-    }
-
-    let pa = if rounds == 0 {
-        0.0
-    } else {
-        proc_rounds as f64 / rounds as f64
+            .collect(),
+        remaining: (0..dag.num_nodes())
+            .map(|i| dag.in_degree(NodeId(i as u32)) as u32)
+            .collect(),
+        executed: 0,
     };
+    let rounds = round::run(
+        &mut sharing,
+        kernel,
+        config.max_rounds,
+        DetRng::new(config.seed),
+    );
     RunReport {
-        rounds,
-        proc_rounds,
-        instructions,
-        wall_steps,
-        pa,
         work: dag.work(),
         critical_path: dag.critical_path(),
-        procs: p,
-        executed: executed_count,
-        steal_attempts: 0,
-        successful_steals: 0,
-        steal_aborts: 0,
-        steal_empties: 0,
-        throws: 0,
-        yields: 0,
+        executed: sharing.executed,
         policy: "central-queue".to_string(),
-        completed: done,
-        structural_violations: 0,
-        potential_violations: 0,
-        milestone_violations: 0,
-        phases: None,
-        cache: None,
-        trace: None,
+        ..rounds
     }
 }
 
@@ -250,21 +205,44 @@ mod tests {
 
     #[test]
     fn work_stealing_beats_sharing_at_scale() {
-        // The headline comparison: with ample parallelism and many
-        // processes, the shared queue serializes while deques do not.
-        let dag = gen::fork_join_tree(9, 1);
-        let p = 16;
-        let mut k1 = DedicatedKernel::new(p);
-        let ws = crate::ws::run_ws(&dag, p, &mut k1, crate::ws::WsConfig::default());
-        let mut k2 = DedicatedKernel::new(p);
-        let cs = run_central(&dag, p, &mut k2, CentralConfig::default());
-        assert!(ws.completed && cs.completed);
-        assert!(
-            cs.rounds as f64 > 1.3 * ws.rounds as f64,
-            "work sharing ({}) should trail work stealing ({}) at P={p}",
-            cs.rounds,
-            ws.rounds
-        );
+        // The headline comparison, EXPERIMENTS.md § C1's table: with ample
+        // parallelism the shared queue serializes while deques do not, so
+        // sharing's rounds over stealing's grow with P.
+        let ps = [2, 8, 16];
+        for (name, dag) in [
+            ("fork-join(9,1)", gen::fork_join_tree(9, 1)),
+            ("fib(16,3)", gen::fib(16, 3)),
+            ("wide(128,30)", gen::wide_shallow(128, 30)),
+        ] {
+            let ratios = ps.map(|p| {
+                let ws = crate::ws::run_ws(
+                    &dag,
+                    p,
+                    &mut DedicatedKernel::new(p),
+                    crate::ws::WsConfig::default(),
+                );
+                let cs = run_central(
+                    &dag,
+                    p,
+                    &mut DedicatedKernel::new(p),
+                    CentralConfig::default(),
+                );
+                assert!(ws.completed && cs.completed);
+                cs.rounds as f64 / ws.rounds as f64
+            });
+            println!(
+                "{name}: sharing / stealing rounds {:.2} (P = 2), {:.2} (P = 8), {:.2} (P = 16)",
+                ratios[0], ratios[1], ratios[2]
+            );
+            assert!(
+                ratios[0] < ratios[1] && ratios[1] < ratios[2],
+                "{name}: the ratio should rise with P: {ratios:?} at P = {ps:?}"
+            );
+            assert!(
+                ratios[2] >= 1.5,
+                "{name}: work sharing should trail work stealing by 1.5x at P = 16: {ratios:?}"
+            );
+        }
     }
 
     #[test]

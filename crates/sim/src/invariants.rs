@@ -127,8 +127,6 @@ pub enum ReadyState {
 pub struct PotentialTracker {
     /// exponent (in units of ln 3) per ready node, or None if not ready.
     exponent: Vec<Option<i64>>,
-    /// Number of ready nodes.
-    ready: usize,
 }
 
 impl PotentialTracker {
@@ -136,7 +134,6 @@ impl PotentialTracker {
     pub fn new(dag: &Dag, tree: &EnablingTree) -> Self {
         let mut t = PotentialTracker {
             exponent: vec![None; dag.num_nodes()],
-            ready: 0,
         };
         t.insert(dag.root(), ReadyState::Assigned, tree);
         t
@@ -154,7 +151,6 @@ impl PotentialTracker {
     pub fn insert(&mut self, u: NodeId, state: ReadyState, tree: &EnablingTree) {
         debug_assert!(self.exponent[u.index()].is_none(), "{u} already ready");
         self.exponent[u.index()] = Some(Self::phi_exponent(tree, u, state));
-        self.ready += 1;
     }
 
     /// Node `u` moved from a deque to assigned (pop or steal).
@@ -169,12 +165,6 @@ impl PotentialTracker {
     pub fn remove(&mut self, u: NodeId) {
         debug_assert!(self.exponent[u.index()].is_some());
         self.exponent[u.index()] = None;
-        self.ready -= 1;
-    }
-
-    /// Number of ready nodes.
-    pub fn ready_count(&self) -> usize {
-        self.ready
     }
 
     /// `ln Φ` via a log-sum-exp over ready nodes (O(ready)); `-inf` when
@@ -244,7 +234,6 @@ mod tests {
             );
             last = now;
         }
-        assert_eq!(pot.ready_count(), 0);
         assert_eq!(last, f64::NEG_INFINITY);
     }
 

@@ -4,7 +4,9 @@
 //!
 //! * [`ws`] — the Figure-3 scheduling loop at instruction granularity:
 //!   rounds, milestones, throws, yields, with configurable deque backend
-//!   (ABP / untagged / locking) and assignment policy;
+//!   (ABP / locking) and assignment policy;
+//! * [`central`] — the centralized work-sharing baseline, run on the same
+//!   round driver as [`ws`] so the two are timed in one round model;
 //! * [`offline`] — greedy and Brent level-by-level execution schedules,
 //!   the Figure-2 reproduction, and Theorem 1/2 bound checks;
 //! * [`invariants`] — live verification of the structural lemma (Lemma 3 /
@@ -23,6 +25,7 @@ pub mod invariants;
 pub mod locked_deque;
 pub mod metrics;
 pub mod offline;
+mod round;
 pub mod telemetry;
 pub mod trace;
 pub mod ws;

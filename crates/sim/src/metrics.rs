@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Everything measured over one run of the simulated work stealer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Number of kernel rounds until the final node executed.
     pub rounds: u64,
@@ -74,14 +74,6 @@ impl RunReport {
     /// configuration.
     pub fn bound_ratio(&self) -> f64 {
         self.rounds as f64 / self.bound_denominator()
-    }
-
-    /// `T₁ / (P_A · T)` in round units: how close the execution came to
-    /// perfect linear speedup over the processors actually received. The
-    /// maximum achievable value is `1/q` where `q` is the per-round
-    /// quantum, since each node costs one instruction of a quantum.
-    pub fn utilization(&self) -> f64 {
-        self.work as f64 / (self.pa.max(f64::MIN_POSITIVE) * self.rounds as f64)
     }
 
     /// Fraction of completed steal attempts that succeeded.
@@ -176,7 +168,6 @@ mod tests {
         // T1/PA + Tinf*P/PA = 250 + 100 = 350.
         assert!((r.bound_denominator() - 350.0).abs() < 1e-9);
         assert!((r.bound_ratio() - 100.0 / 350.0).abs() < 1e-9);
-        assert!((r.utilization() - 1000.0 / 400.0).abs() < 1e-9);
         assert!((r.steal_success_rate() - 0.5).abs() < 1e-9);
     }
 

@@ -37,14 +37,6 @@ impl ExecutionSchedule {
         self.proc_steps() as f64 / self.length() as f64
     }
 
-    /// Steps at which some scheduled process idled.
-    pub fn idle_steps(&self) -> u64 {
-        self.steps
-            .iter()
-            .filter(|s| s.iter().any(|(_, n)| n.is_none()))
-            .count() as u64
-    }
-
     /// Total idle process-steps (the "idle bucket" of Theorem 2's proof).
     pub fn idle_tokens(&self) -> u64 {
         self.steps

@@ -13,14 +13,15 @@
 //!   job-run-time histogram;
 //! * a contiguous run of `Unscheduled` rounds (the kernel adversary
 //!   descheduling the process) becomes one `park` span;
-//! * every [`StealRecord`] becomes a `StealAttempt` instant with its
-//!   thief, victim, and outcome; hits record one round of steal latency.
+//! * every [`StealRecord`](crate::StealRecord) becomes a `StealAttempt`
+//!   instant with its thief, victim, and outcome; hits record one round
+//!   of steal latency.
 //!
 //! Timestamps inside a round are staggered (parks at +0, work at +100 ns,
 //! steals from +400 ns) so events within one worker's round keep a
 //! stable, strictly increasing order.
 
-use crate::trace::{RoundActivity, StealRecord, Trace};
+use crate::trace::{RoundActivity, Trace};
 use abp_telemetry::{EventKind, Registry, StealOutcome, TelemetryConfig, TelemetrySnapshot};
 
 /// Nanoseconds per simulated round in the exported trace (1 µs — one
@@ -176,22 +177,10 @@ pub fn telemetry_from_run(report: &crate::metrics::RunReport) -> Option<Telemetr
     Some(snap)
 }
 
-/// A [`StealRecord`] re-expressed as a telemetry event (helper for tests
-/// and ad-hoc tooling).
-pub fn steal_event(s: &StealRecord) -> (usize, u64, EventKind) {
-    (
-        s.thief.index(),
-        ts(s.round, 400),
-        EventKind::StealAttempt {
-            victim: s.victim.index() as u32,
-            outcome: s.outcome,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::StealRecord;
     use abp_dag::ProcId;
 
     fn act(rows: &[&[RoundActivity]]) -> Vec<Vec<RoundActivity>> {

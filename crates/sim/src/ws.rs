@@ -22,13 +22,14 @@ use crate::cache::{CacheConfig, CacheStats, LruCache};
 use crate::invariants::{check_structural_lemma, PotentialTracker, ReadyState};
 use crate::locked_deque::LockedSimDeque;
 use crate::metrics::{PhaseStats, RunReport};
+use crate::round::{self, Round};
 use crate::trace::{RoundActivity, StealRecord, Trace};
 use abp_core::{StealResult, StealTally, VictimKind};
 use abp_dag::{Dag, DetRng, EdgeKind, EnablingTree, NodeId, ProcId};
 use abp_deque::model::ProgOp;
 use abp_deque::stepped::{Done, Op, SteppedDeque};
 use abp_deque::Steal;
-use abp_kernel::{Kernel, KernelView, YieldLedger, YieldPolicy};
+use abp_kernel::{Kernel, ProcSet, YieldLedger, YieldPolicy};
 use abp_telemetry::StealOutcome;
 
 /// The milestone constant `C`: any `C` consecutive instructions executed
@@ -301,7 +302,6 @@ pub struct WorkStealer<'a> {
     phase_start_potential: f64,
     phase_stats: PhaseStats,
     ledger: YieldLedger,
-    quantum_rng: DetRng,
     // Cache model (empty/zero when `config.cache` is None).
     caches: Vec<LruCache>,
     executed_on: Vec<u32>,
@@ -368,7 +368,6 @@ impl<'a> WorkStealer<'a> {
             phase_throws: 0,
             phase_stats: PhaseStats::default(),
             ledger: YieldLedger::new(p),
-            quantum_rng: DetRng::new(config.seed ^ 0x9E3779B97F4A7C15),
             caches: match &config.cache {
                 Some(c) => (0..p).map(|_| LruCache::new(c.lines)).collect(),
                 None => Vec::new(),
@@ -393,163 +392,9 @@ impl<'a> WorkStealer<'a> {
     /// executes or `max_rounds` elapse.
     pub fn run(mut self, kernel: &mut dyn Kernel) -> RunReport {
         assert_eq!(kernel.num_procs(), self.procs.len());
-        let p = self.procs.len();
-        let mut rounds = 0u64;
-        let mut proc_rounds = 0u64;
-        let mut instructions = 0u64;
-        let mut wall_steps = 0u64;
-        let use_yields = self.config.yield_policy != YieldPolicy::None;
-
-        let mut has_assigned = vec![false; p];
-        let mut deque_len = vec![0usize; p];
-        let mut in_cs = vec![false; p];
-        // The round's scheduled processes and their quanta, refilled every
-        // round, so a round allocates nothing.
-        let mut scheduled: Vec<usize> = Vec::with_capacity(p);
-        let mut quanta: Vec<u64> = Vec::with_capacity(p);
-
-        while !self.done && rounds < self.config.max_rounds {
-            rounds += 1;
-            for i in 0..p {
-                has_assigned[i] = self.procs[i].assigned.is_some();
-                deque_len[i] = self.deques.len_of(i);
-            }
-            // Lock-holder visibility (adaptive adversaries may exploit
-            // this; trivially all-false for the non-blocking backends).
-            in_cs.fill(false);
-            if let Deques::Locked(dq) = &self.deques {
-                for d in dq {
-                    if let Some(h) = d.holder() {
-                        in_cs[h as usize] = true;
-                    }
-                }
-            }
-            let view = KernelView {
-                round: rounds,
-                has_assigned: &has_assigned,
-                deque_len: &deque_len,
-                in_critical_section: &in_cs,
-            };
-            let raw = kernel.choose(&view);
-            let chosen = if use_yields {
-                self.ledger.enforce(&raw)
-            } else {
-                raw
-            };
-            proc_rounds += chosen.len() as u64;
-
-            // Quanta: the kernel grants each scheduled process 2C..3C
-            // instructions (its choice; here jittered deterministically).
-            scheduled.clear();
-            scheduled.extend(chosen.iter().map(|q| q.index()));
-            quanta.clear();
-            quanta.extend(scheduled.iter().map(|_| {
-                self.quantum_rng
-                    .range_inclusive(2 * MILESTONE_C as u64, 3 * MILESTONE_C as u64)
-            }));
-            for &i in &scheduled {
-                self.procs[i].milestones_this_round = 0;
-            }
-            if self.config.trace {
-                self.trace.deque_depths.push(deque_len.clone());
-                self.round_executed.fill(false);
-                self.round_attempted.fill(false);
-                self.round_stole.fill(false);
-            }
-            // Interleave instruction-by-instruction in round-robin order
-            // with a random starting offset (the kernel may interleave
-            // arbitrarily; this realizes one adversary-ish choice).
-            let n = scheduled.len();
-            let offset = if n == 0 {
-                0
-            } else {
-                self.quantum_rng.below_usize(n)
-            };
-            let max_q = quanta.iter().copied().max().unwrap_or(0);
-            // Where the final node executed, as (step, k): the quanta of
-            // this round stop there.
-            let mut cut = None;
-            'round: for step in 0..max_q {
-                // The cursor visits `offset, offset + 1, …, n - 1, 0, …,
-                // offset - 1`: the k-th visit is `(k + offset) % n`.
-                let mut idx = offset;
-                for k in 0..n {
-                    if step < quanta[idx] {
-                        self.instruction(scheduled[idx]);
-                        instructions += 1;
-                        if self.done {
-                            cut = Some((step, k));
-                            break 'round;
-                        }
-                    }
-                    idx += 1;
-                    if idx == n {
-                        idx = 0;
-                    }
-                }
-            }
-            wall_steps += max_q;
-
-            if use_yields {
-                self.ledger.note_scheduled(&chosen);
-            }
-            // Milestone accounting: every scheduled process that received a
-            // full quantum must have hit ≥ 2 milestones (§4.1) — guaranteed
-            // for the non-blocking backends, and precisely what the
-            // Locking backend loses.
-            if !self.done && self.config.backend != DequeBackend::Locking {
-                for (pos, &i) in scheduled.iter().enumerate() {
-                    if quanta[pos] >= 2 * MILESTONE_C as u64
-                        && self.procs[i].milestones_this_round < 2
-                    {
-                        self.milestone_violations += 1;
-                    }
-                }
-            }
-            if self.config.trace {
-                // Instructions the process at `pos` ran before completion
-                // stopped the round.
-                let cut_short = |pos: usize| match cut {
-                    Some((step, k)) => {
-                        let ran = step + u64::from((pos + n - offset) % n <= k);
-                        ran < quanta[pos]
-                    }
-                    None => false,
-                };
-                let row: Vec<RoundActivity> = (0..p)
-                    .map(|i| match scheduled.iter().position(|&q| q == i) {
-                        None => RoundActivity::Unscheduled,
-                        Some(_) if self.round_stole[i] => RoundActivity::Stealing,
-                        Some(_) if self.round_executed[i] => RoundActivity::Working,
-                        Some(_) if self.round_attempted[i] => RoundActivity::Thieving,
-                        // A quantum that completion cut short made no
-                        // milestone because it ended, not because it spun.
-                        Some(pos) if cut_short(pos) => {
-                            if self.procs[i].assigned.is_some() {
-                                RoundActivity::Working
-                            } else {
-                                RoundActivity::Thieving
-                            }
-                        }
-                        Some(_) => RoundActivity::Stalled,
-                    })
-                    .collect();
-                self.trace.rounds.push(row);
-            }
-            if self.config.check_potential {
-                let now = self.proof().potential.log_potential();
-                if now > self.last_log_potential + 1e-9 {
-                    self.potential_violations += 1;
-                }
-                self.last_log_potential = now;
-            }
-        }
-
-        let pa = if rounds == 0 {
-            0.0
-        } else {
-            proc_rounds as f64 / rounds as f64
-        };
+        let max_rounds = self.config.max_rounds;
+        let quantum_rng = DetRng::new(self.config.seed ^ 0x9E3779B97F4A7C15);
+        let rounds = round::run(&mut self, kernel, max_rounds, quantum_rng);
         debug_assert!(
             self.tally.balanced(),
             "steal accounting identity violated: {:?}",
@@ -582,14 +427,8 @@ impl<'a> WorkStealer<'a> {
             self.trace.cache = self.config.cache.map(|_| self.cache_stats.clone());
         }
         RunReport {
-            rounds,
-            proc_rounds,
-            instructions,
-            wall_steps,
-            pa,
             work: self.dag.work(),
             critical_path: self.dag.critical_path(),
-            procs: p,
             executed: self.executed_count,
             steal_attempts: self.tally.attempts,
             successful_steals: self.tally.hits,
@@ -598,7 +437,6 @@ impl<'a> WorkStealer<'a> {
             throws: self.throws,
             yields: self.yields,
             policy: self.config.policy_label(),
-            completed: self.done,
             structural_violations: self.structural_violations,
             potential_violations: self.potential_violations,
             milestone_violations: self.milestone_violations,
@@ -617,6 +455,7 @@ impl<'a> WorkStealer<'a> {
             } else {
                 None
             },
+            ..rounds
         }
     }
 
@@ -920,6 +759,97 @@ impl<'a> WorkStealer<'a> {
             &contents,
         ) {
             self.structural_violations += 1;
+        }
+    }
+}
+
+impl round::Machine for WorkStealer<'_> {
+    fn observe(&self, has_assigned: &mut [bool], deque_len: &mut [usize], in_cs: &mut [bool]) {
+        for (i, proc) in self.procs.iter().enumerate() {
+            has_assigned[i] = proc.assigned.is_some();
+            deque_len[i] = self.deques.len_of(i);
+        }
+        // Lock-holder visibility (adaptive adversaries may exploit
+        // this; trivially all-false for the non-blocking backends).
+        in_cs.fill(false);
+        if let Deques::Locked(dq) = &self.deques {
+            for d in dq {
+                if let Some(h) = d.holder() {
+                    in_cs[h as usize] = true;
+                }
+            }
+        }
+    }
+
+    fn admit(&mut self, raw: ProcSet) -> ProcSet {
+        if self.config.yield_policy == YieldPolicy::None {
+            raw
+        } else {
+            self.ledger.enforce(&raw)
+        }
+    }
+
+    fn begin_round(&mut self, scheduled: &[usize], deque_len: &[usize]) {
+        for &i in scheduled {
+            self.procs[i].milestones_this_round = 0;
+        }
+        if self.config.trace {
+            self.trace.deque_depths.push(deque_len.to_vec());
+            self.round_executed.fill(false);
+            self.round_attempted.fill(false);
+            self.round_stole.fill(false);
+        }
+    }
+
+    fn step(&mut self, i: usize) -> bool {
+        self.instruction(i);
+        self.done
+    }
+
+    fn end_round(&mut self, round: &Round<'_>) {
+        if self.config.yield_policy != YieldPolicy::None {
+            self.ledger.note_scheduled(&round.chosen);
+        }
+        // Milestone accounting: every scheduled process that received a
+        // full quantum must have hit ≥ 2 milestones (§4.1) — guaranteed
+        // for the non-blocking backends, and precisely what the
+        // Locking backend loses.
+        if !self.done && self.config.backend != DequeBackend::Locking {
+            for (pos, &i) in round.scheduled.iter().enumerate() {
+                if round.quanta[pos] >= 2 * MILESTONE_C as u64
+                    && self.procs[i].milestones_this_round < 2
+                {
+                    self.milestone_violations += 1;
+                }
+            }
+        }
+        if self.config.trace {
+            let row: Vec<RoundActivity> = (0..self.procs.len())
+                .map(|i| match round.scheduled.iter().position(|&q| q == i) {
+                    None => RoundActivity::Unscheduled,
+                    Some(_) if self.round_stole[i] => RoundActivity::Stealing,
+                    Some(_) if self.round_executed[i] => RoundActivity::Working,
+                    Some(_) if self.round_attempted[i] => RoundActivity::Thieving,
+                    // A quantum that completion cut short made no
+                    // milestone because it ended, not because it spun.
+                    Some(pos) if round.cut_short(pos) => {
+                        if self.procs[i].assigned.is_some() {
+                            RoundActivity::Working
+                        } else {
+                            RoundActivity::Thieving
+                        }
+                    }
+                    Some(_) => RoundActivity::Stalled,
+                })
+                .collect();
+            self.trace.rounds.push(row);
+        }
+        if self.config.check_potential {
+            let now = self.proof().potential.log_potential();
+            if now > self.last_log_potential + 1e-9 {
+                self.potential_violations += 1;
+            }
+            self.last_log_potential = now;
         }
     }
 }

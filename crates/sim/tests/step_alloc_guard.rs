@@ -3,15 +3,19 @@
 //! allocator tallies the allocations, and the bytes they ask for, made by
 //! the test's own thread (per-thread, so the test harness's other threads
 //! cannot perturb the count). One `run_ws(fib(22, 4))` at `P = 8` must
-//! allocate a constant number of times, under a dedicated kernel and
-//! under the adaptive adversary with `yieldToAll`: its allocations are
-//! the run's setup and the deques' growth, and grow with neither work nor
-//! rounds. Its bytes are bounded too: a default run keeps no per-node
-//! proof state.
+//! allocate a constant number of times, under a dedicated kernel, under
+//! the benign adversary and under the adaptive adversary with
+//! `yieldToAll`: its allocations are the run's setup and the deques'
+//! growth, and grow with neither work nor rounds. Its bytes are bounded
+//! too: a default run keeps no per-node proof state. The work-sharing
+//! baseline runs on the same round driver and allocates a constant
+//! number of times as well.
 
-use abp_dag::gen;
-use abp_kernel::{AdaptiveWorkerStarver, CountSource, DedicatedKernel, Kernel, YieldPolicy};
-use abp_sim::{run_ws, WsConfig};
+use abp_dag::{gen, Dag};
+use abp_kernel::{
+    AdaptiveWorkerStarver, BenignKernel, CountSource, DedicatedKernel, Kernel, YieldPolicy,
+};
+use abp_sim::{run_central, run_ws, CentralConfig, RunReport, WsConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,12 +68,12 @@ fn allocs() -> (u64, u64) {
 /// Simulated processes.
 const P: usize = 8;
 
-/// Runs `config` over `fib(22, 4)` at `P = 8` under `kernel`; returns the
-/// work, the rounds, and the (allocations, bytes) the run made.
-fn measured_run(kernel: &mut dyn Kernel, config: WsConfig) -> (u64, u64, (u64, u64)) {
+/// Runs `run` over `fib(22, 4)`; returns the work, the rounds, and the
+/// (allocations, bytes) the run made.
+fn measured(run: impl FnOnce(&Dag) -> RunReport) -> (u64, u64, (u64, u64)) {
     let dag = gen::fib(22, 4);
     let before = allocs();
-    let r = run_ws(&dag, P, kernel, config);
+    let r = run(&dag);
     let after = allocs();
     assert!(r.completed);
     assert_eq!(r.executed, dag.work());
@@ -78,6 +82,11 @@ fn measured_run(kernel: &mut dyn Kernel, config: WsConfig) -> (u64, u64, (u64, u
         r.rounds,
         (after.0 - before.0, after.1 - before.1),
     )
+}
+
+/// Runs `config` over `fib(22, 4)` at `P = 8` under `kernel`.
+fn measured_run(kernel: &mut dyn Kernel, config: WsConfig) -> (u64, u64, (u64, u64)) {
+    measured(|dag| run_ws(dag, P, kernel, config))
 }
 
 fn dedicated() -> DedicatedKernel {
@@ -122,6 +131,26 @@ fn an_adversarial_round_does_not_allocate() {
     assert!(
         spent <= ALLOCS_PER_RUN,
         "run_ws allocated {spent} times for {work} nodes over {rounds} rounds"
+    );
+}
+
+#[test]
+fn a_benign_round_does_not_allocate() {
+    let mut kernel = BenignKernel::new(P, CountSource::Constant(4), 0x5EED);
+    let (work, rounds, (spent, _)) = measured_run(&mut kernel, WsConfig::default());
+    assert!(
+        spent <= ALLOCS_PER_RUN,
+        "run_ws allocated {spent} times for {work} nodes over {rounds} rounds"
+    );
+}
+
+#[test]
+fn a_central_round_does_not_allocate() {
+    let (work, rounds, (spent, _)) =
+        measured(|dag| run_central(dag, P, &mut dedicated(), CentralConfig::default()));
+    assert!(
+        spent <= ALLOCS_PER_RUN,
+        "run_central allocated {spent} times for {work} nodes over {rounds} rounds"
     );
 }
 

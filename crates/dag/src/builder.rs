@@ -26,9 +26,13 @@ use crate::ids::{NodeId, ThreadId};
 pub struct DagBuilder {
     succs: Vec<Succs>,
     thread_of: Vec<ThreadId>,
-    threads: Vec<Vec<NodeId>>,
+    /// Each thread's first and last node so far ([`NONE`] while empty).
+    ends: Vec<[NodeId; 2]>,
     errors: Vec<DagError>,
 }
+
+/// The end of a thread that has no nodes yet.
+pub(crate) const NONE: NodeId = NodeId(u32::MAX);
 
 impl DagBuilder {
     /// Creates an empty builder.
@@ -38,8 +42,8 @@ impl DagBuilder {
 
     /// Creates a new thread. The first call creates the root thread.
     pub fn thread(&mut self) -> ThreadId {
-        let id = ThreadId(self.threads.len() as u32);
-        self.threads.push(Vec::new());
+        let id = ThreadId(self.ends.len() as u32);
+        self.ends.push([NONE; 2]);
         id
     }
 
@@ -49,12 +53,13 @@ impl DagBuilder {
         let id = NodeId(self.succs.len() as u32);
         self.succs.push(Succs::default());
         self.thread_of.push(t);
-        if let Some(&prev) = self.threads[t.index()].last() {
-            if let Err(e) = self.succs[prev.index()].push(id, EdgeKind::Continue) {
-                self.errors.push(e);
-            }
+        let [first, last] = &mut self.ends[t.index()];
+        if *first == NONE {
+            *first = id;
+        } else if let Err(e) = self.succs[last.index()].push(id, EdgeKind::Continue) {
+            self.errors.push(e);
         }
-        self.threads[t.index()].push(id);
+        *last = id;
         id
     }
 
@@ -90,15 +95,11 @@ impl DagBuilder {
     /// `from` has executed. Models joins and semaphore V→P pairs.
     pub fn sync(&mut self, from: NodeId, to: NodeId) {
         // Reject an enable edge that merely restates the thread chain.
-        if self.thread_of[from.index()] == self.thread_of[to.index()] {
-            let chain = &self.threads[self.thread_of[from.index()].index()];
-            if let Some(pos) = chain.iter().position(|&n| n == from) {
-                if chain.get(pos + 1) == Some(&to) {
-                    self.errors
-                        .push(DagError::EnableWithinThreadForward { from, to });
-                    return;
-                }
-            }
+        let succs = self.succs[from.index()].as_slice();
+        if succs.contains(&(to, EdgeKind::Continue)) {
+            self.errors
+                .push(DagError::EnableWithinThreadForward { from, to });
+            return;
         }
         if let Err(e) = self.succs[from.index()].push(to, EdgeKind::Enable) {
             self.errors.push(e);
@@ -120,7 +121,7 @@ impl DagBuilder {
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
         }
-        Dag::from_parts(self.succs, self.thread_of, self.threads)
+        Dag::from_parts(self.succs, self.thread_of, self.ends)
     }
 }
 
@@ -247,6 +248,21 @@ mod tests {
             b.finish().unwrap_err(),
             DagError::EnableWithinThreadForward { .. }
         ));
+    }
+
+    #[test]
+    fn accepts_forward_enable_to_a_later_node_of_the_thread() {
+        // a → c → d on one thread; a → d skips c, so it is not the chain.
+        let mut b = DagBuilder::new();
+        let t = b.thread();
+        let a = b.node(t);
+        let _c = b.node(t);
+        let d = b.node(t);
+        b.sync(a, d);
+        let dag = b.finish().unwrap();
+        assert_eq!(dag.succs(a)[1], (d, EdgeKind::Enable));
+        assert_eq!(dag.in_degree(d), 2);
+        assert_eq!(dag.critical_path(), 3);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! (in-degree 0, the first node of the root thread) and exactly one *final*
 //! node (out-degree 0).
 
+use crate::builder::NONE;
 use crate::ids::{NodeId, ThreadId};
 use std::fmt;
 
@@ -156,8 +157,7 @@ pub struct Dag {
     pred_off: Vec<u32>,
     pred_dat: Vec<NodeId>,
     thread_of: Vec<ThreadId>,
-    /// Nodes of each thread in chain order.
-    threads: Vec<Vec<NodeId>>,
+    num_threads: u32,
     root: NodeId,
     final_node: NodeId,
     topo: Vec<NodeId>,
@@ -171,23 +171,22 @@ pub struct Dag {
 impl Dag {
     /// Validates raw components and builds the immutable dag. Used by the
     /// builder; not public because arbitrary component soup is easy to get
-    /// wrong.
+    /// wrong. `ends` holds each thread's first and last node.
     pub(crate) fn from_parts(
         succs: Vec<Succs>,
         thread_of: Vec<ThreadId>,
-        threads: Vec<Vec<NodeId>>,
+        ends: Vec<[NodeId; 2]>,
     ) -> Result<Self, DagError> {
         let n = succs.len();
         if n == 0 {
             return Err(DagError::Empty);
         }
-        for (t, nodes) in threads.iter().enumerate() {
-            if nodes.is_empty() {
-                return Err(DagError::EmptyThread {
-                    thread: ThreadId(t as u32),
-                });
-            }
+        if let Some(t) = ends.iter().position(|&[first, _]| first == NONE) {
+            return Err(DagError::EmptyThread {
+                thread: ThreadId(t as u32),
+            });
         }
+        let first = |t: ThreadId| ends[t.index()][0];
 
         // Degree bookkeeping + duplicate / self-edge detection.
         let mut in_deg = vec![0u32; n];
@@ -215,46 +214,58 @@ impl Dag {
 
         // Root: exactly one in-degree-0 node, and it must be the first node
         // of thread 0 (the root thread).
-        let zeros: Vec<usize> = (0..n).filter(|&i| in_deg[i] == 0).collect();
-        if zeros.len() != 1 || NodeId(zeros[0] as u32) != threads[0][0] {
+        let zeros = in_deg.iter().filter(|&&d| d == 0).count();
+        let root = NodeId(in_deg.iter().position(|&d| d == 0).unwrap_or(0) as u32);
+        if zeros != 1 || root != first(ThreadId(0)) {
             return Err(DagError::BadRoot {
-                in_degree_zero: zeros.len(),
+                in_degree_zero: zeros,
             });
         }
-        let root = NodeId(zeros[0] as u32);
 
         // Final node: exactly one out-degree-0 node.
-        let finals: Vec<usize> = (0..n).filter(|&i| succs[i].as_slice().is_empty()).collect();
-        if finals.len() != 1 {
+        let is_final = |s: &Succs| s.as_slice().is_empty();
+        let finals = succs.iter().filter(|s| is_final(s)).count();
+        let final_node = NodeId(succs.iter().position(is_final).unwrap_or(0) as u32);
+        if finals != 1 {
             return Err(DagError::BadFinal {
-                out_degree_zero: finals.len(),
+                out_degree_zero: finals,
             });
         }
-        let final_node = NodeId(finals[0] as u32);
 
         // Every non-root thread needs exactly one incoming spawn edge at its
-        // first node; the root thread must have none.
-        for (t, nodes) in threads.iter().enumerate() {
-            let first = nodes[0];
-            let expected = if t == 0 { 0 } else { 1 };
-            if spawn_in[first.index()] != expected {
-                return Err(DagError::BadSpawn {
-                    thread: ThreadId(t as u32),
-                    spawn_edges: spawn_in[first.index()] as usize,
-                });
-            }
-            // Non-first nodes of a thread must not receive spawn edges.
-            for &node in &nodes[1..] {
-                if spawn_in[node.index()] != 0 {
-                    return Err(DagError::SpawnNotAtThreadStart { to: node });
+        // first node; the root thread must have none, and no other node may
+        // receive one. The lowest thread at fault is reported, at its
+        // lowest node (a first node is its thread's lowest).
+        let fault = (0..n)
+            .map(|i| NodeId(i as u32))
+            .filter(|&u| {
+                let t = thread_of[u.index()];
+                spawn_in[u.index()] != u32::from(first(t) == u && t.index() != 0)
+            })
+            .min_by_key(|&u| thread_of[u.index()]);
+        if let Some(u) = fault {
+            let thread = thread_of[u.index()];
+            return Err(if first(thread) == u {
+                DagError::BadSpawn {
+                    thread,
+                    spawn_edges: spawn_in[u.index()] as usize,
                 }
-            }
+            } else {
+                DagError::SpawnNotAtThreadStart { to: u }
+            });
+        }
+        drop(spawn_in);
+
+        // CSR predecessor offsets, from the in-degrees.
+        let mut pred_off = vec![0u32; n + 1];
+        for (i, &d) in in_deg.iter().enumerate() {
+            pred_off[i + 1] = pred_off[i] + d;
         }
 
-        // Kahn topological sort; also computes longest-path depths.
+        // Kahn topological sort, consuming the in-degrees; also computes
+        // longest-path depths.
         let mut topo = Vec::with_capacity(n);
         let mut depth = vec![0u32; n];
-        let mut indeg = in_deg.clone();
         let mut frontier = vec![root];
         while let Some(u) = frontier.pop() {
             topo.push(u);
@@ -263,8 +274,8 @@ impl Dag {
                 if d > depth[v.index()] {
                     depth[v.index()] = d;
                 }
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
+                in_deg[v.index()] -= 1;
+                if in_deg[v.index()] == 0 {
                     frontier.push(v);
                 }
             }
@@ -274,22 +285,14 @@ impl Dag {
         }
         let critical_path = depth.iter().copied().max().unwrap_or(0) + 1;
 
-        // CSR predecessor lists.
-        let mut pred_off = vec![0u32; n + 1];
-        for s in &succs {
-            for &(to, _) in s.as_slice() {
-                pred_off[to.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            pred_off[i + 1] += pred_off[i];
-        }
-        let mut cursor = pred_off.clone();
+        // CSR predecessor lists; the in-degrees are all 0 again, so they
+        // count each node's predecessors placed so far.
         let mut pred_dat = vec![NodeId(0); pred_off[n] as usize];
         for (i, s) in succs.iter().enumerate() {
             for &(to, _) in s.as_slice() {
-                pred_dat[cursor[to.index()] as usize] = NodeId(i as u32);
-                cursor[to.index()] += 1;
+                let placed = &mut in_deg[to.index()];
+                pred_dat[(pred_off[to.index()] + *placed) as usize] = NodeId(i as u32);
+                *placed += 1;
             }
         }
 
@@ -298,7 +301,7 @@ impl Dag {
             pred_off,
             pred_dat,
             thread_of,
-            threads,
+            num_threads: ends.len() as u32,
             root,
             final_node,
             topo,
@@ -335,7 +338,7 @@ impl Dag {
     /// Number of threads.
     #[inline]
     pub fn num_threads(&self) -> usize {
-        self.threads.len()
+        self.num_threads as usize
     }
 
     /// The root node (first node of the root thread; unique in-degree 0).
@@ -381,12 +384,6 @@ impl Dag {
     #[inline]
     pub fn thread_of(&self, u: NodeId) -> ThreadId {
         self.thread_of[u.index()]
-    }
-
-    /// The nodes of thread `t` in chain (program) order.
-    #[inline]
-    pub fn thread_nodes(&self, t: ThreadId) -> &[NodeId] {
-        &self.threads[t.index()]
     }
 
     /// A topological order of all nodes (root first).

@@ -23,6 +23,8 @@
 //! * [`DetRng`] — the seeded PRNG used across the workspace so experiments
 //!   are bit-reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod dag;
 pub mod enabling;

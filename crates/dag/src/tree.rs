@@ -29,62 +29,81 @@
 
 use crate::builder::DagBuilder;
 use crate::dag::Dag;
-use crate::ids::{NodeId, ThreadId};
 use crate::rng::DetRng;
 
-/// An explicit rooted tree. Node 0 is the root; every other node has
-/// exactly one parent with a smaller construction-time index is *not*
-/// required, but all generators here produce parent-before-child order.
+/// An explicit rooted tree. Node 0 is the root, and every other node
+/// has one parent; all generators here give a parent a smaller index
+/// than its children. A node's children are kept in index order, which
+/// is their spawn order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootedTree {
-    children: Vec<Vec<usize>>,
-    parent: Vec<Option<usize>>,
+    /// Parent of each node; [`NO_PARENT`] for the root.
+    parent: Vec<u32>,
+    /// Node `v`'s children are `child_dat[child_off[v]..child_off[v + 1]]`.
+    child_off: Vec<u32>,
+    child_dat: Vec<u32>,
 }
 
-impl RootedTree {
-    /// A tree with `n` nodes and no edges yet (all nodes roots until
-    /// attached). Generators attach every node except 0.
-    fn with_nodes(n: usize) -> Self {
-        assert!(n >= 1, "a rooted tree has at least its root");
-        RootedTree {
-            children: vec![Vec::new(); n],
-            parent: vec![None; n],
-        }
-    }
+/// The root's entry in [`RootedTree::parent`].
+const NO_PARENT: u32 = u32::MAX;
 
-    /// Attaches `child` under `parent`. Panics if `child` already has a
-    /// parent or the attachment would make `child` its own ancestor
-    /// (generators only attach fresh nodes, so a cheap check suffices).
-    fn attach(&mut self, parent: usize, child: usize) {
-        assert!(child != 0, "the root cannot be attached");
-        assert!(self.parent[child].is_none(), "node {child} attached twice");
-        self.parent[child] = Some(parent);
-        self.children[parent].push(child);
+impl RootedTree {
+    /// The tree in which node `v ≥ 1` hangs under `parents[v - 1]`.
+    /// Panics if the links do not form a tree rooted at node 0.
+    fn from_parents(parents: impl ExactSizeIterator<Item = usize>) -> Self {
+        let n = parents.len() + 1;
+        assert!(n <= NO_PARENT as usize, "tree too large");
+        let parent: Vec<u32> = std::iter::once(NO_PARENT)
+            .chain(parents.map(|p| p as u32))
+            .collect();
+        // Counting sort by parent. `child_off[p]` first marks the end of
+        // `p`'s children; filling from the highest child down moves it to
+        // their start and leaves each list in index order.
+        let mut child_off = vec![0u32; n + 1];
+        for &p in &parent[1..] {
+            child_off[p as usize] += 1;
+        }
+        for v in 1..=n {
+            child_off[v] += child_off[v - 1];
+        }
+        let mut child_dat = vec![0u32; n - 1];
+        for (v, &p) in parent.iter().enumerate().skip(1).rev() {
+            child_off[p as usize] -= 1;
+            child_dat[child_off[p as usize] as usize] = v as u32;
+        }
+        let t = RootedTree {
+            parent,
+            child_off,
+            child_dat,
+        };
+        t.check_invariants();
+        t
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.children.len()
+        self.parent.len()
     }
 
     /// Number of edges (`num_nodes − 1` for a connected tree).
     pub fn num_edges(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
+        self.child_dat.len()
     }
 
     /// Children of `v`, in spawn order.
-    pub fn children(&self, v: usize) -> &[usize] {
-        &self.children[v]
+    pub fn children(&self, v: usize) -> &[u32] {
+        &self.child_dat[self.child_off[v] as usize..self.child_off[v + 1] as usize]
     }
 
     /// Parent of `v` (`None` for the root).
     pub fn parent(&self, v: usize) -> Option<usize> {
-        self.parent[v]
+        let p = self.parent[v];
+        (p != NO_PARENT).then_some(p as usize)
     }
 
     /// Number of leaves (nodes with no children).
     pub fn num_leaves(&self) -> usize {
-        self.children.iter().filter(|c| c.is_empty()).count()
+        self.child_off.windows(2).filter(|w| w[0] == w[1]).count()
     }
 
     /// Height in edges: the longest root-to-leaf path. 0 for a single
@@ -95,7 +114,7 @@ impl RootedTree {
         // Generators produce parent-before-child indices, but compute
         // via an explicit traversal so the accessor never depends on it.
         for v in self.topo_order() {
-            if let Some(p) = self.parent[v] {
+            if let Some(p) = self.parent(v) {
                 depth[v] = depth[p] + 1;
                 max = max.max(depth[v]);
             }
@@ -106,7 +125,10 @@ impl RootedTree {
     /// Maximum number of children of any node (the branching factor `k`
     /// of the rooted-tree steal bound). 0 for a single node.
     pub fn max_degree(&self) -> u64 {
-        self.children.iter().map(Vec::len).max().unwrap_or(0) as u64
+        (0..self.num_nodes())
+            .map(|v| self.children(v).len())
+            .max()
+            .unwrap_or(0) as u64
     }
 
     /// Height of the *binarized spawn tree* of the ABP encoding: the
@@ -118,10 +140,11 @@ impl RootedTree {
     pub fn spawn_height(&self) -> u64 {
         let mut sh = vec![0u64; self.num_nodes()];
         for v in self.topo_order().into_iter().rev() {
-            sh[v] = self.children[v]
+            sh[v] = self
+                .children(v)
                 .iter()
                 .enumerate()
-                .map(|(i, &c)| (i as u64 + 1) + sh[c])
+                .map(|(i, &c)| (i as u64 + 1) + sh[c as usize])
                 .max()
                 .unwrap_or(0);
         }
@@ -138,7 +161,7 @@ impl RootedTree {
         while let Some(v) = stack.pop() {
             order.push(v);
             // Reverse so children pop in spawn order (cosmetic only).
-            stack.extend(self.children[v].iter().rev());
+            stack.extend(self.children(v).iter().rev().map(|&c| c as usize));
         }
         assert_eq!(order.len(), n, "tree is disconnected or cyclic");
         order
@@ -146,17 +169,26 @@ impl RootedTree {
 
     /// Checks the structural invariants the generators promise: node 0
     /// is the unique root, parent/children links agree, and every node
-    /// is reachable from the root (no cycles, no orphans).
+    /// is reachable from the root (no cycles, no orphans). Linear: the
+    /// `num_nodes − 1` child entries each agree with the parent link and
+    /// rise within their list, so each non-root node is listed once.
     pub fn check_invariants(&self) {
-        assert_eq!(self.parent[0], None, "root has a parent");
-        for v in 1..self.num_nodes() {
-            let p = self.parent[v].unwrap_or_else(|| panic!("node {v} is an orphan"));
-            assert!(
-                self.children[p].contains(&v),
-                "parent link {v}→{p} missing from children list"
-            );
-        }
+        assert_eq!(self.parent(0), None, "root has a parent");
         assert_eq!(self.num_edges(), self.num_nodes() - 1, "edge count");
+        for p in 0..self.num_nodes() {
+            let children = self.children(p);
+            for (i, &v) in children.iter().enumerate() {
+                assert_eq!(
+                    self.parent(v as usize),
+                    Some(p),
+                    "child {v} of {p} has another parent"
+                );
+                assert!(
+                    i == 0 || children[i - 1] < v,
+                    "children of {p} out of order"
+                );
+            }
+        }
         let _ = self.topo_order(); // panics on cycles/disconnection
     }
 
@@ -165,55 +197,56 @@ impl RootedTree {
     /// per child and one join rung per child. Construction is
     /// depth-first, so node indices follow the `P = 1` execution order
     /// (good sequential locality for the cache model).
+    ///
+    /// Each child's whole thread is built right after the spawn
+    /// instruction that spawns it. Non-root threads already carry their
+    /// spawn-target entry node, so they get `body − 1` further body
+    /// nodes (every task costs the same `body` nodes of straight-line
+    /// work). The walk keeps an explicit stack, so a tall tree cannot
+    /// overflow the call stack.
     pub fn to_dag(&self, body: usize) -> Dag {
         assert!(body >= 1, "each task needs at least one body node");
         let mut b = DagBuilder::new();
         let root = b.thread();
-        self.build_thread(&mut b, root, 0, body, None);
+        // The threads being built, innermost last: tree node, thread and
+        // next child to spawn.
+        let mut stack = vec![(0, root, 0)];
+        // Each stacked thread's last node so far, followed by the last
+        // nodes of its finished children.
+        let mut lasts = vec![b.nodes(root, body)];
+        while let Some((v, t, next)) = stack.last_mut() {
+            let (t, children) = (*t, self.children(*v));
+            if let Some(&c) = children.get(*next) {
+                *next += 1;
+                let s = b.node(t);
+                let (ct, entry) = b.spawn_thread(s);
+                lasts.push(if body == 1 {
+                    entry
+                } else {
+                    b.nodes(ct, body - 1)
+                });
+                stack.push((c as usize, ct, 0));
+            } else {
+                stack.pop();
+                let first_child = lasts.len() - children.len();
+                let mut last = lasts[first_child - 1];
+                for &cl in &lasts[first_child..] {
+                    last = b.node(t);
+                    b.sync(cl, last);
+                }
+                lasts.truncate(first_child);
+                lasts[first_child - 1] = last;
+            }
+        }
         b.finish().expect("tree encoding is valid by construction")
-    }
-
-    /// Builds node `v`'s thread; returns the thread's last dag node.
-    /// Non-root threads already carry their spawn-target `entry` node,
-    /// so they get `body − 1` further body nodes (every task costs the
-    /// same `body` nodes of straight-line work).
-    fn build_thread(
-        &self,
-        b: &mut DagBuilder,
-        t: ThreadId,
-        v: usize,
-        body: usize,
-        entry: Option<NodeId>,
-    ) -> NodeId {
-        let mut last = match entry {
-            None => b.nodes(t, body),
-            Some(e) if body == 1 => e,
-            Some(_) => b.nodes(t, body - 1),
-        };
-        let mut child_lasts = Vec::with_capacity(self.children[v].len());
-        for &c in &self.children[v] {
-            let s = b.node(t);
-            let (ct, centry) = b.spawn_thread(s);
-            child_lasts.push(self.build_thread(b, ct, c, body, Some(centry)));
-        }
-        for cl in child_lasts {
-            let rung = b.node(t);
-            b.sync(cl, rung);
-            last = rung;
-        }
-        last
     }
 }
 
 /// A path: node `i`'s only child is `i + 1`. Height `n − 1`, degree 1 —
 /// the tree with the tallest binarized spawn height per node.
 pub fn spine(n: usize) -> RootedTree {
-    let mut t = RootedTree::with_nodes(n);
-    for i in 1..n {
-        t.attach(i - 1, i);
-    }
-    t.check_invariants();
-    t
+    assert!(n >= 1, "a rooted tree has at least its root");
+    RootedTree::from_parents((1..n).map(|i| i - 1))
 }
 
 /// The complete `k`-ary tree of height `h` (edges): `(k^(h+1) − 1)/(k − 1)`
@@ -226,23 +259,8 @@ pub fn full_kary(k: usize, h: u32) -> RootedTree {
         level = level.checked_mul(k).expect("tree too large");
         n = n.checked_add(level).expect("tree too large");
     }
-    let mut t = RootedTree::with_nodes(n);
-    // BFS order: children of node v are contiguous after the frontier.
-    let mut next = 1usize;
-    let mut frontier = vec![0usize];
-    for _ in 0..h {
-        let mut new_frontier = Vec::with_capacity(frontier.len() * k);
-        for &v in &frontier {
-            for _ in 0..k {
-                t.attach(v, next);
-                new_frontier.push(next);
-                next += 1;
-            }
-        }
-        frontier = new_frontier;
-    }
-    t.check_invariants();
-    t
+    // BFS order: node i's parent is (i − 1) / k.
+    RootedTree::from_parents((1..n).map(|i| (i - 1) / k))
 }
 
 /// A random recursive tree: node `i` attaches to a uniformly random
@@ -250,14 +268,9 @@ pub fn full_kary(k: usize, h: u32) -> RootedTree {
 /// with occasional high-degree hubs — the "irregular" point of the
 /// sweep.
 pub fn random_attachment(seed: u64, n: usize) -> RootedTree {
+    assert!(n >= 1, "a rooted tree has at least its root");
     let mut rng = DetRng::new(seed);
-    let mut t = RootedTree::with_nodes(n);
-    for i in 1..n {
-        let p = rng.below_usize(i);
-        t.attach(p, i);
-    }
-    t.check_invariants();
-    t
+    RootedTree::from_parents((1..n).map(|i| rng.below_usize(i)))
 }
 
 /// A caterpillar: a spine of `spine_len` nodes where every spine node
@@ -265,28 +278,16 @@ pub fn random_attachment(seed: u64, n: usize) -> RootedTree {
 /// segment). Interpolates between [`spine`] (`legs = 0`) and a broom.
 pub fn caterpillar(spine_len: usize, legs: usize) -> RootedTree {
     assert!(spine_len >= 1);
-    let n = spine_len * (legs + 1);
-    let mut t = RootedTree::with_nodes(n);
-    let mut next = 1usize;
-    let mut prev_spine = 0usize;
-    for s in 0..spine_len {
-        for _ in 0..legs {
-            t.attach(prev_spine, next);
-            next += 1;
-        }
-        if s + 1 < spine_len {
-            t.attach(prev_spine, next);
-            prev_spine = next;
-            next += 1;
-        }
-    }
-    t.check_invariants();
-    t
+    // Spine node s is node s · (legs + 1); its legs and the next spine
+    // node follow it.
+    let segment = legs + 1;
+    RootedTree::from_parents((1..spine_len * segment).map(|i| (i - 1) / segment * segment))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NodeId;
 
     #[test]
     fn spine_shape() {
@@ -384,6 +385,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn to_dag_builds_a_tall_spine_without_recursion() {
+        // A spine's encoding is one path: body and spawn going down,
+        // one rung per level coming back up.
+        let n = 100_000;
+        let d = spine(n).to_dag(1);
+        assert_eq!(d.work(), 3 * n as u64 - 2);
+        assert_eq!(d.critical_path(), 3 * n as u64 - 2);
+        assert_eq!(d.num_threads(), n);
+    }
+
+    #[test]
+    fn a_wide_caterpillar_builds_in_linear_time() {
+        let legs = 200_000;
+        let t = caterpillar(1, legs);
+        assert_eq!(t.num_nodes(), legs + 1);
+        assert_eq!(t.max_degree(), legs as u64);
+        assert_eq!(t.num_leaves(), legs);
+        assert_eq!(t.height(), 1);
     }
 
     #[test]

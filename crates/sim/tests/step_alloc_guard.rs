@@ -9,9 +9,10 @@
 //! growth, and grow with neither work nor rounds. Its bytes are bounded
 //! too: a default run keeps no per-node proof state. The work-sharing
 //! baseline runs on the same round driver and allocates a constant
-//! number of times as well.
+//! number of times as well. Building a dag allocates once per growth of
+//! each of its arrays, never once per thread.
 
-use abp_dag::{gen, Dag};
+use abp_dag::{gen, tree, Dag};
 use abp_kernel::{
     AdaptiveWorkerStarver, BenignKernel, CountSource, DedicatedKernel, Kernel, YieldPolicy,
 };
@@ -172,4 +173,40 @@ fn a_default_run_keeps_no_per_node_proof_state() {
         bytes > bound,
         "a checked run allocated only {bytes} bytes for {work} nodes over {rounds} rounds"
     );
+}
+
+/// `Vec`s that building one dag may grow: the builder's, the
+/// validation's, the dag's own, and for a tree its arrays and its walk's
+/// two stacks. Each grows by doubling, so it allocates about
+/// log₂(work) times. Building `fib(22, 4)` once allocated per thread:
+/// 24 530 times for its 13 529 threads.
+const VECS_PER_BUILD: u64 = 8;
+
+/// Builds a dag; returns it with the allocations the build made.
+fn built(build: impl FnOnce() -> Dag) -> (Dag, u64) {
+    let before = allocs().0;
+    let dag = build();
+    (dag, allocs().0 - before)
+}
+
+#[test]
+fn building_a_dag_allocates_per_vec_growth_not_per_thread() {
+    for (name, (dag, spent)) in [
+        ("fib(22, 4)", built(|| gen::fib(22, 4))),
+        (
+            "wide_shallow(1024, 48)",
+            built(|| gen::wide_shallow(1024, 48)),
+        ),
+        (
+            "random_attachment(101, 16_000).to_dag(3)",
+            built(|| tree::random_attachment(101, 16_000).to_dag(3)),
+        ),
+    ] {
+        let bound = VECS_PER_BUILD * u64::from(dag.work().ilog2() + 1);
+        assert!(
+            spent <= bound,
+            "building {name} allocated {spent} times for {} threads (bound {bound})",
+            dag.num_threads()
+        );
+    }
 }

@@ -286,27 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn levels_partition_nodes() {
-        let mut b = DagBuilder::new();
-        let t = b.thread();
-        let s = b.node(t);
-        let (child, _c1) = b.spawn_thread(s);
-        let c2 = b.node(child);
-        let j = b.node(t);
-        b.sync(c2, j);
-        let d = b.finish().unwrap();
-        let levels = d.levels();
-        assert_eq!(levels.len() as u64, d.critical_path());
-        let total: usize = levels.iter().map(Vec::len).sum();
-        assert_eq!(total, d.num_nodes());
-        for (k, level) in levels.iter().enumerate() {
-            for &u in level {
-                assert_eq!(d.depth(u) as usize, k);
-            }
-        }
-    }
-
-    #[test]
     fn topo_order_respects_edges() {
         let mut b = DagBuilder::new();
         let t = b.thread();

@@ -398,17 +398,6 @@ impl Dag {
         self.depth[u.index()]
     }
 
-    /// Groups nodes by [`Dag::depth`]; level `k` contains the nodes at
-    /// longest-path depth `k`. Used by the Brent level-by-level offline
-    /// scheduler of Section 2.
-    pub fn levels(&self) -> Vec<Vec<NodeId>> {
-        let mut levels = vec![Vec::new(); self.critical_path as usize];
-        for &u in &self.topo {
-            levels[self.depth(u) as usize].push(u);
-        }
-        levels
-    }
-
     /// All edges of the dag, in node order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         (0..self.num_nodes()).flat_map(move |i| {

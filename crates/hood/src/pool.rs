@@ -83,7 +83,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 #[cfg(feature = "telemetry")]
-use abp_telemetry::{EventKind, Registry, StealOutcome, WorkerTelemetry};
+use abp_telemetry::{EventKind, Registry, WorkerTelemetry};
 #[cfg(feature = "telemetry")]
 pub use abp_telemetry::{TelemetryConfig, TelemetrySnapshot};
 
@@ -279,19 +279,14 @@ impl SharedCore {
     }
 
     /// The registry's snapshot with the scalar counters that live with
-    /// the pool stamped in: the injector's and the sleep subsystem's
-    /// (their histograms are already there), and the data-parallel
-    /// splitter's as named counters, so both JSON exporters (the metrics
-    /// dump and the Chrome trace) carry them.
+    /// the pool stamped in: the injector's (its latency histogram is
+    /// already there), and the data-parallel splitter's as named
+    /// counters, so the Chrome trace carries them. The wake counters are
+    /// [`SleepStats`], reported by every pool, traced or not.
     #[cfg(feature = "telemetry")]
     fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let mut snap = self.registry.as_ref()?.snapshot();
         self.injector.stamp(&mut snap.injector);
-        let s = self.sleep.stats();
-        snap.sleep.wakes_sent = s.wakes_sent;
-        snap.sleep.wakes_skipped = s.wakes_skipped;
-        snap.sleep.wakes_spurious = s.wakes_spurious;
-        snap.sleep.hits_after_unpark = s.hits_after_unpark;
         let stats = PoolStats::aggregate(&self.stats);
         snap.counters
             .push(("par_splits".to_string(), stats.par_splits));
@@ -602,11 +597,7 @@ impl WorkerCtx {
                 now,
                 EventKind::StealAttempt {
                     victim: victim as u32,
-                    outcome: match result {
-                        StealResult::Hit => StealOutcome::Hit,
-                        StealResult::Abort => StealOutcome::Abort,
-                        StealResult::Empty => StealOutcome::Empty,
-                    },
+                    outcome: result,
                 },
             );
         }

@@ -14,10 +14,10 @@
 //! * [`cache`] — a per-process LRU cache model whose miss and deviation
 //!   counts feed the work-stealing cache-complexity bound check;
 //! * [`metrics`] — the per-run [`RunReport`] with the paper's bound
-//!   ratios;
-//! * [`telemetry`] — adapter from a recorded [`Trace`] to the shared
-//!   [`abp_telemetry`] schema, so simulated and real runs export the
-//!   same Chrome-trace/metrics formats.
+//!   ratios and exact counts of throws, rounds and steal attempts;
+//! * [`trace`] — the optional per-round [`Trace`]: each process's
+//!   activity, every steal attempt and its outcome, and the ASCII
+//!   timeline renderer.
 
 pub mod cache;
 pub mod central;
@@ -26,7 +26,6 @@ pub mod locked_deque;
 pub mod metrics;
 pub mod offline;
 mod round;
-pub mod telemetry;
 pub mod trace;
 pub mod ws;
 
@@ -38,6 +37,5 @@ pub use cache::{CacheConfig, CacheStats, LruCache};
 pub use central::{run_central, CentralConfig};
 pub use metrics::{PhaseStats, RunReport};
 pub use offline::{brent, figure2_execution, greedy, optimal_length, ExecutionSchedule};
-pub use telemetry::{telemetry_from_run, telemetry_from_trace, NS_PER_ROUND};
 pub use trace::{ActivityBreakdown, RoundActivity, StealRecord, Trace};
 pub use ws::{run_ws, AssignPolicy, DequeBackend, WorkStealer, WsConfig, MILESTONE_C};

@@ -2,8 +2,8 @@
 //! renderers and the analyses the paper's arguments appeal to (uniform
 //! victim selection, deque occupancy, where the time actually went).
 
+use abp_core::StealResult;
 use abp_dag::ProcId;
-use abp_telemetry::StealOutcome;
 use std::fmt;
 
 /// What one process spent (most of) a round doing.
@@ -37,23 +37,22 @@ impl RoundActivity {
     }
 }
 
-/// One completed steal attempt (`popTop` returning), in simulation time.
-/// The outcome vocabulary is shared with the real runtime's telemetry
-/// ([`abp_telemetry::StealOutcome`]) so simulator traces and pool traces
-/// export through the same schema.
+/// One completed steal attempt (`popTop` returning), in simulation time,
+/// with the outcome the run's [`StealTally`](abp_core::StealTally)
+/// recorded for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealRecord {
     /// Round (0-based) in which the attempt completed.
     pub round: u64,
     pub thief: ProcId,
     pub victim: ProcId,
-    pub outcome: StealOutcome,
+    pub outcome: StealResult,
 }
 
 impl StealRecord {
     /// True for a steal that returned a node.
     pub fn hit(&self) -> bool {
-        self.outcome == StealOutcome::Hit
+        self.outcome == StealResult::Hit
     }
 }
 
@@ -66,9 +65,6 @@ pub struct Trace {
     pub steals: Vec<StealRecord>,
     /// Deque length of each process sampled at each round start.
     pub deque_depths: Vec<Vec<usize>>,
-    /// Cache-model counters, present iff the run modelled caches
-    /// (absent entries keep the telemetry exporters byte-stable).
-    pub cache: Option<crate::cache::CacheStats>,
 }
 
 impl Trace {
@@ -259,7 +255,7 @@ mod tests {
                     round: 0,
                     thief: ProcId(0),
                     victim: ProcId(v),
-                    outcome: StealOutcome::Empty,
+                    outcome: StealResult::Empty,
                 });
             }
         }
@@ -271,7 +267,7 @@ mod tests {
                 round: 1,
                 thief: ProcId(1),
                 victim: ProcId(2),
-                outcome: StealOutcome::Hit,
+                outcome: StealResult::Hit,
             });
         }
         assert!(t.victim_chi_square(4) > 10.0);

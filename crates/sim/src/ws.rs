@@ -30,7 +30,6 @@ use abp_deque::model::ProgOp;
 use abp_deque::stepped::{Done, Op, SteppedDeque};
 use abp_deque::Steal;
 use abp_kernel::{Kernel, ProcSet, YieldLedger, YieldPolicy};
-use abp_telemetry::StealOutcome;
 
 /// The milestone constant `C`: any `C` consecutive instructions executed
 /// by a process include a milestone. The longest milestone-free stretch is
@@ -186,7 +185,7 @@ impl WsConfig {
         self.check_structural || self.check_potential || self.track_phases || self.cache.is_some()
     }
 
-    /// The policy identity stamped on reports and telemetry:
+    /// The policy identity stamped on every report:
     /// `"victim+yield+spin/yield-policy"`. The `+yield+spin` middle is
     /// the fixed backoff and idle point of Figure 3 (yield before every
     /// attempt, never park), kept so labels stay comparable across runs.
@@ -411,7 +410,8 @@ impl<'a> WorkStealer<'a> {
             );
         }
         // Structural zero: with the cache model disabled, no code path
-        // may touch the cache counters — telemetry goldens rely on it.
+        // may touch the cache counters, so the report's `cache: None`
+        // hides nothing.
         if self.config.cache.is_none() {
             assert_eq!(
                 (
@@ -422,9 +422,6 @@ impl<'a> WorkStealer<'a> {
                 (0, 0, 0),
                 "cache counters moved with the model disabled"
             );
-        }
-        if self.config.trace {
-            self.trace.cache = self.config.cache.map(|_| self.cache_stats.clone());
         }
         RunReport {
             work: self.dag.work(),
@@ -697,11 +694,7 @@ impl<'a> WorkStealer<'a> {
                 round: self.trace.rounds.len() as u64,
                 thief: ProcId(i as u32),
                 victim: ProcId(victim as u32),
-                outcome: match res {
-                    StealResult::Hit => StealOutcome::Hit,
-                    StealResult::Abort => StealOutcome::Abort,
-                    StealResult::Empty => StealOutcome::Empty,
-                },
+                outcome: res,
             });
         }
         if let Steal::Taken(v) = stolen {
@@ -1186,22 +1179,6 @@ mod tests {
         // P = 1: no steals, no deviations, and bit-identical counters.
         assert_eq!(a.deviations, 0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cache_stats_flow_into_trace() {
-        let d = gen::fork_join_tree(4, 2);
-        let mut k = DedicatedKernel::new(2);
-        let cfg = WsConfig::default()
-            .with_trace(true)
-            .with_cache(crate::cache::CacheConfig::default());
-        let r = run_ws(&d, 2, &mut k, cfg);
-        let from_trace = r.trace.as_ref().unwrap().cache.clone().unwrap();
-        assert_eq!(from_trace, r.cache.unwrap());
-        // Traced runs without the model carry no block.
-        let mut k = DedicatedKernel::new(2);
-        let r = run_ws(&d, 2, &mut k, WsConfig::default().with_trace(true));
-        assert!(r.trace.unwrap().cache.is_none());
     }
 
     #[test]

@@ -1,32 +1,11 @@
-//! The structured event schema shared by the real runtime and the
-//! simulator.
+//! The structured event schema the `hood` pool records.
 //!
 //! Events are deliberately word-packable: the ring buffer stores each
 //! record as two `u64` payload words (timestamp + packed kind), so a
 //! record can be published with a handful of atomic stores and snapshot
 //! readers can detect torn reads at word granularity.
 
-/// Outcome of one completed `popTop` invocation against a victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StealOutcome {
-    /// The attempt returned a job.
-    Hit,
-    /// The victim's deque was empty.
-    Empty,
-    /// The attempt lost the `cas` race (the paper's abort).
-    Abort,
-}
-
-impl StealOutcome {
-    /// Stable short name used by the exporters (`steal_hit`, ...).
-    pub fn name(self) -> &'static str {
-        match self {
-            StealOutcome::Hit => "steal_hit",
-            StealOutcome::Empty => "steal_empty",
-            StealOutcome::Abort => "steal_abort",
-        }
-    }
-}
+use abp_core::StealResult;
 
 /// What happened. One scheduler action per variant, mirroring the
 /// vocabulary of the paper's Figure-3 loop.
@@ -39,7 +18,7 @@ pub enum EventKind {
     /// This worker finished executing a job.
     ExecEnd,
     /// This worker completed a `popTop` against `victim`.
-    StealAttempt { victim: u32, outcome: StealOutcome },
+    StealAttempt { victim: u32, outcome: StealResult },
     /// This worker polled the external-submission injector between
     /// steal attempts; `hit` is whether a job was grabbed.
     InjectorPoll { hit: bool },
@@ -59,8 +38,7 @@ pub enum EventKind {
 }
 
 /// A timestamped event on one worker's timeline. Timestamps are
-/// nanoseconds from the registry's epoch (the real runtime) or scaled
-/// logical time (the simulator); either way they only need to be
+/// nanoseconds from the registry's epoch; they only need to be
 /// comparable within one snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
@@ -92,9 +70,9 @@ impl EventKind {
             EventKind::ExecEnd => TAG_EXEC_END,
             EventKind::StealAttempt { victim, outcome } => {
                 let o = match outcome {
-                    StealOutcome::Hit => 0u64,
-                    StealOutcome::Empty => 1,
-                    StealOutcome::Abort => 2,
+                    StealResult::Hit => 0u64,
+                    StealResult::Empty => 1,
+                    StealResult::Abort => 2,
                 };
                 TAG_STEAL | (o << 8) | ((victim as u64) << 32)
             }
@@ -116,9 +94,9 @@ impl EventKind {
             TAG_EXEC_END => EventKind::ExecEnd,
             TAG_STEAL => {
                 let outcome = match (w >> 8) & 0xFF {
-                    0 => StealOutcome::Hit,
-                    1 => StealOutcome::Empty,
-                    _ => StealOutcome::Abort,
+                    0 => StealResult::Hit,
+                    1 => StealResult::Empty,
+                    _ => StealResult::Abort,
                 };
                 EventKind::StealAttempt {
                     victim: (w >> 32) as u32,
@@ -152,15 +130,15 @@ mod tests {
             EventKind::ExecEnd,
             EventKind::StealAttempt {
                 victim: 0,
-                outcome: StealOutcome::Hit,
+                outcome: StealResult::Hit,
             },
             EventKind::StealAttempt {
                 victim: u32::MAX,
-                outcome: StealOutcome::Empty,
+                outcome: StealResult::Empty,
             },
             EventKind::StealAttempt {
                 victim: 7,
-                outcome: StealOutcome::Abort,
+                outcome: StealResult::Abort,
             },
             EventKind::InjectorPoll { hit: true },
             EventKind::InjectorPoll { hit: false },
@@ -175,12 +153,5 @@ mod tests {
             assert_eq!(EventKind::unpack(k.pack()), Some(k), "{k:?}");
         }
         assert_eq!(EventKind::unpack(0), None);
-    }
-
-    #[test]
-    fn outcome_names_are_stable() {
-        assert_eq!(StealOutcome::Hit.name(), "steal_hit");
-        assert_eq!(StealOutcome::Empty.name(), "steal_empty");
-        assert_eq!(StealOutcome::Abort.name(), "steal_abort");
     }
 }

@@ -2,10 +2,10 @@
 //! ABP work-stealing stack.
 //!
 //! The paper's empirical argument rests on *measuring* execution: steals,
-//! throws, yields, and the `T₁/P_A + T∞·P/P_A` time bound. This crate is
-//! the shared observability layer that makes those measurements
-//! first-class for both the real [`hood`] runtime and the `abp-sim`
-//! simulator:
+//! throws, yields, and the `T₁/P_A + T∞·P/P_A` time bound. The simulator
+//! counts throws, rounds and steal attempts exactly in its own reports;
+//! this crate is the observability layer of the real [`hood`] runtime,
+//! its one producer:
 //!
 //! * [`EventRing`] — a fixed-capacity, cache-line-padded, single-producer
 //!   event ring per worker. Recording is a handful of atomic stores;
@@ -13,29 +13,30 @@
 //!   tear-free and never block the producer.
 //! * [`Event`]/[`EventKind`] — the structured schema (`Spawn`,
 //!   `ExecStart`/`ExecEnd`, `StealAttempt { victim, outcome }`, `Yield`,
-//!   `Park`/`Unpark`) shared by runtime and simulator, so their traces
-//!   are directly comparable.
-//! * [`Counter`]/[`Histogram`] — lock-free metrics; histograms use
-//!   power-of-two buckets (steal latency, job run time).
+//!   `Park`/`Unpark`); a steal's outcome is `abp_core`'s
+//!   [`StealResult`](abp_core::StealResult), the same value the pool's
+//!   counters record.
+//! * [`Histogram`] — lock-free power-of-two-bucket histograms (steal
+//!   latency, job run time).
 //! * [`Registry`]/[`TelemetrySnapshot`] — one registry per pool snapshots
 //!   all rings and histograms at once.
-//! * [`chrome_trace`] — Chrome trace-event JSON (open in Perfetto or
-//!   `chrome://tracing`; one track per worker); [`metrics_json`] — a flat
-//!   machine-readable metrics dump; [`json`] — the tiny parser the tests
-//!   validate both with.
+//! * [`chrome_trace`] — the one exporter: Chrome trace-event JSON (open in
+//!   Perfetto or `chrome://tracing`; one track per worker); [`json`] — the
+//!   tiny parser the tests validate it with.
 //!
 //! ```
-//! use abp_telemetry::{EventKind, Registry, StealOutcome, TelemetryConfig};
+//! use abp_core::StealResult;
+//! use abp_telemetry::{EventKind, Registry, TelemetryConfig};
 //!
-//! let registry = Registry::new(2, &TelemetryConfig::default());
+//! let registry = Registry::with_policy(2, &TelemetryConfig::default(), "");
 //! let worker0 = registry.worker(0);
 //! worker0.record(EventKind::ExecStart);
-//! worker0.record(EventKind::StealAttempt { victim: 1, outcome: StealOutcome::Empty });
+//! worker0.record(EventKind::StealAttempt { victim: 1, outcome: StealResult::Empty });
 //! worker0.record(EventKind::ExecEnd);
 //! let snapshot = registry.snapshot();
-//! assert_eq!(snapshot.steal_attempts_per_worker(), vec![1, 0]);
+//! assert_eq!(snapshot.workers[0].steal_attempts(), 1);
 //! let trace = abp_telemetry::chrome_trace(&snapshot); // → Perfetto
-//! assert!(trace.starts_with("[\n"));
+//! assert!(trace.contains("\"name\":\"steal_empty\""));
 //! ```
 //!
 //! [`hood`]: https://docs.rs/hood
@@ -47,9 +48,9 @@ pub mod metrics;
 pub mod registry;
 pub mod ring;
 
-pub use chrome::{chrome_trace, metrics_json};
-pub use event::{Event, EventKind, StealOutcome};
-pub use metrics::{Counter, Histogram, HistogramSnapshot};
+pub use chrome::chrome_trace;
+pub use event::{Event, EventKind};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use registry::{
     InjectorSnapshot, Registry, SleepSnapshot, TelemetryConfig, TelemetrySnapshot, WorkerTelemetry,
     WorkerTrace,

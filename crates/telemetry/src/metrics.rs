@@ -1,4 +1,4 @@
-//! Counters and power-of-two-bucketed histograms.
+//! Power-of-two-bucketed histograms.
 //!
 //! Histograms cover the two distributions the paper's measurement section
 //! cares about — steal latency and job run time — but are generic over any
@@ -8,30 +8,6 @@
 //! snapshot time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotone counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of histogram buckets: zeros + one per possible bit position.
 pub const BUCKETS: usize = 65;
@@ -156,14 +132,6 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn bucket_boundaries() {

@@ -1,9 +1,10 @@
 //! The registry ties per-worker rings and metrics together and produces
 //! whole-system snapshots.
 
-use crate::event::{Event, EventKind, StealOutcome};
+use crate::event::{Event, EventKind};
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::ring::{EventRing, Producer};
+use abp_core::StealResult;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,7 +31,7 @@ struct WorkerSlot {
     job_run_time: Histogram,
 }
 
-/// All telemetry state for one pool (or one simulated run): a ring and
+/// All telemetry state for one pool: a ring and
 /// two histograms per worker, plus the common clock epoch and one
 /// pool-wide inject-to-start latency histogram (samples are recorded by
 /// whichever worker grabs an external submission, so the histogram is
@@ -44,13 +45,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// A registry for `workers` workers with no policy identity.
-    pub fn new(workers: usize, config: &TelemetryConfig) -> Arc<Self> {
-        Registry::with_policy(workers, config, "")
-    }
-
     /// A registry for `workers` workers whose snapshots carry the given
-    /// scheduling-policy identity label.
+    /// scheduling-policy identity label (empty for none).
     pub fn with_policy(
         workers: usize,
         config: &TelemetryConfig,
@@ -144,7 +140,6 @@ impl Registry {
             },
             sleep: SleepSnapshot {
                 unpark_to_work: self.unpark_to_work.snapshot(),
-                ..SleepSnapshot::default()
             },
             policy: self.policy.clone(),
         }
@@ -194,8 +189,8 @@ impl WorkerTelemetry {
         self.record_at(self.last_now.get(), kind);
     }
 
-    /// Records `kind` at an explicit timestamp (the simulator's logical
-    /// clocks use this).
+    /// Records `kind` at an explicit timestamp, typically one just read
+    /// with [`WorkerTelemetry::now_ns`].
     #[inline]
     pub fn record_at(&self, ts_ns: u64, kind: EventKind) {
         self.producer.record(Event { ts_ns, kind });
@@ -253,7 +248,7 @@ impl WorkerTrace {
     }
 
     /// Retained steal attempts with the given outcome.
-    pub fn steals_with(&self, want: StealOutcome) -> u64 {
+    pub fn steals_with(&self, want: StealResult) -> u64 {
         self.events
             .iter()
             .filter(
@@ -282,7 +277,7 @@ impl WorkerTrace {
 /// External-submission injector metrics inside a [`TelemetrySnapshot`].
 /// The latency histogram is filled by [`Registry::snapshot`]; the scalar
 /// counters are stamped by the pool that owns the injector (they stay
-/// zero for runs without one, e.g. the simulator).
+/// zero in a snapshot taken straight from the registry).
 #[derive(Debug, Clone, Default)]
 pub struct InjectorSnapshot {
     /// Jobs submitted from outside the pool (`spawn` + batched items).
@@ -302,40 +297,30 @@ pub struct InjectorSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// Sleep/wake-subsystem metrics inside a [`TelemetrySnapshot`]. The
-/// latency histogram is filled by [`Registry::snapshot`]; the scalar
-/// counters are stamped by the pool that owns the sleep state (they stay
-/// zero for runs without one, e.g. the simulator).
+/// Sleep/wake-subsystem metrics inside a [`TelemetrySnapshot`]: the one
+/// distribution only a traced pool measures. The wake counters live in
+/// `hood::SleepStats`, which every pool reports.
 #[derive(Debug, Clone, Default)]
 pub struct SleepSnapshot {
-    /// Targeted wakes delivered by producers.
-    pub wakes_sent: u64,
-    /// Wake budget that found the sleeper stack already drained.
-    pub wakes_skipped: u64,
-    /// Wakes whose target found no work before re-committing to sleep.
-    pub wakes_spurious: u64,
-    /// Woken workers that found work on their first post-wake hunt.
-    pub hits_after_unpark: u64,
     /// Unpark-to-work latency (ns from a wake-caused unpark to the woken
     /// worker finding work).
     pub unpark_to_work: HistogramSnapshot,
 }
 
 /// A whole-system snapshot: every worker's events and histograms plus
-/// free-form named counters. The real runtime and the simulator both
-/// export through this type, so their traces are directly comparable.
+/// free-form named counters.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// Label used as the Chrome trace process name.
     pub process_name: String,
     pub workers: Vec<WorkerTrace>,
-    /// Named scalar metrics (sorted into the metrics dump as-is).
+    /// Named scalar metrics stamped by the pool (the data-parallel split
+    /// counts, which the Chrome trace renders as one counter event).
     pub counters: Vec<(String, u64)>,
     /// External-submission injector metrics (all-zero when the run had
     /// no injector).
     pub injector: InjectorSnapshot,
-    /// Sleep/wake-subsystem metrics (all-zero when the run had no sleep
-    /// subsystem).
+    /// Sleep/wake-subsystem metrics.
     pub sleep: SleepSnapshot,
     /// Scheduling-policy identity of the run that produced this snapshot
     /// (`"victim+backoff+idle/yield-policy"`; empty when unknown).
@@ -346,11 +331,6 @@ impl TelemetrySnapshot {
     /// Total events dropped across all rings.
     pub fn total_dropped(&self) -> u64 {
         self.workers.iter().map(|w| w.dropped).sum()
-    }
-
-    /// Per-worker completed steal attempts, from the event streams.
-    pub fn steal_attempts_per_worker(&self) -> Vec<u64> {
-        self.workers.iter().map(|w| w.steal_attempts()).collect()
     }
 
     /// Steal-latency distribution aggregated over all workers.
@@ -378,7 +358,7 @@ mod tests {
 
     #[test]
     fn registry_roundtrip() {
-        let reg = Registry::new(2, &TelemetryConfig { ring_capacity: 64 });
+        let reg = Registry::with_policy(2, &TelemetryConfig { ring_capacity: 64 }, "");
         let w0 = reg.worker(0);
         let w1 = reg.worker(1);
         w0.record_at(10, EventKind::Spawn);
@@ -386,23 +366,24 @@ mod tests {
             20,
             EventKind::StealAttempt {
                 victim: 1,
-                outcome: StealOutcome::Hit,
+                outcome: StealResult::Hit,
             },
         );
         w1.record_at(
             15,
             EventKind::StealAttempt {
                 victim: 0,
-                outcome: StealOutcome::Empty,
+                outcome: StealResult::Empty,
             },
         );
         w0.steal_latency_ns(100);
         w1.job_run_ns(50);
         let snap = reg.snapshot();
         assert_eq!(snap.workers.len(), 2);
-        assert_eq!(snap.steal_attempts_per_worker(), vec![1, 1]);
-        assert_eq!(snap.workers[0].steals_with(StealOutcome::Hit), 1);
-        assert_eq!(snap.workers[1].steals_with(StealOutcome::Empty), 1);
+        assert_eq!(snap.workers[0].steal_attempts(), 1);
+        assert_eq!(snap.workers[1].steal_attempts(), 1);
+        assert_eq!(snap.workers[0].steals_with(StealResult::Hit), 1);
+        assert_eq!(snap.workers[1].steals_with(StealResult::Empty), 1);
         assert_eq!(snap.steal_latency_all().count(), 1);
         assert_eq!(snap.job_run_time_all().count(), 1);
         assert_eq!(snap.total_dropped(), 0);
@@ -412,13 +393,13 @@ mod tests {
     fn policy_identity_flows_into_snapshots() {
         let reg = Registry::with_policy(1, &TelemetryConfig::default(), "uniform+yield+spin");
         assert_eq!(reg.snapshot().policy, "uniform+yield+spin");
-        let plain = Registry::new(1, &TelemetryConfig::default());
+        let plain = Registry::with_policy(1, &TelemetryConfig::default(), "");
         assert_eq!(plain.snapshot().policy, "");
     }
 
     #[test]
     fn injector_latency_and_poll_counts_roundtrip() {
-        let reg = Registry::new(1, &TelemetryConfig { ring_capacity: 16 });
+        let reg = Registry::with_policy(1, &TelemetryConfig { ring_capacity: 16 }, "");
         let w = reg.worker(0);
         w.record_at(5, EventKind::InjectorPoll { hit: false });
         w.record_at(9, EventKind::InjectorPoll { hit: true });
@@ -438,7 +419,7 @@ mod tests {
 
     #[test]
     fn sleep_latency_and_wake_events_roundtrip() {
-        let reg = Registry::new(1, &TelemetryConfig { ring_capacity: 16 });
+        let reg = Registry::with_policy(1, &TelemetryConfig { ring_capacity: 16 }, "");
         let w = reg.worker(0);
         w.record_at(5, EventKind::WakeOne { target: 3 });
         w.record_at(9, EventKind::WakeSkipped);
@@ -451,14 +432,11 @@ mod tests {
             EventKind::WakeOne { target: 3 }
         );
         assert_eq!(snap.sleep.unpark_to_work.count(), 2);
-        // Scalar counters are the pool's to stamp; the registry leaves
-        // them zero.
-        assert_eq!(snap.sleep.wakes_sent, 0);
     }
 
     #[test]
     fn monotone_clock() {
-        let reg = Registry::new(1, &TelemetryConfig::default());
+        let reg = Registry::with_policy(1, &TelemetryConfig::default(), "");
         let a = reg.now_ns();
         let b = reg.now_ns();
         assert!(b >= a);

@@ -247,7 +247,7 @@ pub struct RingSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::StealOutcome;
+    use abp_core::StealResult;
     use std::sync::atomic::Ordering::SeqCst;
 
     fn ev(ts: u64) -> Event {
@@ -319,7 +319,7 @@ mod tests {
             EventKind::Spawn,
             EventKind::StealAttempt {
                 victim: 3,
-                outcome: StealOutcome::Abort,
+                outcome: StealResult::Abort,
             },
             EventKind::Park,
         ];
@@ -352,7 +352,7 @@ mod tests {
                     ts_ns: i,
                     kind: EventKind::StealAttempt {
                         victim: (i % (1 << 20)) as u32,
-                        outcome: StealOutcome::Empty,
+                        outcome: StealResult::Empty,
                     },
                 });
                 i += 1;

@@ -20,10 +20,10 @@
 //! * [`runtime`] ([`hood`]) — the real threaded fork-join runtime, whose
 //!   sleep/wake eventcount is model-checked as shipped, one shared
 //!   access at a time, through the deque crate's replay log;
-//! * [`telemetry`] ([`abp_telemetry`]) — the shared tracing/metrics
-//!   subsystem: lock-free per-worker event rings, histograms, and
-//!   Chrome-trace (Perfetto) / JSON exporters used by both the runtime
-//!   and the simulator.
+//! * [`telemetry`] ([`abp_telemetry`]) — the runtime's tracing/metrics
+//!   subsystem: lock-free per-worker event rings, histograms, and the
+//!   Chrome-trace (Perfetto) exporter. The simulator reports its counts
+//!   in its own `RunReport` and `Trace`.
 
 pub use abp_dag as dag;
 pub use abp_deque as deque;

@@ -1,12 +1,11 @@
-//! End-to-end telemetry pipeline tests: a real pool run and a simulator
-//! run export through the same Chrome trace-event schema, and the event
-//! streams agree *exactly* with the independent scheduler counters.
+//! End-to-end telemetry pipeline tests: a real pool run exports a
+//! Chrome trace-event JSON whose event streams agree *exactly* with the
+//! pool's independent scheduler counters.
 
-use abp_telemetry::{chrome_trace, json, metrics_json, EventKind, StealOutcome, TelemetryConfig};
+use abp_core::StealResult;
+use abp_telemetry::{chrome_trace, json, EventKind, TelemetryConfig};
 use hood::{join, PoolConfig, ThreadPool};
-use multiprog_ws::dag::gen;
-use multiprog_ws::kernel::{BenignKernel, CountSource};
-use multiprog_ws::sim::{run_ws, telemetry_from_trace, WsConfig};
+use std::time::{Duration, Instant};
 
 /// A latency-bound dependency chain: each round, one side spins until the
 /// other side (which must be stolen by a different worker) sets the flag.
@@ -41,20 +40,20 @@ fn fib(n: u64) -> u64 {
 }
 
 /// Parses a Chrome trace export and returns, per worker `tid`, the number
-/// of steal-attempt instant events with each outcome plus injector-poll
-/// hits and misses (`[hits, aborts, empties, inject_hits,
-/// inject_misses]`), checking the required keys on every event on the
-/// way.
-fn steal_counts_by_tid(trace: &str, workers: usize) -> Vec<[u64; 5]> {
+/// of steal-attempt instant events with each outcome, injector-poll hits
+/// and misses, and park span begins and ends (`[hits, aborts, empties,
+/// inject_hits, inject_misses, park_begins, park_ends]`), checking the
+/// required keys on every event on the way.
+fn counts_by_tid(trace: &str, workers: usize) -> Vec<[u64; 7]> {
     let parsed = json::parse(trace).expect("chrome trace parses");
     let events = parsed.as_array().expect("top level is an array");
     assert!(!events.is_empty());
-    let mut counts = vec![[0u64; 5]; workers];
+    let mut counts = vec![[0u64; 7]; workers];
     for e in events {
         let name = e.get("name").and_then(|v| v.as_str()).expect("name");
         let ph = e.get("ph").and_then(|v| v.as_str()).expect("ph");
-        // "C" covers the aggregate counter events (cache model, the
-        // injector fast path), emitted only when nonzero.
+        // "C" covers the aggregate counter events (data-parallel splits,
+        // the injector fast path), emitted only when nonzero.
         assert!(
             matches!(ph, "M" | "B" | "E" | "i" | "C"),
             "unexpected phase {ph:?} on {name:?}"
@@ -65,18 +64,23 @@ fn steal_counts_by_tid(trace: &str, workers: usize) -> Vec<[u64; 5]> {
         assert_eq!(pid, 0.0);
         let tid = e.get("tid").and_then(|v| v.as_f64()).expect("tid") as usize;
         assert!(tid < workers, "tid {tid} out of range");
-        let slot = match name {
-            "steal_hit" => 0,
-            "steal_abort" => 1,
-            "steal_empty" => 2,
-            "inject_hit" => 3,
-            "inject_empty" => 4,
+        let slot = match (name, ph) {
+            ("steal_hit", _) => 0,
+            ("steal_abort", _) => 1,
+            ("steal_empty", _) => 2,
+            ("inject_hit", _) => 3,
+            ("inject_empty", _) => 4,
+            ("park", "B") => 5,
+            ("park", "E") => 6,
+            ("park", _) => panic!("a park is a B/E span, not {ph:?}"),
             _ => continue,
         };
-        assert_eq!(
-            ph, "i",
-            "steal attempts and injector polls are instant events"
-        );
+        if slot < 5 {
+            assert_eq!(
+                ph, "i",
+                "steal attempts and injector polls are instant events"
+            );
+        }
         if slot < 3 {
             let victim = e
                 .get("args")
@@ -90,8 +94,9 @@ fn steal_counts_by_tid(trace: &str, workers: usize) -> Vec<[u64; 5]> {
     counts
 }
 
-/// A real pool run: the Chrome export parses, and per-worker steal counts
-/// reconstructed from the trace events equal the pool's own counters.
+/// A real pool run: the Chrome export parses, and per-worker steal and
+/// park counts reconstructed from the trace events equal the pool's own
+/// counters.
 #[test]
 fn pool_trace_matches_pool_stats() {
     let p = 3;
@@ -102,19 +107,31 @@ fn pool_trace_matches_pool_stats() {
         }),
         ..PoolConfig::default()
     });
+    // Let every worker park first, so the trace has park spans to count:
+    // a worker is a sleeper from its commit CAS and counts its park just
+    // after, so wait for both views to agree.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !(pool.sleeping_workers() == p && {
+        let st = pool.stats();
+        st.parks == st.unparks + p as u64
+    }) {
+        assert!(Instant::now() < deadline, "workers never all parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(pool.install(|| fib(20)), 6_765);
     pool.install(|| ping_pong(16));
     let report = pool.shutdown();
     let snap = report.telemetry.as_ref().expect("telemetry configured");
     assert_eq!(snap.total_dropped(), 0, "ring sized to keep everything");
     assert!(report.stats.steals > 0, "ping-pong forces real steals");
+    assert!(report.stats.parks >= p as u64, "every worker parked");
     assert!(report.stats.attempts_balance());
 
     // Trace-derived counts vs the snapshot's own accessors.
     let trace = chrome_trace(snap);
-    let counts = steal_counts_by_tid(&trace, p);
+    let counts = counts_by_tid(&trace, p);
     for (i, (w, st)) in snap.workers.iter().zip(&report.per_worker).enumerate() {
-        let [hits, aborts, empties, inj_hits, inj_misses] = counts[i];
+        let [hits, aborts, empties, inj_hits, inj_misses, park_begins, park_ends] = counts[i];
         assert_eq!(hits, st.steals, "worker {i} hits");
         assert_eq!(aborts, st.aborts, "worker {i} aborts");
         // Stats fold injector misses into `empties`; the trace keeps
@@ -132,7 +149,9 @@ fn pool_trace_matches_pool_stats() {
             "worker {i}"
         );
         assert_eq!(w.injector_hits(), st.injects, "worker {i}");
-        assert_eq!(w.steals_with(StealOutcome::Hit), st.steals, "worker {i}");
+        assert_eq!(w.steals_with(StealResult::Hit), st.steals, "worker {i}");
+        assert_eq!(park_begins, st.parks, "worker {i} parks");
+        assert_eq!(park_ends, st.unparks, "worker {i} unparks");
         assert!(st.attempts_balance(), "worker {i}");
     }
     assert_eq!(
@@ -202,99 +221,4 @@ fn spawn_events_equal_forks() {
     // One join per call with n >= 2: fib(17) - 1 of them under fib(16).
     assert_eq!(count(EventKind::Spawn), 1596);
     assert_eq!(count(EventKind::ExecStart), report.stats.jobs);
-}
-
-/// The flat metrics export is valid JSON and its per-worker fields agree
-/// with the same counters.
-#[test]
-fn pool_metrics_json_matches_stats() {
-    let pool = ThreadPool::with_config(PoolConfig {
-        num_procs: 2,
-        telemetry: Some(TelemetryConfig {
-            ring_capacity: 1 << 16,
-        }),
-        ..PoolConfig::default()
-    });
-    pool.install(|| ping_pong(8));
-    let report = pool.shutdown();
-    let snap = report.telemetry.as_ref().unwrap();
-    let parsed = json::parse(&metrics_json(snap)).expect("metrics json parses");
-    let workers = parsed
-        .get("workers")
-        .and_then(|w| w.as_array())
-        .expect("workers array");
-    assert_eq!(workers.len(), 2);
-    for (i, w) in workers.iter().enumerate() {
-        let field = |k: &str| w.get(k).and_then(|v| v.as_f64()).expect("field") as u64;
-        assert_eq!(field("worker"), i as u64);
-        assert_eq!(
-            field("steal_hits"),
-            report.per_worker[i].steals,
-            "worker {i}"
-        );
-        assert_eq!(
-            field("steal_empties") + field("inject_polls") - field("inject_hits"),
-            report.per_worker[i].empties,
-            "worker {i}"
-        );
-        assert_eq!(
-            field("inject_hits"),
-            report.per_worker[i].injects,
-            "worker {i}"
-        );
-        assert_eq!(
-            field("steal_aborts"),
-            report.per_worker[i].aborts,
-            "worker {i}"
-        );
-        assert_eq!(field("parks"), report.per_worker[i].parks, "worker {i}");
-    }
-}
-
-/// A simulator run adapted through [`telemetry_from_trace`] exports the
-/// same schema: the Chrome trace parses with the same loader, and its
-/// per-worker steal events equal the simulator's counters.
-#[test]
-fn sim_trace_exports_same_schema() {
-    let dag = gen::fib(13, 3);
-    let p = 5;
-    let mut k = BenignKernel::new(p, CountSource::UniformBetween(2, 5), 9);
-    let cfg = WsConfig {
-        trace: true,
-        seed: 41,
-        ..WsConfig::default()
-    };
-    let r = run_ws(&dag, p, &mut k, cfg);
-    assert!(r.completed);
-    let snap = telemetry_from_trace(r.trace.as_ref().unwrap());
-    assert_eq!(snap.workers.len(), p);
-    assert_eq!(snap.total_dropped(), 0);
-
-    let trace = chrome_trace(&snap);
-    let counts = steal_counts_by_tid(&trace, p);
-    let attempts: u64 = counts.iter().map(|c| c.iter().sum::<u64>()).sum();
-    let hits: u64 = counts.iter().map(|c| c[0]).sum();
-    assert_eq!(attempts, r.steal_attempts, "trace attempts = sim counter");
-    assert_eq!(hits, r.successful_steals, "trace hits = sim counter");
-    for (i, w) in snap.workers.iter().enumerate() {
-        assert_eq!(
-            w.steal_attempts(),
-            counts[i].iter().sum::<u64>(),
-            "worker {i}"
-        );
-    }
-    // Same loader, same process metadata convention as the pool export.
-    let parsed = json::parse(&trace).unwrap();
-    let first = &parsed.as_array().unwrap()[0];
-    assert_eq!(
-        first.get("name").and_then(|v| v.as_str()),
-        Some("process_name")
-    );
-    assert_eq!(
-        first
-            .get("args")
-            .and_then(|a| a.get("name"))
-            .and_then(|v| v.as_str()),
-        Some("abp-sim")
-    );
 }

@@ -7,11 +7,11 @@
 # paths have equal length, builds `hoodbench` in each, and runs PAIRS
 # pairs of every WORKLOAD with seeds AB_SEED, AB_SEED + 1, ... (AB_SEED
 # defaults to 101; set another to recheck a claim on unseen seeds),
-# alternating which side runs first. Then it prints each binary's
-# `fib_seq` address mod 64 and, per workload and end-to-end metric, both
-# medians, the parent's quartile spread (q3 - q1), the change in %, the
-# pairs in which the change was better (ties count for neither side), and
-# a verdict by ROADMAP.md's rules, with each metric's `bound` read from
+# alternating which side runs first. Then it prints, for each binary,
+# the address mod 64 of two layout-sensitive functions (below) and, per
+# workload and end-to-end metric, both medians, the parent's quartile
+# spread (q3 - q1), the change in %, the pairs in which the change was
+# better (ties count for neither side), and a verdict by ROADMAP.md's rules, with each metric's `bound` read from
 # the parent's BENCHMARK.json:
 #
 #   WORSE       the change's median is worse than the parent's by more
@@ -24,12 +24,15 @@
 #
 # The first verdict that holds, in this order, is printed.
 #
-# Code layout, and with it the speed of `fib_seq` (the sequential
-# baseline of `fj_fine` and `multiprog`), moves with the checkout path's
-# length and also with the directory's name. Equal-length paths remove
-# the first cause only, so the script prints a "layout differs" line
-# whenever the two `fib_seq` values mod 64 differ: a move of `fj_fine` or
-# `multiprog` in such a run may be layout, not the change.
+# Code layout moves with the checkout path's length and also with the
+# directory's name, and two hot functions are known to follow it:
+# `fib_seq` (the sequential baseline of `fj_fine` and `multiprog`) and
+# `WorkStealer::step` (the simulator's per-process step, which sets
+# `sim_ws`'s `speedup_vs_seq`). Equal-length paths remove the first cause
+# only, so the script prints each function's address mod 64 in both
+# binaries and a "layout differs" line naming the workloads whose
+# function sits at different offsets: a move of those workloads in such
+# a run may be layout, not the change.
 #
 # A claim needs the verdict `gain` (ROADMAP.md, "Rules for every item").
 # Run nothing else meanwhile: a compile beside it moves the open-loop
@@ -75,17 +78,28 @@ for seed in $(seq "$first" $((first + pairs - 1))); do
     done
 done
 
-mods=""
-for side in p c; do
-    addr=$(nm "$work/$side/benchmark/target/release/hoodbench" | awk '/fib_seq/ && !seen { print $1; seen = 1 }')
-    mod=$((16#$addr % 64))
-    echo "$side fib_seq 0x$addr mod 64 = $mod"
-    mods="$mods $mod"
+# Each hot function's address mod 64 in both binaries, and the
+# workloads it speeds; a differing offset names them.
+moved=""
+for probe in "fib_seq|fj_fine and multiprog|/::fib_seq\$/" \
+    "WorkStealer::step|sim_ws|/WorkStealer as .*>::step\$/"; do
+    IFS='|' read -r name workloads pattern <<< "$probe"
+    mods=""
+    for side in p c; do
+        addr=$(nm -C "$work/$side/benchmark/target/release/hoodbench" |
+            awk "$pattern && !seen { print \$1; seen = 1 }")
+        mod=$((16#$addr % 64))
+        echo "$side $name 0x$addr mod 64 = $mod"
+        mods="$mods $mod"
+    done
+    read -r mod_p mod_c <<< "$mods"
+    if [ "$mod_p" != "$mod_c" ]; then
+        moved="$moved; $name is at $mod_p mod 64 in the parent and $mod_c in the change ($workloads)"
+    fi
 done
-read -r mod_p mod_c <<< "$mods"
-if [ "$mod_p" != "$mod_c" ]; then
-    echo "layout differs: fib_seq is at $mod_p mod 64 in the parent and $mod_c in the change;" \
-        "fj_fine and multiprog may move with the layout, not the change"
+if [ -n "$moved" ]; then
+    echo "layout differs${moved#;}:" \
+        "those workloads may move with the layout, not the change"
 fi
 
 python3 - "$work" "$pairs" "$first" "$@" <<'EOF'

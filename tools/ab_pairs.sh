@@ -11,8 +11,9 @@
 # the address mod 64 of two layout-sensitive functions (below) and, per
 # workload and end-to-end metric, both medians, the parent's quartile
 # spread (q3 - q1), the change in %, the pairs in which the change was
-# better (ties count for neither side), and a verdict by ROADMAP.md's rules, with each metric's `bound` read from
-# the parent's BENCHMARK.json:
+# better (ties count for neither side), and a verdict by ROADMAP.md's
+# rules, with each metric's `bound` read from the parent's
+# BENCHMARK.json:
 #
 #   WORSE       the change's median is worse than the parent's by more
 #               than bound x the parent's median;

@@ -222,3 +222,34 @@ fn spawn_events_equal_forks() {
     assert_eq!(count(EventKind::Spawn), 1596);
     assert_eq!(count(EventKind::ExecStart), report.stats.jobs);
 }
+
+/// The flat per-worker metrics read back out of the JSON export — steal
+/// hits, aborts and empties, injector hits and polls, parks — agree with
+/// the same counters on a two-worker pool.
+#[test]
+fn pool_metrics_json_matches_stats() {
+    let pool = ThreadPool::with_config(PoolConfig {
+        num_procs: 2,
+        telemetry: Some(TelemetryConfig {
+            ring_capacity: 1 << 16,
+        }),
+        ..PoolConfig::default()
+    });
+    pool.install(|| ping_pong(8));
+    let report = pool.shutdown();
+    let snap = report.telemetry.as_ref().unwrap();
+    assert_eq!(snap.total_dropped(), 0, "ring sized to keep everything");
+    let counts = counts_by_tid(&chrome_trace(snap), 2);
+    assert_eq!(counts.len(), 2);
+    for (i, st) in report.per_worker.iter().enumerate() {
+        let [hits, aborts, empties, inj_hits, inj_misses, parks, _] = counts[i];
+        assert_eq!(hits, st.steals, "worker {i}");
+        assert_eq!(empties + inj_misses, st.empties, "worker {i}");
+        assert_eq!(inj_hits, st.injects, "worker {i}");
+        assert_eq!(aborts, st.aborts, "worker {i}");
+        assert_eq!(parks, st.parks, "worker {i}");
+        let w = &snap.workers[i];
+        assert_eq!(w.injector_polls(), inj_hits + inj_misses, "worker {i}");
+        assert_eq!(w.injector_hits(), inj_hits, "worker {i}");
+    }
+}

@@ -24,7 +24,8 @@
 //!   pass/fail.
 //!
 //! Randomness comes from [`abp_dag::DetRng`]: each worker or simulated
-//! process owns one stream, forked from the config seed by its index,
+//! process owns one stream, forked by its index from a seed — the
+//! simulator's configured one, or the pool's fixed constant (`0xAB9`) —
 //! so a pool worker and a simulated process with the same seed draw the
 //! same scan starts.
 //!

@@ -212,7 +212,6 @@ impl Injector {
     }
 
     /// Copies the scalar counters into a telemetry snapshot section.
-    #[cfg(feature = "telemetry")]
     pub(crate) fn stamp(&self, out: &mut abp_telemetry::InjectorSnapshot) {
         out.shards = self.shards.len() as u64;
         out.submissions = self.submissions.load(Ordering::Relaxed);

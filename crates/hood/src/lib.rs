@@ -25,7 +25,7 @@
 //! The pool runs Figure 3's policy and no other: a thief yields, scans
 //! the other workers from a uniformly random start, and polls the
 //! injector when it holds work. Out of work, it parks, untimed, through
-//! the eventcount ([`sleep`]): after a full spin of 64 failed hunts
+//! an eventcount: after a full spin of 64 failed hunts
 //! while most of its recent idle episodes (the last eight) ended within
 //! one such spin, and after its first failed hunt otherwise — a rule
 //! each worker measures for itself, in the spirit of competitive
@@ -35,8 +35,9 @@
 //! workers, each able to rob any other, and the deque is
 //! always ABP: the locking deque of `abp-deque` and the `LastEnabler`
 //! victim hint of `abp-core` are for the simulator.
-//! Configuration ([`PoolConfig`]) sets sizes, the seed, tracing, and the
-//! data-parallel split cadence.
+//! Configuration ([`PoolConfig`]) sets sizes, tracing, and the
+//! data-parallel split cadence. Tracing is switched on per pool, at run
+//! time, by [`PoolConfig::telemetry`]; an untraced pool records nothing.
 //!
 //! # External submission
 //!
@@ -73,22 +74,21 @@
 
 mod idle;
 mod injector;
-pub mod job;
-pub mod join;
-pub mod latch;
+mod job;
+mod join;
+mod latch;
 pub mod par;
-pub mod pool;
+mod pool;
 pub mod private;
-pub mod scope;
-pub mod sleep;
-pub mod stats;
+mod scope;
+mod sleep;
+mod stats;
 
 pub use join::join;
 pub use par::{par_sort_unstable, SplitKind};
-pub use pool::{Backend, PoolConfig, PoolPolicy, PoolReport, ThreadPool, WorkerCtx};
+pub use pool::{
+    Backend, PoolConfig, PoolPolicy, PoolReport, TelemetryConfig, TelemetrySnapshot, ThreadPool,
+};
 pub use scope::{scope, Scope};
 pub use sleep::{SleepKind, SleepStats};
-pub use stats::{PoolStats, WorkerStats};
-
-#[cfg(feature = "telemetry")]
-pub use pool::{TelemetryConfig, TelemetrySnapshot};
+pub use stats::PoolStats;

@@ -59,12 +59,11 @@
 //! [`ThreadPool::shutdown`] asserts the four-way accounting identity
 //! `attempts == hits + aborts + empties + injects`.
 //!
-//! With the `telemetry` feature (on by default) a pool can additionally
-//! record a structured event trace — spawns, job spans, every steal
-//! attempt with its outcome, yields, parks — into per-worker lock-free
-//! rings (see [`abp_telemetry`]). Tracing is also gated at *runtime*: it
-//! is off unless [`PoolConfig::telemetry`] is `Some`, and when off each
-//! instrumentation point costs one branch on an `Option`.
+//! A pool can additionally record a structured event trace — spawns, job
+//! spans, every steal attempt with its outcome, yields, parks — into
+//! per-worker lock-free rings (see [`abp_telemetry`]). Tracing is gated
+//! at run time: it is off unless [`PoolConfig::telemetry`] is `Some`, and
+//! when off each instrumentation point costs one branch on an `Option`.
 
 use crate::idle::IdleRule;
 use crate::injector::Injector;
@@ -82,10 +81,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-#[cfg(feature = "telemetry")]
 use abp_telemetry::{EventKind, Registry, WorkerTelemetry};
-#[cfg(feature = "telemetry")]
 pub use abp_telemetry::{TelemetryConfig, TelemetrySnapshot};
+
+/// The seed every pool's victim streams fork from, one per worker index.
+const SEED: u64 = 0xAB9;
+
+/// Worker thread stack size in bytes. Work stealing executes stolen jobs
+/// on the thief's stack ("leapfrogging"), so deep recursive workloads
+/// need headroom beyond the platform default.
+const STACK_SIZE: usize = 8 * 1024 * 1024;
 
 /// Sizing of every worker's public ABP deque.
 ///
@@ -148,12 +153,6 @@ pub struct PoolConfig {
     /// The scheduling policy: Figure 3's steal loop, plus the split
     /// cadence of the data-parallel layer.
     pub policies: PoolPolicy,
-    /// Seed for victim selection.
-    pub seed: u64,
-    /// Worker thread stack size in bytes. Work stealing executes stolen
-    /// jobs on the thief's stack ("leapfrogging"), so deep recursive
-    /// workloads need headroom beyond the platform default.
-    pub stack_size: usize,
     /// The sleep/wake protocol idle workers park through — always the
     /// eventcount. A fingerprint stamp, not a choice: it stays a field
     /// so run records that format the configuration keep naming it.
@@ -161,7 +160,6 @@ pub struct PoolConfig {
     /// Structured tracing: `Some(config)` records events and histograms
     /// into per-worker rings; `None` (the default) records nothing and
     /// leaves only an untaken branch at each instrumentation point.
-    #[cfg(feature = "telemetry")]
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -178,20 +176,7 @@ impl PoolConfig {
         self
     }
 
-    /// Replaces the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the worker stack size.
-    pub fn with_stack_size(mut self, stack_size: usize) -> Self {
-        self.stack_size = stack_size;
-        self
-    }
-
     /// Enables structured tracing with the given telemetry configuration.
-    #[cfg(feature = "telemetry")]
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -206,10 +191,7 @@ impl Default for PoolConfig {
                 .unwrap_or(1),
             backend: Backend::default(),
             policies: PoolPolicy::default(),
-            seed: 0xAB9,
-            stack_size: 8 * 1024 * 1024,
             sleep: SleepKind::default(),
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -233,7 +215,6 @@ pub(crate) struct SharedCore {
     /// The pool's attention word: counts the workers that are hunting
     /// for work; every push tests it.
     attention: Arc<Attention>,
-    #[cfg(feature = "telemetry")]
     registry: Option<Arc<Registry>>,
 }
 
@@ -245,17 +226,10 @@ impl SharedCore {
     /// the tracing-off sentinel (and silently dropped from the
     /// histogram).
     fn submit_ns(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        {
-            self.registry
-                .as_ref()
-                .map(|r| r.now_ns().max(1))
-                .unwrap_or(0)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            0
-        }
+        self.registry
+            .as_ref()
+            .map(|r| r.now_ns().max(1))
+            .unwrap_or(0)
     }
 
     /// Submits one external job through the sharded injector, then
@@ -283,7 +257,6 @@ impl SharedCore {
     /// already there), and the data-parallel splitter's as named
     /// counters, so the Chrome trace carries them. The wake counters are
     /// [`SleepStats`], reported by every pool, traced or not.
-    #[cfg(feature = "telemetry")]
     fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         let mut snap = self.registry.as_ref()?.snapshot();
         self.injector.stamp(&mut snap.injector);
@@ -329,13 +302,11 @@ pub struct WorkerCtx {
     woken_pending: Cell<bool>,
     /// Timestamp of the wake-caused unpark (0 when tracing is off),
     /// for the unpark-to-work latency histogram.
-    #[cfg(feature = "telemetry")]
     woken_at: Cell<u64>,
     /// True from this worker's first failed pop of its own deque until
     /// its next push: while it is counted in the pool's [`Attention`]
     /// word.
     hunting: Cell<bool>,
-    #[cfg(feature = "telemetry")]
     tele: Option<WorkerTelemetry>,
 }
 
@@ -401,7 +372,6 @@ impl WorkerCtx {
         WorkerStats::bump(&self.stats().par_seq);
     }
 
-    #[cfg(feature = "telemetry")]
     #[inline]
     fn tele_record(&self, kind: EventKind) {
         if let Some(t) = &self.tele {
@@ -439,7 +409,6 @@ impl WorkerCtx {
     /// `ExecStart`), so even a traced fork never touches the clock.
     #[cold]
     pub(crate) fn after_push(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
             t.record_coarse(EventKind::Spawn);
         }
@@ -498,9 +467,8 @@ impl WorkerCtx {
         if n == 0 {
             return;
         }
-        self.core.sleep.notify_jobs(n, |_ev| {
-            #[cfg(feature = "telemetry")]
-            self.tele_record(match _ev {
+        self.core.sleep.notify_jobs(n, |ev| {
+            self.tele_record(match ev {
                 Some(target) => EventKind::WakeOne {
                     target: target as u32,
                 },
@@ -525,7 +493,6 @@ impl WorkerCtx {
         }
         if self.woken_pending.replace(false) {
             self.core.sleep.note_hit_after_unpark();
-            #[cfg(feature = "telemetry")]
             if let Some(t) = &self.tele {
                 let woken_at = self.woken_at.get();
                 if woken_at > 0 {
@@ -551,7 +518,6 @@ impl WorkerCtx {
     /// histogram, and the `ExecStart`/`ExecEnd` trace span. Every job the
     /// scheduler runs goes through here so counts and traces agree.
     pub(crate) fn execute_job(&self, job: Job) {
-        #[cfg(feature = "telemetry")]
         let started = self.tele.as_ref().map(|t| {
             let now = t.now_ns();
             t.record_at(now, EventKind::ExecStart);
@@ -559,7 +525,6 @@ impl WorkerCtx {
         });
         unsafe { job.execute() };
         WorkerStats::bump(&self.stats().jobs);
-        #[cfg(feature = "telemetry")]
         if let (Some(t), Some(t0)) = (self.tele.as_ref(), started) {
             let now = t.now_ns();
             t.job_run_ns(now.saturating_sub(t0));
@@ -571,7 +536,6 @@ impl WorkerCtx {
     /// drain ([`WorkerCtx::find_distant_work`]).
     fn do_yield(&self) {
         self.stats().yields.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Yield);
         std::thread::yield_now();
     }
@@ -586,7 +550,6 @@ impl WorkerCtx {
             StealResult::Abort => stats.aborts.fetch_add(1, Ordering::Relaxed),
             StealResult::Empty => stats.empties.fetch_add(1, Ordering::Relaxed),
         };
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.tele.as_ref() {
             let now = t.now_ns();
             if result == StealResult::Hit {
@@ -601,8 +564,6 @@ impl WorkerCtx {
                 },
             );
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (victim, scan_start_ns);
     }
 
     /// One counted, non-blocking poll of the external-submission
@@ -624,7 +585,6 @@ impl WorkerCtx {
             Some((word, submit_ns)) => Some(self.took_injected(word, submit_ns)),
             None => {
                 stats.empties.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 self.tele_record(EventKind::InjectorPoll { hit: false });
                 None
             }
@@ -638,7 +598,6 @@ impl WorkerCtx {
     /// counters whichever path took the job.
     fn took_injected(&self, word: usize, submit_ns: u64) -> JobRef {
         self.stats().injects.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
             let now = t.now_ns();
             if submit_ns > 0 {
@@ -646,8 +605,6 @@ impl WorkerCtx {
             }
             t.record_at(now, EventKind::InjectorPoll { hit: true });
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = submit_ns;
         JobRef::from_word(word)
     }
 
@@ -692,10 +649,7 @@ impl WorkerCtx {
         if !(self.draining.replace(false) && self.core.injector.pending() > 0) {
             self.do_yield();
         }
-        #[cfg(feature = "telemetry")]
         let scan_start = self.tele.as_ref().map(|t| t.now_ns());
-        #[cfg(not(feature = "telemetry"))]
-        let scan_start = None;
         let n = self.core.num_procs;
         if n > 1 {
             let (mut victim, mut rng) = (self.victim.borrow_mut(), self.rng.borrow_mut());
@@ -780,14 +734,11 @@ impl WorkerCtx {
             sleep.note_spurious_wake();
         }
         self.stats().parks.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Park);
         sleep.park_committed(self.index);
         self.stats().unparks.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         self.tele_record(EventKind::Unpark);
         self.woken_pending.set(true);
-        #[cfg(feature = "telemetry")]
         self.woken_at
             .set(self.tele.as_ref().map_or(0, |t| t.now_ns()));
     }
@@ -851,11 +802,10 @@ fn worker_main(ctx: WorkerCtx) {
 /// Spawns one worker thread per owner handle (`owners[i]` is the owner
 /// side of `core.stealers[i]`).
 fn spawn_workers(
-    config: &PoolConfig,
     core: &Arc<SharedCore>,
     owners: Vec<abp_deque::Worker<usize>>,
 ) -> Vec<std::thread::JoinHandle<()>> {
-    let mut seed_rng = DetRng::new(config.seed);
+    let mut seed_rng = DetRng::new(SEED);
     owners
         .into_iter()
         .enumerate()
@@ -871,15 +821,13 @@ fn spawn_workers(
                 idle: IdleRule::default(),
                 draining: Cell::new(false),
                 woken_pending: Cell::new(false),
-                #[cfg(feature = "telemetry")]
                 woken_at: Cell::new(0),
                 hunting: Cell::new(false),
-                #[cfg(feature = "telemetry")]
                 tele: core.registry.as_ref().map(|r| r.worker(index)),
             };
             std::thread::Builder::new()
                 .name(format!("hood-worker-{index}"))
-                .stack_size(config.stack_size)
+                .stack_size(STACK_SIZE)
                 .spawn(move || worker_main(ctx))
                 .expect("failed to spawn worker thread")
         })
@@ -898,7 +846,6 @@ pub struct PoolReport {
     /// Sleep/wake-subsystem counters over the pool's whole life.
     pub sleep: SleepStats,
     /// The final telemetry snapshot, if tracing was configured.
-    #[cfg(feature = "telemetry")]
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -921,15 +868,11 @@ impl ThreadPool {
     pub fn with_config(config: PoolConfig) -> Self {
         assert!(config.num_procs >= 1);
         let p = config.num_procs;
-        #[cfg(feature = "telemetry")]
         let registry = config
             .telemetry
             .as_ref()
             .map(|tc| Registry::with_policy(p, tc, config.policies.label()));
-        #[cfg(feature = "telemetry")]
         let traced = registry.is_some();
-        #[cfg(not(feature = "telemetry"))]
-        let traced = false;
         let (owners, stealers) = (0..p)
             .map(|_| abp_deque::new(config.backend.capacity))
             .unzip();
@@ -942,10 +885,9 @@ impl ThreadPool {
             split: config.policies.split,
             stats: (0..p).map(|_| WorkerStats::default()).collect(),
             attention: Arc::new(Attention::new(traced)),
-            #[cfg(feature = "telemetry")]
             registry,
         });
-        let handles = spawn_workers(&config, &core, owners);
+        let handles = spawn_workers(&core, owners);
         ThreadPool { core, handles }
     }
 
@@ -1077,7 +1019,6 @@ impl ThreadPool {
     /// A live telemetry snapshot, if tracing was configured. Workers keep
     /// running (and recording) while this executes; for counts that must
     /// be exact, stop the pool with [`ThreadPool::shutdown`] instead.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         self.core.telemetry_snapshot()
     }
@@ -1149,7 +1090,6 @@ impl ThreadPool {
             stats,
             per_worker: self.per_worker_stats(),
             sleep,
-            #[cfg(feature = "telemetry")]
             telemetry: self.core.telemetry_snapshot(),
         }
     }

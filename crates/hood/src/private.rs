@@ -26,11 +26,11 @@
 //!
 //! INV-PRIV-REQ — who counts as hunting, and how an owner that sees a
 //! hunter answers — is the pool's half of the protocol; see
-//! `WorkerCtx::feed_hunters` in [`crate::pool`].
+//! `WorkerCtx::feed_hunters` in the crate-private `pool` module.
 //!
 //! **Inline bodies.** A spawned closure need not be boxed to sit on the
 //! private stack: [`PrivateStack::push_inline`] writes it, as an
-//! [`InlineJob`], into a second ring of 64-byte body slots that shares
+//! `InlineJob`, into a second ring of 64-byte body slots that shares
 //! the word ring's indices, and pushes the slot's address as its word.
 //! An entry is inline exactly when its word points into the body ring.
 //! The owner that pops one runs it before it pushes again, moving the
@@ -108,7 +108,7 @@ impl Attention {
 /// end, `tail` entries ever pushed minus those popped; the live entries
 /// are `head..tail`, stored at `index & mask`.
 ///
-/// Beside the words sits the body ring: `mask + 1` [`InlineJob`] slots,
+/// Beside the words sits the body ring: `mask + 1` `InlineJob` slots,
 /// one per word slot, allocated on the first inline push (a worker that
 /// never spawns never pays for one) and grown with the words. The word
 /// of an inline entry is the address of its own body slot.
@@ -225,12 +225,12 @@ impl PrivateStack {
     }
 
     /// Pushes the closure `f` as the newest entry, by value in a body
-    /// slot when it [fits](InlineJob::fits) and boxed as a [`HeapJob`]
+    /// slot when it fits (`InlineJob::fits`) and boxed as a `HeapJob`
     /// otherwise. Returns what [`PrivateStack::push`] returns.
     ///
     /// # Safety
     ///
-    /// As for [`HeapJob::into_job_ref`]: the entry must be run exactly
+    /// As for `HeapJob::into_job_ref`: the entry must be run exactly
     /// once — popped and [claimed](PrivateStack::claim), or exposed and
     /// stolen — before anything `f` borrows dies.
     #[inline]
@@ -284,7 +284,7 @@ impl PrivateStack {
     /// Turns a word just popped off this stack into a job the caller may
     /// run: an inline entry's body slot, which the caller must run before
     /// this stack's next push (running it moves the closure out of the
-    /// slot before the body starts); any other word is a [`JobRef`].
+    /// slot before the body starts); any other word is a `JobRef`.
     ///
     /// # Safety
     ///

@@ -106,7 +106,7 @@ pub enum SleepKind {
 }
 
 /// Scalar sleep/wake counters, readable live and reported at shutdown.
-/// `parks`/`unparks` live with the per-worker [`crate::stats`] counters;
+/// `parks`/`unparks` live with the per-worker [`PoolStats`](crate::PoolStats) counters;
 /// these are the pool-level ones (producers are not always workers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SleepStats {

@@ -93,7 +93,8 @@ impl WorkerStats {
 }
 
 /// A point-in-time aggregate over all workers (or a copy of one worker's
-/// counters — see [`WorkerStats::snapshot`]).
+/// counters, as [`ThreadPool::per_worker_stats`](crate::ThreadPool::per_worker_stats)
+/// returns them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     pub jobs: u64,
@@ -125,7 +126,7 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Sums the per-worker counters.
-    pub fn aggregate(workers: &[WorkerStats]) -> Self {
+    pub(crate) fn aggregate(workers: &[WorkerStats]) -> Self {
         let mut s = PoolStats::default();
         for w in workers {
             s.jobs += w.jobs.load(Ordering::Relaxed);

@@ -125,12 +125,6 @@ impl WsConfig {
         self
     }
 
-    /// Replaces the assignment policy.
-    pub fn with_assign(mut self, assign: AssignPolicy) -> Self {
-        self.assign = assign;
-        self
-    }
-
     /// Replaces the victim policy.
     pub fn with_victim(mut self, victim: VictimKind) -> Self {
         self.victim = victim;

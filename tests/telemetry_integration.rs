@@ -253,3 +253,24 @@ fn pool_metrics_json_matches_stats() {
         assert_eq!(w.injector_hits(), inj_hits, "worker {i}");
     }
 }
+
+/// Tracing is gated at run time only: a pool built without
+/// `PoolConfig::telemetry` records nothing, neither in a live snapshot
+/// nor in the report shutdown returns — after forks, steals and an
+/// injected job ran through the instrumentation points.
+#[test]
+fn an_untraced_pool_records_nothing() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let pool = ThreadPool::new(2);
+    assert_eq!(pool.install(|| fib(20)), 6765);
+    pool.install(|| ping_pong(4));
+    let ran = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&ran);
+    pool.spawn(move || flag.store(true, Ordering::Release));
+    assert!(pool.telemetry_snapshot().is_none());
+    let report = pool.shutdown();
+    assert!(ran.load(Ordering::Acquire), "shutdown drains the spawn");
+    assert!(report.telemetry.is_none());
+    assert!(report.stats.jobs > 0 && report.stats.attempts_balance());
+}

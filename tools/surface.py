@@ -7,7 +7,8 @@ CHECKOUT defaults to the repository this script lives in. Prints:
 
 * per crate, the non-test and test lines of `crates/*/src`, where test
   lines are `#[cfg(test)]` modules: inline `mod name { ... }` blocks,
-  attribute included, and whole files declared as `#[cfg(test)] mod name;`;
+  attribute included, and whole files declared as `#[cfg(test)] mod name;`,
+  and the cargo features its `Cargo.toml` declares (`default` not counted);
 * the field counts of `PoolConfig` and `WsConfig`, cfg-gated fields
   included;
 * the public items of `hood`, counted from `cargo doc -p hood --no-deps`
@@ -26,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tomllib
 
 
 def code_mask(text):
@@ -137,6 +139,13 @@ def count_lines(src_root):
     return total - test_lines, test_lines
 
 
+def cargo_features(crate_dir):
+    """Names of the cargo features `crate_dir/Cargo.toml` declares, `default` excluded."""
+    with open(os.path.join(crate_dir, "Cargo.toml"), "rb") as f:
+        manifest = tomllib.load(f)
+    return sorted(k for k in manifest.get("features", {}) if k != "default")
+
+
 def struct_fields(root, name):
     """Field count of `pub struct name { ... }` under `crates/*/src`."""
     pat = re.compile(r"pub struct " + name + r"\b[^{;]*\{")
@@ -213,17 +222,20 @@ def public_items(root):
 
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), ".."))
-    print(f"{'crate':<12} {'non-test':>9} {'test':>7} {'total':>7}")
-    sums = [0, 0]
+    print(f"{'crate':<12} {'non-test':>9} {'test':>7} {'total':>7} {'features':>9}")
+    sums = [0, 0, 0]
     for crate in sorted(os.listdir(os.path.join(root, "crates"))):
         src = os.path.join(root, "crates", crate, "src")
         if not os.path.isdir(src):
             continue
         non_test, test = count_lines(src)
+        features = cargo_features(os.path.dirname(src))
         sums[0] += non_test
         sums[1] += test
-        print(f"{crate:<12} {non_test:>9} {test:>7} {non_test + test:>7}")
-    print(f"{'all':<12} {sums[0]:>9} {sums[1]:>7} {sum(sums):>7}")
+        sums[2] += len(features)
+        names = f" ({', '.join(features)})" if features else ""
+        print(f"{crate:<12} {non_test:>9} {test:>7} {non_test + test:>7} {len(features):>9}{names}")
+    print(f"{'all':<12} {sums[0]:>9} {sums[1]:>7} {sums[0] + sums[1]:>7} {sums[2]:>9}")
     print()
     for name in ("PoolConfig", "WsConfig"):
         print(f"{name} fields: {struct_fields(root, name)}")

@@ -29,12 +29,12 @@
 //! `WorkerCtx::feed_hunters` in the crate-private `pool` module.
 //!
 //! **Inline bodies.** A spawned closure need not be boxed to sit on the
-//! private stack: [`PrivateStack::push_inline`] writes it, as an
+//! private stack: `PrivateStack::push_inline` writes it, as an
 //! `InlineJob`, into a second ring of 64-byte body slots that shares
 //! the word ring's indices, and pushes the slot's address as its word.
 //! An entry is inline exactly when its word points into the body ring.
 //! The owner that pops one runs it before it pushes again, moving the
-//! closure out of its slot as it starts ([`PrivateStack::claim`]).
+//! closure out of its slot as it starts (`PrivateStack::claim`).
 //! Exposure ([`PrivateFirst::expose_half`]) boxes one before it moves it
 //! to the public deque. So thieves, and every invariant above, only ever
 //! see boxed words, and a spawn allocates only when it is exposed —
@@ -234,7 +234,7 @@ impl PrivateStack {
     /// once — popped and [claimed](PrivateStack::claim), or exposed and
     /// stolen — before anything `f` borrows dies.
     #[inline]
-    pub unsafe fn push_inline<F>(&self, f: F) -> bool
+    pub(crate) unsafe fn push_inline<F>(&self, f: F) -> bool
     where
         F: FnOnce() + Send,
     {
@@ -260,7 +260,7 @@ impl PrivateStack {
     }
 
     /// Pops the newest entry's word. An inline entry's body stays in its
-    /// slot until the next push; [`PrivateStack::claim`] takes it out.
+    /// slot until the next push; `PrivateStack::claim` takes it out.
     #[inline]
     pub fn pop(&self) -> Option<usize> {
         let tail = self.tail.get();
@@ -291,7 +291,7 @@ impl PrivateStack {
     /// `word` must have come from [`PrivateStack::pop`] on this stack
     /// with no push since, and be claimed at most once.
     #[inline]
-    pub unsafe fn claim(&self, word: usize) -> Job {
+    pub(crate) unsafe fn claim(&self, word: usize) -> Job {
         if self.holds_body(word) {
             Job::Inline(word as *const InlineJob)
         } else {
@@ -301,7 +301,7 @@ impl PrivateStack {
 
     /// Pops the newest entry as a job to run (see [`PrivateStack::claim`]).
     #[inline]
-    pub fn pop_job(&self) -> Option<Job> {
+    pub(crate) fn pop_job(&self) -> Option<Job> {
         // SAFETY: the word was just popped, and is claimed once.
         self.pop().map(|word| unsafe { self.claim(word) })
     }
@@ -429,7 +429,7 @@ impl PrivateFirst {
 
     /// Pops the newest entry of the union: private first, then the
     /// public `popBottom` (INV-PRIV-ORDER makes that LIFO). An inline
-    /// entry comes back as its slot's address; [`PrivateFirst::pop_job`]
+    /// entry comes back as its slot's address; `PrivateFirst::pop_job`
     /// is the pop that runs it.
     #[inline]
     pub fn pop(&self) -> Option<usize> {
@@ -439,7 +439,7 @@ impl PrivateFirst {
     /// [`PrivateFirst::pop`] as a job to run: an inline entry is copied
     /// out of its body slot ([`PrivateStack::claim`]).
     #[inline]
-    pub fn pop_job(&self) -> Option<Job> {
+    pub(crate) fn pop_job(&self) -> Option<Job> {
         self.private.pop_job().or_else(|| {
             self.public
                 .pop_bottom()
